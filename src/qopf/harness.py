@@ -48,7 +48,7 @@ from .grid import (
 from .model import DualPoint, EvalMode, LagrangianContext, PrimalPoint
 from .permute import NodePermutation, SparsityPattern, bandwidth, best_rcm, \
     color_set, permute_pattern, permute_problem
-from .sim import AnsatzSpec, chain_seed, prepare, shift_points
+from .sim import AnsatzSpec, chain_seed, prepare, reverse_sweep
 
 VIOLATION_FLOOR = 1e-6
 REFERENCE_LABELS = (LABEL_BALANCE_P, LABEL_BALANCE_Q, LABEL_LINE)
@@ -554,16 +554,12 @@ def overlap_cost(spec: AnsatzSpec, params: np.ndarray, target: np.ndarray) -> fl
 
 def overlap_gradient(spec: AnsatzSpec, params: np.ndarray,
                      target: np.ndarray) -> np.ndarray:
-    """Exact two-point rule for the amplitude-linear cost: the overlap is
-    trigonometric in half-angles, so the +-pi/2 shifts give the derivative
-    with prefactor 1/(2 sqrt(2)) instead of the expectation-rule's 1/2."""
-    grad = np.zeros(spec.param_count)
-    scale = 1.0 / (2.0 * math.sqrt(2.0))
-    for j in range(spec.param_count):
-        plus, minus = shift_points(params, j)
-        grad[j] = scale * (overlap_cost(spec, plus, target)
-                           - overlap_cost(spec, minus, target))
-    return grad
+    """Adjoint gradient of the amplitude-linear cost: with the normalized
+    target carried back as the costate, d cost / d params_k =
+    -Re <(-i/2) G_k psi_k | target_k> = -Im <target_k| G_k |psi_k> / 2."""
+    psi = prepare(spec, params)
+    costate = np.asarray(target, dtype=complex) / float(np.linalg.norm(target))
+    return -0.5 * reverse_sweep(spec, params, psi, costate)
 
 
 def fit_state(spec: AnsatzSpec, target: np.ndarray, seed, restarts: int = 3,
@@ -787,6 +783,18 @@ def _run_single(config: ExperimentConfig, prepared: PreparedCase, model: str,
 # Report emission
 
 
+def _finite_or_null(value):
+    """``value`` with every non-finite float replaced by None, so that it
+    serializes as strict JSON (``null``, never a bare ``NaN``)."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return value
+
+
 def emit_report(report: RunReport, out_dir, formats=("csv", "json")) -> list[Path]:
     """Write the Table-1-shaped CSV, the full JSON, per-run trajectory CSVs,
     and the plot-ready dual/Lagrangian data."""
@@ -869,6 +877,6 @@ def emit_report(report: RunReport, out_dir, formats=("csv", "json")) -> list[Pat
         }
         path = out / "report.json"
         with path.open("w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1)
+            json.dump(_finite_or_null(doc), fh, indent=1, allow_nan=False)
         written.append(path)
     return written

@@ -13,9 +13,12 @@ with F0 the cost expectation on the primal circuit, G a diagonal observable
 (the constraint bounds) on the dual circuit, and F the constraint term,
 whose exact value is the PMF-weighted sum of per-constraint expectations
 and whose sampled value pairs a dual basis draw with a color-rotated primal
-draw.  Gradients in the circuit parameters come from the two-point
-parameter-shift rule; the scale gradients are the closed forms
-dL/dalpha = 2 alpha (F0 + beta^2 F) and dL/dbeta = 2 beta (alpha^2 F - G).
+draw.  In exact mode the gradients in the circuit parameters come from one
+adjoint (reverse-mode) sweep per circuit; in sampled mode from the two-point
+parameter-shift rule, as they would on hardware.  Either way the circuit
+ledger charges the parameter-shift count.  The scale gradients are the
+closed forms dL/dalpha = 2 alpha (F0 + beta^2 F) and
+dL/dbeta = 2 beta (alpha^2 F - G).
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 
 from . import xbm
 from .grid import QcqpProblem, ValidationError
-from .sim import AnsatzSpec, chain_seed, prepare, shift_points
+from .sim import AnsatzSpec, chain_seed, prepare, reverse_sweep, shift_points
 
 EXACT = "exact"
 SAMPLED = "sampled"
@@ -319,87 +322,107 @@ def lagrangian(ctx: LagrangianContext, p: PrimalPoint, d: DualPoint,
 # Gradients
 
 
+def constraint_action(ctx: LagrangianContext, weights: np.ndarray,
+                      psi: np.ndarray) -> np.ndarray:
+    """(sum_m weights_m M_m) psi in one pass over the flattened sparse triples."""
+    contrib = weights[ctx._coo_segs] * ctx._coo_vals * psi[ctx._coo_cols]
+    dim = len(psi)
+    return (np.bincount(ctx._coo_rows, weights=contrib.real, minlength=dim)
+            + 1j * np.bincount(ctx._coo_rows, weights=contrib.imag, minlength=dim))
+
+
 def grad(ctx: LagrangianContext, p: PrimalPoint, d: DualPoint,
          mode: EvalMode = EvalMode()) -> GradResult:
     """All four gradient blocks of the Lagrangian at (p, d).
 
-    theta and phi entries use the parameter-shift rule (two evaluations at
-    +-pi/2 per parameter); alpha and beta use their closed forms.  In
-    sampled mode every named expectation draws from its own derived stream,
-    keeping the blocks unbiased and the per-coordinate variances additive.
+    alpha and beta use their closed forms.  In exact mode the theta and phi
+    blocks come from one adjoint sweep per circuit (``sim.reverse_sweep``),
+    with the primal observable alpha^2 M0 + alpha^2 beta^2 sum_m w_m M_m and
+    the diagonal dual observable alpha^2 beta^2 F_m - beta^2 b_m.  In
+    sampled mode they use the parameter-shift rule (two evaluations at
+    +-pi/2 per parameter), and every named expectation draws from its own
+    derived stream, keeping the blocks unbiased and the per-coordinate
+    variances additive.  The circuit ledger charges the parameter-shift
+    count of ``ctx.circuits_per_gradient`` in both modes.
     """
-    alpha, beta = p.alpha, d.beta
-    a2, b2 = alpha**2, beta**2
-    p_count, q_count = ctx.p_count, ctx.q_count
-    shots_spent = 0
-
-    psi = prepare(ctx.primal_spec, p.theta)
-    w = dual_pmf(ctx, d)
-    fm_base: np.ndarray | None = None
     if mode.kind == EXACT:
-        f0 = float(np.real(np.vdot(psi, ctx.m0 @ psi)))
-        fm_base = constraint_expectations(ctx, psi)
-        f = float(w @ fm_base)
-        g = float(w @ ctx.s_diag)
+        terms, g_theta, g_phi = _angle_grads_exact(ctx, p, d)
+        shots_spent = 0
     else:
-        f0, spent = _sample_f0(ctx, psi, mode.reseeded(0))
-        shots_spent += spent
-        f, spent = _sample_f(ctx, psi, w, mode.reseeded(1))
-        shots_spent += spent
-        g, spent = _sample_g(ctx, w, mode.reseeded(2))
-        shots_spent += spent
-
-    g_alpha = 2 * alpha * f0 + 2 * alpha * b2 * f
-    g_beta = 2 * beta * (a2 * f - g)
-
-    g_theta = np.zeros(p_count)
-    for j in range(p_count):
-        plus, minus = shift_points(p.theta, j)
-        psi_p = prepare(ctx.primal_spec, plus)
-        psi_m = prepare(ctx.primal_spec, minus)
-        if mode.kind == EXACT:
-            df0 = float(np.real(np.vdot(psi_p, ctx.m0 @ psi_p))
-                        - np.real(np.vdot(psi_m, ctx.m0 @ psi_m)))
-            df = float(w @ constraint_expectations(ctx, psi_p)
-                       - w @ constraint_expectations(ctx, psi_m))
-        else:
-            f0p, spent = _sample_f0(ctx, psi_p, mode.reseeded(10, j, 0))
-            shots_spent += spent
-            f0m, spent = _sample_f0(ctx, psi_m, mode.reseeded(10, j, 1))
-            shots_spent += spent
-            fp, spent = _sample_f(ctx, psi_p, w, mode.reseeded(11, j, 0))
-            shots_spent += spent
-            fm, spent = _sample_f(ctx, psi_m, w, mode.reseeded(11, j, 1))
-            shots_spent += spent
-            df0, df = f0p - f0m, fp - fm
-        g_theta[j] = a2 / 2 * df0 + a2 * b2 / 2 * df
-
-    g_phi = np.zeros(q_count)
-    for j in range(q_count):
-        plus, minus = shift_points(d.phi, j)
-        w_p = np.abs(prepare(ctx.dual_spec, plus)) ** 2
-        w_m = np.abs(prepare(ctx.dual_spec, minus)) ** 2
-        if mode.kind == EXACT:
-            df = float((w_p - w_m) @ fm_base)
-            dg = float((w_p - w_m) @ ctx.s_diag)
-        else:
-            fp, spent = _sample_f(ctx, psi, w_p, mode.reseeded(12, j, 0))
-            shots_spent += spent
-            fm, spent = _sample_f(ctx, psi, w_m, mode.reseeded(12, j, 1))
-            shots_spent += spent
-            gp, spent = _sample_g(ctx, w_p, mode.reseeded(13, j, 0))
-            shots_spent += spent
-            gm, spent = _sample_g(ctx, w_m, mode.reseeded(13, j, 1))
-            shots_spent += spent
-            df, dg = fp - fm, gp - gm
-        g_phi[j] = a2 * b2 / 2 * df - b2 / 2 * dg
-
+        terms, g_theta, g_phi, shots_spent = _angle_grads_sampled(ctx, p, d, mode)
+    alpha, beta = p.alpha, d.beta
+    g_alpha = 2 * alpha * terms.f0 + 2 * alpha * beta**2 * terms.f
+    g_beta = 2 * beta * (alpha**2 * terms.f - terms.g)
     primal_circuits, dual_circuits = ctx.circuits_per_gradient()
     return GradResult(
         theta=g_theta, alpha=g_alpha, phi=g_phi, beta=g_beta,
         primal_circuits=primal_circuits, dual_circuits=dual_circuits,
         shots_spent=shots_spent,
     )
+
+
+def _angle_grads_exact(ctx: LagrangianContext, p: PrimalPoint, d: DualPoint):
+    a2, b2 = p.alpha**2, d.beta**2
+    psi = prepare(ctx.primal_spec, p.theta)
+    xi = prepare(ctx.dual_spec, d.phi)
+    w = np.abs(xi) ** 2
+    m0_psi = ctx.m0 @ psi
+    fm = constraint_expectations(ctx, psi)
+    f0 = float(np.real(np.vdot(psi, m0_psi)))
+    f = float(w @ fm)
+    g = float(w @ ctx.s_diag)
+    h_psi = a2 * m0_psi + a2 * b2 * constraint_action(ctx, w, psi)
+    g_theta = reverse_sweep(ctx.primal_spec, p.theta, psi, h_psi)
+    d_xi = (a2 * b2 * fm - b2 * ctx.s_diag) * xi
+    g_phi = reverse_sweep(ctx.dual_spec, d.phi, xi, d_xi)
+    return TermValues(f0, f, g), g_theta, g_phi
+
+
+def _angle_grads_sampled(ctx: LagrangianContext, p: PrimalPoint, d: DualPoint,
+                         mode: EvalMode):
+    a2, b2 = p.alpha**2, d.beta**2
+    shots_spent = 0
+
+    psi = prepare(ctx.primal_spec, p.theta)
+    w = dual_pmf(ctx, d)
+    f0, spent = _sample_f0(ctx, psi, mode.reseeded(0))
+    shots_spent += spent
+    f, spent = _sample_f(ctx, psi, w, mode.reseeded(1))
+    shots_spent += spent
+    g, spent = _sample_g(ctx, w, mode.reseeded(2))
+    shots_spent += spent
+
+    g_theta = np.zeros(ctx.p_count)
+    for j in range(ctx.p_count):
+        plus, minus = shift_points(p.theta, j)
+        psi_p = prepare(ctx.primal_spec, plus)
+        psi_m = prepare(ctx.primal_spec, minus)
+        f0p, spent = _sample_f0(ctx, psi_p, mode.reseeded(10, j, 0))
+        shots_spent += spent
+        f0m, spent = _sample_f0(ctx, psi_m, mode.reseeded(10, j, 1))
+        shots_spent += spent
+        fp, spent = _sample_f(ctx, psi_p, w, mode.reseeded(11, j, 0))
+        shots_spent += spent
+        fm, spent = _sample_f(ctx, psi_m, w, mode.reseeded(11, j, 1))
+        shots_spent += spent
+        g_theta[j] = a2 / 2 * (f0p - f0m) + a2 * b2 / 2 * (fp - fm)
+
+    g_phi = np.zeros(ctx.q_count)
+    for j in range(ctx.q_count):
+        plus, minus = shift_points(d.phi, j)
+        w_p = np.abs(prepare(ctx.dual_spec, plus)) ** 2
+        w_m = np.abs(prepare(ctx.dual_spec, minus)) ** 2
+        fp, spent = _sample_f(ctx, psi, w_p, mode.reseeded(12, j, 0))
+        shots_spent += spent
+        fm, spent = _sample_f(ctx, psi, w_m, mode.reseeded(12, j, 1))
+        shots_spent += spent
+        gp, spent = _sample_g(ctx, w_p, mode.reseeded(13, j, 0))
+        shots_spent += spent
+        gm, spent = _sample_g(ctx, w_m, mode.reseeded(13, j, 1))
+        shots_spent += spent
+        g_phi[j] = a2 * b2 / 2 * (fp - fm) - b2 / 2 * (gp - gm)
+
+    return TermValues(f0, f, g), g_theta, g_phi, shots_spent
 
 
 def g_operator(ctx: LagrangianContext, z, mode: EvalMode = EvalMode()) -> np.ndarray:

@@ -107,24 +107,14 @@ class AnsatzSpec:
         return self.rotations_per_layer * self.layers * self.n_qubits
 
     def gates(self, params: np.ndarray) -> list[GateOp]:
-        params = np.asarray(params, dtype=float)
-        if params.shape != (self.param_count,):
-            raise SimulationError(
-                f"expected {self.param_count} parameters, got {params.shape}"
-            )
+        params = _checked_params(self, params)
         ops: list[GateOp] = []
-        k = 0
-        for _ in range(self.layers):
-            for token in self.template:
-                if token == "cx":
-                    ops.extend(
-                        GateOp("cx", target=q + 1, control=q)
-                        for q in range(self.n_qubits - 1)
-                    )
-                else:
-                    for q in range(self.n_qubits):
-                        ops.append(GateOp(token, target=q, angle=float(params[k])))
-                        k += 1
+        for token, q, k in ansatz_ops(self):
+            if token == "cx":
+                ops.extend(GateOp("cx", target=c + 1, control=c)
+                           for c in range(self.n_qubits - 1))
+            else:
+                ops.append(GateOp(token, target=q, angle=float(params[k])))
         return ops
 
 
@@ -157,12 +147,14 @@ _FIXED = {
 }
 
 
-def _apply_single(state: np.ndarray, n: int, qubit: int, u: np.ndarray) -> np.ndarray:
-    view = state.reshape(2 ** (n - qubit - 1), 2, 2**qubit)
+def _apply_single(state: np.ndarray, qubit: int, u: np.ndarray) -> np.ndarray:
+    """Apply the 2x2 matrix ``u`` to ``qubit`` of a state, or of every row of
+    a stack of states, returning a new array."""
+    view = state.reshape(-1, 2, 2**qubit)
     out = np.empty_like(view)
     out[:, 0, :] = u[0, 0] * view[:, 0, :] + u[0, 1] * view[:, 1, :]
     out[:, 1, :] = u[1, 0] * view[:, 0, :] + u[1, 1] * view[:, 1, :]
-    return out.reshape(-1)
+    return out.reshape(state.shape)
 
 
 def apply_gate(state: np.ndarray, gate: GateOp) -> np.ndarray:
@@ -178,7 +170,7 @@ def apply_gate(state: np.ndarray, gate: GateOp) -> np.ndarray:
         return out
     u = _rotation_matrix(gate.kind, gate.angle) if gate.kind in ROTATIONS \
         else _FIXED[gate.kind]
-    return _apply_single(state, n, gate.target, u)
+    return _apply_single(state, gate.target, u)
 
 
 def apply_circuit(state: np.ndarray, gates) -> np.ndarray:
@@ -187,120 +179,96 @@ def apply_circuit(state: np.ndarray, gates) -> np.ndarray:
     return state
 
 
-_CHAIN_CACHE: dict[int, np.ndarray] = {}
+_CHAIN_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _chain_permutation(n: int) -> np.ndarray:
-    """Basis permutation of the CX chain (control q, target q+1, q = 0..n-2);
-    CX gates permute computational basis states, so a whole chain is one
-    precomputed index gather."""
-    perm = _CHAIN_CACHE.get(n)
-    if perm is None:
+def _chain_permutation(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Basis gathers applying and undoing the CX chain (control q, target
+    q+1, q = 0..n-2); CX gates permute computational basis states, so a
+    whole chain is one precomputed index gather."""
+    cached = _CHAIN_CACHE.get(n)
+    if cached is None:
         idx = np.arange(2**n)
         for q in range(n - 1):
             controlled = (idx >> q) & 1 == 1
             idx = np.where(controlled, idx ^ (1 << (q + 1)), idx)
-        # idx maps input basis -> output basis; invert for amplitude gather
-        perm = np.empty_like(idx)
-        perm[idx] = np.arange(2**n)
-        _CHAIN_CACHE[n] = perm
-    return perm
+        # idx maps input basis -> output basis, so it gathers the inverse;
+        # invert it for the forward amplitude gather
+        forward = np.empty_like(idx)
+        forward[idx] = np.arange(2**n)
+        cached = _CHAIN_CACHE[n] = (forward, idx)
+    return cached
 
 
-_TOKEN_CODES = {"rx": 0, "ry": 1, "rz": 2, "cx": 3}
-
-try:
-    from numba import njit as _njit
-
-    @_njit(cache=True)
-    def _prepare_kernel(n, layers, tokens, cos, sin):   # pragma: no cover
-        dim = 1 << n
-        state = np.zeros(dim, np.complex128)
-        state[0] = 1.0
-        k = 0
-        for _ in range(layers):
-            for token in tokens:
-                if token == 3:
-                    for q in range(n - 1):
-                        control = 1 << q
-                        target = 1 << (q + 1)
-                        for i in range(dim):
-                            if (i & control) and not (i & target):
-                                j = i | target
-                                state[i], state[j] = state[j], state[i]
-                    continue
-                for q in range(n):
-                    c, s = cos[k], sin[k]
-                    k += 1
-                    mask = 1 << q
-                    for i in range(dim):
-                        if i & mask:
-                            continue
-                        j = i | mask
-                        a, b = state[i], state[j]
-                        if token == 1:      # ry
-                            state[i] = c * a - s * b
-                            state[j] = s * a + c * b
-                        elif token == 0:    # rx
-                            state[i] = c * a - 1j * s * b
-                            state[j] = -1j * s * a + c * b
-                        else:               # rz
-                            state[i] = (c - 1j * s) * a
-                            state[j] = (c + 1j * s) * b
-        return state
-
-    _HAVE_NUMBA = True
-except ImportError:          # pragma: no cover - numba is a hard dependency
-    _HAVE_NUMBA = False
+# Pauli generators G of the rotations R(t) = exp(-i t G / 2)
+_GENERATORS = {
+    "rx": np.array([[0, 1], [1, 0]], dtype=complex),
+    "ry": np.array([[0, -1j], [1j, 0]]),
+    "rz": np.array([[1, 0], [0, -1]], dtype=complex),
+}
 
 
-def _prepare_numpy(n, layers, tokens, cos, sin):
-    state = zero_state(n)
-    chain = _chain_permutation(n)
+def ansatz_ops(spec: AnsatzSpec):
+    """The ansatz in application order as (token, qubit, parameter index)
+    triples; a "cx" op is the whole chain, with qubit and index None."""
     k = 0
-    for _ in range(layers):
-        for token in tokens:
-            if token == 3:
-                if n > 1:
-                    state = state[chain]
+    for _ in range(spec.layers):
+        for token in spec.template:
+            if token == "cx":
+                yield token, None, None
                 continue
-            for q in range(n):
-                c, s = cos[k], sin[k]
+            for q in range(spec.n_qubits):
+                yield token, q, k
                 k += 1
-                view = state.reshape(2 ** (n - q - 1), 2, 2**q)
-                out = np.empty_like(view)
-                lo, hi = view[:, 0, :], view[:, 1, :]
-                if token == 1:
-                    out[:, 0, :] = c * lo - s * hi
-                    out[:, 1, :] = s * lo + c * hi
-                elif token == 0:
-                    out[:, 0, :] = c * lo - 1j * s * hi
-                    out[:, 1, :] = -1j * s * lo + c * hi
-                else:
-                    out[:, 0, :] = (c - 1j * s) * lo
-                    out[:, 1, :] = (c + 1j * s) * hi
-                state = out.reshape(-1)
-    return state
 
 
-def prepare(spec: AnsatzSpec, params: np.ndarray) -> np.ndarray:
-    """State produced by the ansatz on |0...0>.
-
-    The iteration engines call this in a tight loop (every parameter-shift
-    evaluation re-prepares a state), so the gate sweep runs as a compiled
-    kernel when numba is importable, with an equivalent numpy fallback.
-    """
+def _checked_params(spec: AnsatzSpec, params: np.ndarray) -> np.ndarray:
     params = np.asarray(params, dtype=float)
     if params.shape != (spec.param_count,):
         raise SimulationError(
             f"expected {spec.param_count} parameters, got {params.shape}"
         )
-    half = params * 0.5
-    cos, sin = np.cos(half), np.sin(half)
-    tokens = np.array([_TOKEN_CODES[t] for t in spec.template], dtype=np.int64)
-    if _HAVE_NUMBA:
-        return _prepare_kernel(spec.n_qubits, spec.layers, tokens, cos, sin)
-    return _prepare_numpy(spec.n_qubits, spec.layers, tokens, cos, sin)
+    return params
+
+
+def prepare(spec: AnsatzSpec, params: np.ndarray) -> np.ndarray:
+    """State produced by the ansatz on |0...0>: the ops of ``ansatz_ops``
+    in order, each rotation through the 2x2 primitive and each CX chain as
+    one basis gather."""
+    params = _checked_params(spec, params)
+    n = spec.n_qubits
+    chain, _ = _chain_permutation(n)
+    state = zero_state(n)
+    for token, q, k in ansatz_ops(spec):
+        if token == "cx":
+            state = state[chain]
+        else:
+            state = _apply_single(state, q, _rotation_matrix(token, params[k]))
+    return state
+
+
+def reverse_sweep(spec: AnsatzSpec, params: np.ndarray, state: np.ndarray,
+                  costate: np.ndarray) -> np.ndarray:
+    """Im <costate_k| G_k |state_k> for every rotation k of the ansatz.
+
+    ``state`` is the prepared state |psi(params)>; state_k and costate_k are
+    ``state`` and ``costate`` with every op after rotation k undone, and G_k
+    is that rotation's Pauli generator.  For costate = O |psi> with O
+    Hermitian, entry k is d<psi|O|psi>/d params_k, so one backward pass
+    gives the whole gradient (adjoint differentiation; Jones & Gacon,
+    arXiv:2009.02823).
+    """
+    params = _checked_params(spec, params)
+    _, unchain = _chain_permutation(spec.n_qubits)
+    pair = np.stack([state, costate])
+    out = np.zeros(spec.param_count)
+    for token, q, k in reversed(list(ansatz_ops(spec))):
+        if token == "cx":
+            pair = pair[:, unchain]
+            continue
+        out[k] = np.vdot(pair[1], _apply_single(pair[0], q, _GENERATORS[token])).imag
+        pair = _apply_single(pair, q, _rotation_matrix(token, params[k]).conj().T)
+    return out
 
 
 def exact_expectation(state: np.ndarray, observable: np.ndarray) -> float:

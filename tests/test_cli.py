@@ -107,6 +107,31 @@ def test_io_exit_code(capsys):
     assert "i/o error" in err
 
 
+def reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def test_diverged_report_is_strict_json(tmp_path, case2_file, capsys):
+    out_dir = tmp_path / "run"
+    config = write_config(
+        tmp_path, case2_file,
+        classical_schedule={"theta": [50.0, 1.0], "phi": [50.0, 1.0]},
+        divergence_ceiling=1e6, out=str(out_dir))
+    code, _, _ = run_cli(capsys, "solve", str(config))
+    assert code == 2
+    doc = json.loads((out_dir / "report.json").read_text(encoding="utf-8"),
+                     parse_constant=reject_constant)
+    result = doc["instances"][0]["QCQP-EG"]
+    assert result["stop_reason"] == "diverged"
+    assert result["lagrangian_final"] is None
+    code, out, _ = run_cli(capsys, "report", str(out_dir), "--format", "json")
+    assert code == 0
+    assert json.loads(out, parse_constant=reject_constant) == doc
+    code, out, _ = run_cli(capsys, "report", str(out_dir), "--format", "csv")
+    assert code == 0
+    assert out.startswith("model,")
+
+
 def test_divergence_exit_code(tmp_path, case2_file, capsys):
     config = write_config(
         tmp_path, case2_file,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qopf import grid, model, sim
+from qopf import grid, harness, model, saddle, sim
 from qopf.grid import Constraint, QcqpProblem, ValidationError
 from qopf.model import DualPoint, PrimalPoint, exact_mode, sampled_mode
 from qopf.saddle import classical_lagrangian
@@ -255,3 +255,95 @@ def test_sampled_lagrangian_deterministic_per_seed(ctx44):
     a = model.lagrangian(ctx44, p, d, sampled_mode(16, 99))
     b = model.lagrangian(ctx44, p, d, sampled_mode(16, 99))
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# Adjoint (exact mode) against the parameter-shift rule
+
+
+def parameter_shift_field(ctx, p, d):
+    """Oracle for the signed field [g_theta; g_alpha; -g_phi; -g_beta] from
+    two-point differences of ``model.lagrangian`` alone: the +-pi/2 shift
+    rule in theta and phi, and central differences of unit step in alpha
+    and beta, which are exact because L is quadratic in each scale."""
+    def lag(theta=p.theta, alpha=p.alpha, phi=d.phi, beta=d.beta):
+        return model.lagrangian(ctx, PrimalPoint(theta, alpha), DualPoint(phi, beta))
+
+    shifted_theta = (sim.shift_points(p.theta, j) for j in range(ctx.p_count))
+    g_theta = [(lag(theta=plus) - lag(theta=minus)) / 2 for plus, minus in shifted_theta]
+    shifted_phi = (sim.shift_points(d.phi, j) for j in range(ctx.q_count))
+    g_phi = [(lag(phi=plus) - lag(phi=minus)) / 2 for plus, minus in shifted_phi]
+    g_alpha = (lag(alpha=p.alpha + 1) - lag(alpha=p.alpha - 1)) / 2
+    g_beta = (lag(beta=d.beta + 1) - lag(beta=d.beta - 1)) / 2
+    return np.concatenate([g_theta, [g_alpha], -np.asarray(g_phi), [-g_beta]])
+
+
+@pytest.fixture(scope="module")
+def padded_complex_problem():
+    # 5 rows padded to 8; random Hermitian rows carry imaginary entries
+    problem = grid.pad_to_qubits(random_problem(4, 5, seed=21))
+    assert problem.m_stored == 8 and problem.m == 5
+    return problem
+
+
+@pytest.mark.parametrize("row", range(1, 9))
+def test_adjoint_gradient_matches_parameter_shift(padded_complex_problem, row):
+    ctx = model.LagrangianContext(padded_complex_problem,
+                                  sim.AnsatzSpec.from_row(row, 2, 2),
+                                  sim.AnsatzSpec.from_row(row, 3, 2))
+    assert np.any(ctx._coo_vals.imag != 0)
+    for trial in range(2):
+        p, d = random_points(ctx, 60 + 10 * row + trial)
+        g = model.grad(ctx, p, d).stacked()
+        oracle = parameter_shift_field(ctx, p, d)
+        scale = np.max(np.abs(oracle))
+        assert scale > 0
+        assert np.max(np.abs(g - oracle)) <= 1e-10 * scale
+
+
+def test_adjoint_eg_trajectory_matches_parameter_shift(case2):
+    """50 exact EG iterations with the protocol's schedule and init on the
+    desk case: ``saddle.run`` (adjoint field) and ``saddle.eg_step`` driven by
+    the parameter-shift oracle stay within 1e-9.  The desk case keeps the
+    iterates from amplifying rounding; on chaotic trajectories any two
+    correct gradient codes drift apart."""
+    problem = harness.prepare_case(case2, 2, 0).permuted
+    ctx = model.LagrangianContext(problem, sim.AnsatzSpec.from_row(7, 1, 2),
+                                  sim.AnsatzSpec.from_row(4, 4, 1))
+    init = saddle.default_quantum_init(ctx, case2.n, len(case2.load_nodes), 3)
+    schedule = saddle.StepSchedule.exponential()
+    iters = 50
+    traj = saddle.run(ctx, init, saddle.EG, schedule,
+                      saddle.StopRule(theta_tol=1e-300, phi_tol=1e-300, max_iters=iters))
+    assert traj.iterations == iters
+
+    def oracle_field(z, *tags):
+        return parameter_shift_field(ctx, PrimalPoint(z.theta, z.alpha),
+                                     DualPoint(z.phi, z.beta)), 0
+
+    z = init
+    for t in range(iters):
+        z, _ = saddle.eg_step(oracle_field, z, schedule.rates(t))
+        assert np.max(np.abs(z.stacked() - traj.states[t + 1].stacked())) <= 1e-9, t
+    assert np.max(np.abs(z.stacked() - init.stacked())) > 0.1
+
+
+def test_sampled_gradient_stream_unchanged(padded_complex_problem):
+    """Sampled mode keeps its parameter-shift loops and seed derivation: the
+    values and shots for a fixed seed are pinned bit for bit."""
+    ctx = model.LagrangianContext(padded_complex_problem,
+                                  sim.AnsatzSpec.from_row(7, 2, 1),
+                                  sim.AnsatzSpec.from_row(4, 3, 1))
+    rng = np.random.default_rng(5)
+    p = PrimalPoint(rng.uniform(0, 6.28, ctx.p_count), 0.9)
+    d = DualPoint(rng.uniform(0, 6.28, ctx.q_count), 1.3)
+    res = model.grad(ctx, p, d, sampled_mode(16, [3, 1]))
+    assert res.theta.tolist() == [
+        -0.3778591853299997, 0.459836533791119, 0.7927302541285797,
+        0.4953326616324376, -0.752498105283468, 0.1357329339413147]
+    assert res.alpha == -0.34923426554001125
+    assert res.phi.tolist() == [
+        -0.023699708951224363, 0.38166384729749253, -0.11259800311073583,
+        -0.7986655745395496, 0.48323263971470276, 0.01492749752290573]
+    assert res.beta == 0.4753576847294754
+    assert (res.primal_circuits, res.dual_circuits, res.shots_spent) == (91, 13, 4464)

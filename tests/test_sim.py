@@ -197,3 +197,21 @@ def test_psr_matches_finite_difference_for_expectation():
             stepped[j] -= 2 * h
             fd = (fd - f(stepped)) / (2 * h)
             assert abs(psr - fd) < 1e-6, (row, j)
+
+
+def test_reverse_sweep_matches_shift_rule():
+    rng = np.random.default_rng(9)
+    for row in range(1, 9):
+        for n in (1, 3):
+            spec = AnsatzSpec.from_row(row, n, 2)
+            m = random_hermitian(rng, 2**n)
+            params = rng.uniform(0, 2 * math.pi, spec.param_count)
+            psi = sim.prepare(spec, params)
+            adjoint = sim.reverse_sweep(spec, params, psi, m @ psi)
+
+            def f(p):
+                return sim.exact_expectation(sim.prepare(spec, p), m)
+
+            shifted = (sim.shift_points(params, j) for j in range(spec.param_count))
+            psr = np.array([0.5 * (f(plus) - f(minus)) for plus, minus in shifted])
+            assert np.max(np.abs(adjoint - psr)) < 1e-12, (row, n)
