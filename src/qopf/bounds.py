@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import xbm
 from .grid import ValidationError
 from .linalg import spectral_norm
 from .model import LagrangianContext
@@ -65,10 +66,7 @@ def inputs_from_context(ctx: LagrangianContext, alpha_bar: float | None = None,
     max_norm = 0.0
     for c in problem.constraints:
         max_norm = max(max_norm, spectral_norm(c.matrix))
-    sum_max = 0.0
-    for diagonals in ctx.joint_diagonals.values():
-        piece_norms = np.max(np.abs(diagonals), axis=1)
-        sum_max += float(np.max(piece_norms)) ** 2
+    sum_max = sum(norm**2 for norm in xbm.piece_norms(problem.stack).values())
     return BoundInputs(
         p_count=ctx.p_count,
         q_count=ctx.q_count,

@@ -63,21 +63,11 @@ def _cmd_xbm_stats(args) -> int:
     case = load_case(args.case)
     prepared = harness.prepare_case(case, args.rcm_runs, args.seed)
     problem = prepared.permuted
-    m0_dec = xbm.decompose(problem.dense_m0())
+    m0_dec = xbm.decompose(problem.m0)
     rows = [("M0", m0_dec)]
-    sum_max_sq = 0.0
-    union_colors: set[int] = set(m0_dec.colors)
-    piece_norm_max: dict[tuple[int, str], float] = {}
-    for k, c in enumerate(problem.constraints):
-        mat = np.asarray(c.matrix)
-        if not np.any(mat):
-            continue
-        dec = xbm.decompose(mat)
-        union_colors |= dec.colors
-        for piece in dec.pieces:
-            key = (piece.color, piece.part)
-            piece_norm_max[key] = max(piece_norm_max.get(key, 0.0), piece.norm)
-    sum_max_sq = sum(v**2 for v in piece_norm_max.values())
+    piece_norms = xbm.piece_norms(problem.stack)
+    union_colors = xbm.union_colors(m0_dec, piece_norms)
+    sum_max_sq = sum(norm**2 for norm in piece_norms.values())
     print(f"union colors C = {len(union_colors)} "
           f"(2C-1 = {2 * len(union_colors) - 1} rotated circuits)")
     print(f"sum_c max_m ||M_m^c||^2 = {sum_max_sq:.6g}")

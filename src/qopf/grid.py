@@ -14,6 +14,12 @@ opposing inequalities.  Voltage-magnitude rows use the squared bounds
 (v_min^2, v_max^2); line rows bound the quadratic form |Y_nm| |v_n - v_m|^2
 by the branch's ``i_max`` field, read literally as that form's limit.
 
+Each row keeps its own matrix, dense up to dimension 256 and
+coordinate-sparse above.  For computing, a problem stacks all its rows
+into one ``MatrixStack`` of flat (segment, row, col, value) entries, which
+gives every quadratic form v^dag M_m v at once and the weighted action
+(sum_m w_m M_m) v without densifying anything.
+
 The native case format is a UTF-8 text file with four whitespace-delimited
 sections (see README):
 
@@ -34,6 +40,7 @@ import logging
 import math
 import re
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -45,6 +52,7 @@ from .linalg import (
     embed,
     hermitian_residual,
     is_sparse,
+    nonzero_entries,
 )
 
 log = logging.getLogger(__name__)
@@ -547,6 +555,44 @@ def auxiliary_matrices(case: NetworkCase, y=None):
     return {"voltage": voltage, "current": current, "reference": reference}
 
 
+class MatrixStack:
+    """Square matrices M_0..M_{count-1} of one size as flat COO entries
+    (segment, row, col, value): segment-major, row-major within a segment,
+    zeros dropped.
+
+    The forms and the weighted action go through a sparse segment-by-position
+    map over the distinct (row, col) positions, so a batch of vectors costs
+    one product per position rather than one per entry.
+    """
+
+    def __init__(self, matrices, dim: int):
+        entries = [nonzero_entries(m) for m in matrices]
+        self.count = len(entries)
+        self.dim = dim
+        self.segments = np.repeat(np.arange(self.count),
+                                  [len(rows) for rows, _, _ in entries])
+        empty = (np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0, complex))
+        self.rows, self.cols, self.values = (
+            np.concatenate(column) for column in zip(empty, *entries))
+        positions, slot = np.unique(self.rows * dim + self.cols, return_inverse=True)
+        self._position_rows, self._position_cols = np.divmod(positions, dim)
+        self._by_segment = sparse.csr_matrix(
+            (self.values, (self.segments, slot)), shape=(self.count, len(positions)))
+        self._by_position = self._by_segment.T.tocsr()
+
+    def forms(self, v: np.ndarray) -> np.ndarray:
+        """Re v^dag M_m v for every m: shape (count,) for one vector, and
+        (batch, count) for a (batch, dim) array of vectors."""
+        products = v.conj()[..., self._position_rows] * v[..., self._position_cols]
+        return np.real(self._by_segment @ products.T).T
+
+    def action(self, weights: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """(sum_m weights_m M_m) v for one vector v."""
+        contrib = (self._by_position @ weights) * v[self._position_cols]
+        return (np.bincount(self._position_rows, contrib.real, self.dim)
+                + 1j * np.bincount(self._position_rows, contrib.imag, self.dim))
+
+
 @dataclass(frozen=True)
 class Constraint:
     """One inequality row v^dag matrix v <= bound of the canonical QCQP."""
@@ -597,11 +643,16 @@ class QcqpProblem:
     def bounds(self) -> np.ndarray:
         return np.array([c.bound for c in self.constraints])
 
+    @cached_property
+    def stack(self) -> MatrixStack:
+        """The constraint rows as one MatrixStack, built on first use."""
+        return MatrixStack([c.matrix for c in self.constraints], self.dim)
+
     def dense_m0(self) -> np.ndarray:
         return as_dense(self.m0)
 
     def dense_constraints(self) -> np.ndarray:
-        """All constraint matrices stacked as an (M, dim, dim) array."""
+        """All constraint matrices as an (M, dim, dim) array (test reference)."""
         out = np.zeros((self.m_stored, self.dim, self.dim), dtype=complex)
         for k, c in enumerate(self.constraints):
             out[k] = as_dense(c.matrix)

@@ -336,8 +336,9 @@ def restricted_rows(problem: QcqpProblem) -> list[int]:
 
 
 def constraint_values(problem: QcqpProblem, v: np.ndarray) -> np.ndarray:
-    tensor = problem.dense_constraints()
-    return np.real(np.einsum("i,mij,j->m", v.conj(), tensor, v))
+    """v^dag M_m v for every stored row; for a (batch, dim) array of
+    voltages, one row of forms per voltage."""
+    return problem.stack.forms(v)
 
 
 def brute_force_reference(case: NetworkCase, resolution: int | None = None,
@@ -362,8 +363,6 @@ def brute_force_reference(case: NetworkCase, resolution: int | None = None,
     free = [i for i in range(n) if i != case.reference_bus]
     if resolution is None:
         resolution = {1: 41, 2: 19, 3: 9}[len(free)]
-    tensor = problem.dense_constraints()
-    m0 = problem.dense_m0()
     b = problem.bounds
 
     def best_on_grid(centers, widths, points, penalty):
@@ -380,9 +379,9 @@ def brute_force_reference(case: NetworkCase, resolution: int | None = None,
             r = grids[2 * k].reshape(-1)
             phi = grids[2 * k + 1].reshape(-1)
             v[:, free[k]] = r * np.exp(1j * phi)
-        forms = np.real(np.einsum("si,mij,sj->sm", v.conj(), tensor, v))
+        forms = constraint_values(problem, v)
         violation = np.maximum(forms - b[None, :], 0.0)
-        cost = np.real(np.einsum("si,ij,sj->s", v.conj(), m0, v))
+        cost = np.real(np.sum(v.conj() * (problem.m0 @ v.T).T, axis=1))
         merit = cost + penalty * np.sum(violation**2, axis=1)
         s = int(np.argmin(merit))
         centers = [(float(np.abs(v[s, bus])), float(np.angle(v[s, bus]))) for bus in free]
@@ -406,20 +405,11 @@ def brute_force_reference(case: NetworkCase, resolution: int | None = None,
             f"oracle violation {worst:.2e} above tolerance; raise resolution/refine")
 
     lam = _kkt_multipliers(problem, v_star, tol=1e-4)
-    rows = restricted_rows(problem)
-    gens = case.generator_nodes
-    demand = {bus.index: bus.p_demand for bus in case.buses}
-    forms = constraint_values(problem, v_star)
-    p_g, v_g = [], []
-    for node in gens:
-        mp_row = next(k for k, c in enumerate(problem.constraints)
-                      if c.label == LABEL_GEN and c.subject == node)
-        p_g.append(forms[mp_row] + demand[node])
-        v_row = next(k for k, c in enumerate(problem.constraints)
-                     if c.label == LABEL_VOLTAGE and c.subject == node)
-        v_g.append(math.sqrt(max(forms[v_row], 0.0)))
+    x = extract_setpoints(case, problem, v_star)
+    n_gens = len(case.generator_nodes)
     return ReferenceInstance(
-        p_g=np.array(p_g), v_g=np.array(v_g), lam=lam[rows], cost=cost, v=v_star,
+        p_g=x[:n_gens], v_g=x[n_gens:], lam=lam[restricted_rows(problem)],
+        cost=cost, v=v_star,
     )
 
 
@@ -429,10 +419,9 @@ def _kkt_multipliers(problem: QcqpProblem, v: np.ndarray, tol: float) -> np.ndar
     forms = constraint_values(problem, v)
     slack = problem.bounds - forms
     active = [k for k in range(problem.m_stored) if slack[k] <= tol]
-    target = -2.0 * (problem.dense_m0() @ v)
-    columns = []
-    for k in active:
-        columns.append(2.0 * (np.asarray(problem.constraints[k].matrix) @ v))
+    target = -2.0 * (problem.m0 @ v)
+    unit = np.eye(problem.m_stored)
+    columns = [2.0 * problem.stack.action(unit[k], v) for k in active]
     lam = np.zeros(problem.m_stored)
     if columns:
         a = np.stack(columns, axis=1)

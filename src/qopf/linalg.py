@@ -1,7 +1,9 @@
 """Small dense/sparse matrix helpers shared across the package.
 
-Problem matrices are dense ``numpy`` arrays up to dimension 256 and
-``scipy.sparse`` COO matrices above that.  Everything here accepts both.
+Problem matrices are stored as dense ``numpy`` arrays up to dimension 256
+and as ``scipy.sparse`` COO matrices above that.  Everything here accepts
+both; ``nonzero_entries`` is where either storage becomes the flat
+coordinate triples that ``grid.MatrixStack`` computes with.
 """
 
 from __future__ import annotations
@@ -23,17 +25,25 @@ def as_dense(matrix) -> np.ndarray:
     return np.asarray(matrix, dtype=complex)
 
 
+def nonzero_entries(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, values) of the nonzero entries in row-major order, with
+    duplicate sparse entries summed and explicit zeros dropped."""
+    if is_sparse(matrix):
+        csr = matrix.tocsr(copy=True)
+        csr.sum_duplicates()
+        csr.eliminate_zeros()
+        coo = csr.tocoo()
+        return (coo.row.astype(np.intp), coo.col.astype(np.intp),
+                coo.data.astype(complex))
+    m = np.asarray(matrix)
+    rows, cols = np.nonzero(m)
+    return rows, cols, m[rows, cols].astype(complex)
+
+
 def coo_entries(matrix):
     """Yield (row, col, value) triples of the nonzero entries."""
-    if is_sparse(matrix):
-        coo = matrix.tocoo()
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            yield int(i), int(j), complex(v)
-    else:
-        m = np.asarray(matrix)
-        rows, cols = np.nonzero(m)
-        for i, j in zip(rows, cols):
-            yield int(i), int(j), complex(m[i, j])
+    rows, cols, values = nonzero_entries(matrix)
+    return zip(rows.tolist(), cols.tolist(), values.tolist())
 
 
 def hermitian_residual(matrix) -> float:

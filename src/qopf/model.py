@@ -98,10 +98,11 @@ class GradResult:
 class LagrangianContext:
     """Everything needed to evaluate L and its gradients on one problem.
 
-    Holds the padded (and usually permuted) QCQP in dense form, the ansatz
-    pair, the color decomposition of the cost matrix, and the per-color
-    diagonals of every constraint matrix (the block-diagonal joint
-    observable, stored per color instead of materialized at size MN x MN).
+    Holds the padded (and usually permuted) QCQP, whose ``stack`` gives the
+    constraint forms and actions, the ansatz pair, the color decomposition
+    of the cost matrix, and the per-color diagonals of every constraint
+    matrix (the block-diagonal joint observable, stored per color instead
+    of materialized at size MN x MN).
     """
 
     def __init__(self, problem: QcqpProblem, primal_spec: AnsatzSpec,
@@ -119,43 +120,11 @@ class LagrangianContext:
         self.problem = problem
         self.primal_spec = primal_spec
         self.dual_spec = dual_spec
-        self.m0 = problem.dense_m0()
-        self.tensor = problem.dense_constraints()
         self.s_diag = problem.bounds
-        self.m0_decomposition = xbm.decompose(self.m0)
-        self.joint_diagonals = self._build_joint_diagonals()
-        self.colors = self._union_colors()
-        # constraint matrices are a few entries each; flattened COO triples
-        # turn the M quadratic forms into one gather + bincount
-        segs, rows, cols, vals = [], [], [], []
-        for m_idx in range(self.tensor.shape[0]):
-            r, c = np.nonzero(self.tensor[m_idx])
-            segs.append(np.full(len(r), m_idx))
-            rows.append(r)
-            cols.append(c)
-            vals.append(self.tensor[m_idx, r, c])
-        self._coo_segs = np.concatenate(segs) if segs else np.zeros(0, dtype=int)
-        self._coo_rows = np.concatenate(rows) if rows else np.zeros(0, dtype=int)
-        self._coo_cols = np.concatenate(cols) if cols else np.zeros(0, dtype=int)
-        self._coo_vals = np.concatenate(vals) if vals else np.zeros(0, dtype=complex)
-
-    def _build_joint_diagonals(self) -> dict[tuple[int, str], np.ndarray]:
-        """(color, part) -> (M, dim) array of rotated constraint diagonals."""
-        m_stored, dim = self.tensor.shape[0], self.tensor.shape[1]
-        out: dict[tuple[int, str], np.ndarray] = {}
-        for m in range(m_stored):
-            for piece in xbm.decompose(self.tensor[m]).pieces:
-                key = (piece.color, piece.part)
-                if key not in out:
-                    out[key] = np.zeros((m_stored, dim))
-                out[key][m] = piece.diagonal
-        ordered = sorted(out, key=lambda key: (key[1] != xbm.REAL, key[0]))
-        return {key: out[key] for key in ordered}
-
-    def _union_colors(self) -> set[int]:
-        colors = {c for c, _ in self.joint_diagonals}
-        colors |= self.m0_decomposition.colors
-        return colors
+        self.m0_decomposition = xbm.decompose(problem.m0)
+        # (color, part) -> (M, dim) rotated constraint diagonals
+        self.joint_diagonals = xbm.piece_diagonals(problem.stack)
+        self.colors = xbm.union_colors(self.m0_decomposition, self.joint_diagonals)
 
     @property
     def p_count(self) -> int:
@@ -204,31 +173,13 @@ def dual_vector(ctx: LagrangianContext, d: DualPoint) -> np.ndarray:
     return d.beta**2 * dual_pmf(ctx, d)
 
 
-def constraint_expectations(ctx: LagrangianContext, psi: np.ndarray) -> np.ndarray:
-    """All F_m = <psi|M_m|psi> in one pass over the flattened sparse triples."""
-    contrib = np.real(psi.conj()[ctx._coo_rows] * ctx._coo_vals * psi[ctx._coo_cols])
-    return np.bincount(ctx._coo_segs, weights=contrib,
-                       minlength=ctx.tensor.shape[0]).astype(float)
-
-
 def eval_terms_exact(ctx: LagrangianContext, p: PrimalPoint, d: DualPoint) -> TermValues:
     psi = prepare(ctx.primal_spec, p.theta)
     w = dual_pmf(ctx, d)
-    f0 = float(np.real(np.vdot(psi, ctx.m0 @ psi)))
-    f = float(w @ constraint_expectations(ctx, psi))
+    f0 = float(np.real(np.vdot(psi, ctx.problem.m0 @ psi)))
+    f = float(w @ ctx.problem.stack.forms(psi))
     g = float(w @ ctx.s_diag)
     return TermValues(f0, f, g)
-
-
-def joint_observable(ctx: LagrangianContext) -> np.ndarray:
-    """The MN x MN block-diagonal matrix sum_m e_m e_m^T (x) M_m.
-
-    Conceptual only; materialized for identity checks on tiny problems."""
-    m_stored, dim = ctx.tensor.shape[0], ctx.tensor.shape[1]
-    out = np.zeros((m_stored * dim, m_stored * dim), dtype=complex)
-    for m in range(m_stored):
-        out[m * dim:(m + 1) * dim, m * dim:(m + 1) * dim] = ctx.tensor[m]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -322,15 +273,6 @@ def lagrangian(ctx: LagrangianContext, p: PrimalPoint, d: DualPoint,
 # Gradients
 
 
-def constraint_action(ctx: LagrangianContext, weights: np.ndarray,
-                      psi: np.ndarray) -> np.ndarray:
-    """(sum_m weights_m M_m) psi in one pass over the flattened sparse triples."""
-    contrib = weights[ctx._coo_segs] * ctx._coo_vals * psi[ctx._coo_cols]
-    dim = len(psi)
-    return (np.bincount(ctx._coo_rows, weights=contrib.real, minlength=dim)
-            + 1j * np.bincount(ctx._coo_rows, weights=contrib.imag, minlength=dim))
-
-
 def grad(ctx: LagrangianContext, p: PrimalPoint, d: DualPoint,
          mode: EvalMode = EvalMode()) -> GradResult:
     """All four gradient blocks of the Lagrangian at (p, d).
@@ -366,12 +308,13 @@ def _angle_grads_exact(ctx: LagrangianContext, p: PrimalPoint, d: DualPoint):
     psi = prepare(ctx.primal_spec, p.theta)
     xi = prepare(ctx.dual_spec, d.phi)
     w = np.abs(xi) ** 2
-    m0_psi = ctx.m0 @ psi
-    fm = constraint_expectations(ctx, psi)
+    stack = ctx.problem.stack
+    m0_psi = ctx.problem.m0 @ psi
+    fm = stack.forms(psi)
     f0 = float(np.real(np.vdot(psi, m0_psi)))
     f = float(w @ fm)
     g = float(w @ ctx.s_diag)
-    h_psi = a2 * m0_psi + a2 * b2 * constraint_action(ctx, w, psi)
+    h_psi = a2 * m0_psi + a2 * b2 * stack.action(w, psi)
     g_theta = reverse_sweep(ctx.primal_spec, p.theta, psi, h_psi)
     d_xi = (a2 * b2 * fm - b2 * ctx.s_diag) * xi
     g_phi = reverse_sweep(ctx.dual_spec, d.phi, xi, d_xi)

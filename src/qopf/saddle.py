@@ -256,58 +256,45 @@ class ClassicalState:
             raise ValidationError("multipliers must be nonnegative")
 
 
-def classical_lagrangian(problem: QcqpProblem, v: np.ndarray, lam: np.ndarray,
-                         tensor: np.ndarray | None = None) -> float:
+def classical_lagrangian(problem: QcqpProblem, v: np.ndarray, lam: np.ndarray) -> float:
     """L(v, lambda) = v^dag M0 v + sum_m lambda_m (v^dag M_m v - b_m).
 
     The multiplier sum uses exact (fsum) accumulation so inert padding rows
     cannot perturb the value through summation order.
     """
-    if tensor is None:
-        tensor = problem.dense_constraints()
-    forms = np.real(np.einsum("i,mij,j->m", v.conj(), tensor, v))
-    cost = float(np.real(np.vdot(v, problem.dense_m0() @ v)))
+    forms = problem.stack.forms(v)
+    cost = float(np.real(np.vdot(v, problem.m0 @ v)))
     return cost + math.fsum(lam * (forms - problem.bounds))
 
 
-def _classical_field(problem: QcqpProblem, v: np.ndarray, lam: np.ndarray,
-                     m0: np.ndarray, tensor: np.ndarray):
-    grad_v = 2.0 * (m0 @ v + np.einsum("m,mij,j->i", lam, tensor, v))
-    forms = np.real(np.einsum("i,mij,j->m", v.conj(), tensor, v))
-    grad_lam = forms - problem.bounds
+def _classical_field(problem: QcqpProblem, v: np.ndarray, lam: np.ndarray):
+    grad_v = 2.0 * (problem.m0 @ v + problem.stack.action(lam, v))
+    grad_lam = problem.stack.forms(v) - problem.bounds
     return grad_v, grad_lam
 
 
-def classical_pd_step(problem: QcqpProblem, s: ClassicalState, steps,
-                      m0: np.ndarray | None = None,
-                      tensor: np.ndarray | None = None) -> ClassicalState:
+def classical_pd_step(problem: QcqpProblem, s: ClassicalState, steps) -> ClassicalState:
     """Gauss-Seidel primal-dual step on the raw QCQP: descend v at
     (v^t, lam^t), then ascend lambda at (v^{t+1}, lam^t) with projection."""
     mu_v, mu_lam = steps
-    m0 = problem.dense_m0() if m0 is None else m0
-    tensor = problem.dense_constraints() if tensor is None else tensor
-    grad_v, _ = _classical_field(problem, s.v, s.lam, m0, tensor)
+    grad_v, _ = _classical_field(problem, s.v, s.lam)
     v_next = s.v - mu_v * grad_v
-    forms = np.real(np.einsum("i,mij,j->m", v_next.conj(), tensor, v_next))
+    forms = problem.stack.forms(v_next)
     lam_next = np.maximum(s.lam + mu_lam * (forms - problem.bounds), 0.0)
     return ClassicalState(v_next, lam_next)
 
 
 def classical_eg_step(problem: QcqpProblem, s: ClassicalState, steps,
-                      m0: np.ndarray | None = None,
-                      tensor: np.ndarray | None = None,
                       symmetric: bool = False) -> ClassicalState:
     """Extragradient on the stacked (v, lambda) with the same signed-field
     template as the variational engine (both gradients per stage evaluated
     at the stage point)."""
     mu_v, mu_lam = steps
-    m0 = problem.dense_m0() if m0 is None else m0
-    tensor = problem.dense_constraints() if tensor is None else tensor
     lead = 1.0 if symmetric else 2.0
-    grad_v, grad_lam = _classical_field(problem, s.v, s.lam, m0, tensor)
+    grad_v, grad_lam = _classical_field(problem, s.v, s.lam)
     v_mid = s.v - lead * mu_v * grad_v
     lam_mid = np.maximum(s.lam + lead * mu_lam * grad_lam, 0.0)
-    grad_v2, grad_lam2 = _classical_field(problem, v_mid, lam_mid, m0, tensor)
+    grad_v2, grad_lam2 = _classical_field(problem, v_mid, lam_mid)
     v_next = s.v - mu_v * grad_v2
     lam_next = np.maximum(s.lam + mu_lam * grad_lam2, 0.0)
     return ClassicalState(v_next, lam_next)
@@ -332,8 +319,6 @@ def run_classical(problem: QcqpProblem, init: ClassicalState, method: str,
     move less than the tolerances."""
     if method not in (PD, EG):
         raise ValidationError(f"unknown method {method!r}")
-    m0 = problem.dense_m0()
-    tensor = problem.dense_constraints()
     traj = ClassicalTrajectory()
     traj.states.append(init)
     s = init
@@ -341,11 +326,10 @@ def run_classical(problem: QcqpProblem, init: ClassicalState, method: str,
         mu_v, _, mu_lam, _ = schedule.rates(t)
         steps = (mu_v, mu_lam)
         if method == PD:
-            nxt = classical_pd_step(problem, s, steps, m0, tensor)
+            nxt = classical_pd_step(problem, s, steps)
         else:
-            nxt = classical_eg_step(problem, s, steps, m0, tensor,
-                                    symmetric=symmetric_eg)
-        value = classical_lagrangian(problem, nxt.v, nxt.lam, tensor)
+            nxt = classical_eg_step(problem, s, steps, symmetric=symmetric_eg)
+        value = classical_lagrangian(problem, nxt.v, nxt.lam)
         if abs(value) > divergence_ceiling:
             raise DivergenceError(t, value)
         traj.states.append(nxt)

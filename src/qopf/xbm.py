@@ -16,8 +16,11 @@ k_c bit is clear, pairing it with j = i ^ c,
     real part:      lambda[i] = +Re M[i, j],  lambda[i ^ 2^k_c] = -Re M[i, j]
     imaginary part: lambda[i] = -Im M[i, j],  lambda[i ^ 2^k_c] = +Im M[i, j]
 
-The construction is validated functionally by the test suite: R M_c R^dag
-must be diagonal and equal diag(lambda) for every color and part.
+The diagonals are computed from coordinate entries grouped by i ^ j
+(``piece_diagonals``), for one matrix or a whole ``grid.MatrixStack`` at
+once.  The construction is validated functionally by the test suite:
+R M_c R^dag must be diagonal and equal diag(lambda) for every color and
+part.
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .grid import MatrixStack
+from .linalg import hermitian_residual, is_sparse
 from .sim import GateOp, apply_circuit, chain_seed, sample_basis
 
 REAL = "real"
@@ -89,31 +94,64 @@ class RotationCircuit:
 def eigen_diagonal(matrix: np.ndarray, color: int, part: str) -> np.ndarray:
     """Diagonal of the rotated color-c piece of a matrix supported on color c."""
     m = np.asarray(matrix, dtype=complex)
-    dim = m.shape[0]
-    rows, cols = np.nonzero(m)
-    if np.any(rows ^ cols != color):
+    stack = MatrixStack([m], m.shape[0])
+    if np.any(stack.rows ^ stack.cols != color):
         raise DecompositionError(f"matrix has support outside color {color}")
-    return _piece_diagonal(m, dim, color, part)
+    if color == 0 and part != REAL:
+        raise DecompositionError("color 0 has no imaginary part")
+    diagonals = piece_diagonals(stack).get((color, part))
+    return np.zeros(stack.dim) if diagonals is None else diagonals[0]
 
 
-def _piece_diagonal(m: np.ndarray, dim: int, color: int, part: str) -> np.ndarray:
-    diag = np.zeros(dim)
-    if color == 0:
-        if part != REAL:
-            raise DecompositionError("color 0 has no imaginary part")
-        diag[:] = np.real(np.diagonal(m))
-        return diag
-    k = most_significant_bit(color)
-    idx = np.arange(dim)
-    low = idx[(idx >> k) & 1 == 0]
-    entries = m[low, low ^ color]
-    if part == REAL:
-        diag[low] = entries.real
-        diag[low ^ (1 << k)] = -entries.real
-    else:
-        diag[low] = -entries.imag
-        diag[low ^ (1 << k)] = entries.imag
-    return diag
+def _piece_entries(stack: MatrixStack):
+    """(color, part, k_c, segments, rows, values) per piece of the stacked
+    matrices, real parts by ascending color first, then imaginary parts.
+
+    Only the entries whose row has bit k_c clear are read: the piece diagonal
+    of segment s holds ``values`` at ``rows`` and, for c >= 1, their
+    negation at ``rows | 2^k_c``.
+    """
+    colors = stack.rows ^ stack.cols
+    for part in (REAL, IMAG):
+        for c in np.unique(colors).tolist():
+            if c == 0 and part == IMAG:
+                continue
+            k = most_significant_bit(c) if c else None
+            sel = colors == c
+            if c:
+                sel &= (stack.rows >> k) & 1 == 0
+            values = stack.values[sel]
+            yield (c, part, k, stack.segments[sel], stack.rows[sel],
+                   values.real if part == REAL else -values.imag)
+
+
+def piece_diagonals(stack: MatrixStack) -> dict[tuple[int, str], np.ndarray]:
+    """(color, part) -> (count, dim) array of the rotated piece diagonals of
+    every stacked matrix, for the pieces nonzero in at least one of them."""
+    out: dict[tuple[int, str], np.ndarray] = {}
+    for color, part, k, segments, rows, values in _piece_entries(stack):
+        if not np.any(values):
+            continue
+        diagonals = np.zeros((stack.count, stack.dim))
+        diagonals[segments, rows] = values
+        if color:
+            diagonals[segments, rows | (1 << k)] = -values
+        out[(color, part)] = diagonals
+    return out
+
+
+def piece_norms(stack: MatrixStack) -> dict[tuple[int, str], float]:
+    """(color, part) -> max_m ||M_m^c||, the largest spectral norm of that
+    piece over the stacked matrices, for the pieces nonzero in at least one."""
+    return {(color, part): float(np.max(np.abs(values)))
+            for color, part, _, _, _, values in _piece_entries(stack)
+            if np.any(values)}
+
+
+def union_colors(decomposition: "ColorDecomposition", pieces) -> set[int]:
+    """Colors of a cost decomposition together with those of the (color,
+    part) keys of stacked constraint pieces: one rotation per color."""
+    return decomposition.colors | {color for color, _ in pieces}
 
 
 @dataclass(frozen=True)
@@ -183,34 +221,25 @@ class ColorDecomposition:
         return out
 
 
-def decompose(matrix: np.ndarray, tol: float = 1e-10) -> ColorDecomposition:
-    """Split a Hermitian matrix into its nonzero color pieces.
+def decompose(matrix, tol: float = 1e-10) -> ColorDecomposition:
+    """Split a Hermitian matrix, dense or scipy-sparse, into its nonzero
+    color pieces.
 
     Pieces whose diagonal is identically zero are omitted, so no shots are
     ever spent on structurally zero expectations.
     """
-    m = np.asarray(matrix, dtype=complex)
+    m = matrix if is_sparse(matrix) else np.asarray(matrix, dtype=complex)
     dim = m.shape[0]
     n_qubits = int(math.log2(dim))
     if 2**n_qubits != dim or m.shape != (dim, dim):
         raise DecompositionError(f"matrix must be square with power-of-two size, got {m.shape}")
-    residual = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
+    residual = hermitian_residual(m)
     if residual > tol:
         raise DecompositionError(f"matrix not Hermitian (residual {residual:.2e})")
-    rows, cols = np.nonzero(m)
-    colors = sorted(set(int(i) ^ int(j) for i, j in zip(rows, cols)))
-    real_pieces: list[ColorPiece] = []
-    imag_pieces: list[ColorPiece] = []
-    for c in colors:
-        k = most_significant_bit(c) if c else None
-        real_diag = _piece_diagonal(m, dim, c, REAL)
-        if np.any(real_diag):
-            real_pieces.append(ColorPiece(c, REAL, real_diag, k))
-        if c:
-            imag_diag = _piece_diagonal(m, dim, c, IMAG)
-            if np.any(imag_diag):
-                imag_pieces.append(ColorPiece(c, IMAG, imag_diag, k))
-    return ColorDecomposition(n_qubits, tuple(real_pieces + imag_pieces))
+    pieces = tuple(
+        ColorPiece(color, part, diagonals[0], most_significant_bit(color) if color else None)
+        for (color, part), diagonals in piece_diagonals(MatrixStack([m], dim)).items())
+    return ColorDecomposition(n_qubits, pieces)
 
 
 class EstimateReport(NamedTuple):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from qopf import grid
 
@@ -69,6 +70,35 @@ def random_problem(n, m, seed, scale=1.0):
         for k in range(m)
     )
     return grid.QcqpProblem(n=n, m=m, m0=m0, constraints=cons)
+
+
+def sparse_row_problem(seed):
+    """Three random sparse Hermitian rows stored as scipy COO, padded to
+    four: each row has one entry split into two duplicates and one stored
+    explicit zero, and the padding row is dense."""
+    rng = np.random.default_rng(seed)
+    dim = 4
+    rows = []
+    for k in range(3):
+        keep = rng.random((dim, dim)) < 0.5
+        m = random_hermitian(rng, dim) * (keep | keep.T)
+        i, j = np.nonzero(m)
+        data = m[i, j]
+        i = np.concatenate([i, i[:1], [k]])
+        j = np.concatenate([j, j[:1], [(k + 1) % dim]])
+        data = np.concatenate([data[:1] / 2, data[1:], data[:1] / 2, [0.0]])
+        matrix = sparse.coo_matrix((data, (i, j)), shape=(dim, dim))
+        rows.append(grid.Constraint(matrix, float(rng.standard_normal()), "gen-limit", k))
+    m0 = sparse.coo_matrix(random_hermitian(rng, dim))
+    return grid.pad_to_qubits(grid.QcqpProblem(n=dim, m=3, m0=m0, constraints=tuple(rows)))
+
+
+def stack_problems():
+    """Problems for the MatrixStack parity tests: dense complex rows with
+    padding rows (one also padded in dimension) and scipy-sparse rows."""
+    return [grid.pad_to_qubits(random_problem(4, 5, seed=21)),
+            grid.pad_to_qubits(random_problem(3, 6, seed=22)),
+            sparse_row_problem(23)]
 
 
 def random_state(rng, dim):

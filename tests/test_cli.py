@@ -52,6 +52,26 @@ def test_permute_csv_row(case2_file, capsys):
     assert fields[1] == "2" and fields[2] == "1"
 
 
+def chain_case_text(n):
+    """An n-bus chain: a generator at bus 1 and light loads elsewhere."""
+    lines = ["BUS", "1 gen 0.0 0.0 0.9 1.1"]
+    lines += [f"{k} load 0.01 0.002 0.9 1.1" for k in range(2, n + 1)]
+    lines += ["BRANCH"] + [f"{k} {k + 1} 4.0 -8.0 1.0" for k in range(1, n)]
+    lines += ["GEN", "1 0.0 5.0 -3.0 3.0", "COST", "1 1.0"]
+    return "\n".join(lines) + "\n"
+
+
+def test_xbm_stats_above_dense_limit(tmp_path, capsys):
+    # 260 buses store every matrix as scipy.sparse (dimension 512 after
+    # padding, 2048 stored rows)
+    path = tmp_path / "chain260.case"
+    path.write_text(chain_case_text(260), encoding="utf-8")
+    code, out, err = run_cli(capsys, "xbm-stats", str(path), "--rcm-runs", "2")
+    assert code == 0, err
+    assert "union colors C = " in out
+    assert out.splitlines()[3].startswith("M0,")
+
+
 def test_xbm_stats(case2_file, capsys):
     code, out, _ = run_cli(capsys, "xbm-stats", str(case2_file), "--rcm-runs", "2")
     assert code == 0

@@ -16,7 +16,7 @@ from qopf.grid import (
     ValidationError,
 )
 
-from conftest import CASE2_TEXT
+from conftest import CASE2_TEXT, stack_problems
 
 
 def test_parse_minimal_two_bus(case2):
@@ -270,3 +270,28 @@ def test_problem_json_roundtrip(case2):
     for a, b in zip(back.constraints, problem.constraints):
         assert a.label == b.label and a.bound == b.bound and a.subject == b.subject
         assert np.allclose(np.asarray(a.matrix), np.asarray(b.matrix))
+
+
+@pytest.mark.parametrize("problem", stack_problems())
+def test_matrix_stack_matches_dense_einsum(problem):
+    tensor = problem.dense_constraints()
+    stack = problem.stack
+    assert (stack.count, stack.dim) == (problem.m_stored, problem.dim)
+    # duplicates summed, stored zeros dropped: one entry per nonzero
+    assert len(stack.values) == np.count_nonzero(tensor)
+    assert np.all(stack.values != 0)
+    rng = np.random.default_rng(4)
+    dim = problem.dim
+    for _ in range(5):
+        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        forms = np.real(np.einsum("i,mij,j->m", v.conj(), tensor, v))
+        assert np.allclose(stack.forms(v), forms, rtol=0, atol=1e-12)
+        w = np.abs(rng.standard_normal(problem.m_stored))
+        action = np.einsum("m,mij,j->i", w, tensor, v)
+        assert np.allclose(stack.action(w, v), action, rtol=0, atol=1e-12)
+    batch = rng.standard_normal((7, dim)) + 1j * rng.standard_normal((7, dim))
+    forms = np.real(np.einsum("si,mij,sj->sm", batch.conj(), tensor, batch))
+    assert stack.forms(batch).shape == (7, problem.m_stored)
+    assert np.allclose(stack.forms(batch), forms, rtol=0, atol=1e-12)
+    padding = [k for k, c in enumerate(problem.constraints) if c.label == LABEL_PADDING]
+    assert padding and not np.any(np.isin(stack.segments, padding))

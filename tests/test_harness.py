@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qopf import grid, harness, model, sim
+from qopf import bounds, grid, harness, model, saddle, sim
 from qopf.grid import LABEL_GEN, LABEL_LINE, LABEL_VOLTAGE, ValidationError
 from qopf.harness import (
     AnsatzChoice,
@@ -311,3 +311,31 @@ def test_ieee57_pipeline_smoke(ieee57):
     assert result.metrics is None          # no reference at this scale
     assert len(result.duals) == 278        # balance + line rows
     assert report.stats.bandwidth_after < report.stats.bandwidth_before
+
+
+def test_production_paths_never_densify(monkeypatch, case2):
+    """Context build, gradients, bounds, the classical baselines, constraint
+    values and the oracle all run on the stacked sparse rows."""
+    def refuse(self):
+        raise AssertionError("production code densified the problem")
+
+    monkeypatch.setattr(grid.QcqpProblem, "dense_constraints", refuse)
+    monkeypatch.setattr(grid.QcqpProblem, "dense_m0", refuse)
+    problem = grid.pad_to_qubits(grid.assemble_qcqp(case2))
+    ctx = model.LagrangianContext(problem, sim.AnsatzSpec.from_row(6, 1, 1),
+                                  sim.AnsatzSpec.from_row(2, 4, 1))
+    p = model.PrimalPoint(np.full(ctx.p_count, 0.3), 1.2)
+    d = model.DualPoint(np.full(ctx.q_count, 0.7), 0.8)
+    assert np.all(np.isfinite(model.grad(ctx, p, d).stacked()))
+    bounds.inputs_from_context(ctx)
+    schedule = saddle.StepSchedule.constant(1e-3)
+    init = saddle.ClassicalState(np.ones(problem.dim, dtype=complex),
+                                 np.zeros(problem.m_stored))
+    for method in (saddle.PD, saddle.EG):
+        traj = saddle.run_classical(problem, init, method, schedule,
+                                    saddle.StopRule(max_iters=3))
+        assert len(traj.lagrangians) == 3
+    forms = harness.constraint_values(problem, init.v)
+    assert forms.shape == (problem.m_stored,)
+    ref = brute_force_reference(case2)
+    assert np.all(np.isfinite(ref.x))

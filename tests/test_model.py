@@ -81,12 +81,23 @@ def test_terms_identity_constant_observables():
     assert terms.g == pytest.approx(1.0, abs=1e-12)
 
 
+def joint_observable(ctx):
+    """The MN x MN block-diagonal matrix sum_m e_m e_m^T (x) M_m,
+    materialized for identity checks on tiny problems."""
+    tensor = ctx.problem.dense_constraints()
+    m_stored, dim = tensor.shape[0], tensor.shape[1]
+    out = np.zeros((m_stored * dim, m_stored * dim), dtype=complex)
+    for m in range(m_stored):
+        out[m * dim:(m + 1) * dim, m * dim:(m + 1) * dim] = tensor[m]
+    return out
+
+
 def test_kronecker_joint_observable_identity(ctx44):
     p, d = random_points(ctx44, 7)
     psi = sim.prepare(ctx44.primal_spec, p.theta)
     xi = model.dual_state(ctx44, d)
     composite = np.kron(xi, psi)
-    big = model.joint_observable(ctx44)
+    big = joint_observable(ctx44)
     f_kron = float(np.real(np.vdot(composite, big @ composite)))
     terms = model.eval_terms_exact(ctx44, p, d)
     assert f_kron == pytest.approx(terms.f, abs=1e-12)
@@ -141,7 +152,7 @@ def test_eval_f_sampled_degenerate_dual(ctx44):
     p, _ = random_points(ctx44, 10)
     d = DualPoint(np.zeros(ctx44.q_count), 1.0)   # |0000> -> m* = 0
     psi = sim.prepare(ctx44.primal_spec, p.theta)
-    exact_fm = sim.exact_expectation(psi, ctx44.tensor[0])
+    exact_fm = sim.exact_expectation(psi, ctx44.problem.dense_constraints()[0])
     values = [model.eval_F_sampled(ctx44, p, d, shots=64, seed=[21, k])
               for k in range(200)]
     assert abs(np.mean(values) - exact_fm) < 0.05 * max(1.0, abs(exact_fm))
@@ -291,7 +302,7 @@ def test_adjoint_gradient_matches_parameter_shift(padded_complex_problem, row):
     ctx = model.LagrangianContext(padded_complex_problem,
                                   sim.AnsatzSpec.from_row(row, 2, 2),
                                   sim.AnsatzSpec.from_row(row, 3, 2))
-    assert np.any(ctx._coo_vals.imag != 0)
+    assert np.any(ctx.problem.stack.values.imag != 0)
     for trial in range(2):
         p, d = random_points(ctx, 60 + 10 * row + trial)
         g = model.grad(ctx, p, d).stacked()

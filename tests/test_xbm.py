@@ -6,7 +6,7 @@ import pytest
 from qopf import sim, xbm
 from qopf.xbm import DecompositionError
 
-from conftest import random_hermitian, random_state
+from conftest import random_hermitian, random_state, stack_problems
 
 
 def circuit_unitary(circuit, n_qubits):
@@ -243,3 +243,31 @@ def test_joint_scheme_unbiased_and_deterministic():
                                        scheme="joint").estimate
               for k in range(500)]
     assert abs(np.mean(values) - exact) < 5 * math.sqrt(variance / 500)
+
+
+@pytest.mark.parametrize("problem", stack_problems())
+def test_stacked_piece_diagonals_match_per_row_decompose(problem):
+    tensor = problem.dense_constraints()
+    expected: dict[tuple[int, str], np.ndarray] = {}
+    norms: dict[tuple[int, str], float] = {}
+    for m in range(problem.m_stored):
+        for piece in xbm.decompose(tensor[m]).pieces:
+            key = (piece.color, piece.part)
+            expected.setdefault(key, np.zeros((problem.m_stored, problem.dim)))[m] = \
+                piece.diagonal
+            norms[key] = max(norms.get(key, 0.0), piece.norm)
+    order = sorted(expected, key=lambda key: (key[1] != xbm.REAL, key[0]))
+    joint = xbm.piece_diagonals(problem.stack)
+    assert list(joint) == order
+    for key in order:
+        assert np.array_equal(joint[key], expected[key])
+    assert xbm.piece_norms(problem.stack) == {key: norms[key] for key in order}
+    m0_dec = xbm.decompose(problem.dense_m0())
+    assert xbm.union_colors(m0_dec, joint) == \
+        m0_dec.colors | {piece.color for m in range(problem.m_stored)
+                         for piece in xbm.decompose(tensor[m]).pieces}
+    sparse_dec = xbm.decompose(problem.m0)
+    assert [(p.color, p.part) for p in sparse_dec.pieces] == \
+        [(p.color, p.part) for p in m0_dec.pieces]
+    for a, b in zip(sparse_dec.pieces, m0_dec.pieces):
+        assert np.array_equal(a.diagonal, b.diagonal)
