@@ -19,7 +19,6 @@ import numpy as np
 
 from . import xbm
 from .grid import ValidationError
-from .linalg import spectral_norm
 from .model import LagrangianContext
 
 
@@ -49,6 +48,30 @@ class BoundInputs:
             raise ValidationError("epsilon must be positive")
 
 
+def spectral_norm(matrix, tol: float = 1e-8, max_iters: int = 10_000) -> float:
+    """Largest singular value of a scipy-sparse matrix by power iteration on
+    M^dag M, to relative tolerance ``tol`` on successive estimates."""
+    if matrix.shape[0] == 0 or matrix.nnz == 0:
+        return 0.0
+    m = matrix.tocsr()
+    mh = m.conj().T.tocsr()
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal(m.shape[0]) + 1j * rng.standard_normal(m.shape[0])
+    v /= np.linalg.norm(v)
+    estimate = 0.0
+    for _ in range(max_iters):
+        w = mh @ (m @ v)
+        norm = np.linalg.norm(w)
+        if norm == 0.0:
+            return 0.0
+        new_estimate = np.sqrt(norm)
+        v = w / norm
+        if abs(new_estimate - estimate) <= tol * max(new_estimate, 1e-300):
+            return float(new_estimate)
+        estimate = new_estimate
+    return float(estimate)
+
+
 def inputs_from_context(ctx: LagrangianContext, alpha_bar: float | None = None,
                         beta_bar: float | None = None, rho: float = 0.0,
                         epsilon: float = 0.1, dist0: float = 1.0) -> BoundInputs:
@@ -63,9 +86,8 @@ def inputs_from_context(ctx: LagrangianContext, alpha_bar: float | None = None,
         alpha_bar = 1.1 * math.sqrt(problem.n)
     if beta_bar is None:
         beta_bar = 2.0 * problem.m
-    max_norm = 0.0
-    for c in problem.constraints:
-        max_norm = max(max_norm, spectral_norm(c.matrix))
+    max_norm = max((spectral_norm(problem.stack.matrix(k)) for k in range(problem.m_stored)),
+                   default=0.0)
     sum_max = sum(norm**2 for norm in xbm.piece_norms(problem.stack).values())
     return BoundInputs(
         p_count=ctx.p_count,

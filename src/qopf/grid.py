@@ -14,11 +14,11 @@ opposing inequalities.  Voltage-magnitude rows use the squared bounds
 (v_min^2, v_max^2); line rows bound the quadratic form |Y_nm| |v_n - v_m|^2
 by the branch's ``i_max`` field, read literally as that form's limit.
 
-Each row keeps its own matrix, dense up to dimension 256 and
-coordinate-sparse above.  For computing, a problem stacks all its rows
-into one ``MatrixStack`` of flat (segment, row, col, value) entries, which
-gives every quadratic form v^dag M_m v at once and the weighted action
-(sum_m w_m M_m) v without densifying anything.
+Matrices are scipy CSR at every size.  A problem stores its rows only in
+one ``MatrixStack`` of flat (segment, row, col, value) entries, which gives
+every quadratic form v^dag M_m v at once and the weighted action
+(sum_m w_m M_m) v without densifying anything; padding and node
+permutations are index remaps of those entries.
 
 The native case format is a UTF-8 text file with four whitespace-delimited
 sections (see README):
@@ -35,7 +35,6 @@ dropping shunts and transformer taps with a warning.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import re
@@ -44,16 +43,6 @@ from functools import cached_property
 
 import numpy as np
 from scipy import sparse
-
-from .linalg import (
-    DENSE_LIMIT,
-    as_dense,
-    coo_entries,
-    embed,
-    hermitian_residual,
-    is_sparse,
-    nonzero_entries,
-)
 
 log = logging.getLogger(__name__)
 
@@ -462,11 +451,20 @@ def import_matpower(text: str, name: str = "case") -> NetworkCase:
 # Matrices
 
 
-def build_admittance(case: NetworkCase):
-    """Assemble Y = G + jB Laplacian-style from branch series admittances.
+def _csr(rows, cols, values, dim: int) -> sparse.csr_matrix:
+    """Square CSR matrix from coordinate entries: duplicates summed, zeros
+    dropped, column indices sorted."""
+    out = sparse.coo_matrix((values, (rows, cols)), shape=(dim, dim), dtype=complex).tocsr()
+    out.eliminate_zeros()
+    return out
 
-    Dense for n <= 256, coordinate-sparse above.
-    """
+
+def _materialize(n: int, triples: dict[tuple[int, int], complex]) -> sparse.csr_matrix:
+    return _csr([i for i, _ in triples], [j for _, j in triples], list(triples.values()), n)
+
+
+def build_admittance(case: NetworkCase) -> sparse.csr_matrix:
+    """Assemble Y = G + jB Laplacian-style from branch series admittances."""
     n = case.n
     rows, cols, vals = [], [], []
     diag = np.zeros(n, dtype=complex)
@@ -474,54 +472,23 @@ def build_admittance(case: NetworkCase):
         y = complex(br.g_series, br.b_series)
         rows += [br.from_node, br.to_node]
         cols += [br.to_node, br.from_node]
-        vals += [-y, -y]
+        # 0 - y, not -y: a lossless branch (g = 0) stores conductance +0.0,
+        # not -0.0, which reaches the written problem JSON
+        vals += [0 - y, 0 - y]
         diag[br.from_node] += y
         diag[br.to_node] += y
     rows += list(range(n))
     cols += list(range(n))
     vals += list(diag)
-    if n > DENSE_LIMIT:
-        return sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    y = np.zeros((n, n), dtype=complex)
-    for i, j, v in zip(rows, cols, vals):
-        y[i, j] += v
-    return y
+    return _csr(rows, cols, vals, n)
 
 
-def _admittance_row(case: NetworkCase, y, node: int) -> dict[int, complex]:
-    if is_sparse(y):
-        row = y.getrow(node).tocoo()
-        return {int(j): complex(v) for j, v in zip(row.col, row.data)}
-    return {j: complex(y[node, j]) for j in np.nonzero(y[node])[0]}
-
-
-def _materialize(n: int, triples: dict[tuple[int, int], complex]):
-    if n > DENSE_LIMIT:
-        rows = [i for i, _ in triples]
-        cols = [j for _, j in triples]
-        return sparse.coo_matrix((list(triples.values()), (rows, cols)), shape=(n, n))
-    out = np.zeros((n, n), dtype=complex)
-    for (i, j), v in triples.items():
-        out[i, j] = v
-    return out
-
-
-def injection_matrices(case: NetworkCase, node: int, y=None):
-    """Hermitian (M_p, M_q) such that v^dag M_p v and v^dag M_q v are the
-    active and reactive power injected at ``node``.
-
-    M_p = (Y^dag e e^T + e e^T Y) / 2 and M_q = (Y^dag e e^T - e e^T Y) / (2j),
-    built from row ``node`` of Y.
-    """
-    n = case.n
-    if not (0 <= node < n):
-        raise ValidationError(f"node {node} out of range")
-    if y is None:
-        y = build_admittance(case)
-    row = _admittance_row(case, y, node)
+def _injection_triples(y: sparse.csr_matrix, node: int):
+    """Entries of (M_p, M_q) at ``node``, from row ``node`` of Y."""
+    start, end = y.indptr[node], y.indptr[node + 1]
     mp: dict[tuple[int, int], complex] = {}
     mq: dict[tuple[int, int], complex] = {}
-    for j, yv in row.items():
+    for j, yv in zip(y.indices[start:end].tolist(), y.data[start:end].tolist()):
         if j == node:
             mp[(node, node)] = complex(yv.real, 0.0)
             mq[(node, node)] = complex(-yv.imag, 0.0)
@@ -531,54 +498,99 @@ def injection_matrices(case: NetworkCase, node: int, y=None):
         mp[(node, j)] = yv / 2
         mq[(j, node)] = np.conj(yv) / 2j
         mq[(node, j)] = -yv / 2j
+    return mp, mq
+
+
+def injection_matrices(case: NetworkCase, node: int):
+    """Hermitian (M_p, M_q) such that v^dag M_p v and v^dag M_q v are the
+    active and reactive power injected at ``node``.
+
+    M_p = (Y^dag e e^T + e e^T Y) / 2 and M_q = (Y^dag e e^T - e e^T Y) / (2j),
+    built from row ``node`` of Y.
+    """
+    n = case.n
+    if not (0 <= node < n):
+        raise ValidationError(f"node {node} out of range")
+    mp, mq = _injection_triples(build_admittance(case), node)
     return _materialize(n, mp), _materialize(n, mq)
 
 
-def auxiliary_matrices(case: NetworkCase, y=None):
+def _current_triples(br: BranchRecord) -> dict[tuple[int, int], complex]:
+    a, b = br.from_node, br.to_node
+    weight = abs(complex(br.g_series, br.b_series))
+    return {(a, a): weight, (b, b): weight, (a, b): -weight, (b, a): -weight}
+
+
+def auxiliary_matrices(case: NetworkCase):
     """Voltage indicators M_v per node, current forms M_i per branch, and
     the reference indicator M_ref."""
     n = case.n
-    if y is None:
-        y = build_admittance(case)
-    voltage = {}
-    for node in range(n):
-        voltage[node] = _materialize(n, {(node, node): 1.0 + 0j})
-    current = {}
-    for br in case.branches:
-        a, b = br.from_node, br.to_node
-        weight = abs(complex(br.g_series, br.b_series))
-        current[(a, b)] = _materialize(n, {
-            (a, a): weight, (b, b): weight, (a, b): -weight, (b, a): -weight,
-        })
     ref = case.reference_bus
-    reference = _materialize(n, {(ref, ref): 1.0 + 0j})
-    return {"voltage": voltage, "current": current, "reference": reference}
+    return {
+        "voltage": {node: _materialize(n, {(node, node): 1.0 + 0j}) for node in range(n)},
+        "current": {br.edge: _materialize(n, _current_triples(br)) for br in case.branches},
+        "reference": _materialize(n, {(ref, ref): 1.0 + 0j}),
+    }
 
 
 class MatrixStack:
     """Square matrices M_0..M_{count-1} of one size as flat COO entries
     (segment, row, col, value): segment-major, row-major within a segment,
-    zeros dropped.
+    one entry per nonzero.
 
-    The forms and the weighted action go through a sparse segment-by-position
-    map over the distinct (row, col) positions, so a batch of vectors costs
-    one product per position rather than one per entry.
+    Built from entries in any order, which one vectorised pass sorts,
+    summing duplicates in input order and dropping zeros; indices outside
+    [0, count) or [0, dim) are rejected.  The forms and the weighted action
+    go through a sparse segment-by-position map over the distinct (row,
+    col) positions, so a batch of vectors costs one product per position
+    rather than one per entry.
     """
 
-    def __init__(self, matrices, dim: int):
-        entries = [nonzero_entries(m) for m in matrices]
-        self.count = len(entries)
-        self.dim = dim
-        self.segments = np.repeat(np.arange(self.count),
-                                  [len(rows) for rows, _, _ in entries])
-        empty = (np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0, complex))
-        self.rows, self.cols, self.values = (
-            np.concatenate(column) for column in zip(empty, *entries))
-        positions, slot = np.unique(self.rows * dim + self.cols, return_inverse=True)
-        self._position_rows, self._position_cols = np.divmod(positions, dim)
+    def __init__(self, segments, rows, cols, values, count: int, dim: int):
+        self.count, self.dim = int(count), int(dim)
+        segments, rows, cols = (np.asarray(a, dtype=np.intp) for a in (segments, rows, cols))
+        values = np.asarray(values, dtype=complex)
+        if not (segments.ndim == 1 and segments.shape == rows.shape == cols.shape
+                == values.shape):
+            raise ValidationError("stack entries need equal-length 1-d arrays")
+        for name, index, limit in (("segment", segments, self.count),
+                                   ("row", rows, self.dim), ("column", cols, self.dim)):
+            if index.size and (index.min() < 0 or index.max() >= limit):
+                raise ValidationError(f"{name} index outside [0, {limit})")
+        keys = (segments * self.dim + rows) * self.dim + cols
+        order = np.argsort(keys, kind="stable")
+        keys, values = keys[order], values[order]
+        first = np.flatnonzero(np.diff(keys, prepend=-1))
+        keys, values = keys[first], np.add.reduceat(values, first)
+        nonzero = values != 0
+        self._keys, self.values = keys[nonzero], values[nonzero]
+        self.segments, cells = np.divmod(self._keys, self.dim * self.dim)
+        self.rows, self.cols = np.divmod(cells, self.dim)
+        # entries of segment k are offsets[k]:offsets[k + 1]
+        self.offsets = np.searchsorted(self.segments, np.arange(self.count + 1))
+        positions, slot = np.unique(cells, return_inverse=True)
+        self._position_rows, self._position_cols = np.divmod(positions, self.dim)
         self._by_segment = sparse.csr_matrix(
             (self.values, (self.segments, slot)), shape=(self.count, len(positions)))
         self._by_position = self._by_segment.T.tocsr()
+
+    def matrix(self, k: int) -> sparse.csr_matrix:
+        """M_k as a CSR matrix."""
+        at = slice(self.offsets[k], self.offsets[k + 1])
+        return sparse.csr_matrix((self.values[at], (self.rows[at], self.cols[at])),
+                                 shape=(self.dim, self.dim))
+
+    def hermitian_residuals(self) -> np.ndarray:
+        """max |M_m[i, j] - conj(M_m[j, i])| for every m, pairing each entry
+        with the entry at its transposed key (zero where there is none)."""
+        transposed = (self.segments * self.dim + self.cols) * self.dim + self.rows
+        at = np.searchsorted(self._keys, transposed)
+        # a sentinel past the end, so a key above every stored one finds no partner
+        keys, values = np.append(self._keys, -1), np.append(self.values, 0)
+        partner = np.where(keys[at] == transposed, values[at], 0)
+        out = np.zeros(self.count)
+        np.maximum.at(out, self.segments, np.abs(self.values - partner.conj()))
+        return out
 
     def forms(self, v: np.ndarray) -> np.ndarray:
         """Re v^dag M_m v for every m: shape (count,) for one vector, and
@@ -605,57 +617,72 @@ class Constraint:
 
 @dataclass(frozen=True)
 class QcqpProblem:
-    """Cost matrix plus ordered inequality rows.
+    """Cost matrix plus ordered inequality rows v^dag M_m v <= bounds[m].
 
-    ``n`` and ``m`` are the original primal dimension and constraint count;
-    after pad_to_qubits the stored matrices grow to powers of two while
-    these fields keep the original sizes.
+    The rows live only in ``stack``; ``bounds``, ``labels`` and ``subjects``
+    hold one entry per stored row, and the cost ``m0`` is a CSR matrix of
+    the stack's size.  ``n`` and ``m`` are the original primal dimension and
+    constraint count; after pad_to_qubits the stored sizes grow to powers
+    of two while these fields keep the original ones.
     """
 
     n: int
     m: int
-    m0: object
-    constraints: tuple[Constraint, ...]
+    m0: sparse.csr_matrix
+    stack: MatrixStack
+    bounds: np.ndarray
+    labels: tuple[str, ...]
+    subjects: tuple
     name: str = "problem"
 
     def __post_init__(self):
-        residual = hermitian_residual(self.m0)
+        count, dim = self.stack.count, self.stack.dim
+        sizes = (len(self.bounds), len(self.labels), len(self.subjects))
+        if self.m0.shape != (dim, dim) or sizes != (count,) * 3 \
+                or self.n > dim or self.m > count:
+            raise ValidationError(
+                f"inconsistent sizes: n={self.n}, m={self.m}, cost {self.m0.shape}, "
+                f"{count} stacked rows of dimension {dim}, "
+                f"{sizes} bounds/labels/subjects")
+        deviation = abs(self.m0 - self.m0.conj().T)
+        residual = deviation.max() if deviation.nnz else 0.0
         if residual > HERMITIAN_TOL:
             raise ValidationError(f"cost matrix not Hermitian (residual {residual:.2e})")
-        for k, c in enumerate(self.constraints):
-            residual = hermitian_residual(c.matrix)
-            if residual > HERMITIAN_TOL:
-                raise ValidationError(
-                    f"constraint {k} ({c.label}) not Hermitian (residual {residual:.2e})"
-                )
-            if not math.isfinite(c.bound):
-                raise ValidationError(f"constraint {k} ({c.label}) has non-finite bound")
+        residuals = self.stack.hermitian_residuals()
+        bad = np.flatnonzero(residuals > HERMITIAN_TOL)
+        if bad.size:
+            k = bad[0]
+            raise ValidationError(f"constraint {k} ({self.labels[k]}) not Hermitian "
+                                  f"(residual {residuals[k]:.2e})")
+        bad = np.flatnonzero(~np.isfinite(self.bounds))
+        if bad.size:
+            k = bad[0]
+            raise ValidationError(f"constraint {k} ({self.labels[k]}) has non-finite bound")
 
     @property
     def dim(self) -> int:
-        return self.m0.shape[0]
+        return self.stack.dim
 
     @property
     def m_stored(self) -> int:
-        return len(self.constraints)
-
-    @property
-    def bounds(self) -> np.ndarray:
-        return np.array([c.bound for c in self.constraints])
+        return self.stack.count
 
     @cached_property
-    def stack(self) -> MatrixStack:
-        """The constraint rows as one MatrixStack, built on first use."""
-        return MatrixStack([c.matrix for c in self.constraints], self.dim)
+    def constraints(self) -> tuple[Constraint, ...]:
+        """The rows as Constraint records with CSR matrices, built on first
+        use (a reader for tests and checks, not for production paths)."""
+        return tuple(Constraint(self.stack.matrix(k), bound, label, subject)
+                     for k, (bound, label, subject) in enumerate(
+                         zip(self.bounds.tolist(), self.labels, self.subjects)))
 
     def dense_m0(self) -> np.ndarray:
-        return as_dense(self.m0)
+        return self.m0.toarray()
 
     def dense_constraints(self) -> np.ndarray:
         """All constraint matrices as an (M, dim, dim) array (test reference)."""
-        out = np.zeros((self.m_stored, self.dim, self.dim), dtype=complex)
-        for k, c in enumerate(self.constraints):
-            out[k] = as_dense(c.matrix)
+        s = self.stack
+        out = np.zeros((s.count, s.dim, s.dim), dtype=complex)
+        out[s.segments, s.rows, s.cols] = s.values
         return out
 
 
@@ -676,46 +703,57 @@ def assemble_qcqp(case: NetworkCase) -> QcqpProblem:
     n = case.n
     demand = {b.index: (b.p_demand, b.q_demand) for b in case.buses}
     gens = {g.bus: g for g in case.generators}
-    injections = {node: injection_matrices(case, node, y) for node in range(n)}
-    aux = auxiliary_matrices(case, y)
-
-    def negate(matrix):
-        return -matrix
+    injections = {node: _injection_triples(y, node) for node in range(n)}
 
     m0 = None
     for node in case.generator_nodes:
-        term = gens[node].cost * injections[node][0]
+        term = gens[node].cost * _materialize(n, injections[node][0])
         m0 = term if m0 is None else m0 + term
     if m0 is None:
         raise ValidationError("case has no generators")
 
-    rows: list[Constraint] = []
+    segments, rows, cols, values = [], [], [], []
+    bounds, labels, subjects = [], [], []
+
+    def add(triples, bound, label, subject, negate=False):
+        for (i, j), v in triples.items():
+            segments.append(len(bounds))
+            rows.append(i)
+            cols.append(j)
+            values.append(-v if negate else v)
+        bounds.append(bound)
+        labels.append(label)
+        subjects.append(subject)
+
     for node in case.load_nodes:
         pd, qd = demand[node]
         mp, mq = injections[node]
-        rows.append(Constraint(mp, -pd, LABEL_BALANCE_P, node))
-        rows.append(Constraint(negate(mp), pd, LABEL_BALANCE_P, node))
-        rows.append(Constraint(mq, -qd, LABEL_BALANCE_Q, node))
-        rows.append(Constraint(negate(mq), qd, LABEL_BALANCE_Q, node))
+        add(mp, -pd, LABEL_BALANCE_P, node)
+        add(mp, pd, LABEL_BALANCE_P, node, negate=True)
+        add(mq, -qd, LABEL_BALANCE_Q, node)
+        add(mq, qd, LABEL_BALANCE_Q, node, negate=True)
     for node in case.generator_nodes:
         pd, qd = demand[node]
         g = gens[node]
         mp, mq = injections[node]
-        rows.append(Constraint(mp, g.p_max - pd, LABEL_GEN, node))
-        rows.append(Constraint(negate(mp), pd - g.p_min, LABEL_GEN, node))
-        rows.append(Constraint(mq, g.q_max - qd, LABEL_GEN, node))
-        rows.append(Constraint(negate(mq), qd - g.q_min, LABEL_GEN, node))
+        add(mp, g.p_max - pd, LABEL_GEN, node)
+        add(mp, pd - g.p_min, LABEL_GEN, node, negate=True)
+        add(mq, g.q_max - qd, LABEL_GEN, node)
+        add(mq, qd - g.q_min, LABEL_GEN, node, negate=True)
     for bus in case.buses:
-        mv = aux["voltage"][bus.index]
-        rows.append(Constraint(mv, bus.v_max**2, LABEL_VOLTAGE, bus.index))
-        rows.append(Constraint(negate(mv), -bus.v_min**2, LABEL_VOLTAGE, bus.index))
-    mref = aux["reference"]
-    rows.append(Constraint(mref, 1.0, LABEL_REFERENCE, case.reference_bus))
-    rows.append(Constraint(negate(mref), -1.0, LABEL_REFERENCE, case.reference_bus))
+        mv = {(bus.index, bus.index): 1.0 + 0j}
+        add(mv, bus.v_max**2, LABEL_VOLTAGE, bus.index)
+        add(mv, -bus.v_min**2, LABEL_VOLTAGE, bus.index, negate=True)
+    ref = case.reference_bus
+    add({(ref, ref): 1.0 + 0j}, 1.0, LABEL_REFERENCE, ref)
+    add({(ref, ref): 1.0 + 0j}, -1.0, LABEL_REFERENCE, ref, negate=True)
     for br in case.branches:
-        rows.append(Constraint(aux["current"][br.edge], br.i_max, LABEL_LINE, br.edge))
+        add(_current_triples(br), br.i_max, LABEL_LINE, br.edge)
 
-    return QcqpProblem(n=n, m=len(rows), m0=m0, constraints=tuple(rows), name=case.name)
+    return QcqpProblem(n=n, m=len(bounds), m0=m0,
+                       stack=MatrixStack(segments, rows, cols, values, len(bounds), n),
+                       bounds=np.array(bounds), labels=tuple(labels),
+                       subjects=tuple(subjects), name=case.name)
 
 
 def next_power_of_two(value: int) -> int:
@@ -725,86 +763,78 @@ def next_power_of_two(value: int) -> int:
 def pad_to_qubits(problem: QcqpProblem) -> QcqpProblem:
     """Zero-pad the primal dimension and the constraint count to powers of two.
 
-    Padding rows carry a zero matrix and zero bound, so padded dual entries
+    The stack and the cost keep their entries in a larger dimension, and
+    padding rows are empty segments with zero bound, so padded dual entries
     never contribute to the Lagrangian.  Identity when both sizes already
     are powers of two.
     """
     dim = next_power_of_two(problem.dim)
-    m_target = next_power_of_two(problem.m_stored)
-    if dim == problem.dim and m_target == problem.m_stored:
+    count = next_power_of_two(problem.m_stored)
+    if dim == problem.dim and count == problem.m_stored:
         return problem
-    m0 = embed(problem.m0, dim) if dim != problem.dim else problem.m0
-    rows = []
-    for c in problem.constraints:
-        matrix = embed(c.matrix, dim) if dim != problem.dim else c.matrix
-        rows.append(Constraint(matrix, c.bound, c.label, c.subject))
-    if m_target != problem.m_stored:
-        zero = (sparse.coo_matrix((dim, dim))
-                if dim > DENSE_LIMIT else np.zeros((dim, dim), dtype=complex))
-        for _ in range(m_target - problem.m_stored):
-            rows.append(Constraint(zero, 0.0, LABEL_PADDING, None))
-    return replace(problem, m0=m0, constraints=tuple(rows))
+    extra = count - problem.m_stored
+    s, m0 = problem.stack, problem.m0.tocoo()
+    return replace(
+        problem,
+        m0=sparse.csr_matrix((m0.data, (m0.row, m0.col)), shape=(dim, dim)),
+        stack=MatrixStack(s.segments, s.rows, s.cols, s.values, count, dim),
+        bounds=np.concatenate([problem.bounds, np.zeros(extra)]),
+        labels=problem.labels + (LABEL_PADDING,) * extra,
+        subjects=problem.subjects + (None,) * extra,
+    )
 
 
 # ---------------------------------------------------------------------------
 # Serialization
 
 
-def _matrix_to_json(matrix) -> list[list[float]]:
-    return [[i, j, v.real, v.imag] for i, j, v in coo_entries(matrix)]
+def _entries_to_json(rows, cols, values) -> list[list[float]]:
+    return [list(entry) for entry in zip(rows.tolist(), cols.tolist(),
+                                         values.real.tolist(), values.imag.tolist())]
 
 
-def _matrix_from_json(entries, dim: int):
-    triples = {(int(i), int(j)): complex(re_, im) for i, j, re_, im in entries}
-    return _materialize(dim, triples)
+def _entries_from_json(entries):
+    table = np.array(entries, dtype=float).reshape(-1, 4)
+    values = np.empty(len(table), dtype=complex)
+    values.real, values.imag = table[:, 2], table[:, 3]
+    return table[:, 0].astype(np.intp), table[:, 1].astype(np.intp), values
 
 
 def problem_to_json(problem: QcqpProblem) -> dict:
+    s, m0 = problem.stack, problem.m0.tocoo()
+    entries = _entries_to_json(s.rows, s.cols, s.values)
     return {
         "name": problem.name,
         "n": problem.n,
         "m": problem.m,
         "dim": problem.dim,
-        "m0": _matrix_to_json(problem.m0),
+        "m0": _entries_to_json(m0.row, m0.col, m0.data),
         "constraints": [
             {
-                "label": c.label,
-                "subject": list(c.subject) if isinstance(c.subject, tuple) else c.subject,
-                "bound": c.bound,
-                "matrix": _matrix_to_json(c.matrix),
+                "label": label,
+                "subject": list(subject) if isinstance(subject, tuple) else subject,
+                "bound": bound,
+                "matrix": entries[s.offsets[k]:s.offsets[k + 1]],
             }
-            for c in problem.constraints
+            for k, (bound, label, subject) in enumerate(
+                zip(problem.bounds.tolist(), problem.labels, problem.subjects))
         ],
     }
 
 
 def problem_from_json(doc: dict) -> QcqpProblem:
     dim = int(doc["dim"])
-    rows = []
-    for entry in doc["constraints"]:
-        subject = entry["subject"]
-        if isinstance(subject, list):
-            subject = tuple(subject)
-        rows.append(Constraint(
-            _matrix_from_json(entry["matrix"], dim),
-            float(entry["bound"]),
-            entry["label"],
-            subject,
-        ))
+    rows = doc["constraints"]
+    segments = np.repeat(np.arange(len(rows)), [len(r["matrix"]) for r in rows])
+    entries = _entries_from_json([e for r in rows for e in r["matrix"]])
     return QcqpProblem(
         n=int(doc["n"]),
         m=int(doc["m"]),
-        m0=_matrix_from_json(doc["m0"], dim),
-        constraints=tuple(rows),
+        m0=_csr(*_entries_from_json(doc["m0"]), dim),
+        stack=MatrixStack(segments, *entries, len(rows), dim),
+        bounds=np.array([float(r["bound"]) for r in rows]),
+        labels=tuple(r["label"] for r in rows),
+        subjects=tuple(tuple(r["subject"]) if isinstance(r["subject"], list)
+                       else r["subject"] for r in rows),
         name=doc.get("name", "problem"),
     )
-
-
-def save_problem(problem: QcqpProblem, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(problem_to_json(problem), fh)
-
-
-def load_problem(path) -> QcqpProblem:
-    with open(path, "r", encoding="utf-8") as fh:
-        return problem_from_json(json.load(fh))

@@ -332,7 +332,7 @@ def save_reference(ref: ReferenceSolution, path) -> None:
 def restricted_rows(problem: QcqpProblem) -> list[int]:
     """Indices of the power-balance and line rows (the dual entries compared
     against references, the ones feeding locational prices)."""
-    return [k for k, c in enumerate(problem.constraints) if c.label in REFERENCE_LABELS]
+    return [k for k, label in enumerate(problem.labels) if label in REFERENCE_LABELS]
 
 
 def constraint_values(problem: QcqpProblem, v: np.ndarray) -> np.ndarray:
@@ -463,28 +463,25 @@ def extract_setpoints(case: NetworkCase, problem: QcqpProblem,
     the injection forms plus the local demand."""
     forms = constraint_values(problem, v)
     demand = {bus.index: bus.p_demand for bus in case.buses}
+    rows = list(zip(problem.labels, problem.subjects))
     p_g, v_g = [], []
     for node in case.generator_nodes:
-        mp_row = next(k for k, c in enumerate(problem.constraints)
-                      if c.label == LABEL_GEN and c.subject == node)
-        p_g.append(forms[mp_row] + demand[node])
-        v_row = next(k for k, c in enumerate(problem.constraints)
-                     if c.label == LABEL_VOLTAGE and c.subject == node)
-        v_g.append(math.sqrt(max(forms[v_row], 0.0)))
+        p_g.append(forms[rows.index((LABEL_GEN, node))] + demand[node])
+        v_g.append(math.sqrt(max(forms[rows.index((LABEL_VOLTAGE, node))], 0.0)))
     return np.concatenate([p_g, v_g])
 
 
-def _row_normalizer(case: NetworkCase, constraint) -> float:
+def _row_normalizer(case: NetworkCase, label: str, subject, bound: float) -> float:
     gens = {g.bus: g for g in case.generators}
-    if constraint.label == LABEL_GEN:
-        g = gens[constraint.subject]
+    if label == LABEL_GEN:
+        g = gens[subject]
         bound_p = max(abs(g.p_max), abs(g.p_min))
         bound_q = max(abs(g.q_max), abs(g.q_min))
         norm = max(bound_p, bound_q)
-    elif constraint.label == LABEL_LINE:
-        norm = abs(constraint.bound)
-    elif constraint.label == LABEL_VOLTAGE:
-        bus = case.buses[constraint.subject]
+    elif label == LABEL_LINE:
+        norm = abs(bound)
+    elif label == LABEL_VOLTAGE:
+        bus = case.buses[subject]
         norm = bus.v_max**2 - bus.v_min**2
     else:
         norm = 1.0
@@ -497,10 +494,11 @@ def violation_stats(case: NetworkCase, problem: QcqpProblem,
     non-balance rows, evaluated directly at the recovered voltage."""
     forms = constraint_values(problem, v)
     normalized = []
-    for k, c in enumerate(problem.constraints):
-        if c.label in (LABEL_BALANCE_P, LABEL_BALANCE_Q, LABEL_PADDING):
+    for k, (label, subject, bound) in enumerate(
+            zip(problem.labels, problem.subjects, problem.bounds.tolist())):
+        if label in (LABEL_BALANCE_P, LABEL_BALANCE_Q, LABEL_PADDING):
             continue
-        violation = max(forms[k] - c.bound, 0.0) / _row_normalizer(case, c)
+        violation = max(forms[k] - bound, 0.0) / _row_normalizer(case, label, subject, bound)
         normalized.append(violation)
     normalized = np.array(normalized)
     over = normalized > VIOLATION_FLOOR

@@ -21,9 +21,9 @@ from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy import sparse
 
-from .grid import Constraint, QcqpProblem, ValidationError, next_power_of_two
-from .linalg import conjugate_by_permutation, coo_entries
+from .grid import MatrixStack, QcqpProblem, ValidationError, next_power_of_two
 
 
 @dataclass(frozen=True)
@@ -42,12 +42,10 @@ class SparsityPattern:
 
     @classmethod
     def from_matrix(cls, matrix) -> "SparsityPattern":
-        entries = set()
-        for i, j, v in coo_entries(matrix):
-            if v != 0:
-                entries.add((i, j))
-                entries.add((j, i))
-        return cls(matrix.shape[0], frozenset(entries))
+        coo = sparse.csr_matrix(matrix).tocoo()
+        nonzero = coo.data != 0
+        rows, cols = coo.row[nonzero].tolist(), coo.col[nonzero].tolist()
+        return cls(coo.shape[0], frozenset(zip(rows, cols)) | frozenset(zip(cols, rows)))
 
     @classmethod
     def from_edges(cls, n: int, edges, diagonal: bool = True) -> "SparsityPattern":
@@ -278,17 +276,18 @@ def _swap_change(adjacency: list[list[int]], position: list[int], a: int, b: int
 
 
 def permute_problem(problem: QcqpProblem, perm: NodePermutation) -> QcqpProblem:
-    """Conjugate every problem matrix by the permutation; bounds, order and
-    labels are untouched, so quadratic forms are invariant:
+    """Conjugate every problem matrix by the permutation, mapping the row and
+    column index of each stored entry through ``perm.forward``; bounds,
+    order and labels are untouched, so quadratic forms are invariant:
     (Pv)^dag (P M P^T) (Pv) = v^dag M v."""
     if len(perm) != problem.dim:
         raise ValidationError(
             f"permutation length {len(perm)} != problem dimension {problem.dim}"
         )
-    inv = perm.inverse
-    m0 = conjugate_by_permutation(problem.m0, inv)
-    rows = tuple(
-        Constraint(conjugate_by_permutation(c.matrix, inv), c.bound, c.label, c.subject)
-        for c in problem.constraints
+    fwd = perm.forward
+    s, m0 = problem.stack, problem.m0.tocoo()
+    return replace(
+        problem,
+        m0=sparse.csr_matrix((m0.data, (fwd[m0.row], fwd[m0.col])), shape=m0.shape),
+        stack=MatrixStack(s.segments, fwd[s.rows], fwd[s.cols], s.values, s.count, s.dim),
     )
-    return replace(problem, m0=m0, constraints=rows)

@@ -30,9 +30,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy import sparse
 
 from .grid import MatrixStack
-from .linalg import hermitian_residual, is_sparse
 from .sim import GateOp, apply_circuit, chain_seed, sample_basis
 
 REAL = "real"
@@ -91,10 +91,15 @@ class RotationCircuit:
         return apply_circuit(state, self.gates)
 
 
-def eigen_diagonal(matrix: np.ndarray, color: int, part: str) -> np.ndarray:
+def _single_stack(matrix) -> MatrixStack:
+    """One square matrix, dense or scipy-sparse, as a one-segment stack."""
+    coo = sparse.coo_matrix(matrix)
+    return MatrixStack(np.zeros(coo.nnz), coo.row, coo.col, coo.data, 1, coo.shape[0])
+
+
+def eigen_diagonal(matrix, color: int, part: str) -> np.ndarray:
     """Diagonal of the rotated color-c piece of a matrix supported on color c."""
-    m = np.asarray(matrix, dtype=complex)
-    stack = MatrixStack([m], m.shape[0])
+    stack = _single_stack(matrix)
     if np.any(stack.rows ^ stack.cols != color):
         raise DecompositionError(f"matrix has support outside color {color}")
     if color == 0 and part != REAL:
@@ -228,17 +233,18 @@ def decompose(matrix, tol: float = 1e-10) -> ColorDecomposition:
     Pieces whose diagonal is identically zero are omitted, so no shots are
     ever spent on structurally zero expectations.
     """
-    m = matrix if is_sparse(matrix) else np.asarray(matrix, dtype=complex)
-    dim = m.shape[0]
+    shape = np.shape(matrix)
+    dim = shape[0]
     n_qubits = int(math.log2(dim))
-    if 2**n_qubits != dim or m.shape != (dim, dim):
-        raise DecompositionError(f"matrix must be square with power-of-two size, got {m.shape}")
-    residual = hermitian_residual(m)
+    if 2**n_qubits != dim or shape != (dim, dim):
+        raise DecompositionError(f"matrix must be square with power-of-two size, got {shape}")
+    stack = _single_stack(matrix)
+    residual = stack.hermitian_residuals()[0]
     if residual > tol:
         raise DecompositionError(f"matrix not Hermitian (residual {residual:.2e})")
     pieces = tuple(
         ColorPiece(color, part, diagonals[0], most_significant_bit(color) if color else None)
-        for (color, part), diagonals in piece_diagonals(MatrixStack([m], dim)).items())
+        for (color, part), diagonals in piece_diagonals(stack).items())
     return ColorDecomposition(n_qubits, pieces)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from qopf import grid
+from qopf import grid, permute
 
 CASE2_TEXT = """
 BUS
@@ -60,6 +60,27 @@ def random_hermitian(rng, dim, scale=1.0):
     return scale * (a + a.conj().T) / 2
 
 
+def problem_from_rows(n, m, m0, rows):
+    """A QcqpProblem from per-row matrices given as grid.Constraint records.
+
+    Each matrix, dense or scipy-sparse, goes through scipy.sparse into the
+    flat entries of one grid.MatrixStack whose dimension is the cost's.
+    """
+    coos = [sparse.coo_matrix(c.matrix) for c in rows]
+    stack = grid.MatrixStack(
+        np.repeat(np.arange(len(rows)), [a.nnz for a in coos]),
+        np.concatenate([a.row for a in coos]),
+        np.concatenate([a.col for a in coos]),
+        np.concatenate([a.data for a in coos]),
+        len(rows), m0.shape[0])
+    m0 = sparse.csr_matrix(m0, dtype=complex)
+    m0.eliminate_zeros()
+    return grid.QcqpProblem(n=n, m=m, m0=m0, stack=stack,
+                            bounds=np.array([c.bound for c in rows], dtype=float),
+                            labels=tuple(c.label for c in rows),
+                            subjects=tuple(c.subject for c in rows))
+
+
 def random_problem(n, m, seed, scale=1.0):
     """A QCQP with random dense Hermitian matrices; no grid semantics."""
     rng = np.random.default_rng(seed)
@@ -69,13 +90,13 @@ def random_problem(n, m, seed, scale=1.0):
                         float(rng.standard_normal()), "gen-limit", k)
         for k in range(m)
     )
-    return grid.QcqpProblem(n=n, m=m, m0=m0, constraints=cons)
+    return problem_from_rows(n, m, m0, cons)
 
 
 def sparse_row_problem(seed):
-    """Three random sparse Hermitian rows stored as scipy COO, padded to
+    """Three random sparse Hermitian rows given as scipy COO, padded to
     four: each row has one entry split into two duplicates and one stored
-    explicit zero, and the padding row is dense."""
+    explicit zero, and padding appends an empty fourth row."""
     rng = np.random.default_rng(seed)
     dim = 4
     rows = []
@@ -90,15 +111,19 @@ def sparse_row_problem(seed):
         matrix = sparse.coo_matrix((data, (i, j)), shape=(dim, dim))
         rows.append(grid.Constraint(matrix, float(rng.standard_normal()), "gen-limit", k))
     m0 = sparse.coo_matrix(random_hermitian(rng, dim))
-    return grid.pad_to_qubits(grid.QcqpProblem(n=dim, m=3, m0=m0, constraints=tuple(rows)))
+    return grid.pad_to_qubits(problem_from_rows(dim, 3, m0, rows))
 
 
 def stack_problems():
     """Problems for the MatrixStack parity tests: dense complex rows with
-    padding rows (one also padded in dimension) and scipy-sparse rows."""
+    padding rows (one also padded in dimension), scipy-sparse rows, and a
+    problem padded in both sizes and then permuted."""
+    padded = grid.pad_to_qubits(random_problem(3, 6, seed=24))
+    perm = permute.NodePermutation.from_forward([2, 0, 3, 1])
     return [grid.pad_to_qubits(random_problem(4, 5, seed=21)),
             grid.pad_to_qubits(random_problem(3, 6, seed=22)),
-            sparse_row_problem(23)]
+            sparse_row_problem(23),
+            permute.permute_problem(padded, perm)]
 
 
 def random_state(rng, dim):

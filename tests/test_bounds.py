@@ -90,7 +90,7 @@ def make_ctx(seed, scale=0.6):
 def test_inputs_from_context_measures_norms():
     ctx = make_ctx(0)
     inputs = bounds.inputs_from_context(ctx, alpha_bar=1.5, beta_bar=1.5)
-    norms = np.array([np.linalg.norm(np.asarray(c.matrix), 2)
+    norms = np.array([np.linalg.norm(c.matrix.toarray(), 2)
                       for c in ctx.problem.constraints])
     assert inputs.max_norm_mm == pytest.approx(float(norms.max()), rel=1e-6)
     assert inputs.norm_m0 == pytest.approx(

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from qopf import grid
 from qopf.grid import (
@@ -16,7 +17,13 @@ from qopf.grid import (
     ValidationError,
 )
 
-from conftest import CASE2_TEXT, stack_problems
+from conftest import (
+    CASE2_TEXT,
+    problem_from_rows,
+    random_hermitian,
+    random_problem,
+    stack_problems,
+)
 
 
 def test_parse_minimal_two_bus(case2):
@@ -78,23 +85,23 @@ def test_parse_ieee57(ieee57):
 
 def test_admittance_two_bus_laplacian():
     text = CASE2_TEXT.replace("1 2 4.0 -8.0 1.0", "1 2 1.0 -2.0 5.0")
-    y = grid.build_admittance(grid.parse_case(text))
+    y = grid.build_admittance(grid.parse_case(text)).toarray()
     expected = np.array([[1 - 2j, -1 + 2j], [-1 + 2j, 1 - 2j]])
     assert np.allclose(y, expected)
 
 
 def test_admittance_offdiagonal_count_matches_branches(ieee57):
-    y = grid.build_admittance(ieee57)
+    y = grid.build_admittance(ieee57).toarray()
     off = np.count_nonzero(y) - ieee57.n
     assert off == 2 * len(ieee57.branches)
 
 
 def test_injection_matrices_match_scalar_power_flow(case3):
-    y = grid.build_admittance(case3)
+    y = grid.build_admittance(case3).toarray()
     g, b = y.real, y.imag
     rng = np.random.default_rng(0)
     for node in range(case3.n):
-        mp, mq = grid.injection_matrices(case3, node)
+        mp, mq = (m.toarray() for m in grid.injection_matrices(case3, node))
         assert np.max(np.abs(mp - mp.conj().T)) == 0.0
         assert np.max(np.abs(mq - mq.conj().T)) < 1e-15
         for _ in range(100):
@@ -111,23 +118,23 @@ def test_injection_matrices_match_scalar_power_flow(case3):
 
 
 def test_injection_flat_voltage_row_sum(case3):
-    y = grid.build_admittance(case3)
+    y = grid.build_admittance(case3).toarray()
     ones = np.ones(case3.n, dtype=complex)
     for node in range(case3.n):
-        mp, _ = grid.injection_matrices(case3, node)
+        mp = grid.injection_matrices(case3, node)[0].toarray()
         assert np.real(ones @ mp @ ones) == pytest.approx(
             float(np.sum(y[node].real)), abs=1e-12)
 
 
 def test_auxiliary_matrices(case2):
     aux = grid.auxiliary_matrices(case2)
-    assert np.allclose(aux["voltage"][1], np.diag([0.0, 1.0]))
+    assert np.allclose(aux["voltage"][1].toarray(), np.diag([0.0, 1.0]))
     weight = abs(complex(4.0, -8.0))
     expected = weight * np.array([[1, -1], [-1, 1]])
-    assert np.allclose(aux["current"][(0, 1)], expected)
-    assert np.allclose(aux["reference"], np.diag([1.0, 0.0]))
+    assert np.allclose(aux["current"][(0, 1)].toarray(), expected)
+    assert np.allclose(aux["reference"].toarray(), np.diag([1.0, 0.0]))
     v = np.array([0.7 + 0.2j, 0.7 + 0.2j])
-    assert abs(v.conj() @ aux["current"][(0, 1)] @ v) < 1e-15
+    assert abs(v.conj() @ aux["current"][(0, 1)].toarray() @ v) < 1e-15
 
 
 def test_assemble_row_count_two_bus(case2):
@@ -151,16 +158,16 @@ def test_assemble_ieee57_constraint_count(ieee57):
 
 def test_assembled_matrices_hermitian_and_sparsity(ieee57):
     problem = grid.assemble_qcqp(ieee57)
-    y = grid.build_admittance(ieee57)
+    y = grid.build_admittance(ieee57).toarray()
     y_pattern = set(zip(*np.nonzero(y)))
     y_pattern |= {(i, i) for i in range(ieee57.n)}
     for c in problem.constraints:
-        m = np.asarray(c.matrix)
+        m = c.matrix.toarray()
         assert np.max(np.abs(m - m.conj().T)) <= 1e-12
         assert math.isfinite(c.bound)
         off = {(i, j) for i, j in zip(*np.nonzero(m)) if i != j}
         assert off <= y_pattern
-    m0_off = {(i, j) for i, j in zip(*np.nonzero(problem.m0)) if i != j}
+    m0_off = {(i, j) for i, j in zip(*np.nonzero(problem.m0.toarray())) if i != j}
     assert m0_off <= y_pattern
 
 
@@ -183,7 +190,6 @@ def test_pad_to_qubits_dimensions(case2):
 
 
 def test_pad_identity_when_already_power_of_two():
-    from conftest import random_problem
     problem = random_problem(4, 4, seed=5)
     assert grid.pad_to_qubits(problem) is problem
 
@@ -192,6 +198,21 @@ def test_pad_ieee57_to_64_and_512(ieee57):
     problem = grid.pad_to_qubits(grid.assemble_qcqp(ieee57))
     assert problem.dim == 64
     assert problem.m_stored == 512
+
+
+def test_pad_to_qubits_matches_zero_embedding():
+    problem = random_problem(3, 6, seed=25)
+    padded = grid.pad_to_qubits(problem)
+    assert (padded.dim, padded.m_stored) == (4, 8)
+    rows = np.zeros((8, 4, 4), dtype=complex)
+    rows[:6, :3, :3] = problem.dense_constraints()
+    assert np.array_equal(padded.dense_constraints(), rows)
+    m0 = np.zeros((4, 4), dtype=complex)
+    m0[:3, :3] = problem.dense_m0()
+    assert np.array_equal(padded.dense_m0(), m0)
+    assert padded.bounds.tolist() == problem.bounds.tolist() + [0.0, 0.0]
+    assert padded.labels[6:] == (LABEL_PADDING,) * 2
+    assert padded.subjects[6:] == (None, None)
 
 
 def test_padding_is_inert_for_lagrangian(case2):
@@ -269,7 +290,8 @@ def test_problem_json_roundtrip(case2):
     assert np.allclose(back.dense_m0(), problem.dense_m0())
     for a, b in zip(back.constraints, problem.constraints):
         assert a.label == b.label and a.bound == b.bound and a.subject == b.subject
-        assert np.allclose(np.asarray(a.matrix), np.asarray(b.matrix))
+        assert np.allclose(a.matrix.toarray(), b.matrix.toarray())
+    assert grid.problem_to_json(back) == doc
 
 
 @pytest.mark.parametrize("problem", stack_problems())
@@ -280,8 +302,11 @@ def test_matrix_stack_matches_dense_einsum(problem):
     # duplicates summed, stored zeros dropped: one entry per nonzero
     assert len(stack.values) == np.count_nonzero(tensor)
     assert np.all(stack.values != 0)
-    rng = np.random.default_rng(4)
     dim = problem.dim
+    # segment-major, row-major keys, each stored once
+    keys = (stack.segments * dim + stack.rows) * dim + stack.cols
+    assert np.all(np.diff(keys) > 0)
+    rng = np.random.default_rng(4)
     for _ in range(5):
         v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         forms = np.real(np.einsum("i,mij,j->m", v.conj(), tensor, v))
@@ -295,3 +320,60 @@ def test_matrix_stack_matches_dense_einsum(problem):
     assert np.allclose(stack.forms(batch), forms, rtol=0, atol=1e-12)
     padding = [k for k, c in enumerate(problem.constraints) if c.label == LABEL_PADDING]
     assert padding and not np.any(np.isin(stack.segments, padding))
+
+
+@pytest.mark.parametrize("store", [np.asarray, sparse.coo_matrix], ids=["dense", "sparse"])
+@pytest.mark.parametrize("fault, message", [
+    ("row", r"constraint 1 \(voltage\) not Hermitian"),
+    ("cost", r"cost matrix not Hermitian"),
+    ("bound", r"constraint 2 \(line-current\) has non-finite bound"),
+])
+def test_problem_validity_checks(fault, message, store):
+    rng = np.random.default_rng(6)
+    m0 = random_hermitian(rng, 4)
+    matrices = [random_hermitian(rng, 4) for _ in range(3)]
+    bounds = [1.0, 2.0, 3.0]
+
+    def build():
+        rows = [grid.Constraint(store(matrix), bound, label, k)
+                for k, (matrix, bound, label) in enumerate(
+                    zip(matrices, bounds, (LABEL_GEN, LABEL_VOLTAGE, LABEL_LINE)))]
+        return problem_from_rows(4, 3, store(m0), rows)
+
+    build()
+    if fault == "row":
+        matrices[1][0, 2] += 1e-6
+    elif fault == "cost":
+        m0[3, 1] += 1e-6j
+    else:
+        bounds[2] = math.nan
+    with pytest.raises(ValidationError, match=message):
+        build()
+
+
+def test_row_larger_than_cost_rejected():
+    rng = np.random.default_rng(7)
+    rows = [grid.Constraint(random_hermitian(rng, 5), 1.0, LABEL_GEN, 0)]
+    with pytest.raises(ValidationError, match=r"index outside \[0, 4\)"):
+        problem_from_rows(4, 1, random_hermitian(rng, 4), rows)
+
+
+def test_problem_json_rejects_negative_indices(case2):
+    doc = grid.problem_to_json(grid.pad_to_qubits(grid.assemble_qcqp(case2)))
+    doc["constraints"][0]["matrix"] += [[-1, 0, 7.0, 0.0], [0, -1, 7.0, 0.0]]
+    with pytest.raises(ValidationError, match=r"index outside \[0, 2\)"):
+        grid.problem_from_json(doc)
+
+
+def test_problem_json_rejects_index_beyond_dimension(case2):
+    doc = grid.problem_to_json(grid.pad_to_qubits(grid.assemble_qcqp(case2)))
+    doc["constraints"][0]["matrix"].append([0, 2, 7.0, 0.0])
+    with pytest.raises(ValidationError, match=r"column index outside \[0, 2\)"):
+        grid.problem_from_json(doc)
+
+
+@pytest.mark.parametrize("segment, row, col, name", [
+    (2, 0, 0, "segment"), (0, -1, 0, "row"), (0, 0, 3, "column")])
+def test_matrix_stack_rejects_indices_out_of_range(segment, row, col, name):
+    with pytest.raises(ValidationError, match=f"{name} index outside"):
+        grid.MatrixStack([segment], [row], [col], [1.0], 2, 3)

@@ -313,14 +313,18 @@ def test_ieee57_pipeline_smoke(ieee57):
     assert report.stats.bandwidth_after < report.stats.bandwidth_before
 
 
-def test_production_paths_never_densify(monkeypatch, case2):
-    """Context build, gradients, bounds, the classical baselines, constraint
-    values and the oracle all run on the stacked sparse rows."""
+def test_production_paths_never_densify(monkeypatch, case2, case3):
+    """Preparation, context build, gradients, bounds, the classical
+    baselines, constraint values, setpoints, violations and the oracle all
+    run on the stacked sparse rows, without per-row Constraint records."""
     def refuse(self):
         raise AssertionError("production code densified the problem")
 
     monkeypatch.setattr(grid.QcqpProblem, "dense_constraints", refuse)
     monkeypatch.setattr(grid.QcqpProblem, "dense_m0", refuse)
+    monkeypatch.setattr(grid.QcqpProblem, "constraints", property(refuse))
+    prepared = harness.prepare_case(case3, rcm_runs=3)
+    assert prepared.permuted.m_stored == 32
     problem = grid.pad_to_qubits(grid.assemble_qcqp(case2))
     ctx = model.LagrangianContext(problem, sim.AnsatzSpec.from_row(6, 1, 1),
                                   sim.AnsatzSpec.from_row(2, 4, 1))
@@ -337,5 +341,7 @@ def test_production_paths_never_densify(monkeypatch, case2):
         assert len(traj.lagrangians) == 3
     forms = harness.constraint_values(problem, init.v)
     assert forms.shape == (problem.m_stored,)
+    assert harness.extract_setpoints(case2, problem, init.v).shape == (2,)
+    assert np.all(np.isfinite(harness.violation_stats(case2, problem, init.v)))
     ref = brute_force_reference(case2)
     assert np.all(np.isfinite(ref.x))

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from qopf import grid, harness, model, saddle, sim
-from qopf.grid import Constraint, QcqpProblem, ValidationError
+from qopf.grid import Constraint, ValidationError
 from qopf.model import DualPoint, PrimalPoint, exact_mode, sampled_mode
 from qopf.saddle import classical_lagrangian
 
-from conftest import random_hermitian, random_problem
+from conftest import problem_from_rows, random_hermitian, random_problem
 
 
 @pytest.fixture(scope="module")
@@ -72,7 +72,7 @@ def test_terms_identity_constant_observables():
     # all constraint matrices = identity -> F = 1; all bounds 1 -> G = 1
     cons = tuple(Constraint(np.eye(4, dtype=complex), 1.0, "gen-limit", k)
                  for k in range(4))
-    problem = QcqpProblem(n=4, m=4, m0=np.eye(4, dtype=complex), constraints=cons)
+    problem = problem_from_rows(4, 4, np.eye(4, dtype=complex), cons)
     ctx = model.LagrangianContext(problem, sim.AnsatzSpec.from_row(6, 2, 1),
                                   sim.AnsatzSpec.from_row(2, 2, 2))
     p, d = random_points(ctx, 6)
@@ -161,7 +161,7 @@ def test_eval_f_sampled_degenerate_dual(ctx44):
 def test_eval_f_sampled_zero_observables():
     cons = tuple(Constraint(np.zeros((4, 4), dtype=complex), 0.0, "padding", None)
                  for _ in range(4))
-    problem = QcqpProblem(n=4, m=4, m0=np.eye(4, dtype=complex), constraints=cons)
+    problem = problem_from_rows(4, 4, np.eye(4, dtype=complex), cons)
     ctx = model.LagrangianContext(problem, sim.AnsatzSpec.from_row(6, 2, 1),
                                   sim.AnsatzSpec.from_row(2, 2, 1))
     p, d = random_points(ctx, 11)
@@ -213,8 +213,7 @@ def test_gradient_zero_beta_kills_dual_blocks(ctx44):
 
 def test_gradient_alpha_closed_form_identity_cost():
     cons = (Constraint(np.zeros((4, 4), dtype=complex), 0.0, "padding", None),)
-    problem = QcqpProblem(n=4, m=1, m0=np.eye(4, dtype=complex),
-                          constraints=cons + cons)
+    problem = problem_from_rows(4, 1, np.eye(4, dtype=complex), cons + cons)
     ctx = model.LagrangianContext(problem, sim.AnsatzSpec.from_row(6, 2, 1),
                                   sim.AnsatzSpec.from_row(2, 1, 1))
     p, d = random_points(ctx, 41, alpha=1.0, beta=0.0)

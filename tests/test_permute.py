@@ -238,9 +238,13 @@ def test_permute_problem_quadratic_form_invariant():
         rhs = np.real(pv.conj() @ permuted.dense_m0() @ pv)
         assert lhs == pytest.approx(rhs, abs=1e-12)
         for a, b in zip(problem.constraints, permuted.constraints):
-            assert np.real(v.conj() @ np.asarray(a.matrix) @ v) == pytest.approx(
-                np.real(pv.conj() @ np.asarray(b.matrix) @ pv), abs=1e-12)
+            assert np.real(v.conj() @ a.matrix.toarray() @ v) == pytest.approx(
+                np.real(pv.conj() @ b.matrix.toarray() @ pv), abs=1e-12)
     assert permuted.bounds.tolist() == problem.bounds.tolist()
+    inv = perm.inverse
+    assert np.array_equal(permuted.dense_constraints(),
+                          problem.dense_constraints()[:, inv][:, :, inv])
+    assert np.array_equal(permuted.dense_m0(), problem.dense_m0()[inv][:, inv])
 
 
 def test_permute_problem_dimension_mismatch(case2):

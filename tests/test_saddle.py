@@ -14,7 +14,7 @@ from qopf.saddle import (
     StopRule,
 )
 
-from conftest import random_problem
+from conftest import problem_from_rows, random_problem
 
 
 def bilinear_g(z, *tags):
@@ -181,9 +181,8 @@ def test_vqe_regime_monotone_descent():
 def test_classical_pd_fixed_points(case2):
     problem = grid.assemble_qcqp(case2)
     # lambda = 0 and M0 = 0: v unchanged
-    zero_m0 = grid.QcqpProblem(
-        n=problem.n, m=problem.m, m0=np.zeros((2, 2), dtype=complex),
-        constraints=problem.constraints)
+    zero_m0 = problem_from_rows(problem.n, problem.m, np.zeros((2, 2), dtype=complex),
+                                problem.constraints)
     v0 = np.array([1.0 + 0j, 1.0 + 0j])
     s = ClassicalState(v0, np.zeros(problem.m_stored))
     nxt = saddle.classical_pd_step(zero_m0, s, (1e-3, 0.0))
