@@ -13,12 +13,12 @@ most optimistic value 0).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import xbm
-from .grid import ValidationError
+from .grid import MatrixStack, ValidationError
 from .model import LagrangianContext
 
 
@@ -72,6 +72,29 @@ def spectral_norm(matrix, tol: float = 1e-8, max_iters: int = 10_000) -> float:
     return float(estimate)
 
 
+def row_norms(stack: MatrixStack) -> np.ndarray:
+    """Spectral norm of every stacked (Hermitian) row.
+
+    Each row is zero outside its support, the nodes its entries touch, so
+    its norm is that of the support block.  The blocks are gathered, zero
+    padded to the largest support, into one (count, s, s) array and every
+    norm is the largest |eigenvalue| of one batched Hermitian eigensolve.
+    """
+    nodes = np.concatenate([stack.segments * stack.dim + stack.rows,
+                            stack.segments * stack.dim + stack.cols])
+    support = np.unique(nodes)
+    owner = support // stack.dim
+    local = np.arange(len(support)) - np.searchsorted(owner, owner)
+    size = int(local.max(initial=-1)) + 1
+    if size == 0:
+        return np.zeros(stack.count)
+    blocks = np.zeros((stack.count, size, size), dtype=complex)
+    half = len(stack.values)
+    at = local[np.searchsorted(support, nodes)]
+    blocks[stack.segments, at[:half], at[half:]] = stack.values
+    return np.max(np.abs(np.linalg.eigvalsh(blocks)), axis=1)
+
+
 def inputs_from_context(ctx: LagrangianContext, alpha_bar: float | None = None,
                         beta_bar: float | None = None, rho: float = 0.0,
                         epsilon: float = 0.1, dist0: float = 1.0) -> BoundInputs:
@@ -86,8 +109,7 @@ def inputs_from_context(ctx: LagrangianContext, alpha_bar: float | None = None,
         alpha_bar = 1.1 * math.sqrt(problem.n)
     if beta_bar is None:
         beta_bar = 2.0 * problem.m
-    max_norm = max((spectral_norm(problem.stack.matrix(k)) for k in range(problem.m_stored)),
-                   default=0.0)
+    max_norm = float(np.max(row_norms(problem.stack), initial=0.0))
     sum_max = sum(norm**2 for norm in xbm.piece_norms(problem.stack).values())
     return BoundInputs(
         p_count=ctx.p_count,
@@ -192,6 +214,3 @@ def budget(inputs: BoundInputs) -> BudgetReport:
         total_bound=total_bound,
     )
 
-
-def with_overrides(inputs: BoundInputs, **kwargs) -> BoundInputs:
-    return replace(inputs, **kwargs)

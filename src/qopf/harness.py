@@ -687,12 +687,25 @@ def run_experiment(config: ExperimentConfig,
                                                ref_instance)
                 except saddle_mod.DivergenceError as err:
                     results[tag] = ModelResult(
-                        metrics=None, iterations=err.iteration, total_shots=0,
-                        wall_time=0.0, stop_reason="diverged",
-                        lagrangian_final=float("nan"), lagrangians=[],
-                        g_norms=None, duals=np.array([]), error=str(err))
+                        metrics=None, wall_time=err.elapsed,
+                        lagrangian_final=float("nan"), duals=np.array([]),
+                        error=str(err), **_history(err.trajectory))
         report.instances.append(results)
     return report
+
+
+def _history(traj) -> dict:
+    """The per-iteration fields of a ModelResult from a variational
+    ``saddle.Trajectory`` or a ``saddle.ClassicalTrajectory``."""
+    if isinstance(traj, saddle_mod.Trajectory):
+        return dict(iterations=traj.iterations, total_shots=traj.total_shots,
+                    stop_reason=traj.stop_reason, lagrangians=list(traj.lagrangians),
+                    g_norms=traj.g_norms,
+                    scales=[(s.alpha, s.beta) for s in traj.states[1:]],
+                    shots_per_iter=list(traj.shots))
+    return dict(iterations=len(traj.lagrangians), total_shots=0,
+                stop_reason=traj.stop_reason, lagrangians=list(traj.lagrangians),
+                g_norms=None, scales=None, shots_per_iter=None)
 
 
 def _run_single(config: ExperimentConfig, prepared: PreparedCase, model: str,
@@ -710,14 +723,6 @@ def _run_single(config: ExperimentConfig, prepared: PreparedCase, model: str,
             symmetric_eg=config.symmetric_eg)
         v = traj.final.v
         lam = traj.final.lam
-        lag_final = traj.lagrangians[-1] if traj.lagrangians else float("nan")
-        iterations = len(traj.lagrangians)
-        shots = 0
-        g_norms = None
-        scales = None
-        shots_per_iter = None
-        lagrangians = traj.lagrangians
-        stop_reason = traj.stop_reason
     else:
         problem = prepared.problem
         dim = prepared.permuted.dim
@@ -738,31 +743,18 @@ def _run_single(config: ExperimentConfig, prepared: PreparedCase, model: str,
         v_perm = model_mod.primal_vector(ctx, PrimalPoint(final.theta, final.alpha))
         v = recover_voltage(prepared, v_perm)
         lam = model_mod.dual_vector(ctx, DualPoint(final.phi, final.beta))[:problem.m]
-        lag_final = traj.lagrangians[-1] if traj.lagrangians else float("nan")
-        iterations = traj.iterations
-        shots = traj.total_shots
-        g_norms = traj.g_norms
-        scales = [(s.alpha, s.beta) for s in traj.states[1:]]
-        shots_per_iter = list(traj.shots)
-        lagrangians = traj.lagrangians
-        stop_reason = traj.stop_reason
 
+    lag_final = traj.lagrangians[-1] if traj.lagrangians else float("nan")
     metrics = None
     if ref is not None:
         metrics = compute_metrics(prepared.case, prepared.problem, v, lam,
                                   lag_final, ref)
     return ModelResult(
         metrics=metrics,
-        iterations=iterations,
-        total_shots=shots,
         wall_time=time.perf_counter() - start,
-        stop_reason=stop_reason,
         lagrangian_final=lag_final,
-        lagrangians=list(lagrangians),
-        g_norms=g_norms,
         duals=dual_comparison_entries(prepared.problem, lam),
-        scales=scales,
-        shots_per_iter=shots_per_iter,
+        **_history(traj),
     )
 
 

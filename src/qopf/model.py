@@ -11,14 +11,17 @@ then splits into three observable expectations,
 
 with F0 the cost expectation on the primal circuit, G a diagonal observable
 (the constraint bounds) on the dual circuit, and F the constraint term,
-whose exact value is the PMF-weighted sum of per-constraint expectations
-and whose sampled value pairs a dual basis draw with a color-rotated primal
-draw.  In exact mode the gradients in the circuit parameters come from one
-adjoint (reverse-mode) sweep per circuit; in sampled mode from the two-point
-parameter-shift rule, as they would on hardware.  Either way the circuit
-ledger charges the parameter-shift count.  The scale gradients are the
-closed forms dL/dalpha = 2 alpha (F0 + beta^2 F) and
-dL/dbeta = 2 beta (alpha^2 F - G).
+whose exact value is the PMF-weighted sum of per-constraint expectations.
+Its sampled value pairs independent measurements, as an extended Bell
+measurement would on hardware: per color piece, a dual outcome m and an
+outcome i of the color-rotated primal circuit are drawn separately, and
+the pair scores the rotated piece diagonal of constraint m at i, read from
+that piece's sparse entries under the key m * dim + i.  In exact mode the
+gradients in the circuit parameters come from one adjoint (reverse-mode)
+sweep per circuit; in sampled mode from the two-point parameter-shift
+rule, as they would on hardware.  Either way the circuit ledger charges the
+parameter-shift count.  The scale gradients are the closed forms
+dL/dalpha = 2 alpha (F0 + beta^2 F) and dL/dbeta = 2 beta (alpha^2 F - G).
 """
 
 from __future__ import annotations
@@ -100,9 +103,13 @@ class LagrangianContext:
 
     Holds the padded (and usually permuted) QCQP, whose ``stack`` gives the
     constraint forms and actions, the ansatz pair, the color decomposition
-    of the cost matrix, and the per-color diagonals of every constraint
-    matrix (the block-diagonal joint observable, stored per color instead
-    of materialized at size MN x MN).
+    of the cost matrix, and the block-diagonal joint observable of size
+    MN x MN, never materialized: ``joint_diagonals`` maps each (color,
+    part) piece to the nonzero entries of every constraint's rotated
+    diagonal (``xbm.PieceEntries``, keyed m * dim + i), and ``rotations``
+    holds that piece's primal measurement rotation (None for color 0).
+    The sampled F draws a dual outcome m and a rotated primal outcome i
+    independently per piece and looks the pair up in those entries.
     """
 
     def __init__(self, problem: QcqpProblem, primal_spec: AnsatzSpec,
@@ -122,8 +129,12 @@ class LagrangianContext:
         self.dual_spec = dual_spec
         self.s_diag = problem.bounds
         self.m0_decomposition = xbm.decompose(problem.m0)
-        # (color, part) -> (M, dim) rotated constraint diagonals
-        self.joint_diagonals = xbm.piece_diagonals(problem.stack)
+        # (color, part) -> sparse rotated constraint diagonals of all rows
+        self.joint_diagonals = xbm.piece_entries(problem.stack)
+        self.rotations = [
+            None if color == 0 else
+            xbm.rotation_circuit(color, primal_spec.n_qubits, part)
+            for color, part in self.joint_diagonals]
         self.colors = xbm.union_colors(self.m0_decomposition, self.joint_diagonals)
 
     @property
@@ -197,44 +208,42 @@ def _sample_g(ctx: LagrangianContext, w: np.ndarray, mode: EvalMode) -> tuple[fl
     return float(counts @ ctx.s_diag) / mode.shots, mode.shots
 
 
-def _sample_f(ctx: LagrangianContext, psi: np.ndarray, w: np.ndarray,
-              mode: EvalMode, primal_shots_per_draw: int = 1) -> tuple[float, int]:
-    """Two-step estimate of F: per color piece, outcomes of the dual circuit
-    pair with outcomes of the color-rotated primal circuit, and the piece
-    diagonal of the drawn constraint is averaged.
+def _primal_cdfs(ctx: LagrangianContext, psi: np.ndarray) -> np.ndarray:
+    """(pieces, dim) cumulative outcome distributions of the color-rotated
+    primal circuit, one row per joint constraint piece in key order."""
+    cdfs = np.empty((len(ctx.rotations), len(psi)))
+    for row, circuit in zip(cdfs, ctx.rotations):
+        rotated = psi if circuit is None else circuit.apply(psi)
+        np.cumsum(np.abs(rotated) ** 2, out=row)
+    return cdfs / cdfs[:, -1:]
 
-    With one primal shot per dual draw (the default) the pairing is a single
-    multinomial over the product distribution; larger values average that
-    many rotated-primal outcomes per drawn constraint index.
+
+def _dual_cdf(w: np.ndarray) -> np.ndarray:
+    """Cumulative distribution of the dual outcome PMF w."""
+    cdf = np.cumsum(w)
+    return cdf / cdf[-1]
+
+
+def _sample_f(ctx: LagrangianContext, cdfs: np.ndarray, w_cdf: np.ndarray,
+              mode: EvalMode, primal_shots_per_draw: int = 1) -> tuple[float, int]:
+    """Two-step estimate of F from independent dual and primal draws.
+
+    Per color piece k, on its own stream: S dual outcomes m are drawn from
+    the dual PMF (CDF ``w_cdf``) and S * r outcomes i of the color-rotated
+    primal circuit from row k of ``cdfs`` (``_primal_cdfs``), r =
+    ``primal_shots_per_draw``; each dual outcome pairs with r primal ones,
+    and the piece diagonal of constraint m at i, looked up in the sparse
+    entries under the key m * dim + i, is averaged over the S * r pairs.
+    That costs O(S r log nnz) per piece after the O(M + dim) CDFs.
     """
-    w = w / w.sum()
+    shots, r = mode.shots, primal_shots_per_draw
     total = 0.0
-    shots = 0
-    for k, (key, diagonals) in enumerate(ctx.joint_diagonals.items()):
-        color, part = key
-        if color == 0:
-            rotated = psi
-        else:
-            circuit = xbm.rotation_circuit(color, ctx.primal_spec.n_qubits, part)
-            rotated = circuit.apply(psi)
-        probs = np.abs(rotated) ** 2
-        probs = probs / probs.sum()
+    for k, (entries, cdf) in enumerate(zip(ctx.joint_diagonals.values(), cdfs)):
         rng = np.random.default_rng(chain_seed(mode.seed, k))
-        if primal_shots_per_draw == 1:
-            joint = np.outer(w, probs).ravel()
-            counts = rng.multinomial(mode.shots, joint / joint.sum())
-            total += float(counts @ diagonals.ravel()) / mode.shots
-            shots += mode.shots
-        else:
-            dual_counts = rng.multinomial(mode.shots, w)
-            value = 0.0
-            for m_idx in np.nonzero(dual_counts)[0]:
-                draws = int(dual_counts[m_idx]) * primal_shots_per_draw
-                primal_counts = rng.multinomial(draws, probs)
-                value += float(primal_counts @ diagonals[m_idx]) / primal_shots_per_draw
-                shots += draws
-            total += value / mode.shots
-    return total, shots
+        m = np.searchsorted(w_cdf, rng.random(shots), side="right")
+        i = np.searchsorted(cdf, rng.random(shots * r), side="right")
+        total += float(entries.lookup(np.repeat(m, r), i).sum()) / (shots * r)
+    return total, shots * r * len(ctx.joint_diagonals)
 
 
 def eval_F_sampled(ctx: LagrangianContext, p: PrimalPoint, d: DualPoint,
@@ -244,8 +253,8 @@ def eval_F_sampled(ctx: LagrangianContext, p: PrimalPoint, d: DualPoint,
         raise ValidationError("primal_shots_per_draw must be >= 1")
     psi = prepare(ctx.primal_spec, p.theta)
     w = dual_pmf(ctx, d)
-    value, _ = _sample_f(ctx, psi, w, sampled_mode(shots, seed),
-                         primal_shots_per_draw)
+    value, _ = _sample_f(ctx, _primal_cdfs(ctx, psi), _dual_cdf(w),
+                         sampled_mode(shots, seed), primal_shots_per_draw)
     return value
 
 
@@ -256,7 +265,7 @@ def eval_terms(ctx: LagrangianContext, p: PrimalPoint, d: DualPoint,
     psi = prepare(ctx.primal_spec, p.theta)
     w = dual_pmf(ctx, d)
     f0, _ = _sample_f0(ctx, psi, mode.reseeded(0))
-    f, _ = _sample_f(ctx, psi, w, mode.reseeded(1))
+    f, _ = _sample_f(ctx, _primal_cdfs(ctx, psi), _dual_cdf(w), mode.reseeded(1))
     g, _ = _sample_g(ctx, w, mode.reseeded(2))
     return TermValues(f0, f, g)
 
@@ -326,11 +335,15 @@ def _angle_grads_sampled(ctx: LagrangianContext, p: PrimalPoint, d: DualPoint,
     a2, b2 = p.alpha**2, d.beta**2
     shots_spent = 0
 
+    # The rotated primal CDFs depend on theta only and the dual CDF on phi
+    # only: each is computed once per state and shared by the shifts of
+    # the other block.
     psi = prepare(ctx.primal_spec, p.theta)
     w = dual_pmf(ctx, d)
+    cdfs, w_cdf = _primal_cdfs(ctx, psi), _dual_cdf(w)
     f0, spent = _sample_f0(ctx, psi, mode.reseeded(0))
     shots_spent += spent
-    f, spent = _sample_f(ctx, psi, w, mode.reseeded(1))
+    f, spent = _sample_f(ctx, cdfs, w_cdf, mode.reseeded(1))
     shots_spent += spent
     g, spent = _sample_g(ctx, w, mode.reseeded(2))
     shots_spent += spent
@@ -344,9 +357,11 @@ def _angle_grads_sampled(ctx: LagrangianContext, p: PrimalPoint, d: DualPoint,
         shots_spent += spent
         f0m, spent = _sample_f0(ctx, psi_m, mode.reseeded(10, j, 1))
         shots_spent += spent
-        fp, spent = _sample_f(ctx, psi_p, w, mode.reseeded(11, j, 0))
+        fp, spent = _sample_f(ctx, _primal_cdfs(ctx, psi_p), w_cdf,
+                              mode.reseeded(11, j, 0))
         shots_spent += spent
-        fm, spent = _sample_f(ctx, psi_m, w, mode.reseeded(11, j, 1))
+        fm, spent = _sample_f(ctx, _primal_cdfs(ctx, psi_m), w_cdf,
+                              mode.reseeded(11, j, 1))
         shots_spent += spent
         g_theta[j] = a2 / 2 * (f0p - f0m) + a2 * b2 / 2 * (fp - fm)
 
@@ -355,9 +370,9 @@ def _angle_grads_sampled(ctx: LagrangianContext, p: PrimalPoint, d: DualPoint,
         plus, minus = shift_points(d.phi, j)
         w_p = np.abs(prepare(ctx.dual_spec, plus)) ** 2
         w_m = np.abs(prepare(ctx.dual_spec, minus)) ** 2
-        fp, spent = _sample_f(ctx, psi, w_p, mode.reseeded(12, j, 0))
+        fp, spent = _sample_f(ctx, cdfs, _dual_cdf(w_p), mode.reseeded(12, j, 0))
         shots_spent += spent
-        fm, spent = _sample_f(ctx, psi, w_m, mode.reseeded(12, j, 1))
+        fm, spent = _sample_f(ctx, cdfs, _dual_cdf(w_m), mode.reseeded(12, j, 1))
         shots_spent += spent
         gp, spent = _sample_g(ctx, w_p, mode.reseeded(13, j, 0))
         shots_spent += spent

@@ -15,6 +15,7 @@ unusual.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -27,9 +28,18 @@ EG = "eg"
 
 
 class DivergenceError(RuntimeError):
-    def __init__(self, iteration: int, value: float):
+    """|L| exceeded the divergence ceiling at 0-based ``iteration``.
+
+    ``trajectory`` holds the run up to the last accepted iterate, with stop
+    reason "diverged" (the diverging iterate is not recorded), and
+    ``elapsed`` the seconds the run took until the abort.
+    """
+
+    def __init__(self, iteration: int, value: float, trajectory, elapsed: float):
         self.iteration = iteration
         self.value = value
+        self.trajectory = trajectory
+        self.elapsed = elapsed
         super().__init__(
             f"|L| = {value:.3e} exceeded the divergence ceiling at iteration {iteration}"
         )
@@ -210,6 +220,7 @@ def run(ctx: LagrangianContext, init: SaddlePointState, method: str,
     """
     if method not in (PD, EG):
         raise ValidationError(f"unknown method {method!r}")
+    start = time.perf_counter()
     g_fn = make_variational_g(ctx, mode)
 
     def lag(z: SaddlePointState, tag: int) -> float:
@@ -228,7 +239,8 @@ def run(ctx: LagrangianContext, init: SaddlePointState, method: str,
             nxt, info = eg_step(g_fn, z, rates, symmetric=symmetric_eg)
         value = lag(nxt, 1) if record_lagrangian else math.nan
         if record_lagrangian and abs(value) > divergence_ceiling:
-            raise DivergenceError(t, value)
+            traj.stop_reason = "diverged"
+            raise DivergenceError(t, value, traj, time.perf_counter() - start)
         traj.states.append(nxt)
         traj.lagrangians.append(value)
         traj.g_norms.append(_block_norms(info["g"], p_count, q_count))
@@ -319,6 +331,7 @@ def run_classical(problem: QcqpProblem, init: ClassicalState, method: str,
     move less than the tolerances."""
     if method not in (PD, EG):
         raise ValidationError(f"unknown method {method!r}")
+    start = time.perf_counter()
     traj = ClassicalTrajectory()
     traj.states.append(init)
     s = init
@@ -331,7 +344,8 @@ def run_classical(problem: QcqpProblem, init: ClassicalState, method: str,
             nxt = classical_eg_step(problem, s, steps, symmetric=symmetric_eg)
         value = classical_lagrangian(problem, nxt.v, nxt.lam)
         if abs(value) > divergence_ceiling:
-            raise DivergenceError(t, value)
+            traj.stop_reason = "diverged"
+            raise DivergenceError(t, value, traj, time.perf_counter() - start)
         traj.states.append(nxt)
         traj.lagrangians.append(value)
         moved_v = float(np.linalg.norm(nxt.v - s.v))

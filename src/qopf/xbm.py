@@ -18,9 +18,10 @@ k_c bit is clear, pairing it with j = i ^ c,
 
 The diagonals are computed from coordinate entries grouped by i ^ j
 (``piece_diagonals``), for one matrix or a whole ``grid.MatrixStack`` at
-once.  The construction is validated functionally by the test suite:
-R M_c R^dag must be diagonal and equal diag(lambda) for every color and
-part.
+once; ``piece_entries`` gives the same diagonals of a stack as sorted
+sparse entries.  The construction is validated functionally by the test
+suite: R M_c R^dag must be diagonal and equal diag(lambda) for every color
+and part.
 """
 
 from __future__ import annotations
@@ -142,6 +143,41 @@ def piece_diagonals(stack: MatrixStack) -> dict[tuple[int, str], np.ndarray]:
         if color:
             diagonals[segments, rows | (1 << k)] = -values
         out[(color, part)] = diagonals
+    return out
+
+
+class PieceEntries(NamedTuple):
+    """The nonzero entries of one piece's rotated diagonals over a stack:
+    the entry of segment s at basis index i sits at the flat key
+    ``s * dim + i``; keys are strictly increasing and never empty."""
+
+    keys: np.ndarray
+    values: np.ndarray
+    dim: int
+
+    def lookup(self, segments: np.ndarray, indices: np.ndarray) -> np.ndarray:
+        """Diagonal values of the given segments at the given basis indices,
+        pair by pair; pairs without an entry read 0."""
+        keys = segments * self.dim + indices
+        pos = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
+        return np.where(self.keys[pos] == keys, self.values[pos], 0.0)
+
+
+def piece_entries(stack: MatrixStack) -> dict[tuple[int, str], PieceEntries]:
+    """(color, part) -> the sparse rotated piece diagonals of every stacked
+    matrix, for the same pieces and in the same order as ``piece_diagonals``."""
+    out: dict[tuple[int, str], PieceEntries] = {}
+    for color, part, k, segments, rows, values in _piece_entries(stack):
+        if not np.any(values):
+            continue
+        keys = segments * stack.dim + rows
+        if color:
+            keys = np.concatenate([keys, keys | (1 << k)])
+            values = np.concatenate([values, -values])
+        nonzero = values != 0
+        keys, values = keys[nonzero], values[nonzero]
+        order = np.argsort(keys, kind="stable")
+        out[(color, part)] = PieceEntries(keys[order], values[order], stack.dim)
     return out
 
 

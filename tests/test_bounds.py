@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qopf import bounds, model, sim
+from qopf import bounds, harness, model, sim
 from qopf.bounds import BoundInputs
 from qopf.grid import ValidationError
 from qopf.model import DualPoint, PrimalPoint, sampled_mode
@@ -98,6 +98,16 @@ def test_inputs_from_context_measures_norms():
     assert inputs.colors == ctx.color_count
     assert inputs.sum_norm_sq_m0 == pytest.approx(
         ctx.m0_decomposition.sum_norm_sq, abs=1e-12)
+
+
+@pytest.mark.parametrize("case_name", ["case3", "ieee57"])
+def test_row_norms_match_dense_spectral_norms(case_name, request):
+    problem = harness.prepare_case(request.getfixturevalue(case_name), 2, 0).permuted
+    norms = bounds.row_norms(problem.stack)
+    expected = np.array([np.linalg.norm(row, 2) for row in problem.dense_constraints()])
+    assert norms.shape == (problem.m_stored,)
+    assert np.all(expected[problem.m:] == 0) and np.all(norms[problem.m:] == 0)
+    np.testing.assert_allclose(norms, expected, rtol=1e-12, atol=0)
 
 
 def test_lipschitz_bounds_gradient_differences():

@@ -1,8 +1,10 @@
 import json
+import time
 
 import pytest
 
-from qopf import cli
+from qopf import cli, grid, harness, saddle
+from qopf.sim import chain_seed
 
 from conftest import CASE2_TEXT
 
@@ -150,6 +152,43 @@ def test_diverged_report_is_strict_json(tmp_path, case2_file, capsys):
     code, out, _ = run_cli(capsys, "report", str(out_dir), "--format", "csv")
     assert code == 0
     assert out.startswith("model,")
+
+
+def test_diverged_report_keeps_partial_run(tmp_path, case2_file, capsys):
+    """A diverged run reports the iterations it completed: their count,
+    their Lagrangians and the time they took, as the same classical run
+    repeated outside the CLI gives them."""
+    out_dir = tmp_path / "run"
+    config_path = write_config(   # diverges after a few iterations
+        tmp_path, case2_file,
+        classical_schedule={"theta": [0.015, 1.0], "phi": [0.015, 1.0]},
+        divergence_ceiling=1e6, out=str(out_dir))
+    start = time.perf_counter()
+    code, _, _ = run_cli(capsys, "solve", str(config_path))
+    solve_s = time.perf_counter() - start
+    assert code == 2
+    result = json.loads((out_dir / "report.json").read_text(encoding="utf-8"),
+                        parse_constant=reject_constant)["instances"][0]["QCQP-EG"]
+
+    config = harness.config_from_json(config_path)
+    case = grid.load_case(config.case_path)
+    instance = harness.generate_instances(case, 1, config.load_scale, config.seed,
+                                          simplify=config.apply_simplifications)[0]
+    problem = harness.prepare_case(instance, config.rcm_runs,
+                                   chain_seed(config.seed, 100, 0)).problem
+    init = saddle.default_classical_init(problem, len(instance.load_nodes),
+                                         chain_seed(config.seed, 1, 0))
+    with pytest.raises(saddle.DivergenceError) as err:
+        saddle.run_classical(problem, init, saddle.EG, config.classical_schedule,
+                             config.classical_stop,
+                             divergence_ceiling=config.divergence_ceiling)
+    ran = err.value.trajectory.lagrangians
+    assert len(ran) == err.value.iteration > 0
+    assert result["iterations"] == len(ran)
+    assert result["lagrangians"] == ran
+    assert 0 < result["wall_time"] < solve_s
+    trajectory_csv = (out_dir / "trajectory_0_QCQP-EG.csv").read_text(encoding="utf-8")
+    assert len(trajectory_csv.splitlines()) == 1 + len(ran)
 
 
 def test_divergence_exit_code(tmp_path, case2_file, capsys):

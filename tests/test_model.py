@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from qopf import grid, harness, model, saddle, sim
+from qopf import bounds, grid, harness, model, saddle, sim, xbm
 from qopf.grid import Constraint, ValidationError
 from qopf.model import DualPoint, PrimalPoint, exact_mode, sampled_mode
 from qopf.saddle import classical_lagrangian
 
-from conftest import problem_from_rows, random_hermitian, random_problem
+from conftest import problem_from_rows, random_hermitian, random_problem, stack_problems
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +168,44 @@ def test_eval_f_sampled_zero_observables():
     assert model.eval_F_sampled(ctx, p, d, shots=16, seed=0) == 0.0
 
 
+@pytest.mark.parametrize("problem", stack_problems())
+def test_joint_entries_densify_to_piece_diagonals(problem):
+    ctx = model.LagrangianContext(
+        problem, sim.AnsatzSpec.from_row(2, int(math.log2(problem.dim)), 1),
+        sim.AnsatzSpec.from_row(2, int(math.log2(problem.m_stored)), 1))
+    dense = xbm.piece_diagonals(problem.stack)
+    assert list(ctx.joint_diagonals) == list(dense)
+    for key, entries in ctx.joint_diagonals.items():
+        assert np.all(np.diff(entries.keys) > 0) and np.all(entries.values != 0)
+        densified = np.zeros(problem.m_stored * problem.dim)
+        densified[entries.keys] = entries.values
+        assert np.array_equal(densified.reshape(dense[key].shape), dense[key])
+        rows, cols = np.indices(dense[key].shape)
+        assert np.array_equal(entries.lookup(rows.ravel(), cols.ravel()),
+                              dense[key].ravel())
+
+
+def test_eval_f_sampled_variance_matches_closed_form(ctx44):
+    """Var of the sampled F is (1/S) sum_c Var_{w x p_c}[D_c]: per piece c,
+    S independent pairs of a dual outcome m ~ w and a rotated primal outcome
+    i ~ p_c, scored by the piece diagonal D_c[m, i]."""
+    p, d = random_points(ctx44, 92)
+    psi = sim.prepare(ctx44.primal_spec, p.theta)
+    w = model.dual_pmf(ctx44, d)
+    shots = 8
+    variance = 0.0
+    for (color, part), diagonals in xbm.piece_diagonals(ctx44.problem.stack).items():
+        rotated = psi if color == 0 else \
+            xbm.rotation_circuit(color, ctx44.primal_spec.n_qubits, part).apply(psi)
+        joint = np.outer(w, np.abs(rotated) ** 2)
+        mean = float(np.sum(joint * diagonals))
+        variance += (float(np.sum(joint * diagonals**2)) - mean**2) / shots
+    n = 600
+    values = np.array([model.eval_F_sampled(ctx44, p, d, shots=shots, seed=[23, k])
+                       for k in range(n)])
+    assert abs(float(np.var(values)) - variance) < 0.2 * variance
+
+
 def grad_by_finite_differences(ctx, p, d, h=1e-5):
     def lag(theta, alpha, phi, beta):
         return model.lagrangian(ctx, PrimalPoint(theta, alpha), DualPoint(phi, beta))
@@ -228,6 +266,28 @@ def test_gradient_circuit_accounting(ctx44):
     c = ctx44.color_count
     assert res.primal_circuits == (2 * ctx44.p_count + 1) * (2 * c - 1)
     assert res.dual_circuits == 2 * ctx44.q_count + 1
+
+
+def test_sampled_gradient_shot_and_circuit_counts(ctx44, padded_complex_problem):
+    """One sampled gradient spends S shots on every rotated circuit it
+    measures: (2P+1) primal points times the n0 cost and nF constraint
+    pieces, nF pieces at each of the 2Q shifted dual points, and the dual
+    circuit for G at 2Q+1 points; it charges the circuits of
+    ``bounds.circuits_per_iteration``."""
+    padded_ctx = model.LagrangianContext(padded_complex_problem,
+                                         sim.AnsatzSpec.from_row(7, 2, 1),
+                                         sim.AnsatzSpec.from_row(4, 3, 1))
+    shots = 16
+    for ctx in (ctx44, padded_ctx):
+        p, d = random_points(ctx, 46)
+        res = model.grad(ctx, p, d, sampled_mode(shots, [4, 2]))
+        big_p, big_q = ctx.p_count, ctx.q_count
+        n0, nf = len(ctx.m0_decomposition.pieces), len(ctx.joint_diagonals)
+        assert n0 > 0 and nf > 0
+        assert res.shots_spent == shots * (
+            (2 * big_p + 1) * (n0 + nf) + 2 * big_q * nf + 2 * big_q + 1)
+        assert res.primal_circuits + res.dual_circuits == \
+            bounds.circuits_per_iteration(big_p, big_q, ctx.color_count)
 
 
 def test_g_operator_sign_convention(ctx44):
@@ -349,11 +409,11 @@ def test_sampled_gradient_stream_unchanged(padded_complex_problem):
     d = DualPoint(rng.uniform(0, 6.28, ctx.q_count), 1.3)
     res = model.grad(ctx, p, d, sampled_mode(16, [3, 1]))
     assert res.theta.tolist() == [
-        -0.3778591853299997, 0.459836533791119, 0.7927302541285797,
-        0.4953326616324376, -0.752498105283468, 0.1357329339413147]
-    assert res.alpha == -0.34923426554001125
+        -0.3616812684869627, 0.3969929098469895, 0.49251761036149333,
+        1.3764957409890126, -0.785109439784315, 0.42621416433263104]
+    assert res.alpha == -3.52310832479444
     assert res.phi.tolist() == [
-        -0.023699708951224363, 0.38166384729749253, -0.11259800311073583,
-        -0.7986655745395496, 0.48323263971470276, 0.01492749752290573]
-    assert res.beta == 0.4753576847294754
+        0.16099465569267118, -0.39595299725110844, 0.5107951086219795,
+        -0.377099622801993, 0.21978125602394297, 0.11427005340971869]
+    assert res.beta == -1.7219397409082062
     assert (res.primal_circuits, res.dual_circuits, res.shots_spent) == (91, 13, 4464)
