@@ -4,6 +4,12 @@ States are complex vectors of length 2**n_qubits with qubit 0 as the least
 significant bit of the basis index (so basis index arithmetic matches the
 XOR bookkeeping of the measurement module).  All simulation is exact in
 double precision; shot noise enters only through ``sample_basis``.
+
+There is one gate path: every single-qubit gate, here and in the
+measurement rotations of ``xbm``, goes through the 2x2 primitive
+``apply_single``, and every CX (the ansatz chain here, the color fan-out
+in ``xbm``) is a precomputed basis gather, since CX gates only permute
+computational basis states.
 """
 
 from __future__ import annotations
@@ -12,8 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-SQRT2 = math.sqrt(2.0)
 
 
 def chain_seed(seed, *tags) -> list[int]:
@@ -51,27 +55,6 @@ class SimulationError(ValueError):
 
 
 @dataclass(frozen=True)
-class GateOp:
-    """A single elementary gate; ``angle`` only for rotations, ``control``
-    only for CX."""
-
-    kind: str
-    target: int
-    control: int | None = None
-    angle: float | None = None
-
-    def __post_init__(self):
-        if self.kind == "cx":
-            if self.control is None or self.control == self.target:
-                raise SimulationError("cx needs a control distinct from its target")
-        elif self.kind in ROTATIONS:
-            if self.angle is None:
-                raise SimulationError(f"{self.kind} needs an angle")
-        elif self.kind not in ("h", "s", "x"):
-            raise SimulationError(f"unknown gate kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
 class AnsatzSpec:
     """Layered circuit: ``layers`` repetitions of a per-layer token sequence.
 
@@ -106,17 +89,6 @@ class AnsatzSpec:
     def param_count(self) -> int:
         return self.rotations_per_layer * self.layers * self.n_qubits
 
-    def gates(self, params: np.ndarray) -> list[GateOp]:
-        params = _checked_params(self, params)
-        ops: list[GateOp] = []
-        for token, q, k in ansatz_ops(self):
-            if token == "cx":
-                ops.extend(GateOp("cx", target=c + 1, control=c)
-                           for c in range(self.n_qubits - 1))
-            else:
-                ops.append(GateOp(token, target=q, angle=float(params[k])))
-        return ops
-
 
 def zero_state(n_qubits: int) -> np.ndarray:
     state = np.zeros(2**n_qubits, dtype=complex)
@@ -124,14 +96,8 @@ def zero_state(n_qubits: int) -> np.ndarray:
     return state
 
 
-def n_qubits_of(state: np.ndarray) -> int:
-    n = int(math.log2(len(state)))
-    if 2**n != len(state):
-        raise SimulationError(f"state length {len(state)} is not a power of two")
-    return n
-
-
-def _rotation_matrix(kind: str, angle: float) -> np.ndarray:
+def rotation_matrix(kind: str, angle: float) -> np.ndarray:
+    """2x2 matrix of the rotation exp(-i angle G / 2), G the Pauli of ``kind``."""
     c, s = math.cos(angle / 2), math.sin(angle / 2)
     if kind == "rx":
         return np.array([[c, -1j * s], [-1j * s, c]])
@@ -140,14 +106,7 @@ def _rotation_matrix(kind: str, angle: float) -> np.ndarray:
     return np.array([[c - 1j * s, 0], [0, c + 1j * s]])  # rz
 
 
-_FIXED = {
-    "h": np.array([[1, 1], [1, -1]]) / SQRT2,
-    "s": np.array([[1, 0], [0, 1j]]),
-    "x": np.array([[0, 1], [1, 0]]),
-}
-
-
-def _apply_single(state: np.ndarray, qubit: int, u: np.ndarray) -> np.ndarray:
+def apply_single(state: np.ndarray, qubit: int, u: np.ndarray) -> np.ndarray:
     """Apply the 2x2 matrix ``u`` to ``qubit`` of a state, or of every row of
     a stack of states, returning a new array."""
     view = state.reshape(-1, 2, 2**qubit)
@@ -155,28 +114,6 @@ def _apply_single(state: np.ndarray, qubit: int, u: np.ndarray) -> np.ndarray:
     out[:, 0, :] = u[0, 0] * view[:, 0, :] + u[0, 1] * view[:, 1, :]
     out[:, 1, :] = u[1, 0] * view[:, 0, :] + u[1, 1] * view[:, 1, :]
     return out.reshape(state.shape)
-
-
-def apply_gate(state: np.ndarray, gate: GateOp) -> np.ndarray:
-    """Apply one gate, returning a new state vector."""
-    n = n_qubits_of(state)
-    if gate.target >= n or (gate.control is not None and gate.control >= n):
-        raise SimulationError(f"gate {gate.kind} out of range for {n} qubits")
-    if gate.kind == "cx":
-        idx = np.arange(len(state))
-        controlled = (idx >> gate.control) & 1 == 1
-        out = state.copy()
-        out[idx[controlled]] = state[idx[controlled] ^ (1 << gate.target)]
-        return out
-    u = _rotation_matrix(gate.kind, gate.angle) if gate.kind in ROTATIONS \
-        else _FIXED[gate.kind]
-    return _apply_single(state, gate.target, u)
-
-
-def apply_circuit(state: np.ndarray, gates) -> np.ndarray:
-    for gate in gates:
-        state = apply_gate(state, gate)
-    return state
 
 
 _CHAIN_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -243,7 +180,7 @@ def prepare(spec: AnsatzSpec, params: np.ndarray) -> np.ndarray:
         if token == "cx":
             state = state[chain]
         else:
-            state = _apply_single(state, q, _rotation_matrix(token, params[k]))
+            state = apply_single(state, q, rotation_matrix(token, params[k]))
     return state
 
 
@@ -266,8 +203,8 @@ def reverse_sweep(spec: AnsatzSpec, params: np.ndarray, state: np.ndarray,
         if token == "cx":
             pair = pair[:, unchain]
             continue
-        out[k] = np.vdot(pair[1], _apply_single(pair[0], q, _GENERATORS[token])).imag
-        pair = _apply_single(pair, q, _rotation_matrix(token, params[k]).conj().T)
+        out[k] = np.vdot(pair[1], apply_single(pair[0], q, _GENERATORS[token])).imag
+        pair = apply_single(pair, q, rotation_matrix(token, params[k]).conj().T)
     return out
 
 

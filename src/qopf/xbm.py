@@ -7,7 +7,9 @@ part, and each is diagonalized by the same O(log N)-gate circuit: CX gates
 fanning out from qubit k_c (the most significant set bit of c) to every other
 set bit of c, followed by a Hadamard on k_c.  The imaginary part additionally
 takes an S^dag prefix on k_c, realized here as Rz(-pi/2) (equal up to an
-irrelevant global phase).
+irrelevant global phase).  The simulator runs this on its one gate path:
+the whole CX fan-out is one precomputed basis gather, and Rz and H go
+through the 2x2 primitive ``sim.apply_single``.
 
 With that rotation R applied to the state, the piece expectation becomes a
 computational-basis average of a fixed real diagonal: for every index i whose
@@ -34,10 +36,13 @@ import numpy as np
 from scipy import sparse
 
 from .grid import MatrixStack
-from .sim import GateOp, apply_circuit, chain_seed, sample_basis
+from .sim import apply_single, chain_seed, rotation_matrix, sample_basis
 
 REAL = "real"
 IMAG = "imag"
+
+_HADAMARD = np.array([[1, 1], [1, -1]]) / math.sqrt(2.0)
+_S_DAG = rotation_matrix("rz", -math.pi / 2)  # S^dag up to a global phase
 
 
 class DecompositionError(ValueError):
@@ -64,32 +69,30 @@ def rotation_circuit(color: int, n_qubits: int, part: str = REAL) -> "RotationCi
     if part not in (REAL, IMAG):
         raise DecompositionError(f"unknown part {part!r}")
     k = most_significant_bit(color)
-    gates: list[GateOp] = []
-    if part == IMAG:
-        gates.append(GateOp("rz", target=k, angle=-math.pi / 2))
-    for bit in range(k):
-        if (color >> bit) & 1:
-            gates.append(GateOp("cx", target=bit, control=k))
-    gates.append(GateOp("h", target=k))
-    return RotationCircuit(color=color, part=part, gates=tuple(gates))
+    idx = np.arange(2**n_qubits)
+    fanout = np.where((idx >> k) & 1 == 1, idx ^ (color ^ (1 << k)), idx)
+    return RotationCircuit(color=color, part=part, k=k, fanout=fanout)
 
 
 @dataclass(frozen=True)
 class RotationCircuit:
+    """S^dag on k (imaginary part only), the CX fan-out from k to the other
+    set bits of ``color`` as the basis gather ``fanout``, then H on k."""
+
     color: int
     part: str
-    gates: tuple[GateOp, ...]
+    k: int
+    fanout: np.ndarray
 
-    def __post_init__(self):
-        n_gates = len(self.gates)
-        limit = self.color.bit_length() + (1 if self.part == IMAG else 0)
-        if n_gates > limit:
-            raise DecompositionError(
-                f"rotation for color {self.color} uses {n_gates} gates (> {limit})"
-            )
+    @property
+    def gate_count(self) -> int:
+        """popcount(color) - 1 CX gates, one H, and S^dag for the imaginary part."""
+        return self.color.bit_count() + (self.part == IMAG)
 
     def apply(self, state: np.ndarray) -> np.ndarray:
-        return apply_circuit(state, self.gates)
+        if self.part == IMAG:
+            state = apply_single(state, self.k, _S_DAG)
+        return apply_single(state[..., self.fanout], self.k, _HADAMARD)
 
 
 def _single_stack(matrix) -> MatrixStack:
@@ -299,29 +302,20 @@ def estimate_expectation(
     decomposition: ColorDecomposition,
     shots_per_piece: int,
     seed,
-    scheme: str = "sequential",
 ) -> EstimateReport:
     """Sampled estimate of <psi|M|psi> from the color pieces.
 
-    Per piece: rotate the state, sample the computational basis, average the
-    piece diagonal over the outcomes.  ``sequential`` derives an independent
-    seed per piece; ``joint`` draws every piece from one shared stream in
-    piece order.  Either way the estimate is unbiased and reproducible.
+    Per piece: rotate the state, sample the computational basis with an
+    independent seed derived from ``seed`` and the piece index, and average
+    the piece diagonal over the outcomes.  The estimate is unbiased and
+    reproducible.
     """
     if shots_per_piece < 1:
         raise DecompositionError("shots_per_piece must be >= 1")
-    if scheme not in ("sequential", "joint"):
-        raise DecompositionError(f"unknown sampling scheme {scheme!r}")
-    joint_rng = np.random.default_rng(seed) if scheme == "joint" else None
     total = 0.0
     per_piece: list[tuple[ColorPiece, float]] = []
     for k, piece in enumerate(decomposition.pieces):
-        rotated = piece.rotate(state)
-        if joint_rng is not None:
-            probs = np.abs(rotated) ** 2
-            counts = joint_rng.multinomial(shots_per_piece, probs / probs.sum())
-        else:
-            counts = sample_basis(rotated, shots_per_piece, chain_seed(seed, k))
+        counts = sample_basis(piece.rotate(state), shots_per_piece, chain_seed(seed, k))
         value = float(counts @ piece.diagonal) / shots_per_piece
         per_piece.append((piece, value))
         total += value

@@ -129,3 +129,55 @@ def stack_problems():
 def random_state(rng, dim):
     state = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return state / np.linalg.norm(state)
+
+
+# Dense gate oracle, independent of qopf.sim: every single-qubit gate is a
+# full 2^n x 2^n matrix built with np.kron (qubit 0 the least significant,
+# i.e. rightmost, factor) and every CX a basis permutation matrix.
+PAULIS = {
+    "x": np.array([[0, 1], [1, 0]], dtype=complex),
+    "y": np.array([[0, -1j], [1j, 0]]),
+    "z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+ORACLE_GATES = {
+    "h": np.array([[1, 1], [1, -1]]) / np.sqrt(2),
+    "s": np.diag([1, 1j]),
+    "x": PAULIS["x"],
+}
+
+
+def oracle_rotation(kind, angle):
+    """exp(-i angle P / 2) for kind "rx", "ry" or "rz"."""
+    return np.cos(angle / 2) * np.eye(2) - 1j * np.sin(angle / 2) * PAULIS[kind[1]]
+
+
+def oracle_single(n, qubit, u):
+    out = np.eye(1)
+    for q in reversed(range(n)):
+        out = np.kron(out, u if q == qubit else np.eye(2))
+    return out
+
+
+def oracle_cx(n, control, target):
+    dim = 2**n
+    out = np.zeros((dim, dim))
+    for i in range(dim):
+        out[i ^ (1 << target) if (i >> control) & 1 else i, i] = 1.0
+    return out
+
+
+def oracle_ansatz(n, template, layers, params):
+    """Unitary of ``layers`` repetitions of ``template``: each rotation token
+    on every qubit with the next parameter, "cx" the chain q -> q+1."""
+    u = np.eye(2**n)
+    k = 0
+    for _ in range(layers):
+        for token in template:
+            if token == "cx":
+                for q in range(n - 1):
+                    u = oracle_cx(n, q, q + 1) @ u
+                continue
+            for q in range(n):
+                u = oracle_single(n, q, oracle_rotation(token, params[k])) @ u
+                k += 1
+    return u

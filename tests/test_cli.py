@@ -81,6 +81,22 @@ def test_xbm_stats(case2_file, capsys):
     assert "M0" in out
 
 
+def test_xbm_stats_gate_counts_ieee57(capsys):
+    path = harness.bundled_case_path("ieee57")
+    code, out, err = run_cli(capsys, "xbm-stats", str(path))
+    assert code == 0, err
+    lines = out.splitlines()
+    summary = lines[lines.index("observable,colors,pieces,max_gates,sum_norm_sq") + 1]
+    pieces = [line.split(",")
+              for line in lines[lines.index("piece,color,part,gates,norm") + 1:]]
+    assert pieces and all(row[0] == "M0" for row in pieces)
+    expected = [0 if color == "0" else bin(int(color)).count("1") + (part == "imag")
+                for _, color, part, _, _ in pieces]
+    assert [int(row[3]) for row in pieces] == expected
+    name, _, n_pieces, max_gates, _ = summary.split(",")
+    assert (name, int(n_pieces), int(max_gates)) == ("M0", len(pieces), max(expected))
+
+
 def test_bounds_command(tmp_path, case2_file, capsys):
     config = write_config(tmp_path, case2_file)
     code, out, _ = run_cli(capsys, "bounds", str(config), "--epsilon", "0.5")

@@ -3,50 +3,63 @@ import math
 import numpy as np
 import pytest
 
-from qopf import sim
-from qopf.sim import AnsatzSpec, GateOp, SimulationError
+from qopf import sim, xbm
+from qopf.sim import AnsatzSpec, SimulationError
 
-from conftest import random_hermitian, random_state
+from conftest import (ORACLE_GATES, oracle_ansatz, oracle_cx, oracle_rotation,
+                      oracle_single, random_hermitian, random_state)
 
 
 def test_ry_pi_flips_zero():
-    state = sim.zero_state(1)
-    out = sim.apply_gate(state, GateOp("ry", 0, angle=math.pi))
+    u = sim.rotation_matrix("ry", math.pi)
+    out = sim.apply_single(sim.zero_state(1), 0, u)
     assert np.allclose(out, [0.0, 1.0], atol=1e-15)
+    assert np.allclose(u, oracle_rotation("ry", math.pi), atol=1e-15)
 
 
 def test_x_on_qubit0_is_least_significant_bit():
     state = sim.zero_state(2)           # |00>
-    out = sim.apply_gate(state, GateOp("x", 0))
+    out = sim.apply_single(state, 0, ORACLE_GATES["x"])
     expected = np.zeros(4)
     expected[0b01] = 1.0                # qubit 0 flips the low bit
     assert np.allclose(out, expected)
+    assert np.allclose(oracle_single(2, 0, ORACLE_GATES["x"]) @ state, expected)
 
 
 def test_x_on_qubit1_flips_high_bit():
-    out = sim.apply_gate(sim.zero_state(2), GateOp("x", 1))
+    out = sim.apply_single(sim.zero_state(2), 1, ORACLE_GATES["x"])
     assert np.argmax(np.abs(out)) == 0b10
 
 
 def test_hadamard_involution():
     rng = np.random.default_rng(0)
     state = random_state(rng, 8)
-    h = GateOp("h", 1)
-    back = sim.apply_gate(sim.apply_gate(state, h), h)
+    h = ORACLE_GATES["h"]
+    back = sim.apply_single(sim.apply_single(state, 1, h), 1, h)
     assert np.allclose(back, state, atol=1e-12)
 
 
 def test_cx_truth_table():
-    # control 0, target 1: |01> -> |11>
+    # the two-qubit chain gather is CX with control 0, target 1: |01> -> |11>
+    chain, _ = sim._chain_permutation(2)
     state = np.zeros(4, dtype=complex)
     state[0b01] = 1.0
-    out = sim.apply_gate(state, GateOp("cx", target=1, control=0))
-    assert np.argmax(np.abs(out)) == 0b11
+    assert np.argmax(np.abs(state[chain])) == 0b11
     # control clear: |10> fixed
     state = np.zeros(4, dtype=complex)
     state[0b10] = 1.0
-    out = sim.apply_gate(state, GateOp("cx", target=1, control=0))
-    assert np.argmax(np.abs(out)) == 0b10
+    assert np.argmax(np.abs(state[chain])) == 0b10
+    # the color-3 fan-out gather is CX with control 1, target 0: |10> -> |11>
+    fanout = xbm.rotation_circuit(3, 2).fanout
+    assert np.argmax(np.abs(state[fanout])) == 0b11
+    # whole chains, applied and undone, against the oracle's permutations
+    for n in range(1, 6):
+        chain, unchain = sim._chain_permutation(n)
+        expected = np.eye(2**n)
+        for q in range(n - 1):
+            expected = oracle_cx(n, q, q + 1) @ expected
+        assert np.array_equal(np.eye(2**n)[chain], expected)
+        assert np.array_equal(np.eye(2**n)[unchain], expected.T)
 
 
 def test_norm_preserved_by_random_circuits():
@@ -54,25 +67,34 @@ def test_norm_preserved_by_random_circuits():
     for _ in range(20):
         n = int(rng.integers(1, 5))
         state = random_state(rng, 2**n)
+        unitary = np.eye(2**n)
+        start = state
         for _ in range(30):
-            kind = rng.choice(["rx", "ry", "rz", "h", "s", "x", "cx"])
+            kind = rng.choice(["rx", "ry", "rz", "h", "s", "x", "chain", "fanout"])
             target = int(rng.integers(0, n))
-            if kind == "cx":
-                if n == 1:
-                    continue
-                control = int((target + 1 + rng.integers(0, n - 1)) % n)
-                gate = GateOp("cx", target=target, control=control)
-            elif kind in ("h", "s", "x"):
-                gate = GateOp(kind, target)
+            if kind == "chain":
+                state = state[sim._chain_permutation(n)[0]]
+                gate = np.eye(2**n)
+                for q in range(n - 1):
+                    gate = oracle_cx(n, q, q + 1) @ gate
+            elif kind == "fanout":
+                color = int(rng.integers(1, 2**n))
+                k = color.bit_length() - 1
+                state = state[xbm.rotation_circuit(color, n).fanout]
+                gate = np.eye(2**n)
+                for bit in range(k):
+                    if (color >> bit) & 1:
+                        gate = oracle_cx(n, k, bit) @ gate
             else:
-                gate = GateOp(kind, target, angle=float(rng.uniform(-6, 6)))
-            state = sim.apply_gate(state, gate)
+                if kind in ORACLE_GATES:
+                    u = ORACLE_GATES[kind]
+                else:
+                    u = sim.rotation_matrix(kind, float(rng.uniform(-6, 6)))
+                state = sim.apply_single(state, target, u)
+                gate = oracle_single(n, target, u)
+            unitary = gate @ unitary
         assert abs(np.linalg.norm(state) - 1) < 1e-10
-
-
-def test_gate_index_out_of_range():
-    with pytest.raises(SimulationError, match="out of range"):
-        sim.apply_gate(sim.zero_state(2), GateOp("x", 2))
+        assert np.allclose(state, unitary @ start, atol=1e-12)
 
 
 def test_ansatz_param_counts_match_architecture_table():
@@ -101,7 +123,7 @@ def test_prepare_matches_gate_list():
         spec = AnsatzSpec.from_row(row, 3, 2)
         params = rng.uniform(0, 2 * math.pi, spec.param_count)
         fast = sim.prepare(spec, params)
-        slow = sim.apply_circuit(sim.zero_state(3), spec.gates(params))
+        slow = oracle_ansatz(3, spec.template, spec.layers, params)[:, 0]
         assert np.allclose(fast, slow, atol=1e-12)
 
 

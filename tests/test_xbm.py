@@ -6,7 +6,8 @@ import pytest
 from qopf import sim, xbm
 from qopf.xbm import DecompositionError
 
-from conftest import random_hermitian, random_state, stack_problems
+from conftest import (ORACLE_GATES, oracle_cx, oracle_rotation, oracle_single,
+                      random_hermitian, random_state, stack_problems)
 
 
 def circuit_unitary(circuit, n_qubits):
@@ -64,14 +65,34 @@ def test_decompose_rejects_bad_shape():
         xbm.decompose(np.zeros((3, 3)))
 
 
+def fanout_targets(circuit):
+    """Qubits the fan-out gather flips on indices with bit k set."""
+    flips = int(circuit.fanout[1 << circuit.k]) ^ (1 << circuit.k)
+    return [bit for bit in range(circuit.k) if (flips >> bit) & 1]
+
+
+def oracle_rotation_circuit(n, color, part):
+    """S^dag as Rz(-pi/2) on k (imaginary part), CX from k to every other
+    set bit of color, then H on k, as a dense oracle product."""
+    k = color.bit_length() - 1
+    u = np.eye(2**n)
+    if part == xbm.IMAG:
+        u = oracle_single(n, k, oracle_rotation("rz", -math.pi / 2))
+    for bit in range(k):
+        if (color >> bit) & 1:
+            u = oracle_cx(n, k, bit) @ u
+    return oracle_single(n, k, ORACLE_GATES["h"]) @ u
+
+
 def test_rotation_circuit_structure():
     # one qubit, color 1: a single Hadamard
     circ = xbm.rotation_circuit(1, 1, xbm.REAL)
-    assert [g.kind for g in circ.gates] == ["h"]
+    assert (circ.k, fanout_targets(circ), circ.gate_count) == (0, [], 1)
     # n=3, c=6: H on qubit 2 after CX(2 -> 1)
     circ = xbm.rotation_circuit(6, 3, xbm.REAL)
-    kinds = [(g.kind, g.target, g.control) for g in circ.gates]
-    assert kinds == [("cx", 1, 2), ("h", 2, None)]
+    assert (circ.k, fanout_targets(circ), circ.gate_count) == (2, [1], 2)
+    # the imaginary part adds S^dag on qubit 2
+    assert xbm.rotation_circuit(6, 3, xbm.IMAG).gate_count == 3
 
 
 def test_rotation_circuit_gate_count_bound():
@@ -79,8 +100,15 @@ def test_rotation_circuit_gate_count_bound():
         for c in range(1, 2**n):
             real = xbm.rotation_circuit(c, n, xbm.REAL)
             imag = xbm.rotation_circuit(c, n, xbm.IMAG)
-            assert len(real.gates) <= n
-            assert len(imag.gates) <= n + 1
+            assert real.gate_count <= n
+            assert imag.gate_count <= n + 1
+            for circ in (real, imag):
+                k = c.bit_length() - 1
+                assert circ.k == k
+                assert fanout_targets(circ) == [b for b in range(k) if (c >> b) & 1]
+                assert circ.gate_count == bin(c).count("1") + (circ.part == xbm.IMAG)
+                assert np.allclose(circuit_unitary(circ, n),
+                                   oracle_rotation_circuit(n, c, circ.part), atol=1e-12)
 
 
 def test_rotation_circuit_rejects_color_zero():
@@ -227,22 +255,6 @@ def test_piece_count_bound():
         real = sum(1 for p in dec.pieces if p.part == xbm.REAL)
         imag = sum(1 for p in dec.pieces if p.part == xbm.IMAG)
         assert real + imag == len(dec.pieces) <= 2 * c - 1
-
-
-def test_joint_scheme_unbiased_and_deterministic():
-    rng = np.random.default_rng(11)
-    m = random_hermitian(rng, 4)
-    state = random_state(rng, 4)
-    dec = xbm.decompose(m)
-    a = xbm.estimate_expectation(state, dec, 64, seed=1, scheme="joint")
-    b = xbm.estimate_expectation(state, dec, 64, seed=1, scheme="joint")
-    assert a.estimate == b.estimate
-    exact = sim.exact_expectation(state, m)
-    variance, _ = xbm.estimator_variance(dec, state, 64)
-    values = [xbm.estimate_expectation(state, dec, 64, seed=[12, k],
-                                       scheme="joint").estimate
-              for k in range(500)]
-    assert abs(np.mean(values) - exact) < 5 * math.sqrt(variance / 500)
 
 
 @pytest.mark.parametrize("problem", stack_problems())
