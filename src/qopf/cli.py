@@ -73,13 +73,12 @@ def _cmd_xbm_stats(args) -> int:
     print(f"sum_c max_m ||M_m^c||^2 = {sum_max_sq:.6g}")
     print("observable,colors,pieces,max_gates,sum_norm_sq")
     for name, dec in rows:
-        gates = max((p.circuit(dec.n_qubits).gate_count if p.color else 0)
-                    for p in dec.pieces)
+        gates = max((p.circuit.gate_count if p.circuit else 0) for p in dec.pieces)
         print(f"{name},{len(dec.colors)},{len(dec.pieces)},{gates},{dec.sum_norm_sq:.6g}")
     print("piece,color,part,gates,norm")
     for name, dec in rows:
         for p in dec.pieces:
-            n_gates = p.circuit(dec.n_qubits).gate_count if p.color else 0
+            n_gates = p.circuit.gate_count if p.circuit else 0
             print(f"{name},{p.color},{p.part},{n_gates},{p.norm:.6g}")
     return EXIT_OK
 

@@ -5,17 +5,20 @@ significant bit of the basis index (so basis index arithmetic matches the
 XOR bookkeeping of the measurement module).  All simulation is exact in
 double precision; shot noise enters only through ``sample_basis``.
 
-There is one gate path: every single-qubit gate, here and in the
-measurement rotations of ``xbm``, goes through the 2x2 primitive
-``apply_single``, and every CX (the ansatz chain here, the color fan-out
-in ``xbm``) is a precomputed basis gather, since CX gates only permute
-computational basis states.
+The ansatz runs one operation per token layer: ``rotation_layer`` applies
+one rx, ry or rz to every qubit, and a CX chain is one precomputed basis
+gather, since CX gates only permute basis states.  ``reverse_sweep`` walks
+the layers backwards, reading all n derivatives of a layer at its boundary
+before undoing it.  The single gates of the ``xbm`` measurement rotations
+go through the 2x2 primitive ``apply_single``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,71 +119,101 @@ def apply_single(state: np.ndarray, qubit: int, u: np.ndarray) -> np.ndarray:
     return out.reshape(state.shape)
 
 
-_CHAIN_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
 def _chain_permutation(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Basis gathers applying and undoing the CX chain (control q, target
     q+1, q = 0..n-2); CX gates permute computational basis states, so a
-    whole chain is one precomputed index gather."""
-    cached = _CHAIN_CACHE.get(n)
-    if cached is None:
-        idx = np.arange(2**n)
-        for q in range(n - 1):
-            controlled = (idx >> q) & 1 == 1
-            idx = np.where(controlled, idx ^ (1 << (q + 1)), idx)
-        # idx maps input basis -> output basis, so it gathers the inverse;
-        # invert it for the forward amplitude gather
-        forward = np.empty_like(idx)
-        forward[idx] = np.arange(2**n)
-        cached = _CHAIN_CACHE[n] = (forward, idx)
-    return cached
+    whole chain is one index gather."""
+    idx = np.arange(2**n)
+    for q in range(n - 1):
+        controlled = (idx >> q) & 1 == 1
+        idx = np.where(controlled, idx ^ (1 << (q + 1)), idx)
+    # idx maps input basis -> output basis, so it gathers the inverse;
+    # invert it for the forward amplitude gather
+    forward = np.empty_like(idx)
+    forward[idx] = np.arange(2**n)
+    return forward, idx
 
 
-# Pauli generators G of the rotations R(t) = exp(-i t G / 2)
-_GENERATORS = {
-    "rx": np.array([[0, 1], [1, 0]], dtype=complex),
-    "ry": np.array([[0, -1j], [1j, 0]]),
-    "rz": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+class _Layout(NamedTuple):
+    """Basis tables of one qubit count: the CX chain gathers, the (dim, n)
+    qubit signs z (-1 where bit q of the index is set, else +1) and the
+    (n, dim) bit-flip gather flip[q, i] = i ^ 2^q."""
+
+    chain: np.ndarray
+    unchain: np.ndarray
+    z: np.ndarray
+    flip: np.ndarray
 
 
-def ansatz_ops(spec: AnsatzSpec):
-    """The ansatz in application order as (token, qubit, parameter index)
-    triples; a "cx" op is the whole chain, with qubit and index None."""
-    k = 0
-    for _ in range(spec.layers):
-        for token in spec.template:
-            if token == "cx":
-                yield token, None, None
-                continue
-            for q in range(spec.n_qubits):
-                yield token, q, k
-                k += 1
+@functools.cache
+def _layout(n: int) -> _Layout:
+    idx, bits = np.arange(2**n), 1 << np.arange(n)
+    z = np.where(idx[:, None] & bits, -1.0, 1.0)
+    return _Layout(*_chain_permutation(n), z, idx ^ bits[:, None])
+
+
+def rotation_layer(states: np.ndarray, kind: str, angles: np.ndarray) -> np.ndarray:
+    """Apply R_kind(angles[q]) to every qubit q of a state, or of every row
+    of a stack of states, in one operation; negated angles undo it.
+
+    rz is one phase vector.  rx and ry compute U_hi X U_lo^T on the states
+    viewed as (..., 2^b, 2^a), b = n // 2 high by a = n - b low qubits, each
+    U the Kronecker product of its half's 2x2 rotations, both built at once
+    by broadcast outer products.  For odd n the high half gets one extra
+    zero-angle factor on top: I (x) U_hi, whose leading 2^b block is U_hi.
+    """
+    n = len(angles)
+    if kind == "rz":
+        return states * np.exp(-0.5j * (_layout(n).z @ angles))
+    a = n - n // 2
+    padded = np.zeros(2 * a)
+    padded[:n] = angles
+    c, s = np.cos(padded / 2), np.sin(padded / 2)
+    entries = (c, -1j * s, -1j * s, c) if kind == "rx" else (c, -s, s, c)
+    # mats[0] holds the low half's 2x2 matrices, mats[1] the high half's
+    mats = np.stack(entries, axis=-1).reshape(2, a, 2, 2)
+    krons = mats[:, 0]
+    for q in range(1, a):
+        u, size = mats[:, q], 2 * krons.shape[-1]
+        krons = (u[:, :, None, :, None] * krons[:, None, :, None, :]).reshape(2, size, size)
+    hi = 2 ** (n - a)
+    view = states.reshape(-1, hi, 2**a)
+    return (krons[1, :hi, :hi] @ view @ krons[0].T).reshape(states.shape)
+
+
+def layer_derivatives(state: np.ndarray, costate: np.ndarray, kind: str) -> np.ndarray:
+    """Im <costate| G_q |state> for every qubit q, G_q the Pauli of ``kind``
+    on q: Im Z^T (conj(costate) * state) for rz, Im state[flip] @
+    conj(costate) for rx, and for ry Im (-i Z^T * state[flip]) @
+    conj(costate), the negated real part of the same product without -i."""
+    layout = _layout(state.shape[-1].bit_length() - 1)
+    if kind == "rz":
+        return layout.z.T @ (costate.conj() * state).imag
+    flipped = state[layout.flip]
+    if kind == "rx":
+        return (flipped @ costate.conj()).imag
+    return -((layout.z.T * flipped) @ costate.conj()).real
 
 
 def _checked_params(spec: AnsatzSpec, params: np.ndarray) -> np.ndarray:
+    """The parameters as a (-1, n_qubits) matrix, one row per rotation
+    layer in application order."""
     params = np.asarray(params, dtype=float)
     if params.shape != (spec.param_count,):
         raise SimulationError(
             f"expected {spec.param_count} parameters, got {params.shape}"
         )
-    return params
+    return params.reshape(-1, spec.n_qubits)
 
 
 def prepare(spec: AnsatzSpec, params: np.ndarray) -> np.ndarray:
-    """State produced by the ansatz on |0...0>: the ops of ``ansatz_ops``
-    in order, each rotation through the 2x2 primitive and each CX chain as
-    one basis gather."""
-    params = _checked_params(spec, params)
-    n = spec.n_qubits
-    chain, _ = _chain_permutation(n)
-    state = zero_state(n)
-    for token, q, k in ansatz_ops(spec):
-        if token == "cx":
-            state = state[chain]
-        else:
-            state = apply_single(state, q, rotation_matrix(token, params[k]))
+    """State produced by the ansatz on |0...0>: one ``rotation_layer`` per
+    rotation token and one basis gather per CX chain."""
+    angles = iter(_checked_params(spec, params))
+    chain = _layout(spec.n_qubits).chain
+    state = zero_state(spec.n_qubits)
+    for token in spec.template * spec.layers:
+        state = state[chain] if token == "cx" else rotation_layer(state, token, next(angles))
     return state
 
 
@@ -194,18 +227,26 @@ def reverse_sweep(spec: AnsatzSpec, params: np.ndarray, state: np.ndarray,
     Hermitian, entry k is d<psi|O|psi>/d params_k, so one backward pass
     gives the whole gradient (adjoint differentiation; Jones & Gacon,
     arXiv:2009.02823).
+
+    The sweep walks the token layers backwards.  A layer's rotations act on
+    distinct qubits, so each G_k commutes with the layer's other rotations
+    and all n entries of the layer are read at once at its output boundary
+    (``layer_derivatives``); one inverse layer then undoes the whole layer
+    on the (state, costate) pair.
     """
-    params = _checked_params(spec, params)
-    _, unchain = _chain_permutation(spec.n_qubits)
+    angles = _checked_params(spec, params)
+    unchain = _layout(spec.n_qubits).unchain
     pair = np.stack([state, costate])
-    out = np.zeros(spec.param_count)
-    for token, q, k in reversed(list(ansatz_ops(spec))):
+    out = np.zeros_like(angles)
+    r = len(angles)
+    for token in reversed(spec.template * spec.layers):
         if token == "cx":
             pair = pair[:, unchain]
             continue
-        out[k] = np.vdot(pair[1], apply_single(pair[0], q, _GENERATORS[token])).imag
-        pair = apply_single(pair, q, rotation_matrix(token, params[k]).conj().T)
-    return out
+        r -= 1
+        out[r] = layer_derivatives(*pair, token)
+        pair = rotation_layer(pair, token, -angles[r])
+    return out.ravel()
 
 
 def exact_expectation(state: np.ndarray, observable: np.ndarray) -> float:

@@ -7,9 +7,9 @@ part, and each is diagonalized by the same O(log N)-gate circuit: CX gates
 fanning out from qubit k_c (the most significant set bit of c) to every other
 set bit of c, followed by a Hadamard on k_c.  The imaginary part additionally
 takes an S^dag prefix on k_c, realized here as Rz(-pi/2) (equal up to an
-irrelevant global phase).  The simulator runs this on its one gate path:
-the whole CX fan-out is one precomputed basis gather, and Rz and H go
-through the 2x2 primitive ``sim.apply_single``.
+irrelevant global phase).  The whole CX fan-out is one precomputed basis
+gather, and Rz and H go through the 2x2 primitive ``sim.apply_single``;
+``decompose`` builds each piece's rotation once and keeps it on the piece.
 
 With that rotation R applied to the state, the piece expectation becomes a
 computational-basis average of a fixed real diagonal: for every index i whose
@@ -200,27 +200,22 @@ def union_colors(decomposition: "ColorDecomposition", pieces) -> set[int]:
 
 @dataclass(frozen=True)
 class ColorPiece:
-    """One simultaneously measurable piece: a color, a part, and the real
-    diagonal seen after that color's rotation."""
+    """One simultaneously measurable piece: a color, a part, the real
+    diagonal seen after that color's rotation, and the rotation itself
+    (None for color 0, which is diagonal already)."""
 
     color: int
     part: str
     diagonal: np.ndarray
-    k_c: int | None
+    circuit: RotationCircuit | None
 
     @property
     def norm(self) -> float:
         """Spectral norm of the piece (max |eigenvalue|)."""
         return float(np.max(np.abs(self.diagonal))) if len(self.diagonal) else 0.0
 
-    def circuit(self, n_qubits: int) -> RotationCircuit | None:
-        if self.color == 0:
-            return None
-        return rotation_circuit(self.color, n_qubits, self.part)
-
     def rotate(self, state: np.ndarray) -> np.ndarray:
-        circuit = self.circuit(int(math.log2(len(self.diagonal))))
-        return state if circuit is None else circuit.apply(state)
+        return state if self.circuit is None else self.circuit.apply(state)
 
 
 @dataclass(frozen=True)
@@ -253,7 +248,7 @@ class ColorDecomposition:
             if piece.color == 0:
                 out[idx, idx] += piece.diagonal
                 continue
-            k = piece.k_c
+            k = piece.circuit.k
             low = idx[(idx >> k) & 1 == 0]
             vals = piece.diagonal[low]
             if piece.part == REAL:
@@ -282,7 +277,8 @@ def decompose(matrix, tol: float = 1e-10) -> ColorDecomposition:
     if residual > tol:
         raise DecompositionError(f"matrix not Hermitian (residual {residual:.2e})")
     pieces = tuple(
-        ColorPiece(color, part, diagonals[0], most_significant_bit(color) if color else None)
+        ColorPiece(color, part, diagonals[0],
+                   rotation_circuit(color, n_qubits, part) if color else None)
         for (color, part), diagonals in piece_diagonals(stack).items())
     return ColorDecomposition(n_qubits, pieces)
 

@@ -1,5 +1,8 @@
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import configuration as hypothesis_configuration
 from scipy import sparse
 
 from qopf import grid, permute
@@ -30,6 +33,16 @@ GEN
 COST
 1 1.5
 """
+
+
+def pytest_configure(config):
+    """Hypothesis caches what it reads from the source under its home
+    directory, .hypothesis/ in the working directory by default, from test
+    collection on; point it at a temporary directory removed at exit, so
+    that the tests write nothing into the source tree."""
+    home = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    config.add_cleanup(home.cleanup)
+    hypothesis_configuration.set_hypothesis_home_dir(home.name)
 
 
 @pytest.fixture(scope="session")

@@ -51,7 +51,7 @@ def test_xbm_correctness_suite():
             for piece in dec.pieces:
                 if piece.color == 0:
                     continue
-                circ = piece.circuit(n)
+                circ = piece.circuit
                 basis = np.eye(dim, dtype=complex)
                 rot = np.stack([circ.apply(basis[:, k].copy())
                                 for k in range(dim)], axis=1)

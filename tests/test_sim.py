@@ -2,12 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qopf import sim, xbm
 from qopf.sim import AnsatzSpec, SimulationError
 
-from conftest import (ORACLE_GATES, oracle_ansatz, oracle_cx, oracle_rotation,
-                      oracle_single, random_hermitian, random_state)
+from conftest import (ORACLE_GATES, PAULIS, oracle_ansatz, oracle_cx,
+                      oracle_rotation, oracle_single, random_hermitian,
+                      random_state)
+
+# Reproducible property runs that leave no example database behind.
+PROPERTY = settings(max_examples=30, deadline=None, database=None, derandomize=True)
 
 
 def test_ry_pi_flips_zero():
@@ -237,3 +243,55 @@ def test_reverse_sweep_matches_shift_rule():
             shifted = (sim.shift_points(params, j) for j in range(spec.param_count))
             psr = np.array([0.5 * (f(plus) - f(minus)) for plus, minus in shifted])
             assert np.max(np.abs(adjoint - psr)) < 1e-12, (row, n)
+
+
+@pytest.mark.parametrize("kind", sim.ROTATIONS)
+def test_rotation_layer_matches_oracle_gates(kind):
+    # n = 1 leaves the high half empty and odd n splits the qubits unevenly
+    rng = np.random.default_rng(10)
+    for n in range(1, 10):
+        states = np.stack([random_state(rng, 2**n) for _ in range(3)])
+        angles = rng.uniform(-2 * math.pi, 2 * math.pi, n)
+        gates = [oracle_single(n, q, oracle_rotation(kind, angles[q])) for q in range(n)]
+        expected = states.T
+        for gate in gates:
+            expected = gate @ expected
+        out = sim.rotation_layer(states, kind, angles)
+        assert np.max(np.abs(out - expected.T)) < 1e-12, n
+        back = sim.rotation_layer(out, kind, -angles)
+        assert np.max(np.abs(back - states)) < 1e-12, n
+
+
+@pytest.mark.parametrize("kind", sim.ROTATIONS)
+def test_layer_derivatives_match_oracle_generators(kind):
+    rng = np.random.default_rng(11)
+    for n in range(1, 10):
+        generators = [oracle_single(n, q, PAULIS[kind[1]]) for q in range(n)]
+        for state in (random_state(rng, 2**n) for _ in range(3)):
+            costate = random_state(rng, 2**n)
+            expected = [np.vdot(costate, g @ state).imag for g in generators]
+            got = sim.layer_derivatives(state, costate, kind)
+            assert np.max(np.abs(got - expected)) < 1e-12, n
+
+
+@PROPERTY
+@given(n=st.integers(1, 9), kind=st.sampled_from(sim.ROTATIONS),
+       batch=st.integers(1, 4), data=st.data())
+def test_rotation_layer_inverse_property(n, kind, batch, data):
+    angles = np.array(data.draw(st.lists(st.floats(-10, 10), min_size=n, max_size=n)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    states = np.stack([random_state(rng, 2**n) for _ in range(batch)])
+    out = sim.rotation_layer(states, kind, angles)
+    assert np.max(np.abs(np.linalg.norm(out, axis=1) - 1)) < 1e-12
+    assert np.max(np.abs(sim.rotation_layer(out, kind, -angles) - states)) < 1e-12
+
+
+@PROPERTY
+@given(n=st.integers(1, 9), row=st.integers(1, 8), layers=st.integers(1, 2),
+       data=st.data())
+def test_prepare_matches_oracle_property(n, row, layers, data):
+    spec = AnsatzSpec.from_row(row, n, layers)
+    params = np.array(data.draw(st.lists(
+        st.floats(-10, 10), min_size=spec.param_count, max_size=spec.param_count)))
+    expected = oracle_ansatz(n, spec.template, layers, params)[:, 0]
+    assert np.max(np.abs(sim.prepare(spec, params) - expected)) < 1e-12

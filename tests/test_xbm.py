@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qopf import sim, xbm
+from qopf import grid, sim, xbm
 from qopf.xbm import DecompositionError
 
 from conftest import (ORACLE_GATES, oracle_cx, oracle_rotation, oracle_single,
@@ -111,6 +111,18 @@ def test_rotation_circuit_gate_count_bound():
                                    oracle_rotation_circuit(n, c, circ.part), atol=1e-12)
 
 
+def test_decompose_stores_each_piece_rotation(ieee57):
+    problem = grid.pad_to_qubits(grid.assemble_qcqp(ieee57))
+    dec = xbm.decompose(problem.m0)
+    for piece in dec.pieces:
+        if piece.color == 0:
+            assert piece.circuit is None
+            continue
+        built = xbm.rotation_circuit(piece.color, dec.n_qubits, piece.part)
+        assert (piece.circuit.k, piece.circuit.part) == (built.k, built.part)
+        assert np.array_equal(piece.circuit.fanout, built.fanout)
+
+
 def test_rotation_circuit_rejects_color_zero():
     with pytest.raises(DecompositionError):
         xbm.rotation_circuit(0, 2, xbm.REAL)
@@ -143,7 +155,7 @@ def test_diagonalization_invariant_all_colors_and_parts():
             for piece in xbm.decompose(m).pieces:
                 if piece.color == 0:
                     continue
-                r = circuit_unitary(piece.circuit(n), n)
+                r = circuit_unitary(piece.circuit, n)
                 sub = piece_matrix(piece, n)
                 rotated = r @ sub @ r.conj().T
                 off = rotated - np.diag(np.diagonal(rotated))
