@@ -48,7 +48,7 @@ from .grid import (
 from .model import DualPoint, EvalMode, LagrangianContext, PrimalPoint
 from .permute import NodePermutation, SparsityPattern, bandwidth, best_rcm, \
     color_set, permute_pattern, permute_problem
-from .sim import AnsatzSpec, chain_seed, prepare, reverse_sweep
+from .sim import AnsatzSpec, chain_seed, prepare, reverse_sweep, rng
 
 VIOLATION_FLOOR = 1e-6
 REFERENCE_LABELS = (LABEL_BALANCE_P, LABEL_BALANCE_Q, LABEL_LINE)
@@ -202,13 +202,13 @@ def generate_instances(case: NetworkCase, count: int,
     gen_nodes = set(base.generator_nodes)
     out = []
     for k in range(count):
-        rng = np.random.default_rng(chain_seed(seed, k))
+        draws = rng(chain_seed(seed, k))
         buses = []
         for b in base.buses:
             if b.index in gen_nodes:
                 buses.append(b)
             else:
-                factor = float(rng.uniform(lo, hi))
+                factor = float(draws.uniform(lo, hi))
                 buses.append(replace(b, p_demand=factor * b.p_demand,
                                      q_demand=factor * b.q_demand))
         out.append(replace(base, buses=tuple(buses), name=f"{base.name}-i{k}"))
@@ -555,8 +555,7 @@ def fit_state(spec: AnsatzSpec, target: np.ndarray, seed, restarts: int = 3,
     best (cost, params)."""
     best_cost, best_params = math.inf, None
     for r in range(restarts):
-        rng = np.random.default_rng(chain_seed(seed, r))
-        params = rng.uniform(0, 2 * math.pi, spec.param_count)
+        params = rng(chain_seed(seed, r)).uniform(0, 2 * math.pi, spec.param_count)
         mu = step
         for _ in range(iters):
             params = params - mu * overlap_gradient(spec, params, target)

@@ -16,7 +16,11 @@ Its sampled value pairs independent measurements, as an extended Bell
 measurement would on hardware: per color piece, a dual outcome m and an
 outcome i of the color-rotated primal circuit are drawn separately, and
 the pair scores the rotated piece diagonal of constraint m at i, read from
-that piece's sparse entries under the key m * dim + i.  In exact mode the
+that piece's sparse entries under the key m * dim + i.  The sampled
+estimators batch their pieces: the state is rotated under all pieces at
+once, and the dual draws are inverted and all pairs looked up as whole
+arrays, while each piece keeps its own seeded stream, so every value is
+the same bit for bit as when the pieces were measured one at a time.  In exact mode the
 gradients in the circuit parameters come from one adjoint (reverse-mode)
 sweep per circuit; in sampled mode from the two-point parameter-shift
 rule, as they would on hardware.  Either way the circuit ledger charges the
@@ -33,7 +37,7 @@ import numpy as np
 
 from . import xbm
 from .grid import QcqpProblem, ValidationError
-from .sim import AnsatzSpec, chain_seed, prepare, reverse_sweep, shift_points
+from .sim import AnsatzSpec, chain_seed, prepare, reverse_sweep, rng, shift_points
 
 EXACT = "exact"
 SAMPLED = "sampled"
@@ -106,10 +110,13 @@ class LagrangianContext:
     of the cost matrix, and the block-diagonal joint observable of size
     MN x MN, never materialized: ``joint_diagonals`` maps each (color,
     part) piece to the nonzero entries of every constraint's rotated
-    diagonal (``xbm.PieceEntries``, keyed m * dim + i), and ``rotations``
-    holds that piece's primal measurement rotation (None for color 0).
-    The sampled F draws a dual outcome m and a rotated primal outcome i
-    independently per piece and looks the pair up in those entries.
+    diagonal (``xbm.PieceEntries``, keyed m * dim + i), ``rotations``
+    holds the pieces' primal measurement rotations grouped for
+    ``xbm.rotate_pieces``, and ``joint_entries`` holds the entries of all
+    pieces as one ``xbm.PieceEntries`` whose segment of piece p and
+    constraint m is p * M + m.  The sampled F draws a dual outcome m and a
+    rotated primal outcome i independently per piece and looks the pairs of
+    all pieces up at once in ``joint_entries``.
     """
 
     def __init__(self, problem: QcqpProblem, primal_spec: AnsatzSpec,
@@ -131,10 +138,13 @@ class LagrangianContext:
         self.m0_decomposition = xbm.decompose(problem.m0)
         # (color, part) -> sparse rotated constraint diagonals of all rows
         self.joint_diagonals = xbm.piece_entries(problem.stack)
-        self.rotations = [
+        self.rotations = xbm.group_rotations([
             None if color == 0 else
             xbm.rotation_circuit(color, primal_spec.n_qubits, part)
-            for color, part in self.joint_diagonals]
+            for color, part in self.joint_diagonals])
+        # the same entries of all pieces at once, segment piece * M + m
+        self.joint_entries = xbm.joined_entries(
+            list(self.joint_diagonals.values()), m_stored, dim)
         self.colors = xbm.union_colors(self.m0_decomposition, self.joint_diagonals)
 
     @property
@@ -203,18 +213,14 @@ def _sample_f0(ctx: LagrangianContext, psi: np.ndarray, mode: EvalMode) -> tuple
 
 
 def _sample_g(ctx: LagrangianContext, w: np.ndarray, mode: EvalMode) -> tuple[float, int]:
-    rng = np.random.default_rng(mode.seed)
-    counts = rng.multinomial(mode.shots, w / w.sum())
+    counts = rng(mode.seed).multinomial(mode.shots, w / w.sum())
     return float(counts @ ctx.s_diag) / mode.shots, mode.shots
 
 
 def _primal_cdfs(ctx: LagrangianContext, psi: np.ndarray) -> np.ndarray:
     """(pieces, dim) cumulative outcome distributions of the color-rotated
     primal circuit, one row per joint constraint piece in key order."""
-    cdfs = np.empty((len(ctx.rotations), len(psi)))
-    for row, circuit in zip(cdfs, ctx.rotations):
-        rotated = psi if circuit is None else circuit.apply(psi)
-        np.cumsum(np.abs(rotated) ** 2, out=row)
+    cdfs = np.cumsum(np.abs(xbm.rotate_pieces(psi, ctx.rotations)) ** 2, axis=1)
     return cdfs / cdfs[:, -1:]
 
 
@@ -222,6 +228,17 @@ def _dual_cdf(w: np.ndarray) -> np.ndarray:
     """Cumulative distribution of the dual outcome PMF w."""
     cdf = np.cumsum(w)
     return cdf / cdf[-1]
+
+
+def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Outcomes ``np.searchsorted(cdf, u, side="right")`` of the uniform
+    draws u, searched in sorted order: the same outcomes, found about three
+    times faster than for draws in random order."""
+    flat = u.ravel()
+    order = flat.argsort()
+    out = np.empty(flat.shape, dtype=np.intp)
+    out[order] = np.searchsorted(cdf, flat[order], side="right")
+    return out.reshape(u.shape)
 
 
 def _sample_f(ctx: LagrangianContext, cdfs: np.ndarray, w_cdf: np.ndarray,
@@ -235,15 +252,29 @@ def _sample_f(ctx: LagrangianContext, cdfs: np.ndarray, w_cdf: np.ndarray,
     and the piece diagonal of constraint m at i, looked up in the sparse
     entries under the key m * dim + i, is averaged over the S * r pairs.
     That costs O(S r log nnz) per piece after the O(M + dim) CDFs.
+
+    The pieces are batched: the loop over pieces only seeds each piece's
+    stream and takes its draws, the primal ones inverted in that piece's
+    CDF row, which keeps every stream as it was piece by piece.  The dual
+    outcomes of all pieces come from one inverse CDF over the (pieces, S)
+    draws, all pairs are looked up at once in ``ctx.joint_entries``, and
+    the per-piece means are added in piece order.
     """
     shots, r = mode.shots, primal_shots_per_draw
+    pieces = len(ctx.joint_diagonals)
+    dual_u = np.empty((pieces, shots))
+    i = np.empty((pieces, shots * r), dtype=np.intp)
+    for k in range(pieces):
+        draws = rng(chain_seed(mode.seed, k))
+        draws.random(out=dual_u[k])
+        i[k] = np.searchsorted(cdfs[k], draws.random(shots * r), side="right")
+    m = _inverse_cdf(w_cdf, dual_u)
+    segments = m + ctx.problem.m_stored * np.arange(pieces)[:, None]
+    values = ctx.joint_entries.lookup(np.repeat(segments, r, axis=1), i)
     total = 0.0
-    for k, (entries, cdf) in enumerate(zip(ctx.joint_diagonals.values(), cdfs)):
-        rng = np.random.default_rng(chain_seed(mode.seed, k))
-        m = np.searchsorted(w_cdf, rng.random(shots), side="right")
-        i = np.searchsorted(cdf, rng.random(shots * r), side="right")
-        total += float(entries.lookup(np.repeat(m, r), i).sum()) / (shots * r)
-    return total, shots * r * len(ctx.joint_diagonals)
+    for mean in (values.sum(axis=1) / (shots * r)).tolist():
+        total += mean
+    return total, shots * r * pieces
 
 
 def eval_F_sampled(ctx: LagrangianContext, p: PrimalPoint, d: DualPoint,

@@ -10,6 +10,11 @@ takes an S^dag prefix on k_c, realized here as Rz(-pi/2) (equal up to an
 irrelevant global phase).  The whole CX fan-out is one precomputed basis
 gather, and Rz and H go through the 2x2 primitive ``sim.apply_single``;
 ``decompose`` builds each piece's rotation once and keeps it on the piece.
+``rotate_pieces`` rotates a state under many pieces at once: pieces that
+share k and part share one S^dag and one H over the stack of their
+fan-out gathers, elementwise the same operations as piece by piece, so the
+rotated states are the same bit for bit.  ``RotationCircuit.apply`` is that
+path for one piece.
 
 With that rotation R applied to the state, the piece expectation becomes a
 computational-basis average of a fixed real diagonal: for every index i whose
@@ -21,15 +26,17 @@ k_c bit is clear, pairing it with j = i ^ c,
 The diagonals are computed from coordinate entries grouped by i ^ j
 (``piece_diagonals``), for one matrix or a whole ``grid.MatrixStack`` at
 once; ``piece_entries`` gives the same diagonals of a stack as sorted
-sparse entries.  The construction is validated functionally by the test
-suite: R M_c R^dag must be diagonal and equal diag(lambda) for every color
-and part.
+sparse entries, and ``joined_entries`` the entries of many pieces as one.
+The construction is validated functionally by the test suite: R M_c R^dag
+must be diagonal and equal diag(lambda) for every color and part.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -90,9 +97,50 @@ class RotationCircuit:
         return self.color.bit_count() + (self.part == IMAG)
 
     def apply(self, state: np.ndarray) -> np.ndarray:
-        if self.part == IMAG:
-            state = apply_single(state, self.k, _S_DAG)
-        return apply_single(state[..., self.fanout], self.k, _HADAMARD)
+        return rotate_pieces(state, group_rotations([self]))[0]
+
+
+class PieceRotations(NamedTuple):
+    """The rotations of a sequence of pieces, grouped for ``rotate_pieces``:
+    the positions of the unrotated (color 0) pieces, and per (k, part) the
+    positions of its pieces with their fan-outs stacked as one (g, dim)
+    gather."""
+
+    count: int
+    unrotated: np.ndarray
+    groups: tuple[tuple[int, str, np.ndarray, np.ndarray], ...]
+
+
+def group_rotations(circuits: Sequence[RotationCircuit | None]) -> PieceRotations:
+    """Group piece rotations (None for color 0) by their (k, part)."""
+    positions: dict[tuple[int, str] | None, list[int]] = {}
+    for pos, circuit in enumerate(circuits):
+        key = None if circuit is None else (circuit.k, circuit.part)
+        positions.setdefault(key, []).append(pos)
+    unrotated = np.array(positions.pop(None, []), dtype=int)
+    groups = tuple(
+        (k, part, np.array(rows), np.stack([circuits[row].fanout for row in rows]))
+        for (k, part), rows in positions.items())
+    return PieceRotations(len(circuits), unrotated, groups)
+
+
+def rotate_pieces(states: np.ndarray, rotations: PieceRotations) -> np.ndarray:
+    """Every piece's rotation applied to a state, or to every row of a stack
+    of states: a complex (pieces, *states.shape) array whose entry p is
+    rotated by piece p.
+
+    One pass per (k, part) group: S^dag on k once for an imaginary group,
+    all of the group's fan-outs as one gather, then one H on k over the
+    gathered stack.  These are the elementwise operations of rotating piece
+    by piece, so the result is the same bit for bit.
+    """
+    flat = states.reshape(-1, states.shape[-1])
+    out = np.empty((rotations.count, *flat.shape), dtype=complex)
+    out[rotations.unrotated] = flat
+    for k, part, rows, fanouts in rotations.groups:
+        source = apply_single(flat, k, _S_DAG) if part == IMAG else flat
+        out[rows] = apply_single(source[:, fanouts], k, _HADAMARD).swapaxes(0, 1)
+    return out.reshape(rotations.count, *states.shape)
 
 
 def _single_stack(matrix) -> MatrixStack:
@@ -166,6 +214,15 @@ class PieceEntries(NamedTuple):
         return np.where(self.keys[pos] == keys, self.values[pos], 0.0)
 
 
+def joined_entries(pieces: Sequence[PieceEntries], count: int, dim: int) -> PieceEntries:
+    """The entries of several pieces over stacks of ``count`` segments of
+    dimension ``dim`` as one ``PieceEntries``, whose segment p * count + s
+    is segment s of piece p."""
+    keys = [entries.keys + p * count * dim for p, entries in enumerate(pieces)]
+    return PieceEntries(np.concatenate([np.empty(0, dtype=int), *keys]),
+                        np.concatenate([np.empty(0), *(e.values for e in pieces)]), dim)
+
+
 def piece_entries(stack: MatrixStack) -> dict[tuple[int, str], PieceEntries]:
     """(color, part) -> the sparse rotated piece diagonals of every stacked
     matrix, for the same pieces and in the same order as ``piece_diagonals``."""
@@ -214,9 +271,6 @@ class ColorPiece:
         """Spectral norm of the piece (max |eigenvalue|)."""
         return float(np.max(np.abs(self.diagonal))) if len(self.diagonal) else 0.0
 
-    def rotate(self, state: np.ndarray) -> np.ndarray:
-        return state if self.circuit is None else self.circuit.apply(state)
-
 
 @dataclass(frozen=True)
 class ColorDecomposition:
@@ -230,6 +284,11 @@ class ColorDecomposition:
     @property
     def colors(self) -> set[int]:
         return {p.color for p in self.pieces}
+
+    @cached_property
+    def rotations(self) -> PieceRotations:
+        """The pieces' rotations, grouped once for ``rotate_pieces``."""
+        return group_rotations([p.circuit for p in self.pieces])
 
     @property
     def piece_norms(self) -> np.ndarray:
@@ -301,7 +360,8 @@ def estimate_expectation(
 ) -> EstimateReport:
     """Sampled estimate of <psi|M|psi> from the color pieces.
 
-    Per piece: rotate the state, sample the computational basis with an
+    The state is rotated under all pieces at once (``rotate_pieces``).  Per
+    piece: sample the computational basis of its rotated state with an
     independent seed derived from ``seed`` and the piece index, and average
     the piece diagonal over the outcomes.  The estimate is unbiased and
     reproducible.
@@ -310,8 +370,9 @@ def estimate_expectation(
         raise DecompositionError("shots_per_piece must be >= 1")
     total = 0.0
     per_piece: list[tuple[ColorPiece, float]] = []
-    for k, piece in enumerate(decomposition.pieces):
-        counts = sample_basis(piece.rotate(state), shots_per_piece, chain_seed(seed, k))
+    rotated = rotate_pieces(state, decomposition.rotations)
+    for k, (piece, psi) in enumerate(zip(decomposition.pieces, rotated)):
+        counts = sample_basis(psi, shots_per_piece, chain_seed(seed, k))
         value = float(counts @ piece.diagonal) / shots_per_piece
         per_piece.append((piece, value))
         total += value
@@ -332,8 +393,8 @@ def estimator_variance(
         raise DecompositionError("shots_per_piece must be >= 1")
     variance = 0.0
     bound = 0.0
-    for piece in decomposition.pieces:
-        probs = np.abs(piece.rotate(state)) ** 2
+    rotated_probs = np.abs(rotate_pieces(state, decomposition.rotations)) ** 2
+    for piece, probs in zip(decomposition.pieces, rotated_probs):
         mean = float(probs @ piece.diagonal)
         second = float(probs @ piece.diagonal**2)
         variance += second - mean**2

@@ -1,3 +1,4 @@
+import math
 import tempfile
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import configuration as hypothesis_configuration
 from scipy import sparse
 
-from qopf import grid, permute
+from qopf import grid, harness, model, permute, sim
 
 CASE2_TEXT = """
 BUS
@@ -139,6 +140,25 @@ def stack_problems():
             permute.permute_problem(padded, perm)]
 
 
+@pytest.fixture(scope="session")
+def padded_complex_problem():
+    # 5 rows padded to 8; random Hermitian rows carry imaginary entries
+    problem = grid.pad_to_qubits(random_problem(4, 5, seed=21))
+    assert problem.m_stored == 8 and problem.m == 5
+    return problem
+
+
+@pytest.fixture(scope="session")
+def ieee57_context(ieee57):
+    """The bundled ieee57, prepared as the protocol does (benchmark
+    simplifications, RCM, padding), with a shallow ansatz pair: 6 primal
+    qubits (row 6, one layer) and 9 dual qubits (row 2, two layers)."""
+    problem = harness.prepare_case(harness.apply_benchmark_simplifications(ieee57),
+                                   rcm_runs=20).permuted
+    return model.LagrangianContext(problem, sim.AnsatzSpec.from_row(6, 6, 1),
+                                   sim.AnsatzSpec.from_row(2, 9, 2))
+
+
 def random_state(rng, dim):
     state = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return state / np.linalg.norm(state)
@@ -194,3 +214,33 @@ def oracle_ansatz(n, template, layers, params):
                 u = oracle_single(n, q, oracle_rotation(token, params[k])) @ u
                 k += 1
     return u
+
+
+# Piece-by-piece reference of the grouped measurement rotations: a copy of
+# the gate-by-gate rotation of one color piece that ``xbm.rotate_pieces``
+# replaced, with its 2x2 primitive, so the batched path can be compared
+# with it bit for bit.
+PIECEWISE_S_DAG = np.array([[math.cos(-math.pi / 4) - 1j * math.sin(-math.pi / 4), 0],
+                            [0, math.cos(-math.pi / 4) + 1j * math.sin(-math.pi / 4)]])
+PIECEWISE_H = np.array([[1, 1], [1, -1]]) / math.sqrt(2.0)
+
+
+def piecewise_single(state, qubit, u):
+    view = state.reshape(-1, 2, 2**qubit)
+    out = np.empty_like(view)
+    out[:, 0, :] = u[0, 0] * view[:, 0, :] + u[0, 1] * view[:, 1, :]
+    out[:, 1, :] = u[1, 0] * view[:, 0, :] + u[1, 1] * view[:, 1, :]
+    return out.reshape(state.shape)
+
+
+def piecewise_rotation(state, color, n, part):
+    """Rz(-pi/2) on k = msb(color) for the imaginary part, the CX fan-out
+    from k as one basis gather, then H on k; color 0 is left as it is."""
+    if color == 0:
+        return state
+    k = color.bit_length() - 1
+    if part == "imag":
+        state = piecewise_single(state, k, PIECEWISE_S_DAG)
+    idx = np.arange(2**n)
+    fanout = np.where((idx >> k) & 1 == 1, idx ^ (color ^ (1 << k)), idx)
+    return piecewise_single(state[..., fanout], k, PIECEWISE_H)

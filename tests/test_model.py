@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from qopf import bounds, grid, harness, model, saddle, sim, xbm
+from qopf import bounds, harness, model, saddle, sim, xbm
 from qopf.grid import Constraint, ValidationError
 from qopf.model import DualPoint, PrimalPoint, exact_mode, sampled_mode
 from qopf.saddle import classical_lagrangian
 
-from conftest import problem_from_rows, random_hermitian, random_problem, stack_problems
+from conftest import (piecewise_rotation, problem_from_rows, random_hermitian,
+                      random_problem, stack_problems)
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +167,14 @@ def test_eval_f_sampled_zero_observables():
                                   sim.AnsatzSpec.from_row(2, 2, 1))
     p, d = random_points(ctx, 11)
     assert model.eval_F_sampled(ctx, p, d, shots=16, seed=0) == 0.0
+    # no joint piece at all: the batched estimator draws nothing
+    assert len(ctx.joint_diagonals) == 0
+    psi = sim.prepare(ctx.primal_spec, p.theta)
+    cdfs = model._primal_cdfs(ctx, psi)
+    assert cdfs.shape == (0, 4)
+    w_cdf = model._dual_cdf(model.dual_pmf(ctx, d))
+    for r in (1, 3):
+        assert model._sample_f(ctx, cdfs, w_cdf, sampled_mode(16, 0), r) == (0.0, 0)
 
 
 @pytest.mark.parametrize("problem", stack_problems())
@@ -204,6 +213,64 @@ def test_eval_f_sampled_variance_matches_closed_form(ctx44):
     values = np.array([model.eval_F_sampled(ctx44, p, d, shots=shots, seed=[23, k])
                        for k in range(n)])
     assert abs(float(np.var(values)) - variance) < 0.2 * variance
+
+
+# ---------------------------------------------------------------------------
+# Batched sampled estimators against the piece-by-piece loops they replaced
+
+
+def piecewise_primal_cdfs(ctx, psi):
+    """The per-piece loop of the replaced ``model._primal_cdfs``."""
+    cdfs = np.empty((len(ctx.joint_diagonals), len(psi)))
+    for row, (color, part) in zip(cdfs, ctx.joint_diagonals):
+        rotated = piecewise_rotation(psi, color, ctx.primal_spec.n_qubits, part)
+        np.cumsum(np.abs(rotated) ** 2, out=row)
+    return cdfs / cdfs[:, -1:]
+
+
+def piecewise_eval_f_sampled(ctx, p, d, shots, seed, r):
+    """The replaced ``model.eval_F_sampled``: per piece, one generator seeded
+    with the entropy list, two inverse-CDF searches and one lookup in that
+    piece's own entries, the piece means added in piece order."""
+    cdfs = piecewise_primal_cdfs(ctx, sim.prepare(ctx.primal_spec, p.theta))
+    w_cdf = np.cumsum(model.dual_pmf(ctx, d))
+    w_cdf = w_cdf / w_cdf[-1]
+    total = 0.0
+    for k, (entries, cdf) in enumerate(zip(ctx.joint_diagonals.values(), cdfs)):
+        rng = np.random.default_rng(sim.chain_seed(seed, k))
+        m = np.searchsorted(w_cdf, rng.random(shots), side="right")
+        i = np.searchsorted(cdf, rng.random(shots * r), side="right")
+        total += float(entries.lookup(np.repeat(m, r), i).sum()) / (shots * r)
+    return total
+
+
+@pytest.fixture(scope="module", params=["padded_complex", "ieee57"])
+def batch_ctx(request, padded_complex_problem):
+    if request.param == "ieee57":
+        return request.getfixturevalue("ieee57_context")
+    return model.LagrangianContext(padded_complex_problem,
+                                   sim.AnsatzSpec.from_row(7, 2, 1),
+                                   sim.AnsatzSpec.from_row(4, 3, 1))
+
+
+def test_primal_cdfs_match_piecewise_loop(batch_ctx):
+    assert len(batch_ctx.joint_diagonals) > 1
+    for trial in range(3):
+        p, _ = random_points(batch_ctx, 70 + trial)
+        psi = sim.prepare(batch_ctx.primal_spec, p.theta)
+        assert np.array_equal(model._primal_cdfs(batch_ctx, psi),
+                              piecewise_primal_cdfs(batch_ctx, psi))
+
+
+@pytest.mark.parametrize("r", [1, 3])
+def test_eval_f_sampled_matches_piecewise_loop(batch_ctx, r):
+    """Batching the pieces keeps every stream: each sampled F is the
+    replaced per-piece estimate bit for bit."""
+    for trial in range(5):
+        p, d = random_points(batch_ctx, 80 + trial)
+        seed = [31, r, trial]
+        assert model.eval_F_sampled(batch_ctx, p, d, 50, seed, r) == \
+            piecewise_eval_f_sampled(batch_ctx, p, d, 50, seed, r)
 
 
 def grad_by_finite_differences(ctx, p, d, h=1e-5):
@@ -346,14 +413,6 @@ def parameter_shift_field(ctx, p, d):
     g_alpha = (lag(alpha=p.alpha + 1) - lag(alpha=p.alpha - 1)) / 2
     g_beta = (lag(beta=d.beta + 1) - lag(beta=d.beta - 1)) / 2
     return np.concatenate([g_theta, [g_alpha], -np.asarray(g_phi), [-g_beta]])
-
-
-@pytest.fixture(scope="module")
-def padded_complex_problem():
-    # 5 rows padded to 8; random Hermitian rows carry imaginary entries
-    problem = grid.pad_to_qubits(random_problem(4, 5, seed=21))
-    assert problem.m_stored == 8 and problem.m == 5
-    return problem
 
 
 @pytest.mark.parametrize("row", range(1, 9))

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qopf import sim, xbm
@@ -295,3 +295,28 @@ def test_prepare_matches_oracle_property(n, row, layers, data):
         st.floats(-10, 10), min_size=spec.param_count, max_size=spec.param_count)))
     expected = oracle_ansatz(n, spec.template, layers, params)[:, 0]
     assert np.max(np.abs(sim.prepare(spec, params) - expected)) < 1e-12
+
+
+WORD_EDGE = st.integers(2**32 - 2, 2**32 + 1)
+
+
+@PROPERTY
+@given(seed=st.lists(st.integers(0, 2**64 - 1) | WORD_EDGE, min_size=1, max_size=8))
+@example(seed=[2**32 - 1, 0])
+@example(seed=[5, 2**32])
+def test_rng_matches_default_rng_property(seed):
+    """``sim.rng`` seeds the same stream as ``np.random.default_rng`` on the
+    entropy list, also when an entry needs more than 32 bits."""
+    expected = np.random.default_rng(seed)
+    got = sim.rng(seed)
+    assert np.array_equal(got.random(5), expected.random(5))
+    assert np.array_equal(got.integers(0, 2**63, 3), expected.integers(0, 2**63, 3))
+
+
+def test_rng_passes_other_seeds_through():
+    assert np.array_equal(sim.rng(7).random(4), np.random.default_rng(7).random(4))
+    assert np.array_equal(sim.rng([7]).random(4), np.random.default_rng(7).random(4))
+    assert isinstance(sim.rng(None), np.random.Generator)
+    seed = [3, 1, 4]
+    sim.rng(seed)
+    assert seed == [3, 1, 4]

@@ -7,7 +7,7 @@ from qopf import grid, sim, xbm
 from qopf.xbm import DecompositionError
 
 from conftest import (ORACLE_GATES, oracle_cx, oracle_rotation, oracle_single,
-                      random_hermitian, random_state, stack_problems)
+                      piecewise_rotation, random_hermitian, random_state, stack_problems)
 
 
 def circuit_unitary(circuit, n_qubits):
@@ -109,6 +109,43 @@ def test_rotation_circuit_gate_count_bound():
                 assert circ.gate_count == bin(c).count("1") + (circ.part == xbm.IMAG)
                 assert np.allclose(circuit_unitary(circ, n),
                                    oracle_rotation_circuit(n, c, circ.part), atol=1e-12)
+
+
+def test_grouped_rotations_match_gate_by_gate_and_oracle():
+    """``rotate_pieces`` over every color and part at once, plus one color-0
+    piece, at n = 1..9, on one state and on a (3, dim) stack: every rotated
+    state is bitwise the gate-by-gate rotation of its piece alone (and
+    ``RotationCircuit.apply`` gives the same), and within 1e-12 of the dense
+    oracle product."""
+    rng = np.random.default_rng(12)
+    for n in range(1, 10):
+        dim = 2**n
+        circuits = [xbm.rotation_circuit(c, n, part)
+                    for part in (xbm.REAL, xbm.IMAG) for c in range(1, dim)]
+        rotations = xbm.group_rotations([None, *circuits])
+        stack = np.stack([random_state(rng, dim) for _ in range(3)])
+        for states in (stack[0], stack):
+            rotated = xbm.rotate_pieces(states, rotations)
+            assert rotated.shape == (len(circuits) + 1, *states.shape)
+            assert np.array_equal(rotated[0], states)
+            for circ, out in zip(circuits, rotated[1:]):
+                expected = piecewise_rotation(states, circ.color, n, circ.part)
+                assert np.array_equal(out, expected)
+                assert np.array_equal(circ.apply(states), expected)
+        # the oracle on the stack's columns for every color with top bit k:
+        # the CX gates from k commute, so each lower bit doubles the column
+        # blocks built so far, block s for color 2^k + s
+        by_key = {(circ.color, circ.part): out for circ, out in zip(circuits, rotated[1:])}
+        for k in range(n):
+            h = oracle_single(n, k, ORACLE_GATES["h"])
+            s_dag = oracle_single(n, k, oracle_rotation("rz", -math.pi / 2))
+            for part, columns in ((xbm.REAL, stack.T), (xbm.IMAG, s_dag @ stack.T)):
+                for bit in range(k):
+                    columns = np.hstack([columns, oracle_cx(n, k, bit) @ columns])
+                expected = (h @ columns).T.reshape(2**k, *stack.shape)
+                for low, want in enumerate(expected):
+                    got = by_key[(1 << k) + low, part]
+                    assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_decompose_stores_each_piece_rotation(ieee57):
@@ -295,3 +332,50 @@ def test_stacked_piece_diagonals_match_per_row_decompose(problem):
         [(p.color, p.part) for p in m0_dec.pieces]
     for a, b in zip(sparse_dec.pieces, m0_dec.pieces):
         assert np.array_equal(a.diagonal, b.diagonal)
+
+
+def piecewise_estimate(state, dec, shots, seed):
+    """The replaced per-piece loop of ``xbm.estimate_expectation``, with the
+    basis sampling of ``sim.sample_basis`` inlined as it was: a generator
+    seeded with the entropy list itself."""
+    total, values = 0.0, []
+    for k, piece in enumerate(dec.pieces):
+        probs = np.abs(piecewise_rotation(state, piece.color, dec.n_qubits, piece.part)) ** 2
+        probs = probs / probs.sum()
+        counts = np.random.default_rng(sim.chain_seed(seed, k)).multinomial(shots, probs)
+        value = float(counts @ piece.diagonal) / shots
+        values.append(value)
+        total += value
+    return total, values
+
+
+def piecewise_variance(state, dec, shots):
+    """The replaced per-piece loop of ``xbm.estimator_variance``."""
+    variance = bound = 0.0
+    for piece in dec.pieces:
+        probs = np.abs(piecewise_rotation(state, piece.color, dec.n_qubits, piece.part)) ** 2
+        mean = float(probs @ piece.diagonal)
+        variance += float(probs @ piece.diagonal**2) - mean**2
+        bound += piece.norm**2
+    return variance / shots, bound / shots
+
+
+@pytest.mark.parametrize("source", ["padded_complex", "ieee57"])
+def test_estimators_match_piecewise_loops(source, request):
+    """Rotating under all pieces at once keeps the estimate, every
+    per-piece value and the exact variance bit for bit."""
+    if source == "ieee57":
+        dec = request.getfixturevalue("ieee57_context").m0_decomposition
+    else:
+        dec = xbm.decompose(request.getfixturevalue("padded_complex_problem").m0)
+    assert {p.part for p in dec.pieces} == {xbm.REAL, xbm.IMAG}
+    rng = np.random.default_rng(13)
+    for trial in range(4):
+        state = random_state(rng, 2**dec.n_qubits)
+        report = xbm.estimate_expectation(state, dec, 40, [14, trial])
+        total, values = piecewise_estimate(state, dec, 40, [14, trial])
+        assert report.estimate == total
+        assert [value for _, value in report.per_piece] == values
+        assert all(a is b for (a, _), b in zip(report.per_piece, dec.pieces))
+        assert tuple(xbm.estimator_variance(dec, state, 40)) == \
+            piecewise_variance(state, dec, 40)
