@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import xbm
 from .grid import MatrixStack, ValidationError
 from .model import LagrangianContext
 
@@ -110,7 +109,7 @@ def inputs_from_context(ctx: LagrangianContext, alpha_bar: float | None = None,
     if beta_bar is None:
         beta_bar = 2.0 * problem.m
     max_norm = float(np.max(row_norms(problem.stack), initial=0.0))
-    sum_max = sum(norm**2 for norm in xbm.piece_norms(problem.stack).values())
+    sum_max = sum(norm**2 for norm in ctx.joint_diagonals.norms)
     return BoundInputs(
         p_count=ctx.p_count,
         q_count=ctx.q_count,

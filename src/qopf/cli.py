@@ -1,11 +1,12 @@
 """Command-line entry point.
 
 Subcommands mirror the pipeline stages: ``prepare`` (parse + permute +
-assemble + pad, cached as JSON), ``permute`` (bandwidth/color statistics as
-a CSV row), ``xbm-stats`` (measurement-cost statistics of the prepared
-observables), ``bounds`` (the analytical budget ledger), ``solve`` (run the
-experiment protocol), ``fit`` (rank ansatz architectures against reference
-solutions), and ``report`` (re-emit a run directory).
+assemble + pad, printing the problem statistics), ``permute``
+(bandwidth/color statistics as a CSV row), ``xbm-stats`` (measurement-cost
+statistics of the prepared observables), ``bounds`` (the analytical budget
+ledger), ``solve`` (run the experiment protocol), ``fit`` (rank ansatz
+architectures against reference solutions), and ``report`` (re-emit a run
+directory).
 
 Exit codes: 0 success, 1 validation/parse failure, 2 divergence, 3 I/O.
 """
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import harness, model, xbm
-from .grid import CaseError, load_case, pad_to_qubits, problem_to_json
+from .grid import CaseError, load_case, pad_to_qubits
 from .saddle import DivergenceError
 from .sim import DEFAULT_LAYERS
 
@@ -40,12 +41,6 @@ def _cmd_prepare(args) -> int:
           f"M={prepared.problem.m} padded {prepared.permuted.dim}x{prepared.permuted.m_stored}")
     print(f"bandwidth {stats.bandwidth_before} -> {stats.bandwidth_after}, "
           f"colors {stats.colors_before} -> {stats.colors_after}")
-    if args.out:
-        doc = problem_to_json(prepared.permuted)
-        doc["permutation"] = prepared.perm.forward.tolist()
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
-        print(f"cached prepared problem to {args.out}")
     return EXIT_OK
 
 
@@ -65,9 +60,9 @@ def _cmd_xbm_stats(args) -> int:
     problem = prepared.permuted
     m0_dec = xbm.decompose(problem.m0)
     rows = [("M0", m0_dec)]
-    piece_norms = xbm.piece_norms(problem.stack)
-    union_colors = xbm.union_colors(m0_dec, piece_norms)
-    sum_max_sq = sum(norm**2 for norm in piece_norms.values())
+    pieces = xbm.piece_table(problem.stack)
+    union_colors = m0_dec.colors | pieces.colors
+    sum_max_sq = sum(norm**2 for norm in pieces.norms)
     print(f"union colors C = {len(union_colors)} "
           f"(2C-1 = {2 * len(union_colors) - 1} rotated circuits)")
     print(f"sum_c max_m ||M_m^c||^2 = {sum_max_sq:.6g}")
@@ -134,19 +129,15 @@ def _cmd_fit(args) -> int:
     instances = harness.generate_instances(
         case, config.instances, config.load_scale, config.seed,
         simplify=config.apply_simplifications)
-    if config.reference_path:
-        reference = harness.load_reference(config.reference_path)
-    elif case.n <= 3:
-        reference = harness.ReferenceSolution(case.name, tuple(
-            harness.brute_force_reference(inst) for inst in instances))
-    else:
+    reference = harness.reference_solution(config, case, instances)
+    if reference is None:
         print("fit needs a reference solution file for cases above desk scale",
               file=sys.stderr)
         return EXIT_VALIDATION
     problem = pad_to_qubits(harness.assemble_qcqp(instances[0]))
     n_primal = int(math.log2(problem.dim))
     n_dual = int(math.log2(problem.m_stored))
-    rows = harness.restricted_rows(harness.assemble_qcqp(instances[0]))
+    rows = harness.restricted_rows(problem)
     primal_targets, dual_targets = [], []
     for ref in reference.instances[:len(instances)]:
         if ref.v is not None:
@@ -194,11 +185,10 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Doubly variational quantum OPF")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("prepare", help="parse, permute, assemble and cache a case")
+    p = sub.add_parser("prepare", help="parse, permute and assemble a case")
     p.add_argument("case")
     p.add_argument("--rcm-runs", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_prepare)
 
     p = sub.add_parser("permute", help="bandwidth/color statistics as CSV")

@@ -473,7 +473,7 @@ def build_admittance(case: NetworkCase) -> sparse.csr_matrix:
         rows += [br.from_node, br.to_node]
         cols += [br.to_node, br.from_node]
         # 0 - y, not -y: a lossless branch (g = 0) stores conductance +0.0,
-        # not -0.0, which reaches the written problem JSON
+        # not -0.0
         vals += [0 - y, 0 - y]
         diag[br.from_node] += y
         diag[br.to_node] += y
@@ -781,60 +781,4 @@ def pad_to_qubits(problem: QcqpProblem) -> QcqpProblem:
         bounds=np.concatenate([problem.bounds, np.zeros(extra)]),
         labels=problem.labels + (LABEL_PADDING,) * extra,
         subjects=problem.subjects + (None,) * extra,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-
-
-def _entries_to_json(rows, cols, values) -> list[list[float]]:
-    return [list(entry) for entry in zip(rows.tolist(), cols.tolist(),
-                                         values.real.tolist(), values.imag.tolist())]
-
-
-def _entries_from_json(entries):
-    table = np.array(entries, dtype=float).reshape(-1, 4)
-    values = np.empty(len(table), dtype=complex)
-    values.real, values.imag = table[:, 2], table[:, 3]
-    return table[:, 0].astype(np.intp), table[:, 1].astype(np.intp), values
-
-
-def problem_to_json(problem: QcqpProblem) -> dict:
-    s, m0 = problem.stack, problem.m0.tocoo()
-    entries = _entries_to_json(s.rows, s.cols, s.values)
-    return {
-        "name": problem.name,
-        "n": problem.n,
-        "m": problem.m,
-        "dim": problem.dim,
-        "m0": _entries_to_json(m0.row, m0.col, m0.data),
-        "constraints": [
-            {
-                "label": label,
-                "subject": list(subject) if isinstance(subject, tuple) else subject,
-                "bound": bound,
-                "matrix": entries[s.offsets[k]:s.offsets[k + 1]],
-            }
-            for k, (bound, label, subject) in enumerate(
-                zip(problem.bounds.tolist(), problem.labels, problem.subjects))
-        ],
-    }
-
-
-def problem_from_json(doc: dict) -> QcqpProblem:
-    dim = int(doc["dim"])
-    rows = doc["constraints"]
-    segments = np.repeat(np.arange(len(rows)), [len(r["matrix"]) for r in rows])
-    entries = _entries_from_json([e for r in rows for e in r["matrix"]])
-    return QcqpProblem(
-        n=int(doc["n"]),
-        m=int(doc["m"]),
-        m0=_csr(*_entries_from_json(doc["m0"]), dim),
-        stack=MatrixStack(segments, *entries, len(rows), dim),
-        bounds=np.array([float(r["bound"]) for r in rows]),
-        labels=tuple(r["label"] for r in rows),
-        subjects=tuple(tuple(r["subject"]) if isinstance(r["subject"], list)
-                       else r["subject"] for r in rows),
-        name=doc.get("name", "problem"),
     )

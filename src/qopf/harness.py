@@ -335,12 +335,6 @@ def restricted_rows(problem: QcqpProblem) -> list[int]:
     return [k for k, label in enumerate(problem.labels) if label in REFERENCE_LABELS]
 
 
-def constraint_values(problem: QcqpProblem, v: np.ndarray) -> np.ndarray:
-    """v^dag M_m v for every stored row; for a (batch, dim) array of
-    voltages, one row of forms per voltage."""
-    return problem.stack.forms(v)
-
-
 def brute_force_reference(case: NetworkCase, resolution: int | None = None,
                           refine: int | None = None,
                           tol: float = 1e-6) -> ReferenceInstance:
@@ -379,7 +373,7 @@ def brute_force_reference(case: NetworkCase, resolution: int | None = None,
             r = grids[2 * k].reshape(-1)
             phi = grids[2 * k + 1].reshape(-1)
             v[:, free[k]] = r * np.exp(1j * phi)
-        forms = constraint_values(problem, v)
+        forms = problem.stack.forms(v)
         violation = np.maximum(forms - b[None, :], 0.0)
         cost = np.real(np.sum(v.conj() * (problem.m0 @ v.T).T, axis=1))
         merit = cost + penalty * np.sum(violation**2, axis=1)
@@ -416,7 +410,7 @@ def brute_force_reference(case: NetworkCase, resolution: int | None = None,
 def _kkt_multipliers(problem: QcqpProblem, v: np.ndarray, tol: float) -> np.ndarray:
     """Nonnegative multipliers solving the stationarity condition
     2 (M0 + sum_m lambda_m M_m) v = 0 on the active rows, by NNLS."""
-    forms = constraint_values(problem, v)
+    forms = problem.stack.forms(v)
     slack = problem.bounds - forms
     active = [k for k in range(problem.m_stored) if slack[k] <= tol]
     target = -2.0 * (problem.m0 @ v)
@@ -431,6 +425,19 @@ def _kkt_multipliers(problem: QcqpProblem, v: np.ndarray, tol: float) -> np.ndar
         for k, c in zip(active, coeffs):
             lam[k] = c
     return lam
+
+
+def reference_solution(config: ExperimentConfig, case: NetworkCase,
+                       instances: list[NetworkCase]) -> ReferenceSolution | None:
+    """The reference solutions of a run's instances: read from
+    config.reference_path, else computed by the desk oracle when the case
+    has at most three buses, else None."""
+    if config.reference_path:
+        return load_reference(config.reference_path)
+    if case.n <= 3:
+        return ReferenceSolution(case.name, tuple(
+            brute_force_reference(inst) for inst in instances))
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +468,7 @@ def extract_setpoints(case: NetworkCase, problem: QcqpProblem,
                       v: np.ndarray) -> np.ndarray:
     """x = [p_g; v_g] at the generator nodes, recovered from the voltage via
     the injection forms plus the local demand."""
-    forms = constraint_values(problem, v)
+    forms = problem.stack.forms(v)
     demand = {bus.index: bus.p_demand for bus in case.buses}
     rows = list(zip(problem.labels, problem.subjects))
     p_g, v_g = [], []
@@ -492,7 +499,7 @@ def violation_stats(case: NetworkCase, problem: QcqpProblem,
                     v: np.ndarray) -> tuple[int, float, float]:
     """(count above 1e-6, max %, mean %) of normalized violations over the
     non-balance rows, evaluated directly at the recovered voltage."""
-    forms = constraint_values(problem, v)
+    forms = problem.stack.forms(v)
     normalized = []
     for k, (label, subject, bound) in enumerate(
             zip(problem.labels, problem.subjects, problem.bounds.tolist())):
@@ -655,20 +662,15 @@ def run_experiment(config: ExperimentConfig,
     """The full benchmark protocol on one case.
 
     Per instance and per requested (model, method) pair, solves the OPF and
-    scores it against the reference (ingested from config.reference_path or
-    computed by the desk oracle when the case is small enough).  Failures of
-    a single instance annotate the report instead of aborting the run.
+    scores it against the reference of ``reference_solution``, if any.
+    Failures of a single instance annotate the report instead of aborting
+    the run.
     """
     if case is None:
         case = load_case(config.case_path)
     instances = generate_instances(case, config.instances, config.load_scale,
                                    config.seed, simplify=config.apply_simplifications)
-    reference: ReferenceSolution | None = None
-    if config.reference_path:
-        reference = load_reference(config.reference_path)
-    elif case.n <= 3:
-        reference = ReferenceSolution(case.name, tuple(
-            brute_force_reference(inst) for inst in instances))
+    reference = reference_solution(config, case, instances)
 
     report = RunReport(config=config, stats=None, instances=[])
     for k, instance in enumerate(instances):

@@ -16,7 +16,8 @@ Its sampled value pairs independent measurements, as an extended Bell
 measurement would on hardware: per color piece, a dual outcome m and an
 outcome i of the color-rotated primal circuit are drawn separately, and
 the pair scores the rotated piece diagonal of constraint m at i, read from
-that piece's sparse entries under the key m * dim + i.  The sampled
+the sparse entries of the context's piece table, where piece p holds it
+under the key (p * M + m) * dim + i.  The sampled
 estimators batch their pieces: the state is rotated under all pieces at
 once, and the dual draws are inverted and all pairs looked up as whole
 arrays, while each piece keeps its own seeded stream, so every value is
@@ -108,15 +109,14 @@ class LagrangianContext:
     Holds the padded (and usually permuted) QCQP, whose ``stack`` gives the
     constraint forms and actions, the ansatz pair, the color decomposition
     of the cost matrix, and the block-diagonal joint observable of size
-    MN x MN, never materialized: ``joint_diagonals`` maps each (color,
-    part) piece to the nonzero entries of every constraint's rotated
-    diagonal (``xbm.PieceEntries``, keyed m * dim + i), ``rotations``
-    holds the pieces' primal measurement rotations grouped for
-    ``xbm.rotate_pieces``, and ``joint_entries`` holds the entries of all
-    pieces as one ``xbm.PieceEntries`` whose segment of piece p and
-    constraint m is p * M + m.  The sampled F draws a dual outcome m and a
+    MN x MN, never materialized: ``joint_diagonals`` is its
+    ``xbm.PieceTable``, holding the (color, part) pieces, the nonzero
+    entries of every constraint's rotated piece diagonals as one
+    ``xbm.PieceEntries`` whose segment of piece p and constraint m is
+    p * M + m, and the pieces' primal measurement rotations grouped for
+    ``xbm.rotate_pieces``.  The sampled F draws a dual outcome m and a
     rotated primal outcome i independently per piece and looks the pairs of
-    all pieces up at once in ``joint_entries``.
+    all pieces up at once in those entries.
     """
 
     def __init__(self, problem: QcqpProblem, primal_spec: AnsatzSpec,
@@ -136,16 +136,9 @@ class LagrangianContext:
         self.dual_spec = dual_spec
         self.s_diag = problem.bounds
         self.m0_decomposition = xbm.decompose(problem.m0)
-        # (color, part) -> sparse rotated constraint diagonals of all rows
-        self.joint_diagonals = xbm.piece_entries(problem.stack)
-        self.rotations = xbm.group_rotations([
-            None if color == 0 else
-            xbm.rotation_circuit(color, primal_spec.n_qubits, part)
-            for color, part in self.joint_diagonals])
-        # the same entries of all pieces at once, segment piece * M + m
-        self.joint_entries = xbm.joined_entries(
-            list(self.joint_diagonals.values()), m_stored, dim)
-        self.colors = xbm.union_colors(self.m0_decomposition, self.joint_diagonals)
+        # the rotated constraint pieces of all rows, segment piece * M + m
+        self.joint_diagonals = xbm.piece_table(problem.stack)
+        self.colors = self.m0_decomposition.colors | self.joint_diagonals.colors
 
     @property
     def p_count(self) -> int:
@@ -220,7 +213,8 @@ def _sample_g(ctx: LagrangianContext, w: np.ndarray, mode: EvalMode) -> tuple[fl
 def _primal_cdfs(ctx: LagrangianContext, psi: np.ndarray) -> np.ndarray:
     """(pieces, dim) cumulative outcome distributions of the color-rotated
     primal circuit, one row per joint constraint piece in key order."""
-    cdfs = np.cumsum(np.abs(xbm.rotate_pieces(psi, ctx.rotations)) ** 2, axis=1)
+    rotated = xbm.rotate_pieces(psi, ctx.joint_diagonals.rotations)
+    cdfs = np.cumsum(np.abs(rotated) ** 2, axis=1)
     return cdfs / cdfs[:, -1:]
 
 
@@ -250,15 +244,16 @@ def _sample_f(ctx: LagrangianContext, cdfs: np.ndarray, w_cdf: np.ndarray,
     primal circuit from row k of ``cdfs`` (``_primal_cdfs``), r =
     ``primal_shots_per_draw``; each dual outcome pairs with r primal ones,
     and the piece diagonal of constraint m at i, looked up in the sparse
-    entries under the key m * dim + i, is averaged over the S * r pairs.
+    entries under the key (k * M + m) * dim + i, is averaged over the S * r
+    pairs.
     That costs O(S r log nnz) per piece after the O(M + dim) CDFs.
 
     The pieces are batched: the loop over pieces only seeds each piece's
     stream and takes its draws, the primal ones inverted in that piece's
     CDF row, which keeps every stream as it was piece by piece.  The dual
     outcomes of all pieces come from one inverse CDF over the (pieces, S)
-    draws, all pairs are looked up at once in ``ctx.joint_entries``, and
-    the per-piece means are added in piece order.
+    draws, all pairs are looked up at once in ``ctx.joint_diagonals.entries``,
+    and the per-piece means are added in piece order.
     """
     shots, r = mode.shots, primal_shots_per_draw
     pieces = len(ctx.joint_diagonals)
@@ -270,7 +265,7 @@ def _sample_f(ctx: LagrangianContext, cdfs: np.ndarray, w_cdf: np.ndarray,
         i[k] = np.searchsorted(cdfs[k], draws.random(shots * r), side="right")
     m = _inverse_cdf(w_cdf, dual_u)
     segments = m + ctx.problem.m_stored * np.arange(pieces)[:, None]
-    values = ctx.joint_entries.lookup(np.repeat(segments, r, axis=1), i)
+    values = ctx.joint_diagonals.entries.lookup(np.repeat(segments, r, axis=1), i)
     total = 0.0
     for mean in (values.sum(axis=1) / (shots * r)).tolist():
         total += mean

@@ -23,10 +23,11 @@ k_c bit is clear, pairing it with j = i ^ c,
     real part:      lambda[i] = +Re M[i, j],  lambda[i ^ 2^k_c] = -Re M[i, j]
     imaginary part: lambda[i] = -Im M[i, j],  lambda[i ^ 2^k_c] = +Im M[i, j]
 
-The diagonals are computed from coordinate entries grouped by i ^ j
-(``piece_diagonals``), for one matrix or a whole ``grid.MatrixStack`` at
-once; ``piece_entries`` gives the same diagonals of a stack as sorted
-sparse entries, and ``joined_entries`` the entries of many pieces as one.
+``piece_table`` computes the diagonals from coordinate entries grouped by
+i ^ j, in one pass over one matrix or a whole ``grid.MatrixStack``: a
+``PieceTable`` holds the pieces' (color, part) keys, the sorted sparse
+entries of all their diagonals as one ``PieceEntries``, their norms and
+their rotations, and scatters the diagonals densely on request.
 The construction is validated functionally by the test suite: R M_c R^dag
 must be diagonal and equal diag(lambda) for every color and part.
 """
@@ -149,58 +150,10 @@ def _single_stack(matrix) -> MatrixStack:
     return MatrixStack(np.zeros(coo.nnz), coo.row, coo.col, coo.data, 1, coo.shape[0])
 
 
-def eigen_diagonal(matrix, color: int, part: str) -> np.ndarray:
-    """Diagonal of the rotated color-c piece of a matrix supported on color c."""
-    stack = _single_stack(matrix)
-    if np.any(stack.rows ^ stack.cols != color):
-        raise DecompositionError(f"matrix has support outside color {color}")
-    if color == 0 and part != REAL:
-        raise DecompositionError("color 0 has no imaginary part")
-    diagonals = piece_diagonals(stack).get((color, part))
-    return np.zeros(stack.dim) if diagonals is None else diagonals[0]
-
-
-def _piece_entries(stack: MatrixStack):
-    """(color, part, k_c, segments, rows, values) per piece of the stacked
-    matrices, real parts by ascending color first, then imaginary parts.
-
-    Only the entries whose row has bit k_c clear are read: the piece diagonal
-    of segment s holds ``values`` at ``rows`` and, for c >= 1, their
-    negation at ``rows | 2^k_c``.
-    """
-    colors = stack.rows ^ stack.cols
-    for part in (REAL, IMAG):
-        for c in np.unique(colors).tolist():
-            if c == 0 and part == IMAG:
-                continue
-            k = most_significant_bit(c) if c else None
-            sel = colors == c
-            if c:
-                sel &= (stack.rows >> k) & 1 == 0
-            values = stack.values[sel]
-            yield (c, part, k, stack.segments[sel], stack.rows[sel],
-                   values.real if part == REAL else -values.imag)
-
-
-def piece_diagonals(stack: MatrixStack) -> dict[tuple[int, str], np.ndarray]:
-    """(color, part) -> (count, dim) array of the rotated piece diagonals of
-    every stacked matrix, for the pieces nonzero in at least one of them."""
-    out: dict[tuple[int, str], np.ndarray] = {}
-    for color, part, k, segments, rows, values in _piece_entries(stack):
-        if not np.any(values):
-            continue
-        diagonals = np.zeros((stack.count, stack.dim))
-        diagonals[segments, rows] = values
-        if color:
-            diagonals[segments, rows | (1 << k)] = -values
-        out[(color, part)] = diagonals
-    return out
-
-
 class PieceEntries(NamedTuple):
-    """The nonzero entries of one piece's rotated diagonals over a stack:
-    the entry of segment s at basis index i sits at the flat key
-    ``s * dim + i``; keys are strictly increasing and never empty."""
+    """The nonzero entries of rotated piece diagonals over a stack: the
+    entry of segment s at basis index i sits at the flat key
+    ``s * dim + i``; keys are strictly increasing."""
 
     keys: np.ndarray
     values: np.ndarray
@@ -214,45 +167,81 @@ class PieceEntries(NamedTuple):
         return np.where(self.keys[pos] == keys, self.values[pos], 0.0)
 
 
-def joined_entries(pieces: Sequence[PieceEntries], count: int, dim: int) -> PieceEntries:
-    """The entries of several pieces over stacks of ``count`` segments of
-    dimension ``dim`` as one ``PieceEntries``, whose segment p * count + s
-    is segment s of piece p."""
-    keys = [entries.keys + p * count * dim for p, entries in enumerate(pieces)]
-    return PieceEntries(np.concatenate([np.empty(0, dtype=int), *keys]),
-                        np.concatenate([np.empty(0), *(e.values for e in pieces)]), dim)
+@dataclass(frozen=True)
+class PieceTable:
+    """The color pieces of a stack of ``count`` matrices, for the pieces
+    nonzero in at least one of them: ``keys`` lists their (color, part),
+    real parts by ascending color first, then imaginary parts; ``entries``
+    holds the nonzero entries of every piece's rotated diagonals, segment
+    p * count + m being matrix m of piece p; ``norms`` holds per piece
+    max_m ||M_m^c||, its largest |entry|."""
+
+    keys: tuple[tuple[int, str], ...]
+    entries: PieceEntries
+    norms: list[float]
+    count: int
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    @property
+    def colors(self) -> set[int]:
+        return {color for color, _ in self.keys}
+
+    @cached_property
+    def circuits(self) -> tuple[RotationCircuit | None, ...]:
+        """Each piece's measurement rotation, None for color 0."""
+        n_qubits = int(math.log2(self.entries.dim))
+        return tuple(rotation_circuit(color, n_qubits, part) if color else None
+                     for color, part in self.keys)
+
+    @cached_property
+    def rotations(self) -> PieceRotations:
+        """The pieces' rotations, grouped once for ``rotate_pieces``."""
+        return group_rotations(self.circuits)
+
+    def dense(self) -> np.ndarray:
+        """The rotated piece diagonals as a (pieces, count, dim) array."""
+        out = np.zeros(len(self) * self.count * self.entries.dim)
+        out[self.entries.keys] = self.entries.values
+        return out.reshape(len(self), self.count, self.entries.dim)
 
 
-def piece_entries(stack: MatrixStack) -> dict[tuple[int, str], PieceEntries]:
-    """(color, part) -> the sparse rotated piece diagonals of every stacked
-    matrix, for the same pieces and in the same order as ``piece_diagonals``."""
-    out: dict[tuple[int, str], PieceEntries] = {}
-    for color, part, k, segments, rows, values in _piece_entries(stack):
-        if not np.any(values):
-            continue
-        keys = segments * stack.dim + rows
-        if color:
-            keys = np.concatenate([keys, keys | (1 << k)])
-            values = np.concatenate([values, -values])
-        nonzero = values != 0
-        keys, values = keys[nonzero], values[nonzero]
-        order = np.argsort(keys, kind="stable")
-        out[(color, part)] = PieceEntries(keys[order], values[order], stack.dim)
-    return out
+def piece_table(stack: MatrixStack) -> PieceTable:
+    """The color pieces of every stacked matrix, from one pass over its
+    entries grouped by color i ^ j.
 
-
-def piece_norms(stack: MatrixStack) -> dict[tuple[int, str], float]:
-    """(color, part) -> max_m ||M_m^c||, the largest spectral norm of that
-    piece over the stacked matrices, for the pieces nonzero in at least one."""
-    return {(color, part): float(np.max(np.abs(values)))
-            for color, part, _, _, _, values in _piece_entries(stack)
-            if np.any(values)}
-
-
-def union_colors(decomposition: "ColorDecomposition", pieces) -> set[int]:
-    """Colors of a cost decomposition together with those of the (color,
-    part) keys of stacked constraint pieces: one rotation per color."""
-    return decomposition.colors | {color for color, _ in pieces}
+    Only the entries whose row has bit k_c clear are read: the piece diagonal
+    of segment s holds their values (real parts, or negated imaginary parts)
+    at their rows and, for c >= 1, the negation at ``rows + 2^k_c``.
+    """
+    colors, color_of = np.unique(stack.rows ^ stack.cols, return_inverse=True)
+    tops = np.array([1 << most_significant_bit(c) if c else 0 for c in colors.tolist()],
+                    dtype=int)  # 2^k_c per color, 0 for color 0
+    low = stack.rows & tops[color_of] == 0
+    color_of, values = color_of[low], stack.values[low]
+    base = stack.segments[low] * stack.dim + stack.rows[low]
+    imag = colors[color_of] > 0  # color 0 has no imaginary part
+    # one slot per (color, part): real parts by color, then imaginary parts
+    slot = np.concatenate([color_of, len(colors) + color_of[imag]])
+    values = np.concatenate([values.real, -values[imag].imag])
+    base = np.concatenate([base, base[imag]])
+    nonzero = values != 0
+    slot, values, base = slot[nonzero], values[nonzero], base[nonzero]
+    slots = np.unique(slot)  # the nonzero pieces, in key order
+    keys = tuple((int(colors[s % len(colors)]), REAL if s < len(colors) else IMAG)
+                 for s in slots.tolist())
+    span = stack.count * stack.dim  # keys per piece
+    at = np.searchsorted(slots, slot) * span + base
+    top = tops[slot % len(colors)]
+    mirrored = top > 0
+    at = np.concatenate([at, at[mirrored] + top[mirrored]])
+    values = np.concatenate([values, -values[mirrored]])
+    order = np.argsort(at, kind="stable")
+    at, values = at[order], values[order]
+    starts = np.searchsorted(at, np.arange(len(keys)) * span)
+    norms = np.maximum.reduceat(np.abs(values), starts) if keys else np.empty(0)
+    return PieceTable(keys, PieceEntries(at, values, stack.dim), norms.tolist(), stack.count)
 
 
 @dataclass(frozen=True)
@@ -335,10 +324,11 @@ def decompose(matrix, tol: float = 1e-10) -> ColorDecomposition:
     residual = stack.hermitian_residuals()[0]
     if residual > tol:
         raise DecompositionError(f"matrix not Hermitian (residual {residual:.2e})")
+    table = piece_table(stack)
     pieces = tuple(
-        ColorPiece(color, part, diagonals[0],
-                   rotation_circuit(color, n_qubits, part) if color else None)
-        for (color, part), diagonals in piece_diagonals(stack).items())
+        ColorPiece(color, part, diagonal, circuit)
+        for (color, part), diagonal, circuit in zip(table.keys, table.dense()[:, 0],
+                                                    table.circuits))
     return ColorDecomposition(n_qubits, pieces)
 
 

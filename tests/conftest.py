@@ -6,7 +6,7 @@ import pytest
 from hypothesis import configuration as hypothesis_configuration
 from scipy import sparse
 
-from qopf import grid, harness, model, permute, sim
+from qopf import grid, harness, model, permute, sim, xbm
 
 CASE2_TEXT = """
 BUS
@@ -138,6 +138,27 @@ def stack_problems():
             grid.pad_to_qubits(random_problem(3, 6, seed=22)),
             sparse_row_problem(23),
             permute.permute_problem(padded, perm)]
+
+
+def per_row_pieces(problem):
+    """Reference for ``xbm.piece_table``: every stored row decomposed on its
+    own.  Returns the (color, part) keys in table order (real parts by
+    ascending color, then imaginary parts), the (pieces, M, dim) rotated
+    diagonals and each piece's largest norm over the rows."""
+    tensor = problem.dense_constraints()
+    diagonals: dict[tuple[int, str], np.ndarray] = {}
+    norms: dict[tuple[int, str], float] = {}
+    for m in range(problem.m_stored):
+        for piece in xbm.decompose(tensor[m]).pieces:
+            key = (piece.color, piece.part)
+            diagonals.setdefault(key, np.zeros((problem.m_stored, problem.dim)))[m] = \
+                piece.diagonal
+            norms[key] = max(norms.get(key, 0.0), piece.norm)
+    keys = sorted(diagonals, key=lambda key: (key[1] != xbm.REAL, key[0]))
+    dense = np.zeros((len(keys), problem.m_stored, problem.dim))
+    for p, key in enumerate(keys):
+        dense[p] = diagonals[key]
+    return keys, dense, [norms[key] for key in keys]
 
 
 @pytest.fixture(scope="session")

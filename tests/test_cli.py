@@ -34,15 +34,10 @@ def write_config(tmp_path, case_file, **overrides):
     return path
 
 
-def test_prepare_reports_and_caches(tmp_path, case2_file, capsys):
-    out_file = tmp_path / "prepared.json"
-    code, out, _ = run_cli(capsys, "prepare", str(case2_file),
-                           "--rcm-runs", "2", "--out", str(out_file))
+def test_prepare_reports_and_caches(case2_file, capsys):
+    code, out, _ = run_cli(capsys, "prepare", str(case2_file), "--rcm-runs", "2")
     assert code == 0
     assert "N=2" in out and "M=15" in out
-    doc = json.loads(out_file.read_text())
-    assert doc["dim"] == 2 and len(doc["constraints"]) == 16
-    assert "permutation" in doc
 
 
 def test_permute_csv_row(case2_file, capsys):
@@ -129,6 +124,15 @@ def test_fit_command(tmp_path, case2_file, capsys):
     assert lines[0] == "role,row,layers,mean_cost"
     assert any(line.startswith("primal,") for line in lines[1:])
     assert any(line.startswith("dual,") for line in lines[1:])
+
+
+def test_fit_without_reference_exits_1(tmp_path, capsys):
+    path = tmp_path / "chain4.case"
+    path.write_text(chain_case_text(4), encoding="utf-8")
+    config = write_config(tmp_path, path)
+    code, _, err = run_cli(capsys, "fit", str(config))
+    assert code == 1
+    assert "needs a reference solution file" in err
 
 
 def test_validation_exit_code(tmp_path, capsys):

@@ -107,7 +107,7 @@ def test_reference_roundtrip(tmp_path, case2):
 def test_oracle_feasible_and_kkt_consistent(case3):
     ref = brute_force_reference(case3)
     problem = grid.assemble_qcqp(case3)
-    forms = harness.constraint_values(problem, ref.v)
+    forms = problem.stack.forms(ref.v)
     assert np.all(forms <= problem.bounds + 1e-6)
     assert ref.cost == pytest.approx(
         float(np.real(ref.v.conj() @ problem.dense_m0() @ ref.v)), abs=1e-9)
@@ -339,7 +339,7 @@ def test_production_paths_never_densify(monkeypatch, case2, case3):
         traj = saddle.run_classical(problem, init, method, schedule,
                                     saddle.StopRule(max_iters=3))
         assert len(traj.lagrangians) == 3
-    forms = harness.constraint_values(problem, init.v)
+    forms = problem.stack.forms(init.v)
     assert forms.shape == (problem.m_stored,)
     assert harness.extract_setpoints(case2, problem, init.v).shape == (2,)
     assert np.all(np.isfinite(harness.violation_stats(case2, problem, init.v)))

@@ -8,8 +8,8 @@ from qopf.grid import Constraint, ValidationError
 from qopf.model import DualPoint, PrimalPoint, exact_mode, sampled_mode
 from qopf.saddle import classical_lagrangian
 
-from conftest import (piecewise_rotation, problem_from_rows, random_hermitian,
-                      random_problem, stack_problems)
+from conftest import (per_row_pieces, piecewise_rotation, problem_from_rows,
+                      random_hermitian, random_problem, stack_problems)
 
 
 @pytest.fixture(scope="module")
@@ -182,16 +182,19 @@ def test_joint_entries_densify_to_piece_diagonals(problem):
     ctx = model.LagrangianContext(
         problem, sim.AnsatzSpec.from_row(2, int(math.log2(problem.dim)), 1),
         sim.AnsatzSpec.from_row(2, int(math.log2(problem.m_stored)), 1))
-    dense = xbm.piece_diagonals(problem.stack)
-    assert list(ctx.joint_diagonals) == list(dense)
-    for key, entries in ctx.joint_diagonals.items():
-        assert np.all(np.diff(entries.keys) > 0) and np.all(entries.values != 0)
-        densified = np.zeros(problem.m_stored * problem.dim)
-        densified[entries.keys] = entries.values
-        assert np.array_equal(densified.reshape(dense[key].shape), dense[key])
-        rows, cols = np.indices(dense[key].shape)
-        assert np.array_equal(entries.lookup(rows.ravel(), cols.ravel()),
-                              dense[key].ravel())
+    keys, dense, _ = per_row_pieces(problem)
+    table = ctx.joint_diagonals
+    assert list(table.keys) == keys
+    assert np.array_equal(table.dense(), dense)
+    assert ctx.colors == ctx.m0_decomposition.colors | {color for color, _ in keys}
+    entries = table.entries
+    assert np.all(np.diff(entries.keys) > 0) and np.all(entries.values != 0)
+    densified = np.zeros(dense.size)
+    densified[entries.keys] = entries.values
+    assert np.array_equal(densified.reshape(dense.shape), dense)
+    pieces, rows, cols = np.indices(dense.shape)
+    assert np.array_equal(entries.lookup((pieces * problem.m_stored + rows).ravel(),
+                                         cols.ravel()), dense.ravel())
 
 
 def test_eval_f_sampled_variance_matches_closed_form(ctx44):
@@ -203,7 +206,8 @@ def test_eval_f_sampled_variance_matches_closed_form(ctx44):
     w = model.dual_pmf(ctx44, d)
     shots = 8
     variance = 0.0
-    for (color, part), diagonals in xbm.piece_diagonals(ctx44.problem.stack).items():
+    table = ctx44.joint_diagonals
+    for (color, part), diagonals in zip(table.keys, table.dense()):
         rotated = psi if color == 0 else \
             xbm.rotation_circuit(color, ctx44.primal_spec.n_qubits, part).apply(psi)
         joint = np.outer(w, np.abs(rotated) ** 2)
@@ -222,7 +226,7 @@ def test_eval_f_sampled_variance_matches_closed_form(ctx44):
 def piecewise_primal_cdfs(ctx, psi):
     """The per-piece loop of the replaced ``model._primal_cdfs``."""
     cdfs = np.empty((len(ctx.joint_diagonals), len(psi)))
-    for row, (color, part) in zip(cdfs, ctx.joint_diagonals):
+    for row, (color, part) in zip(cdfs, ctx.joint_diagonals.keys):
         rotated = piecewise_rotation(psi, color, ctx.primal_spec.n_qubits, part)
         np.cumsum(np.abs(rotated) ** 2, out=row)
     return cdfs / cdfs[:, -1:]
@@ -230,17 +234,17 @@ def piecewise_primal_cdfs(ctx, psi):
 
 def piecewise_eval_f_sampled(ctx, p, d, shots, seed, r):
     """The replaced ``model.eval_F_sampled``: per piece, one generator seeded
-    with the entropy list, two inverse-CDF searches and one lookup in that
-    piece's own entries, the piece means added in piece order."""
+    with the entropy list, two inverse-CDF searches and one read of that
+    piece's dense diagonals, the piece means added in piece order."""
     cdfs = piecewise_primal_cdfs(ctx, sim.prepare(ctx.primal_spec, p.theta))
     w_cdf = np.cumsum(model.dual_pmf(ctx, d))
     w_cdf = w_cdf / w_cdf[-1]
     total = 0.0
-    for k, (entries, cdf) in enumerate(zip(ctx.joint_diagonals.values(), cdfs)):
+    for k, (diagonals, cdf) in enumerate(zip(ctx.joint_diagonals.dense(), cdfs)):
         rng = np.random.default_rng(sim.chain_seed(seed, k))
         m = np.searchsorted(w_cdf, rng.random(shots), side="right")
         i = np.searchsorted(cdf, rng.random(shots * r), side="right")
-        total += float(entries.lookup(np.repeat(m, r), i).sum()) / (shots * r)
+        total += float(diagonals[np.repeat(m, r), i].sum()) / (shots * r)
     return total
 
 

@@ -193,7 +193,7 @@ def test_classical_pd_keeps_slack_multipliers_at_zero(case2):
     problem = grid.assemble_qcqp(case2)
     from qopf import harness
     ref = harness.brute_force_reference(case2)
-    forms = harness.constraint_values(problem, ref.v)
+    forms = problem.stack.forms(ref.v)
     slack_rows = problem.bounds - forms > 1e-3
     s = ClassicalState(ref.v, np.zeros(problem.m_stored))
     nxt = saddle.classical_pd_step(problem, s, (0.0, 1e-2))

@@ -7,7 +7,8 @@ from qopf import grid, sim, xbm
 from qopf.xbm import DecompositionError
 
 from conftest import (ORACLE_GATES, oracle_cx, oracle_rotation, oracle_single,
-                      piecewise_rotation, random_hermitian, random_state, stack_problems)
+                      per_row_pieces, piecewise_rotation, random_hermitian, random_state,
+                      stack_problems)
 
 
 def circuit_unitary(circuit, n_qubits):
@@ -168,19 +169,15 @@ def test_rotation_circuit_rejects_color_zero():
 
 
 def test_eigen_diagonal_pauli_x():
-    d = xbm.eigen_diagonal(np.array([[0.0, 1.0], [1.0, 0.0]]), 1, xbm.REAL)
-    assert np.allclose(d, [1.0, -1.0])
+    dec = xbm.decompose(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert [(p.color, p.part) for p in dec.pieces] == [(1, xbm.REAL)]
+    assert np.allclose(dec.pieces[0].diagonal, [1.0, -1.0])
 
 
 def test_eigen_diagonal_pauli_y():
-    d = xbm.eigen_diagonal(np.array([[0, -1j], [1j, 0]]), 1, xbm.IMAG)
-    assert np.allclose(d, [1.0, -1.0])
-
-
-def test_eigen_diagonal_rejects_other_support():
-    m = np.eye(4)
-    with pytest.raises(DecompositionError, match="support"):
-        xbm.eigen_diagonal(m, 1, xbm.REAL)
+    dec = xbm.decompose(np.array([[0, -1j], [1j, 0]]))
+    assert [(p.color, p.part) for p in dec.pieces] == [(1, xbm.IMAG)]
+    assert np.allclose(dec.pieces[0].diagonal, [1.0, -1.0])
 
 
 def test_diagonalization_invariant_all_colors_and_parts():
@@ -308,25 +305,13 @@ def test_piece_count_bound():
 
 @pytest.mark.parametrize("problem", stack_problems())
 def test_stacked_piece_diagonals_match_per_row_decompose(problem):
-    tensor = problem.dense_constraints()
-    expected: dict[tuple[int, str], np.ndarray] = {}
-    norms: dict[tuple[int, str], float] = {}
-    for m in range(problem.m_stored):
-        for piece in xbm.decompose(tensor[m]).pieces:
-            key = (piece.color, piece.part)
-            expected.setdefault(key, np.zeros((problem.m_stored, problem.dim)))[m] = \
-                piece.diagonal
-            norms[key] = max(norms.get(key, 0.0), piece.norm)
-    order = sorted(expected, key=lambda key: (key[1] != xbm.REAL, key[0]))
-    joint = xbm.piece_diagonals(problem.stack)
-    assert list(joint) == order
-    for key in order:
-        assert np.array_equal(joint[key], expected[key])
-    assert xbm.piece_norms(problem.stack) == {key: norms[key] for key in order}
+    keys, dense, norms = per_row_pieces(problem)
+    table = xbm.piece_table(problem.stack)
+    assert list(table.keys) == keys and len(table) == len(keys)
+    assert np.array_equal(table.dense(), dense)
+    assert table.norms == norms
+    assert table.colors == {color for color, _ in keys}
     m0_dec = xbm.decompose(problem.dense_m0())
-    assert xbm.union_colors(m0_dec, joint) == \
-        m0_dec.colors | {piece.color for m in range(problem.m_stored)
-                         for piece in xbm.decompose(tensor[m]).pieces}
     sparse_dec = xbm.decompose(problem.m0)
     assert [(p.color, p.part) for p in sparse_dec.pieces] == \
         [(p.color, p.part) for p in m0_dec.pieces]
