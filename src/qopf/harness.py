@@ -48,7 +48,7 @@ from .grid import (
 from .model import DualPoint, EvalMode, LagrangianContext, PrimalPoint
 from .permute import NodePermutation, SparsityPattern, bandwidth, best_rcm, \
     color_set, permute_pattern, permute_problem
-from .sim import AnsatzSpec, chain_seed, prepare, reverse_sweep, rng
+from .sim import AnsatzSpec, chain_seed, prepare, reverse_sweep, rng, rotation_factors
 
 VIOLATION_FLOOR = 1e-6
 REFERENCE_LABELS = (LABEL_BALANCE_P, LABEL_BALANCE_Q, LABEL_LINE)
@@ -551,9 +551,10 @@ def overlap_gradient(spec: AnsatzSpec, params: np.ndarray,
     """Adjoint gradient of the amplitude-linear cost: with the normalized
     target carried back as the costate, d cost / d params_k =
     -Re <(-i/2) G_k psi_k | target_k> = -Im <target_k| G_k |psi_k> / 2."""
-    psi = prepare(spec, params)
+    factors = rotation_factors(spec, params)
+    psi = prepare(spec, params, factors)
     costate = np.asarray(target, dtype=complex) / float(np.linalg.norm(target))
-    return -0.5 * reverse_sweep(spec, params, psi, costate)
+    return -0.5 * reverse_sweep(spec, factors, psi, costate)
 
 
 def fit_state(spec: AnsatzSpec, target: np.ndarray, seed, restarts: int = 3,

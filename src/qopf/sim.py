@@ -6,12 +6,19 @@ XOR bookkeeping of the measurement module).  All simulation is exact in
 double precision; shot noise enters only through ``sample_basis`` and the
 sampled estimators of ``model``, each stream seeded through ``rng``.
 
-The ansatz runs one operation per token layer: ``rotation_layer`` applies
+The ansatz runs one operation per token layer: a rotation layer applies
 one rx, ry or rz to every qubit, and a CX chain is one precomputed basis
-gather, since CX gates only permute basis states.  ``reverse_sweep`` walks
-the layers backwards, reading all n derivatives of a layer at its boundary
-before undoing it.  The single gates of the ``xbm`` measurement rotations
-go through the 2x2 primitive ``apply_single``.
+gather, since CX gates only permute basis states.  ``rotation_factors``
+builds the factors of all of a circuit's rotation layers in one broadcast
+pass per rotation kind (a phase vector for rz, a Kronecker pair for rx and
+ry), for one parameter vector or a (B, P) stack.  ``prepare`` then costs
+one phase multiply or one matrix-product pair per layer, and the same
+factors serve ``reverse_sweep``, which walks the layers backwards, reads
+all n derivatives of a layer at its boundary and undoes it with the
+factors' conjugate transposes, and ``shift_states``, which prepares all 2P
+parameter-shift states of a circuit as one stack.  The single gates of the
+``xbm`` measurement rotations go through the 2x2 primitive
+``apply_single``.
 """
 
 from __future__ import annotations
@@ -163,33 +170,79 @@ def _layout(n: int) -> _Layout:
     return _Layout(*_chain_permutation(n), z, idx ^ bits[:, None])
 
 
-def rotation_layer(states: np.ndarray, kind: str, angles: np.ndarray) -> np.ndarray:
-    """Apply R_kind(angles[q]) to every qubit q of a state, or of every row
-    of a stack of states, in one operation; negated angles undo it.
+class _Plan(NamedTuple):
+    """The op sequence of one spec: every token in application order, and
+    for each rotation kind the rotation-layer indices (rows of the
+    parameter matrix) that carry it."""
 
-    rz is one phase vector.  rx and ry compute U_hi X U_lo^T on the states
-    viewed as (..., 2^b, 2^a), b = n // 2 high by a = n - b low qubits, each
-    U the Kronecker product of its half's 2x2 rotations, both built at once
-    by broadcast outer products.  For odd n the high half gets one extra
+    tokens: tuple[str, ...]
+    rows: tuple[tuple[str, np.ndarray], ...]
+
+
+@functools.cache
+def _plan(spec: AnsatzSpec) -> _Plan:
+    tokens = spec.template * spec.layers
+    kinds = [t for t in tokens if t != "cx"]
+    rows = tuple((kind, np.array([r for r, k in enumerate(kinds) if k == kind]))
+                 for kind in ROTATIONS if kind in kinds)
+    return _Plan(tokens, rows)
+
+
+def _kind_factors(kind: str, angles: np.ndarray):
+    """Factors of R_kind(angles[..., q]) on every qubit q, for any leading
+    shape of ``angles`` (..., n), all built in one broadcast pass.
+
+    rz is one phase vector (..., 2^n).  rx and ry are the pair (U_hi,
+    U_lo^T) with the layer equal to U_hi X U_lo^T on a state viewed as
+    (2^b, 2^a), b = n // 2 high by a = n - b low qubits, each U the
+    Kronecker product of its half's 2x2 rotations, both built at once by
+    broadcast outer products.  For odd n the high half gets one extra
     zero-angle factor on top: I (x) U_hi, whose leading 2^b block is U_hi.
     """
-    n = len(angles)
+    n = angles.shape[-1]
+    lead = angles.shape[:-1]
     if kind == "rz":
-        return states * np.exp(-0.5j * (_layout(n).z @ angles))
+        return np.exp(-0.5j * (angles[..., None, :] * _layout(n).z).sum(axis=-1))
     a = n - n // 2
-    padded = np.zeros(2 * a)
-    padded[:n] = angles
+    padded = np.zeros((*lead, 2 * a))
+    padded[..., :n] = angles
     c, s = np.cos(padded / 2), np.sin(padded / 2)
     entries = (c, -1j * s, -1j * s, c) if kind == "rx" else (c, -s, s, c)
-    # mats[0] holds the low half's 2x2 matrices, mats[1] the high half's
-    mats = np.stack(entries, axis=-1).reshape(2, a, 2, 2)
-    krons = mats[:, 0]
+    # mats[..., 0, q] holds the low half's 2x2 matrices, mats[..., 1, q] the high half's
+    mats = np.stack(entries, axis=-1).reshape(*lead, 2, a, 2, 2)
+    krons = mats[..., 0, :, :]
     for q in range(1, a):
-        u, size = mats[:, q], 2 * krons.shape[-1]
-        krons = (u[:, :, None, :, None] * krons[:, None, :, None, :]).reshape(2, size, size)
+        u, size = mats[..., q, :, :], 2 * krons.shape[-1]
+        krons = (u[..., :, None, :, None] * krons[..., None, :, None, :]).reshape(
+            *lead, 2, size, size)
     hi = 2 ** (n - a)
-    view = states.reshape(-1, hi, 2**a)
-    return (krons[1, :hi, :hi] @ view @ krons[0].T).reshape(states.shape)
+    return krons[..., 1, :hi, :hi], krons[..., 0, :, :].swapaxes(-1, -2)
+
+
+def _adjoint(kind: str, factor):
+    """Factors of the inverse layer: U(-theta) = U(theta)^dag exactly."""
+    if kind == "rz":
+        return factor.conj()
+    return tuple(u.conj().swapaxes(-1, -2) for u in factor)
+
+
+def _apply(states: np.ndarray, kind: str, factor) -> np.ndarray:
+    """One rotation layer, given its factors, on a state or a stack of
+    states: one phase multiply for rz, U_hi X U_lo^T on every state viewed
+    as a (2^b, 2^a) matrix X for rx and ry.  Factors with a leading stack
+    shape pair with the states row by row; one factor pair rotates them
+    all."""
+    if kind == "rz":
+        return states * factor
+    hi, lo_t = factor
+    view = states.reshape(-1, hi.shape[-1], lo_t.shape[-1])
+    return (hi @ view @ lo_t).reshape(states.shape)
+
+
+def rotation_layer(states: np.ndarray, kind: str, angles: np.ndarray) -> np.ndarray:
+    """Apply R_kind(angles[q]) to every qubit q of a state, or of every row
+    of a stack of states; negated angles undo it."""
+    return _apply(states, kind, _kind_factors(kind, np.asarray(angles, dtype=float)))
 
 
 def layer_derivatives(state: np.ndarray, costate: np.ndarray, kind: str) -> np.ndarray:
@@ -207,34 +260,55 @@ def layer_derivatives(state: np.ndarray, costate: np.ndarray, kind: str) -> np.n
 
 
 def _checked_params(spec: AnsatzSpec, params: np.ndarray) -> np.ndarray:
-    """The parameters as a (-1, n_qubits) matrix, one row per rotation
-    layer in application order."""
+    """The parameters as a (..., -1, n_qubits) array, one row per rotation
+    layer in application order, for one vector or a (B, P) stack."""
     params = np.asarray(params, dtype=float)
-    if params.shape != (spec.param_count,):
+    if params.ndim not in (1, 2) or params.shape[-1] != spec.param_count:
         raise SimulationError(
             f"expected {spec.param_count} parameters, got {params.shape}"
         )
-    return params.reshape(-1, spec.n_qubits)
+    return params.reshape(*params.shape[:-1], -1, spec.n_qubits)
 
 
-def prepare(spec: AnsatzSpec, params: np.ndarray) -> np.ndarray:
-    """State produced by the ansatz on |0...0>: one ``rotation_layer`` per
-    rotation token and one basis gather per CX chain."""
-    angles = iter(_checked_params(spec, params))
+def rotation_factors(spec: AnsatzSpec, params: np.ndarray) -> list:
+    """The factors of every rotation layer of the ansatz, in application
+    order, for one parameter vector or a (B, P) stack of them: one
+    ``_kind_factors`` pass per rotation kind over all layers of that kind.
+    ``prepare``, ``reverse_sweep`` and ``shift_states`` take them, so one
+    circuit's factors are built once."""
+    layers = np.moveaxis(_checked_params(spec, params), -2, 0)
+    factors = [None] * len(layers)
+    for kind, rows in _plan(spec).rows:
+        built = _kind_factors(kind, layers[rows])
+        for i, r in enumerate(rows):
+            factors[r] = built[i] if kind == "rz" else (built[0][i], built[1][i])
+    return factors
+
+
+def prepare(spec: AnsatzSpec, params: np.ndarray, factors: list | None = None) -> np.ndarray:
+    """State produced by the ansatz on |0...0>, or the (B, 2^n) states of a
+    (B, P) parameter stack: one rotation layer per rotation token and one
+    basis gather per CX chain.  ``factors`` are ``rotation_factors(spec,
+    params)``, built here when not given."""
+    if factors is None:
+        factors = rotation_factors(spec, params)
+    state = np.zeros((*np.shape(params)[:-1], 2**spec.n_qubits), dtype=complex)
+    state[..., 0] = 1.0
     chain = _layout(spec.n_qubits).chain
-    state = zero_state(spec.n_qubits)
-    for token in spec.template * spec.layers:
-        state = state[chain] if token == "cx" else rotation_layer(state, token, next(angles))
+    layer = iter(factors)
+    for token in _plan(spec).tokens:
+        state = state[..., chain] if token == "cx" else _apply(state, token, next(layer))
     return state
 
 
-def reverse_sweep(spec: AnsatzSpec, params: np.ndarray, state: np.ndarray,
+def reverse_sweep(spec: AnsatzSpec, factors: list, state: np.ndarray,
                   costate: np.ndarray) -> np.ndarray:
     """Im <costate_k| G_k |state_k> for every rotation k of the ansatz.
 
-    ``state`` is the prepared state |psi(params)>; state_k and costate_k are
-    ``state`` and ``costate`` with every op after rotation k undone, and G_k
-    is that rotation's Pauli generator.  For costate = O |psi> with O
+    ``state`` is the prepared state |psi(params)> and ``factors`` are
+    ``rotation_factors(spec, params)``, as ``prepare`` used them; state_k
+    and costate_k are ``state`` and ``costate`` with every op after
+    rotation k undone, and G_k is that rotation's Pauli generator.  For costate = O |psi> with O
     Hermitian, entry k is d<psi|O|psi>/d params_k, so one backward pass
     gives the whole gradient (adjoint differentiation; Jones & Gacon,
     arXiv:2009.02823).
@@ -242,34 +316,71 @@ def reverse_sweep(spec: AnsatzSpec, params: np.ndarray, state: np.ndarray,
     The sweep walks the token layers backwards.  A layer's rotations act on
     distinct qubits, so each G_k commutes with the layer's other rotations
     and all n entries of the layer are read at once at its output boundary
-    (``layer_derivatives``); one inverse layer then undoes the whole layer
-    on the (state, costate) pair.
+    (``layer_derivatives``); the conjugate transposes of the layer's
+    factors then undo the whole layer on the (state, costate) pair.
     """
-    angles = _checked_params(spec, params)
     unchain = _layout(spec.n_qubits).unchain
     pair = np.stack([state, costate])
-    out = np.zeros_like(angles)
-    r = len(angles)
-    for token in reversed(spec.template * spec.layers):
+    out = np.zeros((len(factors), spec.n_qubits))
+    r = len(factors)
+    for token in reversed(_plan(spec).tokens):
         if token == "cx":
             pair = pair[:, unchain]
             continue
         r -= 1
         out[r] = layer_derivatives(*pair, token)
-        pair = rotation_layer(pair, token, -angles[r])
+        pair = _apply(pair, token, _adjoint(token, factors[r]))
     return out.ravel()
 
 
-def exact_expectation(state: np.ndarray, observable: np.ndarray) -> float:
-    """psi^dag M psi for a Hermitian observable; the brute-force oracle all
-    sampled estimators are tested against."""
-    m = np.asarray(observable)
-    if m.shape != (len(state), len(state)):
-        raise SimulationError("observable dimension does not match the state")
-    residual = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
-    if residual > 1e-10:
-        raise SimulationError(f"observable not Hermitian (residual {residual:.2e})")
-    return float(np.real(np.vdot(state, m @ state)))
+_HALF_TURN_SIGNS = np.array([1.0, -1.0])[:, None]
+
+
+def _half_turns(states: np.ndarray, kind: str, layout: _Layout) -> np.ndarray:
+    """R_q(+-pi/2) = (I -+ i G_q) / sqrt(2) on a (n, 2, 2^n) stack: qubit q
+    of rows [q, 0] turned by +pi/2, of rows [q, 1] by -pi/2."""
+    z = layout.z.T[:, None, :]
+    if kind == "rz":
+        generated = z * states
+    else:
+        flip = np.broadcast_to(layout.flip[:, None, :], states.shape)
+        generated = np.take_along_axis(states, flip, axis=-1)
+        if kind == "ry":
+            generated = -1j * z * generated
+    return (states - 1j * _HALF_TURN_SIGNS * generated) * math.sqrt(0.5)
+
+
+def shift_states(spec: AnsatzSpec, factors: list) -> np.ndarray:
+    """The parameter-shift states of every parameter as a (P, 2, 2^n)
+    stack, ``factors`` being ``rotation_factors(spec, params)``: row [j, 0]
+    is the state at params with entry j raised by pi/2, row [j, 1] with it
+    lowered by pi/2 (the r = 1/2 shift rule of Pauli-generated rotations).
+
+    A shift changes one angle, so only its layer differs from the base
+    circuit, and there by R_q(+-pi/2), which commutes with the layer.  The
+    stack therefore runs the base factors alone, never B x L of them: at
+    each rotation layer the 2n rows shifted in it start as copies of the
+    base state, the layer runs on every row started so far, and
+    ``_half_turns`` turns the new rows.  Rows start in layer order, so the
+    started rows are a prefix of the stack.
+    """
+    n = spec.n_qubits
+    layout = _layout(n)
+    # row 0 carries the base state, rows 1 + 2 (r n + q) + s the shifts
+    states = np.zeros((1 + 2 * len(factors) * n, 2**n), dtype=complex)
+    states[0, 0] = 1.0
+    live = 1
+    layer = iter(factors)
+    for token in _plan(spec).tokens:
+        if token == "cx":
+            states[:live] = states[:live, layout.chain]
+            continue
+        states[live:live + 2 * n] = states[0]
+        live += 2 * n
+        states[:live] = _apply(states[:live], token, next(layer))
+        started = states[live - 2 * n:live].reshape(n, 2, -1)
+        states[live - 2 * n:live] = _half_turns(started, token, layout).reshape(2 * n, -1)
+    return states[1:].reshape(-1, 2, 2**n)
 
 
 def sample_basis(state: np.ndarray, shots: int, seed) -> np.ndarray:
@@ -280,16 +391,3 @@ def sample_basis(state: np.ndarray, shots: int, seed) -> np.ndarray:
     probs = np.abs(np.asarray(state)) ** 2
     probs = probs / probs.sum()
     return rng(seed).multinomial(shots, probs)
-
-
-def shift_points(params: np.ndarray, index: int) -> tuple[np.ndarray, np.ndarray]:
-    """The two parameter-shift evaluation points for entry ``index``
-    (+- pi/2, the r = 1/2 convention for Pauli-generated rotations)."""
-    params = np.asarray(params, dtype=float)
-    if not (0 <= index < len(params)):
-        raise SimulationError(f"parameter index {index} out of range")
-    plus = params.copy()
-    minus = params.copy()
-    plus[index] += math.pi / 2
-    minus[index] -= math.pi / 2
-    return plus, minus

@@ -180,6 +180,39 @@ def ieee57_context(ieee57):
                                    sim.AnsatzSpec.from_row(2, 9, 2))
 
 
+def exact_expectation(state, observable):
+    """psi^dag M psi for a Hermitian observable; the brute-force oracle all
+    sampled estimators are tested against."""
+    m = np.asarray(observable)
+    if m.shape != (len(state), len(state)):
+        raise sim.SimulationError("observable dimension does not match the state")
+    residual = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
+    if residual > 1e-10:
+        raise sim.SimulationError(f"observable not Hermitian (residual {residual:.2e})")
+    return float(np.real(np.vdot(state, m @ state)))
+
+
+def shift_points(params, index):
+    """The two parameter-shift evaluation points for entry ``index``
+    (+- pi/2, the r = 1/2 convention for Pauli-generated rotations)."""
+    params = np.asarray(params, dtype=float)
+    if not (0 <= index < len(params)):
+        raise sim.SimulationError(f"parameter index {index} out of range")
+    plus = params.copy()
+    minus = params.copy()
+    plus[index] += math.pi / 2
+    minus[index] -= math.pi / 2
+    return plus, minus
+
+
+def g_operator(ctx, z, mode=model.EvalMode()):
+    """Signed saddle field [grad_theta; grad_alpha; -grad_phi; -grad_beta]
+    at a stacked iterate z (anything with theta/alpha/phi/beta)."""
+    result = model.grad(ctx, model.PrimalPoint(z.theta, z.alpha),
+                        model.DualPoint(z.phi, z.beta), mode)
+    return result.stacked()
+
+
 def random_state(rng, dim):
     state = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return state / np.linalg.norm(state)

@@ -20,7 +20,8 @@ from qopf import bounds, grid, harness, model, permute, saddle, sim, xbm
 from qopf.model import DualPoint, PrimalPoint, sampled_mode
 from qopf.permute import SparsityPattern
 
-from conftest import CASE2_TEXT, random_hermitian, random_problem, random_state
+from conftest import (CASE2_TEXT, exact_expectation, random_hermitian,
+                      random_problem, random_state)
 
 
 def criterion(name: str, ok: bool, detail: str = ""):
@@ -59,7 +60,7 @@ def test_xbm_correctness_suite():
                 rotated = rot @ sub @ rot.conj().T
                 off = rotated - np.diag(np.diagonal(rotated))
                 worst_offdiag = max(worst_offdiag, float(np.max(np.abs(off))))
-            exact = sim.exact_expectation(state, m)
+            exact = exact_expectation(state, m)
             variance, _ = xbm.estimator_variance(dec, state, shots)
             estimate = xbm.estimate_expectation(state, dec, shots,
                                                 seed=[n, trial]).estimate

@@ -8,8 +8,9 @@ from qopf.grid import Constraint, ValidationError
 from qopf.model import DualPoint, PrimalPoint, exact_mode, sampled_mode
 from qopf.saddle import classical_lagrangian
 
-from conftest import (per_row_pieces, piecewise_rotation, problem_from_rows,
-                      random_hermitian, random_problem, stack_problems)
+from conftest import (exact_expectation, g_operator, per_row_pieces,
+                      piecewise_rotation, problem_from_rows, random_hermitian,
+                      random_problem, shift_points, stack_problems)
 
 
 @pytest.fixture(scope="module")
@@ -153,7 +154,7 @@ def test_eval_f_sampled_degenerate_dual(ctx44):
     p, _ = random_points(ctx44, 10)
     d = DualPoint(np.zeros(ctx44.q_count), 1.0)   # |0000> -> m* = 0
     psi = sim.prepare(ctx44.primal_spec, p.theta)
-    exact_fm = sim.exact_expectation(psi, ctx44.problem.dense_constraints()[0])
+    exact_fm = exact_expectation(psi, ctx44.problem.dense_constraints()[0])
     values = [model.eval_F_sampled(ctx44, p, d, shots=64, seed=[21, k])
               for k in range(200)]
     assert abs(np.mean(values) - exact_fm) < 0.05 * max(1.0, abs(exact_fm))
@@ -368,7 +369,7 @@ def test_g_operator_sign_convention(ctx44):
     class Z:
         theta, alpha, phi, beta = p.theta, p.alpha, d.phi, d.beta
 
-    g = model.g_operator(ctx44, Z)
+    g = g_operator(ctx44, Z)
     np.testing.assert_allclose(g[:ctx44.p_count], res.theta)
     assert g[ctx44.p_count] == res.alpha
     np.testing.assert_allclose(g[ctx44.p_count + 1:-1], -res.phi)
@@ -410,9 +411,9 @@ def parameter_shift_field(ctx, p, d):
     def lag(theta=p.theta, alpha=p.alpha, phi=d.phi, beta=d.beta):
         return model.lagrangian(ctx, PrimalPoint(theta, alpha), DualPoint(phi, beta))
 
-    shifted_theta = (sim.shift_points(p.theta, j) for j in range(ctx.p_count))
+    shifted_theta = (shift_points(p.theta, j) for j in range(ctx.p_count))
     g_theta = [(lag(theta=plus) - lag(theta=minus)) / 2 for plus, minus in shifted_theta]
-    shifted_phi = (sim.shift_points(d.phi, j) for j in range(ctx.q_count))
+    shifted_phi = (shift_points(d.phi, j) for j in range(ctx.q_count))
     g_phi = [(lag(phi=plus) - lag(phi=minus)) / 2 for plus, minus in shifted_phi]
     g_alpha = (lag(alpha=p.alpha + 1) - lag(alpha=p.alpha - 1)) / 2
     g_beta = (lag(beta=d.beta + 1) - lag(beta=d.beta - 1)) / 2

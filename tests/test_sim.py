@@ -1,16 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qopf import sim, xbm
+from qopf import model, sim, xbm
 from qopf.sim import AnsatzSpec, SimulationError
 
-from conftest import (ORACLE_GATES, PAULIS, oracle_ansatz, oracle_cx,
-                      oracle_rotation, oracle_single, random_hermitian,
-                      random_state)
+from conftest import (ORACLE_GATES, PAULIS, exact_expectation, oracle_ansatz,
+                      oracle_cx, oracle_rotation, oracle_single, random_hermitian,
+                      random_state, shift_points)
 
 # Reproducible property runs that leave no example database behind.
 PROPERTY = settings(max_examples=30, deadline=None, database=None, derandomize=True)
@@ -141,10 +142,10 @@ def test_prepare_rejects_wrong_length():
 
 def test_exact_expectation_basics():
     state = sim.zero_state(1)
-    assert sim.exact_expectation(state, np.diag([1.0, -1.0])) == 1.0
+    assert exact_expectation(state, np.diag([1.0, -1.0])) == 1.0
     rng = np.random.default_rng(4)
     state = random_state(rng, 8)
-    assert sim.exact_expectation(state, np.eye(8)) == pytest.approx(1.0, abs=1e-12)
+    assert exact_expectation(state, np.eye(8)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_exact_expectation_against_double_loop():
@@ -153,13 +154,13 @@ def test_exact_expectation_against_double_loop():
     m = random_hermitian(rng, 8)
     slow = sum(state[i].conjugate() * m[i, j] * state[j]
                for i in range(8) for j in range(8))
-    assert sim.exact_expectation(state, m) == pytest.approx(slow.real, abs=1e-12)
+    assert exact_expectation(state, m) == pytest.approx(slow.real, abs=1e-12)
     assert abs(slow.imag) < 1e-12
 
 
 def test_exact_expectation_rejects_non_hermitian():
     with pytest.raises(SimulationError, match="Hermitian"):
-        sim.exact_expectation(sim.zero_state(1), np.array([[0, 1], [0, 0]]))
+        exact_expectation(sim.zero_state(1), np.array([[0, 1], [0, 0]]))
 
 
 def test_sample_basis_deterministic_state():
@@ -196,13 +197,13 @@ def test_sampling_unbiased_for_diagonal_observable():
 
 
 def test_shift_points():
-    plus, minus = sim.shift_points(np.array([0.0]), 0)
+    plus, minus = shift_points(np.array([0.0]), 0)
     assert plus[0] == pytest.approx(math.pi / 2)
     assert minus[0] == pytest.approx(-math.pi / 2)
-    back, _ = sim.shift_points(minus, 0)
+    back, _ = shift_points(minus, 0)
     assert back[0] == pytest.approx(0.0)
     with pytest.raises(SimulationError):
-        sim.shift_points(np.array([0.0]), 1)
+        shift_points(np.array([0.0]), 1)
 
 
 def test_psr_matches_finite_difference_for_expectation():
@@ -214,10 +215,10 @@ def test_psr_matches_finite_difference_for_expectation():
         params = rng.uniform(0, 2 * math.pi, spec.param_count)
 
         def f(p):
-            return sim.exact_expectation(sim.prepare(spec, p), m)
+            return exact_expectation(sim.prepare(spec, p), m)
 
         for j in range(spec.param_count):
-            plus, minus = sim.shift_points(params, j)
+            plus, minus = shift_points(params, j)
             psr = 0.5 * (f(plus) - f(minus))
             stepped = params.copy()
             stepped[j] += h
@@ -230,19 +231,62 @@ def test_psr_matches_finite_difference_for_expectation():
 def test_reverse_sweep_matches_shift_rule():
     rng = np.random.default_rng(9)
     for row in range(1, 9):
-        for n in (1, 3):
+        for n in range(1, 10):
             spec = AnsatzSpec.from_row(row, n, 2)
             m = random_hermitian(rng, 2**n)
             params = rng.uniform(0, 2 * math.pi, spec.param_count)
             psi = sim.prepare(spec, params)
-            adjoint = sim.reverse_sweep(spec, params, psi, m @ psi)
+            adjoint = sim.reverse_sweep(spec, sim.rotation_factors(spec, params), psi, m @ psi)
 
             def f(p):
-                return sim.exact_expectation(sim.prepare(spec, p), m)
+                return exact_expectation(sim.prepare(spec, p), m)
 
-            shifted = (sim.shift_points(params, j) for j in range(spec.param_count))
+            shifted = (shift_points(params, j) for j in range(spec.param_count))
             psr = np.array([0.5 * (f(plus) - f(minus)) for plus, minus in shifted])
             assert np.max(np.abs(adjoint - psr)) < 1e-12, (row, n)
+
+
+def test_stacked_prepare_matches_single_prepare():
+    """A (B, P) parameter stack, random rows followed by the +-pi/2 shift
+    points of every entry, prepares row by row the same states bit for bit
+    as one vector at a time; ``shift_states`` matches the shift rows."""
+    rng = np.random.default_rng(12)
+    for row in range(1, 9):
+        for n in (1, 2, 5):
+            spec = AnsatzSpec.from_row(row, n, 2)
+            params = rng.uniform(-2 * math.pi, 2 * math.pi, spec.param_count)
+            shifts = np.array([shift_points(params, j) for j in range(spec.param_count)])
+            stack = np.concatenate([rng.uniform(-7, 7, (3, spec.param_count)),
+                                    shifts.reshape(-1, spec.param_count)])
+            stacked = sim.prepare(spec, stack)
+            assert stacked.shape == (len(stack), 2**n)
+            for b, one in enumerate(stack):
+                assert np.array_equal(stacked[b], sim.prepare(spec, one)), (row, n, b)
+            turned = sim.shift_states(spec, sim.rotation_factors(spec, params))
+            assert turned.shape == (spec.param_count, 2, 2**n)
+            assert np.max(np.abs(turned.reshape(-1, 2**n) - stacked[3:])) < 1e-12, (row, n)
+
+
+def test_sampled_gradient_memory_at_benchmark_ansatz(ieee57_context):
+    """The stacked parameter shifts hold one factor set per circuit, not
+    one per shift: a sampled gradient on the benchmark ansatz pair (P =
+    120, Q = 315, 100 shots) peaks below 64 MB of traced memory, where
+    per-shift factors alone would take about 450 MB."""
+    ctx = model.LagrangianContext(ieee57_context.problem, AnsatzSpec.from_row(6, 6, 10),
+                                  AnsatzSpec.from_row(2, 9, 35))
+    assert (ctx.p_count, ctx.q_count) == (120, 315)
+    ctx.joint_diagonals.rotations
+    rng = np.random.default_rng(13)
+    p = model.PrimalPoint(rng.uniform(0, 2 * math.pi, ctx.p_count), 1.1)
+    d = model.DualPoint(rng.uniform(0, 2 * math.pi, ctx.q_count), 3.0)
+    tracemalloc.start()
+    try:
+        result = model.grad(ctx, p, d, model.sampled_mode(100, [13]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(result.stacked()))
+    assert peak < 64e6, peak / 1e6
 
 
 @pytest.mark.parametrize("kind", sim.ROTATIONS)

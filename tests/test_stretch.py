@@ -11,8 +11,9 @@ truth comes from an external tool:
     pytest tests/test_stretch.py -m stretch -s
 
 Optional environment knobs: QOPF_STRETCH_INSTANCES (default 15),
-QOPF_STRETCH_ITERS (default 100000), QOPF_STRETCH_OUT (report directory).
-Expect hours of runtime.
+QOPF_STRETCH_ITERS (default 100000), QOPF_STRETCH_OUT (report directory;
+by default stretch-run/ under the test's pytest temporary directory, so the
+run writes nothing into the working directory).  Expect hours of runtime.
 """
 
 import os
@@ -28,14 +29,14 @@ LAGRANGIAN_ERROR_TARGET = 0.05
 
 
 @pytest.mark.stretch
-def test_ieee57_benchmark_soft_gate():
+def test_ieee57_benchmark_soft_gate(tmp_path):
     ref_path = os.environ.get("QOPF_STRETCH_REF")
     if not ref_path:
         pytest.skip("set QOPF_STRETCH_REF to a reference-solution JSON "
                     "(external OPF ground truth) to run the benchmark gate")
     instances = int(os.environ.get("QOPF_STRETCH_INSTANCES", "15"))
     max_iters = int(os.environ.get("QOPF_STRETCH_ITERS", "100000"))
-    out_dir = os.environ.get("QOPF_STRETCH_OUT", "stretch-run")
+    out_dir = os.environ.get("QOPF_STRETCH_OUT") or str(tmp_path / "stretch-run")
 
     config = ExperimentConfig(
         case_path=str(bundled_case_path("ieee57")),

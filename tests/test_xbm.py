@@ -6,9 +6,9 @@ import pytest
 from qopf import grid, sim, xbm
 from qopf.xbm import DecompositionError
 
-from conftest import (ORACLE_GATES, oracle_cx, oracle_rotation, oracle_single,
-                      per_row_pieces, piecewise_rotation, random_hermitian, random_state,
-                      stack_problems)
+from conftest import (ORACLE_GATES, exact_expectation, oracle_cx, oracle_rotation,
+                      oracle_single, per_row_pieces, piecewise_rotation,
+                      random_hermitian, random_state, stack_problems)
 
 
 def circuit_unitary(circuit, n_qubits):
@@ -243,7 +243,7 @@ def test_estimate_within_five_sigma_of_exact():
         m = random_hermitian(rng, 8)
         state = random_state(rng, 8)
         dec = xbm.decompose(m)
-        exact = sim.exact_expectation(state, m)
+        exact = exact_expectation(state, m)
         variance, _ = xbm.estimator_variance(dec, state, shots)
         report = xbm.estimate_expectation(state, dec, shots, seed=[6, trial])
         assert abs(report.estimate - exact) < 5 * math.sqrt(variance) + 1e-9
@@ -254,7 +254,7 @@ def test_estimator_unbiased_single_shot():
     m = random_hermitian(rng, 4)
     state = random_state(rng, 4)
     dec = xbm.decompose(m)
-    exact = sim.exact_expectation(state, m)
+    exact = exact_expectation(state, m)
     variance, _ = xbm.estimator_variance(dec, state, 1)
     n = 10_000
     values = [xbm.estimate_expectation(state, dec, 1, seed=[7, k]).estimate
@@ -364,3 +364,28 @@ def test_estimators_match_piecewise_loops(source, request):
         assert all(a is b for (a, _), b in zip(report.per_piece, dec.pieces))
         assert tuple(xbm.estimator_variance(dec, state, 40)) == \
             piecewise_variance(state, dec, 40)
+
+
+def test_piece_entries_lookup_matches_plain_search():
+    """``PieceEntries.lookup`` searches its keys in sorted order; its values
+    equal those of the plain ``np.searchsorted`` lookup on random pairs,
+    about half of them misses, including keys below the first and above
+    the last entry."""
+    rng = np.random.default_rng(31)
+    dim, segments = 64, 40
+    keys = np.sort(rng.choice(segments * dim, 700, replace=False))
+    entries = xbm.PieceEntries(keys, rng.standard_normal(len(keys)), dim)
+    seg = rng.integers(0, segments, (7, 300))
+    idx = rng.integers(0, dim, (7, 300))
+    seg[0, :2], idx[0, :2] = 0, 0
+    seg[0, 2:4], idx[0, 2:4] = segments - 1, dim - 1
+    flat = seg * dim + idx
+    pos = np.minimum(np.searchsorted(keys, flat), len(keys) - 1)
+    expected = np.where(keys[pos] == flat, entries.values[pos], 0.0)
+    assert 0.3 < np.mean(expected == 0) < 0.8
+    got = entries.lookup(seg, idx)
+    assert got.shape == seg.shape
+    assert np.array_equal(got, expected)
+    for side in ("left", "right"):
+        assert np.array_equal(xbm.sorted_search(keys, flat, side=side),
+                              np.searchsorted(keys, flat, side=side))
