@@ -109,7 +109,6 @@ def inputs_from_context(ctx: LagrangianContext, alpha_bar: float | None = None,
     if beta_bar is None:
         beta_bar = 2.0 * problem.m
     max_norm = float(np.max(row_norms(problem.stack), initial=0.0))
-    sum_max = sum(norm**2 for norm in ctx.joint_diagonals.norms)
     return BoundInputs(
         p_count=ctx.p_count,
         q_count=ctx.q_count,
@@ -119,7 +118,7 @@ def inputs_from_context(ctx: LagrangianContext, alpha_bar: float | None = None,
         max_norm_mm=max_norm,
         max_abs_b=float(np.max(np.abs(problem.bounds))),
         sum_norm_sq_m0=ctx.m0_decomposition.sum_norm_sq,
-        sum_max_norm_sq=sum_max,
+        sum_max_norm_sq=ctx.joint_diagonals.sum_norm_sq,
         colors=ctx.color_count,
         rho=rho,
         epsilon=epsilon,

@@ -58,23 +58,18 @@ def _cmd_xbm_stats(args) -> int:
     case = load_case(args.case)
     prepared = harness.prepare_case(case, args.rcm_runs, args.seed)
     problem = prepared.permuted
-    m0_dec = xbm.decompose(problem.m0)
-    rows = [("M0", m0_dec)]
+    m0 = xbm.decompose(problem.m0)
     pieces = xbm.piece_table(problem.stack)
-    union_colors = m0_dec.colors | pieces.colors
-    sum_max_sq = sum(norm**2 for norm in pieces.norms)
+    union_colors = m0.colors | pieces.colors
     print(f"union colors C = {len(union_colors)} "
           f"(2C-1 = {2 * len(union_colors) - 1} rotated circuits)")
-    print(f"sum_c max_m ||M_m^c||^2 = {sum_max_sq:.6g}")
+    print(f"sum_c max_m ||M_m^c||^2 = {pieces.sum_norm_sq:.6g}")
+    gates = [circuit.gate_count if circuit else 0 for circuit in m0.circuits]
     print("observable,colors,pieces,max_gates,sum_norm_sq")
-    for name, dec in rows:
-        gates = max((p.circuit.gate_count if p.circuit else 0) for p in dec.pieces)
-        print(f"{name},{len(dec.colors)},{len(dec.pieces)},{gates},{dec.sum_norm_sq:.6g}")
+    print(f"M0,{len(m0.colors)},{len(m0)},{max(gates, default=0)},{m0.sum_norm_sq:.6g}")
     print("piece,color,part,gates,norm")
-    for name, dec in rows:
-        for p in dec.pieces:
-            n_gates = p.circuit.gate_count if p.circuit else 0
-            print(f"{name},{p.color},{p.part},{n_gates},{p.norm:.6g}")
+    for (color, part), n_gates, norm in zip(m0.pieces, gates, m0.norms):
+        print(f"M0,{color},{part},{n_gates},{norm:.6g}")
     return EXIT_OK
 
 

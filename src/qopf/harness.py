@@ -5,8 +5,9 @@ the admittance pattern, assemble and pad the QCQP, conjugate it by the
 permutation, solve with the chosen engine(s), reverse-permute the voltage,
 and score against a reference solution.  Metrics follow the benchmark
 protocol: relative errors of generator setpoints x = [p_g; v_g] and of the
-multipliers on power-balance and line rows, and three violation statistics
-over the non-balance rows with label-specific normalizers.
+multipliers on power-balance and line rows, each balance pair in its
+minimal split, and three violation statistics over the non-balance rows
+with label-specific normalizers.
 
 Reference solutions are ingested from JSON (produced externally by an OPF
 tool) or computed by the built-in brute-force grid oracle for desk-scale
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import nnls
+from scipy.optimize import minimize, nnls
 
 from . import model as model_mod
 from . import saddle as saddle_mod
@@ -97,7 +98,6 @@ class ExperimentConfig:
     reference_path: str | None = None
     out_dir: str | None = None
     divergence_ceiling: float = 1e9
-    symmetric_eg: bool = False
     apply_simplifications: bool = True
 
     def __post_init__(self):
@@ -170,7 +170,6 @@ def config_from_json(doc: dict | str | Path) -> ExperimentConfig:
         reference_path=doc.get("reference", base.reference_path),
         out_dir=doc.get("out", base.out_dir),
         divergence_ceiling=doc.get("divergence_ceiling", base.divergence_ceiling),
-        symmetric_eg=doc.get("symmetric_eg", base.symmetric_eg),
         apply_simplifications=doc.get("apply_simplifications",
                                       base.apply_simplifications),
     )
@@ -513,15 +512,32 @@ def violation_stats(case: NetworkCase, problem: QcqpProblem,
         float(np.mean(normalized) * 100)
 
 
+def minimal_split(problem: QcqpProblem, lam_restricted: np.ndarray) -> np.ndarray:
+    """Restricted multipliers with each balance equality's pair of rows,
+    (M, b) and (-M, -b), mapped to its minimal split: adding t to both
+    multipliers of a pair leaves L unchanged, so only mu = lam+ - lam- is
+    determined, and the pair becomes lam+ = max(mu, 0), lam- = max(-mu, 0)."""
+    labels = np.array([problem.labels[k] for k in restricted_rows(problem)])
+    upper, lower = np.flatnonzero(
+        np.isin(labels, (LABEL_BALANCE_P, LABEL_BALANCE_Q))).reshape(-1, 2).T
+    out = np.array(lam_restricted, dtype=float)
+    mu = out[upper] - out[lower]
+    out[upper], out[lower] = np.maximum(mu, 0.0), np.maximum(-mu, 0.0)
+    return out
+
+
 def compute_metrics(case: NetworkCase, problem: QcqpProblem, v: np.ndarray,
                     lam: np.ndarray, lagrangian_final: float,
                     ref: ReferenceInstance) -> MetricBlock:
+    """Setpoint, multiplier, violation and Lagrangian errors against a
+    reference; the multipliers of both sides are compared in their
+    ``minimal_split``."""
     x = extract_setpoints(case, problem, v)
     x_err = float(np.linalg.norm(x - ref.x) / max(np.linalg.norm(ref.x), 1e-12))
-    rows = restricted_rows(problem)
-    lam_found = lam[rows]
-    lam_err = float(np.linalg.norm(lam_found - ref.lam)
-                    / max(np.linalg.norm(ref.lam), 1e-12))
+    lam_found = minimal_split(problem, lam[restricted_rows(problem)])
+    lam_ref = minimal_split(problem, ref.lam)
+    lam_err = float(np.linalg.norm(lam_found - lam_ref)
+                    / max(np.linalg.norm(lam_ref), 1e-12))
     count, vmax, vmean = violation_stats(case, problem, v)
     lag_err = float(abs(lagrangian_final - ref.cost) / max(abs(ref.cost), 1e-12))
     return MetricBlock(x_err, lam_err, count, vmax, vmean, lag_err)
@@ -529,9 +545,9 @@ def compute_metrics(case: NetworkCase, problem: QcqpProblem, v: np.ndarray,
 
 def dual_comparison_entries(problem: QcqpProblem, lam: np.ndarray,
                             floor: float = 1e-6) -> np.ndarray:
-    """Restricted dual entries with sub-floor values zeroed, for the sorted
-    concatenated dual-recovery plots."""
-    entries = lam[restricted_rows(problem)].copy()
+    """Restricted dual entries in their ``minimal_split`` with sub-floor
+    values zeroed, for the sorted concatenated dual-recovery plots."""
+    entries = minimal_split(problem, lam[restricted_rows(problem)])
     entries[entries < floor] = 0.0
     return entries
 
@@ -558,19 +574,19 @@ def overlap_gradient(spec: AnsatzSpec, params: np.ndarray,
 
 
 def fit_state(spec: AnsatzSpec, target: np.ndarray, seed, restarts: int = 3,
-              iters: int = 400, step: float = 0.5) -> tuple[float, np.ndarray]:
-    """Gradient descent on the overlap cost from random starts; returns the
-    best (cost, params)."""
+              iters: int = 400) -> tuple[float, np.ndarray]:
+    """L-BFGS-B on the overlap cost with its adjoint gradient, at most
+    ``iters`` iterations from each of ``restarts`` random starts; returns
+    the best (cost, params)."""
     best_cost, best_params = math.inf, None
     for r in range(restarts):
-        params = rng(chain_seed(seed, r)).uniform(0, 2 * math.pi, spec.param_count)
-        mu = step
-        for _ in range(iters):
-            params = params - mu * overlap_gradient(spec, params, target)
-            mu *= 0.995
-        cost = overlap_cost(spec, params, target)
-        if cost < best_cost:
-            best_cost, best_params = cost, params
+        start = rng(chain_seed(seed, r)).uniform(0, 2 * math.pi, spec.param_count)
+        result = minimize(lambda x: overlap_cost(spec, x, target), start,
+                          jac=lambda x: overlap_gradient(spec, x, target),
+                          method="L-BFGS-B",
+                          options={"maxiter": iters, "ftol": 0.0, "gtol": 1e-12})
+        if result.fun < best_cost:
+            best_cost, best_params = float(result.fun), result.x
     return best_cost, best_params
 
 
@@ -721,8 +737,7 @@ def _run_single(config: ExperimentConfig, prepared: PreparedCase, model: str,
             problem, n_loads, chain_seed(config.seed, 1, instance_idx))
         traj = saddle_mod.run_classical(
             problem, init, method, config.classical_schedule, config.classical_stop,
-            divergence_ceiling=config.divergence_ceiling,
-            symmetric_eg=config.symmetric_eg)
+            divergence_ceiling=config.divergence_ceiling)
         v = traj.final.v
         lam = traj.final.lam
     else:
@@ -739,8 +754,7 @@ def _run_single(config: ExperimentConfig, prepared: PreparedCase, model: str,
         init = saddle_mod.default_quantum_init(
             ctx, prepared.case.n, n_loads, chain_seed(config.seed, 3, instance_idx))
         traj = saddle_mod.run(ctx, init, method, config.quantum_schedule, config.stop,
-                              mode=mode, divergence_ceiling=config.divergence_ceiling,
-                              symmetric_eg=config.symmetric_eg)
+                              mode=mode, divergence_ceiling=config.divergence_ceiling)
         final = traj.final
         v_perm = model_mod.primal_vector(ctx, PrimalPoint(final.theta, final.alpha))
         v = recover_voltage(prepared, v_perm)

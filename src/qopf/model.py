@@ -112,16 +112,15 @@ class LagrangianContext:
     """Everything needed to evaluate L and its gradients on one problem.
 
     Holds the padded (and usually permuted) QCQP, whose ``stack`` gives the
-    constraint forms and actions, the ansatz pair, the color decomposition
-    of the cost matrix, and the block-diagonal joint observable of size
-    MN x MN, never materialized: ``joint_diagonals`` is its
-    ``xbm.PieceTable``, holding the (color, part) pieces, the nonzero
-    entries of every constraint's rotated piece diagonals as one
-    ``xbm.PieceEntries`` whose segment of piece p and constraint m is
-    p * M + m, and the pieces' primal measurement rotations grouped for
-    ``xbm.rotate_pieces``.  The sampled F draws a dual outcome m and a
-    rotated primal outcome i independently per piece and looks the pairs of
-    all pieces up at once in those entries.
+    constraint forms and actions, the ansatz pair, and two ``xbm.PieceTable``
+    of color pieces, each with its (color, part) pieces, the nonzero entries
+    of its rotated piece diagonals as one ``xbm.PieceEntries``, its norms and
+    its primal measurement rotations grouped for ``xbm.rotate_pieces``:
+    ``m0_decomposition`` of the cost matrix, and ``joint_diagonals`` of the
+    block-diagonal joint observable of size MN x MN, never materialized,
+    whose segment of piece p and constraint m is p * M + m.  The sampled F
+    draws a dual outcome m and a rotated primal outcome i independently per
+    piece and looks the pairs of all pieces up at once in those entries.
     """
 
     def __init__(self, problem: QcqpProblem, primal_spec: AnsatzSpec,
@@ -207,7 +206,7 @@ def eval_terms_exact(ctx: LagrangianContext, p: PrimalPoint, d: DualPoint) -> Te
 
 def _sample_f0(ctx: LagrangianContext, psi: np.ndarray, mode: EvalMode) -> tuple[float, int]:
     report = xbm.estimate_expectation(psi, ctx.m0_decomposition, mode.shots, mode.seed)
-    return report.estimate, mode.shots * len(ctx.m0_decomposition.pieces)
+    return report.estimate, mode.shots * len(ctx.m0_decomposition)
 
 
 def _sample_g(ctx: LagrangianContext, w: np.ndarray, mode: EvalMode) -> tuple[float, int]:
@@ -218,7 +217,7 @@ def _sample_g(ctx: LagrangianContext, w: np.ndarray, mode: EvalMode) -> tuple[fl
 def _primal_cdfs(ctx: LagrangianContext, psi: np.ndarray) -> np.ndarray:
     """(pieces, *psi.shape) cumulative outcome distributions of the
     color-rotated primal circuit of a state, or of every state of a stack,
-    one leading row per joint constraint piece in key order."""
+    one leading row per joint constraint piece in table order."""
     cdfs = np.abs(xbm.rotate_pieces(psi, ctx.joint_diagonals.rotations)) ** 2
     np.cumsum(cdfs, axis=-1, out=cdfs)
     cdfs /= cdfs[..., -1:]
@@ -232,17 +231,15 @@ def _dual_cdf(w: np.ndarray) -> np.ndarray:
 
 
 def _sample_f(ctx: LagrangianContext, cdfs: np.ndarray, w_cdf: np.ndarray,
-              mode: EvalMode, primal_shots_per_draw: int = 1) -> tuple[float, int]:
+              mode: EvalMode) -> tuple[float, int]:
     """Two-step estimate of F from independent dual and primal draws.
 
     Per color piece k, on its own stream: S dual outcomes m are drawn from
-    the dual PMF (CDF ``w_cdf``) and S * r outcomes i of the color-rotated
-    primal circuit from row k of ``cdfs`` (``_primal_cdfs``), r =
-    ``primal_shots_per_draw``; each dual outcome pairs with r primal ones,
-    and the piece diagonal of constraint m at i, looked up in the sparse
-    entries under the key (k * M + m) * dim + i, is averaged over the S * r
-    pairs.
-    That costs O(S r log nnz) per piece after the O(M + dim) CDFs.
+    the dual PMF (CDF ``w_cdf``) and S outcomes i of the color-rotated
+    primal circuit from row k of ``cdfs`` (``_primal_cdfs``); each pair
+    scores the piece diagonal of constraint m at i, looked up in the sparse
+    entries under the key (k * M + m) * dim + i, averaged over the S pairs.
+    That costs O(S log nnz) per piece after the O(M + dim) CDFs.
 
     The pieces are batched: the loop over pieces only seeds each piece's
     stream and takes its draws, the primal ones inverted in that piece's
@@ -251,32 +248,30 @@ def _sample_f(ctx: LagrangianContext, cdfs: np.ndarray, w_cdf: np.ndarray,
     draws, all pairs are looked up at once in ``ctx.joint_diagonals.entries``,
     and the per-piece means are added in piece order.
     """
-    shots, r = mode.shots, primal_shots_per_draw
+    shots = mode.shots
     pieces = len(ctx.joint_diagonals)
     dual_u = np.empty((pieces, shots))
-    i = np.empty((pieces, shots * r), dtype=np.intp)
+    i = np.empty((pieces, shots), dtype=np.intp)
     for k in range(pieces):
         draws = rng(chain_seed(mode.seed, k))
         draws.random(out=dual_u[k])
-        i[k] = np.searchsorted(cdfs[k], draws.random(shots * r), side="right")
+        i[k] = np.searchsorted(cdfs[k], draws.random(shots), side="right")
     m = xbm.sorted_search(w_cdf, dual_u, side="right")
     segments = m + ctx.problem.m_stored * np.arange(pieces)[:, None]
-    values = ctx.joint_diagonals.entries.lookup(np.repeat(segments, r, axis=1), i)
+    values = ctx.joint_diagonals.entries.lookup(segments, i)
     total = 0.0
-    for mean in (values.sum(axis=1) / (shots * r)).tolist():
+    for mean in (values.sum(axis=1) / shots).tolist():
         total += mean
-    return total, shots * r * pieces
+    return total, shots * pieces
 
 
 def eval_F_sampled(ctx: LagrangianContext, p: PrimalPoint, d: DualPoint,
-                   shots: int, seed, primal_shots_per_draw: int = 1) -> float:
+                   shots: int, seed) -> float:
     """Unbiased sampled estimate of F(theta, phi)."""
-    if primal_shots_per_draw < 1:
-        raise ValidationError("primal_shots_per_draw must be >= 1")
     psi = prepare(ctx.primal_spec, p.theta)
     w = dual_pmf(ctx, d)
     value, _ = _sample_f(ctx, _primal_cdfs(ctx, psi), _dual_cdf(w),
-                         sampled_mode(shots, seed), primal_shots_per_draw)
+                         sampled_mode(shots, seed))
     return value
 
 

@@ -7,9 +7,7 @@ Both engines step against the signed field g(z) = [grad_theta; grad_alpha;
 blocks and ascends in the dual ones.  The scale variables alpha and beta
 (and the classical multipliers) are clipped at zero after every update.
 The extragradient first moves to a midpoint with step 2*mu and then applies
-the field evaluated there with step mu, exactly as specified; a symmetric
-(mu, mu) variant is available behind a flag since the 2*mu prefactor is
-unusual.
+the field evaluated there with step mu, exactly as specified.
 """
 
 from __future__ import annotations
@@ -146,16 +144,14 @@ def pd_step(g_fn, z: SaddlePointState, rates) -> tuple[SaddlePointState, dict]:
     return nxt, {"g": g, "shots": shots}
 
 
-def eg_step(g_fn, z: SaddlePointState, rates,
-            symmetric: bool = False) -> tuple[SaddlePointState, dict]:
-    """One extragradient step: midpoint with step 2*mu (or mu when
-    ``symmetric``), final update with the field at the midpoint and step mu;
-    fresh gradient evaluation at both points, projections at both."""
+def eg_step(g_fn, z: SaddlePointState, rates) -> tuple[SaddlePointState, dict]:
+    """One extragradient step: midpoint with step 2*mu, final update with the
+    field at the midpoint and step mu; fresh gradient evaluation at both
+    points, projections at both."""
     p_count, q_count = len(z.theta), len(z.phi)
     mu = _mu_vector(rates, p_count, q_count)
     g1, shots1 = g_fn(z, z.iteration, 0)
-    lead = 1.0 if symmetric else 2.0
-    mid_vec = _project(z.stacked() - lead * mu * g1, p_count, q_count)
+    mid_vec = _project(z.stacked() - 2.0 * mu * g1, p_count, q_count)
     mid = SaddlePointState.from_stacked(mid_vec, p_count, q_count, z.iteration)
     g2, shots2 = g_fn(mid, z.iteration, 1)
     vec = _project(z.stacked() - mu * g2, p_count, q_count)
@@ -210,8 +206,7 @@ def make_variational_g(ctx: LagrangianContext, mode: EvalMode):
 
 def run(ctx: LagrangianContext, init: SaddlePointState, method: str,
         schedule: StepSchedule, stop: StopRule, mode: EvalMode = EvalMode(),
-        divergence_ceiling: float = 1e9, symmetric_eg: bool = False,
-        record_lagrangian: bool = True) -> Trajectory:
+        divergence_ceiling: float = 1e9, record_lagrangian: bool = True) -> Trajectory:
     """Iterate PD or EG from ``init`` until the stop rule fires.
 
     Records the Lagrangian (evaluated in the run's mode), per-block gradient
@@ -236,7 +231,7 @@ def run(ctx: LagrangianContext, init: SaddlePointState, method: str,
         if method == PD:
             nxt, info = pd_step(g_fn, z, rates)
         else:
-            nxt, info = eg_step(g_fn, z, rates, symmetric=symmetric_eg)
+            nxt, info = eg_step(g_fn, z, rates)
         value = lag(nxt, 1) if record_lagrangian else math.nan
         if record_lagrangian and abs(value) > divergence_ceiling:
             traj.stop_reason = "diverged"
@@ -296,16 +291,14 @@ def classical_pd_step(problem: QcqpProblem, s: ClassicalState, steps) -> Classic
     return ClassicalState(v_next, lam_next)
 
 
-def classical_eg_step(problem: QcqpProblem, s: ClassicalState, steps,
-                      symmetric: bool = False) -> ClassicalState:
+def classical_eg_step(problem: QcqpProblem, s: ClassicalState, steps) -> ClassicalState:
     """Extragradient on the stacked (v, lambda) with the same signed-field
     template as the variational engine (both gradients per stage evaluated
     at the stage point)."""
     mu_v, mu_lam = steps
-    lead = 1.0 if symmetric else 2.0
     grad_v, grad_lam = _classical_field(problem, s.v, s.lam)
-    v_mid = s.v - lead * mu_v * grad_v
-    lam_mid = np.maximum(s.lam + lead * mu_lam * grad_lam, 0.0)
+    v_mid = s.v - 2.0 * mu_v * grad_v
+    lam_mid = np.maximum(s.lam + 2.0 * mu_lam * grad_lam, 0.0)
     grad_v2, grad_lam2 = _classical_field(problem, v_mid, lam_mid)
     v_next = s.v - mu_v * grad_v2
     lam_next = np.maximum(s.lam + mu_lam * grad_lam2, 0.0)
@@ -325,8 +318,7 @@ class ClassicalTrajectory:
 
 def run_classical(problem: QcqpProblem, init: ClassicalState, method: str,
                   schedule: StepSchedule, stop: StopRule,
-                  divergence_ceiling: float = 1e9,
-                  symmetric_eg: bool = False) -> ClassicalTrajectory:
+                  divergence_ceiling: float = 1e9) -> ClassicalTrajectory:
     """Iterate the classical PD or EG baseline; stop when both state blocks
     move less than the tolerances."""
     if method not in (PD, EG):
@@ -341,7 +333,7 @@ def run_classical(problem: QcqpProblem, init: ClassicalState, method: str,
         if method == PD:
             nxt = classical_pd_step(problem, s, steps)
         else:
-            nxt = classical_eg_step(problem, s, steps, symmetric=symmetric_eg)
+            nxt = classical_eg_step(problem, s, steps)
         value = classical_lagrangian(problem, nxt.v, nxt.lam)
         if abs(value) > divergence_ceiling:
             traj.stop_reason = "diverged"

@@ -8,8 +8,7 @@ fanning out from qubit k_c (the most significant set bit of c) to every other
 set bit of c, followed by a Hadamard on k_c.  The imaginary part additionally
 takes an S^dag prefix on k_c, realized here as Rz(-pi/2) (equal up to an
 irrelevant global phase).  The whole CX fan-out is one precomputed basis
-gather, and Rz and H go through the 2x2 primitive ``sim.apply_single``;
-``decompose`` builds each piece's rotation once and keeps it on the piece.
+gather, and Rz and H go through the 2x2 primitive ``sim.apply_single``.
 ``rotate_pieces`` rotates a state under many pieces at once: pieces that
 share k and part share one S^dag and one H over the stack of their
 fan-out gathers, elementwise the same operations as piece by piece, so the
@@ -24,10 +23,13 @@ k_c bit is clear, pairing it with j = i ^ c,
     imaginary part: lambda[i] = -Im M[i, j],  lambda[i ^ 2^k_c] = +Im M[i, j]
 
 ``piece_table`` computes the diagonals from coordinate entries grouped by
-i ^ j, in one pass over one matrix or a whole ``grid.MatrixStack``: a
-``PieceTable`` holds the pieces' (color, part) keys, the sorted sparse
-entries of all their diagonals as one ``PieceEntries``, their norms and
-their rotations, and scatters the diagonals densely on request.
+i ^ j, in one pass over a whole ``grid.MatrixStack``, and ``decompose`` is
+the same for one Hermitian matrix: a ``PieceTable`` holds the pieces'
+(color, part), the sorted sparse entries of all their diagonals as one
+``PieceEntries``, their norms and their rotations, each built once, and
+scatters the diagonals densely on request.  The sampled estimator
+``estimate_expectation`` and its exact variance read one matrix's pieces
+from such a table.
 The construction is validated functionally by the test suite: R M_c R^dag
 must be diagonal and equal diag(lambda) for every color and part.
 """
@@ -181,35 +183,45 @@ class PieceEntries(NamedTuple):
 @dataclass(frozen=True)
 class PieceTable:
     """The color pieces of a stack of ``count`` matrices, for the pieces
-    nonzero in at least one of them: ``keys`` lists their (color, part),
+    nonzero in at least one of them: ``pieces`` lists their (color, part),
     real parts by ascending color first, then imaginary parts; ``entries``
     holds the nonzero entries of every piece's rotated diagonals, segment
     p * count + m being matrix m of piece p; ``norms`` holds per piece
     max_m ||M_m^c||, its largest |entry|."""
 
-    keys: tuple[tuple[int, str], ...]
+    pieces: tuple[tuple[int, str], ...]
     entries: PieceEntries
     norms: list[float]
     count: int
 
     def __len__(self) -> int:
-        return len(self.keys)
+        return len(self.pieces)
 
     @property
     def colors(self) -> set[int]:
-        return {color for color, _ in self.keys}
+        return {color for color, _ in self.pieces}
+
+    @property
+    def sum_norm_sq(self) -> float:
+        """Sum over the pieces of max_m ||M_m^c||^2."""
+        return sum(norm**2 for norm in self.norms)
 
     @cached_property
     def circuits(self) -> tuple[RotationCircuit | None, ...]:
         """Each piece's measurement rotation, None for color 0."""
         n_qubits = int(math.log2(self.entries.dim))
         return tuple(rotation_circuit(color, n_qubits, part) if color else None
-                     for color, part in self.keys)
+                     for color, part in self.pieces)
 
     @cached_property
     def rotations(self) -> PieceRotations:
         """The pieces' rotations, grouped once for ``rotate_pieces``."""
         return group_rotations(self.circuits)
+
+    @cached_property
+    def diagonals(self) -> np.ndarray:
+        """The (pieces, dim) rotated piece diagonals of matrix 0."""
+        return self.dense()[:, 0]
 
     def dense(self) -> np.ndarray:
         """The rotated piece diagonals as a (pieces, count, dim) array."""
@@ -239,9 +251,9 @@ def piece_table(stack: MatrixStack) -> PieceTable:
     base = np.concatenate([base, base[imag]])
     nonzero = values != 0
     slot, values, base = slot[nonzero], values[nonzero], base[nonzero]
-    slots = np.unique(slot)  # the nonzero pieces, in key order
-    keys = tuple((int(colors[s % len(colors)]), REAL if s < len(colors) else IMAG)
-                 for s in slots.tolist())
+    slots = np.unique(slot)  # the nonzero pieces, in table order
+    pieces = tuple((int(colors[s % len(colors)]), REAL if s < len(colors) else IMAG)
+                   for s in slots.tolist())
     span = stack.count * stack.dim  # keys per piece
     at = np.searchsorted(slots, slot) * span + base
     top = tops[slot % len(colors)]
@@ -250,102 +262,32 @@ def piece_table(stack: MatrixStack) -> PieceTable:
     values = np.concatenate([values, -values[mirrored]])
     order = np.argsort(at, kind="stable")
     at, values = at[order], values[order]
-    starts = np.searchsorted(at, np.arange(len(keys)) * span)
-    norms = np.maximum.reduceat(np.abs(values), starts) if keys else np.empty(0)
-    return PieceTable(keys, PieceEntries(at, values, stack.dim), norms.tolist(), stack.count)
+    starts = np.searchsorted(at, np.arange(len(pieces)) * span)
+    norms = np.maximum.reduceat(np.abs(values), starts) if pieces else np.empty(0)
+    return PieceTable(pieces, PieceEntries(at, values, stack.dim), norms.tolist(), stack.count)
 
 
-@dataclass(frozen=True)
-class ColorPiece:
-    """One simultaneously measurable piece: a color, a part, the real
-    diagonal seen after that color's rotation, and the rotation itself
-    (None for color 0, which is diagonal already)."""
-
-    color: int
-    part: str
-    diagonal: np.ndarray
-    circuit: RotationCircuit | None
-
-    @property
-    def norm(self) -> float:
-        """Spectral norm of the piece (max |eigenvalue|)."""
-        return float(np.max(np.abs(self.diagonal))) if len(self.diagonal) else 0.0
-
-
-@dataclass(frozen=True)
-class ColorDecomposition:
-    """All nonzero pieces of one Hermitian observable, real pieces first
-    (ascending color) then imaginary ones; at most 2C - 1 pieces for C
-    occupied colors."""
-
-    n_qubits: int
-    pieces: tuple[ColorPiece, ...]
-
-    @property
-    def colors(self) -> set[int]:
-        return {p.color for p in self.pieces}
-
-    @cached_property
-    def rotations(self) -> PieceRotations:
-        """The pieces' rotations, grouped once for ``rotate_pieces``."""
-        return group_rotations([p.circuit for p in self.pieces])
-
-    @property
-    def piece_norms(self) -> np.ndarray:
-        return np.array([p.norm for p in self.pieces])
-
-    @property
-    def sum_norm_sq(self) -> float:
-        return float(np.sum(self.piece_norms**2))
-
-    def reconstruct(self) -> np.ndarray:
-        """Rebuild the source matrix exactly from the piece diagonals."""
-        dim = 2**self.n_qubits
-        out = np.zeros((dim, dim), dtype=complex)
-        idx = np.arange(dim)
-        for piece in self.pieces:
-            if piece.color == 0:
-                out[idx, idx] += piece.diagonal
-                continue
-            k = piece.circuit.k
-            low = idx[(idx >> k) & 1 == 0]
-            vals = piece.diagonal[low]
-            if piece.part == REAL:
-                out[low, low ^ piece.color] += vals
-                out[low ^ piece.color, low] += vals
-            else:
-                out[low, low ^ piece.color] += -1j * vals
-                out[low ^ piece.color, low] += 1j * vals
-        return out
-
-
-def decompose(matrix, tol: float = 1e-10) -> ColorDecomposition:
-    """Split a Hermitian matrix, dense or scipy-sparse, into its nonzero
-    color pieces.
+def decompose(matrix, tol: float = 1e-10) -> PieceTable:
+    """The nonzero color pieces of a Hermitian matrix, dense or scipy-sparse:
+    the ``PieceTable`` of its one-matrix stack.
 
     Pieces whose diagonal is identically zero are omitted, so no shots are
     ever spent on structurally zero expectations.
     """
     shape = np.shape(matrix)
     dim = shape[0]
-    n_qubits = int(math.log2(dim))
-    if 2**n_qubits != dim or shape != (dim, dim):
+    if 2**int(math.log2(dim)) != dim or shape != (dim, dim):
         raise DecompositionError(f"matrix must be square with power-of-two size, got {shape}")
     stack = _single_stack(matrix)
     residual = stack.hermitian_residuals()[0]
     if residual > tol:
         raise DecompositionError(f"matrix not Hermitian (residual {residual:.2e})")
-    table = piece_table(stack)
-    pieces = tuple(
-        ColorPiece(color, part, diagonal, circuit)
-        for (color, part), diagonal, circuit in zip(table.keys, table.dense()[:, 0],
-                                                    table.circuits))
-    return ColorDecomposition(n_qubits, pieces)
+    return piece_table(stack)
 
 
 class EstimateReport(NamedTuple):
     estimate: float
-    per_piece: list[tuple[ColorPiece, float]]
+    per_piece: list[float]  # in ``PieceTable.pieces`` order
 
 
 class VarianceReport(NamedTuple):
@@ -355,11 +297,12 @@ class VarianceReport(NamedTuple):
 
 def estimate_expectation(
     state: np.ndarray,
-    decomposition: ColorDecomposition,
+    table: PieceTable,
     shots_per_piece: int,
     seed,
 ) -> EstimateReport:
-    """Sampled estimate of <psi|M|psi> from the color pieces.
+    """Sampled estimate of <psi|M|psi> from the color pieces of M
+    (``decompose``).
 
     The state is rotated under all pieces at once (``rotate_pieces``).  Per
     piece: sample the computational basis of its rotated state with an
@@ -370,18 +313,18 @@ def estimate_expectation(
     if shots_per_piece < 1:
         raise DecompositionError("shots_per_piece must be >= 1")
     total = 0.0
-    per_piece: list[tuple[ColorPiece, float]] = []
-    rotated = rotate_pieces(state, decomposition.rotations)
-    for k, (piece, psi) in enumerate(zip(decomposition.pieces, rotated)):
+    per_piece: list[float] = []
+    rotated = rotate_pieces(state, table.rotations)
+    for k, (diagonal, psi) in enumerate(zip(table.diagonals, rotated)):
         counts = sample_basis(psi, shots_per_piece, chain_seed(seed, k))
-        value = float(counts @ piece.diagonal) / shots_per_piece
-        per_piece.append((piece, value))
+        value = float(counts @ diagonal) / shots_per_piece
+        per_piece.append(value)
         total += value
     return EstimateReport(total, per_piece)
 
 
 def estimator_variance(
-    decomposition: ColorDecomposition,
+    table: PieceTable,
     state: np.ndarray,
     shots_per_piece: int,
 ) -> VarianceReport:
@@ -394,10 +337,10 @@ def estimator_variance(
         raise DecompositionError("shots_per_piece must be >= 1")
     variance = 0.0
     bound = 0.0
-    rotated_probs = np.abs(rotate_pieces(state, decomposition.rotations)) ** 2
-    for piece, probs in zip(decomposition.pieces, rotated_probs):
-        mean = float(probs @ piece.diagonal)
-        second = float(probs @ piece.diagonal**2)
+    rotated_probs = np.abs(rotate_pieces(state, table.rotations)) ** 2
+    for diagonal, norm, probs in zip(table.diagonals, table.norms, rotated_probs):
+        mean = float(probs @ diagonal)
+        second = float(probs @ diagonal**2)
         variance += second - mean**2
-        bound += piece.norm**2
+        bound += norm**2
     return VarianceReport(variance / shots_per_piece, bound / shots_per_piece)

@@ -149,16 +149,41 @@ def per_row_pieces(problem):
     diagonals: dict[tuple[int, str], np.ndarray] = {}
     norms: dict[tuple[int, str], float] = {}
     for m in range(problem.m_stored):
-        for piece in xbm.decompose(tensor[m]).pieces:
-            key = (piece.color, piece.part)
-            diagonals.setdefault(key, np.zeros((problem.m_stored, problem.dim)))[m] = \
-                piece.diagonal
-            norms[key] = max(norms.get(key, 0.0), piece.norm)
+        table = xbm.decompose(tensor[m])
+        for key, diagonal, norm in zip(table.pieces, table.diagonals, table.norms):
+            diagonals.setdefault(key, np.zeros((problem.m_stored, problem.dim)))[m] = diagonal
+            norms[key] = max(norms.get(key, 0.0), norm)
     keys = sorted(diagonals, key=lambda key: (key[1] != xbm.REAL, key[0]))
     dense = np.zeros((len(keys), problem.m_stored, problem.dim))
     for p, key in enumerate(keys):
         dense[p] = diagonals[key]
     return keys, dense, [norms[key] for key in keys]
+
+
+def piece_matrix(table, p):
+    """The matrix of piece p of a one-matrix ``xbm.PieceTable``, rebuilt
+    exactly from its diagonal."""
+    color, part = table.pieces[p]
+    diagonal = table.diagonals[p]
+    dim = table.entries.dim
+    out = np.zeros((dim, dim), dtype=complex)
+    idx = np.arange(dim)
+    if color == 0:
+        out[idx, idx] = diagonal
+        return out
+    low = idx[(idx >> xbm.most_significant_bit(color)) & 1 == 0]
+    vals = diagonal[low] if part == xbm.REAL else -1j * diagonal[low]
+    out[low, low ^ color] = vals
+    out[low ^ color, low] = np.conj(vals)
+    return out
+
+
+def reconstruct(table):
+    """Rebuild the matrix of a one-matrix ``xbm.PieceTable`` exactly from
+    its piece diagonals."""
+    dim = table.entries.dim
+    return sum((piece_matrix(table, p) for p in range(len(table))),
+               np.zeros((dim, dim), dtype=complex))
 
 
 @pytest.fixture(scope="session")

@@ -20,8 +20,8 @@ from qopf import bounds, grid, harness, model, permute, saddle, sim, xbm
 from qopf.model import DualPoint, PrimalPoint, sampled_mode
 from qopf.permute import SparsityPattern
 
-from conftest import (CASE2_TEXT, exact_expectation, random_hermitian,
-                      random_problem, random_state)
+from conftest import (CASE2_TEXT, exact_expectation, piece_matrix, random_hermitian,
+                      random_problem, random_state, reconstruct)
 
 
 def criterion(name: str, ok: bool, detail: str = ""):
@@ -48,15 +48,14 @@ def test_xbm_correctness_suite():
             state = random_state(rng, dim)
             dec = xbm.decompose(m)
             worst_recon = max(worst_recon,
-                              float(np.max(np.abs(dec.reconstruct() - m))))
-            for piece in dec.pieces:
-                if piece.color == 0:
+                              float(np.max(np.abs(reconstruct(dec) - m))))
+            for p, circ in enumerate(dec.circuits):
+                if circ is None:
                     continue
-                circ = piece.circuit
                 basis = np.eye(dim, dtype=complex)
                 rot = np.stack([circ.apply(basis[:, k].copy())
                                 for k in range(dim)], axis=1)
-                sub = xbm.ColorDecomposition(n, (piece,)).reconstruct()
+                sub = piece_matrix(dec, p)
                 rotated = rot @ sub @ rot.conj().T
                 off = rotated - np.diag(np.diagonal(rotated))
                 worst_offdiag = max(worst_offdiag, float(np.max(np.abs(off))))

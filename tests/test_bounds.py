@@ -97,7 +97,7 @@ def test_inputs_from_context_measures_norms():
         float(np.linalg.norm(ctx.problem.dense_m0(), 2)), rel=1e-6)
     assert inputs.colors == ctx.color_count
     assert inputs.sum_norm_sq_m0 == pytest.approx(
-        ctx.m0_decomposition.sum_norm_sq, abs=1e-12)
+        sum(np.max(np.abs(d))**2 for d in ctx.m0_decomposition.diagonals), abs=1e-12)
 
 
 @pytest.mark.parametrize("case_name", ["case3", "ieee57"])

@@ -1,11 +1,13 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from qopf import bounds, grid, harness, model, saddle, sim
-from qopf.grid import LABEL_GEN, LABEL_LINE, LABEL_VOLTAGE, ValidationError
+from qopf.grid import (LABEL_BALANCE_P, LABEL_BALANCE_Q, LABEL_GEN, LABEL_LINE,
+                       LABEL_VOLTAGE, ValidationError)
 from qopf.harness import (
     AnsatzChoice,
     ExperimentConfig,
@@ -19,12 +21,15 @@ from qopf.harness import (
     emit_report,
     fit_state,
     generate_instances,
+    minimal_split,
     overlap_cost,
     overlap_gradient,
     prepare_case,
     recover_voltage,
     restricted_rows,
 )
+
+from qopf.saddle import classical_lagrangian
 
 from conftest import CASE2_TEXT
 
@@ -159,12 +164,45 @@ def test_violation_stats_normalization(case2):
     assert vmax0 <= 1e-4
 
 
+def test_balance_pair_shift_scores_the_same(case3):
+    """Each balance equality is the row pair (M, b), (-M, -b): adding t to
+    both multipliers of a pair leaves L unchanged, and the multiplier metrics
+    score both sides in their minimal split, so the shift does not count."""
+    ref = brute_force_reference(case3)
+    problem = grid.assemble_qcqp(case3)
+    rows = restricted_rows(problem)
+    balance = [pos for pos, k in enumerate(rows)
+               if problem.labels[k] in (LABEL_BALANCE_P, LABEL_BALANCE_Q)]
+    assert len(balance) == 8
+    rng = np.random.default_rng(5)
+    shift = np.zeros(len(rows))
+    shift[balance] = np.repeat(rng.uniform(0.1, 2.0, len(balance) // 2), 2)
+    lam = np.zeros(problem.m_stored)
+    lam[rows] = ref.lam + rng.uniform(0.0, 0.5, len(rows))
+    shifted = lam.copy()
+    shifted[rows] += shift
+    assert classical_lagrangian(problem, ref.v, shifted) == \
+        pytest.approx(classical_lagrangian(problem, ref.v, lam), abs=1e-12)
+    base = compute_metrics(case3, problem, ref.v, lam, ref.cost, ref)
+    assert base.lambda_error > 0
+    for found, reference in ((shifted, ref), (lam, replace(ref, lam=ref.lam + shift)),
+                             (shifted, replace(ref, lam=ref.lam + 2 * shift))):
+        metrics = compute_metrics(case3, problem, ref.v, found, ref.cost, reference)
+        assert metrics.lambda_error == pytest.approx(base.lambda_error, abs=1e-12)
+    assert np.allclose(dual_comparison_entries(problem, shifted),
+                       dual_comparison_entries(problem, lam), rtol=0, atol=1e-12)
+    split = minimal_split(problem, lam[rows])
+    assert np.array_equal(minimal_split(problem, split), split)
+    assert np.all(np.minimum(split[balance[0::2]], split[balance[1::2]]) == 0)
+
+
 def test_dual_comparison_floors_small_entries(case2):
     problem = grid.assemble_qcqp(case2)
     lam = np.full(problem.m_stored, 1e-9)
     lam[restricted_rows(problem)[0]] = 0.5
     entries = dual_comparison_entries(problem, lam)
-    assert entries[0] == 0.5
+    # row 0 is the upper row of a balance pair: its minimal split is 0.5 - 1e-9
+    assert entries[0] == 0.5 - 1e-9
     assert np.all(entries[1:] == 0.0)
 
 
@@ -191,6 +229,17 @@ def test_fit_state_exact_for_representable_target():
     target = np.array([1.0, 0.0], dtype=complex)   # |0>, trivially representable
     cost, params = fit_state(spec, target, seed=1, restarts=2, iters=200)
     assert cost < 1e-6
+
+
+@pytest.mark.parametrize("trial", range(3))
+def test_fit_state_recovers_target_of_same_ansatz(trial):
+    """A target prepared by the ansatz itself is recovered to rounding."""
+    spec = sim.AnsatzSpec.from_row(6, 3, 3)
+    params = np.random.default_rng(trial).uniform(0, 2 * math.pi, spec.param_count)
+    target = sim.prepare(spec, params)
+    cost, fitted = fit_state(spec, target, seed=[40, trial], restarts=1)
+    assert cost <= 1e-12
+    assert overlap_cost(spec, fitted, target) == pytest.approx(cost, abs=1e-15)
 
 
 def test_fit_ansatz_ranks_and_dual_target(case2):

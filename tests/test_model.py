@@ -138,17 +138,6 @@ def test_eval_f_sampled_unbiased(ctx44):
     assert abs(np.mean(values) - exact) < 5 * se + 1e-9
 
 
-def test_eval_f_sampled_multiple_primal_shots_unbiased(ctx44):
-    p, d = random_points(ctx44, 91)
-    exact = model.eval_terms_exact(ctx44, p, d).f
-    n = 300
-    values = [model.eval_F_sampled(ctx44, p, d, shots=16, seed=[22, k],
-                                   primal_shots_per_draw=3)
-              for k in range(n)]
-    se = np.std(values) / math.sqrt(n)
-    assert abs(np.mean(values) - exact) < 5 * se + 1e-9
-
-
 def test_eval_f_sampled_degenerate_dual(ctx44):
     # dual state concentrated on one outcome -> estimates F_{m*} alone
     p, _ = random_points(ctx44, 10)
@@ -174,8 +163,7 @@ def test_eval_f_sampled_zero_observables():
     cdfs = model._primal_cdfs(ctx, psi)
     assert cdfs.shape == (0, 4)
     w_cdf = model._dual_cdf(model.dual_pmf(ctx, d))
-    for r in (1, 3):
-        assert model._sample_f(ctx, cdfs, w_cdf, sampled_mode(16, 0), r) == (0.0, 0)
+    assert model._sample_f(ctx, cdfs, w_cdf, sampled_mode(16, 0)) == (0.0, 0)
 
 
 @pytest.mark.parametrize("problem", stack_problems())
@@ -185,7 +173,7 @@ def test_joint_entries_densify_to_piece_diagonals(problem):
         sim.AnsatzSpec.from_row(2, int(math.log2(problem.m_stored)), 1))
     keys, dense, _ = per_row_pieces(problem)
     table = ctx.joint_diagonals
-    assert list(table.keys) == keys
+    assert list(table.pieces) == keys
     assert np.array_equal(table.dense(), dense)
     assert ctx.colors == ctx.m0_decomposition.colors | {color for color, _ in keys}
     entries = table.entries
@@ -208,7 +196,7 @@ def test_eval_f_sampled_variance_matches_closed_form(ctx44):
     shots = 8
     variance = 0.0
     table = ctx44.joint_diagonals
-    for (color, part), diagonals in zip(table.keys, table.dense()):
+    for (color, part), diagonals in zip(table.pieces, table.dense()):
         rotated = psi if color == 0 else \
             xbm.rotation_circuit(color, ctx44.primal_spec.n_qubits, part).apply(psi)
         joint = np.outer(w, np.abs(rotated) ** 2)
@@ -227,13 +215,13 @@ def test_eval_f_sampled_variance_matches_closed_form(ctx44):
 def piecewise_primal_cdfs(ctx, psi):
     """The per-piece loop of the replaced ``model._primal_cdfs``."""
     cdfs = np.empty((len(ctx.joint_diagonals), len(psi)))
-    for row, (color, part) in zip(cdfs, ctx.joint_diagonals.keys):
+    for row, (color, part) in zip(cdfs, ctx.joint_diagonals.pieces):
         rotated = piecewise_rotation(psi, color, ctx.primal_spec.n_qubits, part)
         np.cumsum(np.abs(rotated) ** 2, out=row)
     return cdfs / cdfs[:, -1:]
 
 
-def piecewise_eval_f_sampled(ctx, p, d, shots, seed, r):
+def piecewise_eval_f_sampled(ctx, p, d, shots, seed):
     """The replaced ``model.eval_F_sampled``: per piece, one generator seeded
     with the entropy list, two inverse-CDF searches and one read of that
     piece's dense diagonals, the piece means added in piece order."""
@@ -244,8 +232,8 @@ def piecewise_eval_f_sampled(ctx, p, d, shots, seed, r):
     for k, (diagonals, cdf) in enumerate(zip(ctx.joint_diagonals.dense(), cdfs)):
         rng = np.random.default_rng(sim.chain_seed(seed, k))
         m = np.searchsorted(w_cdf, rng.random(shots), side="right")
-        i = np.searchsorted(cdf, rng.random(shots * r), side="right")
-        total += float(diagonals[np.repeat(m, r), i].sum()) / (shots * r)
+        i = np.searchsorted(cdf, rng.random(shots), side="right")
+        total += float(diagonals[m, i].sum()) / shots
     return total
 
 
@@ -267,15 +255,14 @@ def test_primal_cdfs_match_piecewise_loop(batch_ctx):
                               piecewise_primal_cdfs(batch_ctx, psi))
 
 
-@pytest.mark.parametrize("r", [1, 3])
-def test_eval_f_sampled_matches_piecewise_loop(batch_ctx, r):
+def test_eval_f_sampled_matches_piecewise_loop(batch_ctx):
     """Batching the pieces keeps every stream: each sampled F is the
     replaced per-piece estimate bit for bit."""
     for trial in range(5):
         p, d = random_points(batch_ctx, 80 + trial)
-        seed = [31, r, trial]
-        assert model.eval_F_sampled(batch_ctx, p, d, 50, seed, r) == \
-            piecewise_eval_f_sampled(batch_ctx, p, d, 50, seed, r)
+        seed = [31, 1, trial]
+        assert model.eval_F_sampled(batch_ctx, p, d, 50, seed) == \
+            piecewise_eval_f_sampled(batch_ctx, p, d, 50, seed)
 
 
 def grad_by_finite_differences(ctx, p, d, h=1e-5):
@@ -354,7 +341,7 @@ def test_sampled_gradient_shot_and_circuit_counts(ctx44, padded_complex_problem)
         p, d = random_points(ctx, 46)
         res = model.grad(ctx, p, d, sampled_mode(shots, [4, 2]))
         big_p, big_q = ctx.p_count, ctx.q_count
-        n0, nf = len(ctx.m0_decomposition.pieces), len(ctx.joint_diagonals)
+        n0, nf = len(ctx.m0_decomposition), len(ctx.joint_diagonals)
         assert n0 > 0 and nf > 0
         assert res.shots_spent == shots * (
             (2 * big_p + 1) * (n0 + nf) + 2 * big_q * nf + 2 * big_q + 1)

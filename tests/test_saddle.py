@@ -62,13 +62,6 @@ def test_eg_step_bilinear_arithmetic():
     assert nxt.phi[0] == pytest.approx(1.08)
 
 
-def test_eg_step_symmetric_variant():
-    z = make_state(1.0, 1.0)
-    nxt, info = saddle.eg_step(bilinear_g, z, (0.1, 0.0, 0.1, 0.0), symmetric=True)
-    assert info["midpoint"].theta[0] == pytest.approx(0.9)
-    assert nxt.theta[0] == pytest.approx(1 - 0.1 * 1.1)
-
-
 def test_pd_spirals_eg_contracts_on_bilinear():
     mu = (0.1, 0.0, 0.1, 0.0)
     z_pd = make_state(1.0, 1.0)

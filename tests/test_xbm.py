@@ -7,8 +7,8 @@ from qopf import grid, sim, xbm
 from qopf.xbm import DecompositionError
 
 from conftest import (ORACLE_GATES, exact_expectation, oracle_cx, oracle_rotation,
-                      oracle_single, per_row_pieces, piecewise_rotation,
-                      random_hermitian, random_state, stack_problems)
+                      oracle_single, per_row_pieces, piece_matrix, piecewise_rotation,
+                      random_hermitian, random_state, reconstruct, stack_problems)
 
 
 def circuit_unitary(circuit, n_qubits):
@@ -21,16 +21,12 @@ def circuit_unitary(circuit, n_qubits):
     return np.stack(cols, axis=1)
 
 
-def piece_matrix(piece, n_qubits):
-    return xbm.ColorDecomposition(n_qubits, (piece,)).reconstruct()
-
-
 def test_identity_decomposes_to_single_diagonal_piece():
     dec = xbm.decompose(np.eye(8))
     assert len(dec.pieces) == 1
-    piece = dec.pieces[0]
-    assert piece.color == 0 and piece.part == xbm.REAL
-    assert np.allclose(piece.diagonal, np.ones(8))
+    color, part = dec.pieces[0]
+    assert color == 0 and part == xbm.REAL
+    assert np.allclose(dec.diagonals[0], np.ones(8))
 
 
 def test_antidiagonal_single_color_piece():
@@ -39,8 +35,8 @@ def test_antidiagonal_single_color_piece():
         m[i, 7 - i] = float(i + 1) if i < 4 else float(8 - i)
     m = (m + m.T) / 2
     dec = xbm.decompose(m)
-    assert {p.color for p in dec.pieces} == {7}
-    assert all(p.part == xbm.REAL for p in dec.pieces)
+    assert {color for color, _ in dec.pieces} == {7}
+    assert all(part == xbm.REAL for _, part in dec.pieces)
 
 
 def test_reconstruction_exact_for_random_hermitians():
@@ -50,7 +46,7 @@ def test_reconstruction_exact_for_random_hermitians():
         for _ in range(50):
             m = random_hermitian(rng, dim)
             dec = xbm.decompose(m)
-            assert np.max(np.abs(dec.reconstruct() - m)) < 1e-14
+            assert np.max(np.abs(reconstruct(dec) - m)) < 1e-14
             colors = {int(i) ^ int(j) for i, j in zip(*np.nonzero(m))}
             assert dec.colors == colors
             assert len(dec.pieces) <= 2 * len(colors) - 1
@@ -152,13 +148,14 @@ def test_grouped_rotations_match_gate_by_gate_and_oracle():
 def test_decompose_stores_each_piece_rotation(ieee57):
     problem = grid.pad_to_qubits(grid.assemble_qcqp(ieee57))
     dec = xbm.decompose(problem.m0)
-    for piece in dec.pieces:
-        if piece.color == 0:
-            assert piece.circuit is None
+    n_qubits = int(math.log2(problem.dim))
+    for (color, part), circuit in zip(dec.pieces, dec.circuits):
+        if color == 0:
+            assert circuit is None
             continue
-        built = xbm.rotation_circuit(piece.color, dec.n_qubits, piece.part)
-        assert (piece.circuit.k, piece.circuit.part) == (built.k, built.part)
-        assert np.array_equal(piece.circuit.fanout, built.fanout)
+        built = xbm.rotation_circuit(color, n_qubits, part)
+        assert (circuit.k, circuit.part) == (built.k, built.part)
+        assert np.array_equal(circuit.fanout, built.fanout)
 
 
 def test_rotation_circuit_rejects_color_zero():
@@ -170,14 +167,14 @@ def test_rotation_circuit_rejects_color_zero():
 
 def test_eigen_diagonal_pauli_x():
     dec = xbm.decompose(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert [(p.color, p.part) for p in dec.pieces] == [(1, xbm.REAL)]
-    assert np.allclose(dec.pieces[0].diagonal, [1.0, -1.0])
+    assert list(dec.pieces) == [(1, xbm.REAL)]
+    assert np.allclose(dec.diagonals[0], [1.0, -1.0])
 
 
 def test_eigen_diagonal_pauli_y():
     dec = xbm.decompose(np.array([[0, -1j], [1j, 0]]))
-    assert [(p.color, p.part) for p in dec.pieces] == [(1, xbm.IMAG)]
-    assert np.allclose(dec.pieces[0].diagonal, [1.0, -1.0])
+    assert list(dec.pieces) == [(1, xbm.IMAG)]
+    assert np.allclose(dec.diagonals[0], [1.0, -1.0])
 
 
 def test_diagonalization_invariant_all_colors_and_parts():
@@ -186,16 +183,17 @@ def test_diagonalization_invariant_all_colors_and_parts():
         dim = 2**n
         for _ in range(20):
             m = random_hermitian(rng, dim)
-            for piece in xbm.decompose(m).pieces:
-                if piece.color == 0:
+            dec = xbm.decompose(m)
+            for p, circuit in enumerate(dec.circuits):
+                if circuit is None:
                     continue
-                r = circuit_unitary(piece.circuit, n)
-                sub = piece_matrix(piece, n)
+                r = circuit_unitary(circuit, n)
+                sub = piece_matrix(dec, p)
                 rotated = r @ sub @ r.conj().T
                 off = rotated - np.diag(np.diagonal(rotated))
                 assert np.max(np.abs(off)) < 1e-12
                 assert np.max(np.abs(np.real(np.diagonal(rotated))
-                                     - piece.diagonal)) < 1e-12
+                                     - dec.diagonals[p])) < 1e-12
 
 
 def test_eigen_diagonal_matches_dense_eigendecomposition():
@@ -207,13 +205,13 @@ def test_eigen_diagonal_matches_dense_eigendecomposition():
     m[low, low ^ 3] = vals
     m = m + m.conj().T
     dec = xbm.decompose(m)
-    total = sum(np.sort(p.diagonal) for p in dec.pieces)
+    total = sum(np.sort(diagonal) for diagonal in dec.diagonals)
     eigs = np.sort(np.linalg.eigvalsh(m))
     # eigenvalues of the full color block are sums only when parts commute;
     # instead check each part separately against a dense eigensolver
-    for piece in dec.pieces:
-        dense = np.linalg.eigvalsh(piece_matrix(piece, 3))
-        assert np.allclose(np.sort(dense), np.sort(piece.diagonal), atol=1e-12)
+    for p, diagonal in enumerate(dec.diagonals):
+        dense = np.linalg.eigvalsh(piece_matrix(dec, p))
+        assert np.allclose(np.sort(dense), np.sort(diagonal), atol=1e-12)
 
 
 def test_estimate_identity_is_exact():
@@ -229,7 +227,7 @@ def test_estimate_diagonal_observable_reduces_to_basis_sampling():
     state = random_state(rng, 4)
     diag = np.diag(rng.standard_normal(4))
     dec = xbm.decompose(diag)
-    assert len(dec.pieces) == 1 and dec.pieces[0].color == 0
+    assert len(dec.pieces) == 1 and dec.pieces[0][0] == 0
     report = xbm.estimate_expectation(state, dec, shots_per_piece=500, seed=5)
     counts = sim.sample_basis(state, 500, sim.chain_seed(5, 0))
     assert report.estimate == pytest.approx(
@@ -298,8 +296,8 @@ def test_piece_count_bound():
         m = random_hermitian(rng, 16)
         dec = xbm.decompose(m)
         c = len(dec.colors)
-        real = sum(1 for p in dec.pieces if p.part == xbm.REAL)
-        imag = sum(1 for p in dec.pieces if p.part == xbm.IMAG)
+        real = sum(1 for _, part in dec.pieces if part == xbm.REAL)
+        imag = sum(1 for _, part in dec.pieces if part == xbm.IMAG)
         assert real + imag == len(dec.pieces) <= 2 * c - 1
 
 
@@ -307,16 +305,15 @@ def test_piece_count_bound():
 def test_stacked_piece_diagonals_match_per_row_decompose(problem):
     keys, dense, norms = per_row_pieces(problem)
     table = xbm.piece_table(problem.stack)
-    assert list(table.keys) == keys and len(table) == len(keys)
+    assert list(table.pieces) == keys and len(table) == len(keys)
     assert np.array_equal(table.dense(), dense)
     assert table.norms == norms
     assert table.colors == {color for color, _ in keys}
     m0_dec = xbm.decompose(problem.dense_m0())
     sparse_dec = xbm.decompose(problem.m0)
-    assert [(p.color, p.part) for p in sparse_dec.pieces] == \
-        [(p.color, p.part) for p in m0_dec.pieces]
-    for a, b in zip(sparse_dec.pieces, m0_dec.pieces):
-        assert np.array_equal(a.diagonal, b.diagonal)
+    assert sparse_dec.pieces == m0_dec.pieces
+    for a, b in zip(sparse_dec.diagonals, m0_dec.diagonals):
+        assert np.array_equal(a, b)
 
 
 def piecewise_estimate(state, dec, shots, seed):
@@ -324,11 +321,12 @@ def piecewise_estimate(state, dec, shots, seed):
     basis sampling of ``sim.sample_basis`` inlined as it was: a generator
     seeded with the entropy list itself."""
     total, values = 0.0, []
-    for k, piece in enumerate(dec.pieces):
-        probs = np.abs(piecewise_rotation(state, piece.color, dec.n_qubits, piece.part)) ** 2
+    n_qubits = int(math.log2(dec.entries.dim))
+    for k, ((color, part), diagonal) in enumerate(zip(dec.pieces, dec.diagonals)):
+        probs = np.abs(piecewise_rotation(state, color, n_qubits, part)) ** 2
         probs = probs / probs.sum()
         counts = np.random.default_rng(sim.chain_seed(seed, k)).multinomial(shots, probs)
-        value = float(counts @ piece.diagonal) / shots
+        value = float(counts @ diagonal) / shots
         values.append(value)
         total += value
     return total, values
@@ -337,11 +335,12 @@ def piecewise_estimate(state, dec, shots, seed):
 def piecewise_variance(state, dec, shots):
     """The replaced per-piece loop of ``xbm.estimator_variance``."""
     variance = bound = 0.0
-    for piece in dec.pieces:
-        probs = np.abs(piecewise_rotation(state, piece.color, dec.n_qubits, piece.part)) ** 2
-        mean = float(probs @ piece.diagonal)
-        variance += float(probs @ piece.diagonal**2) - mean**2
-        bound += piece.norm**2
+    n_qubits = int(math.log2(dec.entries.dim))
+    for (color, part), diagonal in zip(dec.pieces, dec.diagonals):
+        probs = np.abs(piecewise_rotation(state, color, n_qubits, part)) ** 2
+        mean = float(probs @ diagonal)
+        variance += float(probs @ diagonal**2) - mean**2
+        bound += float(np.max(np.abs(diagonal)))**2
     return variance / shots, bound / shots
 
 
@@ -353,15 +352,15 @@ def test_estimators_match_piecewise_loops(source, request):
         dec = request.getfixturevalue("ieee57_context").m0_decomposition
     else:
         dec = xbm.decompose(request.getfixturevalue("padded_complex_problem").m0)
-    assert {p.part for p in dec.pieces} == {xbm.REAL, xbm.IMAG}
+    assert {part for _, part in dec.pieces} == {xbm.REAL, xbm.IMAG}
     rng = np.random.default_rng(13)
     for trial in range(4):
-        state = random_state(rng, 2**dec.n_qubits)
+        state = random_state(rng, dec.entries.dim)
         report = xbm.estimate_expectation(state, dec, 40, [14, trial])
         total, values = piecewise_estimate(state, dec, 40, [14, trial])
         assert report.estimate == total
-        assert [value for _, value in report.per_piece] == values
-        assert all(a is b for (a, _), b in zip(report.per_piece, dec.pieces))
+        assert report.per_piece == values
+        assert len(report.per_piece) == len(dec)
         assert tuple(xbm.estimator_variance(dec, state, 40)) == \
             piecewise_variance(state, dec, 40)
 
