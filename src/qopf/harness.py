@@ -707,23 +707,22 @@ def run_experiment(config: ExperimentConfig,
                     results[tag] = ModelResult(
                         metrics=None, wall_time=err.elapsed,
                         lagrangian_final=float("nan"), duals=np.array([]),
-                        error=str(err), **_history(err.trajectory))
+                        error=str(err), **_history(err.trajectory, model))
         report.instances.append(results)
     return report
 
 
-def _history(traj) -> dict:
-    """The per-iteration fields of a ModelResult from a variational
-    ``saddle.Trajectory`` or a ``saddle.ClassicalTrajectory``."""
-    if isinstance(traj, saddle_mod.Trajectory):
-        return dict(iterations=traj.iterations, total_shots=traj.total_shots,
-                    stop_reason=traj.stop_reason, lagrangians=list(traj.lagrangians),
-                    g_norms=traj.g_norms,
-                    scales=[(s.alpha, s.beta) for s in traj.states[1:]],
-                    shots_per_iter=list(traj.shots))
-    return dict(iterations=len(traj.lagrangians), total_shots=0,
-                stop_reason=traj.stop_reason, lagrangians=list(traj.lagrangians),
-                g_norms=None, scales=None, shots_per_iter=None)
+def _history(traj: saddle_mod.Trajectory, model: str) -> dict:
+    """The per-iteration fields of a ModelResult; the classical baseline
+    ("qcqp") records no gradient norms, scales or shots."""
+    history = dict(iterations=traj.iterations, total_shots=traj.total_shots,
+                   stop_reason=traj.stop_reason, lagrangians=list(traj.lagrangians),
+                   g_norms=None)
+    if model != "qcqp":
+        history.update(g_norms=traj.g_norms,
+                       scales=[(s.alpha, s.beta) for s in traj.states[1:]],
+                       shots_per_iter=list(traj.shots))
+    return history
 
 
 def _run_single(config: ExperimentConfig, prepared: PreparedCase, model: str,
@@ -770,7 +769,7 @@ def _run_single(config: ExperimentConfig, prepared: PreparedCase, model: str,
         wall_time=time.perf_counter() - start,
         lagrangian_final=lag_final,
         duals=dual_comparison_entries(prepared.problem, lam),
-        **_history(traj),
+        **_history(traj, model),
     )
 
 
@@ -790,88 +789,86 @@ def _finite_or_null(value):
     return value
 
 
-def emit_report(report: RunReport, out_dir, formats=("csv", "json")) -> list[Path]:
+def emit_report(report: RunReport, out_dir) -> list[Path]:
     """Write the Table-1-shaped CSV, the full JSON, per-run trajectory CSVs,
     and the plot-ready dual/Lagrangian data."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
-    if "csv" in formats:
-        table = out / "table1.csv"
-        with table.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["model", "x_err", "lambda_err", "viol_count",
-                             "viol_max", "viol_mean"])
-            for name, row in report.summary().items():
-                writer.writerow([name, row["x_error"], row["lambda_error"],
-                                 row["violation_count"], row["violation_max"],
-                                 row["violation_mean"]])
-        written.append(table)
+    table = out / "table1.csv"
+    with table.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["model", "x_err", "lambda_err", "viol_count",
+                         "viol_max", "viol_mean"])
+        for name, row in report.summary().items():
+            writer.writerow([name, row["x_error"], row["lambda_error"],
+                             row["violation_count"], row["violation_max"],
+                             row["violation_mean"]])
+    written.append(table)
 
-        duals: dict[str, list[float]] = {}
-        lag_rows = []
-        for k, inst in enumerate(report.instances):
-            for name, result in inst.items():
-                duals.setdefault(name, []).extend(result.duals.tolist())
-                if result.metrics is not None:
-                    lag_rows.append([k, name, result.metrics.lagrangian_error])
-                traj = out / f"trajectory_{k}_{name}.csv"
-                with traj.open("w", newline="", encoding="utf-8") as fh:
-                    writer = csv.writer(fh)
-                    writer.writerow(["iteration", "lagrangian", "g_theta", "g_alpha",
-                                     "g_phi", "g_beta", "g_total", "alpha", "beta",
-                                     "shots"])
-                    for t, value in enumerate(result.lagrangians):
-                        norms = result.g_norms[t] if result.g_norms else {}
-                        alpha, beta = (result.scales[t] if result.scales
-                                       else ("", ""))
-                        writer.writerow([
-                            t, value,
-                            norms.get("theta", ""), norms.get("alpha", ""),
-                            norms.get("phi", ""), norms.get("beta", ""),
-                            norms.get("total", ""), alpha, beta,
-                            result.shots_per_iter[t] if result.shots_per_iter else "",
-                        ])
-                written.append(traj)
-        dual_path = out / "dual_comparison.csv"
-        with dual_path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["model", "rank", "value"])
-            for name, values in duals.items():
-                for rank, value in enumerate(sorted(values)):
-                    writer.writerow([name, rank, value])
-        written.append(dual_path)
-        lag_path = out / "lagrangian_errors.csv"
-        with lag_path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["instance", "model", "lagrangian_rel_error"])
-            writer.writerows(lag_rows)
-        written.append(lag_path)
+    duals: dict[str, list[float]] = {}
+    lag_rows = []
+    for k, inst in enumerate(report.instances):
+        for name, result in inst.items():
+            duals.setdefault(name, []).extend(result.duals.tolist())
+            if result.metrics is not None:
+                lag_rows.append([k, name, result.metrics.lagrangian_error])
+            traj = out / f"trajectory_{k}_{name}.csv"
+            with traj.open("w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["iteration", "lagrangian", "g_theta", "g_alpha",
+                                 "g_phi", "g_beta", "g_total", "alpha", "beta",
+                                 "shots"])
+                for t, value in enumerate(result.lagrangians):
+                    norms = result.g_norms[t] if result.g_norms else {}
+                    alpha, beta = (result.scales[t] if result.scales
+                                   else ("", ""))
+                    writer.writerow([
+                        t, value,
+                        norms.get("theta", ""), norms.get("alpha", ""),
+                        norms.get("phi", ""), norms.get("beta", ""),
+                        norms.get("total", ""), alpha, beta,
+                        result.shots_per_iter[t] if result.shots_per_iter else "",
+                    ])
+            written.append(traj)
+    dual_path = out / "dual_comparison.csv"
+    with dual_path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["model", "rank", "value"])
+        for name, values in duals.items():
+            for rank, value in enumerate(sorted(values)):
+                writer.writerow([name, rank, value])
+    written.append(dual_path)
+    lag_path = out / "lagrangian_errors.csv"
+    with lag_path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["instance", "model", "lagrangian_rel_error"])
+        writer.writerows(lag_rows)
+    written.append(lag_path)
 
-    if "json" in formats:
-        doc = {
-            "stats": vars(report.stats) if report.stats else None,
-            "summary": report.summary(),
-            "instances": [
-                {
-                    name: {
-                        "metrics": r.metrics.as_dict() if r.metrics else None,
-                        "iterations": r.iterations,
-                        "total_shots": r.total_shots,
-                        "wall_time": r.wall_time,
-                        "stop_reason": r.stop_reason,
-                        "lagrangian_final": r.lagrangian_final,
-                        "lagrangians": r.lagrangians,
-                        "error": r.error,
-                    }
-                    for name, r in inst.items()
+    doc = {
+        "stats": vars(report.stats) if report.stats else None,
+        "summary": report.summary(),
+        "instances": [
+            {
+                name: {
+                    "metrics": r.metrics.as_dict() if r.metrics else None,
+                    "iterations": r.iterations,
+                    "total_shots": r.total_shots,
+                    "wall_time": r.wall_time,
+                    "stop_reason": r.stop_reason,
+                    "lagrangian_final": r.lagrangian_final,
+                    "lagrangians": r.lagrangians,
+                    "error": r.error,
                 }
-                for inst in report.instances
-            ],
-        }
-        path = out / "report.json"
-        with path.open("w", encoding="utf-8") as fh:
-            json.dump(_finite_or_null(doc), fh, indent=1, allow_nan=False)
-        written.append(path)
+                for name, r in inst.items()
+            }
+            for inst in report.instances
+        ],
+    }
+    path = out / "report.json"
+    with path.open("w", encoding="utf-8") as fh:
+        json.dump(_finite_or_null(doc), fh, indent=1, allow_nan=False)
+    written.append(path)
     return written

@@ -1,11 +1,11 @@
 """Primal-dual and extragradient iterations over the stacked iterate
 z = [theta; alpha; phi; beta], plus the classical baselines running on raw
-voltages and multipliers.
+voltages and multipliers.  Both engines run through one loop, ``_iterate``.
 
-Both engines step against the signed field g(z) = [grad_theta; grad_alpha;
--grad_phi; -grad_beta], so a plain step z - mu * g descends in the primal
-blocks and ascends in the dual ones.  The scale variables alpha and beta
-(and the classical multipliers) are clipped at zero after every update.
+The variational steps move against the signed field g(z) = [grad_theta;
+grad_alpha; -grad_phi; -grad_beta] (PD Jacobi), the classical ones against
+the field of L(v, lambda) (PD Gauss-Seidel).  The scale variables alpha and
+beta (and the classical multipliers) are clipped at zero after every update.
 The extragradient first moves to a midpoint with step 2*mu and then applies
 the field evaluated there with step mu, exactly as specified.
 """
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -161,16 +161,17 @@ def eg_step(g_fn, z: SaddlePointState, rates) -> tuple[SaddlePointState, dict]:
 
 @dataclass
 class Trajectory:
-    """Per-iteration history of a run plus the final state."""
+    """Per-iteration history of a run plus the final state (classical runs
+    record no g_norms or shots)."""
 
-    states: list[SaddlePointState] = field(default_factory=list)
+    states: list[SaddlePointState | ClassicalState] = field(default_factory=list)
     lagrangians: list[float] = field(default_factory=list)
     g_norms: list[dict[str, float]] = field(default_factory=list)
     shots: list[int] = field(default_factory=list)
     stop_reason: str = "max_iters"
 
     @property
-    def final(self) -> SaddlePointState:
+    def final(self) -> SaddlePointState | ClassicalState:
         return self.states[-1]
 
     @property
@@ -192,21 +193,39 @@ def _block_norms(g: np.ndarray, p_count: int, q_count: int) -> dict[str, float]:
     }
 
 
-def make_variational_g(ctx: LagrangianContext, mode: EvalMode):
-    """Adapter: a (z, *tags) -> (g vector, shots) field backed by the
-    variational gradients, with per-evaluation derived seeds."""
-
-    def g_fn(z: SaddlePointState, *tags):
-        result = grad(ctx, PrimalPoint(z.theta, z.alpha), DualPoint(z.phi, z.beta),
-                      mode.reseeded(*tags))
-        return result.stacked(), result.shots_spent
-
-    return g_fn
+def _iterate(step, value, blocks, init, schedule: StepSchedule, stop: StopRule,
+             divergence_ceiling: float) -> Trajectory:
+    """The one saddle loop.  ``step(z, rates)`` returns the next state and
+    its (gradient norms, shots) record or None, ``value(z)`` the Lagrangian
+    recorded at a state, and ``blocks(z)`` the two blocks whose moves the
+    stop rule compares with ``stop.theta_tol`` and ``stop.phi_tol``.  Aborts
+    with DivergenceError when |L| exceeds the ceiling."""
+    start = time.perf_counter()
+    traj = Trajectory(states=[init])
+    z = init
+    for t in range(stop.max_iters):
+        nxt, record = step(z, schedule.rates(t))
+        lag = value(nxt)
+        if abs(lag) > divergence_ceiling:
+            traj.stop_reason = "diverged"
+            raise DivergenceError(t, lag, traj, time.perf_counter() - start)
+        traj.states.append(nxt)
+        traj.lagrangians.append(lag)
+        if record is not None:
+            traj.g_norms.append(record[0])
+            traj.shots.append(record[1])
+        (a, b), (a_prev, b_prev) = blocks(nxt), blocks(z)
+        z = nxt
+        if np.linalg.norm(a - a_prev) <= stop.theta_tol and \
+                np.linalg.norm(b - b_prev) <= stop.phi_tol:
+            traj.stop_reason = "converged"
+            break
+    return traj
 
 
 def run(ctx: LagrangianContext, init: SaddlePointState, method: str,
         schedule: StepSchedule, stop: StopRule, mode: EvalMode = EvalMode(),
-        divergence_ceiling: float = 1e9, record_lagrangian: bool = True) -> Trajectory:
+        divergence_ceiling: float = 1e9) -> Trajectory:
     """Iterate PD or EG from ``init`` until the stop rule fires.
 
     Records the Lagrangian (evaluated in the run's mode), per-block gradient
@@ -215,38 +234,24 @@ def run(ctx: LagrangianContext, init: SaddlePointState, method: str,
     """
     if method not in (PD, EG):
         raise ValidationError(f"unknown method {method!r}")
-    start = time.perf_counter()
-    g_fn = make_variational_g(ctx, mode)
+    step_fn = pd_step if method == PD else eg_step
+    p_count, q_count = len(init.theta), len(init.phi)
 
-    def lag(z: SaddlePointState, tag: int) -> float:
+    def g_fn(z: SaddlePointState, *tags):
+        result = grad(ctx, PrimalPoint(z.theta, z.alpha), DualPoint(z.phi, z.beta),
+                      mode.reseeded(*tags))
+        return result.stacked(), result.shots_spent
+
+    def step(z: SaddlePointState, rates):
+        nxt, info = step_fn(g_fn, z, rates)
+        return nxt, (_block_norms(info["g"], p_count, q_count), info["shots"])
+
+    def value(z: SaddlePointState) -> float:
         return lagrangian(ctx, PrimalPoint(z.theta, z.alpha),
-                          DualPoint(z.phi, z.beta), mode.reseeded(9, z.iteration, tag))
+                          DualPoint(z.phi, z.beta), mode.reseeded(9, z.iteration, 1))
 
-    traj = Trajectory()
-    z = init
-    traj.states.append(z)
-    p_count, q_count = len(z.theta), len(z.phi)
-    for t in range(stop.max_iters):
-        rates = schedule.rates(t)
-        if method == PD:
-            nxt, info = pd_step(g_fn, z, rates)
-        else:
-            nxt, info = eg_step(g_fn, z, rates)
-        value = lag(nxt, 1) if record_lagrangian else math.nan
-        if record_lagrangian and abs(value) > divergence_ceiling:
-            traj.stop_reason = "diverged"
-            raise DivergenceError(t, value, traj, time.perf_counter() - start)
-        traj.states.append(nxt)
-        traj.lagrangians.append(value)
-        traj.g_norms.append(_block_norms(info["g"], p_count, q_count))
-        traj.shots.append(info["shots"])
-        moved_theta = float(np.linalg.norm(nxt.theta - z.theta))
-        moved_phi = float(np.linalg.norm(nxt.phi - z.phi))
-        z = nxt
-        if moved_theta <= stop.theta_tol and moved_phi <= stop.phi_tol:
-            traj.stop_reason = "converged"
-            break
-    return traj
+    return _iterate(step, value, lambda z: (z.theta, z.phi), init, schedule, stop,
+                    divergence_ceiling)
 
 
 # ---------------------------------------------------------------------------
@@ -305,48 +310,21 @@ def classical_eg_step(problem: QcqpProblem, s: ClassicalState, steps) -> Classic
     return ClassicalState(v_next, lam_next)
 
 
-@dataclass
-class ClassicalTrajectory:
-    states: list[ClassicalState] = field(default_factory=list)
-    lagrangians: list[float] = field(default_factory=list)
-    stop_reason: str = "max_iters"
-
-    @property
-    def final(self) -> ClassicalState:
-        return self.states[-1]
-
-
 def run_classical(problem: QcqpProblem, init: ClassicalState, method: str,
                   schedule: StepSchedule, stop: StopRule,
-                  divergence_ceiling: float = 1e9) -> ClassicalTrajectory:
-    """Iterate the classical PD or EG baseline; stop when both state blocks
-    move less than the tolerances."""
+                  divergence_ceiling: float = 1e9) -> Trajectory:
+    """Iterate the classical PD or EG baseline (v and lambda step at the
+    theta and phi rates) until the stop rule fires."""
     if method not in (PD, EG):
         raise ValidationError(f"unknown method {method!r}")
-    start = time.perf_counter()
-    traj = ClassicalTrajectory()
-    traj.states.append(init)
-    s = init
-    for t in range(stop.max_iters):
-        mu_v, _, mu_lam, _ = schedule.rates(t)
-        steps = (mu_v, mu_lam)
-        if method == PD:
-            nxt = classical_pd_step(problem, s, steps)
-        else:
-            nxt = classical_eg_step(problem, s, steps)
-        value = classical_lagrangian(problem, nxt.v, nxt.lam)
-        if abs(value) > divergence_ceiling:
-            traj.stop_reason = "diverged"
-            raise DivergenceError(t, value, traj, time.perf_counter() - start)
-        traj.states.append(nxt)
-        traj.lagrangians.append(value)
-        moved_v = float(np.linalg.norm(nxt.v - s.v))
-        moved_lam = float(np.linalg.norm(nxt.lam - s.lam))
-        s = nxt
-        if moved_v <= stop.theta_tol and moved_lam <= stop.phi_tol:
-            traj.stop_reason = "converged"
-            break
-    return traj
+    step_fn = classical_pd_step if method == PD else classical_eg_step
+
+    def step(s: ClassicalState, rates):
+        mu_v, _, mu_lam, _ = rates
+        return step_fn(problem, s, (mu_v, mu_lam)), None
+
+    return _iterate(step, lambda s: classical_lagrangian(problem, s.v, s.lam),
+                    lambda s: (s.v, s.lam), init, schedule, stop, divergence_ceiling)
 
 
 def default_quantum_init(ctx: LagrangianContext, case_n: int, n_loads: int,

@@ -262,11 +262,11 @@ def test_saddle_point_convergence_desk_scale():
         settle = saddle.run(
             ctx, init, "eg",
             saddle.StepSchedule((0.02, 1.0), (3e-5, 1.0), (0.02, 1.0), (3e-5, 1.0)),
-            saddle.StopRule(max_iters=3000, **tight), record_lagrangian=False)
+            saddle.StopRule(max_iters=3000, **tight))
         finish = saddle.run(
             ctx, settle.final, "eg",
             saddle.StepSchedule((0.02, 1.0), (2e-3, 1.0), (0.02, 1.0), (2e-3, 1.0)),
-            saddle.StopRule(max_iters=7000, **tight), record_lagrangian=False)
+            saddle.StopRule(max_iters=7000, **tight))
         iters = settle.iterations + finish.iterations
         z = finish.final
         g = model.grad(ctx, PrimalPoint(z.theta, z.alpha), DualPoint(z.phi, z.beta))

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from dataclasses import replace
@@ -316,6 +317,23 @@ def test_run_experiment_two_bus_exact(tmp_path, case2_file):
     assert len(table) == 3
     doc = json.loads((tmp_path / "run" / "report.json").read_text())
     assert "summary" in doc and len(doc["instances"]) == 2
+
+    # trajectory CSVs: the classical baseline leaves the gradient-norm, scale
+    # and shot cells empty; the variational run fills them, scales included
+    def rows(name):
+        with (tmp_path / "run" / f"trajectory_0_{name}.csv").open(newline="") as fh:
+            return list(csv.DictReader(fh))
+
+    cells = ("g_theta", "g_alpha", "g_phi", "g_beta", "g_total", "alpha", "beta", "shots")
+    classical = rows("QCQP-EG")
+    assert len(classical) == report.instances[0]["QCQP-EG"].iterations > 0
+    assert all(row[c] == "" for row in classical for c in cells)
+    variational = rows("QCQPt-EG")
+    scales = report.instances[0]["QCQPt-EG"].scales
+    assert len(variational) == len(scales) > 0
+    for row, (alpha, beta) in zip(variational, scales):
+        assert all(row[c] != "" for c in cells)
+        assert (float(row["alpha"]), float(row["beta"])) == (alpha, beta)
 
 
 def test_run_experiment_determinism(case2_file):

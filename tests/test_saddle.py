@@ -115,15 +115,21 @@ def test_schedule_rates_and_validation():
         StepSchedule(( -0.1, 1.0), (0.1, 1.0), (0.1, 1.0), (0.1, 1.0))
 
 
-def test_run_zero_iterations_returns_init():
+@pytest.mark.parametrize("engine", ["run", "run_classical"])
+def test_run_zero_iterations_returns_init(engine):
     problem = random_problem(2, 2, seed=0)
-    ctx = model.LagrangianContext(problem, sim.AnsatzSpec.from_row(2, 1, 1),
-                                  sim.AnsatzSpec.from_row(2, 1, 1))
-    init = saddle.default_quantum_init(ctx, 2, 1, seed=0)
-    traj = saddle.run(ctx, init, "pd", StepSchedule.constant(0.01),
-                      StopRule(max_iters=0))
+    if engine == "run":
+        ctx = model.LagrangianContext(problem, sim.AnsatzSpec.from_row(2, 1, 1),
+                                      sim.AnsatzSpec.from_row(2, 1, 1))
+        target, init = ctx, saddle.default_quantum_init(ctx, 2, 1, seed=0)
+    else:
+        target, init = problem, saddle.default_classical_init(problem, 1, seed=0)
+    traj = getattr(saddle, engine)(target, init, "pd", StepSchedule.constant(0.01),
+                                   StopRule(max_iters=0))
     assert traj.final is init
     assert traj.iterations == 0
+    assert traj.total_shots == 0
+    assert traj.stop_reason == "max_iters"
 
 
 def test_run_deterministic_per_seed():
@@ -194,12 +200,29 @@ def test_classical_pd_keeps_slack_multipliers_at_zero(case2):
     assert np.all(nxt.lam >= 0.0)
 
 
-def test_classical_eg_matches_bilinear_template():
-    # stacked classical field on a hand-built 1-dim "problem": use the
-    # quantum-side template as the reference implementation
-    z = make_state(1.0, 1.0)
-    nxt, info = saddle.eg_step(bilinear_g, z, (0.1, 0.0, 0.1, 0.0))
-    assert nxt.theta[0] == pytest.approx(1 - 0.1 * info["midpoint"].phi[0])
+def test_classical_eg_first_iterate_fixture(case2):
+    """First EG iterate from the flat profile, frozen by direct evaluation:
+    midpoint with step 2*mu (lambda clipped at zero), then the field at the
+    midpoint with step mu."""
+    problem = grid.assemble_qcqp(case2)
+    tensor = problem.dense_constraints()
+    m0 = problem.dense_m0()
+    v0 = np.ones(2, dtype=complex)
+    lam0 = np.full(problem.m_stored, 0.5)
+    mu = 1e-3
+
+    def field(v, lam):
+        grad_v = 2.0 * (m0 @ v + np.einsum("m,mij,j->i", lam, tensor, v))
+        forms = np.real(np.einsum("i,mij,j->m", v.conj(), tensor, v))
+        return grad_v, forms - problem.bounds
+
+    grad_v, grad_lam = field(v0, lam0)
+    v_mid = v0 - 2.0 * mu * grad_v
+    lam_mid = np.maximum(lam0 + 2.0 * mu * grad_lam, 0.0)
+    grad_v_mid, grad_lam_mid = field(v_mid, lam_mid)
+    s = saddle.classical_eg_step(problem, ClassicalState(v0, lam0), (mu, mu))
+    assert np.allclose(s.v, v0 - mu * grad_v_mid, rtol=0, atol=1e-15)
+    assert np.allclose(s.lam, np.maximum(lam0 + mu * grad_lam_mid, 0.0), rtol=0, atol=1e-15)
 
 
 def test_classical_flat_start_first_iterate_fixture(case2):
