@@ -700,12 +700,13 @@ def run_experiment(config: ExperimentConfig,
         for model in config.models:
             for method in config.methods:
                 tag = _model_tag(model, method)
+                start = time.perf_counter()
                 try:
                     results[tag] = _run_single(config, prepared, model, method, k,
-                                               ref_instance)
+                                               ref_instance, start)
                 except saddle_mod.DivergenceError as err:
                     results[tag] = ModelResult(
-                        metrics=None, wall_time=err.elapsed,
+                        metrics=None, wall_time=time.perf_counter() - start,
                         lagrangian_final=float("nan"), duals=np.array([]),
                         error=str(err), **_history(err.trajectory, model))
         report.instances.append(results)
@@ -727,8 +728,9 @@ def _history(traj: saddle_mod.Trajectory, model: str) -> dict:
 
 def _run_single(config: ExperimentConfig, prepared: PreparedCase, model: str,
                 method: str, instance_idx: int,
-                ref: ReferenceInstance | None) -> ModelResult:
-    start = time.perf_counter()
+                ref: ReferenceInstance | None, start: float) -> ModelResult:
+    """One model and method on one instance; its wall time runs from
+    ``start``, the clock reading the caller also times a diverged run from."""
     n_loads = len(prepared.case.load_nodes)
     if model == "qcqp":
         problem = prepared.problem

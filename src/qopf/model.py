@@ -17,19 +17,19 @@ measurement would on hardware: per color piece, a dual outcome m and an
 outcome i of the color-rotated primal circuit are drawn separately, and
 the pair scores the rotated piece diagonal of constraint m at i, read from
 the sparse entries of the context's piece table, where piece p holds it
-under the key (p * M + m) * dim + i.  The sampled estimators batch their
-pieces: the state is rotated under all pieces at once, and the dual draws
-are inverted and all pairs looked up as whole arrays (searched in sorted
-order), while each piece keeps its own seeded stream, so every value is
-the same bit for bit as when the pieces were measured one at a time.  In
-exact mode the gradients in the circuit parameters come from one adjoint
-(reverse-mode) sweep per circuit, reusing the rotation factors that
-prepared the circuit's state; in sampled mode from the two-point
-parameter-shift rule, as they would on hardware, with all shifted states of
-a circuit prepared as one stack from the same factors and the rotated
-primal CDFs of all primal shifts taken in one pass.  Either way the
-circuit ledger charges the parameter-shift count.  The scale gradients are
-the closed forms dL/dalpha = 2 alpha (F0 + beta^2 F) and
+under the key (p * M + m) * dim + i.  Each sampled estimator call seeds
+one generator, and its pieces draw disjoint blocks of that one stream as
+whole arrays, which keeps them independent: the state is rotated under all
+pieces at once, the dual and the primal draws of all pieces are each
+inverted in one search, and all pairs are looked up at once (every search
+in sorted order).  In exact mode the gradients in the circuit parameters
+come from one adjoint (reverse-mode) sweep per circuit, reusing the
+rotation factors that prepared the circuit's state; in sampled mode from
+the two-point parameter-shift rule, as they would on hardware, with all
+shifted states of a circuit prepared as one stack from the same factors and
+the rotated primal CDFs of all primal shifts taken in one pass.  Either way
+the circuit ledger charges the parameter-shift count.  The scale gradients
+are the closed forms dL/dalpha = 2 alpha (F0 + beta^2 F) and
 dL/dbeta = 2 beta (alpha^2 F - G).
 """
 
@@ -230,33 +230,55 @@ def _dual_cdf(w: np.ndarray) -> np.ndarray:
     return cdf / cdf[-1]
 
 
+# Generator.random draws are n / 2^53 with integer 0 <= n < 2^53, so a CDF
+# entry c satisfies c <= n / 2^53 exactly when ceil(c 2^53) <= n.  Row k of
+# a batch searches those integers offset by k (2^53 + 1), a range no other
+# row reaches; float offsets would not do, as rounding can tie two rows.
+# int64 keys hold 1023 such rows.
+_GRID = 2.0**53
+_ROW_SPAN = 2**53 + 1
+_ROWS_PER_SEARCH = (2**63 - 1) // _ROW_SPAN
+
+
+def _inverse_cdf_rows(cdfs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Row by row ``np.searchsorted(cdfs[k], u[k], side="right")``, exactly,
+    for (rows, dim) CDFs and (rows, S) draws of ``Generator.random``, found
+    in one sorted search of integer keys per ``_ROWS_PER_SEARCH`` rows."""
+    out = np.empty(u.shape, dtype=np.intp)
+    dim = cdfs.shape[-1]
+    for lo in range(0, len(cdfs), _ROWS_PER_SEARCH):
+        block = slice(lo, lo + _ROWS_PER_SEARCH)
+        rows = np.arange(len(cdfs[block]), dtype=np.int64)[:, None]
+        keys = rows * _ROW_SPAN + np.ceil(cdfs[block] * _GRID).astype(np.int64)
+        queries = rows * _ROW_SPAN + (u[block] * _GRID).astype(np.int64)
+        out[block] = xbm.sorted_search(keys.ravel(), queries, side="right") - rows * dim
+    return out
+
+
 def _sample_f(ctx: LagrangianContext, cdfs: np.ndarray, w_cdf: np.ndarray,
               mode: EvalMode) -> tuple[float, int]:
     """Two-step estimate of F from independent dual and primal draws.
 
-    Per color piece k, on its own stream: S dual outcomes m are drawn from
-    the dual PMF (CDF ``w_cdf``) and S outcomes i of the color-rotated
-    primal circuit from row k of ``cdfs`` (``_primal_cdfs``); each pair
-    scores the piece diagonal of constraint m at i, looked up in the sparse
-    entries under the key (k * M + m) * dim + i, averaged over the S pairs.
-    That costs O(S log nnz) per piece after the O(M + dim) CDFs.
+    Per color piece k: S dual outcomes m are drawn from the dual PMF (CDF
+    ``w_cdf``) and S outcomes i of the color-rotated primal circuit from row
+    k of ``cdfs`` (``_primal_cdfs``); each pair scores the piece diagonal of
+    constraint m at i, looked up in the sparse entries under the key
+    (k * M + m) * dim + i, averaged over the S pairs.  That costs
+    O(S log nnz) per piece after the O(M + dim) CDFs.
 
-    The pieces are batched: the loop over pieces only seeds each piece's
-    stream and takes its draws, the primal ones inverted in that piece's
-    CDF row, which keeps every stream as it was piece by piece.  The dual
-    outcomes of all pieces come from one inverse CDF over the (pieces, S)
-    draws, all pairs are looked up at once in ``ctx.joint_diagonals.entries``,
-    and the per-piece means are added in piece order.
+    The call seeds one generator and takes every piece's draws from it as
+    whole arrays: first the (pieces, S) dual uniforms, then the (pieces, S)
+    primal ones, so row k of each is piece k's disjoint block of the stream.
+    The dual outcomes of all pieces come from one inverse CDF, the primal
+    ones from one exact search over all CDF rows (``_inverse_cdf_rows``),
+    all pairs are looked up at once in ``ctx.joint_diagonals.entries``, and
+    the per-piece means are added in piece order.
     """
     shots = mode.shots
     pieces = len(ctx.joint_diagonals)
-    dual_u = np.empty((pieces, shots))
-    i = np.empty((pieces, shots), dtype=np.intp)
-    for k in range(pieces):
-        draws = rng(chain_seed(mode.seed, k))
-        draws.random(out=dual_u[k])
-        i[k] = np.searchsorted(cdfs[k], draws.random(shots), side="right")
-    m = xbm.sorted_search(w_cdf, dual_u, side="right")
+    draws = rng(mode.seed)
+    m = xbm.sorted_search(w_cdf, draws.random((pieces, shots)), side="right")
+    i = _inverse_cdf_rows(cdfs, draws.random((pieces, shots)))
     segments = m + ctx.problem.m_stored * np.arange(pieces)[:, None]
     values = ctx.joint_diagonals.entries.lookup(segments, i)
     total = 0.0

@@ -13,7 +13,6 @@ the field evaluated there with step mu, exactly as specified.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,15 +28,13 @@ class DivergenceError(RuntimeError):
     """|L| exceeded the divergence ceiling at 0-based ``iteration``.
 
     ``trajectory`` holds the run up to the last accepted iterate, with stop
-    reason "diverged" (the diverging iterate is not recorded), and
-    ``elapsed`` the seconds the run took until the abort.
+    reason "diverged" (the diverging iterate is not recorded).
     """
 
-    def __init__(self, iteration: int, value: float, trajectory, elapsed: float):
+    def __init__(self, iteration: int, value: float, trajectory):
         self.iteration = iteration
         self.value = value
         self.trajectory = trajectory
-        self.elapsed = elapsed
         super().__init__(
             f"|L| = {value:.3e} exceeded the divergence ceiling at iteration {iteration}"
         )
@@ -200,7 +197,6 @@ def _iterate(step, value, blocks, init, schedule: StepSchedule, stop: StopRule,
     recorded at a state, and ``blocks(z)`` the two blocks whose moves the
     stop rule compares with ``stop.theta_tol`` and ``stop.phi_tol``.  Aborts
     with DivergenceError when |L| exceeds the ceiling."""
-    start = time.perf_counter()
     traj = Trajectory(states=[init])
     z = init
     for t in range(stop.max_iters):
@@ -208,7 +204,7 @@ def _iterate(step, value, blocks, init, schedule: StepSchedule, stop: StopRule,
         lag = value(nxt)
         if abs(lag) > divergence_ceiling:
             traj.stop_reason = "diverged"
-            raise DivergenceError(t, lag, traj, time.perf_counter() - start)
+            raise DivergenceError(t, lag, traj)
         traj.states.append(nxt)
         traj.lagrangians.append(lag)
         if record is not None:

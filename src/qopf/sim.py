@@ -3,8 +3,9 @@
 States are complex vectors of length 2**n_qubits with qubit 0 as the least
 significant bit of the basis index (so basis index arithmetic matches the
 XOR bookkeeping of the measurement module).  All simulation is exact in
-double precision; shot noise enters only through ``sample_basis`` and the
-sampled estimators of ``model``, each stream seeded through ``rng``.
+double precision; shot noise enters only through the sampled estimators of
+``model`` and ``xbm``, each call drawing from one generator seeded through
+``rng``.
 
 The ansatz runs one operation per token layer: a rotation layer applies
 one rx, ry or rz to every qubit, and a CX chain is one precomputed basis
@@ -381,13 +382,3 @@ def shift_states(spec: AnsatzSpec, factors: list) -> np.ndarray:
         started = states[live - 2 * n:live].reshape(n, 2, -1)
         states[live - 2 * n:live] = _half_turns(started, token, layout).reshape(2 * n, -1)
     return states[1:].reshape(-1, 2, 2**n)
-
-
-def sample_basis(state: np.ndarray, shots: int, seed) -> np.ndarray:
-    """Multinomial computational-basis counts (length 2**n), deterministic
-    per seed."""
-    if shots < 1:
-        raise SimulationError("shots must be >= 1")
-    probs = np.abs(np.asarray(state)) ** 2
-    probs = probs / probs.sum()
-    return rng(seed).multinomial(shots, probs)

