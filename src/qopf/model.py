@@ -16,27 +16,28 @@ Its sampled value pairs independent measurements, as an extended Bell
 measurement would on hardware: per color piece, a dual outcome m and an
 outcome i of the color-rotated primal circuit are drawn separately, and
 the pair scores the rotated piece diagonal of constraint m at i, read from
-the sparse entries of the context's piece table, where piece p holds it
-under the key (p * M + m) * dim + i.  Each sampled estimator call seeds
-one generator, and its pieces draw disjoint blocks of that one stream as
-whole arrays, which keeps them independent: the state is rotated under all
-pieces at once, the dual and the primal draws of all pieces are each
-inverted in one search, and all pairs are looked up at once (every search
-in sorted order).  In exact mode the gradients in the circuit parameters
-come from one adjoint (reverse-mode) sweep per circuit, reusing the
-rotation factors that prepared the circuit's state; in sampled mode from
-the two-point parameter-shift rule, as they would on hardware, with all
-shifted states of a circuit prepared as one stack from the same factors and
-the rotated primal CDFs of all primal shifts taken in one pass.  Either way
-the circuit ledger charges the parameter-shift count.  The scale gradients
-are the closed forms dL/dalpha = 2 alpha (F0 + beta^2 F) and
-dL/dbeta = 2 beta (alpha^2 F - G).
+segment p * M + m of the context's piece table.  Each sampled estimator
+call seeds one generator, and its pieces draw disjoint blocks of that one
+stream as whole arrays, which keeps them independent: the states are
+rotated under all pieces at once, the dual draws of all pieces are
+inverted in one sorted search, and the primal draws are never inverted:
+only pairs on a segment with entries can score, each by an interval test
+on the primal CDF at its segment's columns.  In exact mode the gradients
+in the circuit parameters come from one adjoint (reverse-mode) sweep per
+circuit, reusing the rotation factors that prepared the circuit's state;
+in sampled mode from the two-point parameter-shift rule, as on hardware,
+with all shifted states of a circuit prepared as one stack from the same
+factors, and the primal stack rotated once for its F0 estimates and once
+for its CDFs.  Either way the circuit ledger charges the parameter-shift
+count.  The scale gradients are the closed forms
+dL/dalpha = 2 alpha (F0 + beta^2 F) and dL/dbeta = 2 beta (alpha^2 F - G).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,7 +121,8 @@ class LagrangianContext:
     block-diagonal joint observable of size MN x MN, never materialized,
     whose segment of piece p and constraint m is p * M + m.  The sampled F
     draws a dual outcome m and a rotated primal outcome i independently per
-    piece and looks the pairs of all pieces up at once in those entries.
+    piece, and scores the pairs of all pieces at once from those entries
+    through the table's per-segment index, built on the first sampled F.
     """
 
     def __init__(self, problem: QcqpProblem, primal_spec: AnsatzSpec,
@@ -163,13 +165,10 @@ class LagrangianContext:
         return (2 * self.p_count + 1) * (2 * c - 1), 2 * self.q_count + 1
 
 
-class TermValues:
-    __slots__ = ("f0", "f", "g")
-
-    def __init__(self, f0: float, f: float, g: float):
-        self.f0 = f0
-        self.f = f
-        self.g = g
+class TermValues(NamedTuple):
+    f0: float
+    f: float
+    g: float
 
 
 def primal_vector(ctx: LagrangianContext, p: PrimalPoint) -> np.ndarray:
@@ -204,9 +203,13 @@ def eval_terms_exact(ctx: LagrangianContext, p: PrimalPoint, d: DualPoint) -> Te
 # Sampled estimators
 
 
-def _sample_f0(ctx: LagrangianContext, psi: np.ndarray, mode: EvalMode) -> tuple[float, int]:
-    report = xbm.estimate_expectation(psi, ctx.m0_decomposition, mode.shots, mode.seed)
-    return report.estimate, mode.shots * len(ctx.m0_decomposition)
+def _sample_f0(ctx: LagrangianContext, states: np.ndarray,
+               modes: list[EvalMode]) -> tuple[list[float], int]:
+    """F0 estimates of the rows of a (B, dim) stack of states, row b drawn
+    from the seed of ``modes[b]``, and the shots they spend."""
+    shots, table = modes[0].shots, ctx.m0_decomposition
+    reports = xbm.estimate_expectation(states, table, shots, [mode.seed for mode in modes])
+    return [report.estimate for report in reports], shots * len(table) * len(modes)
 
 
 def _sample_g(ctx: LagrangianContext, w: np.ndarray, mode: EvalMode) -> tuple[float, int]:
@@ -230,29 +233,14 @@ def _dual_cdf(w: np.ndarray) -> np.ndarray:
     return cdf / cdf[-1]
 
 
-# Generator.random draws are n / 2^53 with integer 0 <= n < 2^53, so a CDF
-# entry c satisfies c <= n / 2^53 exactly when ceil(c 2^53) <= n.  Row k of
-# a batch searches those integers offset by k (2^53 + 1), a range no other
-# row reaches; float offsets would not do, as rounding can tie two rows.
-# int64 keys hold 1023 such rows.
-_GRID = 2.0**53
-_ROW_SPAN = 2**53 + 1
-_ROWS_PER_SEARCH = (2**63 - 1) // _ROW_SPAN
-
-
-def _inverse_cdf_rows(cdfs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Row by row ``np.searchsorted(cdfs[k], u[k], side="right")``, exactly,
-    for (rows, dim) CDFs and (rows, S) draws of ``Generator.random``, found
-    in one sorted search of integer keys per ``_ROWS_PER_SEARCH`` rows."""
-    out = np.empty(u.shape, dtype=np.intp)
-    dim = cdfs.shape[-1]
-    for lo in range(0, len(cdfs), _ROWS_PER_SEARCH):
-        block = slice(lo, lo + _ROWS_PER_SEARCH)
-        rows = np.arange(len(cdfs[block]), dtype=np.int64)[:, None]
-        keys = rows * _ROW_SPAN + np.ceil(cdfs[block] * _GRID).astype(np.int64)
-        queries = rows * _ROW_SPAN + (u[block] * _GRID).astype(np.int64)
-        out[block] = xbm.sorted_search(keys.ravel(), queries, side="right") - rows * dim
-    return out
+def _scored(cdfs: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+            u: np.ndarray) -> np.ndarray:
+    """Whether the draw u from CDF row ``rows`` is outcome ``cols``, by the
+    interval test cdfs[rows, cols - 1] <= u < cdfs[rows, cols], unbounded
+    below at column 0: on a nondecreasing row that is exactly
+    ``np.searchsorted(cdfs[rows], u, side="right") == cols``."""
+    below = np.where(cols > 0, cdfs[rows, cols - 1], -np.inf)
+    return (below <= u) & (u < cdfs[rows, cols])
 
 
 def _sample_f(ctx: LagrangianContext, cdfs: np.ndarray, w_cdf: np.ndarray,
@@ -262,25 +250,35 @@ def _sample_f(ctx: LagrangianContext, cdfs: np.ndarray, w_cdf: np.ndarray,
     Per color piece k: S dual outcomes m are drawn from the dual PMF (CDF
     ``w_cdf``) and S outcomes i of the color-rotated primal circuit from row
     k of ``cdfs`` (``_primal_cdfs``); each pair scores the piece diagonal of
-    constraint m at i, looked up in the sparse entries under the key
-    (k * M + m) * dim + i, averaged over the S pairs.  That costs
-    O(S log nnz) per piece after the O(M + dim) CDFs.
+    constraint m at i, averaged over the S pairs.
 
     The call seeds one generator and takes every piece's draws from it as
     whole arrays: first the (pieces, S) dual uniforms, then the (pieces, S)
     primal ones, so row k of each is piece k's disjoint block of the stream.
-    The dual outcomes of all pieces come from one inverse CDF, the primal
-    ones from one exact search over all CDF rows (``_inverse_cdf_rows``),
-    all pairs are looked up at once in ``ctx.joint_diagonals.entries``, and
-    the per-piece means are added in piece order.
+    The dual outcomes of all pieces come from one inverse CDF; the primal
+    draws are never inverted.  A pair reads 0 unless its segment k * M + m
+    has entries (``PieceTable.segment_starts``), and then scores the entry
+    whose column passes the interval test ``_scored`` of its draw.  The
+    per-piece means are added in piece order.
     """
     shots = mode.shots
-    pieces = len(ctx.joint_diagonals)
+    table = ctx.joint_diagonals
+    pieces = len(table)
     draws = rng(mode.seed)
     m = xbm.sorted_search(w_cdf, draws.random((pieces, shots)), side="right")
-    i = _inverse_cdf_rows(cdfs, draws.random((pieces, shots)))
-    segments = m + ctx.problem.m_stored * np.arange(pieces)[:, None]
-    values = ctx.joint_diagonals.entries.lookup(segments, i)
+    u = draws.random((pieces, shots)).ravel()
+    segments = (m + ctx.problem.m_stored * np.arange(pieces)[:, None]).ravel()
+    first = table.segment_starts[segments]
+    sizes = table.segment_starts[segments + 1] - first
+    shot = np.flatnonzero(sizes)  # the pairs on a segment with entries
+    sizes = sizes[shot]
+    # one item per such pair and entry of its segment, entries first to first + size - 1
+    entry = np.arange(sizes.sum()) + np.repeat(first[shot] - np.cumsum(sizes) + sizes, sizes)
+    shot = np.repeat(shot, sizes)
+    cols = table.entries.keys[entry] % table.entries.dim
+    hit = _scored(cdfs, shot // shots, cols, u[shot])
+    values = np.zeros((pieces, shots))
+    values.ravel()[shot[hit]] = table.entries.values[entry[hit]]
     total = 0.0
     for mean in (values.sum(axis=1) / shots).tolist():
         total += mean
@@ -303,7 +301,7 @@ def eval_terms(ctx: LagrangianContext, p: PrimalPoint, d: DualPoint,
         return eval_terms_exact(ctx, p, d)
     psi = prepare(ctx.primal_spec, p.theta)
     w = dual_pmf(ctx, d)
-    f0, _ = _sample_f0(ctx, psi, mode.reseeded(0))
+    (f0,), _ = _sample_f0(ctx, psi[None], [mode.reseeded(0)])
     f, _ = _sample_f(ctx, _primal_cdfs(ctx, psi), _dual_cdf(w), mode.reseeded(1))
     g, _ = _sample_g(ctx, w, mode.reseeded(2))
     return TermValues(f0, f, g)
@@ -376,49 +374,45 @@ def _angle_grads_sampled(ctx: LagrangianContext, p: PrimalPoint, d: DualPoint,
     a2, b2 = p.alpha**2, d.beta**2
     shots_spent = 0
 
+    def charged(estimate):
+        """The value of a (value, shots) estimate, its shots charged to the call."""
+        nonlocal shots_spent
+        shots_spent += estimate[1]
+        return estimate[0]
+
     # The rotated primal CDFs depend on theta only and the dual CDF on phi
     # only: each is computed once per state and shared by the shifts of
     # the other block.  All 2P primal and all 2Q dual shift states are
-    # prepared as one stack per circuit, from the factors of the base
-    # state, and the primal shifts' CDFs come from one pass over the stack.
+    # prepared as one stack per circuit from the base state's factors, and
+    # the primal stack is rotated once for its F0s and once for its CDFs.
     theta_factors = rotation_factors(ctx.primal_spec, p.theta)
     phi_factors = rotation_factors(ctx.dual_spec, d.phi)
     psi = prepare(ctx.primal_spec, p.theta, theta_factors)
     w = np.abs(prepare(ctx.dual_spec, d.phi, phi_factors)) ** 2
     cdfs, w_cdf = _primal_cdfs(ctx, psi), _dual_cdf(w)
-    f0, spent = _sample_f0(ctx, psi, mode.reseeded(0))
-    shots_spent += spent
-    f, spent = _sample_f(ctx, cdfs, w_cdf, mode.reseeded(1))
-    shots_spent += spent
-    g, spent = _sample_g(ctx, w, mode.reseeded(2))
-    shots_spent += spent
+    (f0,) = charged(_sample_f0(ctx, psi[None], [mode.reseeded(0)]))
+    f = charged(_sample_f(ctx, cdfs, w_cdf, mode.reseeded(1)))
+    g = charged(_sample_g(ctx, w, mode.reseeded(2)))
 
     psi_shifts = shift_states(ctx.primal_spec, theta_factors)
+    f0_shifts = charged(_sample_f0(ctx, psi_shifts.reshape(-1, psi.size), [
+        mode.reseeded(10, j, s) for j in range(ctx.p_count) for s in (0, 1)]))
     shift_cdfs = _primal_cdfs(ctx, psi_shifts)
     g_theta = np.zeros(ctx.p_count)
     for j in range(ctx.p_count):
-        f0p, spent = _sample_f0(ctx, psi_shifts[j, 0], mode.reseeded(10, j, 0))
-        shots_spent += spent
-        f0m, spent = _sample_f0(ctx, psi_shifts[j, 1], mode.reseeded(10, j, 1))
-        shots_spent += spent
-        fp, spent = _sample_f(ctx, shift_cdfs[:, j, 0], w_cdf, mode.reseeded(11, j, 0))
-        shots_spent += spent
-        fm, spent = _sample_f(ctx, shift_cdfs[:, j, 1], w_cdf, mode.reseeded(11, j, 1))
-        shots_spent += spent
+        f0p, f0m = f0_shifts[2 * j:2 * j + 2]
+        fp = charged(_sample_f(ctx, shift_cdfs[:, j, 0], w_cdf, mode.reseeded(11, j, 0)))
+        fm = charged(_sample_f(ctx, shift_cdfs[:, j, 1], w_cdf, mode.reseeded(11, j, 1)))
         g_theta[j] = a2 / 2 * (f0p - f0m) + a2 * b2 / 2 * (fp - fm)
 
     w_shifts = np.abs(shift_states(ctx.dual_spec, phi_factors)) ** 2
     g_phi = np.zeros(ctx.q_count)
     for j in range(ctx.q_count):
         w_p, w_m = w_shifts[j]
-        fp, spent = _sample_f(ctx, cdfs, _dual_cdf(w_p), mode.reseeded(12, j, 0))
-        shots_spent += spent
-        fm, spent = _sample_f(ctx, cdfs, _dual_cdf(w_m), mode.reseeded(12, j, 1))
-        shots_spent += spent
-        gp, spent = _sample_g(ctx, w_p, mode.reseeded(13, j, 0))
-        shots_spent += spent
-        gm, spent = _sample_g(ctx, w_m, mode.reseeded(13, j, 1))
-        shots_spent += spent
+        fp = charged(_sample_f(ctx, cdfs, _dual_cdf(w_p), mode.reseeded(12, j, 0)))
+        fm = charged(_sample_f(ctx, cdfs, _dual_cdf(w_m), mode.reseeded(12, j, 1)))
+        gp = charged(_sample_g(ctx, w_p, mode.reseeded(13, j, 0)))
+        gm = charged(_sample_g(ctx, w_m, mode.reseeded(13, j, 1)))
         g_phi[j] = a2 * b2 / 2 * (fp - fm) - b2 / 2 * (gp - gm)
 
     return TermValues(f0, f, g), g_theta, g_phi, shots_spent

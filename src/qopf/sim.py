@@ -34,7 +34,9 @@ import numpy as np
 
 def chain_seed(seed, *tags) -> list[int]:
     """Flatten a base seed plus derivation tags into one entropy list, so
-    independent streams are reproducible functions of (seed, role)."""
+    independent streams are reproducible functions of (seed, role).  Seeds
+    must differ once zero-padded to four words, as ``SeedSequence`` pads
+    shorter entropy with zeros: ``[5, 0]`` draws what ``5`` draws."""
     base = list(seed) if isinstance(seed, (list, tuple)) else [int(seed)]
     return base + [int(t) for t in tags]
 
@@ -128,14 +130,15 @@ def rotation_matrix(kind: str, angle: float) -> np.ndarray:
     return np.array([[c - 1j * s, 0], [0, c + 1j * s]])  # rz
 
 
-def apply_single(state: np.ndarray, qubit: int, u: np.ndarray) -> np.ndarray:
+def apply_single(state: np.ndarray, qubit: int, u: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Apply the 2x2 matrix ``u`` to ``qubit`` of a state, or of every row of
-    a stack of states, returning a new array."""
-    view = state.reshape(-1, 2, 2**qubit)
-    out = np.empty_like(view)
-    out[:, 0, :] = u[0, 0] * view[:, 0, :] + u[0, 1] * view[:, 1, :]
-    out[:, 1, :] = u[1, 0] * view[:, 0, :] + u[1, 1] * view[:, 1, :]
-    return out.reshape(state.shape)
+    a stack of states, into a new array or the contiguous array ``out``."""
+    view = state.reshape(*state.shape[:-1], -1, 2, 2**qubit)
+    target = np.empty_like(view) if out is None else out.reshape(view.shape)
+    target[..., 0, :] = u[0, 0] * view[..., 0, :] + u[0, 1] * view[..., 1, :]
+    target[..., 1, :] = u[1, 0] * view[..., 0, :] + u[1, 1] * view[..., 1, :]
+    return target.reshape(state.shape)
 
 
 def _chain_permutation(n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -9,11 +9,11 @@ set bit of c, followed by a Hadamard on k_c.  The imaginary part additionally
 takes an S^dag prefix on k_c, realized here as Rz(-pi/2) (equal up to an
 irrelevant global phase).  The whole CX fan-out is one precomputed basis
 gather, and Rz and H go through the 2x2 primitive ``sim.apply_single``.
-``rotate_pieces`` rotates a state under many pieces at once: pieces that
-share k and part share one S^dag and one H over the stack of their
-fan-out gathers, elementwise the same operations as piece by piece, so the
-rotated states are the same bit for bit.  ``RotationCircuit.apply`` is that
-path for one piece.
+``rotate_pieces`` rotates a state, or a stack of states, under many
+pieces at once: pieces that share k and part share one S^dag and one H
+over the stack of their fan-out gathers, elementwise the same operations
+as piece by piece, so the rotated states are the same bit for bit.
+``RotationCircuit.apply`` is that path for one piece.
 
 With that rotation R applied to the state, the piece expectation becomes a
 computational-basis average of a fixed real diagonal: for every index i whose
@@ -26,10 +26,10 @@ k_c bit is clear, pairing it with j = i ^ c,
 i ^ j, in one pass over a whole ``grid.MatrixStack``, and ``decompose`` is
 the same for one Hermitian matrix: a ``PieceTable`` holds the pieces'
 (color, part), the sorted sparse entries of all their diagonals as one
-``PieceEntries``, their norms and their rotations, each built once, and
-scatters the diagonals densely on request.  The sampled estimator
-``estimate_expectation`` and its exact variance read one matrix's pieces
-from such a table.
+``PieceEntries`` with a per-segment index of them, their norms and their
+rotations, each built once, and scatters the diagonals densely on request.
+The sampled estimator ``estimate_expectation``, for one state or a stack,
+and its exact variance read one matrix's pieces from such a table.
 The construction is validated functionally by the test suite: R M_c R^dag
 must be diagonal and equal diag(lambda) for every color and part.
 """
@@ -40,6 +40,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -104,27 +105,27 @@ class RotationCircuit:
 
 
 class PieceRotations(NamedTuple):
-    """The rotations of a sequence of pieces, grouped for ``rotate_pieces``:
-    the positions of the unrotated (color 0) pieces, and per (k, part) the
-    positions of its pieces with their fan-outs stacked as one (g, dim)
-    gather."""
+    """The rotations of a sequence of pieces, grouped for ``rotate_pieces``
+    into runs of consecutive rows: the unrotated (color 0) runs, and each
+    run of one (k, part) with its fan-outs stacked as one (g, dim) gather.
+    A table sorts its pieces by part and color, so each (k, part) is one run."""
 
     count: int
-    unrotated: np.ndarray
-    groups: tuple[tuple[int, str, np.ndarray, np.ndarray], ...]
+    unrotated: tuple[slice, ...]
+    groups: tuple[tuple[slice, int, str, np.ndarray], ...]
 
 
 def group_rotations(circuits: Sequence[RotationCircuit | None]) -> PieceRotations:
-    """Group piece rotations (None for color 0) by their (k, part)."""
-    positions: dict[tuple[int, str] | None, list[int]] = {}
-    for pos, circuit in enumerate(circuits):
-        key = None if circuit is None else (circuit.k, circuit.part)
-        positions.setdefault(key, []).append(pos)
-    unrotated = np.array(positions.pop(None, []), dtype=int)
-    groups = tuple(
-        (k, part, np.array(rows), np.stack([circuits[row].fanout for row in rows]))
-        for (k, part), rows in positions.items())
-    return PieceRotations(len(circuits), unrotated, groups)
+    """Group piece rotations (None for color 0) into runs of one (k, part)."""
+    unrotated, groups, start = [], [], 0
+    for key, run in groupby(circuits, lambda c: None if c is None else (c.k, c.part)):
+        run = list(run)
+        rows, start = slice(start, start + len(run)), start + len(run)
+        if key is None:
+            unrotated.append(rows)
+        else:
+            groups.append((rows, *key, np.stack([circuit.fanout for circuit in run])))
+    return PieceRotations(start, tuple(unrotated), tuple(groups))
 
 
 def rotate_pieces(states: np.ndarray, rotations: PieceRotations) -> np.ndarray:
@@ -132,17 +133,19 @@ def rotate_pieces(states: np.ndarray, rotations: PieceRotations) -> np.ndarray:
     of states: a complex (pieces, *states.shape) array whose entry p is
     rotated by piece p.
 
-    One pass per (k, part) group: S^dag on k once for an imaginary group,
-    all of the group's fan-outs as one gather, then one H on k over the
-    gathered stack.  These are the elementwise operations of rotating piece
-    by piece, so the result is the same bit for bit.
+    One pass per run of (k, part): S^dag on k once for an imaginary run,
+    all of the run's fan-outs as one gather, then one H on k over the
+    gathered stack, written straight into the run's rows of the output.
+    These are the elementwise operations of rotating piece by piece, so
+    the result is the same bit for bit.
     """
     flat = states.reshape(-1, states.shape[-1])
     out = np.empty((rotations.count, *flat.shape), dtype=complex)
-    out[rotations.unrotated] = flat
-    for k, part, rows, fanouts in rotations.groups:
+    for rows in rotations.unrotated:
+        out[rows] = flat
+    for rows, k, part, fanouts in rotations.groups:
         source = apply_single(flat, k, _S_DAG) if part == IMAG else flat
-        out[rows] = apply_single(source[:, fanouts], k, _HADAMARD).swapaxes(0, 1)
+        apply_single(source[:, fanouts].swapaxes(0, 1), k, _HADAMARD, out=out[rows])
     return out.reshape(rotations.count, *states.shape)
 
 
@@ -172,13 +175,6 @@ class PieceEntries(NamedTuple):
     values: np.ndarray
     dim: int
 
-    def lookup(self, segments: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        """Diagonal values of the given segments at the given basis indices,
-        pair by pair; pairs without an entry read 0."""
-        keys = segments * self.dim + indices
-        pos = np.minimum(sorted_search(self.keys, keys), len(self.keys) - 1)
-        return np.where(self.keys[pos] == keys, self.values[pos], 0.0)
-
 
 @dataclass(frozen=True)
 class PieceTable:
@@ -186,8 +182,8 @@ class PieceTable:
     nonzero in at least one of them: ``pieces`` lists their (color, part),
     real parts by ascending color first, then imaginary parts; ``entries``
     holds the nonzero entries of every piece's rotated diagonals, segment
-    p * count + m being matrix m of piece p; ``norms`` holds per piece
-    max_m ||M_m^c||, its largest |entry|."""
+    p * count + m (indexed by ``segment_starts``) being matrix m of piece p;
+    ``norms`` holds per piece max_m ||M_m^c||, its largest |entry|."""
 
     pieces: tuple[tuple[int, str], ...]
     entries: PieceEntries
@@ -217,6 +213,13 @@ class PieceTable:
     def rotations(self) -> PieceRotations:
         """The pieces' rotations, grouped once for ``rotate_pieces``."""
         return group_rotations(self.circuits)
+
+    @cached_property
+    def segment_starts(self) -> np.ndarray:
+        """The CSR index of ``entries``, built on first use: segment s holds
+        entries ``segment_starts[s]`` to ``segment_starts[s + 1]``, by column."""
+        bounds = np.arange(len(self) * self.count + 1) * self.entries.dim
+        return np.searchsorted(self.entries.keys, bounds)
 
     @cached_property
     def diagonals(self) -> np.ndarray:
@@ -295,39 +298,38 @@ class VarianceReport(NamedTuple):
     bound: float
 
 
-def estimate_expectation(
-    state: np.ndarray,
-    table: PieceTable,
-    shots_per_piece: int,
-    seed,
-) -> EstimateReport:
+def estimate_expectation(state: np.ndarray, table: PieceTable, shots_per_piece: int,
+                         seed) -> EstimateReport | list[EstimateReport]:
     """Sampled estimate of <psi|M|psi> from the color pieces of M
-    (``decompose``).
+    (``decompose``), or the list of estimates of the rows of a (B, dim)
+    stack of states, ``seed`` then holding one seed per row.
 
-    The state is rotated under all pieces at once (``rotate_pieces``), and
-    one generator seeded with ``seed`` draws the computational-basis counts
-    of every piece's rotated state in one multinomial call, piece p taking
-    the p-th disjoint block of the stream.  Each piece's value averages its
-    diagonal over its outcomes.  The estimate is unbiased and reproducible.
+    All states are rotated under all pieces in one ``rotate_pieces`` call
+    and normalised at once; a single state is the one-row stack.  Each
+    estimate seeds one generator, which draws the computational-basis
+    counts of every piece's rotated state in one multinomial call, piece p
+    taking the p-th disjoint block of the stream; a piece's value averages
+    its diagonal over its outcomes.  The estimates are unbiased.
     """
     if shots_per_piece < 1:
         raise DecompositionError("shots_per_piece must be >= 1")
-    probs = np.abs(rotate_pieces(state, table.rotations)) ** 2
-    probs /= probs.sum(axis=1, keepdims=True)
-    counts = rng(seed).multinomial(shots_per_piece, probs)
-    per_piece = [float(c @ diagonal) / shots_per_piece
-                 for c, diagonal in zip(counts, table.diagonals)]
-    total = 0.0
-    for value in per_piece:
-        total += value
-    return EstimateReport(total, per_piece)
+    single = state.ndim == 1
+    probs = np.abs(rotate_pieces(state.reshape(-1, state.shape[-1]), table.rotations)) ** 2
+    probs /= probs.sum(axis=-1, keepdims=True)
+    reports = []
+    for row, row_seed in zip(probs.swapaxes(0, 1), [seed] if single else seed):
+        counts = rng(row_seed).multinomial(shots_per_piece, row)
+        per_piece = [float(c @ diagonal) / shots_per_piece
+                     for c, diagonal in zip(counts, table.diagonals)]
+        total = 0.0
+        for value in per_piece:
+            total += value
+        reports.append(EstimateReport(total, per_piece))
+    return reports[0] if single else reports
 
 
-def estimator_variance(
-    table: PieceTable,
-    state: np.ndarray,
-    shots_per_piece: int,
-) -> VarianceReport:
+def estimator_variance(table: PieceTable, state: np.ndarray,
+                       shots_per_piece: int) -> VarianceReport:
     """Exact variance of the sampled estimator and its norm upper bound.
 
     variance = (1/S) sum_c ( <psi_c|L^2|psi_c> - <psi_c|L|psi_c>^2 )

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qopf import bounds, harness, model, saddle, sim, xbm
@@ -183,9 +183,15 @@ def test_joint_entries_densify_to_piece_diagonals(problem):
     densified = np.zeros(dense.size)
     densified[entries.keys] = entries.values
     assert np.array_equal(densified.reshape(dense.shape), dense)
-    pieces, rows, cols = np.indices(dense.shape)
-    assert np.array_equal(entries.lookup((pieces * problem.m_stored + rows).ravel(),
-                                         cols.ravel()), dense.ravel())
+    # segment s = piece * M + m holds exactly the nonzero columns of
+    # dense[piece, m], in increasing order
+    starts = table.segment_starts
+    assert len(starts) == len(table) * problem.m_stored + 1
+    assert starts[0] == 0 and starts[-1] == len(entries.keys)
+    for segment, row in enumerate(dense.reshape(-1, problem.dim)):
+        run = slice(starts[segment], starts[segment + 1])
+        assert np.array_equal(entries.keys[run] - segment * problem.dim, np.flatnonzero(row))
+        assert np.array_equal(entries.values[run], row[row != 0])
 
 
 def test_eval_f_sampled_variance_matches_closed_form(ctx44):
@@ -273,12 +279,13 @@ def test_eval_f_sampled_matches_piecewise_loop(batch_ctx):
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
 @given(st.integers(1, 9), st.integers(1, 70), st.integers(0, 2**32 - 1))
-@example(1100, 3, 0)  # more rows than one int64 search holds
-def test_inverse_cdf_rows_is_exact(rows, dim, seed):
-    """The batched primal inverse CDF equals the per-row search exactly, on
-    CDF rows with zero-probability and tiny outcomes, for uniforms drawn by
-    ``Generator.random``, queries on the CDF entries rounded down and up to
-    the 2^-53 grid of the draws, and the extreme draws 0 and 1 - 2^-53."""
+def test_scored_interval_is_exact(rows, dim, seed):
+    """The interval test of the sampled F scores column c of row k for a
+    draw exactly when the per-row ``np.searchsorted(..., side="right")``
+    returns c, on CDF rows with zero-probability and tiny outcomes, for
+    uniforms drawn by ``Generator.random``, draws on the CDF entries rounded
+    down and up to the 2^-53 grid of the draws, and the extreme draws 0 and
+    1 - 2^-53."""
     rng = np.random.default_rng(seed)
     probs = rng.random((rows, dim)) * (rng.random((rows, dim)) < 0.6)
     probs *= np.where(rng.random((rows, dim)) < 0.2, 1e-18, 1.0)
@@ -293,16 +300,25 @@ def test_inverse_cdf_rows_is_exact(rows, dim, seed):
         np.zeros((rows, 1)),
         np.full((rows, 1), 1 - 2.0**-53),
     ], axis=1)
-    expected = np.stack([np.searchsorted(cdf, row, side="right")
-                         for cdf, row in zip(cdfs, u)])
-    assert np.array_equal(model._inverse_cdf_rows(cdfs, u), expected)
+    found = np.stack([np.searchsorted(cdf, row, side="right") for cdf, row in zip(cdfs, u)])
+    # every (row, draw, column) triple at once
+    k, draw, c = np.indices((*u.shape, dim))
+    scored = model._scored(cdfs, k.ravel(), c.ravel(), u[k, draw].ravel())
+    assert np.array_equal(scored.reshape(k.shape), found[..., None] == c)
+
+
+def pool_words(seed):
+    """An entropy list as ``SeedSequence`` mixes it: padded with zeros to
+    its pool of four words, so ``[5, 0]`` and ``[5]`` seed the same stream."""
+    return tuple(seed) + (0,) * (4 - len(seed))
 
 
 def test_sampled_gradient_seeds_one_generator_per_estimate(ieee57_context, monkeypatch):
     """Each sampled estimate seeds exactly one generator, whatever its
     piece count: one sampled gradient seeds 3 + 4P + 4Q of them, for F0, F
     and G at the base point and four estimates per parameter, each with
-    its own derived seed."""
+    its own derived seed, and the seeds stay distinct once zero-padded to
+    four words, as are those of a sampled PD run, its recorded L included."""
     seeds = []
 
     def counting_rng(seed):
@@ -316,7 +332,51 @@ def test_sampled_gradient_seeds_one_generator_per_estimate(ieee57_context, monke
     p, d = random_points(ctx, 47)
     model.grad(ctx, p, d, sampled_mode(100, [4, 3]))
     assert len(seeds) == 3 + 4 * ctx.p_count + 4 * ctx.q_count == 123
-    assert len(set(seeds)) == len(seeds)
+    assert len(set(seeds)) == len({pool_words(seed) for seed in seeds}) == len(seeds)
+
+    seeds.clear()
+    init = saddle.SaddlePointState(p.theta, p.alpha, d.phi, d.beta)
+    traj = saddle.run(ctx, init, saddle.PD, saddle.StepSchedule.exponential(),
+                      saddle.StopRule(max_iters=3), sampled_mode(20, 4))
+    assert len(traj.states) == 4
+    assert len(seeds) == 3 * 123 + 3 * len(traj.lagrangians)
+    assert len({pool_words(seed) for seed in seeds}) == len(seeds)
+
+
+def test_sampled_gradient_searches_and_rotations_do_not_grow(ieee57_context, monkeypatch):
+    """A sampled gradient makes one sorted search per F estimate, the dual
+    inverse (primal draws are scored, never searched), and rotates each
+    table's states twice whatever P: the base state and the stack of all
+    2P shift states."""
+    calls = {"sorted_search": 0, "rotate_pieces": 0}
+
+    def counted(name):
+        original = getattr(xbm, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(xbm, name, counted(name))
+    ctx = ieee57_context
+    p, d = random_points(ctx, 48)
+    model.grad(ctx, p, d, sampled_mode(100, [4, 4]))
+    assert calls["sorted_search"] == 1 + 2 * ctx.p_count + 2 * ctx.q_count == 61
+    assert calls["rotate_pieces"] == 2 * 2
+
+
+def test_exact_mode_never_builds_segment_index(padded_complex_problem):
+    ctx = model.LagrangianContext(padded_complex_problem,
+                                  sim.AnsatzSpec.from_row(7, 2, 1),
+                                  sim.AnsatzSpec.from_row(4, 3, 1))
+    p, d = random_points(ctx, 49)
+    model.grad(ctx, p, d)
+    model.lagrangian(ctx, p, d)
+    assert "segment_starts" not in vars(ctx.joint_diagonals)
+    model.lagrangian(ctx, p, d, sampled_mode(4, 0))
+    assert "segment_starts" in vars(ctx.joint_diagonals)
 
 
 def grad_by_finite_differences(ctx, p, d, h=1e-5):

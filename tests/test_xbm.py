@@ -367,26 +367,18 @@ def test_estimators_match_piecewise_loops(source, request):
             piecewise_variance(state, dec, 40)
 
 
-def test_piece_entries_lookup_matches_plain_search():
-    """``PieceEntries.lookup`` searches its keys in sorted order; its values
-    equal those of the plain ``np.searchsorted`` lookup on random pairs,
-    about half of them misses, including keys below the first and above
-    the last entry."""
+def test_sorted_search_matches_plain_search():
+    """``xbm.sorted_search`` searches its queries in sorted order and finds
+    the positions of the plain ``np.searchsorted`` on random queries, about
+    half of them absent, including queries below the first and above the
+    last key."""
     rng = np.random.default_rng(31)
     dim, segments = 64, 40
     keys = np.sort(rng.choice(segments * dim, 700, replace=False))
-    entries = xbm.PieceEntries(keys, rng.standard_normal(len(keys)), dim)
-    seg = rng.integers(0, segments, (7, 300))
-    idx = rng.integers(0, dim, (7, 300))
-    seg[0, :2], idx[0, :2] = 0, 0
-    seg[0, 2:4], idx[0, 2:4] = segments - 1, dim - 1
-    flat = seg * dim + idx
-    pos = np.minimum(np.searchsorted(keys, flat), len(keys) - 1)
-    expected = np.where(keys[pos] == flat, entries.values[pos], 0.0)
-    assert 0.3 < np.mean(expected == 0) < 0.8
-    got = entries.lookup(seg, idx)
-    assert got.shape == seg.shape
-    assert np.array_equal(got, expected)
+    flat = rng.integers(0, segments * dim, (7, 300))
+    flat[0, :2], flat[0, 2:4] = 0, segments * dim - 1
+    assert 0.3 < np.mean(~np.isin(flat, keys)) < 0.8
     for side in ("left", "right"):
-        assert np.array_equal(xbm.sorted_search(keys, flat, side=side),
-                              np.searchsorted(keys, flat, side=side))
+        got = xbm.sorted_search(keys, flat, side=side)
+        assert got.shape == flat.shape
+        assert np.array_equal(got, np.searchsorted(keys, flat, side=side))
