@@ -265,10 +265,15 @@ def parse_case(text: str, name: str = "case") -> NetworkCase:
         branches.append(BranchRecord(a, b, g, susceptance, imax))
 
     costs: dict[int, float] = {}
+    cost_lines: dict[int, int] = {}
     for lineno, cols in sections["COST"]:
         if len(cols) != 2:
             raise ParseError("COST row needs 2 columns (bus cost)", lineno)
-        costs[_parse_int(cols[0], lineno) - 1] = _parse_float(cols[1], lineno)
+        bus = _parse_int(cols[0], lineno) - 1
+        if bus in costs:
+            raise ParseError(f"second COST row for bus {bus + 1} "
+                             f"(first on line {cost_lines[bus]})", lineno)
+        costs[bus], cost_lines[bus] = _parse_float(cols[1], lineno), lineno
 
     generators = []
     for lineno, cols in sections["GEN"]:
@@ -279,6 +284,10 @@ def parse_case(text: str, name: str = "case") -> NetworkCase:
         if bus not in costs:
             raise ParseError(f"generator bus {bus + 1} has no COST row", lineno)
         generators.append(GeneratorRecord(bus, costs[bus], pmin, pmax, qmin, qmax))
+    unused = set(costs) - {g.bus for g in generators}
+    if unused:
+        bus = min(unused, key=cost_lines.get)
+        raise ParseError(f"COST row for bus {bus + 1}, which has no GEN row", cost_lines[bus])
 
     case = NetworkCase(
         buses=tuple(buses),
@@ -501,36 +510,10 @@ def _injection_triples(y: sparse.csr_matrix, node: int):
     return mp, mq
 
 
-def injection_matrices(case: NetworkCase, node: int):
-    """Hermitian (M_p, M_q) such that v^dag M_p v and v^dag M_q v are the
-    active and reactive power injected at ``node``.
-
-    M_p = (Y^dag e e^T + e e^T Y) / 2 and M_q = (Y^dag e e^T - e e^T Y) / (2j),
-    built from row ``node`` of Y.
-    """
-    n = case.n
-    if not (0 <= node < n):
-        raise ValidationError(f"node {node} out of range")
-    mp, mq = _injection_triples(build_admittance(case), node)
-    return _materialize(n, mp), _materialize(n, mq)
-
-
 def _current_triples(br: BranchRecord) -> dict[tuple[int, int], complex]:
     a, b = br.from_node, br.to_node
     weight = abs(complex(br.g_series, br.b_series))
     return {(a, a): weight, (b, b): weight, (a, b): -weight, (b, a): -weight}
-
-
-def auxiliary_matrices(case: NetworkCase):
-    """Voltage indicators M_v per node, current forms M_i per branch, and
-    the reference indicator M_ref."""
-    n = case.n
-    ref = case.reference_bus
-    return {
-        "voltage": {node: _materialize(n, {(node, node): 1.0 + 0j}) for node in range(n)},
-        "current": {br.edge: _materialize(n, _current_triples(br)) for br in case.branches},
-        "reference": _materialize(n, {(ref, ref): 1.0 + 0j}),
-    }
 
 
 class MatrixStack:
@@ -674,9 +657,6 @@ class QcqpProblem:
         return tuple(Constraint(self.stack.matrix(k), bound, label, subject)
                      for k, (bound, label, subject) in enumerate(
                          zip(self.bounds.tolist(), self.labels, self.subjects)))
-
-    def dense_m0(self) -> np.ndarray:
-        return self.m0.toarray()
 
     def dense_constraints(self) -> np.ndarray:
         """All constraint matrices as an (M, dim, dim) array (test reference)."""

@@ -116,7 +116,26 @@ class ExperimentConfig:
                 raise ValidationError(f"unknown method {m!r}")
 
 
-def _schedule_from_json(doc: dict, fallback: saddle_mod.StepSchedule) -> saddle_mod.StepSchedule:
+_CONFIG_KEYS = ("case", "instances", "load_scale", "primal_ansatz", "dual_ansatz", "models",
+                "methods", "mode", "shots", "seed", "rcm_runs", "quantum_schedule",
+                "classical_schedule", "stop", "classical_stop", "reference", "out",
+                "divergence_ceiling", "apply_simplifications")
+
+
+def _known(doc: dict, keys, where: str = "") -> dict:
+    """``doc`` itself, once every key in it is one of ``keys``: a misspelt
+    config key, ``"shot"`` say, would otherwise be ignored silently."""
+    unknown = [key for key in doc if key not in keys]
+    if unknown:
+        raise ValidationError(f"unknown config key {where}{unknown[0]!r}; "
+                              f"accepted: {', '.join(keys)}")
+    return doc
+
+
+def _schedule_from_json(doc: dict, key: str,
+                        fallback: saddle_mod.StepSchedule) -> saddle_mod.StepSchedule:
+    doc = _known(doc.get(key, {}), ("theta", "alpha", "phi", "beta"), f"{key}.")
+
     def pair(key, default):
         entry = doc.get(key)
         return tuple(entry) if entry else default
@@ -129,7 +148,8 @@ def _schedule_from_json(doc: dict, fallback: saddle_mod.StepSchedule) -> saddle_
     )
 
 
-def _stop_from_json(doc: dict, fallback: saddle_mod.StopRule) -> saddle_mod.StopRule:
+def _stop_from_json(doc: dict, key: str, fallback: saddle_mod.StopRule) -> saddle_mod.StopRule:
+    doc = _known(doc.get(key, {}), ("theta_tol", "phi_tol", "max_iters"), f"{key}.")
     return saddle_mod.StopRule(
         theta_tol=doc.get("theta_tol", fallback.theta_tol),
         phi_tol=doc.get("phi_tol", fallback.phi_tol),
@@ -139,13 +159,15 @@ def _stop_from_json(doc: dict, fallback: saddle_mod.StopRule) -> saddle_mod.Stop
 
 def config_from_json(doc: dict | str | Path) -> ExperimentConfig:
     """Build a config from a JSON document or path; absent keys keep the
-    benchmark defaults."""
+    benchmark defaults, and an unknown key raises ValidationError."""
     if not isinstance(doc, dict):
         with open(doc, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
+    if "case" not in _known(doc, _CONFIG_KEYS):
+        raise ValidationError("config needs a 'case' key")
     base = ExperimentConfig(case_path=doc["case"])
-    primal = doc.get("primal_ansatz", {})
-    dual = doc.get("dual_ansatz", {})
+    primal = _known(doc.get("primal_ansatz", {}), ("row", "layers"), "primal_ansatz.")
+    dual = _known(doc.get("dual_ansatz", {}), ("row", "layers"), "dual_ansatz.")
     return replace(
         base,
         instances=doc.get("instances", base.instances),
@@ -160,13 +182,11 @@ def config_from_json(doc: dict | str | Path) -> ExperimentConfig:
         shots=doc.get("shots", base.shots),
         seed=doc.get("seed", base.seed),
         rcm_runs=doc.get("rcm_runs", base.rcm_runs),
-        quantum_schedule=_schedule_from_json(doc.get("quantum_schedule", {}),
-                                             base.quantum_schedule),
-        classical_schedule=_schedule_from_json(doc.get("classical_schedule", {}),
+        quantum_schedule=_schedule_from_json(doc, "quantum_schedule", base.quantum_schedule),
+        classical_schedule=_schedule_from_json(doc, "classical_schedule",
                                                base.classical_schedule),
-        stop=_stop_from_json(doc.get("stop", {}), base.stop),
-        classical_stop=_stop_from_json(doc.get("classical_stop", {}),
-                                       base.classical_stop),
+        stop=_stop_from_json(doc, "stop", base.stop),
+        classical_stop=_stop_from_json(doc, "classical_stop", base.classical_stop),
         reference_path=doc.get("reference", base.reference_path),
         out_dir=doc.get("out", base.out_dir),
         divergence_ceiling=doc.get("divergence_ceiling", base.divergence_ceiling),

@@ -35,7 +35,6 @@ dL/dalpha = 2 alpha (F0 + beta^2 F) and dL/dbeta = 2 beta (alpha^2 F - G).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -208,8 +207,8 @@ def _sample_f0(ctx: LagrangianContext, states: np.ndarray,
     """F0 estimates of the rows of a (B, dim) stack of states, row b drawn
     from the seed of ``modes[b]``, and the shots they spend."""
     shots, table = modes[0].shots, ctx.m0_decomposition
-    reports = xbm.estimate_expectation(states, table, shots, [mode.seed for mode in modes])
-    return [report.estimate for report in reports], shots * len(table) * len(modes)
+    estimates = xbm.estimate_expectation(states, table, shots, [mode.seed for mode in modes])
+    return estimates, shots * len(table) * len(modes)
 
 
 def _sample_g(ctx: LagrangianContext, w: np.ndarray, mode: EvalMode) -> tuple[float, int]:

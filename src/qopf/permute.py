@@ -47,25 +47,6 @@ class SparsityPattern:
         rows, cols = coo.row[nonzero].tolist(), coo.col[nonzero].tolist()
         return cls(coo.shape[0], frozenset(zip(rows, cols)) | frozenset(zip(cols, rows)))
 
-    @classmethod
-    def from_edges(cls, n: int, edges, diagonal: bool = True) -> "SparsityPattern":
-        entries = set()
-        if diagonal:
-            entries.update((i, i) for i in range(n))
-        for a, b in edges:
-            entries.add((a, b))
-            entries.add((b, a))
-        return cls(n, frozenset(entries))
-
-    @classmethod
-    def banded(cls, n: int, k: int) -> "SparsityPattern":
-        entries = {
-            (i, j)
-            for i in range(n)
-            for j in range(max(0, i - k), min(n, i + k + 1))
-        }
-        return cls(n, frozenset(entries))
-
     def padded(self) -> "SparsityPattern":
         """Same entries inside the next power-of-two dimension."""
         return SparsityPattern(next_power_of_two(self.n), self.entries)
@@ -94,11 +75,6 @@ class NodePermutation:
         inverse = np.empty(n, dtype=int)
         inverse[forward] = np.arange(n)
         return cls(forward, inverse)
-
-    @classmethod
-    def identity(cls, n: int) -> "NodePermutation":
-        idx = np.arange(n)
-        return cls(idx.copy(), idx.copy())
 
     def __len__(self) -> int:
         return len(self.forward)

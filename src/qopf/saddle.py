@@ -80,26 +80,11 @@ class StepSchedule:
                 raise ValidationError("step bases must be >= 0 and decays positive")
 
     @classmethod
-    def constant(cls, mu: float, mu_alpha: float | None = None,
-                 mu_phi: float | None = None, mu_beta: float | None = None):
-        a = mu if mu_alpha is None else mu_alpha
-        f = mu if mu_phi is None else mu_phi
-        b = mu if mu_beta is None else mu_beta
-        return cls((mu, 1.0), (a, 1.0), (f, 1.0), (b, 1.0))
-
-    @classmethod
     def exponential(cls, theta=(0.015, 0.99985), alpha=(1e-5, 0.999),
                     phi=(0.01, 0.99985), beta=(1e-5, 0.999)):
         """The benchmark defaults: mu_theta = 0.015*0.99985^t,
         mu_phi = 0.01*0.99985^t, mu_alpha = mu_beta = 1e-5*0.999^t."""
         return cls(tuple(theta), tuple(alpha), tuple(phi), tuple(beta))
-
-    @classmethod
-    def from_lipschitz(cls, lipschitz: float):
-        """The constant step 1/(2*sqrt(2)*L) whose extragradient iterates
-        carry the stationarity guarantee."""
-        mu = 1.0 / (2.0 * math.sqrt(2.0) * lipschitz)
-        return cls.constant(mu)
 
     def rates(self, t: int) -> tuple[float, float, float, float]:
         return tuple(base * decay**t for base, decay in

@@ -114,12 +114,6 @@ class AnsatzSpec:
         return self.rotations_per_layer * self.layers * self.n_qubits
 
 
-def zero_state(n_qubits: int) -> np.ndarray:
-    state = np.zeros(2**n_qubits, dtype=complex)
-    state[0] = 1.0
-    return state
-
-
 def rotation_matrix(kind: str, angle: float) -> np.ndarray:
     """2x2 matrix of the rotation exp(-i angle G / 2), G the Pauli of ``kind``."""
     c, s = math.cos(angle / 2), math.sin(angle / 2)
@@ -241,12 +235,6 @@ def _apply(states: np.ndarray, kind: str, factor) -> np.ndarray:
     hi, lo_t = factor
     view = states.reshape(-1, hi.shape[-1], lo_t.shape[-1])
     return (hi @ view @ lo_t).reshape(states.shape)
-
-
-def rotation_layer(states: np.ndarray, kind: str, angles: np.ndarray) -> np.ndarray:
-    """Apply R_kind(angles[q]) to every qubit q of a state, or of every row
-    of a stack of states; negated angles undo it."""
-    return _apply(states, kind, _kind_factors(kind, np.asarray(angles, dtype=float)))
 
 
 def layer_derivatives(state: np.ndarray, costate: np.ndarray, kind: str) -> np.ndarray:

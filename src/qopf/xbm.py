@@ -13,7 +13,6 @@ gather, and Rz and H go through the 2x2 primitive ``sim.apply_single``.
 pieces at once: pieces that share k and part share one S^dag and one H
 over the stack of their fan-out gathers, elementwise the same operations
 as piece by piece, so the rotated states are the same bit for bit.
-``RotationCircuit.apply`` is that path for one piece.
 
 With that rotation R applied to the state, the piece expectation becomes a
 computational-basis average of a fixed real diagonal: for every index i whose
@@ -28,8 +27,9 @@ the same for one Hermitian matrix: a ``PieceTable`` holds the pieces'
 (color, part), the sorted sparse entries of all their diagonals as one
 ``PieceEntries`` with a per-segment index of them, their norms and their
 rotations, each built once, and scatters the diagonals densely on request.
-The sampled estimator ``estimate_expectation``, for one state or a stack,
-and its exact variance read one matrix's pieces from such a table.
+The sampled estimator ``estimate_expectation`` reads one matrix's pieces
+from such a table and estimates its expectation on every row of a stack
+of states, one seed per row.
 The construction is validated functionally by the test suite: R M_c R^dag
 must be diagonal and equal diag(lambda) for every color and part.
 """
@@ -99,9 +99,6 @@ class RotationCircuit:
     def gate_count(self) -> int:
         """popcount(color) - 1 CX gates, one H, and S^dag for the imaginary part."""
         return self.color.bit_count() + (self.part == IMAG)
-
-    def apply(self, state: np.ndarray) -> np.ndarray:
-        return rotate_pieces(state, group_rotations([self]))[0]
 
 
 class PieceRotations(NamedTuple):
@@ -288,61 +285,30 @@ def decompose(matrix, tol: float = 1e-10) -> PieceTable:
     return piece_table(stack)
 
 
-class EstimateReport(NamedTuple):
-    estimate: float
-    per_piece: list[float]  # in ``PieceTable.pieces`` order
-
-
-class VarianceReport(NamedTuple):
-    variance: float
-    bound: float
-
-
-def estimate_expectation(state: np.ndarray, table: PieceTable, shots_per_piece: int,
-                         seed) -> EstimateReport | list[EstimateReport]:
-    """Sampled estimate of <psi|M|psi> from the color pieces of M
-    (``decompose``), or the list of estimates of the rows of a (B, dim)
-    stack of states, ``seed`` then holding one seed per row.
+def estimate_expectation(states: np.ndarray, table: PieceTable, shots_per_piece: int,
+                         seeds) -> list[float]:
+    """Sampled estimates of <psi_b|M|psi_b> for the rows psi_b of a (B, dim)
+    stack of states, from the color pieces of M (``decompose``), row b
+    drawn from ``seeds[b]``.
 
     All states are rotated under all pieces in one ``rotate_pieces`` call
-    and normalised at once; a single state is the one-row stack.  Each
-    estimate seeds one generator, which draws the computational-basis
-    counts of every piece's rotated state in one multinomial call, piece p
-    taking the p-th disjoint block of the stream; a piece's value averages
-    its diagonal over its outcomes.  The estimates are unbiased.
+    and normalised at once.  Each estimate seeds one generator, which draws
+    the computational-basis counts of every piece's rotated state in one
+    multinomial call, piece p taking the p-th disjoint block of the stream;
+    a piece's value averages its diagonal over its outcomes, and the
+    estimate sums the values in piece order.  The estimates are unbiased.
     """
     if shots_per_piece < 1:
         raise DecompositionError("shots_per_piece must be >= 1")
-    single = state.ndim == 1
-    probs = np.abs(rotate_pieces(state.reshape(-1, state.shape[-1]), table.rotations)) ** 2
+    probs = np.abs(rotate_pieces(states, table.rotations)) ** 2
     probs /= probs.sum(axis=-1, keepdims=True)
-    reports = []
-    for row, row_seed in zip(probs.swapaxes(0, 1), [seed] if single else seed):
-        counts = rng(row_seed).multinomial(shots_per_piece, row)
+    estimates = []
+    for row, seed in zip(probs.swapaxes(0, 1), seeds, strict=True):
+        counts = rng(seed).multinomial(shots_per_piece, row)
         per_piece = [float(c @ diagonal) / shots_per_piece
                      for c, diagonal in zip(counts, table.diagonals)]
         total = 0.0
         for value in per_piece:
             total += value
-        reports.append(EstimateReport(total, per_piece))
-    return reports[0] if single else reports
-
-
-def estimator_variance(table: PieceTable, state: np.ndarray,
-                       shots_per_piece: int) -> VarianceReport:
-    """Exact variance of the sampled estimator and its norm upper bound.
-
-    variance = (1/S) sum_c ( <psi_c|L^2|psi_c> - <psi_c|L|psi_c>^2 )
-    bound    = (1/S) sum_c ||M^c||^2
-    """
-    if shots_per_piece < 1:
-        raise DecompositionError("shots_per_piece must be >= 1")
-    variance = 0.0
-    bound = 0.0
-    rotated_probs = np.abs(rotate_pieces(state, table.rotations)) ** 2
-    for diagonal, norm, probs in zip(table.diagonals, table.norms, rotated_probs):
-        mean = float(probs @ diagonal)
-        second = float(probs @ diagonal**2)
-        variance += second - mean**2
-        bound += norm**2
-    return VarianceReport(variance / shots_per_piece, bound / shots_per_piece)
+        estimates.append(total)
+    return estimates

@@ -1,12 +1,13 @@
 import math
 import tempfile
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import configuration as hypothesis_configuration
 from scipy import sparse
 
-from qopf import grid, harness, model, permute, sim, xbm
+from qopf import grid, harness, model, permute, saddle, sim, xbm
 
 CASE2_TEXT = """
 BUS
@@ -334,3 +335,75 @@ def piecewise_rotation(state, color, n, part):
     idx = np.arange(2**n)
     fanout = np.where((idx >> k) & 1 == 1, idx ^ (color ^ (1 << k)), idx)
     return piecewise_single(state[..., fanout], k, PIECEWISE_H)
+
+
+# Builders and oracles that only the tests use.
+
+
+def zero_state(n_qubits):
+    state = np.zeros(2**n_qubits, dtype=complex)
+    state[0] = 1.0
+    return state
+
+
+def rotation_layer(states, kind, angles):
+    """Apply R_kind(angles[q]) to every qubit q of a state, or of every row
+    of a stack of states, through the simulator's own layer kernels;
+    negated angles undo it."""
+    return sim._apply(states, kind, sim._kind_factors(kind, np.asarray(angles, dtype=float)))
+
+
+def pattern_from_edges(n, edges, diagonal=True):
+    entries = set()
+    if diagonal:
+        entries.update((i, i) for i in range(n))
+    for a, b in edges:
+        entries.add((a, b))
+        entries.add((b, a))
+    return permute.SparsityPattern(n, frozenset(entries))
+
+
+def banded_pattern(n, k):
+    entries = {
+        (i, j)
+        for i in range(n)
+        for j in range(max(0, i - k), min(n, i + k + 1))
+    }
+    return permute.SparsityPattern(n, frozenset(entries))
+
+
+def constant_schedule(mu):
+    """The same constant step mu for every block."""
+    return saddle.StepSchedule((mu, 1.0), (mu, 1.0), (mu, 1.0), (mu, 1.0))
+
+
+def rotate_piece(circuit, state):
+    """One piece's measurement rotation of a state or a stack of states:
+    the one-piece ``xbm.rotate_pieces``."""
+    return xbm.rotate_pieces(state, xbm.group_rotations([circuit]))[0]
+
+
+class VarianceReport(NamedTuple):
+    variance: float
+    bound: float
+
+
+def estimator_variance(table, state, shots_per_piece):
+    """Exact variance of the sampled estimator ``xbm.estimate_expectation``
+    for one state, and its norm upper bound.
+
+    variance = (1/S) sum_c ( <psi_c|L^2|psi_c> - <psi_c|L|psi_c>^2 )
+    bound    = (1/S) sum_c ||M^c||^2
+    """
+    if shots_per_piece < 1:
+        raise xbm.DecompositionError("shots_per_piece must be >= 1")
+    variance = 0.0
+    bound = 0.0
+    rotated_probs = np.abs(xbm.rotate_pieces(state, table.rotations)) ** 2
+    for diagonal, norm, probs in zip(table.diagonals, table.norms, rotated_probs):
+        mean = float(probs @ diagonal)
+        second = float(probs @ diagonal**2)
+        variance += second - mean**2
+        bound += norm**2
+    return VarianceReport(variance / shots_per_piece, bound / shots_per_piece)
+

@@ -20,8 +20,9 @@ from qopf import bounds, grid, harness, model, permute, saddle, sim, xbm
 from qopf.model import DualPoint, PrimalPoint, sampled_mode
 from qopf.permute import SparsityPattern
 
-from conftest import (CASE2_TEXT, exact_expectation, piece_matrix, random_hermitian,
-                      random_problem, random_state, reconstruct)
+from conftest import (CASE2_TEXT, banded_pattern, estimator_variance, exact_expectation,
+                      pattern_from_edges, piece_matrix, random_hermitian, random_problem,
+                      random_state, reconstruct, rotate_piece)
 
 
 def criterion(name: str, ok: bool, detail: str = ""):
@@ -53,16 +54,15 @@ def test_xbm_correctness_suite():
                 if circ is None:
                     continue
                 basis = np.eye(dim, dtype=complex)
-                rot = np.stack([circ.apply(basis[:, k].copy())
+                rot = np.stack([rotate_piece(circ, basis[:, k].copy())
                                 for k in range(dim)], axis=1)
                 sub = piece_matrix(dec, p)
                 rotated = rot @ sub @ rot.conj().T
                 off = rotated - np.diag(np.diagonal(rotated))
                 worst_offdiag = max(worst_offdiag, float(np.max(np.abs(off))))
             exact = exact_expectation(state, m)
-            variance, _ = xbm.estimator_variance(dec, state, shots)
-            estimate = xbm.estimate_expectation(state, dec, shots,
-                                                seed=[n, trial]).estimate
+            variance, _ = estimator_variance(dec, state, shots)
+            estimate = xbm.estimate_expectation(state[None], dec, shots, [[n, trial]])[0]
             sigma = math.sqrt(max(variance, 1e-30))
             worst_sigma = max(worst_sigma, abs(estimate - exact) / (5 * sigma))
     elapsed = time.perf_counter() - start
@@ -76,8 +76,8 @@ def test_xbm_correctness_suite():
 
 
 def test_color_count_facts():
-    diag = permute.color_set(SparsityPattern.from_edges(8, [], diagonal=True))
-    banded = permute.color_set(SparsityPattern.banded(8, 1))
+    diag = permute.color_set(pattern_from_edges(8, [], diagonal=True))
+    banded = permute.color_set(banded_pattern(8, 1))
     anti = permute.color_set(SparsityPattern(
         8, frozenset((i, 7 - i) for i in range(8))))
     criterion("colors: diagonal pattern uses exactly 1 color", diag == {0})

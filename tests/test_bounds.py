@@ -94,7 +94,7 @@ def test_inputs_from_context_measures_norms():
                       for c in ctx.problem.constraints])
     assert inputs.max_norm_mm == pytest.approx(float(norms.max()), rel=1e-6)
     assert inputs.norm_m0 == pytest.approx(
-        float(np.linalg.norm(ctx.problem.dense_m0(), 2)), rel=1e-6)
+        float(np.linalg.norm(ctx.problem.m0.toarray(), 2)), rel=1e-6)
     assert inputs.colors == ctx.color_count
     assert inputs.sum_norm_sq_m0 == pytest.approx(
         sum(np.max(np.abs(d))**2 for d in ctx.m0_decomposition.diagonals), abs=1e-12)

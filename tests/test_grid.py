@@ -76,6 +76,20 @@ def test_parse_error_carries_line_number():
         grid.parse_case(text)
 
 
+def test_parse_rejects_duplicate_cost_row():
+    text = CASE2_TEXT.replace("COST\n1 1.0\n", "COST\n1 1.0\n1 2.0\n")
+    line = text.splitlines().index("1 2.0") + 1
+    with pytest.raises(ParseError, match=rf"line {line}: second COST row for bus 1"):
+        grid.parse_case(text)
+
+
+def test_parse_rejects_cost_row_without_generator():
+    text = CASE2_TEXT.replace("COST\n1 1.0\n", "COST\n1 1.0\n2 3.0\n")
+    line = text.splitlines().index("2 3.0") + 1
+    with pytest.raises(ParseError, match=rf"line {line}: COST row for bus 2, which has no GEN"):
+        grid.parse_case(text)
+
+
 def test_parse_ieee57(ieee57):
     assert ieee57.n == 57
     assert len(ieee57.generator_nodes) == 7
@@ -96,12 +110,29 @@ def test_admittance_offdiagonal_count_matches_branches(ieee57):
     assert off == 2 * len(ieee57.branches)
 
 
+def assembled_rows(problem, labels, subject):
+    """The stacked rows of an assembled problem that carry one of
+    ``labels`` and are about ``subject``, as dense arrays in row order."""
+    return [problem.stack.matrix(k).toarray()
+            for k, (label, about) in enumerate(zip(problem.labels, problem.subjects))
+            if label in labels and about == subject]
+
+
+def injection_rows(problem, node):
+    """(M_p, M_q) of ``node`` as the QCQP assembles them: the first and
+    third row of the node's balance or gen-limit group (p <=, p >=, q <=,
+    q >=)."""
+    group = assembled_rows(problem, (LABEL_BALANCE_P, LABEL_BALANCE_Q, LABEL_GEN), node)
+    return group[0], group[2]
+
+
 def test_injection_matrices_match_scalar_power_flow(case3):
     y = grid.build_admittance(case3).toarray()
     g, b = y.real, y.imag
     rng = np.random.default_rng(0)
+    problem = grid.assemble_qcqp(case3)
     for node in range(case3.n):
-        mp, mq = (m.toarray() for m in grid.injection_matrices(case3, node))
+        mp, mq = injection_rows(problem, node)
         assert np.max(np.abs(mp - mp.conj().T)) == 0.0
         assert np.max(np.abs(mq - mq.conj().T)) < 1e-15
         for _ in range(100):
@@ -120,21 +151,25 @@ def test_injection_matrices_match_scalar_power_flow(case3):
 def test_injection_flat_voltage_row_sum(case3):
     y = grid.build_admittance(case3).toarray()
     ones = np.ones(case3.n, dtype=complex)
+    problem = grid.assemble_qcqp(case3)
     for node in range(case3.n):
-        mp = grid.injection_matrices(case3, node)[0].toarray()
+        mp = injection_rows(problem, node)[0]
         assert np.real(ones @ mp @ ones) == pytest.approx(
             float(np.sum(y[node].real)), abs=1e-12)
 
 
 def test_auxiliary_matrices(case2):
-    aux = grid.auxiliary_matrices(case2)
-    assert np.allclose(aux["voltage"][1].toarray(), np.diag([0.0, 1.0]))
+    problem = grid.assemble_qcqp(case2)
+    voltage = assembled_rows(problem, (LABEL_VOLTAGE,), 1)[0]
+    current = assembled_rows(problem, (LABEL_LINE,), (0, 1))[0]
+    reference = assembled_rows(problem, (LABEL_REFERENCE,), case2.reference_bus)[0]
+    assert np.allclose(voltage, np.diag([0.0, 1.0]))
     weight = abs(complex(4.0, -8.0))
     expected = weight * np.array([[1, -1], [-1, 1]])
-    assert np.allclose(aux["current"][(0, 1)].toarray(), expected)
-    assert np.allclose(aux["reference"].toarray(), np.diag([1.0, 0.0]))
+    assert np.allclose(current, expected)
+    assert np.allclose(reference, np.diag([1.0, 0.0]))
     v = np.array([0.7 + 0.2j, 0.7 + 0.2j])
-    assert abs(v.conj() @ aux["current"][(0, 1)].toarray() @ v) < 1e-15
+    assert abs(v.conj() @ current @ v) < 1e-15
 
 
 def test_assemble_row_count_two_bus(case2):
@@ -208,8 +243,8 @@ def test_pad_to_qubits_matches_zero_embedding():
     rows[:6, :3, :3] = problem.dense_constraints()
     assert np.array_equal(padded.dense_constraints(), rows)
     m0 = np.zeros((4, 4), dtype=complex)
-    m0[:3, :3] = problem.dense_m0()
-    assert np.array_equal(padded.dense_m0(), m0)
+    m0[:3, :3] = problem.m0.toarray()
+    assert np.array_equal(padded.m0.toarray(), m0)
     assert padded.bounds.tolist() == problem.bounds.tolist() + [0.0, 0.0]
     assert padded.labels[6:] == (LABEL_PADDING,) * 2
     assert padded.subjects[6:] == (None, None)

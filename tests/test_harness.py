@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 import time
 from dataclasses import replace
 
@@ -33,7 +34,7 @@ from qopf.harness import (
 
 from qopf.saddle import classical_lagrangian
 
-from conftest import CASE2_TEXT
+from conftest import CASE2_TEXT, constant_schedule
 
 
 def test_simplifications(ieee57):
@@ -83,9 +84,9 @@ def test_prepare_case_pipeline_consistency(case2):
     v_perm = rng.standard_normal(prepared.permuted.dim) \
         + 1j * rng.standard_normal(prepared.permuted.dim)
     v = prepared.perm.undo_on_vector(v_perm)
-    cost_perm = np.real(v_perm.conj() @ prepared.permuted.dense_m0() @ v_perm)
+    cost_perm = np.real(v_perm.conj() @ prepared.permuted.m0.toarray() @ v_perm)
     padded = grid.pad_to_qubits(prepared.problem)
-    cost = np.real(v.conj() @ padded.dense_m0() @ v)
+    cost = np.real(v.conj() @ padded.m0.toarray() @ v)
     assert cost == pytest.approx(cost_perm, abs=1e-10)
 
 
@@ -117,7 +118,7 @@ def test_oracle_feasible_and_kkt_consistent(case3):
     forms = problem.stack.forms(ref.v)
     assert np.all(forms <= problem.bounds + 1e-6)
     assert ref.cost == pytest.approx(
-        float(np.real(ref.v.conj() @ problem.dense_m0() @ ref.v)), abs=1e-9)
+        float(np.real(ref.v.conj() @ problem.m0.toarray() @ ref.v)), abs=1e-9)
     # oracle refuses beyond desk scale
     big = grid.parse_case(CASE2_TEXT)
     with pytest.raises(ValidationError):
@@ -280,6 +281,33 @@ def test_config_from_json_defaults_and_overrides(tmp_path):
     assert config.load_scale == (0.90, 1.05)
     with pytest.raises(ValidationError):
         config_from_json({"case": "x", "load_scale": [0.5, 2.5]})
+    # every documented key is accepted; a misspelt one, at any level, is not
+    config = config_from_json({
+        "case": "x", "instances": 2, "load_scale": [0.9, 1.0],
+        "primal_ansatz": {"row": 6, "layers": 2}, "dual_ansatz": {"row": 2, "layers": 3},
+        "models": ["qcqp"], "methods": ["pd"], "mode": "exact", "shots": 5, "seed": 4,
+        "rcm_runs": 3,
+        "quantum_schedule": {"theta": [0.1, 1.0], "alpha": [0.2, 1.0],
+                             "phi": [0.3, 1.0], "beta": [0.4, 1.0]},
+        "classical_schedule": {"theta": [0.5, 1.0]},
+        "stop": {"theta_tol": 1e-3, "phi_tol": 1e-4, "max_iters": 9},
+        "classical_stop": {"max_iters": 8}, "reference": "r.json", "out": "o",
+        "divergence_ceiling": 1e3, "apply_simplifications": False,
+    })
+    assert config.quantum_schedule.beta == (0.4, 1.0)
+    assert config.classical_stop.max_iters == 8
+    assert config.divergence_ceiling == 1e3 and config.apply_simplifications is False
+    for doc, key in (({"shot": 50}, "'shot'"),
+                     ({"stop": {"max_iter": 5}}, "stop.'max_iter'"),
+                     ({"classical_stop": {"tol": 1}}, "classical_stop.'tol'"),
+                     ({"quantum_schedule": {"mu": [1, 1]}}, "quantum_schedule.'mu'"),
+                     ({"classical_schedule": {"Theta": [1, 1]}}, "classical_schedule.'Theta'"),
+                     ({"primal_ansatz": {"rows": 6}}, "primal_ansatz.'rows'"),
+                     ({"dual_ansatz": {"layer": 3}}, "dual_ansatz.'layer'")):
+        with pytest.raises(ValidationError, match=f"unknown config key {re.escape(key)}"):
+            config_from_json({"case": "x", **doc})
+    with pytest.raises(ValidationError, match="needs a 'case' key"):
+        config_from_json({"instances": 1})
 
 
 def test_run_experiment_two_bus_exact(tmp_path, case2_file):
@@ -408,7 +436,6 @@ def test_production_paths_never_densify(monkeypatch, case2, case3):
         raise AssertionError("production code densified the problem")
 
     monkeypatch.setattr(grid.QcqpProblem, "dense_constraints", refuse)
-    monkeypatch.setattr(grid.QcqpProblem, "dense_m0", refuse)
     monkeypatch.setattr(grid.QcqpProblem, "constraints", property(refuse))
     prepared = harness.prepare_case(case3, rcm_runs=3)
     assert prepared.permuted.m_stored == 32
@@ -419,7 +446,7 @@ def test_production_paths_never_densify(monkeypatch, case2, case3):
     d = model.DualPoint(np.full(ctx.q_count, 0.7), 0.8)
     assert np.all(np.isfinite(model.grad(ctx, p, d).stacked()))
     bounds.inputs_from_context(ctx)
-    schedule = saddle.StepSchedule.constant(1e-3)
+    schedule = constant_schedule(1e-3)
     init = saddle.ClassicalState(np.ones(problem.dim, dtype=complex),
                                  np.zeros(problem.m_stored))
     for method in (saddle.PD, saddle.EG):

@@ -12,7 +12,7 @@ from qopf.saddle import classical_lagrangian
 
 from conftest import (exact_expectation, g_operator, per_row_pieces,
                       piecewise_rotation, problem_from_rows, random_hermitian,
-                      random_problem, shift_points, stack_problems)
+                      random_problem, rotate_piece, shift_points, stack_problems)
 
 
 @pytest.fixture(scope="module")
@@ -206,7 +206,7 @@ def test_eval_f_sampled_variance_matches_closed_form(ctx44):
     table = ctx44.joint_diagonals
     for (color, part), diagonals in zip(table.pieces, table.dense()):
         rotated = psi if color == 0 else \
-            xbm.rotation_circuit(color, ctx44.primal_spec.n_qubits, part).apply(psi)
+            rotate_piece(xbm.rotation_circuit(color, ctx44.primal_spec.n_qubits, part), psi)
         joint = np.outer(w, np.abs(rotated) ** 2)
         mean = float(np.sum(joint * diagonals))
         variance += (float(np.sum(joint * diagonals**2)) - mean**2) / shots

@@ -14,7 +14,7 @@ from qopf.saddle import (
     StopRule,
 )
 
-from conftest import problem_from_rows, random_problem
+from conftest import constant_schedule, problem_from_rows, random_problem
 
 
 def bilinear_g(z, *tags):
@@ -109,8 +109,6 @@ def test_schedule_rates_and_validation():
     th1, _, _, b1 = sched.rates(100)
     assert th1 == pytest.approx(0.015 * 0.99985**100)
     assert b1 == pytest.approx(1e-5 * 0.999**100)
-    assert StepSchedule.from_lipschitz(2.0).rates(5)[0] == pytest.approx(
-        1 / (4 * math.sqrt(2)))
     with pytest.raises(ValidationError):
         StepSchedule(( -0.1, 1.0), (0.1, 1.0), (0.1, 1.0), (0.1, 1.0))
 
@@ -124,7 +122,7 @@ def test_run_zero_iterations_returns_init(engine):
         target, init = ctx, saddle.default_quantum_init(ctx, 2, 1, seed=0)
     else:
         target, init = problem, saddle.default_classical_init(problem, 1, seed=0)
-    traj = getattr(saddle, engine)(target, init, "pd", StepSchedule.constant(0.01),
+    traj = getattr(saddle, engine)(target, init, "pd", constant_schedule(0.01),
                                    StopRule(max_iters=0))
     assert traj.final is init
     assert traj.iterations == 0
@@ -138,7 +136,7 @@ def test_run_deterministic_per_seed():
                                   sim.AnsatzSpec.from_row(2, 1, 1))
     init = saddle.default_quantum_init(ctx, 2, 1, seed=5)
     mode = sampled_mode(8, 42)
-    kw = dict(schedule=StepSchedule.constant(0.01), stop=StopRule(max_iters=15),
+    kw = dict(schedule=constant_schedule(0.01), stop=StopRule(max_iters=15),
               mode=mode)
     a = saddle.run(ctx, init, "eg", **kw)
     b = saddle.run(ctx, init, "eg", **kw)
@@ -156,7 +154,7 @@ def test_run_divergence_guard():
                                   sim.AnsatzSpec.from_row(2, 1, 1))
     init = SaddlePointState(np.array([0.1]), 1e3, np.array([0.1]), 1e3)
     with pytest.raises(DivergenceError) as err:
-        saddle.run(ctx, init, "pd", StepSchedule.constant(10.0),
+        saddle.run(ctx, init, "pd", constant_schedule(10.0),
                    StopRule(max_iters=50), divergence_ceiling=1e6)
     assert err.value.iteration >= 0
 
@@ -206,7 +204,7 @@ def test_classical_eg_first_iterate_fixture(case2):
     midpoint with step mu."""
     problem = grid.assemble_qcqp(case2)
     tensor = problem.dense_constraints()
-    m0 = problem.dense_m0()
+    m0 = problem.m0.toarray()
     v0 = np.ones(2, dtype=complex)
     lam0 = np.full(problem.m_stored, 0.5)
     mu = 1e-3
@@ -229,7 +227,7 @@ def test_classical_flat_start_first_iterate_fixture(case2):
     """First PD iterate from the flat profile, frozen by direct evaluation."""
     problem = grid.assemble_qcqp(case2)
     tensor = problem.dense_constraints()
-    m0 = problem.dense_m0()
+    m0 = problem.m0.toarray()
     v0 = np.ones(2, dtype=complex)
     lam0 = np.full(problem.m_stored, 0.5)
     s = saddle.classical_pd_step(problem, ClassicalState(v0, lam0), (1e-3, 1e-3))

@@ -11,7 +11,8 @@ from qopf.sim import AnsatzSpec, SimulationError
 
 from conftest import (ORACLE_GATES, PAULIS, exact_expectation, oracle_ansatz,
                       oracle_cx, oracle_rotation, oracle_single, random_hermitian,
-                      random_state, sample_basis, shift_points)
+                      random_state, rotation_layer, sample_basis, shift_points,
+                      zero_state)
 
 # Reproducible property runs that leave no example database behind.
 PROPERTY = settings(max_examples=30, deadline=None, database=None, derandomize=True)
@@ -19,13 +20,13 @@ PROPERTY = settings(max_examples=30, deadline=None, database=None, derandomize=T
 
 def test_ry_pi_flips_zero():
     u = sim.rotation_matrix("ry", math.pi)
-    out = sim.apply_single(sim.zero_state(1), 0, u)
+    out = sim.apply_single(zero_state(1), 0, u)
     assert np.allclose(out, [0.0, 1.0], atol=1e-15)
     assert np.allclose(u, oracle_rotation("ry", math.pi), atol=1e-15)
 
 
 def test_x_on_qubit0_is_least_significant_bit():
-    state = sim.zero_state(2)           # |00>
+    state = zero_state(2)           # |00>
     out = sim.apply_single(state, 0, ORACLE_GATES["x"])
     expected = np.zeros(4)
     expected[0b01] = 1.0                # qubit 0 flips the low bit
@@ -34,7 +35,7 @@ def test_x_on_qubit0_is_least_significant_bit():
 
 
 def test_x_on_qubit1_flips_high_bit():
-    out = sim.apply_single(sim.zero_state(2), 1, ORACLE_GATES["x"])
+    out = sim.apply_single(zero_state(2), 1, ORACLE_GATES["x"])
     assert np.argmax(np.abs(out)) == 0b10
 
 
@@ -120,7 +121,7 @@ def test_ansatz_param_counts_match_architecture_table():
 def test_prepare_zero_params_row2_gives_zero_state():
     spec = AnsatzSpec.from_row(2, 3, 2)
     state = sim.prepare(spec, np.zeros(spec.param_count))
-    expected = sim.zero_state(3)
+    expected = zero_state(3)
     assert np.allclose(state, expected, atol=1e-15)
 
 
@@ -141,7 +142,7 @@ def test_prepare_rejects_wrong_length():
 
 
 def test_exact_expectation_basics():
-    state = sim.zero_state(1)
+    state = zero_state(1)
     assert exact_expectation(state, np.diag([1.0, -1.0])) == 1.0
     rng = np.random.default_rng(4)
     state = random_state(rng, 8)
@@ -160,7 +161,7 @@ def test_exact_expectation_against_double_loop():
 
 def test_exact_expectation_rejects_non_hermitian():
     with pytest.raises(SimulationError, match="Hermitian"):
-        exact_expectation(sim.zero_state(1), np.array([[0, 1], [0, 0]]))
+        exact_expectation(zero_state(1), np.array([[0, 1], [0, 0]]))
 
 
 def test_sample_basis_deterministic_state():
@@ -300,9 +301,9 @@ def test_rotation_layer_matches_oracle_gates(kind):
         expected = states.T
         for gate in gates:
             expected = gate @ expected
-        out = sim.rotation_layer(states, kind, angles)
+        out = rotation_layer(states, kind, angles)
         assert np.max(np.abs(out - expected.T)) < 1e-12, n
-        back = sim.rotation_layer(out, kind, -angles)
+        back = rotation_layer(out, kind, -angles)
         assert np.max(np.abs(back - states)) < 1e-12, n
 
 
@@ -325,9 +326,9 @@ def test_rotation_layer_inverse_property(n, kind, batch, data):
     angles = np.array(data.draw(st.lists(st.floats(-10, 10), min_size=n, max_size=n)))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     states = np.stack([random_state(rng, 2**n) for _ in range(batch)])
-    out = sim.rotation_layer(states, kind, angles)
+    out = rotation_layer(states, kind, angles)
     assert np.max(np.abs(np.linalg.norm(out, axis=1) - 1)) < 1e-12
-    assert np.max(np.abs(sim.rotation_layer(out, kind, -angles) - states)) < 1e-12
+    assert np.max(np.abs(rotation_layer(out, kind, -angles) - states)) < 1e-12
 
 
 @PROPERTY

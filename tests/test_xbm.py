@@ -6,10 +6,10 @@ import pytest
 from qopf import grid, xbm
 from qopf.xbm import DecompositionError
 
-from conftest import (ORACLE_GATES, exact_expectation, oracle_cx, oracle_rotation,
-                      oracle_single, per_row_pieces, piece_matrix, piecewise_rotation,
-                      random_hermitian, random_state, reconstruct, sample_basis,
-                      stack_problems)
+from conftest import (ORACLE_GATES, estimator_variance, exact_expectation, oracle_cx,
+                      oracle_rotation, oracle_single, per_row_pieces, piece_matrix,
+                      piecewise_rotation, random_hermitian, random_state, reconstruct,
+                      rotate_piece, sample_basis, stack_problems)
 
 
 def circuit_unitary(circuit, n_qubits):
@@ -18,7 +18,7 @@ def circuit_unitary(circuit, n_qubits):
     for k in range(dim):
         basis = np.zeros(dim, dtype=complex)
         basis[k] = 1.0
-        cols.append(circuit.apply(basis))
+        cols.append(rotate_piece(circuit, basis))
     return np.stack(cols, axis=1)
 
 
@@ -113,7 +113,7 @@ def test_grouped_rotations_match_gate_by_gate_and_oracle():
     """``rotate_pieces`` over every color and part at once, plus one color-0
     piece, at n = 1..9, on one state and on a (3, dim) stack: every rotated
     state is bitwise the gate-by-gate rotation of its piece alone (and
-    ``RotationCircuit.apply`` gives the same), and within 1e-12 of the dense
+    rotating that piece alone gives the same), and within 1e-12 of the dense
     oracle product."""
     rng = np.random.default_rng(12)
     for n in range(1, 10):
@@ -129,7 +129,7 @@ def test_grouped_rotations_match_gate_by_gate_and_oracle():
             for circ, out in zip(circuits, rotated[1:]):
                 expected = piecewise_rotation(states, circ.color, n, circ.part)
                 assert np.array_equal(out, expected)
-                assert np.array_equal(circ.apply(states), expected)
+                assert np.array_equal(rotate_piece(circ, states), expected)
         # the oracle on the stack's columns for every color with top bit k:
         # the CX gates from k commute, so each lower bit doubles the column
         # blocks built so far, block s for color 2^k + s
@@ -219,8 +219,8 @@ def test_estimate_identity_is_exact():
     rng = np.random.default_rng(3)
     state = random_state(rng, 8)
     dec = xbm.decompose(np.eye(8))
-    report = xbm.estimate_expectation(state, dec, shots_per_piece=7, seed=0)
-    assert report.estimate == pytest.approx(1.0, abs=1e-12)
+    estimate = xbm.estimate_expectation(state[None], dec, 7, [0])[0]
+    assert estimate == pytest.approx(1.0, abs=1e-12)
 
 
 def test_estimate_diagonal_observable_reduces_to_basis_sampling():
@@ -229,9 +229,9 @@ def test_estimate_diagonal_observable_reduces_to_basis_sampling():
     diag = np.diag(rng.standard_normal(4))
     dec = xbm.decompose(diag)
     assert len(dec.pieces) == 1 and dec.pieces[0][0] == 0
-    report = xbm.estimate_expectation(state, dec, shots_per_piece=500, seed=5)
+    estimate = xbm.estimate_expectation(state[None], dec, 500, [5])[0]
     counts = sample_basis(state, 500, 5)
-    assert report.estimate == pytest.approx(
+    assert estimate == pytest.approx(
         float(counts @ np.diagonal(diag)) / 500, abs=1e-12)
 
 
@@ -243,9 +243,9 @@ def test_estimate_within_five_sigma_of_exact():
         state = random_state(rng, 8)
         dec = xbm.decompose(m)
         exact = exact_expectation(state, m)
-        variance, _ = xbm.estimator_variance(dec, state, shots)
-        report = xbm.estimate_expectation(state, dec, shots, seed=[6, trial])
-        assert abs(report.estimate - exact) < 5 * math.sqrt(variance) + 1e-9
+        variance, _ = estimator_variance(dec, state, shots)
+        estimate = xbm.estimate_expectation(state[None], dec, shots, [[6, trial]])[0]
+        assert abs(estimate - exact) < 5 * math.sqrt(variance) + 1e-9
 
 
 def test_estimator_unbiased_single_shot():
@@ -254,9 +254,9 @@ def test_estimator_unbiased_single_shot():
     state = random_state(rng, 4)
     dec = xbm.decompose(m)
     exact = exact_expectation(state, m)
-    variance, _ = xbm.estimator_variance(dec, state, 1)
+    variance, _ = estimator_variance(dec, state, 1)
     n = 10_000
-    values = [xbm.estimate_expectation(state, dec, 1, seed=[7, k]).estimate
+    values = [xbm.estimate_expectation(state[None], dec, 1, [[7, k]])[0]
               for k in range(n)]
     se = math.sqrt(variance / n)
     assert abs(np.mean(values) - exact) < 5 * se
@@ -266,11 +266,11 @@ def test_variance_zero_cases():
     state = np.zeros(4, dtype=complex)
     state[2] = 1.0
     diag = xbm.decompose(np.diag([1.0, 2.0, 3.0, 4.0]))
-    variance, bound = xbm.estimator_variance(diag, state, 10)
+    variance, bound = estimator_variance(diag, state, 10)
     assert variance == pytest.approx(0.0, abs=1e-15)
     rng = np.random.default_rng(8)
     psi = random_state(rng, 4)
-    variance, _ = xbm.estimator_variance(xbm.decompose(np.eye(4)), psi, 10)
+    variance, _ = estimator_variance(xbm.decompose(np.eye(4)), psi, 10)
     assert variance == pytest.approx(0.0, abs=1e-14)
 
 
@@ -280,11 +280,11 @@ def test_variance_formula_matches_monte_carlo():
     state = random_state(rng, 8)
     dec = xbm.decompose(m)
     shots = 4
-    variance, bound = xbm.estimator_variance(dec, state, shots)
+    variance, bound = estimator_variance(dec, state, shots)
     assert variance <= bound + 1e-12
     n = 1000
     values = np.array([
-        xbm.estimate_expectation(state, dec, shots, seed=[10, k]).estimate
+        xbm.estimate_expectation(state[None], dec, shots, [[10, k]])[0]
         for k in range(n)
     ])
     empirical = float(np.var(values))
@@ -310,7 +310,7 @@ def test_stacked_piece_diagonals_match_per_row_decompose(problem):
     assert np.array_equal(table.dense(), dense)
     assert table.norms == norms
     assert table.colors == {color for color, _ in keys}
-    m0_dec = xbm.decompose(problem.dense_m0())
+    m0_dec = xbm.decompose(problem.m0.toarray())
     sparse_dec = xbm.decompose(problem.m0)
     assert sparse_dec.pieces == m0_dec.pieces
     for a, b in zip(sparse_dec.diagonals, m0_dec.diagonals):
@@ -321,21 +321,19 @@ def piecewise_estimate(state, dec, shots, seed):
     """Piece-by-piece reference of ``xbm.estimate_expectation``: one
     generator seeded with the entropy list itself, from which each piece in
     turn draws the multinomial counts of its rotated state."""
-    total, values = 0.0, []
+    total = 0.0
     n_qubits = int(math.log2(dec.entries.dim))
     rng = np.random.default_rng(seed)
     for (color, part), diagonal in zip(dec.pieces, dec.diagonals):
         probs = np.abs(piecewise_rotation(state, color, n_qubits, part)) ** 2
         probs = probs / probs.sum()
         counts = rng.multinomial(shots, probs)
-        value = float(counts @ diagonal) / shots
-        values.append(value)
-        total += value
-    return total, values
+        total += float(counts @ diagonal) / shots
+    return total
 
 
 def piecewise_variance(state, dec, shots):
-    """The replaced per-piece loop of ``xbm.estimator_variance``."""
+    """The replaced per-piece loop of ``estimator_variance``."""
     variance = bound = 0.0
     n_qubits = int(math.log2(dec.entries.dim))
     for (color, part), diagonal in zip(dec.pieces, dec.diagonals):
@@ -348,8 +346,9 @@ def piecewise_variance(state, dec, shots):
 
 @pytest.mark.parametrize("source", ["padded_complex", "ieee57"])
 def test_estimators_match_piecewise_loops(source, request):
-    """Rotating and sampling all pieces at once keeps the estimate, every
-    per-piece value and the exact variance bit for bit."""
+    """Rotating and sampling all pieces at once keeps the estimate and the
+    exact variance bit for bit, for one state and for every row of a
+    stack, each row drawn from its own seed."""
     if source == "ieee57":
         dec = request.getfixturevalue("ieee57_context").m0_decomposition
     else:
@@ -358,13 +357,14 @@ def test_estimators_match_piecewise_loops(source, request):
     rng = np.random.default_rng(13)
     for trial in range(4):
         state = random_state(rng, dec.entries.dim)
-        report = xbm.estimate_expectation(state, dec, 40, [14, trial])
-        total, values = piecewise_estimate(state, dec, 40, [14, trial])
-        assert report.estimate == total
-        assert report.per_piece == values
-        assert len(report.per_piece) == len(dec)
-        assert tuple(xbm.estimator_variance(dec, state, 40)) == \
+        estimate = xbm.estimate_expectation(state[None], dec, 40, [[14, trial]])[0]
+        assert estimate == piecewise_estimate(state, dec, 40, [14, trial])
+        assert tuple(estimator_variance(dec, state, 40)) == \
             piecewise_variance(state, dec, 40)
+    states = np.stack([random_state(rng, dec.entries.dim) for _ in range(4)])
+    seeds = [[15, row] for row in range(4)]
+    assert xbm.estimate_expectation(states, dec, 40, seeds) == \
+        [piecewise_estimate(state, dec, 40, seed) for state, seed in zip(states, seeds)]
 
 
 def test_sorted_search_matches_plain_search():
