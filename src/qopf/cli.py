@@ -1,12 +1,12 @@
 """Command-line entry point.
 
-Subcommands mirror the pipeline stages: ``prepare`` (parse + permute +
-assemble + pad, printing the problem statistics), ``permute``
-(bandwidth/color statistics as a CSV row), ``xbm-stats`` (measurement-cost
-statistics of the prepared observables), ``bounds`` (the analytical budget
-ledger), ``solve`` (run the experiment protocol), ``fit`` (rank ansatz
-architectures against reference solutions), and ``report`` (re-emit a run
-directory).
+Subcommands mirror the pipeline stages: ``permute`` (parse, permute,
+assemble and pad, printing the bandwidth/color statistics and the problem
+sizes as a CSV row), ``xbm-stats`` (measurement-cost statistics of the
+prepared observables), ``bounds`` (the analytical budget ledger of a run's
+instance 0), ``solve`` (run the experiment protocol), ``fit`` (rank ansatz
+architectures against reference solutions, in the run's node order), and
+``report`` (re-emit a run directory).
 
 Exit codes: 0 success, 1 validation/parse failure, 2 divergence, 3 I/O.
 """
@@ -17,13 +17,14 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import bounds as bounds_mod
-from . import harness, model, xbm
-from .grid import CaseError, load_case, pad_to_qubits
+from . import harness, xbm
+from .grid import CaseError, load_case
 from .saddle import DivergenceError
 from .sim import DEFAULT_LAYERS
 
@@ -33,31 +34,18 @@ EXIT_DIVERGENCE = 2
 EXIT_IO = 3
 
 
-def _cmd_prepare(args) -> int:
-    case = load_case(args.case)
-    prepared = harness.prepare_case(case, args.rcm_runs, args.seed)
-    stats = prepared.stats
-    print(f"case {case.name}: N={stats.n} L_e={stats.edges} "
-          f"M={prepared.problem.m} padded {prepared.permuted.dim}x{prepared.permuted.m_stored}")
-    print(f"bandwidth {stats.bandwidth_before} -> {stats.bandwidth_after}, "
-          f"colors {stats.colors_before} -> {stats.colors_after}")
-    return EXIT_OK
-
-
 def _cmd_permute(args) -> int:
-    case = load_case(args.case)
-    prepared = harness.prepare_case(case, args.rcm_runs, args.seed)
+    prepared = harness.prepare_case(load_case(args.case), args.rcm_runs, args.seed)
     s = prepared.stats
-    print("case,n,edges,bw_before,bw_after,colors_before,colors_after")
-    print(f"{case.name},{s.n},{s.edges},{s.bandwidth_before},{s.bandwidth_after},"
-          f"{s.colors_before},{s.colors_after}")
+    print("case,n,edges,bw_before,bw_after,colors_before,colors_after,rows,dim,rows_padded")
+    print(f"{prepared.case.name},{s.n},{s.edges},{s.bandwidth_before},{s.bandwidth_after},"
+          f"{s.colors_before},{s.colors_after},{prepared.problem.m},"
+          f"{prepared.permuted.dim},{prepared.permuted.m_stored}")
     return EXIT_OK
 
 
 def _cmd_xbm_stats(args) -> int:
-    case = load_case(args.case)
-    prepared = harness.prepare_case(case, args.rcm_runs, args.seed)
-    problem = prepared.permuted
+    problem = harness.prepare_case(load_case(args.case), args.rcm_runs, args.seed).permuted
     m0 = xbm.decompose(problem.m0)
     pieces = xbm.piece_table(problem.stack)
     union_colors = m0.colors | pieces.colors
@@ -75,14 +63,9 @@ def _cmd_xbm_stats(args) -> int:
 
 def _cmd_bounds(args) -> int:
     config = harness.config_from_json(args.config)
-    case = load_case(config.case_path)
-    prepared = harness.prepare_case(case, config.rcm_runs, config.seed)
-    problem = prepared.permuted
-    ctx = model.LagrangianContext(
-        problem,
-        config.primal.spec(int(math.log2(problem.dim))),
-        config.dual.spec(int(math.log2(problem.m_stored))),
-    )
+    prepared = harness.prepare_instances(replace(config, instances=1),
+                                         load_case(config.case_path))[0]
+    ctx = harness.build_context(config, prepared.permuted)
     inputs = bounds_mod.inputs_from_context(
         ctx, alpha_bar=args.alpha_bar, beta_bar=args.beta_bar,
         rho=args.rho, epsilon=args.epsilon, dist0=args.dist0)
@@ -121,22 +104,20 @@ def _cmd_solve(args) -> int:
 def _cmd_fit(args) -> int:
     config = harness.config_from_json(args.config)
     case = load_case(config.case_path)
-    instances = harness.generate_instances(
-        case, config.instances, config.load_scale, config.seed,
-        simplify=config.apply_simplifications)
-    reference = harness.reference_solution(config, case, instances)
+    prepared = harness.prepare_instances(config, case)
+    reference = harness.reference_solution(config, case, [p.case for p in prepared])
     if reference is None:
         print("fit needs a reference solution file for cases above desk scale",
               file=sys.stderr)
         return EXIT_VALIDATION
-    problem = pad_to_qubits(harness.assemble_qcqp(instances[0]))
+    problem = prepared[0].permuted
     n_primal = int(math.log2(problem.dim))
     n_dual = int(math.log2(problem.m_stored))
     rows = harness.restricted_rows(problem)
     primal_targets, dual_targets = [], []
-    for ref in reference.instances[:len(instances)]:
+    for instance, ref in zip(prepared, reference.instances):
         if ref.v is not None:
-            primal_targets.append(harness.primal_fit_target(ref.v, problem.dim))
+            primal_targets.append(harness.primal_fit_target(instance, ref.v))
         lam_full = np.zeros(problem.m_stored)
         lam_full[rows] = ref.lam
         dual_targets.append(harness.dual_fit_target(lam_full, problem.m_stored))
@@ -180,23 +161,14 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Doubly variational quantum OPF")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("prepare", help="parse, permute and assemble a case")
-    p.add_argument("case")
-    p.add_argument("--rcm-runs", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_prepare)
-
-    p = sub.add_parser("permute", help="bandwidth/color statistics as CSV")
-    p.add_argument("case")
-    p.add_argument("--rcm-runs", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_permute)
-
-    p = sub.add_parser("xbm-stats", help="measurement statistics of the observables")
-    p.add_argument("case")
-    p.add_argument("--rcm-runs", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_xbm_stats)
+    for name, func, text in (
+            ("permute", _cmd_permute, "bandwidth/color statistics and problem sizes as CSV"),
+            ("xbm-stats", _cmd_xbm_stats, "measurement statistics of the observables")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("case")
+        p.add_argument("--rcm-runs", type=int, default=200)
+        p.add_argument("--seed", type=int, default=0)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("bounds", help="Lipschitz/variance/sample-budget ledger")
     p.add_argument("config")

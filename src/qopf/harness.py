@@ -1,13 +1,14 @@
 """End-to-end experiment orchestration.
 
-Pipeline per case: order the nodes with restarted reverse Cuthill-McKee on
-the admittance pattern, assemble and pad the QCQP, conjugate it by the
-permutation, solve with the chosen engine(s), reverse-permute the voltage,
-and score against a reference solution.  Metrics follow the benchmark
-protocol: relative errors of generator setpoints x = [p_g; v_g] and of the
-multipliers on power-balance and line rows, each balance pair in its
-minimal split, and three violation statistics over the non-balance rows
-with label-specific normalizers.
+Pipeline per case: order the nodes once with restarted reverse Cuthill-McKee
+on the admittance pattern, which every load-scaled instance shares; then per
+instance assemble and pad the QCQP, conjugate it by the permutation, solve
+with the chosen engine(s), reverse-permute the voltage, and score against a
+reference solution.  Metrics follow the benchmark protocol: relative errors
+of generator setpoints x = [p_g; v_g] and of the multipliers on
+power-balance and line rows, each balance pair in its minimal split, and
+three violation statistics over the non-balance rows with label-specific
+normalizers.
 
 Reference solutions are ingested from JSON (produced externally by an OPF
 tool) or computed by the built-in brute-force grid oracle for desk-scale
@@ -24,6 +25,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, replace
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +51,8 @@ from .grid import (
 from .model import DualPoint, EvalMode, LagrangianContext, PrimalPoint
 from .permute import NodePermutation, SparsityPattern, bandwidth, best_rcm, \
     color_set, permute_pattern, permute_problem
-from .sim import AnsatzSpec, chain_seed, prepare, reverse_sweep, rng, rotation_factors
+from .sim import ARCHITECTURES, AnsatzSpec, chain_seed, prepare, reverse_sweep, rng, \
+    rotation_factors
 
 VIOLATION_FLOOR = 1e-6
 REFERENCE_LABELS = (LABEL_BALANCE_P, LABEL_BALANCE_Q, LABEL_LINE)
@@ -104,16 +107,23 @@ class ExperimentConfig:
         lo, hi = self.load_scale
         if not (0 < lo <= hi < 2):
             raise ValidationError("load scaling range must lie inside (0, 2)")
-        if self.mode not in ("exact", "sampled"):
-            raise ValidationError(f"unknown mode {self.mode!r}")
-        if self.mode == "sampled" and self.shots < 1:
-            raise ValidationError("sampled mode needs shots >= 1")
-        for m in self.models:
-            if m not in ("qcqp", "qcqp_theta"):
-                raise ValidationError(f"unknown model {m!r}")
-        for m in self.methods:
-            if m not in (saddle_mod.PD, saddle_mod.EG):
-                raise ValidationError(f"unknown method {m!r}")
+        for kind, values, allowed in (
+                ("mode", (self.mode,), ("exact", "sampled")),
+                ("model", self.models, ("qcqp", "qcqp_theta")),
+                ("method", self.methods, (saddle_mod.PD, saddle_mod.EG)),
+                ("primal_ansatz.row", (self.primal.row,), tuple(ARCHITECTURES)),
+                ("dual_ansatz.row", (self.dual.row,), tuple(ARCHITECTURES))):
+            for value in values:
+                if value not in allowed:
+                    raise ValidationError(f"unknown {kind} {value!r}")
+        for name, value, least in (
+                ("instances", self.instances, 1), ("shots", self.shots, 1),
+                ("rcm_runs", self.rcm_runs, 1), ("stop.max_iters", self.stop.max_iters, 0),
+                ("classical_stop.max_iters", self.classical_stop.max_iters, 0),
+                ("primal_ansatz.layers", self.primal.layers, 0),
+                ("dual_ansatz.layers", self.dual.layers, 0)):
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+                raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 _CONFIG_KEYS = ("case", "instances", "load_scale", "primal_ansatz", "dual_ansatz", "models",
@@ -136,9 +146,13 @@ def _schedule_from_json(doc: dict, key: str,
                         fallback: saddle_mod.StepSchedule) -> saddle_mod.StepSchedule:
     doc = _known(doc.get(key, {}), ("theta", "alpha", "phi", "beta"), f"{key}.")
 
-    def pair(key, default):
-        entry = doc.get(key)
-        return tuple(entry) if entry else default
+    def pair(block, default):
+        entry = doc.get(block, default)
+        if not (isinstance(entry, (list, tuple)) and len(entry) == 2 and all(
+                isinstance(x, Real) and not isinstance(x, bool) for x in entry)):
+            raise ValidationError(f"{key}.{block} must be a [base, decay] pair of "
+                                  f"numbers, got {entry!r}")
+        return tuple(entry)
 
     return saddle_mod.StepSchedule(
         theta=pair("theta", fallback.theta),
@@ -258,13 +272,8 @@ class PreparedCase:
 
 
 def prepare_case(case: NetworkCase, rcm_runs: int = 200, seed: int = 0) -> PreparedCase:
-    y = build_admittance(case)
-    pattern = SparsityPattern.from_matrix(y)
+    pattern = SparsityPattern.from_matrix(build_admittance(case))
     perm_nodes = best_rcm(pattern, rcm_runs, seed)
-    problem = assemble_qcqp(case)
-    padded = pad_to_qubits(problem)
-    perm = perm_nodes.extended(padded.dim)
-    permuted = permute_problem(padded, perm)
     after = permute_pattern(pattern, perm_nodes)
     stats = PatternStats(
         n=case.n,
@@ -274,7 +283,38 @@ def prepare_case(case: NetworkCase, rcm_runs: int = 200, seed: int = 0) -> Prepa
         colors_before=len(color_set(pattern.padded())),
         colors_after=len(color_set(after.padded())),
     )
-    return PreparedCase(case, problem, permuted, perm, stats)
+    return _prepared(case, perm_nodes, stats)
+
+
+def _prepared(case: NetworkCase, perm_nodes: NodePermutation,
+              stats: PatternStats) -> PreparedCase:
+    """Assemble, pad and permute ``case`` under an ordering of its nodes."""
+    problem = assemble_qcqp(case)
+    padded = pad_to_qubits(problem)
+    perm = perm_nodes.extended(padded.dim)
+    return PreparedCase(case, problem, permute_problem(padded, perm), perm, stats)
+
+
+def prepare_instances(config: ExperimentConfig, case: NetworkCase) -> list[PreparedCase]:
+    """The config's load-scaled instances of ``case``, prepared as they are
+    solved.  The ordering depends on the network graph only, which every
+    instance shares, so it is searched once, on instance 0, and every
+    instance is permuted by it and carries its statistics."""
+    instances = generate_instances(case, config.instances, config.load_scale,
+                                   config.seed, simplify=config.apply_simplifications)
+    first = prepare_case(instances[0], config.rcm_runs, chain_seed(config.seed, 100, 0))
+    return [first] + [_prepared(instance, first.perm, first.stats)
+                      for instance in instances[1:]]
+
+
+def build_context(config: ExperimentConfig, problem: QcqpProblem) -> LagrangianContext:
+    """The Lagrangian context of the config's ansatz pair on a padded,
+    permuted problem."""
+    return LagrangianContext(
+        problem,
+        config.primal.spec(int(math.log2(problem.dim))),
+        config.dual.spec(int(math.log2(problem.m_stored))),
+    )
 
 
 def recover_voltage(prepared: PreparedCase, v_permuted: np.ndarray) -> np.ndarray:
@@ -636,10 +676,12 @@ def fit_ansatz(candidates: list[AnsatzChoice], targets: list[np.ndarray],
     return sorted(reports, key=lambda rep: rep.mean_cost)
 
 
-def primal_fit_target(v_star: np.ndarray, dim: int) -> np.ndarray:
-    target = np.zeros(dim, dtype=complex)
+def primal_fit_target(prepared: PreparedCase, v_star: np.ndarray) -> np.ndarray:
+    """The reference voltage as the primal circuit represents it: padded
+    to the solved dimension and in the solver's node order."""
+    target = np.zeros(prepared.permuted.dim, dtype=complex)
     target[:len(v_star)] = v_star
-    return target
+    return prepared.perm.apply_to_vector(target)
 
 
 def dual_fit_target(lam_full: np.ndarray, dim: int) -> np.ndarray:
@@ -705,15 +747,11 @@ def run_experiment(config: ExperimentConfig,
     """
     if case is None:
         case = load_case(config.case_path)
-    instances = generate_instances(case, config.instances, config.load_scale,
-                                   config.seed, simplify=config.apply_simplifications)
-    reference = reference_solution(config, case, instances)
+    prepared = prepare_instances(config, case)
+    reference = reference_solution(config, case, [p.case for p in prepared])
 
-    report = RunReport(config=config, stats=None, instances=[])
-    for k, instance in enumerate(instances):
-        prepared = prepare_case(instance, config.rcm_runs, chain_seed(config.seed, 100, k))
-        if report.stats is None:
-            report.stats = prepared.stats
+    report = RunReport(config=config, stats=prepared[0].stats, instances=[])
+    for k, instance in enumerate(prepared):
         ref_instance = reference.instances[k] if reference and \
             k < len(reference.instances) else None
         results: dict[str, ModelResult] = {}
@@ -722,7 +760,7 @@ def run_experiment(config: ExperimentConfig,
                 tag = _model_tag(model, method)
                 start = time.perf_counter()
                 try:
-                    results[tag] = _run_single(config, prepared, model, method, k,
+                    results[tag] = _run_single(config, instance, model, method, k,
                                                ref_instance, start)
                 except saddle_mod.DivergenceError as err:
                     results[tag] = ModelResult(
@@ -752,24 +790,16 @@ def _run_single(config: ExperimentConfig, prepared: PreparedCase, model: str,
     """One model and method on one instance; its wall time runs from
     ``start``, the clock reading the caller also times a diverged run from."""
     n_loads = len(prepared.case.load_nodes)
+    problem = prepared.problem
     if model == "qcqp":
-        problem = prepared.problem
         init = saddle_mod.default_classical_init(
             problem, n_loads, chain_seed(config.seed, 1, instance_idx))
         traj = saddle_mod.run_classical(
             problem, init, method, config.classical_schedule, config.classical_stop,
             divergence_ceiling=config.divergence_ceiling)
-        v = traj.final.v
-        lam = traj.final.lam
+        v, lam = traj.final.v, traj.final.lam
     else:
-        problem = prepared.problem
-        dim = prepared.permuted.dim
-        m_stored = prepared.permuted.m_stored
-        ctx = LagrangianContext(
-            prepared.permuted,
-            config.primal.spec(int(math.log2(dim))),
-            config.dual.spec(int(math.log2(m_stored))),
-        )
+        ctx = build_context(config, prepared.permuted)
         mode = EvalMode() if config.mode == "exact" else \
             model_mod.sampled_mode(config.shots, chain_seed(config.seed, 2, instance_idx))
         init = saddle_mod.default_quantum_init(
@@ -782,15 +812,12 @@ def _run_single(config: ExperimentConfig, prepared: PreparedCase, model: str,
         lam = model_mod.dual_vector(ctx, DualPoint(final.phi, final.beta))[:problem.m]
 
     lag_final = traj.lagrangians[-1] if traj.lagrangians else float("nan")
-    metrics = None
-    if ref is not None:
-        metrics = compute_metrics(prepared.case, prepared.problem, v, lam,
-                                  lag_final, ref)
     return ModelResult(
-        metrics=metrics,
+        metrics=None if ref is None else compute_metrics(prepared.case, problem, v, lam,
+                                                         lag_final, ref),
         wall_time=time.perf_counter() - start,
         lagrangian_final=lag_final,
-        duals=dual_comparison_entries(prepared.problem, lam),
+        duals=dual_comparison_entries(problem, lam),
         **_history(traj, model),
     )
 

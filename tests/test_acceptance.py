@@ -14,7 +14,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from qopf import bounds, grid, harness, model, permute, saddle, sim, xbm
 from qopf.model import DualPoint, PrimalPoint, sampled_mode

@@ -1,12 +1,13 @@
 import json
 import time
 
+import numpy as np
 import pytest
 
-from qopf import cli, grid, harness, saddle
+from qopf import bounds, cli, grid, harness, saddle
 from qopf.sim import chain_seed
 
-from conftest import CASE2_TEXT
+from conftest import CASE2_TEXT, CASE3_TEXT
 
 
 def run_cli(capsys, *argv):
@@ -34,10 +35,12 @@ def write_config(tmp_path, case_file, **overrides):
     return path
 
 
-def test_prepare_reports_and_caches(case2_file, capsys):
-    code, out, _ = run_cli(capsys, "prepare", str(case2_file), "--rcm-runs", "2")
+def test_permute_reports_problem_sizes(case2_file, capsys):
+    code, out, _ = run_cli(capsys, "permute", str(case2_file), "--rcm-runs", "2")
     assert code == 0
-    assert "N=2" in out and "M=15" in out
+    row = dict(zip(*(line.split(",") for line in out.strip().splitlines())))
+    assert row["n"] == "2" and row["rows"] == "15"
+    assert (row["dim"], row["rows_padded"]) == ("2", "16")
 
 
 def test_permute_csv_row(case2_file, capsys):
@@ -100,6 +103,24 @@ def test_bounds_command(tmp_path, case2_file, capsys):
     assert "T (iterations)" in out and "circuits/iteration" in out
 
 
+def test_bounds_reads_the_solved_instance_ieee57(tmp_path, capsys):
+    """The ledger's C and circuits per iteration are those of the problem a
+    run solves: instance 0, load-scaled and simplified, in the run's node
+    order.  The raw case under another RCM seed has fewer colours here."""
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(
+        {"case": str(harness.bundled_case_path("ieee57")), "rcm_runs": 20}))
+    code, out, err = run_cli(capsys, "bounds", str(config_path))
+    assert code == 0, err
+    config = harness.config_from_json(config_path)
+    prepared = harness.prepare_instances(config, grid.load_case(config.case_path))[0]
+    ctx = harness.build_context(config, prepared.permuted)
+    circuits = bounds.circuits_per_iteration(ctx.p_count, ctx.q_count, ctx.color_count)
+    lines = out.splitlines()
+    assert lines[0] == f"P={ctx.p_count} Q={ctx.q_count} C={ctx.color_count}"
+    assert f"circuits/iteration = {circuits}" in lines
+
+
 def test_solve_and_report(tmp_path, case2_file, capsys):
     out_dir = tmp_path / "run"
     config = write_config(tmp_path, case2_file, out=str(out_dir))
@@ -126,6 +147,31 @@ def test_fit_command(tmp_path, case2_file, capsys):
     assert any(line.startswith("dual,") for line in lines[1:])
 
 
+def test_fit_targets_are_in_the_solved_order(tmp_path, capsys, monkeypatch):
+    """The primal targets are the reference voltages as the primal circuit
+    represents them: padded, then permuted by the run's ordering."""
+    case_file = tmp_path / "case3.case"
+    case_file.write_text(CASE3_TEXT, encoding="utf-8")
+    config_path = write_config(tmp_path, case_file)
+    targets = {}
+
+    def record(candidates, target_list, n_qubits, role, **kwargs):
+        targets[role] = target_list
+        return []
+
+    monkeypatch.setattr(harness, "fit_ansatz", record)
+    code, _, err = run_cli(capsys, "fit", str(config_path))
+    assert code == 0, err
+    config = harness.config_from_json(config_path)
+    prepared = harness.prepare_instances(config, grid.load_case(config.case_path))[0]
+    assert not np.array_equal(prepared.perm.forward, np.arange(prepared.permuted.dim))
+    v_star = harness.brute_force_reference(prepared.case).v
+    padded = np.zeros(prepared.permuted.dim, dtype=complex)
+    padded[:len(v_star)] = v_star
+    assert len(targets["primal"]) == 1
+    assert np.array_equal(targets["primal"][0], prepared.perm.apply_to_vector(padded))
+
+
 def test_fit_without_reference_exits_1(tmp_path, capsys):
     path = tmp_path / "chain4.case"
     path.write_text(chain_case_text(4), encoding="utf-8")
@@ -138,13 +184,20 @@ def test_fit_without_reference_exits_1(tmp_path, capsys):
 def test_validation_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.case"
     bad.write_text(CASE2_TEXT.replace("1 2 4.0 -8.0 1.0", "2 2 4.0 -8.0 1.0"))
-    code, _, err = run_cli(capsys, "prepare", str(bad))
+    code, _, err = run_cli(capsys, "permute", str(bad))
     assert code == 1
     assert "self-loop" in err
 
 
+def test_config_value_exit_code(tmp_path, case2_file, capsys):
+    config = write_config(tmp_path, case2_file, quantum_schedule={"theta": [0.1]})
+    code, _, err = run_cli(capsys, "solve", str(config))
+    assert code == 1
+    assert "quantum_schedule.theta" in err
+
+
 def test_io_exit_code(capsys):
-    code, _, err = run_cli(capsys, "prepare", "no-such-file.case")
+    code, _, err = run_cli(capsys, "permute", "no-such-file.case")
     assert code == 3
     assert "i/o error" in err
 
@@ -191,15 +244,11 @@ def test_diverged_report_keeps_partial_run(tmp_path, case2_file, capsys):
                         parse_constant=reject_constant)["instances"][0]["QCQP-EG"]
 
     config = harness.config_from_json(config_path)
-    case = grid.load_case(config.case_path)
-    instance = harness.generate_instances(case, 1, config.load_scale, config.seed,
-                                          simplify=config.apply_simplifications)[0]
-    problem = harness.prepare_case(instance, config.rcm_runs,
-                                   chain_seed(config.seed, 100, 0)).problem
-    init = saddle.default_classical_init(problem, len(instance.load_nodes),
+    prepared = harness.prepare_instances(config, grid.load_case(config.case_path))[0]
+    init = saddle.default_classical_init(prepared.problem, len(prepared.case.load_nodes),
                                          chain_seed(config.seed, 1, 0))
     with pytest.raises(saddle.DivergenceError) as err:
-        saddle.run_classical(problem, init, saddle.EG, config.classical_schedule,
+        saddle.run_classical(prepared.problem, init, saddle.EG, config.classical_schedule,
                              config.classical_stop,
                              divergence_ceiling=config.divergence_ceiling)
     ran = err.value.trajectory.lagrangians

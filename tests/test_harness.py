@@ -9,12 +9,10 @@ import numpy as np
 import pytest
 
 from qopf import bounds, grid, harness, model, saddle, sim
-from qopf.grid import (LABEL_BALANCE_P, LABEL_BALANCE_Q, LABEL_GEN, LABEL_LINE,
-                       LABEL_VOLTAGE, ValidationError)
+from qopf.grid import LABEL_BALANCE_P, LABEL_BALANCE_Q, ValidationError
 from qopf.harness import (
     AnsatzChoice,
     ExperimentConfig,
-    ReferenceInstance,
     ReferenceSolution,
     apply_benchmark_simplifications,
     brute_force_reference,
@@ -28,7 +26,6 @@ from qopf.harness import (
     overlap_cost,
     overlap_gradient,
     prepare_case,
-    recover_voltage,
     restricted_rows,
 )
 
@@ -96,6 +93,33 @@ def test_prepare_case_stats_ieee57(ieee57):
     assert (s.n, s.edges) == (57, 78)
     assert s.bandwidth_before == 46 and s.bandwidth_after == 11
     assert s.colors_before == 27 and s.colors_after == 22
+
+
+def test_prepare_instances_order_each_case_once(ieee57, monkeypatch):
+    """One RCM search per run, on instance 0 with the run's seed; every
+    instance shares its ordering and statistics.  At rcm_runs = 20, separate
+    searches on instances 1 and 2 would pick orderings with other colour
+    counts."""
+    config = ExperimentConfig(case_path="unused", instances=3, rcm_runs=20, seed=0)
+    searches = []
+    search = harness.prepare_case
+    monkeypatch.setattr(harness, "prepare_case",
+                        lambda *args: searches.append(args) or search(*args))
+    prepared = harness.prepare_instances(config, ieee57)
+    assert len(searches) == 1
+    instances = generate_instances(ieee57, 3, config.load_scale, config.seed)
+    assert [p.case for p in prepared] == instances
+    first = prepared[0]
+    for other in prepared[1:]:
+        assert np.array_equal(other.perm.forward, first.perm.forward)
+        assert other.stats == first.stats
+    alone = search(instances[0], 20, sim.chain_seed(0, 100, 0))
+    assert first.stats == alone.stats
+    for name in ("segments", "rows", "cols", "values"):
+        assert np.array_equal(getattr(first.permuted.stack, name),
+                              getattr(alone.permuted.stack, name))
+    assert (first.permuted.m0 != alone.permuted.m0).nnz == 0
+    assert np.array_equal(first.permuted.bounds, alone.permuted.bounds)
 
 
 def test_reference_roundtrip(tmp_path, case2):
@@ -308,6 +332,20 @@ def test_config_from_json_defaults_and_overrides(tmp_path):
             config_from_json({"case": "x", **doc})
     with pytest.raises(ValidationError, match="needs a 'case' key"):
         config_from_json({"instances": 1})
+    # values are checked too, so the CLI exits 1 instead of failing later
+    for doc, message in (({"quantum_schedule": {"theta": [0.1]}}, "quantum_schedule.theta"),
+                         ({"classical_schedule": {"phi": []}}, "classical_schedule.phi"),
+                         ({"quantum_schedule": {"beta": ["1", 1]}}, "quantum_schedule.beta"),
+                         ({"instances": 0}, "instances"),
+                         ({"shots": 2.5}, "shots"),
+                         ({"rcm_runs": "20"}, "rcm_runs"),
+                         ({"stop": {"max_iters": "10"}}, "stop.max_iters"),
+                         ({"classical_stop": {"max_iters": -1}}, "classical_stop.max_iters"),
+                         ({"primal_ansatz": {"row": 9}}, "primal_ansatz.row"),
+                         ({"dual_ansatz": {"layers": -1}}, "dual_ansatz.layers")):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            config_from_json({"case": "x", **doc})
+    assert config_from_json({"case": "x", "stop": {"max_iters": 0}}).stop.max_iters == 0
 
 
 def test_run_experiment_two_bus_exact(tmp_path, case2_file):
@@ -408,7 +446,6 @@ def test_emit_report_empty_instances(tmp_path):
 def test_ieee57_pipeline_smoke(ieee57):
     """Three exact iterations at full benchmark scale: catches dimension and
     bookkeeping mistakes in the permuted 64x512 pipeline."""
-    import qopf.saddle as saddle
     config = ExperimentConfig(
         case_path="unused",
         instances=1,

@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from qopf import bounds, harness, model, saddle, sim, xbm
 from qopf.grid import Constraint, ValidationError
-from qopf.model import DualPoint, PrimalPoint, exact_mode, sampled_mode
+from qopf.model import DualPoint, PrimalPoint, sampled_mode
 from qopf.saddle import classical_lagrangian
 
 from conftest import (exact_expectation, g_operator, per_row_pieces,
-                      piecewise_rotation, problem_from_rows, random_hermitian,
-                      random_problem, rotate_piece, shift_points, stack_problems)
+                      piecewise_rotation, problem_from_rows, random_problem,
+                      rotate_piece, shift_points, stack_problems)
 
 
 @pytest.fixture(scope="module")

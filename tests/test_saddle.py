@@ -5,7 +5,7 @@ import pytest
 
 from qopf import grid, model, saddle, sim
 from qopf.grid import ValidationError
-from qopf.model import DualPoint, PrimalPoint, sampled_mode
+from qopf.model import sampled_mode
 from qopf.saddle import (
     ClassicalState,
     DivergenceError,
