@@ -47,35 +47,12 @@ class BoundInputs:
             raise ValidationError("epsilon must be positive")
 
 
-def spectral_norm(matrix, tol: float = 1e-8, max_iters: int = 10_000) -> float:
-    """Largest singular value of a scipy-sparse matrix by power iteration on
-    M^dag M, to relative tolerance ``tol`` on successive estimates."""
-    if matrix.shape[0] == 0 or matrix.nnz == 0:
-        return 0.0
-    m = matrix.tocsr()
-    mh = m.conj().T.tocsr()
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(m.shape[0]) + 1j * rng.standard_normal(m.shape[0])
-    v /= np.linalg.norm(v)
-    estimate = 0.0
-    for _ in range(max_iters):
-        w = mh @ (m @ v)
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        new_estimate = np.sqrt(norm)
-        v = w / norm
-        if abs(new_estimate - estimate) <= tol * max(new_estimate, 1e-300):
-            return float(new_estimate)
-        estimate = new_estimate
-    return float(estimate)
-
-
 def row_norms(stack: MatrixStack) -> np.ndarray:
-    """Spectral norm of every stacked (Hermitian) row.
+    """Spectral norm of every stacked (Hermitian) matrix: the rows of a
+    problem's ``stack``, or the cost of its one-matrix ``cost``.
 
-    Each row is zero outside its support, the nodes its entries touch, so
-    its norm is that of the support block.  The blocks are gathered, zero
+    Each matrix is zero outside its support, the nodes its entries touch,
+    so its norm is that of the support block.  The blocks are gathered, zero
     padded to the largest support, into one (count, s, s) array and every
     norm is the largest |eigenvalue| of one batched Hermitian eigensolve.
     """
@@ -114,7 +91,7 @@ def inputs_from_context(ctx: LagrangianContext, alpha_bar: float | None = None,
         q_count=ctx.q_count,
         alpha_bar=alpha_bar,
         beta_bar=beta_bar,
-        norm_m0=spectral_norm(problem.m0),
+        norm_m0=float(row_norms(problem.cost)[0]),
         max_norm_mm=max_norm,
         max_abs_b=float(np.max(np.abs(problem.bounds))),
         sum_norm_sq_m0=ctx.m0_decomposition.sum_norm_sq,

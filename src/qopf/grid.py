@@ -14,11 +14,12 @@ opposing inequalities.  Voltage-magnitude rows use the squared bounds
 (v_min^2, v_max^2); line rows bound the quadratic form |Y_nm| |v_n - v_m|^2
 by the branch's ``i_max`` field, read literally as that form's limit.
 
-Matrices are scipy CSR at every size.  A problem stores its rows only in
-one ``MatrixStack`` of flat (segment, row, col, value) entries, which gives
-every quadratic form v^dag M_m v at once and the weighted action
-(sum_m w_m M_m) v without densifying anything; padding and node
-permutations are index remaps of those entries.
+A problem stores its cost and its rows alike as ``MatrixStack``s of flat
+(segment, row, col, value) entries: the cost as a one-matrix stack, the
+rows as one stack that gives every quadratic form v^dag M_m v at once and
+the weighted action (sum_m w_m M_m) v without densifying anything.
+Padding and node permutations are index remaps of those entries, and a
+stacked matrix is read as scipy CSR on request (``MatrixStack.matrix``).
 
 The native case format is a UTF-8 text file with four whitespace-delimited
 sections (see README):
@@ -460,18 +461,6 @@ def import_matpower(text: str, name: str = "case") -> NetworkCase:
 # Matrices
 
 
-def _csr(rows, cols, values, dim: int) -> sparse.csr_matrix:
-    """Square CSR matrix from coordinate entries: duplicates summed, zeros
-    dropped, column indices sorted."""
-    out = sparse.coo_matrix((values, (rows, cols)), shape=(dim, dim), dtype=complex).tocsr()
-    out.eliminate_zeros()
-    return out
-
-
-def _materialize(n: int, triples: dict[tuple[int, int], complex]) -> sparse.csr_matrix:
-    return _csr([i for i, _ in triples], [j for _, j in triples], list(triples.values()), n)
-
-
 def build_admittance(case: NetworkCase) -> sparse.csr_matrix:
     """Assemble Y = G + jB Laplacian-style from branch series admittances."""
     n = case.n
@@ -489,7 +478,10 @@ def build_admittance(case: NetworkCase) -> sparse.csr_matrix:
     rows += list(range(n))
     cols += list(range(n))
     vals += list(diag)
-    return _csr(rows, cols, vals, n)
+    # duplicates summed, zeros dropped, column indices sorted
+    y = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n), dtype=complex).tocsr()
+    y.eliminate_zeros()
+    return y
 
 
 def _injection_triples(y: sparse.csr_matrix, node: int):
@@ -602,16 +594,17 @@ class Constraint:
 class QcqpProblem:
     """Cost matrix plus ordered inequality rows v^dag M_m v <= bounds[m].
 
-    The rows live only in ``stack``; ``bounds``, ``labels`` and ``subjects``
-    hold one entry per stored row, and the cost ``m0`` is a CSR matrix of
-    the stack's size.  ``n`` and ``m`` are the original primal dimension and
-    constraint count; after pad_to_qubits the stored sizes grow to powers
-    of two while these fields keep the original ones.
+    The cost M0 is the one matrix of ``cost`` and the rows are the
+    matrices of ``stack``, both of the same dimension; ``bounds``,
+    ``labels`` and ``subjects`` hold one entry per stored row.  ``n`` and
+    ``m`` are the original primal dimension and constraint count; after
+    pad_to_qubits the stored sizes grow to powers of two while these
+    fields keep the original ones.
     """
 
     n: int
     m: int
-    m0: sparse.csr_matrix
+    cost: MatrixStack
     stack: MatrixStack
     bounds: np.ndarray
     labels: tuple[str, ...]
@@ -621,14 +614,14 @@ class QcqpProblem:
     def __post_init__(self):
         count, dim = self.stack.count, self.stack.dim
         sizes = (len(self.bounds), len(self.labels), len(self.subjects))
-        if self.m0.shape != (dim, dim) or sizes != (count,) * 3 \
+        if (self.cost.count, self.cost.dim) != (1, dim) or sizes != (count,) * 3 \
                 or self.n > dim or self.m > count:
             raise ValidationError(
-                f"inconsistent sizes: n={self.n}, m={self.m}, cost {self.m0.shape}, "
+                f"inconsistent sizes: n={self.n}, m={self.m}, {self.cost.count} cost "
+                f"matrices of dimension {self.cost.dim}, "
                 f"{count} stacked rows of dimension {dim}, "
                 f"{sizes} bounds/labels/subjects")
-        deviation = abs(self.m0 - self.m0.conj().T)
-        residual = deviation.max() if deviation.nnz else 0.0
+        residual = self.cost.hermitian_residuals()[0]
         if residual > HERMITIAN_TOL:
             raise ValidationError(f"cost matrix not Hermitian (residual {residual:.2e})")
         residuals = self.stack.hermitian_residuals()
@@ -649,6 +642,11 @@ class QcqpProblem:
     @property
     def m_stored(self) -> int:
         return self.stack.count
+
+    @cached_property
+    def m0(self) -> sparse.csr_matrix:
+        """The cost matrix as CSR, built on first use, for the M0 v products."""
+        return self.cost.matrix(0)
 
     @cached_property
     def constraints(self) -> tuple[Constraint, ...]:
@@ -685,12 +683,14 @@ def assemble_qcqp(case: NetworkCase) -> QcqpProblem:
     gens = {g.bus: g for g in case.generators}
     injections = {node: _injection_triples(y, node) for node in range(n)}
 
-    m0 = None
-    for node in case.generator_nodes:
-        term = gens[node].cost * _materialize(n, injections[node][0])
-        m0 = term if m0 is None else m0 + term
-    if m0 is None:
+    if not case.generators:
         raise ValidationError("case has no generators")
+    cost_rows, cost_cols, cost_values = [], [], []
+    for node in case.generator_nodes:
+        for (i, j), v in injections[node][0].items():
+            cost_rows.append(i)
+            cost_cols.append(j)
+            cost_values.append(gens[node].cost * v)
 
     segments, rows, cols, values = [], [], [], []
     bounds, labels, subjects = [], [], []
@@ -730,7 +730,9 @@ def assemble_qcqp(case: NetworkCase) -> QcqpProblem:
     for br in case.branches:
         add(_current_triples(br), br.i_max, LABEL_LINE, br.edge)
 
-    return QcqpProblem(n=n, m=len(bounds), m0=m0,
+    return QcqpProblem(n=n, m=len(bounds),
+                       cost=MatrixStack(np.zeros(len(cost_rows)), cost_rows, cost_cols,
+                                        cost_values, 1, n),
                        stack=MatrixStack(segments, rows, cols, values, len(bounds), n),
                        bounds=np.array(bounds), labels=tuple(labels),
                        subjects=tuple(subjects), name=case.name)
@@ -743,7 +745,7 @@ def next_power_of_two(value: int) -> int:
 def pad_to_qubits(problem: QcqpProblem) -> QcqpProblem:
     """Zero-pad the primal dimension and the constraint count to powers of two.
 
-    The stack and the cost keep their entries in a larger dimension, and
+    The cost and the rows keep their entries in a larger dimension, and
     padding rows are empty segments with zero bound, so padded dual entries
     never contribute to the Lagrangian.  Identity when both sizes already
     are powers of two.
@@ -753,10 +755,10 @@ def pad_to_qubits(problem: QcqpProblem) -> QcqpProblem:
     if dim == problem.dim and count == problem.m_stored:
         return problem
     extra = count - problem.m_stored
-    s, m0 = problem.stack, problem.m0.tocoo()
+    c, s = problem.cost, problem.stack
     return replace(
         problem,
-        m0=sparse.csr_matrix((m0.data, (m0.row, m0.col)), shape=(dim, dim)),
+        cost=MatrixStack(c.segments, c.rows, c.cols, c.values, 1, dim),
         stack=MatrixStack(s.segments, s.rows, s.cols, s.values, count, dim),
         bounds=np.concatenate([problem.bounds, np.zeros(extra)]),
         labels=problem.labels + (LABEL_PADDING,) * extra,

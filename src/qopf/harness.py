@@ -27,6 +27,7 @@ import time
 from dataclasses import dataclass, field, replace
 from numbers import Integral, Real
 from pathlib import Path
+from types import NoneType
 
 import numpy as np
 from scipy.optimize import minimize, nnls
@@ -114,10 +115,20 @@ class ExperimentConfig:
                 ("primal_ansatz.row", (self.primal.row,), tuple(ARCHITECTURES)),
                 ("dual_ansatz.row", (self.dual.row,), tuple(ARCHITECTURES))):
             for value in values:
-                if value not in allowed:
+                # True == 1, so a bool would pass for row 1
+                if isinstance(value, bool) or value not in allowed:
                     raise ValidationError(f"unknown {kind} {value!r}")
+        for name, value, kinds in (
+                ("case", self.case_path, str), ("reference", self.reference_path, (str, NoneType)),
+                ("out", self.out_dir, (str, NoneType)),
+                ("apply_simplifications", self.apply_simplifications, bool)):
+            if not isinstance(value, kinds):
+                raise ValidationError(f"{name} has the wrong type: {value!r}")
+        if not (_is_number(self.divergence_ceiling) and self.divergence_ceiling > 0):
+            raise ValidationError(
+                f"divergence_ceiling must be a positive number, got {self.divergence_ceiling!r}")
         for name, value, least in (
-                ("instances", self.instances, 1), ("shots", self.shots, 1),
+                ("instances", self.instances, 1), ("shots", self.shots, 1), ("seed", self.seed, 0),
                 ("rcm_runs", self.rcm_runs, 1), ("stop.max_iters", self.stop.max_iters, 0),
                 ("classical_stop.max_iters", self.classical_stop.max_iters, 0),
                 ("primal_ansatz.layers", self.primal.layers, 0),
@@ -142,28 +153,33 @@ def _known(doc: dict, keys, where: str = "") -> dict:
     return doc
 
 
+def _is_number(value) -> bool:
+    """Whether a config value is a number; True == 1, but a bool is not one."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def _number_pair(entry, name: str, form: str) -> tuple:
+    """``entry`` as a tuple, once it is a list or tuple of two numbers."""
+    if not (isinstance(entry, (list, tuple)) and len(entry) == 2
+            and all(_is_number(x) for x in entry)):
+        raise ValidationError(f"{name} must be a {form} pair of numbers, got {entry!r}")
+    return tuple(entry)
+
+
 def _schedule_from_json(doc: dict, key: str,
                         fallback: saddle_mod.StepSchedule) -> saddle_mod.StepSchedule:
     doc = _known(doc.get(key, {}), ("theta", "alpha", "phi", "beta"), f"{key}.")
-
-    def pair(block, default):
-        entry = doc.get(block, default)
-        if not (isinstance(entry, (list, tuple)) and len(entry) == 2 and all(
-                isinstance(x, Real) and not isinstance(x, bool) for x in entry)):
-            raise ValidationError(f"{key}.{block} must be a [base, decay] pair of "
-                                  f"numbers, got {entry!r}")
-        return tuple(entry)
-
-    return saddle_mod.StepSchedule(
-        theta=pair("theta", fallback.theta),
-        alpha=pair("alpha", fallback.alpha),
-        phi=pair("phi", fallback.phi),
-        beta=pair("beta", fallback.beta),
-    )
+    blocks = {block: _number_pair(doc.get(block, getattr(fallback, block)),
+                                  f"{key}.{block}", "[base, decay]")
+              for block in ("theta", "alpha", "phi", "beta")}
+    return saddle_mod.StepSchedule(**blocks)
 
 
 def _stop_from_json(doc: dict, key: str, fallback: saddle_mod.StopRule) -> saddle_mod.StopRule:
     doc = _known(doc.get(key, {}), ("theta_tol", "phi_tol", "max_iters"), f"{key}.")
+    for tol in ("theta_tol", "phi_tol"):
+        if not _is_number(doc.get(tol, getattr(fallback, tol))):
+            raise ValidationError(f"{key}.{tol} must be a number, got {doc[tol]!r}")
     return saddle_mod.StopRule(
         theta_tol=doc.get("theta_tol", fallback.theta_tol),
         phi_tol=doc.get("phi_tol", fallback.phi_tol),
@@ -185,7 +201,8 @@ def config_from_json(doc: dict | str | Path) -> ExperimentConfig:
     return replace(
         base,
         instances=doc.get("instances", base.instances),
-        load_scale=tuple(doc.get("load_scale", base.load_scale)),
+        load_scale=_number_pair(doc.get("load_scale", base.load_scale), "load_scale",
+                                "[low, high]"),
         primal=AnsatzChoice(primal.get("row", base.primal.row),
                             primal.get("layers", base.primal.layers)),
         dual=AnsatzChoice(dual.get("row", base.dual.row),
@@ -363,18 +380,29 @@ def reference_to_json(ref: ReferenceSolution) -> dict:
 
 
 def reference_from_json(doc: dict) -> ReferenceSolution:
+    """A reference solution from its JSON document; a missing key or an
+    entry that is not numeric raises ValidationError."""
+    if not (isinstance(doc, dict) and isinstance(doc.get("instances"), list)):
+        raise ValidationError("reference needs an 'instances' list")
     instances = []
-    for inst in doc["instances"]:
-        v = inst.get("v")
-        if v is not None:
-            v = np.array([complex(re_, im) for re_, im in v])
-        instances.append(ReferenceInstance(
-            p_g=np.asarray(inst["p_g"], dtype=float),
-            v_g=np.asarray(inst["v_g"], dtype=float),
-            lam=np.asarray(inst["lambda"], dtype=float),
-            cost=float(inst["cost"]),
-            v=v,
-        ))
+    for k, inst in enumerate(doc["instances"]):
+        missing = [key for key in ("p_g", "v_g", "lambda", "cost")
+                   if not (isinstance(inst, dict) and key in inst)]
+        if missing:
+            raise ValidationError(f"reference instance {k} lacks the key {missing[0]!r}")
+        try:
+            v = inst.get("v")
+            if v is not None:
+                v = np.array([complex(re_, im) for re_, im in v])
+            instances.append(ReferenceInstance(
+                p_g=np.asarray(inst["p_g"], dtype=float),
+                v_g=np.asarray(inst["v_g"], dtype=float),
+                lam=np.asarray(inst["lambda"], dtype=float),
+                cost=float(inst["cost"]),
+                v=v,
+            ))
+        except (TypeError, ValueError) as err:
+            raise ValidationError(f"reference instance {k}: {err}") from None
     return ReferenceSolution(doc.get("case", "case"), tuple(instances))
 
 
@@ -490,9 +518,23 @@ def reference_solution(config: ExperimentConfig, case: NetworkCase,
                        instances: list[NetworkCase]) -> ReferenceSolution | None:
     """The reference solutions of a run's instances: read from
     config.reference_path, else computed by the desk oracle when the case
-    has at most three buses, else None."""
+    has at most three buses, else None.
+
+    A file is checked against the case before any solve, where a misfit
+    would otherwise fail only once the metrics are computed: every instance
+    needs one p_g and one v_g entry per generator, one multiplier per row of
+    ``restricted_rows`` and, if given, one voltage per bus."""
     if config.reference_path:
-        return load_reference(config.reference_path)
+        ref = load_reference(config.reference_path)
+        sizes = {"p_g": len(case.generators), "v_g": len(case.generators),
+                 "lambda": len(restricted_rows(assemble_qcqp(case))), "v": case.n}
+        for k, inst in enumerate(ref.instances):
+            for key, value in (("p_g", inst.p_g), ("v_g", inst.v_g), ("lambda", inst.lam),
+                               ("v", inst.v)):
+                if value is not None and np.shape(value) != (sizes[key],):
+                    raise ValidationError(f"reference instance {k}: {key} has shape "
+                                          f"{np.shape(value)}, the case needs ({sizes[key]},)")
+        return ref
     if case.n <= 3:
         return ReferenceSolution(case.name, tuple(
             brute_force_reference(inst) for inst in instances))
@@ -616,21 +658,19 @@ def dual_comparison_entries(problem: QcqpProblem, lam: np.ndarray,
 # Ansatz fitting
 
 
-def overlap_cost(spec: AnsatzSpec, params: np.ndarray, target: np.ndarray) -> float:
-    """1 - Re <psi(params)|target> / ||target||; bounded by [0, 2]."""
-    psi = prepare(spec, params)
-    return 1.0 - float(np.real(np.vdot(psi, target))) / float(np.linalg.norm(target))
-
-
-def overlap_gradient(spec: AnsatzSpec, params: np.ndarray,
-                     target: np.ndarray) -> np.ndarray:
-    """Adjoint gradient of the amplitude-linear cost: with the normalized
-    target carried back as the costate, d cost / d params_k =
+def overlap(spec: AnsatzSpec, params: np.ndarray,
+            target: np.ndarray) -> tuple[float, np.ndarray]:
+    """The overlap cost 1 - Re <psi(params)|target> / ||target||, bounded
+    by [0, 2], and its adjoint gradient, from one state preparation.  The
+    cost is linear in the amplitudes: with the normalized target carried
+    back as the costate, d cost / d params_k =
     -Re <(-i/2) G_k psi_k | target_k> = -Im <target_k| G_k |psi_k> / 2."""
     factors = rotation_factors(spec, params)
     psi = prepare(spec, params, factors)
-    costate = np.asarray(target, dtype=complex) / float(np.linalg.norm(target))
-    return -0.5 * reverse_sweep(spec, factors, psi, costate)
+    norm = float(np.linalg.norm(target))
+    cost = 1.0 - float(np.real(np.vdot(psi, target))) / norm
+    costate = np.asarray(target, dtype=complex) / norm
+    return cost, -0.5 * reverse_sweep(spec, factors, psi, costate)
 
 
 def fit_state(spec: AnsatzSpec, target: np.ndarray, seed, restarts: int = 3,
@@ -641,8 +681,7 @@ def fit_state(spec: AnsatzSpec, target: np.ndarray, seed, restarts: int = 3,
     best_cost, best_params = math.inf, None
     for r in range(restarts):
         start = rng(chain_seed(seed, r)).uniform(0, 2 * math.pi, spec.param_count)
-        result = minimize(lambda x: overlap_cost(spec, x, target), start,
-                          jac=lambda x: overlap_gradient(spec, x, target),
+        result = minimize(lambda x: overlap(spec, x, target), start, jac=True,
                           method="L-BFGS-B",
                           options={"maxiter": iters, "ftol": 0.0, "gtol": 1e-12})
         if result.fun < best_cost:

@@ -12,6 +12,8 @@ then splits into three observable expectations,
 with F0 the cost expectation on the primal circuit, G a diagonal observable
 (the constraint bounds) on the dual circuit, and F the constraint term,
 whose exact value is the PMF-weighted sum of per-constraint expectations.
+The cost and the rows are both ``grid.MatrixStack``s, so the color pieces
+of F0 and of F come from the same ``xbm.piece_table``.
 Its sampled value pairs independent measurements, as an extended Bell
 measurement would on hardware: per color piece, a dual outcome m and an
 outcome i of the color-rotated primal circuit are drawn separately, and
@@ -112,11 +114,12 @@ class LagrangianContext:
     """Everything needed to evaluate L and its gradients on one problem.
 
     Holds the padded (and usually permuted) QCQP, whose ``stack`` gives the
-    constraint forms and actions, the ansatz pair, and two ``xbm.PieceTable``
-    of color pieces, each with its (color, part) pieces, the nonzero entries
-    of its rotated piece diagonals as one ``xbm.PieceEntries``, its norms and
-    its primal measurement rotations grouped for ``xbm.rotate_pieces``:
-    ``m0_decomposition`` of the cost matrix, and ``joint_diagonals`` of the
+    constraint forms and actions and whose ``m0`` the cost products, the
+    ansatz pair, and two ``xbm.PieceTable`` of color pieces, each with its
+    (color, part) pieces, the nonzero entries of its rotated piece diagonals
+    as one ``xbm.PieceEntries``, its norms and its primal measurement
+    rotations grouped for ``xbm.rotate_pieces``: ``m0_decomposition`` of the
+    one-matrix ``cost`` stack, and ``joint_diagonals`` of the
     block-diagonal joint observable of size MN x MN, never materialized,
     whose segment of piece p and constraint m is p * M + m.  The sampled F
     draws a dual outcome m and a rotated primal outcome i independently per
@@ -140,7 +143,7 @@ class LagrangianContext:
         self.primal_spec = primal_spec
         self.dual_spec = dual_spec
         self.s_diag = problem.bounds
-        self.m0_decomposition = xbm.decompose(problem.m0)
+        self.m0_decomposition = xbm.piece_table(problem.cost)
         # the rotated constraint pieces of all rows, segment piece * M + m
         self.joint_diagonals = xbm.piece_table(problem.stack)
         self.colors = self.m0_decomposition.colors | self.joint_diagonals.colors

@@ -252,8 +252,8 @@ def _swap_change(adjacency: list[list[int]], position: list[int], a: int, b: int
 
 
 def permute_problem(problem: QcqpProblem, perm: NodePermutation) -> QcqpProblem:
-    """Conjugate every problem matrix by the permutation, mapping the row and
-    column index of each stored entry through ``perm.forward``; bounds,
+    """Conjugate the cost and every row by the permutation, mapping the row
+    and column index of each stored entry through ``perm.forward``; bounds,
     order and labels are untouched, so quadratic forms are invariant:
     (Pv)^dag (P M P^T) (Pv) = v^dag M v."""
     if len(perm) != problem.dim:
@@ -261,9 +261,9 @@ def permute_problem(problem: QcqpProblem, perm: NodePermutation) -> QcqpProblem:
             f"permutation length {len(perm)} != problem dimension {problem.dim}"
         )
     fwd = perm.forward
-    s, m0 = problem.stack, problem.m0.tocoo()
+    c, s = problem.cost, problem.stack
     return replace(
         problem,
-        m0=sparse.csr_matrix((m0.data, (fwd[m0.row], fwd[m0.col])), shape=m0.shape),
+        cost=MatrixStack(c.segments, fwd[c.rows], fwd[c.cols], c.values, 1, c.dim),
         stack=MatrixStack(s.segments, fwd[s.rows], fwd[s.cols], s.values, s.count, s.dim),
     )

@@ -9,8 +9,11 @@ set bit of c, followed by a Hadamard on k_c.  The imaginary part additionally
 takes an S^dag prefix on k_c, realized here as Rz(-pi/2) (equal up to an
 irrelevant global phase).  The whole CX fan-out is one precomputed basis
 gather, and Rz and H go through the 2x2 primitive ``sim.apply_single``.
-``rotate_pieces`` rotates a state, or a stack of states, under many
-pieces at once: pieces that share k and part share one S^dag and one H
+A piece is described by its (color, part) alone: ``gate_count`` counts
+its rotation's gates, and ``piece_rotations`` builds the rotations of a
+sequence of pieces, grouped by (k, part) with their fan-outs stacked.
+``rotate_pieces`` rotates a state, or a stack of states, under all of
+them at once: pieces that share k and part share one S^dag and one H
 over the stack of their fan-out gathers, elementwise the same operations
 as piece by piece, so the rotated states are the same bit for bit.
 
@@ -22,11 +25,13 @@ k_c bit is clear, pairing it with j = i ^ c,
     imaginary part: lambda[i] = -Im M[i, j],  lambda[i ^ 2^k_c] = +Im M[i, j]
 
 ``piece_table`` computes the diagonals from coordinate entries grouped by
-i ^ j, in one pass over a whole ``grid.MatrixStack``, and ``decompose`` is
-the same for one Hermitian matrix: a ``PieceTable`` holds the pieces'
-(color, part), the sorted sparse entries of all their diagonals as one
+i ^ j, in one pass over a whole ``grid.MatrixStack`` (a problem's rows, or
+its one-matrix cost), and ``decompose`` is the same for one Hermitian
+matrix, dense or scipy-sparse: a ``PieceTable`` holds the pieces' (color,
+part), the sorted sparse entries of all their diagonals as one
 ``PieceEntries`` with a per-segment index of them, their norms and their
-rotations, each built once, and scatters the diagonals densely on request.
+grouped rotations, each built once, and scatters the diagonals densely on
+request.
 The sampled estimator ``estimate_expectation`` reads one matrix's pieces
 from such a table and estimates its expectation on every row of a stack
 of states, one seed per row.
@@ -60,45 +65,12 @@ class DecompositionError(ValueError):
     pass
 
 
-def most_significant_bit(c: int) -> int:
-    if c < 1:
-        raise DecompositionError("color must be >= 1")
-    return c.bit_length() - 1
-
-
-def rotation_circuit(color: int, n_qubits: int, part: str = REAL) -> "RotationCircuit":
-    """Measurement rotation for a color-c piece (c >= 1).
-
-    Gate count is at most log2(N) for real parts and log2(N) + 1 for
-    imaginary parts.  Color 0 is diagonal already and needs no rotation.
-    """
-    if not (1 <= color < 2**n_qubits):
-        raise DecompositionError(
-            f"color {color} outside 1..{2 ** n_qubits - 1} "
-            "(color 0 needs no rotation)"
-        )
-    if part not in (REAL, IMAG):
-        raise DecompositionError(f"unknown part {part!r}")
-    k = most_significant_bit(color)
-    idx = np.arange(2**n_qubits)
-    fanout = np.where((idx >> k) & 1 == 1, idx ^ (color ^ (1 << k)), idx)
-    return RotationCircuit(color=color, part=part, k=k, fanout=fanout)
-
-
-@dataclass(frozen=True)
-class RotationCircuit:
-    """S^dag on k (imaginary part only), the CX fan-out from k to the other
-    set bits of ``color`` as the basis gather ``fanout``, then H on k."""
-
-    color: int
-    part: str
-    k: int
-    fanout: np.ndarray
-
-    @property
-    def gate_count(self) -> int:
-        """popcount(color) - 1 CX gates, one H, and S^dag for the imaginary part."""
-        return self.color.bit_count() + (self.part == IMAG)
+def gate_count(color: int, part: str) -> int:
+    """Gates of a piece's measurement rotation: popcount(color) - 1 CX
+    gates, one H and, for the imaginary part, S^dag; 0 for color 0, which
+    is diagonal already.  At most log2(N) for real parts and log2(N) + 1
+    for imaginary parts."""
+    return color.bit_count() + (part == IMAG) if color else 0
 
 
 class PieceRotations(NamedTuple):
@@ -112,16 +84,26 @@ class PieceRotations(NamedTuple):
     groups: tuple[tuple[slice, int, str, np.ndarray], ...]
 
 
-def group_rotations(circuits: Sequence[RotationCircuit | None]) -> PieceRotations:
-    """Group piece rotations (None for color 0) into runs of one (k, part)."""
+def piece_rotations(pieces: Sequence[tuple[int, str]], n_qubits: int) -> PieceRotations:
+    """The measurement rotations of (color, part) pieces on ``n_qubits``,
+    grouped into runs of one (k, part).
+
+    Color 0 needs no rotation.  Color c >= 1 takes S^dag on k = k_c
+    (imaginary part only), the CX fan-out from k to the other set bits of
+    c, which is the basis gather that flips those bits on every index with
+    bit k set, then H on k.
+    """
+    index = np.arange(2**n_qubits)
     unrotated, groups, start = [], [], 0
-    for key, run in groupby(circuits, lambda c: None if c is None else (c.k, c.part)):
-        run = list(run)
-        rows, start = slice(start, start + len(run)), start + len(run)
-        if key is None:
+    # k = -1 for color 0
+    for (k, part), run in groupby(pieces, lambda piece: (piece[0].bit_length() - 1, piece[1])):
+        colors = np.array([color for color, _ in run])
+        rows, start = slice(start, start + len(colors)), start + len(colors)
+        if k < 0:
             unrotated.append(rows)
         else:
-            groups.append((rows, *key, np.stack([circuit.fanout for circuit in run])))
+            flips = colors[:, None] ^ (1 << k)
+            groups.append((rows, k, part, np.where((index >> k) & 1 == 1, index ^ flips, index)))
     return PieceRotations(start, tuple(unrotated), tuple(groups))
 
 
@@ -200,16 +182,9 @@ class PieceTable:
         return sum(norm**2 for norm in self.norms)
 
     @cached_property
-    def circuits(self) -> tuple[RotationCircuit | None, ...]:
-        """Each piece's measurement rotation, None for color 0."""
-        n_qubits = int(math.log2(self.entries.dim))
-        return tuple(rotation_circuit(color, n_qubits, part) if color else None
-                     for color, part in self.pieces)
-
-    @cached_property
     def rotations(self) -> PieceRotations:
         """The pieces' rotations, grouped once for ``rotate_pieces``."""
-        return group_rotations(self.circuits)
+        return piece_rotations(self.pieces, int(math.log2(self.entries.dim)))
 
     @cached_property
     def segment_starts(self) -> np.ndarray:
@@ -239,8 +214,8 @@ def piece_table(stack: MatrixStack) -> PieceTable:
     at their rows and, for c >= 1, the negation at ``rows + 2^k_c``.
     """
     colors, color_of = np.unique(stack.rows ^ stack.cols, return_inverse=True)
-    tops = np.array([1 << most_significant_bit(c) if c else 0 for c in colors.tolist()],
-                    dtype=int)  # 2^k_c per color, 0 for color 0
+    # 2^k_c per color, k_c = c.bit_length() - 1, and 0 for color 0
+    tops = np.array([(1 << c.bit_length()) >> 1 for c in colors.tolist()], dtype=int)
     low = stack.rows & tops[color_of] == 0
     color_of, values = color_of[low], stack.values[low]
     base = stack.segments[low] * stack.dim + stack.rows[low]

@@ -75,22 +75,25 @@ def random_hermitian(rng, dim, scale=1.0):
     return scale * (a + a.conj().T) / 2
 
 
-def problem_from_rows(n, m, m0, rows):
-    """A QcqpProblem from per-row matrices given as grid.Constraint records.
-
-    Each matrix, dense or scipy-sparse, goes through scipy.sparse into the
-    flat entries of one grid.MatrixStack whose dimension is the cost's.
-    """
-    coos = [sparse.coo_matrix(c.matrix) for c in rows]
-    stack = grid.MatrixStack(
-        np.repeat(np.arange(len(rows)), [a.nnz for a in coos]),
+def matrix_stack(matrices, dim):
+    """Square matrices, dense or scipy-sparse, as the flat entries of one
+    grid.MatrixStack of dimension ``dim``, through scipy.sparse."""
+    coos = [sparse.coo_matrix(matrix) for matrix in matrices]
+    return grid.MatrixStack(
+        np.repeat(np.arange(len(coos)), [a.nnz for a in coos]),
         np.concatenate([a.row for a in coos]),
         np.concatenate([a.col for a in coos]),
         np.concatenate([a.data for a in coos]),
-        len(rows), m0.shape[0])
-    m0 = sparse.csr_matrix(m0, dtype=complex)
-    m0.eliminate_zeros()
-    return grid.QcqpProblem(n=n, m=m, m0=m0, stack=stack,
+        len(coos), dim)
+
+
+def problem_from_rows(n, m, m0, rows):
+    """A QcqpProblem from a cost matrix and per-row matrices given as
+    grid.Constraint records: the cost becomes a one-matrix stack and the
+    rows one stack, both of the cost's dimension."""
+    dim = m0.shape[0]
+    return grid.QcqpProblem(n=n, m=m, cost=matrix_stack([m0], dim),
+                            stack=matrix_stack([c.matrix for c in rows], dim),
                             bounds=np.array([c.bound for c in rows], dtype=float),
                             labels=tuple(c.label for c in rows),
                             subjects=tuple(c.subject for c in rows))
@@ -172,7 +175,7 @@ def piece_matrix(table, p):
     if color == 0:
         out[idx, idx] = diagonal
         return out
-    low = idx[(idx >> xbm.most_significant_bit(color)) & 1 == 0]
+    low = idx[(idx >> (color.bit_length() - 1)) & 1 == 0]
     vals = diagonal[low] if part == xbm.REAL else -1j * diagonal[low]
     out[low, low ^ color] = vals
     out[low ^ color, low] = np.conj(vals)
@@ -377,10 +380,18 @@ def constant_schedule(mu):
     return saddle.StepSchedule((mu, 1.0), (mu, 1.0), (mu, 1.0), (mu, 1.0))
 
 
-def rotate_piece(circuit, state):
+def rotate_piece(color, part, state):
     """One piece's measurement rotation of a state or a stack of states:
     the one-piece ``xbm.rotate_pieces``."""
-    return xbm.rotate_pieces(state, xbm.group_rotations([circuit]))[0]
+    n_qubits = state.shape[-1].bit_length() - 1
+    return xbm.rotate_pieces(state, xbm.piece_rotations([(color, part)], n_qubits))[0]
+
+
+def piece_fanout(color, part, n_qubits):
+    """(k, fan-out gather) of one color >= 1 piece's rotation, read from
+    its one-piece ``xbm.piece_rotations``."""
+    (_, k, _, fanouts), = xbm.piece_rotations([(color, part)], n_qubits).groups
+    return k, fanouts[0]
 
 
 class VarianceReport(NamedTuple):

@@ -49,11 +49,11 @@ def test_xbm_correctness_suite():
             dec = xbm.decompose(m)
             worst_recon = max(worst_recon,
                               float(np.max(np.abs(reconstruct(dec) - m))))
-            for p, circ in enumerate(dec.circuits):
-                if circ is None:
+            for p, (color, part) in enumerate(dec.pieces):
+                if color == 0:
                     continue
                 basis = np.eye(dim, dtype=complex)
-                rot = np.stack([rotate_piece(circ, basis[:, k].copy())
+                rot = np.stack([rotate_piece(color, part, basis[:, k].copy())
                                 for k in range(dim)], axis=1)
                 sub = piece_matrix(dec, p)
                 rotated = rot @ sub @ rot.conj().T

@@ -94,10 +94,20 @@ def test_inputs_from_context_measures_norms():
                       for c in ctx.problem.constraints])
     assert inputs.max_norm_mm == pytest.approx(float(norms.max()), rel=1e-6)
     assert inputs.norm_m0 == pytest.approx(
-        float(np.linalg.norm(ctx.problem.m0.toarray(), 2)), rel=1e-6)
+        float(np.linalg.norm(ctx.problem.m0.toarray(), 2)), rel=1e-12)
     assert inputs.colors == ctx.color_count
     assert inputs.sum_norm_sq_m0 == pytest.approx(
         sum(np.max(np.abs(d))**2 for d in ctx.m0_decomposition.diagonals), abs=1e-12)
+
+
+@pytest.mark.parametrize("case_name", ["case3", "ieee57"])
+def test_norm_m0_is_the_dense_spectral_norm(case_name, request):
+    """||M0|| is read from the cost stack exactly, not estimated."""
+    problem = harness.prepare_case(request.getfixturevalue(case_name), 2, 0).permuted
+    ctx = harness.build_context(harness.ExperimentConfig(case_path="unused"), problem)
+    inputs = bounds.inputs_from_context(ctx)
+    np.testing.assert_allclose(inputs.norm_m0, np.linalg.norm(problem.m0.toarray(), 2),
+                               rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("case_name", ["case3", "ieee57"])

@@ -196,6 +196,38 @@ def test_config_value_exit_code(tmp_path, case2_file, capsys):
     assert "quantum_schedule.theta" in err
 
 
+def test_malformed_reference_exits_1_before_any_solve(tmp_path, case2_file, capsys,
+                                                     monkeypatch):
+    """A reference file that does not fit the case is rejected before the
+    solves, not by a traceback once they have all run.  case2 has one
+    generator, two buses and five restricted rows (four balance, one line)."""
+    good = {"p_g": [0.5], "v_g": [1.0], "lambda": [0.0] * 5, "cost": 0.5,
+            "v": [[1.0, 0.0], [0.95, -0.05]]}
+
+    def never(*args, **kwargs):
+        raise AssertionError("a solver ran")
+
+    monkeypatch.setattr(saddle, "run", never)
+    monkeypatch.setattr(saddle, "run_classical", never)
+    ref_path = tmp_path / "ref.json"
+    config_path = write_config(tmp_path, case2_file, reference=str(ref_path),
+                               models=["qcqp", "qcqp_theta"])
+    ref_path.write_text(json.dumps({"instances": [good]}))
+    config = harness.config_from_json(config_path)
+    case = grid.load_case(case2_file)
+    assert len(harness.reference_solution(config, case, [case]).instances) == 1
+    for bad, message in (({"lambda": [0.0, 0.0]}, "lambda has shape (2,)"),
+                         ({"v_g": None}, "lacks the key 'v_g'"),
+                         ({"p_g": [0.5, 0.5]}, "p_g has shape (2,)"),
+                         ({"v": [[1.0, 0.0]]}, "v has shape (1,)"),
+                         ({"cost": "high"}, "reference instance 0: could not convert")):
+        doc = {key: value for key, value in {**good, **bad}.items() if value is not None}
+        ref_path.write_text(json.dumps({"instances": [doc]}))
+        code, _, err = run_cli(capsys, "solve", str(config_path))
+        assert code == 1, err
+        assert message in err
+
+
 def test_io_exit_code(capsys):
     code, _, err = run_cli(capsys, "permute", "no-such-file.case")
     assert code == 3

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -372,6 +373,32 @@ def test_problem_validity_checks(fault, message, store):
         bounds[2] = math.nan
     with pytest.raises(ValidationError, match=message):
         build()
+
+
+@pytest.mark.parametrize("count, dim", [(2, 4), (1, 8)])
+def test_problem_rejects_a_cost_stack_of_the_wrong_shape(count, dim):
+    """The cost is one matrix of the rows' dimension."""
+    problem = random_problem(4, 3, seed=8)
+    c = problem.cost
+    with pytest.raises(ValidationError, match="inconsistent sizes"):
+        replace(problem, cost=grid.MatrixStack(c.segments, c.rows, c.cols, c.values,
+                                               count, dim))
+
+
+def test_assembled_cost_is_the_priced_injection_rows(ieee57):
+    """M0 = sum_n c_n M_p(n), entry for entry, with M_p(n) the first
+    gen-limit row of generator node n."""
+    problem = grid.assemble_qcqp(ieee57)
+    rows = list(zip(problem.labels, problem.subjects))
+    expected = np.zeros((ieee57.n, ieee57.n), dtype=complex)
+    for g in ieee57.generators:
+        expected += g.cost * problem.stack.matrix(rows.index((LABEL_GEN, g.bus))).toarray()
+    cost = problem.cost
+    assert (cost.count, cost.dim) == (1, ieee57.n)
+    i, j = np.nonzero(expected)
+    assert np.all(cost.segments == 0)
+    assert np.array_equal(cost.rows, i) and np.array_equal(cost.cols, j)
+    assert np.array_equal(cost.values, expected[i, j])
 
 
 def test_row_larger_than_cost_rejected():

@@ -23,8 +23,7 @@ from qopf.harness import (
     fit_state,
     generate_instances,
     minimal_split,
-    overlap_cost,
-    overlap_gradient,
+    overlap,
     prepare_case,
     restricted_rows,
 )
@@ -238,16 +237,17 @@ def test_overlap_cost_bounds_and_gradient(case2):
     rng = np.random.default_rng(3)
     target = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     params = rng.uniform(0, 2 * math.pi, spec.param_count)
-    cost = overlap_cost(spec, params, target)
+    cost, g = overlap(spec, params, target)
     assert 0.0 <= cost <= 2.0
-    # the half-angle two-point rule equals finite differences
-    g = overlap_gradient(spec, params, target)
+    assert cost == 1.0 - float(np.real(np.vdot(sim.prepare(spec, params), target))) \
+        / float(np.linalg.norm(target))
+    # the adjoint gradient equals finite differences
     h = 1e-6
     for j in range(spec.param_count):
         up, down = params.copy(), params.copy()
         up[j] += h
         down[j] -= h
-        fd = (overlap_cost(spec, up, target) - overlap_cost(spec, down, target)) / (2 * h)
+        fd = (overlap(spec, up, target)[0] - overlap(spec, down, target)[0]) / (2 * h)
         assert abs(fd - g[j]) < 1e-6
 
 
@@ -266,7 +266,7 @@ def test_fit_state_recovers_target_of_same_ansatz(trial):
     target = sim.prepare(spec, params)
     cost, fitted = fit_state(spec, target, seed=[40, trial], restarts=1)
     assert cost <= 1e-12
-    assert overlap_cost(spec, fitted, target) == pytest.approx(cost, abs=1e-15)
+    assert overlap(spec, fitted, target)[0] == pytest.approx(cost, abs=1e-15)
 
 
 def test_fit_ansatz_ranks_and_dual_target(case2):
@@ -342,7 +342,19 @@ def test_config_from_json_defaults_and_overrides(tmp_path):
                          ({"stop": {"max_iters": "10"}}, "stop.max_iters"),
                          ({"classical_stop": {"max_iters": -1}}, "classical_stop.max_iters"),
                          ({"primal_ansatz": {"row": 9}}, "primal_ansatz.row"),
-                         ({"dual_ansatz": {"layers": -1}}, "dual_ansatz.layers")):
+                         ({"dual_ansatz": {"layers": -1}}, "dual_ansatz.layers"),
+                         ({"load_scale": [0.9]}, "load_scale"),
+                         ({"load_scale": 0.9}, "load_scale"),
+                         ({"stop": {"theta_tol": "x"}}, "stop.theta_tol"),
+                         ({"classical_stop": {"phi_tol": None}}, "classical_stop.phi_tol"),
+                         ({"seed": "x"}, "seed"),
+                         ({"seed": -1}, "seed"),
+                         ({"divergence_ceiling": "big"}, "divergence_ceiling"),
+                         ({"apply_simplifications": "no"}, "apply_simplifications"),
+                         ({"case": 3}, "case"),
+                         ({"reference": 5}, "reference"),
+                         ({"out": ["o"]}, "out"),
+                         ({"primal_ansatz": {"row": True}}, "primal_ansatz.row")):
         with pytest.raises(ValidationError, match=re.escape(message)):
             config_from_json({"case": "x", **doc})
     assert config_from_json({"case": "x", "stop": {"max_iters": 0}}).stop.max_iters == 0

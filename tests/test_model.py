@@ -205,8 +205,7 @@ def test_eval_f_sampled_variance_matches_closed_form(ctx44):
     variance = 0.0
     table = ctx44.joint_diagonals
     for (color, part), diagonals in zip(table.pieces, table.dense()):
-        rotated = psi if color == 0 else \
-            rotate_piece(xbm.rotation_circuit(color, ctx44.primal_spec.n_qubits, part), psi)
+        rotated = rotate_piece(color, part, psi)
         joint = np.outer(w, np.abs(rotated) ** 2)
         mean = float(np.sum(joint * diagonals))
         variance += (float(np.sum(joint * diagonals**2)) - mean**2) / shots

@@ -10,9 +10,9 @@ from qopf import model, sim, xbm
 from qopf.sim import AnsatzSpec, SimulationError
 
 from conftest import (ORACLE_GATES, PAULIS, exact_expectation, oracle_ansatz,
-                      oracle_cx, oracle_rotation, oracle_single, random_hermitian,
-                      random_state, rotation_layer, sample_basis, shift_points,
-                      zero_state)
+                      oracle_cx, oracle_rotation, oracle_single, piece_fanout,
+                      random_hermitian, random_state, rotation_layer, sample_basis,
+                      shift_points, zero_state)
 
 # Reproducible property runs that leave no example database behind.
 PROPERTY = settings(max_examples=30, deadline=None, database=None, derandomize=True)
@@ -58,7 +58,7 @@ def test_cx_truth_table():
     state[0b10] = 1.0
     assert np.argmax(np.abs(state[chain])) == 0b10
     # the color-3 fan-out gather is CX with control 1, target 0: |10> -> |11>
-    fanout = xbm.rotation_circuit(3, 2).fanout
+    _, fanout = piece_fanout(3, xbm.REAL, 2)
     assert np.argmax(np.abs(state[fanout])) == 0b11
     # whole chains, applied and undone, against the oracle's permutations
     for n in range(1, 6):
@@ -88,7 +88,7 @@ def test_norm_preserved_by_random_circuits():
             elif kind == "fanout":
                 color = int(rng.integers(1, 2**n))
                 k = color.bit_length() - 1
-                state = state[xbm.rotation_circuit(color, n).fanout]
+                state = state[piece_fanout(color, xbm.REAL, n)[1]]
                 gate = np.eye(2**n)
                 for bit in range(k):
                     if (color >> bit) & 1:

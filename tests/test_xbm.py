@@ -7,19 +7,14 @@ from qopf import grid, xbm
 from qopf.xbm import DecompositionError
 
 from conftest import (ORACLE_GATES, estimator_variance, exact_expectation, oracle_cx,
-                      oracle_rotation, oracle_single, per_row_pieces, piece_matrix,
-                      piecewise_rotation, random_hermitian, random_state, reconstruct,
-                      rotate_piece, sample_basis, stack_problems)
+                      oracle_rotation, oracle_single, per_row_pieces, piece_fanout,
+                      piece_matrix, piecewise_rotation, random_hermitian, random_state,
+                      reconstruct, rotate_piece, sample_basis, stack_problems)
 
 
-def circuit_unitary(circuit, n_qubits):
-    dim = 2**n_qubits
-    cols = []
-    for k in range(dim):
-        basis = np.zeros(dim, dtype=complex)
-        basis[k] = 1.0
-        cols.append(rotate_piece(circuit, basis))
-    return np.stack(cols, axis=1)
+def rotation_unitary(color, part, n_qubits):
+    """The dense unitary of one piece's rotation: column j rotates basis state j."""
+    return rotate_piece(color, part, np.eye(2**n_qubits, dtype=complex)).T
 
 
 def test_identity_decomposes_to_single_diagonal_piece():
@@ -63,10 +58,10 @@ def test_decompose_rejects_bad_shape():
         xbm.decompose(np.zeros((3, 3)))
 
 
-def fanout_targets(circuit):
+def fanout_targets(k, fanout):
     """Qubits the fan-out gather flips on indices with bit k set."""
-    flips = int(circuit.fanout[1 << circuit.k]) ^ (1 << circuit.k)
-    return [bit for bit in range(circuit.k) if (flips >> bit) & 1]
+    flips = int(fanout[1 << k]) ^ (1 << k)
+    return [bit for bit in range(k) if (flips >> bit) & 1]
 
 
 def oracle_rotation_circuit(n, color, part):
@@ -84,29 +79,31 @@ def oracle_rotation_circuit(n, color, part):
 
 def test_rotation_circuit_structure():
     # one qubit, color 1: a single Hadamard
-    circ = xbm.rotation_circuit(1, 1, xbm.REAL)
-    assert (circ.k, fanout_targets(circ), circ.gate_count) == (0, [], 1)
+    k, fanout = piece_fanout(1, xbm.REAL, 1)
+    assert (k, fanout_targets(k, fanout), xbm.gate_count(1, xbm.REAL)) == (0, [], 1)
     # n=3, c=6: H on qubit 2 after CX(2 -> 1)
-    circ = xbm.rotation_circuit(6, 3, xbm.REAL)
-    assert (circ.k, fanout_targets(circ), circ.gate_count) == (2, [1], 2)
+    k, fanout = piece_fanout(6, xbm.REAL, 3)
+    assert (k, fanout_targets(k, fanout), xbm.gate_count(6, xbm.REAL)) == (2, [1], 2)
     # the imaginary part adds S^dag on qubit 2
-    assert xbm.rotation_circuit(6, 3, xbm.IMAG).gate_count == 3
+    assert xbm.gate_count(6, xbm.IMAG) == 3
+    # color 0 is diagonal already: no gates, and its piece is left unrotated
+    assert xbm.gate_count(0, xbm.REAL) == 0
+    rotations = xbm.piece_rotations([(0, xbm.REAL)], 2)
+    assert (rotations.count, rotations.unrotated, rotations.groups) == (1, (slice(0, 1),), ())
 
 
 def test_rotation_circuit_gate_count_bound():
     for n in range(1, 5):
         for c in range(1, 2**n):
-            real = xbm.rotation_circuit(c, n, xbm.REAL)
-            imag = xbm.rotation_circuit(c, n, xbm.IMAG)
-            assert real.gate_count <= n
-            assert imag.gate_count <= n + 1
-            for circ in (real, imag):
-                k = c.bit_length() - 1
-                assert circ.k == k
-                assert fanout_targets(circ) == [b for b in range(k) if (c >> b) & 1]
-                assert circ.gate_count == bin(c).count("1") + (circ.part == xbm.IMAG)
-                assert np.allclose(circuit_unitary(circ, n),
-                                   oracle_rotation_circuit(n, c, circ.part), atol=1e-12)
+            assert xbm.gate_count(c, xbm.REAL) <= n
+            assert xbm.gate_count(c, xbm.IMAG) <= n + 1
+            for part in (xbm.REAL, xbm.IMAG):
+                k, fanout = piece_fanout(c, part, n)
+                assert k == c.bit_length() - 1
+                assert fanout_targets(k, fanout) == [b for b in range(k) if (c >> b) & 1]
+                assert xbm.gate_count(c, part) == bin(c).count("1") + (part == xbm.IMAG)
+                assert np.allclose(rotation_unitary(c, part, n),
+                                   oracle_rotation_circuit(n, c, part), atol=1e-12)
 
 
 def test_grouped_rotations_match_gate_by_gate_and_oracle():
@@ -118,22 +115,21 @@ def test_grouped_rotations_match_gate_by_gate_and_oracle():
     rng = np.random.default_rng(12)
     for n in range(1, 10):
         dim = 2**n
-        circuits = [xbm.rotation_circuit(c, n, part)
-                    for part in (xbm.REAL, xbm.IMAG) for c in range(1, dim)]
-        rotations = xbm.group_rotations([None, *circuits])
+        pieces = [(c, part) for part in (xbm.REAL, xbm.IMAG) for c in range(1, dim)]
+        rotations = xbm.piece_rotations([(0, xbm.REAL), *pieces], n)
         stack = np.stack([random_state(rng, dim) for _ in range(3)])
         for states in (stack[0], stack):
             rotated = xbm.rotate_pieces(states, rotations)
-            assert rotated.shape == (len(circuits) + 1, *states.shape)
+            assert rotated.shape == (len(pieces) + 1, *states.shape)
             assert np.array_equal(rotated[0], states)
-            for circ, out in zip(circuits, rotated[1:]):
-                expected = piecewise_rotation(states, circ.color, n, circ.part)
+            for (color, part), out in zip(pieces, rotated[1:]):
+                expected = piecewise_rotation(states, color, n, part)
                 assert np.array_equal(out, expected)
-                assert np.array_equal(rotate_piece(circ, states), expected)
+                assert np.array_equal(rotate_piece(color, part, states), expected)
         # the oracle on the stack's columns for every color with top bit k:
         # the CX gates from k commute, so each lower bit doubles the column
         # blocks built so far, block s for color 2^k + s
-        by_key = {(circ.color, circ.part): out for circ, out in zip(circuits, rotated[1:])}
+        by_key = dict(zip(pieces, rotated[1:]))
         for k in range(n):
             h = oracle_single(n, k, ORACLE_GATES["h"])
             s_dag = oracle_single(n, k, oracle_rotation("rz", -math.pi / 2))
@@ -147,23 +143,24 @@ def test_grouped_rotations_match_gate_by_gate_and_oracle():
 
 
 def test_decompose_stores_each_piece_rotation(ieee57):
+    """The table's grouped rotations give every piece of the ieee57 cost the
+    rotation of its own (color, part): color 0 unrotated, any other color
+    in a run of its (k, part) with its own fan-out."""
     problem = grid.pad_to_qubits(grid.assemble_qcqp(ieee57))
     dec = xbm.decompose(problem.m0)
     n_qubits = int(math.log2(problem.dim))
-    for (color, part), circuit in zip(dec.pieces, dec.circuits):
-        if color == 0:
-            assert circuit is None
-            continue
-        built = xbm.rotation_circuit(color, n_qubits, part)
-        assert (circuit.k, circuit.part) == (built.k, built.part)
-        assert np.array_equal(circuit.fanout, built.fanout)
-
-
-def test_rotation_circuit_rejects_color_zero():
-    with pytest.raises(DecompositionError):
-        xbm.rotation_circuit(0, 2, xbm.REAL)
-    with pytest.raises(DecompositionError):
-        xbm.rotation_circuit(4, 2, xbm.REAL)
+    rotations = dec.rotations
+    assert rotations.count == len(dec.pieces)
+    unrotated = [p for rows in rotations.unrotated for p in range(rows.start, rows.stop)]
+    assert unrotated == [p for p, (color, _) in enumerate(dec.pieces) if color == 0]
+    grouped = 0
+    for rows, k, part, fanouts in rotations.groups:
+        assert len(fanouts) == rows.stop - rows.start
+        for (color, piece_part), fanout in zip(dec.pieces[rows], fanouts):
+            assert (k, part) == (color.bit_length() - 1, piece_part)
+            assert np.array_equal(fanout, piece_fanout(color, part, n_qubits)[1])
+            grouped += 1
+    assert grouped + len(unrotated) == len(dec.pieces)
 
 
 def test_eigen_diagonal_pauli_x():
@@ -185,10 +182,10 @@ def test_diagonalization_invariant_all_colors_and_parts():
         for _ in range(20):
             m = random_hermitian(rng, dim)
             dec = xbm.decompose(m)
-            for p, circuit in enumerate(dec.circuits):
-                if circuit is None:
+            for p, (color, part) in enumerate(dec.pieces):
+                if color == 0:
                     continue
-                r = circuit_unitary(circuit, n)
+                r = rotation_unitary(color, part, n)
                 sub = piece_matrix(dec, p)
                 rotated = r @ sub @ r.conj().T
                 off = rotated - np.diag(np.diagonal(rotated))
@@ -315,6 +312,11 @@ def test_stacked_piece_diagonals_match_per_row_decompose(problem):
     assert sparse_dec.pieces == m0_dec.pieces
     for a, b in zip(sparse_dec.diagonals, m0_dec.diagonals):
         assert np.array_equal(a, b)
+    # the context reads the cost's pieces straight from its one-matrix stack
+    cost_table = xbm.piece_table(problem.cost)
+    assert cost_table.pieces == sparse_dec.pieces and cost_table.norms == sparse_dec.norms
+    assert np.array_equal(cost_table.entries.keys, sparse_dec.entries.keys)
+    assert np.array_equal(cost_table.entries.values, sparse_dec.entries.values)
 
 
 def piecewise_estimate(state, dec, shots, seed):
