@@ -141,10 +141,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    run_dir = Path(args.run_dir)
-    path = run_dir / "report.json"
-    with path.open("r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = harness.read_json(Path(args.run_dir) / "report.json")
     if args.format == "json":
         json.dump(doc, sys.stdout, indent=1)
         print()

@@ -140,8 +140,8 @@ class NetworkCase:
 
     def validate(self) -> "NetworkCase":
         n = self.n
-        if n == 0:
-            raise ValidationError("case has no buses")
+        if n < 2:
+            raise ValidationError(f"the primal circuit needs at least 2 buses, the case has {n}")
         for b in self.buses:
             if b.kind not in (GENERATOR, LOAD):
                 raise ValidationError(f"bus {b.index + 1}: unknown kind {b.kind!r}")

@@ -187,12 +187,27 @@ def _stop_from_json(doc: dict, key: str, fallback: saddle_mod.StopRule) -> saddl
     )
 
 
+def read_json(path):
+    """The document of a JSON file; a file that is not valid JSON raises
+    ValidationError naming the file and the line and column of the fault,
+    or the offset of a byte that is not UTF-8."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as err:
+            raise ValidationError(f"{path} is not valid JSON: {err.msg} at line "
+                                  f"{err.lineno}, column {err.colno}") from None
+        except UnicodeDecodeError as err:
+            raise ValidationError(f"{path} is not UTF-8 text: byte {err.start}") from None
+
+
 def config_from_json(doc: dict | str | Path) -> ExperimentConfig:
     """Build a config from a JSON document or path; absent keys keep the
     benchmark defaults, and an unknown key raises ValidationError."""
     if not isinstance(doc, dict):
-        with open(doc, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = read_json(doc)
+    if not isinstance(doc, dict):
+        raise ValidationError(f"a config is a JSON object, not {type(doc).__name__}")
     if "case" not in _known(doc, _CONFIG_KEYS):
         raise ValidationError("config needs a 'case' key")
     base = ExperimentConfig(case_path=doc["case"])
@@ -407,8 +422,7 @@ def reference_from_json(doc: dict) -> ReferenceSolution:
 
 
 def load_reference(path) -> ReferenceSolution:
-    with open(path, "r", encoding="utf-8") as fh:
-        return reference_from_json(json.load(fh))
+    return reference_from_json(read_json(path))
 
 
 def save_reference(ref: ReferenceSolution, path) -> None:

@@ -28,10 +28,12 @@ on the primal CDF at its segment's columns.  In exact mode the gradients
 in the circuit parameters come from one adjoint (reverse-mode) sweep per
 circuit, reusing the rotation factors that prepared the circuit's state;
 in sampled mode from the two-point parameter-shift rule, as on hardware,
-with all shifted states of a circuit prepared as one stack from the same
-factors, and the primal stack rotated once for its F0 estimates and once
-for its CDFs.  Either way the circuit ledger charges the parameter-shift
-count.  The scale gradients are the closed forms
+on one stack per circuit (``sim.shift_states``): row 0 the base state and
+row 1 + 2j + s parameter j shifted up (s = 0) or down (s = 1).  The primal
+stack is rotated once for all its F0 estimates and once for all its CDFs,
+the dual CDFs of all rows are one row-wise cumsum, and every estimate still
+draws from its own seed.  Either way the circuit ledger charges the
+parameter-shift count.  The scale gradients are the closed forms
 dL/dalpha = 2 alpha (F0 + beta^2 F) and dL/dbeta = 2 beta (alpha^2 F - G).
 """
 
@@ -142,7 +144,6 @@ class LagrangianContext:
         self.problem = problem
         self.primal_spec = primal_spec
         self.dual_spec = dual_spec
-        self.s_diag = problem.bounds
         self.m0_decomposition = xbm.piece_table(problem.cost)
         # the rotated constraint pieces of all rows, segment piece * M + m
         self.joint_diagonals = xbm.piece_table(problem.stack)
@@ -192,13 +193,18 @@ def dual_vector(ctx: LagrangianContext, d: DualPoint) -> np.ndarray:
     return d.beta**2 * dual_pmf(ctx, d)
 
 
+def _exact_terms(ctx: LagrangianContext, psi: np.ndarray, w: np.ndarray):
+    """(F0, F, G) at the primal state psi and the dual PMF w, with the
+    products M0 psi and the forms psi^dag M_m psi they are read from."""
+    m0_psi = ctx.problem.m0 @ psi
+    fm = ctx.problem.stack.forms(psi)
+    terms = TermValues(float(np.real(np.vdot(psi, m0_psi))), float(w @ fm),
+                       float(w @ ctx.problem.bounds))
+    return terms, m0_psi, fm
+
+
 def eval_terms_exact(ctx: LagrangianContext, p: PrimalPoint, d: DualPoint) -> TermValues:
-    psi = prepare(ctx.primal_spec, p.theta)
-    w = dual_pmf(ctx, d)
-    f0 = float(np.real(np.vdot(psi, ctx.problem.m0 @ psi)))
-    f = float(w @ ctx.problem.stack.forms(psi))
-    g = float(w @ ctx.s_diag)
-    return TermValues(f0, f, g)
+    return _exact_terms(ctx, prepare(ctx.primal_spec, p.theta), dual_pmf(ctx, d))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +222,7 @@ def _sample_f0(ctx: LagrangianContext, states: np.ndarray,
 
 def _sample_g(ctx: LagrangianContext, w: np.ndarray, mode: EvalMode) -> tuple[float, int]:
     counts = rng(mode.seed).multinomial(mode.shots, w / w.sum())
-    return float(counts @ ctx.s_diag) / mode.shots, mode.shots
+    return float(counts @ ctx.problem.bounds) / mode.shots, mode.shots
 
 
 def _primal_cdfs(ctx: LagrangianContext, psi: np.ndarray) -> np.ndarray:
@@ -230,9 +236,10 @@ def _primal_cdfs(ctx: LagrangianContext, psi: np.ndarray) -> np.ndarray:
 
 
 def _dual_cdf(w: np.ndarray) -> np.ndarray:
-    """Cumulative distribution of the dual outcome PMF w."""
-    cdf = np.cumsum(w)
-    return cdf / cdf[-1]
+    """Cumulative distribution of the dual outcome PMF w, or of every row
+    of a stack of PMFs."""
+    cdf = np.cumsum(w, axis=-1)
+    return cdf / cdf[..., -1:]
 
 
 def _scored(cdfs: np.ndarray, rows: np.ndarray, cols: np.ndarray,
@@ -267,7 +274,7 @@ def _sample_f(ctx: LagrangianContext, cdfs: np.ndarray, w_cdf: np.ndarray,
     table = ctx.joint_diagonals
     pieces = len(table)
     draws = rng(mode.seed)
-    m = xbm.sorted_search(w_cdf, draws.random((pieces, shots)), side="right")
+    m = xbm.sorted_search(w_cdf, draws.random((pieces, shots)))
     u = draws.random((pieces, shots)).ravel()
     segments = (m + ctx.problem.m_stored * np.arange(pieces)[:, None]).ravel()
     first = table.segment_starts[segments]
@@ -358,63 +365,50 @@ def _angle_grads_exact(ctx: LagrangianContext, p: PrimalPoint, d: DualPoint):
     psi = prepare(ctx.primal_spec, p.theta, theta_factors)
     xi = prepare(ctx.dual_spec, d.phi, phi_factors)
     w = np.abs(xi) ** 2
-    stack = ctx.problem.stack
-    m0_psi = ctx.problem.m0 @ psi
-    fm = stack.forms(psi)
-    f0 = float(np.real(np.vdot(psi, m0_psi)))
-    f = float(w @ fm)
-    g = float(w @ ctx.s_diag)
-    h_psi = a2 * m0_psi + a2 * b2 * stack.action(w, psi)
+    terms, m0_psi, fm = _exact_terms(ctx, psi, w)
+    h_psi = a2 * m0_psi + a2 * b2 * ctx.problem.stack.action(w, psi)
     g_theta = reverse_sweep(ctx.primal_spec, theta_factors, psi, h_psi)
-    d_xi = (a2 * b2 * fm - b2 * ctx.s_diag) * xi
+    d_xi = (a2 * b2 * fm - b2 * ctx.problem.bounds) * xi
     g_phi = reverse_sweep(ctx.dual_spec, phi_factors, xi, d_xi)
-    return TermValues(f0, f, g), g_theta, g_phi
+    return terms, g_theta, g_phi
+
+
+def _row_modes(mode: EvalMode, base_tag: int, shift_tag: int, count: int) -> list[EvalMode]:
+    """The modes of the rows of a shift stack of ``count`` parameters: row 0
+    reseeded with ``base_tag``, row 1 + 2j + s with (``shift_tag``, j, s)."""
+    return [mode.reseeded(base_tag)] + [mode.reseeded(shift_tag, j, s)
+                                        for j in range(count) for s in (0, 1)]
+
+
+def _values_and_shots(estimates: list[tuple[float, int]]) -> tuple[np.ndarray, int]:
+    """The values of (value, shots) estimates as an array, and their shots."""
+    return np.array([value for value, _ in estimates]), sum(shots for _, shots in estimates)
 
 
 def _angle_grads_sampled(ctx: LagrangianContext, p: PrimalPoint, d: DualPoint,
                          mode: EvalMode):
     a2, b2 = p.alpha**2, d.beta**2
-    shots_spent = 0
+    # Row 0 of each stack is the base state, row 1 + 2j + s parameter j
+    # shifted up (s = 0) or down (s = 1).  The rotated primal CDFs depend
+    # on theta only and the dual CDFs on phi only, so the theta shifts pair
+    # with the base dual CDF and the phi shifts with the base primal CDFs.
+    psis = shift_states(ctx.primal_spec, rotation_factors(ctx.primal_spec, p.theta))
+    ws = np.abs(shift_states(ctx.dual_spec, rotation_factors(ctx.dual_spec, d.phi))) ** 2
+    cdfs, w_cdfs = _primal_cdfs(ctx, psis), _dual_cdf(ws)
+    f0, f0_shots = _sample_f0(ctx, psis, _row_modes(mode, 0, 10, ctx.p_count))
+    f0 = np.array(f0)
+    # F at every primal row with the base dual row, and at the base primal
+    # row with every dual shift row (its base row is f_theta[0])
+    f_theta, f_theta_shots = _values_and_shots([
+        _sample_f(ctx, cdfs[:, r], w_cdfs[0], row_mode)
+        for r, row_mode in enumerate(_row_modes(mode, 1, 11, ctx.p_count))])
+    f_phi, f_phi_shots = _values_and_shots([
+        _sample_f(ctx, cdfs[:, 0], w_cdfs[r], row_mode)
+        for r, row_mode in enumerate(_row_modes(mode, 1, 12, ctx.q_count)[1:], 1)])
+    g, g_shots = _values_and_shots([
+        _sample_g(ctx, w, row_mode) for w, row_mode in zip(ws, _row_modes(mode, 2, 13, ctx.q_count))])
 
-    def charged(estimate):
-        """The value of a (value, shots) estimate, its shots charged to the call."""
-        nonlocal shots_spent
-        shots_spent += estimate[1]
-        return estimate[0]
-
-    # The rotated primal CDFs depend on theta only and the dual CDF on phi
-    # only: each is computed once per state and shared by the shifts of
-    # the other block.  All 2P primal and all 2Q dual shift states are
-    # prepared as one stack per circuit from the base state's factors, and
-    # the primal stack is rotated once for its F0s and once for its CDFs.
-    theta_factors = rotation_factors(ctx.primal_spec, p.theta)
-    phi_factors = rotation_factors(ctx.dual_spec, d.phi)
-    psi = prepare(ctx.primal_spec, p.theta, theta_factors)
-    w = np.abs(prepare(ctx.dual_spec, d.phi, phi_factors)) ** 2
-    cdfs, w_cdf = _primal_cdfs(ctx, psi), _dual_cdf(w)
-    (f0,) = charged(_sample_f0(ctx, psi[None], [mode.reseeded(0)]))
-    f = charged(_sample_f(ctx, cdfs, w_cdf, mode.reseeded(1)))
-    g = charged(_sample_g(ctx, w, mode.reseeded(2)))
-
-    psi_shifts = shift_states(ctx.primal_spec, theta_factors)
-    f0_shifts = charged(_sample_f0(ctx, psi_shifts.reshape(-1, psi.size), [
-        mode.reseeded(10, j, s) for j in range(ctx.p_count) for s in (0, 1)]))
-    shift_cdfs = _primal_cdfs(ctx, psi_shifts)
-    g_theta = np.zeros(ctx.p_count)
-    for j in range(ctx.p_count):
-        f0p, f0m = f0_shifts[2 * j:2 * j + 2]
-        fp = charged(_sample_f(ctx, shift_cdfs[:, j, 0], w_cdf, mode.reseeded(11, j, 0)))
-        fm = charged(_sample_f(ctx, shift_cdfs[:, j, 1], w_cdf, mode.reseeded(11, j, 1)))
-        g_theta[j] = a2 / 2 * (f0p - f0m) + a2 * b2 / 2 * (fp - fm)
-
-    w_shifts = np.abs(shift_states(ctx.dual_spec, phi_factors)) ** 2
-    g_phi = np.zeros(ctx.q_count)
-    for j in range(ctx.q_count):
-        w_p, w_m = w_shifts[j]
-        fp = charged(_sample_f(ctx, cdfs, _dual_cdf(w_p), mode.reseeded(12, j, 0)))
-        fm = charged(_sample_f(ctx, cdfs, _dual_cdf(w_m), mode.reseeded(12, j, 1)))
-        gp = charged(_sample_g(ctx, w_p, mode.reseeded(13, j, 0)))
-        gm = charged(_sample_g(ctx, w_m, mode.reseeded(13, j, 1)))
-        g_phi[j] = a2 * b2 / 2 * (fp - fm) - b2 / 2 * (gp - gm)
-
-    return TermValues(f0, f, g), g_theta, g_phi, shots_spent
+    g_theta = a2 / 2 * (f0[1::2] - f0[2::2]) + a2 * b2 / 2 * (f_theta[1::2] - f_theta[2::2])
+    g_phi = a2 * b2 / 2 * (f_phi[0::2] - f_phi[1::2]) - b2 / 2 * (g[1::2] - g[2::2])
+    terms = TermValues(float(f0[0]), float(f_theta[0]), float(g[0]))
+    return terms, g_theta, g_phi, f0_shots + f_theta_shots + f_phi_shots + g_shots

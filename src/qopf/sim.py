@@ -16,10 +16,10 @@ ry), for one parameter vector or a (B, P) stack.  ``prepare`` then costs
 one phase multiply or one matrix-product pair per layer, and the same
 factors serve ``reverse_sweep``, which walks the layers backwards, reads
 all n derivatives of a layer at its boundary and undoes it with the
-factors' conjugate transposes, and ``shift_states``, which prepares all 2P
-parameter-shift states of a circuit as one stack.  The single gates of the
-``xbm`` measurement rotations go through the 2x2 primitive
-``apply_single``.
+factors' conjugate transposes, and ``shift_states``, which prepares a
+circuit's base state and all 2P parameter-shift states as one stack.  The
+single gates of the ``xbm`` measurement rotations go through the 2x2
+primitive ``apply_single``.
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+
+from .grid import ValidationError
 
 
 def chain_seed(seed, *tags) -> list[int]:
@@ -74,10 +76,6 @@ DEFAULT_LAYERS: dict[int, tuple[int, int]] = {
 }
 
 
-class SimulationError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class AnsatzSpec:
     """Layered circuit: ``layers`` repetitions of a per-layer token sequence.
@@ -95,14 +93,14 @@ class AnsatzSpec:
     def __post_init__(self):
         for token in self.template:
             if token != "cx" and token not in ROTATIONS:
-                raise SimulationError(f"unknown layer token {token!r}")
+                raise ValidationError(f"unknown layer token {token!r}")
         if self.n_qubits < 1 or self.layers < 0:
-            raise SimulationError("need at least one qubit and layers >= 0")
+            raise ValidationError("need at least one qubit and layers >= 0")
 
     @classmethod
     def from_row(cls, row: int, n_qubits: int, layers: int) -> "AnsatzSpec":
         if row not in ARCHITECTURES:
-            raise SimulationError(f"architecture row {row} not in 1..8")
+            raise ValidationError(f"architecture row {row} not in 1..8")
         return cls(n_qubits, ARCHITECTURES[row], layers, row=row)
 
     @property
@@ -256,7 +254,7 @@ def _checked_params(spec: AnsatzSpec, params: np.ndarray) -> np.ndarray:
     layer in application order, for one vector or a (B, P) stack."""
     params = np.asarray(params, dtype=float)
     if params.ndim not in (1, 2) or params.shape[-1] != spec.param_count:
-        raise SimulationError(
+        raise ValidationError(
             f"expected {spec.param_count} parameters, got {params.shape}"
         )
     return params.reshape(*params.shape[:-1], -1, spec.n_qubits)
@@ -343,10 +341,11 @@ def _half_turns(states: np.ndarray, kind: str, layout: _Layout) -> np.ndarray:
 
 
 def shift_states(spec: AnsatzSpec, factors: list) -> np.ndarray:
-    """The parameter-shift states of every parameter as a (P, 2, 2^n)
-    stack, ``factors`` being ``rotation_factors(spec, params)``: row [j, 0]
-    is the state at params with entry j raised by pi/2, row [j, 1] with it
-    lowered by pi/2 (the r = 1/2 shift rule of Pauli-generated rotations).
+    """The base state and the parameter-shift states of every parameter as
+    one (1 + 2P, 2^n) stack, ``factors`` being ``rotation_factors(spec,
+    params)``: row 0 is ``prepare(spec, params, factors)``, row 1 + 2j + s
+    the state at params with entry j raised (s = 0) or lowered (s = 1) by
+    pi/2 (the r = 1/2 shift rule of Pauli-generated rotations).
 
     A shift changes one angle, so only its layer differs from the base
     circuit, and there by R_q(+-pi/2), which commutes with the layer.  The
@@ -358,7 +357,6 @@ def shift_states(spec: AnsatzSpec, factors: list) -> np.ndarray:
     """
     n = spec.n_qubits
     layout = _layout(n)
-    # row 0 carries the base state, rows 1 + 2 (r n + q) + s the shifts
     states = np.zeros((1 + 2 * len(factors) * n, 2**n), dtype=complex)
     states[0, 0] = 1.0
     live = 1
@@ -372,4 +370,4 @@ def shift_states(spec: AnsatzSpec, factors: list) -> np.ndarray:
         states[:live] = _apply(states[:live], token, next(layer))
         started = states[live - 2 * n:live].reshape(n, 2, -1)
         states[live - 2 * n:live] = _half_turns(started, token, layout).reshape(2 * n, -1)
-    return states[1:].reshape(-1, 2, 2**n)
+    return states

@@ -51,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import sparse
 
-from .grid import MatrixStack
+from .grid import MatrixStack, ValidationError
 from .sim import apply_single, rng, rotation_matrix
 
 REAL = "real"
@@ -59,10 +59,6 @@ IMAG = "imag"
 
 _HADAMARD = np.array([[1, 1], [1, -1]]) / math.sqrt(2.0)
 _S_DAG = rotation_matrix("rz", -math.pi / 2)  # S^dag up to a global phase
-
-
-class DecompositionError(ValueError):
-    pass
 
 
 def gate_count(color: int, part: str) -> int:
@@ -134,14 +130,14 @@ def _single_stack(matrix) -> MatrixStack:
     return MatrixStack(np.zeros(coo.nnz), coo.row, coo.col, coo.data, 1, coo.shape[0])
 
 
-def sorted_search(a: np.ndarray, v: np.ndarray, side: str = "left") -> np.ndarray:
-    """``np.searchsorted(a, v, side=side)`` with the queries v searched in
+def sorted_search(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(a, v, side="right")`` with the queries v searched in
     sorted order: the same positions, found two to three times faster than
     for queries in random order."""
     flat = v.ravel()
     order = flat.argsort()
     out = np.empty(flat.shape, dtype=np.intp)
-    out[order] = np.searchsorted(a, flat[order], side=side)
+    out[order] = np.searchsorted(a, flat[order], side="right")
     return out.reshape(v.shape)
 
 
@@ -252,11 +248,11 @@ def decompose(matrix, tol: float = 1e-10) -> PieceTable:
     shape = np.shape(matrix)
     dim = shape[0]
     if 2**int(math.log2(dim)) != dim or shape != (dim, dim):
-        raise DecompositionError(f"matrix must be square with power-of-two size, got {shape}")
+        raise ValidationError(f"matrix must be square with power-of-two size, got {shape}")
     stack = _single_stack(matrix)
     residual = stack.hermitian_residuals()[0]
     if residual > tol:
-        raise DecompositionError(f"matrix not Hermitian (residual {residual:.2e})")
+        raise ValidationError(f"matrix not Hermitian (residual {residual:.2e})")
     return piece_table(stack)
 
 
@@ -274,7 +270,7 @@ def estimate_expectation(states: np.ndarray, table: PieceTable, shots_per_piece:
     estimate sums the values in piece order.  The estimates are unbiased.
     """
     if shots_per_piece < 1:
-        raise DecompositionError("shots_per_piece must be >= 1")
+        raise ValidationError("shots_per_piece must be >= 1")
     probs = np.abs(rotate_pieces(states, table.rotations)) ** 2
     probs /= probs.sum(axis=-1, keepdims=True)
     estimates = []

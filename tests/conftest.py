@@ -214,10 +214,10 @@ def exact_expectation(state, observable):
     sampled estimators are tested against."""
     m = np.asarray(observable)
     if m.shape != (len(state), len(state)):
-        raise sim.SimulationError("observable dimension does not match the state")
+        raise grid.ValidationError("observable dimension does not match the state")
     residual = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
     if residual > 1e-10:
-        raise sim.SimulationError(f"observable not Hermitian (residual {residual:.2e})")
+        raise grid.ValidationError(f"observable not Hermitian (residual {residual:.2e})")
     return float(np.real(np.vdot(state, m @ state)))
 
 
@@ -226,7 +226,7 @@ def shift_points(params, index):
     (+- pi/2, the r = 1/2 convention for Pauli-generated rotations)."""
     params = np.asarray(params, dtype=float)
     if not (0 <= index < len(params)):
-        raise sim.SimulationError(f"parameter index {index} out of range")
+        raise grid.ValidationError(f"parameter index {index} out of range")
     plus = params.copy()
     minus = params.copy()
     plus[index] += math.pi / 2
@@ -247,7 +247,7 @@ def sample_basis(state, shots, seed):
     drawn from the generator ``sim.rng(seed)``: the sampling every sampled
     estimator applies to each rotated piece state."""
     if shots < 1:
-        raise sim.SimulationError("shots must be >= 1")
+        raise grid.ValidationError("shots must be >= 1")
     probs = np.abs(np.asarray(state)) ** 2
     probs = probs / probs.sum()
     return sim.rng(seed).multinomial(shots, probs)
@@ -407,7 +407,7 @@ def estimator_variance(table, state, shots_per_piece):
     bound    = (1/S) sum_c ||M^c||^2
     """
     if shots_per_piece < 1:
-        raise xbm.DecompositionError("shots_per_piece must be >= 1")
+        raise grid.ValidationError("shots_per_piece must be >= 1")
     variance = 0.0
     bound = 0.0
     rotated_probs = np.abs(xbm.rotate_pieces(state, table.rotations)) ** 2

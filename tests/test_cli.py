@@ -228,6 +228,51 @@ def test_malformed_reference_exits_1_before_any_solve(tmp_path, case2_file, caps
         assert message in err
 
 
+def test_malformed_json_exits_1(tmp_path, case2_file, capsys):
+    """A config, reference or report file that is not valid JSON ends the
+    command in a validation error naming the file and the line and column
+    of the fault, and so does a config that is not a JSON object."""
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"case": "x.case",\n', encoding="utf-8")
+    for command in ("solve", "bounds", "fit"):
+        code, _, err = run_cli(capsys, command, str(bad))
+        assert code == 1, (command, err)
+        assert f"validation error: {bad} is not valid JSON" in err and "line 2, column 1" in err
+    not_object = tmp_path / "not-object.json"
+    for text, kind in (("null", "NoneType"), ("[1, 2]", "list"), ("5", "int")):
+        not_object.write_text(text, encoding="utf-8")
+        code, _, err = run_cli(capsys, "solve", str(not_object))
+        assert code == 1, err
+        assert f"validation error: a config is a JSON object, not {kind}" in err
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b'{"case": "\xff"}')
+    code, _, err = run_cli(capsys, "solve", str(binary))
+    assert code == 1, err
+    assert f"validation error: {binary} is not UTF-8 text: byte 10" in err
+    config = write_config(tmp_path, case2_file, reference=str(bad))
+    for command in ("solve", "fit"):
+        code, _, err = run_cli(capsys, command, str(config))
+        assert code == 1, (command, err)
+        assert f"{bad} is not valid JSON" in err
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / "report.json").write_text('{"summary": {"QCQP-EG": {', encoding="utf-8")
+    code, _, err = run_cli(capsys, "report", str(run_dir))
+    assert code == 1, err
+    assert "report.json is not valid JSON" in err and "line 1, column 26" in err
+
+
+def test_one_bus_case_exits_1(tmp_path, capsys):
+    case_file = tmp_path / "case1.case"
+    case_file.write_text(CASE2_TEXT.replace("2 load 0.5 0.165 0.9 1.1\n", "")
+                         .replace("1 2 4.0 -8.0 1.0\n", ""), encoding="utf-8")
+    config = write_config(tmp_path, case_file)
+    for command in ("solve", "bounds"):
+        code, _, err = run_cli(capsys, command, str(config))
+        assert code == 1, (command, err)
+        assert "at least 2 buses" in err
+
+
 def test_io_exit_code(capsys):
     code, _, err = run_cli(capsys, "permute", "no-such-file.case")
     assert code == 3

@@ -71,6 +71,14 @@ COST
         grid.parse_case(text)
 
 
+def test_parse_rejects_one_bus_case():
+    """A one-bus case pads to a one-entry state, which no circuit of at
+    least one qubit prepares."""
+    text = CASE2_TEXT.replace("2 load 0.5 0.165 0.9 1.1\n", "").replace("1 2 4.0 -8.0 1.0\n", "")
+    with pytest.raises(ValidationError, match="at least 2 buses, the case has 1"):
+        grid.parse_case(text)
+
+
 def test_parse_error_carries_line_number():
     text = CASE2_TEXT.replace("1 2 4.0 -8.0 1.0", "1 2 4.0 oops 1.0")
     with pytest.raises(ParseError, match=r"line \d+"):

@@ -344,26 +344,28 @@ def test_sampled_gradient_seeds_one_generator_per_estimate(ieee57_context, monke
 
 def test_sampled_gradient_searches_and_rotations_do_not_grow(ieee57_context, monkeypatch):
     """A sampled gradient makes one sorted search per F estimate, the dual
-    inverse (primal draws are scored, never searched), and rotates each
-    table's states twice whatever P: the base state and the stack of all
-    2P shift states."""
-    calls = {"sorted_search": 0, "rotate_pieces": 0}
+    inverse (primal draws are scored, never searched), rotates each table's
+    states once whatever P, as one stack of the base state and all 2P shift
+    states, and prepares no state apart from the two shift stacks."""
+    calls = {"sorted_search": 0, "rotate_pieces": 0, "prepare": 0}
 
-    def counted(name):
-        original = getattr(xbm, name)
+    def counted(owner, name):
+        original = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return original(*args, **kwargs)
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(xbm, name, counted(name))
+    for name in ("sorted_search", "rotate_pieces"):
+        monkeypatch.setattr(xbm, name, counted(xbm, name))
+    monkeypatch.setattr(model, "prepare", counted(model, "prepare"))
     ctx = ieee57_context
     p, d = random_points(ctx, 48)
     model.grad(ctx, p, d, sampled_mode(100, [4, 4]))
     assert calls["sorted_search"] == 1 + 2 * ctx.p_count + 2 * ctx.q_count == 61
-    assert calls["rotate_pieces"] == 2 * 2
+    assert calls["rotate_pieces"] == 2
+    assert calls["prepare"] == 0
 
 
 def test_exact_mode_never_builds_segment_index(padded_complex_problem):

@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qopf import model, sim, xbm
-from qopf.sim import AnsatzSpec, SimulationError
+from qopf.grid import ValidationError
+from qopf.sim import AnsatzSpec
 
 from conftest import (ORACLE_GATES, PAULIS, exact_expectation, oracle_ansatz,
                       oracle_cx, oracle_rotation, oracle_single, piece_fanout,
@@ -137,7 +138,7 @@ def test_prepare_matches_gate_list():
 
 def test_prepare_rejects_wrong_length():
     spec = AnsatzSpec.from_row(2, 2, 1)
-    with pytest.raises(SimulationError, match="parameters"):
+    with pytest.raises(ValidationError, match="parameters"):
         sim.prepare(spec, np.zeros(spec.param_count + 1))
 
 
@@ -160,7 +161,7 @@ def test_exact_expectation_against_double_loop():
 
 
 def test_exact_expectation_rejects_non_hermitian():
-    with pytest.raises(SimulationError, match="Hermitian"):
+    with pytest.raises(ValidationError, match="Hermitian"):
         exact_expectation(zero_state(1), np.array([[0, 1], [0, 0]]))
 
 
@@ -203,7 +204,7 @@ def test_shift_points():
     assert minus[0] == pytest.approx(-math.pi / 2)
     back, _ = shift_points(minus, 0)
     assert back[0] == pytest.approx(0.0)
-    with pytest.raises(SimulationError):
+    with pytest.raises(ValidationError):
         shift_points(np.array([0.0]), 1)
 
 
@@ -264,8 +265,22 @@ def test_stacked_prepare_matches_single_prepare():
             for b, one in enumerate(stack):
                 assert np.array_equal(stacked[b], sim.prepare(spec, one)), (row, n, b)
             turned = sim.shift_states(spec, sim.rotation_factors(spec, params))
-            assert turned.shape == (spec.param_count, 2, 2**n)
-            assert np.max(np.abs(turned.reshape(-1, 2**n) - stacked[3:])) < 1e-12, (row, n)
+            assert turned.shape == (1 + 2 * spec.param_count, 2**n)
+            assert np.max(np.abs(turned[1:] - stacked[3:])) < 1e-12, (row, n)
+
+
+def test_shift_stack_row_zero_is_the_prepared_state():
+    """Row 0 of ``shift_states`` is the base state ``prepare`` builds from
+    the same factors, bit for bit, on every architecture at odd and even
+    qubit counts (both Kronecker splits of the rx and ry layers)."""
+    rng = np.random.default_rng(14)
+    for row in range(1, 9):
+        for n in (1, 2, 3, 6):
+            spec = AnsatzSpec.from_row(row, n, 2)
+            params = rng.uniform(-2 * math.pi, 2 * math.pi, spec.param_count)
+            factors = sim.rotation_factors(spec, params)
+            assert np.array_equal(sim.shift_states(spec, factors)[0],
+                                  sim.prepare(spec, params, factors)), (row, n)
 
 
 def test_sampled_gradient_memory_at_benchmark_ansatz(ieee57_context):
