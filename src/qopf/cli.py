@@ -24,7 +24,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import harness, xbm
-from .grid import CaseError, load_case
+from .grid import CaseError, ValidationError, load_case
 from .saddle import DivergenceError
 from .sim import DEFAULT_LAYERS
 
@@ -140,16 +140,31 @@ def _cmd_fit(args) -> int:
     return EXIT_OK
 
 
+_REPORT_COLUMNS = ("x_error", "lambda_error", "violation_count", "violation_max",
+                   "violation_mean")
+
+
 def _cmd_report(args) -> int:
-    doc = harness.read_json(Path(args.run_dir) / "report.json")
+    path = Path(args.run_dir) / "report.json"
+    doc = harness.read_json(path)
+    if not isinstance(doc, dict):
+        raise ValidationError(
+            f"{path} is not a run report: a JSON object, not {type(doc).__name__}")
     if args.format == "json":
         json.dump(doc, sys.stdout, indent=1)
         print()
         return EXIT_OK
+    summary = doc.get("summary", {})
+    if not isinstance(summary, dict):
+        raise ValidationError(
+            f"{path}: the summary is a JSON object, not {type(summary).__name__}")
+    for name, row in summary.items():
+        missing = [key for key in _REPORT_COLUMNS if not isinstance(row, dict) or key not in row]
+        if missing:
+            raise ValidationError(f"{path}: summary row {name!r} lacks {', '.join(missing)}")
     print("model,x_err,lambda_err,viol_count,viol_max,viol_mean")
-    for name, row in doc.get("summary", {}).items():
-        print(f"{name},{row['x_error']},{row['lambda_error']},"
-              f"{row['violation_count']},{row['violation_max']},{row['violation_mean']}")
+    for name, row in summary.items():
+        print(",".join([name, *(str(row[key]) for key in _REPORT_COLUMNS)]))
     return EXIT_OK
 
 

@@ -22,7 +22,8 @@ segment p * M + m of the context's piece table.  Each sampled estimator
 call seeds one generator, and its pieces draw disjoint blocks of that one
 stream as whole arrays, which keeps them independent: the states are
 rotated under all pieces at once, the dual draws of all pieces are
-inverted in one sorted search, and the primal draws are never inverted:
+inverted through one guide table (``xbm.inverse_cdf``) without sorting,
+and the primal draws are never inverted:
 only pairs on a segment with entries can score, each by an interval test
 on the primal CDF at its segment's columns.  In exact mode the gradients
 in the circuit parameters come from one adjoint (reverse-mode) sweep per
@@ -31,9 +32,10 @@ in sampled mode from the two-point parameter-shift rule, as on hardware,
 on one stack per circuit (``sim.shift_states``): row 0 the base state and
 row 1 + 2j + s parameter j shifted up (s = 0) or down (s = 1).  The primal
 stack is rotated once for all its F0 estimates and once for all its CDFs,
-the dual CDFs of all rows are one row-wise cumsum, and every estimate still
-draws from its own seed.  Either way the circuit ledger charges the
-parameter-shift count.  The scale gradients are the closed forms
+the dual CDFs of all rows are one row-wise cumsum with one guide-table
+build, and every estimate still draws from its own seed.  Either way the
+circuit ledger charges the parameter-shift count.  The scale gradients are
+the closed forms
 dL/dalpha = 2 alpha (F0 + beta^2 F) and dL/dbeta = 2 beta (alpha^2 F - G).
 """
 
@@ -120,7 +122,7 @@ class LagrangianContext:
     ansatz pair, and two ``xbm.PieceTable`` of color pieces, each with its
     (color, part) pieces, the nonzero entries of its rotated piece diagonals
     as one ``xbm.PieceEntries``, its norms and its primal measurement
-    rotations grouped for ``xbm.rotate_pieces``: ``m0_decomposition`` of the
+    rotations for ``xbm.rotate_pieces``: ``m0_decomposition`` of the
     one-matrix ``cost`` stack, and ``joint_diagonals`` of the
     block-diagonal joint observable of size MN x MN, never materialized,
     whose segment of piece p and constraint m is p * M + m.  The sampled F
@@ -235,11 +237,12 @@ def _primal_cdfs(ctx: LagrangianContext, psi: np.ndarray) -> np.ndarray:
     return cdfs
 
 
-def _dual_cdf(w: np.ndarray) -> np.ndarray:
+def _dual_cdf(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cumulative distribution of the dual outcome PMF w, or of every row
-    of a stack of PMFs."""
+    of a stack of PMFs, and its guide table (``xbm.cdf_guides``)."""
     cdf = np.cumsum(w, axis=-1)
-    return cdf / cdf[..., -1:]
+    cdf /= cdf[..., -1:]
+    return cdf, xbm.cdf_guides(cdf)
 
 
 def _scored(cdfs: np.ndarray, rows: np.ndarray, cols: np.ndarray,
@@ -252,37 +255,40 @@ def _scored(cdfs: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     return (below <= u) & (u < cdfs[rows, cols])
 
 
-def _sample_f(ctx: LagrangianContext, cdfs: np.ndarray, w_cdf: np.ndarray,
+def _sample_f(ctx: LagrangianContext, cdfs: np.ndarray, dual: tuple[np.ndarray, np.ndarray],
               mode: EvalMode) -> tuple[float, int]:
     """Two-step estimate of F from independent dual and primal draws.
 
-    Per color piece k: S dual outcomes m are drawn from the dual PMF (CDF
-    ``w_cdf``) and S outcomes i of the color-rotated primal circuit from row
-    k of ``cdfs`` (``_primal_cdfs``); each pair scores the piece diagonal of
-    constraint m at i, averaged over the S pairs.
+    Per color piece k: S dual outcomes m are drawn from the dual PMF (its
+    CDF and guide table ``dual``, from ``_dual_cdf``) and S outcomes i of
+    the color-rotated primal circuit from row k of ``cdfs``
+    (``_primal_cdfs``); each pair scores the piece diagonal of constraint m
+    at i, averaged over the S pairs.
 
     The call seeds one generator and takes every piece's draws from it as
     whole arrays: first the (pieces, S) dual uniforms, then the (pieces, S)
     primal ones, so row k of each is piece k's disjoint block of the stream.
-    The dual outcomes of all pieces come from one inverse CDF; the primal
-    draws are never inverted.  A pair reads 0 unless its segment k * M + m
-    has entries (``PieceTable.segment_starts``), and then scores the entry
-    whose column passes the interval test ``_scored`` of its draw.  The
-    per-piece means are added in piece order.
+    The dual outcomes of all pieces come from one guide-table inverse
+    (``xbm.inverse_cdf``), which sorts nothing; the primal draws are never
+    inverted.  A pair reads 0 unless its segment k * M + m has entries
+    (``PieceTable.segment_sizes``), and then scores the entry whose column
+    passes the interval test ``_scored`` of its draw; the segment starts are
+    read for those pairs only.  The per-piece means are added in piece
+    order.
     """
     shots = mode.shots
     table = ctx.joint_diagonals
     pieces = len(table)
     draws = rng(mode.seed)
-    m = xbm.sorted_search(w_cdf, draws.random((pieces, shots)))
+    m = xbm.inverse_cdf(*dual, draws.random((pieces, shots)))
     u = draws.random((pieces, shots)).ravel()
     segments = (m + ctx.problem.m_stored * np.arange(pieces)[:, None]).ravel()
-    first = table.segment_starts[segments]
-    sizes = table.segment_starts[segments + 1] - first
+    sizes = table.segment_sizes[segments]
     shot = np.flatnonzero(sizes)  # the pairs on a segment with entries
     sizes = sizes[shot]
+    first = table.segment_starts[segments[shot]]
     # one item per such pair and entry of its segment, entries first to first + size - 1
-    entry = np.arange(sizes.sum()) + np.repeat(first[shot] - np.cumsum(sizes) + sizes, sizes)
+    entry = np.arange(sizes.sum()) + np.repeat(first - np.cumsum(sizes) + sizes, sizes)
     shot = np.repeat(shot, sizes)
     cols = table.entries.keys[entry] % table.entries.dim
     hit = _scored(cdfs, shot // shots, cols, u[shot])
@@ -394,16 +400,18 @@ def _angle_grads_sampled(ctx: LagrangianContext, p: PrimalPoint, d: DualPoint,
     # with the base dual CDF and the phi shifts with the base primal CDFs.
     psis = shift_states(ctx.primal_spec, rotation_factors(ctx.primal_spec, p.theta))
     ws = np.abs(shift_states(ctx.dual_spec, rotation_factors(ctx.dual_spec, d.phi))) ** 2
-    cdfs, w_cdfs = _primal_cdfs(ctx, psis), _dual_cdf(ws)
+    # F0 first: its rotated stack is freed before the CDFs and guide tables
+    # are built, which keeps the gradient's memory peak down
     f0, f0_shots = _sample_f0(ctx, psis, _row_modes(mode, 0, 10, ctx.p_count))
     f0 = np.array(f0)
+    cdfs, (w_cdfs, w_guides) = _primal_cdfs(ctx, psis), _dual_cdf(ws)
     # F at every primal row with the base dual row, and at the base primal
     # row with every dual shift row (its base row is f_theta[0])
     f_theta, f_theta_shots = _values_and_shots([
-        _sample_f(ctx, cdfs[:, r], w_cdfs[0], row_mode)
+        _sample_f(ctx, cdfs[:, r], (w_cdfs[0], w_guides[0]), row_mode)
         for r, row_mode in enumerate(_row_modes(mode, 1, 11, ctx.p_count))])
     f_phi, f_phi_shots = _values_and_shots([
-        _sample_f(ctx, cdfs[:, 0], w_cdfs[r], row_mode)
+        _sample_f(ctx, cdfs[:, 0], (w_cdfs[r], w_guides[r]), row_mode)
         for r, row_mode in enumerate(_row_modes(mode, 1, 12, ctx.q_count)[1:], 1)])
     g, g_shots = _values_and_shots([
         _sample_g(ctx, w, row_mode) for w, row_mode in zip(ws, _row_modes(mode, 2, 13, ctx.q_count))])

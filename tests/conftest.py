@@ -390,8 +390,18 @@ def rotate_piece(color, part, state):
 def piece_fanout(color, part, n_qubits):
     """(k, fan-out gather) of one color >= 1 piece's rotation, read from
     its one-piece ``xbm.piece_rotations``."""
-    (_, k, _, fanouts), = xbm.piece_rotations([(color, part)], n_qubits).groups
-    return k, fanouts[0]
+    return row_fanout(xbm.piece_rotations([(color, part)], n_qubits), 0)
+
+
+def row_fanout(rotations, row):
+    """(k, fan-out gather) of row ``row`` of one-gather rotations: H acts on
+    the qubit k where the coefficient of the high source is negative, and
+    an index i reads its gathered source from hi[i] if its bit k is set,
+    else from lo[i] (both offset into the state's or a turned copy's block)."""
+    high = rotations.c1[row].real < 0
+    k = int(np.flatnonzero(high)[0]).bit_length() - 1
+    dim = rotations.lo.shape[1]
+    return k, np.where(high, rotations.hi[row], rotations.lo[row]) % dim
 
 
 class VarianceReport(NamedTuple):
@@ -418,3 +428,43 @@ def estimator_variance(table, state, shots_per_piece):
         bound += norm**2
     return VarianceReport(variance / shots_per_piece, bound / shots_per_piece)
 
+
+# The sampled F estimator that the guide-table dual inverse replaced: the
+# dual draws of all pieces argsorted and searched in sorted order, and each
+# pair's segment start and size read for every pair.  The fast path must
+# give the same estimate bit for bit.
+
+
+def sorted_search(a, v):
+    """``np.searchsorted(a, v, side="right")`` with the queries searched in
+    sorted order."""
+    flat = v.ravel()
+    order = flat.argsort()
+    out = np.empty(flat.shape, dtype=np.intp)
+    out[order] = np.searchsorted(a, flat[order], side="right")
+    return out.reshape(v.shape)
+
+
+def sorted_search_sample_f(ctx, cdfs, w_cdf, mode):
+    """(estimate, shots) of ``model._sample_f`` from the dual CDF alone."""
+    shots = mode.shots
+    table = ctx.joint_diagonals
+    pieces = len(table)
+    draws = sim.rng(mode.seed)
+    m = sorted_search(w_cdf, draws.random((pieces, shots)))
+    u = draws.random((pieces, shots)).ravel()
+    segments = (m + ctx.problem.m_stored * np.arange(pieces)[:, None]).ravel()
+    first = table.segment_starts[segments]
+    sizes = table.segment_starts[segments + 1] - first
+    shot = np.flatnonzero(sizes)
+    sizes = sizes[shot]
+    entry = np.arange(sizes.sum()) + np.repeat(first[shot] - np.cumsum(sizes) + sizes, sizes)
+    shot = np.repeat(shot, sizes)
+    cols = table.entries.keys[entry] % table.entries.dim
+    hit = model._scored(cdfs, shot // shots, cols, u[shot])
+    values = np.zeros((pieces, shots))
+    values.ravel()[shot[hit]] = table.entries.values[entry[hit]]
+    total = 0.0
+    for mean in (values.sum(axis=1) / shots).tolist():
+        total += mean
+    return total, shots * pieces

@@ -262,6 +262,45 @@ def test_malformed_json_exits_1(tmp_path, case2_file, capsys):
     assert "report.json is not valid JSON" in err and "line 1, column 26" in err
 
 
+def test_report_that_is_not_an_object_exits_1(tmp_path, capsys):
+    """A report.json that is valid JSON but not an object ends ``qopf
+    report`` in a validation error naming the file, in both formats."""
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / "report.json").write_text("[1]", encoding="utf-8")
+    for fmt in ("csv", "json"):
+        code, out, err = run_cli(capsys, "report", str(run_dir), "--format", fmt)
+        assert code == 1, err
+        assert out == ""
+        assert f"validation error: {run_dir / 'report.json'} is not a run report" in err
+
+
+def test_report_summary_row_without_columns_exits_1(tmp_path, capsys):
+    """A summary row without x_error, a row that is not an object and a
+    summary that is not an object end ``qopf report`` in a validation error
+    naming the file and what is missing, before any row is printed."""
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    report = run_dir / "report.json"
+    full = {"x_error": 0.1, "lambda_error": 0.2, "violation_count": 0,
+            "violation_max": 0.0, "violation_mean": 0.0}
+    partial = {key: value for key, value in full.items() if key != "x_error"}
+    for summary, message in (
+            ({"QCQP-EG": full, "QCQP-PD": partial}, "summary row 'QCQP-PD' lacks x_error"),
+            ({"QCQP-EG": 3}, "summary row 'QCQP-EG' lacks x_error, lambda_error"),
+            ([full], "the summary is a JSON object, not list")):
+        report.write_text(json.dumps({"summary": summary}), encoding="utf-8")
+        code, out, err = run_cli(capsys, "report", str(run_dir))
+        assert code == 1, err
+        assert out == ""
+        assert f"validation error: {report}: {message}" in err
+    report.write_text(json.dumps({"summary": {"QCQP-EG": full}}), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "report", str(run_dir))
+    assert code == 0
+    assert out.splitlines() == ["model,x_err,lambda_err,viol_count,viol_max,viol_mean",
+                                "QCQP-EG,0.1,0.2,0,0.0,0.0"]
+
+
 def test_one_bus_case_exits_1(tmp_path, capsys):
     case_file = tmp_path / "case1.case"
     case_file.write_text(CASE2_TEXT.replace("2 load 0.5 0.165 0.9 1.1\n", "")

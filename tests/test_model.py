@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from qopf.saddle import classical_lagrangian
 
 from conftest import (exact_expectation, g_operator, per_row_pieces,
                       piecewise_rotation, problem_from_rows, random_problem,
-                      rotate_piece, shift_points, stack_problems)
+                      rotate_piece, shift_points, sorted_search_sample_f, stack_problems)
 
 
 @pytest.fixture(scope="module")
@@ -343,11 +344,12 @@ def test_sampled_gradient_seeds_one_generator_per_estimate(ieee57_context, monke
 
 
 def test_sampled_gradient_searches_and_rotations_do_not_grow(ieee57_context, monkeypatch):
-    """A sampled gradient makes one sorted search per F estimate, the dual
-    inverse (primal draws are scored, never searched), rotates each table's
-    states once whatever P, as one stack of the base state and all 2P shift
-    states, and prepares no state apart from the two shift stacks."""
-    calls = {"sorted_search": 0, "rotate_pieces": 0, "prepare": 0}
+    """A sampled gradient builds the guide tables of all its dual CDFs in
+    one call, makes one dual inverse per F estimate (primal draws are
+    scored, never searched), rotates each table's states once whatever P,
+    as one stack of the base state and all 2P shift states, and prepares
+    no state apart from the two shift stacks."""
+    calls = {"inverse_cdf": 0, "cdf_guides": 0, "rotate_pieces": 0, "prepare": 0}
 
     def counted(owner, name):
         original = getattr(owner, name)
@@ -357,15 +359,65 @@ def test_sampled_gradient_searches_and_rotations_do_not_grow(ieee57_context, mon
             return original(*args, **kwargs)
         return wrapper
 
-    for name in ("sorted_search", "rotate_pieces"):
+    for name in ("inverse_cdf", "cdf_guides", "rotate_pieces"):
         monkeypatch.setattr(xbm, name, counted(xbm, name))
     monkeypatch.setattr(model, "prepare", counted(model, "prepare"))
     ctx = ieee57_context
     p, d = random_points(ctx, 48)
     model.grad(ctx, p, d, sampled_mode(100, [4, 4]))
-    assert calls["sorted_search"] == 1 + 2 * ctx.p_count + 2 * ctx.q_count == 61
+    assert calls["inverse_cdf"] == 1 + 2 * ctx.p_count + 2 * ctx.q_count == 61
+    assert calls["cdf_guides"] == 1
     assert calls["rotate_pieces"] == 2
     assert calls["prepare"] == 0
+
+
+def recorded_f_calls(monkeypatch):
+    """Wrap ``model._sample_f`` to record its arguments and results."""
+    calls = []
+    original = model._sample_f
+
+    def wrapper(ctx, cdfs, dual, mode):
+        result = original(ctx, cdfs, dual, mode)
+        calls.append((ctx, cdfs, dual, mode, result))
+        return result
+    monkeypatch.setattr(model, "_sample_f", wrapper)
+    return calls
+
+
+def test_sampled_f_matches_sorted_search_oracle(ieee57_context, monkeypatch):
+    """Every F estimate of a sampled ieee57 gradient, at 3 seeded points,
+    and of the single-CDF paths ``eval_terms`` and ``eval_F_sampled``, is
+    bit for bit the estimate of the replaced sorted-search estimator, with
+    the same shots."""
+    calls = recorded_f_calls(monkeypatch)
+    ctx = ieee57_context
+    for k in range(3):
+        p, d = random_points(ctx, 130 + k)
+        model.grad(ctx, p, d, sampled_mode(100, [13, k]))
+        assert len(calls) == 63 * k + 61
+        model.eval_terms(ctx, p, d, sampled_mode(100, [14, k]))
+        model.eval_F_sampled(ctx, p, d, 100, [15, k])
+        assert len(calls) == 63 * (k + 1)
+    for ctx, cdfs, (w_cdf, _), mode, result in calls:
+        assert result == sorted_search_sample_f(ctx, cdfs, w_cdf, mode)
+    assert len({value for *_, (value, _) in calls}) > 0.9 * len(calls)
+
+
+def test_sampled_gradient_memory_peak(ieee57_context):
+    """The traced allocation peak of one sampled gradient on the shallow
+    ieee57 context (P = 12, Q = 18, S = 100) stays at most 2.6 MB: the
+    estimates draw one after another, not all at once."""
+    ctx = ieee57_context
+    assert (ctx.p_count, ctx.q_count) == (12, 18)
+    p, d = random_points(ctx, 51)
+    model.grad(ctx, p, d, sampled_mode(100, [16, 0]))  # builds the cached indexes
+    tracemalloc.start()
+    try:
+        model.grad(ctx, p, d, sampled_mode(100, [16, 1]))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.6e6
 
 
 def test_exact_mode_never_builds_segment_index(padded_complex_problem):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qopf import grid, xbm
 from qopf.grid import ValidationError
@@ -9,7 +11,7 @@ from qopf.grid import ValidationError
 from conftest import (ORACLE_GATES, estimator_variance, exact_expectation, oracle_cx,
                       oracle_rotation, oracle_single, per_row_pieces, piece_fanout,
                       piece_matrix, piecewise_rotation, random_hermitian, random_state,
-                      reconstruct, rotate_piece, sample_basis, stack_problems)
+                      reconstruct, rotate_piece, row_fanout, sample_basis, stack_problems)
 
 
 def rotation_unitary(color, part, n_qubits):
@@ -89,7 +91,11 @@ def test_rotation_circuit_structure():
     # color 0 is diagonal already: no gates, and its piece is left unrotated
     assert xbm.gate_count(0, xbm.REAL) == 0
     rotations = xbm.piece_rotations([(0, xbm.REAL)], 2)
-    assert (rotations.count, rotations.unrotated, rotations.groups) == (1, (slice(0, 1),), ())
+    assert (rotations.count, rotations.turns) == (1, ())
+    assert np.array_equal(rotations.lo, [np.arange(4)])
+    assert np.array_equal(rotations.hi, [np.arange(4)])
+    assert np.array_equal(rotations.c0, np.ones((1, 4)))
+    assert np.array_equal(rotations.c1, np.zeros((1, 4)))
 
 
 def test_rotation_circuit_gate_count_bound():
@@ -150,17 +156,24 @@ def test_decompose_stores_each_piece_rotation(ieee57):
     dec = xbm.decompose(problem.m0)
     n_qubits = int(math.log2(problem.dim))
     rotations = dec.rotations
+    dim = 2**n_qubits
     assert rotations.count == len(dec.pieces)
-    unrotated = [p for rows in rotations.unrotated for p in range(rows.start, rows.stop)]
+    assert rotations.turns == tuple(sorted({color.bit_length() - 1 for color, part
+                                            in dec.pieces if color and part == xbm.IMAG}))
+    unrotated = [p for p in range(rotations.count) if not np.any(rotations.c1[p])]
     assert unrotated == [p for p, (color, _) in enumerate(dec.pieces) if color == 0]
-    grouped = 0
-    for rows, k, part, fanouts in rotations.groups:
-        assert len(fanouts) == rows.stop - rows.start
-        for (color, piece_part), fanout in zip(dec.pieces[rows], fanouts):
-            assert (k, part) == (color.bit_length() - 1, piece_part)
-            assert np.array_equal(fanout, piece_fanout(color, part, n_qubits)[1])
-            grouped += 1
-    assert grouped + len(unrotated) == len(dec.pieces)
+    for p in unrotated:
+        assert np.array_equal(rotations.lo[p], np.arange(dim))
+        assert np.array_equal(rotations.c0[p], np.ones(dim))
+    for p, (color, part) in enumerate(dec.pieces):
+        if color == 0:
+            continue
+        k, fanout = row_fanout(rotations, p)
+        assert k == color.bit_length() - 1
+        assert np.array_equal(fanout, piece_fanout(color, part, n_qubits)[1])
+        # the source block: the state, or its copy turned on k
+        block = 1 + rotations.turns.index(k) if part == xbm.IMAG else 0
+        assert set(rotations.lo[p] // dim) == set(rotations.hi[p] // dim) == {block}
 
 
 def test_eigen_diagonal_pauli_x():
@@ -369,17 +382,72 @@ def test_estimators_match_piecewise_loops(source, request):
         [piecewise_estimate(state, dec, 40, seed) for state, seed in zip(states, seeds)]
 
 
-def test_sorted_search_matches_plain_search():
-    """``xbm.sorted_search`` searches its queries in sorted order and finds
-    the positions of the plain right-side ``np.searchsorted`` on random
-    queries, about half of them absent, including queries below the first
-    and above the last key."""
+def cdf_queries(rng, cdfs, draws):
+    """Queries into CDF rows: uniforms from ``Generator.random``, 0, every
+    bucket edge b / K of the rows' guide tables, and every CDF entry below
+    1, exactly and rounded down and up to the 2^-53 grid of the draws."""
+    size = xbm.cdf_guides(cdfs).shape[-1]
+    grid = 2.0**53
+    below = cdfs[cdfs < 1]
+    return np.concatenate([
+        rng.random(draws), [0.0, 1 - 2.0**-53], np.arange(size - 1) / (size - 1),
+        below, np.floor(below * grid) / grid, np.minimum(np.ceil(below * grid), grid - 1) / grid,
+    ])
+
+
+def adversarial_cdfs(dim):
+    """CDF rows with runs of zero-mass outcomes, a one-outcome spike, all
+    mass on the last outcome, all mass on the first, and a uniform row."""
+    probs = np.ones((5, dim))
+    probs[0, 1:dim // 2] = 0.0
+    probs[0, -3:-1] = 0.0
+    probs[1] = 1e-9
+    probs[1, dim // 3] = 1.0
+    probs[2] = 0.0
+    probs[2, -1] = 1.0
+    probs[3] = 0.0
+    probs[3, 0] = 1.0
+    cdfs = np.cumsum(probs, axis=1)
+    return cdfs / cdfs[:, -1:]
+
+
+def test_inverse_cdf_matches_plain_search():
+    """``xbm.inverse_cdf`` through ``xbm.cdf_guides`` finds the outcome of
+    the plain right-side ``np.searchsorted`` on adversarial CDF rows, built
+    one at a time or as a stack, for random draws, u = 0, every bucket edge
+    and every CDF entry; a (pieces, S) array of draws keeps its shape."""
     rng = np.random.default_rng(31)
-    dim, segments = 64, 40
-    keys = np.sort(rng.choice(segments * dim, 700, replace=False))
-    flat = rng.integers(0, segments * dim, (7, 300))
-    flat[0, :2], flat[0, 2:4] = 0, segments * dim - 1
-    assert 0.3 < np.mean(~np.isin(flat, keys)) < 0.8
-    got = xbm.sorted_search(keys, flat)
-    assert got.shape == flat.shape
-    assert np.array_equal(got, np.searchsorted(keys, flat, side="right"))
+    for dim in (1, 2, 3, 8, 64, 512):
+        cdfs = adversarial_cdfs(dim)
+        guides = xbm.cdf_guides(cdfs)
+        buckets = guides.shape[1] - 1
+        assert guides.shape[0] == 5 and buckets >= 2 * dim and buckets & (buckets - 1) == 0
+        assert guides.dtype.itemsize <= 2
+        for cdf, guide in zip(cdfs, guides):
+            assert np.array_equal(xbm.cdf_guides(cdf), guide)
+            u = cdf_queries(rng, cdf[None], 300)
+            assert np.array_equal(xbm.inverse_cdf(cdf, guide, u),
+                                  np.searchsorted(cdf, u, side="right"))
+            table = u[:300].reshape(6, 50)
+            got = xbm.inverse_cdf(cdf, guide, table)
+            assert got.shape == table.shape
+            assert np.array_equal(got, np.searchsorted(cdf, table, side="right"))
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(st.integers(1, 600), st.integers(0, 2**32 - 1))
+def test_inverse_cdf_is_exact(dim, seed):
+    """``xbm.inverse_cdf`` equals ``np.searchsorted(cdf, u, side="right")``
+    on random CDF rows with runs of zero-mass outcomes, tiny outcomes and a
+    spike, and on the adversarial rows, for random draws, u = 0, every
+    bucket edge and every CDF entry."""
+    rng = np.random.default_rng(seed)
+    probs = rng.random((3, dim)) * (rng.random((3, dim)) < rng.random((3, 1)))
+    probs *= np.where(rng.random((3, dim)) < 0.2, 1e-18, 1.0)
+    probs[np.arange(3), rng.integers(0, dim, 3)] += rng.choice([1e-3, 0.5, 1e6], 3)
+    cdfs = np.cumsum(probs, axis=1)
+    cdfs = np.concatenate([cdfs / cdfs[:, -1:], adversarial_cdfs(dim)])
+    for cdf, guide in zip(cdfs, xbm.cdf_guides(cdfs)):
+        u = cdf_queries(rng, cdf[None], 200)
+        assert np.array_equal(xbm.inverse_cdf(cdf, guide, u),
+                              np.searchsorted(cdf, u, side="right"))
