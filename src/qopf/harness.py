@@ -683,7 +683,7 @@ def overlap(spec: AnsatzSpec, params: np.ndarray,
     psi = prepare(spec, params, factors)
     norm = float(np.linalg.norm(target))
     cost = 1.0 - float(np.real(np.vdot(psi, target))) / norm
-    costate = np.asarray(target, dtype=complex) / norm
+    costate = np.asarray(target) / norm
     return cost, -0.5 * reverse_sweep(spec, factors, psi, costate)
 
 
@@ -739,12 +739,13 @@ def primal_fit_target(prepared: PreparedCase, v_star: np.ndarray) -> np.ndarray:
 
 def dual_fit_target(lam_full: np.ndarray, dim: int) -> np.ndarray:
     """sqrt of the normalized multiplier vector: the PMF the dual circuit
-    should produce."""
+    should produce, as a real vector, so a real-amplitude dual fits in
+    real arithmetic."""
     target = np.zeros(dim)
     total = float(np.sum(lam_full))
     if total > 0:
         target[:len(lam_full)] = np.sqrt(lam_full / total)
-    return target.astype(complex)
+    return target
 
 
 # ---------------------------------------------------------------------------

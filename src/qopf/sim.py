@@ -1,11 +1,13 @@
 """Exact dense statevector simulation of the layered ansatz circuits.
 
-States are complex vectors of length 2**n_qubits with qubit 0 as the least
+States are vectors of length 2**n_qubits with qubit 0 as the least
 significant bit of the basis index (so basis index arithmetic matches the
-XOR bookkeeping of the measurement module).  All simulation is exact in
-double precision; shot noise enters only through the sampled estimators of
-``model`` and ``xbm``, each call drawing from one generator seeded through
-``rng``.
+XOR bookkeeping of the measurement module).  Their dtype follows the
+circuit's rotation factors: an RY/CX circuit, such as the paper's dual,
+has only real factors and runs in float64 end to end, and any rx or rz
+layer makes it complex128.  All simulation is exact in double precision;
+shot noise enters only through the sampled estimators of ``model`` and
+``xbm``, each call drawing from one generator seeded through ``rng``.
 
 The ansatz runs one operation per token layer: a rotation layer applies
 one rx, ry or rz to every qubit, and a CX chain is one precomputed basis
@@ -127,7 +129,9 @@ def apply_single(state: np.ndarray, qubit: int, u: np.ndarray,
     """Apply the 2x2 matrix ``u`` to ``qubit`` of a state, or of every row of
     a stack of states, into a new array or the contiguous array ``out``."""
     view = state.reshape(*state.shape[:-1], -1, 2, 2**qubit)
-    target = np.empty_like(view) if out is None else out.reshape(view.shape)
+    if out is None:
+        out = np.empty(view.shape, np.result_type(view, u))
+    target = out.reshape(view.shape)
     target[..., 0, :] = u[0, 0] * view[..., 0, :] + u[0, 1] * view[..., 1, :]
     target[..., 1, :] = u[1, 0] * view[..., 0, :] + u[1, 1] * view[..., 1, :]
     return target.reshape(state.shape)
@@ -275,19 +279,27 @@ def rotation_factors(spec: AnsatzSpec, params: np.ndarray) -> list:
     return factors
 
 
+def _state_dtype(factors: list) -> np.dtype:
+    """The dtype of a circuit's states: float64 when every rotation factor
+    is real (an RY/CX circuit), complex128 once an rx or rz layer enters."""
+    return np.result_type(float, *(u for f in factors
+                                   for u in (f if isinstance(f, tuple) else (f,))))
+
+
 def prepare(spec: AnsatzSpec, params: np.ndarray, factors: list | None = None) -> np.ndarray:
     """State produced by the ansatz on |0...0>, or the (B, 2^n) states of a
     (B, P) parameter stack: one rotation layer per rotation token and one
     basis gather per CX chain.  ``factors`` are ``rotation_factors(spec,
-    params)``, built here when not given."""
+    params)``, built here when not given; the states are real when the
+    factors are (``_state_dtype``), else complex."""
     if factors is None:
         factors = rotation_factors(spec, params)
-    state = np.zeros((*np.shape(params)[:-1], 2**spec.n_qubits), dtype=complex)
+    state = np.zeros((*np.shape(params)[:-1], 2**spec.n_qubits), dtype=_state_dtype(factors))
     state[..., 0] = 1.0
     chain = _layout(spec.n_qubits).chain
     layer = iter(factors)
     for token in _plan(spec).tokens:
-        state = state[..., chain] if token == "cx" else _apply(state, token, next(layer))
+        state = state.take(chain, axis=-1) if token == "cx" else _apply(state, token, next(layer))
     return state
 
 
@@ -307,7 +319,9 @@ def reverse_sweep(spec: AnsatzSpec, factors: list, state: np.ndarray,
     distinct qubits, so each G_k commutes with the layer's other rotations
     and all n entries of the layer are read at once at its output boundary
     (``layer_derivatives``); the conjugate transposes of the layer's
-    factors then undo the whole layer on the (state, costate) pair.
+    factors then undo the whole layer on the (state, costate) pair.  The
+    pair takes the dtype of the state and the costate: real for an RY/CX
+    circuit's state (``prepare``) with a real costate.
     """
     unchain = _layout(spec.n_qubits).unchain
     pair = np.stack([state, costate])
@@ -315,7 +329,7 @@ def reverse_sweep(spec: AnsatzSpec, factors: list, state: np.ndarray,
     r = len(factors)
     for token in reversed(_plan(spec).tokens):
         if token == "cx":
-            pair = pair[:, unchain]
+            pair = pair.take(unchain, axis=-1)
             continue
         r -= 1
         out[r] = layer_derivatives(*pair, token)
@@ -328,16 +342,16 @@ _HALF_TURN_SIGNS = np.array([1.0, -1.0])[:, None]
 
 def _half_turns(states: np.ndarray, kind: str, layout: _Layout) -> np.ndarray:
     """R_q(+-pi/2) = (I -+ i G_q) / sqrt(2) on a (n, 2, 2^n) stack: qubit q
-    of rows [q, 0] turned by +pi/2, of rows [q, 1] by -pi/2."""
+    of rows [q, 0] turned by +pi/2, of rows [q, 1] by -pi/2.  For ry,
+    -i Y_q = Z_q X_q is real, so a real stack stays real."""
     z = layout.z.T[:, None, :]
     if kind == "rz":
-        generated = z * states
-    else:
-        flip = np.broadcast_to(layout.flip[:, None, :], states.shape)
-        generated = np.take_along_axis(states, flip, axis=-1)
-        if kind == "ry":
-            generated = -1j * z * generated
-    return (states - 1j * _HALF_TURN_SIGNS * generated) * math.sqrt(0.5)
+        return (states - 1j * _HALF_TURN_SIGNS * (z * states)) * math.sqrt(0.5)
+    flip = np.broadcast_to(layout.flip[:, None, :], states.shape)
+    flipped = np.take_along_axis(states, flip, axis=-1)
+    if kind == "ry":
+        return (states - _HALF_TURN_SIGNS * z * flipped) * math.sqrt(0.5)
+    return (states - 1j * _HALF_TURN_SIGNS * flipped) * math.sqrt(0.5)
 
 
 def shift_states(spec: AnsatzSpec, factors: list) -> np.ndarray:
@@ -353,17 +367,18 @@ def shift_states(spec: AnsatzSpec, factors: list) -> np.ndarray:
     each rotation layer the 2n rows shifted in it start as copies of the
     base state, the layer runs on every row started so far, and
     ``_half_turns`` turns the new rows.  Rows start in layer order, so the
-    started rows are a prefix of the stack.
+    started rows are a prefix of the stack.  The stack has ``prepare``'s
+    dtype, real for an RY/CX circuit.
     """
     n = spec.n_qubits
     layout = _layout(n)
-    states = np.zeros((1 + 2 * len(factors) * n, 2**n), dtype=complex)
+    states = np.zeros((1 + 2 * len(factors) * n, 2**n), dtype=_state_dtype(factors))
     states[0, 0] = 1.0
     live = 1
     layer = iter(factors)
     for token in _plan(spec).tokens:
         if token == "cx":
-            states[:live] = states[:live, layout.chain]
+            states[:live] = states[:live].take(layout.chain, axis=-1)
             continue
         states[live:live + 2 * n] = states[0]
         live += 2 * n

@@ -133,7 +133,9 @@ def piece_rotations(pieces: Sequence[tuple[int, str]], n_qubits: int) -> PieceRo
 def rotate_pieces(states: np.ndarray, rotations: PieceRotations) -> np.ndarray:
     """Every piece's rotation applied to a state, or to every row of a stack
     of states: a complex (pieces, *states.shape) array whose entry p is
-    rotated by piece p.
+    rotated by piece p.  A real state, from an RY/CX circuit, is cast to
+    complex first, as S^dag and the output are complex; its rotated states
+    are those of the complex-cast state bit for bit.
 
     S^dag is applied once per qubit of ``rotations.turns``; then every
     piece reads its two sources from the states and these turned copies in
@@ -143,7 +145,7 @@ def rotate_pieces(states: np.ndarray, rotations: PieceRotations) -> np.ndarray:
     temporary holds at most ``_GATHER_BLOCK`` amplitudes.  The array is laid
     out state-major, each state's (pieces, dim) block contiguous.
     """
-    flat = states.reshape(-1, states.shape[-1])
+    flat = states.reshape(-1, states.shape[-1]).astype(complex, copy=False)
     y = np.concatenate([flat, *(apply_single(flat, k, _S_DAG) for k in rotations.turns)], axis=1)
     dim = flat.shape[1]
     out = np.empty((len(flat), rotations.count, dim), dtype=complex)

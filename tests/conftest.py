@@ -343,6 +343,43 @@ def piecewise_rotation(state, color, n, part):
 # Builders and oracles that only the tests use.
 
 
+def complex_start_prepare(spec, params):
+    """The ansatz state, or the states of a (B, P) parameter stack, with
+    every layer run in complex arithmetic from a complex128 |0...0>: the
+    reference for the dtype rule of ``sim.prepare``."""
+    params = np.asarray(params, dtype=float)
+    state = np.zeros((*params.shape[:-1], 2**spec.n_qubits), dtype=complex)
+    state[..., 0] = 1.0
+    chain = sim._layout(spec.n_qubits).chain
+    factors = iter(sim.rotation_factors(spec, params))
+    for token in sim._plan(spec).tokens:
+        state = state[..., chain] if token == "cx" else sim._apply(state, token, next(factors))
+    return state
+
+
+def complex_start_shift_states(spec, params):
+    """``sim.shift_states`` as one complex-start preparation per row: the
+    base point, then the +-pi/2 shift points of every parameter."""
+    points = [params] + [p for j in range(spec.param_count) for p in shift_points(params, j)]
+    return complex_start_prepare(spec, np.array(points))
+
+
+def complex_start_sweep(spec, factors, state, costate):
+    """``sim.reverse_sweep`` with the (state, costate) pair held complex."""
+    pair = np.stack([state, costate]).astype(complex)
+    unchain = sim._layout(spec.n_qubits).unchain
+    out = np.zeros((len(factors), spec.n_qubits))
+    r = len(factors)
+    for token in reversed(sim._plan(spec).tokens):
+        if token == "cx":
+            pair = pair[:, unchain]
+            continue
+        r -= 1
+        out[r] = sim.layer_derivatives(*pair, token)
+        pair = sim._apply(pair, token, sim._adjoint(token, factors[r]))
+    return out.ravel()
+
+
 def zero_state(n_qubits):
     state = np.zeros(2**n_qubits, dtype=complex)
     state[0] = 1.0

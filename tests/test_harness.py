@@ -275,6 +275,8 @@ def test_fit_ansatz_ranks_and_dual_target(case2):
     lam_full = np.zeros(problem.m_stored)
     lam_full[restricted_rows(grid.assemble_qcqp(case2))] = ref.lam
     target = harness.dual_fit_target(lam_full, problem.m_stored)
+    # a real target keeps the real-amplitude dual's fit in real arithmetic
+    assert target.dtype == np.float64
     assert np.linalg.norm(target) == pytest.approx(1.0)
     reports = harness.fit_ansatz(
         [AnsatzChoice(2, 3), AnsatzChoice(3, 3)], [target], n_qubits=4,

@@ -589,6 +589,44 @@ def test_adjoint_gradient_matches_parameter_shift(padded_complex_problem, row):
         assert np.max(np.abs(g - oracle)) <= 1e-10 * scale
 
 
+def test_real_dual_adjoint_matches_parameter_shift_on_nine_qubits(ieee57_context):
+    """The paper's RY/CX dual runs in float64: on 9 qubits (row 2 x 4, Q =
+    36) the exact adjoint field equals the parameter-shift oracle to 1e-10
+    of its largest entry."""
+    ctx = model.LagrangianContext(ieee57_context.problem, ieee57_context.primal_spec,
+                                  sim.AnsatzSpec.from_row(2, 9, 4))
+    p, d = random_points(ctx, 71, alpha=1.1, beta=3.0)
+    assert model.dual_state(ctx, d).dtype == np.float64
+    g = model.grad(ctx, p, d).stacked()
+    oracle = parameter_shift_field(ctx, p, d)
+    assert np.max(np.abs(g - oracle)) <= 1e-10 * np.max(np.abs(oracle))
+
+
+def test_real_states_estimate_like_their_complex_casts(ieee57_context):
+    """A real shift stack, from an RY/CX primal, gives the same F0 and F
+    estimates, bit for bit, as the same states cast to complex, also under
+    a real observable, whose pieces need no S^dag turn."""
+    ctx = model.LagrangianContext(ieee57_context.problem, sim.AnsatzSpec.from_row(2, 6, 1),
+                                  ieee57_context.dual_spec)
+    p, d = random_points(ctx, 72)
+    psis = sim.shift_states(ctx.primal_spec, sim.rotation_factors(ctx.primal_spec, p.theta))
+    assert psis.dtype == np.float64
+    seeds = [[72, r] for r in range(len(psis))]
+    f0 = xbm.estimate_expectation(psis, ctx.m0_decomposition, 50, seeds)
+    assert f0 == xbm.estimate_expectation(psis.astype(complex), ctx.m0_decomposition, 50, seeds)
+    real_table = xbm.decompose(ctx.problem.m0.real)
+    assert real_table.rotations.turns == ()
+    assert xbm.estimate_expectation(psis, real_table, 50, seeds) == xbm.estimate_expectation(
+        psis.astype(complex), real_table, 50, seeds)
+    cdfs = model._primal_cdfs(ctx, psis)
+    assert np.array_equal(cdfs, model._primal_cdfs(ctx, psis.astype(complex)))
+    dual = model._dual_cdf(model.dual_pmf(ctx, d))
+    for r in range(len(psis)):
+        mode = sampled_mode(50, [73, r])
+        assert model._sample_f(ctx, cdfs[:, r], dual, mode) == model._sample_f(
+            ctx, model._primal_cdfs(ctx, psis[r].astype(complex)), dual, mode)
+
+
 def test_adjoint_eg_trajectory_matches_parameter_shift(case2):
     """50 exact EG iterations with the protocol's schedule and init on the
     desk case: ``saddle.run`` (adjoint field) and ``saddle.eg_step`` driven by

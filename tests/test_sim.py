@@ -10,10 +10,11 @@ from qopf import model, sim, xbm
 from qopf.grid import ValidationError
 from qopf.sim import AnsatzSpec
 
-from conftest import (ORACLE_GATES, PAULIS, exact_expectation, oracle_ansatz,
-                      oracle_cx, oracle_rotation, oracle_single, piece_fanout,
-                      random_hermitian, random_state, rotation_layer, sample_basis,
-                      shift_points, zero_state)
+from conftest import (ORACLE_GATES, PAULIS, complex_start_prepare,
+                      complex_start_shift_states, complex_start_sweep, exact_expectation,
+                      oracle_ansatz, oracle_cx, oracle_rotation, oracle_single,
+                      piece_fanout, random_hermitian, random_state, rotation_layer,
+                      sample_basis, shift_points, zero_state)
 
 # Reproducible property runs that leave no example database behind.
 PROPERTY = settings(max_examples=30, deadline=None, database=None, derandomize=True)
@@ -272,15 +273,85 @@ def test_stacked_prepare_matches_single_prepare():
 def test_shift_stack_row_zero_is_the_prepared_state():
     """Row 0 of ``shift_states`` is the base state ``prepare`` builds from
     the same factors, bit for bit, on every architecture at odd and even
-    qubit counts (both Kronecker splits of the rx and ry layers)."""
+    qubit counts (both Kronecker splits of the rx and ry layers), up to
+    n = 9 and 10, where real and complex matrix products round differently,
+    so row 0 must run in ``prepare``'s dtype."""
     rng = np.random.default_rng(14)
     for row in range(1, 9):
-        for n in (1, 2, 3, 6):
+        for n in (1, 2, 3, 6, 9, 10):
             spec = AnsatzSpec.from_row(row, n, 2)
             params = rng.uniform(-2 * math.pi, 2 * math.pi, spec.param_count)
             factors = sim.rotation_factors(spec, params)
             assert np.array_equal(sim.shift_states(spec, factors)[0],
                                   sim.prepare(spec, params, factors)), (row, n)
+
+
+def test_state_dtype_follows_the_rotation_factors(monkeypatch):
+    """Row 2 (ry + cx) has only real factors, so its prepared states, its
+    shift stack and the pair its reverse sweep carries are float64; every
+    other row has an rx or rz layer and stays complex128.  A complex costate
+    keeps a real circuit's sweep complex."""
+    seen = []
+    derivatives = sim.layer_derivatives
+
+    def recording(state, costate, kind):
+        seen.append(state.dtype)
+        return derivatives(state, costate, kind)
+
+    monkeypatch.setattr(sim, "layer_derivatives", recording)
+    rng = np.random.default_rng(15)
+    for row in range(1, 9):
+        expected = np.dtype(np.float64 if row == 2 else np.complex128)
+        for n in (1, 4):
+            spec = AnsatzSpec.from_row(row, n, 2)
+            params = rng.uniform(-2 * math.pi, 2 * math.pi, spec.param_count)
+            factors = sim.rotation_factors(spec, params)
+            psi = sim.prepare(spec, params, factors)
+            assert psi.dtype == expected, (row, n)
+            assert sim.prepare(spec, np.stack([params, -params])).dtype == expected, (row, n)
+            assert sim.shift_states(spec, factors).dtype == expected, (row, n)
+            seen.clear()
+            sim.reverse_sweep(spec, factors, psi, rng.standard_normal(2**n) * psi)
+            assert set(seen) == {expected}, (row, n)
+            seen.clear()
+            sim.reverse_sweep(spec, factors, psi, random_state(rng, 2**n))
+            assert set(seen) == {np.dtype(np.complex128)}, (row, n)
+
+
+def test_states_match_complex_start_oracle():
+    """``prepare``, ``shift_states`` and ``reverse_sweep`` agree to 1e-12
+    with the same circuits run from a complex128 |0...0>, on every row at
+    n = 1..10; the costate d * psi, d a real diagonal like the dual
+    gradient's, keeps row 2's sweep real."""
+    rng = np.random.default_rng(16)
+    for row in range(1, 9):
+        for n in range(1, 11):
+            spec = AnsatzSpec.from_row(row, n, 2)
+            params = rng.uniform(-2 * math.pi, 2 * math.pi, spec.param_count)
+            factors = sim.rotation_factors(spec, params)
+            psi = sim.prepare(spec, params, factors)
+            assert np.max(np.abs(psi - complex_start_prepare(spec, params))) < 1e-12, (row, n)
+            stack = sim.shift_states(spec, factors)
+            oracle = complex_start_shift_states(spec, params)
+            assert np.max(np.abs(stack - oracle)) < 1e-12, (row, n)
+            costate = rng.standard_normal(2**n) * psi
+            sweep = sim.reverse_sweep(spec, factors, psi, costate)
+            expected = complex_start_sweep(spec, factors, psi, costate)
+            assert np.max(np.abs(sweep - expected)) < 1e-12, (row, n)
+
+
+def test_complex_gate_on_real_state_keeps_imaginary_part():
+    """``apply_single`` writes a complex gate on a real state, or a real
+    stack, into a complex array: the result of the complex-cast input."""
+    rng = np.random.default_rng(17)
+    gate = sim.rotation_matrix("rz", -math.pi / 2)
+    for shape in ((8,), (3, 8)):
+        state = rng.standard_normal(shape)
+        for qubit in range(3):
+            out = sim.apply_single(state, qubit, gate)
+            assert out.dtype == np.complex128
+            assert np.array_equal(out, sim.apply_single(state.astype(complex), qubit, gate))
+            assert np.any(out.imag != 0)
 
 
 def test_sampled_gradient_memory_at_benchmark_ansatz(ieee57_context):
