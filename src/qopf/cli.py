@@ -1,12 +1,13 @@
 """Command-line entry point.
 
 Subcommands mirror the pipeline stages: ``permute`` (parse, permute,
-assemble and pad, printing the bandwidth/color statistics and the problem
-sizes as a CSV row), ``xbm-stats`` (measurement-cost statistics of the
-prepared observables), ``bounds`` (the analytical budget ledger of a run's
-instance 0), ``solve`` (run the experiment protocol), ``fit`` (rank ansatz
-architectures against reference solutions, in the run's node order), and
-``report`` (re-emit a run directory).
+assemble and pad, printing the bandwidth/color statistics, the problem
+sizes and the rotated circuits per gradient as a CSV row), ``xbm-stats``
+(measurement-cost statistics of the prepared observables), ``bounds`` (the
+analytical budget ledger of a run's instance 0), ``solve`` (run the
+experiment protocol), ``fit`` (rank ansatz architectures against reference
+solutions, in the run's node order), and ``report`` (re-emit a run
+directory).
 
 Exit codes: 0 success, 1 validation/parse failure, 2 divergence, 3 I/O.
 """
@@ -35,12 +36,16 @@ EXIT_IO = 3
 
 
 def _cmd_permute(args) -> int:
+    config = (harness.config_from_json(args.config) if args.config
+              else harness.ExperimentConfig(case_path=args.case))
     prepared = harness.prepare_case(load_case(args.case), args.rcm_runs, args.seed)
+    circuits = sum(harness.build_context(config, prepared.permuted).circuits_per_gradient())
     s = prepared.stats
-    print("case,n,edges,bw_before,bw_after,colors_before,colors_after,rows,dim,rows_padded")
+    print("case,n,edges,bw_before,bw_after,colors_before,colors_after,rows,dim,rows_padded,"
+          "circuits_per_grad")
     print(f"{prepared.case.name},{s.n},{s.edges},{s.bandwidth_before},{s.bandwidth_after},"
           f"{s.colors_before},{s.colors_after},{prepared.problem.m},"
-          f"{prepared.permuted.dim},{prepared.permuted.m_stored}")
+          f"{prepared.permuted.dim},{prepared.permuted.m_stored},{circuits}")
     return EXIT_OK
 
 
@@ -181,6 +186,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rcm-runs", type=int, default=200)
         p.add_argument("--seed", type=int, default=0)
         p.set_defaults(func=func)
+        if name == "permute":
+            p.add_argument("--config", help="run config whose ansatz pair sets "
+                                            "circuits_per_grad (default: the protocol's)")
 
     p = sub.add_parser("bounds", help="Lipschitz/variance/sample-budget ledger")
     p.add_argument("config")

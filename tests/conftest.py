@@ -505,3 +505,123 @@ def sorted_search_sample_f(ctx, cdfs, w_cdf, mode):
     for mean in (values.sum(axis=1) / shots).tolist():
         total += mean
     return total, shots * pieces
+
+
+# The colour descent that the vectorised swap search of ``permute.best_rcm``
+# replaced: first-improvement pairwise position swaps that strictly lower
+# the colour count.  ``best_rcm`` must end below it on ieee57, and its swap
+# change is the oracle for "no single in-band swap lowers C".
+
+
+def rcm_pick(pattern, runs, seed):
+    """(forward map, bandwidth) of the restarted-RCM pick of ``best_rcm``
+    before any colour search: least (bandwidth, padded colors), earliest
+    run on ties, built from ``permute.rcm_order``."""
+    starts = np.random.default_rng(seed).integers(0, pattern.n, size=runs)
+    best = None
+    for start in starts.tolist():
+        perm = permute.rcm_order(pattern, start)
+        after = permute.permute_pattern(pattern, perm)
+        key = (permute.bandwidth(after), len(permute.color_set(after.padded())))
+        if best is None or key < best[0]:
+            best = (key, perm.forward)
+    return best[1], best[0][0]
+
+
+def descent_rcm(pattern, runs, seed):
+    """The ordering of the first-improvement colour descent from the RCM
+    pick, at the pick's bandwidth."""
+    forward, band = rcm_pick(pattern, runs, seed)
+    return permute.NodePermutation.from_forward(
+        color_descent(pattern.adjacency(), pattern.entries, forward, band))
+
+
+def color_counts(entries, position):
+    """Colour multiplicities, one count per unordered entry."""
+    counts = {}
+    for i, j in entries:
+        if i <= j:
+            c = position[i] ^ position[j]
+            counts[c] = counts.get(c, 0) + 1
+    return counts
+
+
+def color_delta(counts, change):
+    """Change of the colour count C when ``change`` adds to ``counts``."""
+    delta = 0
+    for c, d in change.items():
+        before = counts.get(c, 0)
+        delta += (before + d > 0) - (before > 0)
+    return delta
+
+
+def color_descent(adjacency, entries, forward, band):
+    """First-improvement pairwise position swaps that strictly lower the XOR
+    color count while keeping every |i - j| within ``band``.
+
+    Positions p < q are scanned in order and passes repeat until one makes
+    no swap.  Every node of a connected pattern has a neighbor within
+    ``band``, so positions more than 2 * band apart can never be swapped and
+    are skipped.  A swap moves only the entries at the two nodes, so color
+    multiplicities (one count per unordered entry) are updated in place.
+    """
+    position = list(forward)
+    n = len(position)
+    node_at = [0] * n
+    for node, p in enumerate(position):
+        node_at[p] = node
+    counts = color_counts(entries, position)
+    improved = True
+    while improved:
+        improved = False
+        for p in range(n):
+            for q in range(p + 1, min(n, p + 2 * band + 1)):
+                a, b = node_at[p], node_at[q]
+                change = swap_change(adjacency, position, a, b, band)
+                if change is None or color_delta(counts, change) >= 0:
+                    continue
+                for c, d in change.items():
+                    counts[c] = counts.get(c, 0) + d
+                position[a], position[b] = q, p
+                node_at[p], node_at[q] = b, a
+                improved = True
+    return np.array(position, dtype=int)
+
+
+def swap_change(adjacency, position, a, b, band):
+    """Color multiplicity changes when nodes ``a`` and ``b`` trade positions,
+    or None if an entry would leave the band.  The entry (a, b) itself, if
+    present, keeps its color and is skipped."""
+    change = {}
+    for node, old, new, other in ((a, position[a], position[b], b),
+                                  (b, position[b], position[a], a)):
+        for x in adjacency[node]:
+            if x == other:
+                continue
+            px = position[x]
+            if abs(new - px) > band:
+                return None
+            change[old ^ px] = change.get(old ^ px, 0) - 1
+            change[new ^ px] = change.get(new ^ px, 0) + 1
+    return change
+
+
+# Two copies of the bundled ieee57 graph joined by three tie lines, bus
+# pairs (10, 78), (30, 98) and (50, 62) numbered from 1: the graph of the
+# benchmark's tiled case.
+TIE_LINES = ((9, 20), (29, 40), (49, 4))
+
+
+def tiled_pattern(case, copies):
+    """The sparsity pattern of ``copies`` copies of ``case`` joined in a
+    chain by TIE_LINES."""
+    n = case.n
+    edges = [(br.from_node + k * n, br.to_node + k * n)
+             for k in range(copies) for br in case.branches]
+    edges += [(k * n + a, (k + 1) * n + b) for k in range(copies - 1) for a, b in TIE_LINES]
+    return pattern_from_edges(copies * n, edges, diagonal=True)
+
+
+@pytest.fixture(scope="session")
+def ieee57x2_pattern(ieee57):
+    return tiled_pattern(ieee57, 2)

@@ -52,6 +52,24 @@ def test_permute_csv_row(case2_file, capsys):
     assert fields[1] == "2" and fields[2] == "1"
 
 
+def test_permute_circuits_per_grad(tmp_path, case2_file, capsys):
+    """The rotated circuits of one gradient, for the config's ansatz pair or
+    for the protocol's when no config is given."""
+    config_path = write_config(tmp_path, case2_file)
+    prepared = harness.prepare_case(grid.load_case(case2_file), 2, 0)
+    counts = []
+    for config, extra in ((harness.ExperimentConfig(case_path=str(case2_file)), []),
+                          (harness.config_from_json(config_path),
+                           ["--config", str(config_path)])):
+        code, out, err = run_cli(capsys, "permute", str(case2_file), "--rcm-runs", "2", *extra)
+        assert code == 0, err
+        row = dict(zip(*(line.split(",") for line in out.strip().splitlines())))
+        ctx = harness.build_context(config, prepared.permuted)
+        assert int(row["circuits_per_grad"]) == sum(ctx.circuits_per_gradient())
+        counts.append(int(row["circuits_per_grad"]))
+    assert counts[0] != counts[1]
+
+
 def chain_case_text(n):
     """An n-bus chain: a generator at bus 1 and light loads elsewhere."""
     lines = ["BUS", "1 gen 0.0 0.0 0.9 1.1"]

@@ -91,7 +91,7 @@ def test_prepare_case_stats_ieee57(ieee57):
     s = prepared.stats
     assert (s.n, s.edges) == (57, 78)
     assert s.bandwidth_before == 46 and s.bandwidth_after == 11
-    assert s.colors_before == 27 and s.colors_after == 22
+    assert s.colors_before == 27 and s.colors_after == 19
 
 
 def test_prepare_instances_order_each_case_once(ieee57, monkeypatch):

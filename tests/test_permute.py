@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from qopf import grid, permute
 from qopf.grid import ValidationError
 from qopf.permute import NodePermutation, SparsityPattern
 
-from conftest import banded_pattern, pattern_from_edges, random_problem
+from conftest import (banded_pattern, color_counts, color_delta, descent_rcm,
+                      pattern_from_edges, random_problem, rcm_pick, swap_change)
 
 
 def pattern_of_edges(n, edges):
@@ -212,6 +214,58 @@ def test_best_rcm_single_run_no_worse_than_rcm_order(ieee57):
     assert descended > 0
 
 
+def colors_and_band(pattern, perm):
+    after = permute.permute_pattern(pattern, perm)
+    return len(permute.color_set(after.padded())), permute.bandwidth(after)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("copies", [1, 2])
+def test_best_rcm_beats_color_descent_ieee57(ieee57, ieee57x2_pattern, copies, seed):
+    """The ranked swap search ends strictly below the first-improvement
+    descent it replaced, from the same RCM pick, and no wider."""
+    pattern = (SparsityPattern.from_matrix(grid.build_admittance(ieee57)) if copies == 1
+               else ieee57x2_pattern)
+    colors, band = colors_and_band(pattern, permute.best_rcm(pattern, 200, seed))
+    descent_colors, descent_band = colors_and_band(pattern, descent_rcm(pattern, 200, seed))
+    assert colors < descent_colors, (colors, descent_colors)
+    assert band <= descent_band
+
+
+def test_best_rcm_no_single_swap_lowers_colors():
+    """On the random graphs of the plain-RCM comparison, the result is
+    deterministic per seed and no swap of two node positions that keeps
+    every entry within the RCM pick's bandwidth lowers C."""
+    rng = np.random.default_rng(9)
+    for trial in range(30):
+        n = int(rng.integers(4, 24))
+        tree = [(int(rng.integers(0, k)), k) for k in range(1, n)]
+        extra = [(int(rng.integers(0, n)), int(rng.integers(0, n))) for _ in range(3)]
+        pattern = pattern_of_edges(n, tree + [e for e in extra if e[0] != e[1]])
+        forward = permute.best_rcm(pattern, n, trial).forward
+        assert np.array_equal(forward, permute.best_rcm(pattern, n, trial).forward)
+        _, band = rcm_pick(pattern, n, trial)
+        adjacency, position = pattern.adjacency(), forward.tolist()
+        counts = color_counts(pattern.entries, position)
+        for a, b in itertools.combinations(range(n), 2):
+            change = swap_change(adjacency, position, a, b, band)
+            assert change is None or color_delta(counts, change) >= 0, (trial, a, b)
+
+
+def test_best_rcm_memory_tiled_ieee57(ieee57x2_pattern):
+    """The search scores only the filtered in-band swaps, with int32
+    multiplicity changes: its traced peak on the two-copy tiled ieee57
+    stays within 1 MB."""
+    permute.best_rcm(ieee57x2_pattern, 200, 0)
+    tracemalloc.start()
+    try:
+        permute.best_rcm(ieee57x2_pattern, 200, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_000_000, peak
+
+
 def test_permutation_extension_keeps_padding_fixed():
     perm = NodePermutation.from_forward([2, 0, 1])
     ext = perm.extended(8)
@@ -256,12 +310,13 @@ def test_permute_problem_dimension_mismatch(case2):
 def test_ieee57_color_fixture_after_rcm(ieee57):
     """Frozen statistics of the bundled pattern under the default seed.
 
-    Colors drop 27 -> 22.  The RCM pick alone has 29 (no bandwidth-minimal
-    RCM ordering of this graph beats the natural 27); the color descent at
-    fixed bandwidth 11 brings it below the natural numbering.
+    Colors drop 27 -> 19.  The RCM pick alone has 29 (no bandwidth-minimal
+    RCM ordering of this graph beats the natural 27); the color search at
+    fixed bandwidth 11 brings it below the natural numbering, and below the
+    22 of the first-improvement descent it replaced.
     """
     pattern = SparsityPattern.from_matrix(grid.build_admittance(ieee57))
     perm = permute.best_rcm(pattern, 200, seed=7)
     after = permute.permute_pattern(pattern, perm)
     assert len(permute.color_set(pattern.padded())) == 27
-    assert len(permute.color_set(after.padded())) == 22
+    assert len(permute.color_set(after.padded())) == 19
