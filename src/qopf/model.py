@@ -18,24 +18,27 @@ Its sampled value pairs independent measurements, as an extended Bell
 measurement would on hardware: per color piece, a dual outcome m and an
 outcome i of the color-rotated primal circuit are drawn separately, and
 the pair scores the rotated piece diagonal of constraint m at i, read from
-segment p * M + m of the context's piece table.  Each sampled estimator
-call seeds one generator, and its pieces draw disjoint blocks of that one
-stream as whole arrays, which keeps them independent: the states are
-rotated under all pieces at once, the dual draws of all pieces are
-inverted through one guide table (``xbm.inverse_cdf``) without sorting,
-and the primal draws are never inverted:
-only pairs on a segment with entries can score, each by an interval test
-on the primal CDF at its segment's columns.  In exact mode the gradients
-in the circuit parameters come from one adjoint (reverse-mode) sweep per
-circuit, reusing the rotation factors that prepared the circuit's state;
-in sampled mode from the two-point parameter-shift rule, as on hardware,
-on one stack per circuit (``sim.shift_states``): row 0 the base state and
-row 1 + 2j + s parameter j shifted up (s = 0) or down (s = 1).  The primal
-stack is rotated once for all its F0 estimates and once for all its CDFs,
-the dual CDFs of all rows are one row-wise cumsum with one guide-table
-build, and every estimate still draws from its own seed.  Either way the
-circuit ledger charges the parameter-shift count.  The scale gradients are
-the closed forms
+segment p * M + m of the context's piece table.  Each sampled estimate
+seeds one generator, and its pieces draw disjoint blocks of that one
+stream, which keeps them independent.  A pair can score only if its
+segment has entries, so each piece's dual inverse CDF puts those rows
+first (``xbm.live_cumulative``): a dual draw at or above the piece's live
+mass scores 0 unsearched, the others find their row by one
+``xbm.live_inverse``, and only they draw a primal outcome, which is never
+inverted either: it scores by an interval test on the primal CDF at its
+segment's columns.
+
+In exact mode the gradients in the circuit parameters come from one
+adjoint (reverse-mode) sweep per circuit, reusing the rotation factors
+that prepared the circuit's state; in sampled mode from the two-point
+parameter-shift rule, as on hardware, on one stack per circuit
+(``sim.shift_states``): row 0 the base state and row 1 + 2j + s parameter
+j shifted up (s = 0) or down (s = 1).  The primal stack is rotated once
+for all its F0 estimates and once for all its CDFs, the live running sums
+of all dual rows are built at once, and the F estimates of a gradient are
+drawn and scored together in blocks (``xbm.live_blocks``), every estimate
+still from its own seed.  Either way the circuit ledger charges the
+parameter-shift count.  The scale gradients are the closed forms
 dL/dalpha = 2 alpha (F0 + beta^2 F) and dL/dbeta = 2 beta (alpha^2 F - G).
 """
 
@@ -128,7 +131,9 @@ class LagrangianContext:
     whose segment of piece p and constraint m is p * M + m.  The sampled F
     draws a dual outcome m and a rotated primal outcome i independently per
     piece, and scores the pairs of all pieces at once from those entries
-    through the table's per-segment index, built on the first sampled F.
+    through the table's per-segment index and its live rows, both built on
+    the first sampled F; the cost table's index is built on the first
+    sampled F0.
     """
 
     def __init__(self, problem: QcqpProblem, primal_spec: AnsatzSpec,
@@ -237,14 +242,6 @@ def _primal_cdfs(ctx: LagrangianContext, psi: np.ndarray) -> np.ndarray:
     return cdfs
 
 
-def _dual_cdf(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cumulative distribution of the dual outcome PMF w, or of every row
-    of a stack of PMFs, and its guide table (``xbm.cdf_guides``)."""
-    cdf = np.cumsum(w, axis=-1)
-    cdf /= cdf[..., -1:]
-    return cdf, xbm.cdf_guides(cdf)
-
-
 def _scored(cdfs: np.ndarray, rows: np.ndarray, cols: np.ndarray,
             u: np.ndarray) -> np.ndarray:
     """Whether the draw u from CDF row ``rows`` is outcome ``cols``, by the
@@ -255,58 +252,67 @@ def _scored(cdfs: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     return (below <= u) & (u < cdfs[rows, cols])
 
 
-def _sample_f(ctx: LagrangianContext, cdfs: np.ndarray, dual: tuple[np.ndarray, np.ndarray],
-              mode: EvalMode) -> tuple[float, int]:
-    """Two-step estimate of F from independent dual and primal draws.
+def _sample_f(ctx: LagrangianContext, cdfs: np.ndarray, ws: np.ndarray,
+              pairs: list[tuple[int, int]], modes: list[EvalMode]) -> tuple[list[float], int]:
+    """Two-step estimates of F from independent dual and primal draws, and
+    the shots they spend: estimate e pairs the primal CDFs ``cdfs[:, r]``
+    (``_primal_cdfs``) with the dual PMF ``ws[q]``, (r, q) = ``pairs[e]``,
+    and draws from the seed of ``modes[e]``.
 
-    Per color piece k: S dual outcomes m are drawn from the dual PMF (its
-    CDF and guide table ``dual``, from ``_dual_cdf``) and S outcomes i of
-    the color-rotated primal circuit from row k of ``cdfs``
-    (``_primal_cdfs``); each pair scores the piece diagonal of constraint m
-    at i, averaged over the S pairs.
-
-    The call seeds one generator and takes every piece's draws from it as
-    whole arrays: first the (pieces, S) dual uniforms, then the (pieces, S)
-    primal ones, so row k of each is piece k's disjoint block of the stream.
-    The dual outcomes of all pieces come from one guide-table inverse
-    (``xbm.inverse_cdf``), which sorts nothing; the primal draws are never
-    inverted.  A pair reads 0 unless its segment k * M + m has entries
-    (``PieceTable.segment_sizes``), and then scores the entry whose column
-    passes the interval test ``_scored`` of its draw; the segment starts are
-    read for those pairs only.  The per-piece means are added in piece
-    order.
+    Per color piece k: S dual outcomes m are drawn from the dual PMF and S
+    outcomes i of the color-rotated primal circuit from row k of its CDFs;
+    each pair scores the piece diagonal of constraint m at i, and the
+    estimate is the sum of the scores over S.  A pair scores only if its
+    segment k * M + m has entries, so each piece's live rows
+    (``PieceTable.live_rows``) come first in its dual inverse CDF: the
+    running sums of their probabilities (``xbm.live_cumulative``) end at
+    the piece's live mass, a dual draw at or above it scores 0 unsearched,
+    and the others find their row by one ``xbm.live_inverse``.  The
+    estimates draw through ``xbm.live_blocks``, all of them scored together
+    block by block: each seeds one generator, draws its (pieces, S) dual
+    uniforms and then one primal uniform per live pair, which is never
+    inverted: it scores the entry of the pair's segment whose column passes
+    the interval test ``_scored``.
     """
-    shots = mode.shots
-    table = ctx.joint_diagonals
-    pieces = len(table)
-    draws = rng(mode.seed)
-    m = xbm.inverse_cdf(*dual, draws.random((pieces, shots)))
-    u = draws.random((pieces, shots)).ravel()
-    segments = (m + ctx.problem.m_stored * np.arange(pieces)[:, None]).ravel()
-    sizes = table.segment_sizes[segments]
-    shot = np.flatnonzero(sizes)  # the pairs on a segment with entries
-    sizes = sizes[shot]
-    first = table.segment_starts[segments[shot]]
-    # one item per such pair and entry of its segment, entries first to first + size - 1
-    entry = np.arange(sizes.sum()) + np.repeat(first - np.cumsum(sizes) + sizes, sizes)
-    shot = np.repeat(shot, sizes)
-    cols = table.entries.keys[entry] % table.entries.dim
-    hit = _scored(cdfs, shot // shots, cols, u[shot])
-    values = np.zeros((pieces, shots))
-    values.ravel()[shot[hit]] = table.entries.values[entry[hit]]
-    total = 0.0
-    for mean in (values.sum(axis=1) / shots).tolist():
-        total += mean
-    return total, shots * pieces
+    shots, table = modes[0].shots, ctx.joint_diagonals
+    live = table.live_rows
+    # the live rows' probabilities, taken row-major so that they ravel as a view
+    cumulative = xbm.live_cumulative(np.take(ws, live.outcomes, axis=-1)
+                                     / ws.sum(axis=-1, keepdims=True), live.starts)
+    width, widths = cumulative.shape[1], np.diff(live.starts)
+    primal, dual = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    masses = cumulative[:, live.starts[1:] - 1][dual]
+    # row r * pieces + k: piece k at primal row r, a view of the state-major CDFs
+    rows = cdfs.swapaxes(0, 1).reshape(-1, cdfs.shape[-1])
+
+    def scores(estimates, pieces, row, u, v):
+        """Each estimate's summed scores over the live pairs of a block."""
+        first = dual[estimates] * width + live.starts[pieces]  # each block row's run
+        at = xbm.live_inverse(cumulative.ravel(), first[row],
+                              (first + widths[pieces] - 1)[row], u)
+        estimate, piece = estimates[row], pieces[row]
+        segments = piece * table.count + live.outcomes[at % width]
+        starts = table.segment_starts[segments]
+        sizes = table.segment_starts[segments + 1] - starts
+        # one item per pair and entry of its segment, entries first to first + size - 1
+        entry = np.arange(sizes.sum()) + np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
+        pair = np.repeat(np.arange(len(u)), sizes)
+        cols = table.entries.keys[entry] % table.entries.dim
+        hit = _scored(rows, primal[estimate[pair]] * len(table) + piece[pair], cols, v[pair])
+        return np.bincount(estimate[pair[hit]], table.entries.values[entry[hit]],
+                           minlength=len(modes))
+
+    totals = sum((scores(*block) for block in xbm.live_blocks(
+        [mode.seed for mode in modes], masses, shots, paired=True)), np.zeros(len(modes)))
+    return (totals / shots).tolist(), shots * len(table) * len(modes)
 
 
 def eval_F_sampled(ctx: LagrangianContext, p: PrimalPoint, d: DualPoint,
                    shots: int, seed) -> float:
     """Unbiased sampled estimate of F(theta, phi)."""
     psi = prepare(ctx.primal_spec, p.theta)
-    w = dual_pmf(ctx, d)
-    value, _ = _sample_f(ctx, _primal_cdfs(ctx, psi), _dual_cdf(w),
-                         sampled_mode(shots, seed))
+    (value,), _ = _sample_f(ctx, _primal_cdfs(ctx, psi[None]), dual_pmf(ctx, d)[None],
+                            [(0, 0)], [sampled_mode(shots, seed)])
     return value
 
 
@@ -317,7 +323,7 @@ def eval_terms(ctx: LagrangianContext, p: PrimalPoint, d: DualPoint,
     psi = prepare(ctx.primal_spec, p.theta)
     w = dual_pmf(ctx, d)
     (f0,), _ = _sample_f0(ctx, psi[None], [mode.reseeded(0)])
-    f, _ = _sample_f(ctx, _primal_cdfs(ctx, psi), _dual_cdf(w), mode.reseeded(1))
+    (f,), _ = _sample_f(ctx, _primal_cdfs(ctx, psi[None]), w[None], [(0, 0)], [mode.reseeded(1)])
     g, _ = _sample_g(ctx, w, mode.reseeded(2))
     return TermValues(f0, f, g)
 
@@ -396,27 +402,26 @@ def _angle_grads_sampled(ctx: LagrangianContext, p: PrimalPoint, d: DualPoint,
     a2, b2 = p.alpha**2, d.beta**2
     # Row 0 of each stack is the base state, row 1 + 2j + s parameter j
     # shifted up (s = 0) or down (s = 1).  The rotated primal CDFs depend
-    # on theta only and the dual CDFs on phi only, so the theta shifts pair
-    # with the base dual CDF and the phi shifts with the base primal CDFs.
+    # on theta only and the dual PMFs on phi only, so the theta shifts pair
+    # with the base dual PMF and the phi shifts with the base primal CDFs.
     psis = shift_states(ctx.primal_spec, rotation_factors(ctx.primal_spec, p.theta))
     ws = np.abs(shift_states(ctx.dual_spec, rotation_factors(ctx.dual_spec, d.phi))) ** 2
-    # F0 first: its rotated stack is freed before the CDFs and guide tables
-    # are built, which keeps the gradient's memory peak down
+    # F0 first: its rotated stack is freed before the primal CDFs are
+    # built, which keeps the gradient's memory peak down
     f0, f0_shots = _sample_f0(ctx, psis, _row_modes(mode, 0, 10, ctx.p_count))
     f0 = np.array(f0)
-    cdfs, (w_cdfs, w_guides) = _primal_cdfs(ctx, psis), _dual_cdf(ws)
     # F at every primal row with the base dual row, and at the base primal
     # row with every dual shift row (its base row is f_theta[0])
-    f_theta, f_theta_shots = _values_and_shots([
-        _sample_f(ctx, cdfs[:, r], (w_cdfs[0], w_guides[0]), row_mode)
-        for r, row_mode in enumerate(_row_modes(mode, 1, 11, ctx.p_count))])
-    f_phi, f_phi_shots = _values_and_shots([
-        _sample_f(ctx, cdfs[:, 0], (w_cdfs[r], w_guides[r]), row_mode)
-        for r, row_mode in enumerate(_row_modes(mode, 1, 12, ctx.q_count)[1:], 1)])
+    theta_pairs = [(r, 0) for r in range(1 + 2 * ctx.p_count)]
+    phi_pairs = [(0, r) for r in range(1, 1 + 2 * ctx.q_count)]
+    f, f_shots = _sample_f(ctx, _primal_cdfs(ctx, psis), ws, theta_pairs + phi_pairs,
+                           _row_modes(mode, 1, 11, ctx.p_count)
+                           + _row_modes(mode, 1, 12, ctx.q_count)[1:])
+    f_theta, f_phi = np.array(f[:len(theta_pairs)]), np.array(f[len(theta_pairs):])
     g, g_shots = _values_and_shots([
         _sample_g(ctx, w, row_mode) for w, row_mode in zip(ws, _row_modes(mode, 2, 13, ctx.q_count))])
 
     g_theta = a2 / 2 * (f0[1::2] - f0[2::2]) + a2 * b2 / 2 * (f_theta[1::2] - f_theta[2::2])
     g_phi = a2 * b2 / 2 * (f_phi[0::2] - f_phi[1::2]) - b2 / 2 * (g[1::2] - g[2::2])
     terms = TermValues(float(f0[0]), float(f_theta[0]), float(g[0]))
-    return terms, g_theta, g_phi, f0_shots + f_theta_shots + f_phi_shots + g_shots
+    return terms, g_theta, g_phi, f0_shots + f_shots + g_shots

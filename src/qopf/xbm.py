@@ -32,15 +32,19 @@ its one-matrix cost), and ``decompose`` is the same for one Hermitian
 matrix, dense or scipy-sparse: a ``PieceTable`` holds the pieces' (color,
 part), the sorted sparse entries of all their diagonals as one
 ``PieceEntries`` with a per-segment index of them, their norms and their
-rotations, each built once, and scatters the diagonals densely on request.
-The sampled estimator ``estimate_expectation`` reads one matrix's pieces
-from such a table and estimates its expectation on every row of a stack
-of states, one seed per row, scoring all pieces of a row in one stacked
-matmul.  The sampled F draws its dual outcomes through ``inverse_cdf``, an
-exact guide-table inverse (Chen and Asau 1974): ``cdf_guides`` counts, for
-each of K equal buckets of [0, 1], the CDF entries at or below its lower
-edge, so a draw is resolved by one comparison unless its bucket holds two
-or more entries, and nothing is sorted.
+rotations, each built once.
+The sampled estimators draw only the outcomes that can score.  Inversion
+is exact under any order of the outcomes (Devroye 1986, section III.2), so
+each piece puts first its live outcomes: the basis indices where its
+diagonal is nonzero, for ``estimate_expectation``, which estimates one
+matrix's expectation on every row of a stack of states, one seed per row,
+and the dual rows whose segment has entries (``PieceTable.live_rows``),
+for the sampled F.  ``live_cumulative`` takes the running sums of their
+probabilities, the last being the piece's live mass; ``live_blocks`` draws
+every estimate's uniforms and keeps only those below that mass, block by
+block; and ``live_inverse`` resolves the kept draws with one branchless
+binary search over all of them.  A draw above the live mass scores 0
+unsearched, no zero-probability outcome is returned, and nothing is sorted.
 The construction is validated functionally by the test suite: R M_c R^dag
 must be diagonal and equal diag(lambda) for every color and part.
 """
@@ -67,8 +71,9 @@ _S_DAG = rotation_matrix("rz", -math.pi / 2)  # S^dag up to a global phase
 # amplitudes per block of the rotation's second gather: bounds that
 # temporary, so rotating a whole shift stack does not raise the memory peak
 _GATHER_BLOCK = 2**14
-# guide-table buckets per outcome, K / 2^ceil(log2(CDF length))
-_GUIDE_BUCKETS = 8
+# uniforms per block of the live-first estimators: bounds the temporaries
+# of drawing and scoring, so a gradient's estimates do not raise its peak
+_DRAW_BLOCK = 2**15
 
 
 def gate_count(color: int, part: str) -> int:
@@ -166,45 +171,6 @@ def _single_stack(matrix) -> MatrixStack:
     return MatrixStack(np.zeros(coo.nnz), coo.row, coo.col, coo.data, 1, coo.shape[0])
 
 
-def cdf_guides(cdfs: np.ndarray) -> np.ndarray:
-    """The guide tables of a CDF, or of every row of a stack of CDFs, for
-    ``inverse_cdf``: g[b] = #{j : cdf[j] <= b / K} for b = 0..K, with K
-    ``_GUIDE_BUCKETS`` times the CDF length rounded up to a power of two.
-
-    K * cdf is exact, so cdf <= b / K exactly when the bucket number
-    c_j = ceil(K * cdf[j]) is <= b: g is j from bucket c_(j-1) up to bucket
-    c_j, and every table is one run-length expansion, stored in the
-    smallest unsigned type that holds the CDF length.
-    """
-    dim = cdfs.shape[-1]
-    size = _GUIDE_BUCKETS * 2**(dim - 1).bit_length() + 1
-    rows = cdfs.reshape(-1, dim)
-    edges = np.zeros((len(rows), dim + 2), dtype=np.intp)
-    edges[:, 1:-1] = np.ceil(rows * (size - 1))
-    edges[:, -1] = size
-    counts = np.arange(dim + 1, dtype=np.min_scalar_type(dim))
-    guides = np.repeat(np.tile(counts, len(rows)), np.diff(edges, axis=1).ravel())
-    return guides.reshape(*cdfs.shape[:-1], size)
-
-
-def inverse_cdf(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(cdf, u, side="right")`` for draws u in [0, 1) from a
-    nondecreasing CDF in [0, 1] that ends at 1, through its guide table
-    (``cdf_guides``), without sorting the draws.
-
-    A draw in bucket b = floor(K u) has its outcome in the bracket
-    [g[b], g[b + 1]].  Most brackets hold at most one CDF entry, and then
-    the outcome is g[b] plus whether that entry is <= u; the draws in
-    wider brackets are searched.
-    """
-    b = (u * (len(guide) - 1)).astype(np.intp)
-    first, last = guide[b], guide[1:][b]
-    out = np.add(first, cdf[first] <= u, dtype=np.intp)
-    wide = np.flatnonzero(last - first > 1)
-    out.flat[wide] = np.searchsorted(cdf, u.flat[wide], side="right")
-    return out
-
-
 class PieceEntries(NamedTuple):
     """The nonzero entries of rotated piece diagonals over a stack: the
     entry of segment s at basis index i sits at the flat key
@@ -213,6 +179,14 @@ class PieceEntries(NamedTuple):
     keys: np.ndarray
     values: np.ndarray
     dim: int
+
+
+class LiveOutcomes(NamedTuple):
+    """The outcomes of each piece's draws that can score, piece-major:
+    piece k's are ``outcomes[starts[k]:starts[k + 1]]``, ascending."""
+
+    outcomes: np.ndarray
+    starts: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -254,20 +228,13 @@ class PieceTable:
         return np.searchsorted(self.entries.keys, bounds)
 
     @cached_property
-    def segment_sizes(self) -> np.ndarray:
-        """The number of entries of each segment, built on first use."""
-        return np.diff(self.segment_starts)
-
-    @cached_property
-    def diagonals(self) -> np.ndarray:
-        """The (pieces, dim) rotated piece diagonals of matrix 0."""
-        return self.dense()[:, 0]
-
-    def dense(self) -> np.ndarray:
-        """The rotated piece diagonals as a (pieces, count, dim) array."""
-        out = np.zeros(len(self) * self.count * self.entries.dim)
-        out[self.entries.keys] = self.entries.values
-        return out.reshape(len(self), self.count, self.entries.dim)
+    def live_rows(self) -> LiveOutcomes:
+        """Per piece k, the matrices m whose segment k * count + m has
+        entries, the only dual outcomes of the sampled F that can score;
+        built on first use.  Every piece has at least one."""
+        segments = np.flatnonzero(np.diff(self.segment_starts))
+        starts = np.searchsorted(segments, np.arange(len(self) + 1) * self.count)
+        return LiveOutcomes(segments % self.count, starts)
 
 
 def piece_table(stack: MatrixStack) -> PieceTable:
@@ -325,31 +292,131 @@ def decompose(matrix, tol: float = 1e-10) -> PieceTable:
     return piece_table(stack)
 
 
+def live_cumulative(weights: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Each piece's running sums of its live outcomes' probabilities, in
+    place: the last axis of ``weights`` holds them piece-major, piece k's
+    from ``starts[k]`` to ``starts[k + 1] - 1``, and the piece's last
+    running sum is its live mass.  Each piece is one sequential
+    ``np.add.accumulate``, ``np.cumsum``'s own loop, so a run is bit for bit
+    the head of the cumulative distribution with the piece's live outcomes
+    reordered first.  Returns ``weights``."""
+    for first, end in zip(starts[:-1].tolist(), starts[1:].tolist()):
+        run = weights[..., first:end]
+        np.add.accumulate(run, axis=-1, out=run)
+    return weights
+
+
+def live_inverse(cumulative: np.ndarray, first: np.ndarray, last: np.ndarray,
+                 u: np.ndarray) -> np.ndarray:
+    """``first + np.searchsorted(cumulative[first:last + 1], u, side="right")``
+    for every draw u below ``cumulative[last]``, each draw with its own
+    nondecreasing run of the flat ``cumulative``.
+
+    One branchless binary search runs over all draws at once: the answer
+    starts at ``first`` and moves up by each power of two while the entry
+    below its new place is <= u.  Probes past a run read its last entry,
+    which is above u, so no draw leaves its run, and a zero-probability
+    outcome, whose entry equals the one before, is never returned.
+    """
+    at = first.astype(np.intp, copy=True)
+    step = 1 << int(np.max(last - first, initial=0)).bit_length() >> 1
+    while step:
+        probe = np.minimum(at + (step - 1), last)
+        np.add(at, step, out=at, where=cumulative[probe] <= u)
+        step >>= 1
+    return at
+
+
+def live_blocks(seeds, masses: np.ndarray, shots: int, paired: bool = False):
+    """The draws that can score of one estimate per seed, yielded in blocks
+    of at most ``_DRAW_BLOCK`` uniforms as (estimates, pieces, row, u)
+    arrays, or (estimates, pieces, row, u, v) when ``paired``: the block's
+    rows of draws belong to estimates[r] and piece pieces[r], and each kept
+    draw u is on row ``row``.
+
+    Estimate e seeds one generator from ``seeds[e]`` and draws its
+    (pieces, shots) uniforms, row k piece k's disjoint block of the
+    stream, into a block a whole number of rows at a time.  Inversion is
+    exact under any order of the outcomes, so with the live outcomes first
+    a draw of piece k can score only below its live mass ``masses[e, k]``;
+    only those draws are kept, in row order, and, when ``paired``, each
+    takes one more uniform from the same generator, drawn after its rows
+    in the block.  A block holds whole estimates unless one estimate alone
+    is larger, and all its draws are compared at once.
+    """
+    if len(seeds) != len(masses):
+        raise ValidationError(f"{len(seeds)} seeds for {len(masses)} estimates")
+    pieces = masses.shape[-1]
+    u = np.empty((min(max(1, _DRAW_BLOCK // shots), pieces * len(masses)), shots))
+    block, filled = [], 0
+    for e, seed in enumerate(seeds):
+        if block and filled + pieces > len(u):
+            yield _live_block(u[:filled], block, masses, paired)
+            block, filled = [], 0
+        draws = rng(seed)
+        for first in range(0, pieces, len(u) or 1):
+            rows = min(len(u), pieces - first)
+            draws.random(out=u[filled:filled + rows])
+            block.append((e, draws, first, rows))
+            filled += rows
+            if filled == len(u):
+                yield _live_block(u, block, masses, paired)
+                block, filled = [], 0
+    if block:
+        yield _live_block(u[:filled], block, masses, paired)
+
+
+def _live_block(u: np.ndarray, block: list, masses: np.ndarray,
+                paired: bool) -> tuple[np.ndarray, ...]:
+    """The live draws of the uniforms ``u`` of a block of (estimate,
+    generator, first piece, rows) chunks, for ``live_blocks``."""
+    sizes = [rows for *_, rows in block]
+    estimates = np.repeat([e for e, *_ in block], sizes)
+    pieces = np.concatenate([np.arange(first, first + rows) for *_, first, rows in block])
+    live = np.flatnonzero(u < masses[estimates, pieces][:, None])
+    row = live // u.shape[1]
+    out = (estimates, pieces, row, u.ravel()[live])
+    if not paired:
+        return out
+    counts = np.diff(np.searchsorted(row, np.cumsum([0, *sizes]))).tolist()
+    return out + (np.concatenate([draws.random(n) for (_, draws, *_), n in zip(block, counts)]),)
+
+
 def estimate_expectation(states: np.ndarray, table: PieceTable, shots_per_piece: int,
                          seeds) -> list[float]:
     """Sampled estimates of <psi_b|M|psi_b> for the rows psi_b of a (B, dim)
-    stack of states, from the color pieces of M (``decompose``), row b
-    drawn from ``seeds[b]``.
+    stack of states, from the color pieces of one matrix M (``decompose``),
+    row b drawn from ``seeds[b]``.
 
     All states are rotated under all pieces in one ``rotate_pieces`` call
-    and normalised at once.  Each estimate seeds one generator, which draws
-    the computational-basis counts of every piece's rotated state in one
-    multinomial call, piece p taking the p-th disjoint block of the stream;
-    a piece's value averages its diagonal over its outcomes, one stacked
-    matmul scoring every piece of a row, and the estimate sums the values
-    in piece order.  The estimates are unbiased.
+    and normalised at once.  A piece scores only on the outcomes where its
+    diagonal is nonzero, its entries, so those come first: per state, the
+    running sums of their probabilities (``live_cumulative``) give each
+    piece's live mass.  Each estimate seeds one generator and draws S
+    uniforms per piece (``live_blocks``); a draw at or above its piece's
+    live mass scores 0 unsearched, and the others find their entry by one
+    ``live_inverse``.  The estimate is the sum of the scores over S, so
+    each piece's average has the law of S multinomial outcomes of its
+    rotated state: the estimates are unbiased.
     """
     if shots_per_piece < 1:
         raise ValidationError("shots_per_piece must be >= 1")
+    if table.count != 1:
+        raise ValidationError("estimate_expectation reads the pieces of one matrix")
     probs = np.abs(rotate_pieces(states, table.rotations)) ** 2
     probs /= probs.sum(axis=-1, keepdims=True)
-    diagonals = table.diagonals[:, :, None]
-    estimates = []
-    for row, seed in zip(probs.swapaxes(0, 1), seeds, strict=True):
-        counts = rng(seed).multinomial(shots_per_piece, row)
-        per_piece = np.matmul(counts[:, None, :], diagonals)[:, 0, 0] / shots_per_piece
-        total = 0.0
-        for value in per_piece.tolist():
-            total += value
-        estimates.append(total)
-    return estimates
+    starts, keys = table.segment_starts, table.entries.keys
+    # piece p's probability of outcome i at p * dim + i, a key of its entries;
+    # taken row-major, so that the running sums ravel as a view
+    cumulative = live_cumulative(
+        np.take(probs.swapaxes(0, 1).reshape(len(states), -1), keys, axis=1), starts)
+    width, widths = len(keys), np.diff(starts)
+    hits = np.zeros(cumulative.size, dtype=np.intp)
+    for estimates, pieces, row, u in live_blocks(seeds, cumulative[:, starts[1:] - 1],
+                                                shots_per_piece):
+        first = estimates * width + starts[pieces]  # each block row's run
+        hits += np.bincount(live_inverse(cumulative.ravel(), first[row],
+                                         (first + widths[pieces] - 1)[row], u),
+                            minlength=len(hits))
+    totals = (hits.reshape(len(states), width) * table.entries.values).sum(axis=1)
+    return (totals / shots_per_piece).tolist()

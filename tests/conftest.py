@@ -150,25 +150,39 @@ def per_row_pieces(problem):
     ascending color, then imaginary parts), the (pieces, M, dim) rotated
     diagonals and each piece's largest norm over the rows."""
     tensor = problem.dense_constraints()
-    diagonals: dict[tuple[int, str], np.ndarray] = {}
+    by_key: dict[tuple[int, str], np.ndarray] = {}
     norms: dict[tuple[int, str], float] = {}
     for m in range(problem.m_stored):
         table = xbm.decompose(tensor[m])
-        for key, diagonal, norm in zip(table.pieces, table.diagonals, table.norms):
-            diagonals.setdefault(key, np.zeros((problem.m_stored, problem.dim)))[m] = diagonal
+        for key, diagonal, norm in zip(table.pieces, diagonals(table), table.norms):
+            by_key.setdefault(key, np.zeros((problem.m_stored, problem.dim)))[m] = diagonal
             norms[key] = max(norms.get(key, 0.0), norm)
-    keys = sorted(diagonals, key=lambda key: (key[1] != xbm.REAL, key[0]))
+    keys = sorted(by_key, key=lambda key: (key[1] != xbm.REAL, key[0]))
     dense = np.zeros((len(keys), problem.m_stored, problem.dim))
     for p, key in enumerate(keys):
-        dense[p] = diagonals[key]
+        dense[p] = by_key[key]
     return keys, dense, [norms[key] for key in keys]
+
+
+def dense_pieces(table):
+    """The rotated piece diagonals of an ``xbm.PieceTable`` scattered from
+    its entries as a (pieces, count, dim) array."""
+    out = np.zeros(len(table) * table.count * table.entries.dim)
+    out[table.entries.keys] = table.entries.values
+    return out.reshape(len(table), table.count, table.entries.dim)
+
+
+def diagonals(table):
+    """The (pieces, dim) rotated piece diagonals of matrix 0 of an
+    ``xbm.PieceTable``."""
+    return dense_pieces(table)[:, 0]
 
 
 def piece_matrix(table, p):
     """The matrix of piece p of a one-matrix ``xbm.PieceTable``, rebuilt
     exactly from its diagonal."""
     color, part = table.pieces[p]
-    diagonal = table.diagonals[p]
+    diagonal = diagonals(table)[p]
     dim = table.entries.dim
     out = np.zeros((dim, dim), dtype=complex)
     idx = np.arange(dim)
@@ -458,7 +472,7 @@ def estimator_variance(table, state, shots_per_piece):
     variance = 0.0
     bound = 0.0
     rotated_probs = np.abs(xbm.rotate_pieces(state, table.rotations)) ** 2
-    for diagonal, norm, probs in zip(table.diagonals, table.norms, rotated_probs):
+    for diagonal, norm, probs in zip(diagonals(table), table.norms, rotated_probs):
         mean = float(probs @ diagonal)
         second = float(probs @ diagonal**2)
         variance += second - mean**2
@@ -466,10 +480,40 @@ def estimator_variance(table, state, shots_per_piece):
     return VarianceReport(variance / shots_per_piece, bound / shots_per_piece)
 
 
-# The sampled F estimator that the guide-table dual inverse replaced: the
-# dual draws of all pieces argsorted and searched in sorted order, and each
-# pair's segment start and size read for every pair.  The fast path must
-# give the same estimate bit for bit.
+# The sampled estimators that the live-first inverse CDFs replaced, kept as
+# oracles: the live-first estimators draw other streams, so they must match
+# these in distribution (``same_moments``), not bit for bit.
+
+
+def same_moments(values, oracle, sigmas=5.0):
+    """Whether two samples of independent estimates agree in mean and in
+    variance to within ``sigmas`` standard errors of their difference; the
+    standard error of a sample variance is read from its fourth moment."""
+    def moments(x):
+        x = np.asarray(x, dtype=float)
+        centred = x - x.mean()
+        var = float(np.mean(centred**2))
+        return x.mean(), var, var / len(x), (float(np.mean(centred**4)) - var**2) / len(x)
+
+    mean_a, var_a, se_mean_a, se_var_a = moments(values)
+    mean_b, var_b, se_mean_b, se_var_b = moments(oracle)
+    return (abs(mean_a - mean_b) <= sigmas * math.sqrt(se_mean_a + se_mean_b) + 1e-12
+            and abs(var_a - var_b) <= sigmas * math.sqrt(se_var_a + se_var_b) + 1e-12)
+
+
+def piecewise_estimate(state, dec, shots, seed):
+    """The multinomial estimator of ``xbm.estimate_expectation``, piece by
+    piece: one generator seeded with the entropy list itself, from which
+    each piece in turn draws the multinomial counts of its rotated state."""
+    total = 0.0
+    n_qubits = int(math.log2(dec.entries.dim))
+    rng = np.random.default_rng(seed)
+    for (color, part), diagonal in zip(dec.pieces, diagonals(dec)):
+        probs = np.abs(piecewise_rotation(state, color, n_qubits, part)) ** 2
+        probs = probs / probs.sum()
+        counts = rng.multinomial(shots, probs)
+        total += float(counts @ diagonal) / shots
+    return total
 
 
 def sorted_search(a, v):
@@ -483,7 +527,10 @@ def sorted_search(a, v):
 
 
 def sorted_search_sample_f(ctx, cdfs, w_cdf, mode):
-    """(estimate, shots) of ``model._sample_f`` from the dual CDF alone."""
+    """(estimate, shots) of the sampled F from the (pieces, dim) primal CDFs
+    of one state and one normalised dual CDF: per piece, S dual uniforms
+    and then S primal uniforms, the dual draws argsorted and searched in
+    sorted order, and each pair's segment read."""
     shots = mode.shots
     table = ctx.joint_diagonals
     pieces = len(table)

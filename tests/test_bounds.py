@@ -8,7 +8,7 @@ from qopf.bounds import BoundInputs
 from qopf.grid import ValidationError
 from qopf.model import DualPoint, PrimalPoint, sampled_mode
 
-from conftest import random_problem
+from conftest import diagonals, random_problem
 
 
 def unit_inputs(**overrides):
@@ -97,7 +97,7 @@ def test_inputs_from_context_measures_norms():
         float(np.linalg.norm(ctx.problem.m0.toarray(), 2)), rel=1e-12)
     assert inputs.colors == ctx.color_count
     assert inputs.sum_norm_sq_m0 == pytest.approx(
-        sum(np.max(np.abs(d))**2 for d in ctx.m0_decomposition.diagonals), abs=1e-12)
+        sum(np.max(np.abs(d))**2 for d in diagonals(ctx.m0_decomposition)), abs=1e-12)
 
 
 @pytest.mark.parametrize("case_name", ["case3", "ieee57"])

@@ -11,9 +11,10 @@ from qopf.grid import Constraint, ValidationError
 from qopf.model import DualPoint, PrimalPoint, sampled_mode
 from qopf.saddle import classical_lagrangian
 
-from conftest import (exact_expectation, g_operator, per_row_pieces,
-                      piecewise_rotation, problem_from_rows, random_problem,
-                      rotate_piece, shift_points, sorted_search_sample_f, stack_problems)
+from conftest import (dense_pieces, estimator_variance, exact_expectation, g_operator,
+                      per_row_pieces, piecewise_rotation, problem_from_rows, random_problem,
+                      rotate_piece, same_moments, shift_points, sorted_search_sample_f,
+                      stack_problems)
 
 
 @pytest.fixture(scope="module")
@@ -165,8 +166,8 @@ def test_eval_f_sampled_zero_observables():
     psi = sim.prepare(ctx.primal_spec, p.theta)
     cdfs = model._primal_cdfs(ctx, psi)
     assert cdfs.shape == (0, 4)
-    w_cdf = model._dual_cdf(model.dual_pmf(ctx, d))
-    assert model._sample_f(ctx, cdfs, w_cdf, sampled_mode(16, 0)) == (0.0, 0)
+    w = model.dual_pmf(ctx, d)[None]
+    assert model._sample_f(ctx, cdfs[:, None], w, [(0, 0)], [sampled_mode(16, 0)]) == ([0.0], 0)
 
 
 @pytest.mark.parametrize("problem", stack_problems())
@@ -177,7 +178,7 @@ def test_joint_entries_densify_to_piece_diagonals(problem):
     keys, dense, _ = per_row_pieces(problem)
     table = ctx.joint_diagonals
     assert list(table.pieces) == keys
-    assert np.array_equal(table.dense(), dense)
+    assert np.array_equal(dense_pieces(table), dense)
     assert ctx.colors == ctx.m0_decomposition.colors | {color for color, _ in keys}
     entries = table.entries
     assert np.all(np.diff(entries.keys) > 0) and np.all(entries.values != 0)
@@ -205,7 +206,7 @@ def test_eval_f_sampled_variance_matches_closed_form(ctx44):
     shots = 8
     variance = 0.0
     table = ctx44.joint_diagonals
-    for (color, part), diagonals in zip(table.pieces, table.dense()):
+    for (color, part), diagonals in zip(table.pieces, dense_pieces(table)):
         rotated = rotate_piece(color, part, psi)
         joint = np.outer(w, np.abs(rotated) ** 2)
         mean = float(np.sum(joint * diagonals))
@@ -229,26 +230,6 @@ def piecewise_primal_cdfs(ctx, psi):
     return cdfs / cdfs[:, -1:]
 
 
-def piecewise_eval_f_sampled(ctx, p, d, shots, seed):
-    """Piece-by-piece reference of ``model.eval_F_sampled``: one generator
-    seeded with the entropy list, from which every piece in turn draws its
-    S dual uniforms and then every piece its S primal uniforms; per piece,
-    two inverse-CDF searches and one read of its dense diagonals, the piece
-    means added in piece order."""
-    cdfs = piecewise_primal_cdfs(ctx, sim.prepare(ctx.primal_spec, p.theta))
-    w_cdf = np.cumsum(model.dual_pmf(ctx, d))
-    w_cdf = w_cdf / w_cdf[-1]
-    rng = np.random.default_rng(seed)
-    dual = [rng.random(shots) for _ in cdfs]
-    primal = [rng.random(shots) for _ in cdfs]
-    total = 0.0
-    for diagonals, cdf, u, v in zip(ctx.joint_diagonals.dense(), cdfs, dual, primal):
-        m = np.searchsorted(w_cdf, u, side="right")
-        i = np.searchsorted(cdf, v, side="right")
-        total += float(diagonals[m, i].sum()) / shots
-    return total
-
-
 @pytest.fixture(scope="module", params=["padded_complex", "ieee57"])
 def batch_ctx(request, padded_complex_problem):
     if request.param == "ieee57":
@@ -268,13 +249,18 @@ def test_primal_cdfs_match_piecewise_loop(batch_ctx):
 
 
 def test_eval_f_sampled_matches_piecewise_loop(batch_ctx):
-    """Batching the pieces keeps every piece's block of the stream: each
-    sampled F is the piece-by-piece estimate bit for bit."""
-    for trial in range(5):
+    """``eval_F_sampled`` follows the law of the retired estimator, which
+    inverts every dual draw (``sorted_search_sample_f``): over 500 seeds
+    at each of 2 points the two agree in mean and variance."""
+    n = 500
+    for trial in range(2):
         p, d = random_points(batch_ctx, 80 + trial)
-        seed = [31, 1, trial]
-        assert model.eval_F_sampled(batch_ctx, p, d, 50, seed) == \
-            piecewise_eval_f_sampled(batch_ctx, p, d, 50, seed)
+        cdfs = model._primal_cdfs(batch_ctx, sim.prepare(batch_ctx.primal_spec, p.theta))
+        w_cdf = np.cumsum(model.dual_pmf(batch_ctx, d))
+        values = [model.eval_F_sampled(batch_ctx, p, d, 50, [31, trial, k]) for k in range(n)]
+        oracle = [sorted_search_sample_f(batch_ctx, cdfs, w_cdf / w_cdf[-1],
+                                         sampled_mode(50, [32, trial, k]))[0] for k in range(n)]
+        assert same_moments(values, oracle)
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
@@ -344,12 +330,13 @@ def test_sampled_gradient_seeds_one_generator_per_estimate(ieee57_context, monke
 
 
 def test_sampled_gradient_searches_and_rotations_do_not_grow(ieee57_context, monkeypatch):
-    """A sampled gradient builds the guide tables of all its dual CDFs in
-    one call, makes one dual inverse per F estimate (primal draws are
-    scored, never searched), rotates each table's states once whatever P,
-    as one stack of the base state and all 2P shift states, and prepares
-    no state apart from the two shift stacks."""
-    calls = {"inverse_cdf": 0, "cdf_guides": 0, "rotate_pieces": 0, "prepare": 0}
+    """A sampled gradient builds the live running sums of all its dual PMFs
+    in one call and those of its F0 states in another, searches its live
+    draws once per block of whole estimates (primal draws are scored,
+    never searched), rotates each table's states once whatever P, as one
+    stack of the base state and all 2P shift states, and prepares no state
+    apart from the two shift stacks."""
+    calls = {"live_cumulative": 0, "live_inverse": 0, "rotate_pieces": 0, "prepare": 0}
 
     def counted(owner, name):
         original = getattr(owner, name)
@@ -359,48 +346,48 @@ def test_sampled_gradient_searches_and_rotations_do_not_grow(ieee57_context, mon
             return original(*args, **kwargs)
         return wrapper
 
-    for name in ("inverse_cdf", "cdf_guides", "rotate_pieces"):
+    for name in ("live_cumulative", "live_inverse", "rotate_pieces"):
         monkeypatch.setattr(xbm, name, counted(xbm, name))
     monkeypatch.setattr(model, "prepare", counted(model, "prepare"))
     ctx = ieee57_context
     p, d = random_points(ctx, 48)
     model.grad(ctx, p, d, sampled_mode(100, [4, 4]))
-    assert calls["inverse_cdf"] == 1 + 2 * ctx.p_count + 2 * ctx.q_count == 61
-    assert calls["cdf_guides"] == 1
+
+    def blocks(estimates, table):
+        return -(-estimates // (xbm._DRAW_BLOCK // (len(table) * 100)))
+    assert calls["live_cumulative"] == 2
+    assert calls["live_inverse"] == blocks(1 + 2 * ctx.p_count, ctx.m0_decomposition) + blocks(
+        1 + 2 * ctx.p_count + 2 * ctx.q_count, ctx.joint_diagonals) == 11
     assert calls["rotate_pieces"] == 2
     assert calls["prepare"] == 0
 
 
-def recorded_f_calls(monkeypatch):
-    """Wrap ``model._sample_f`` to record its arguments and results."""
-    calls = []
-    original = model._sample_f
-
-    def wrapper(ctx, cdfs, dual, mode):
-        result = original(ctx, cdfs, dual, mode)
-        calls.append((ctx, cdfs, dual, mode, result))
-        return result
-    monkeypatch.setattr(model, "_sample_f", wrapper)
-    return calls
-
-
-def test_sampled_f_matches_sorted_search_oracle(ieee57_context, monkeypatch):
-    """Every F estimate of a sampled ieee57 gradient, at 3 seeded points,
-    and of the single-CDF paths ``eval_terms`` and ``eval_F_sampled``, is
-    bit for bit the estimate of the replaced sorted-search estimator, with
-    the same shots."""
-    calls = recorded_f_calls(monkeypatch)
+def test_sampled_f_matches_sorted_search_oracle(ieee57_context):
+    """The F estimates of a gradient, drawn together in one ``_sample_f``
+    call, follow the law of the retired estimator: at 3 seeded points, 400
+    estimates of a theta-shift row with the base dual PMF and 400 of the
+    base primal row with a phi-shift PMF agree in mean and variance with as
+    many ``sorted_search_sample_f`` estimates at the same shots.  An
+    estimate does not depend on the others drawn with it."""
     ctx = ieee57_context
+    n = 400
     for k in range(3):
         p, d = random_points(ctx, 130 + k)
-        model.grad(ctx, p, d, sampled_mode(100, [13, k]))
-        assert len(calls) == 63 * k + 61
-        model.eval_terms(ctx, p, d, sampled_mode(100, [14, k]))
-        model.eval_F_sampled(ctx, p, d, 100, [15, k])
-        assert len(calls) == 63 * (k + 1)
-    for ctx, cdfs, (w_cdf, _), mode, result in calls:
-        assert result == sorted_search_sample_f(ctx, cdfs, w_cdf, mode)
-    assert len({value for *_, (value, _) in calls}) > 0.9 * len(calls)
+        psis = sim.shift_states(ctx.primal_spec, sim.rotation_factors(ctx.primal_spec, p.theta))
+        ws = np.abs(sim.shift_states(ctx.dual_spec, sim.rotation_factors(ctx.dual_spec, d.phi)))**2
+        cdfs = model._primal_cdfs(ctx, psis)
+        pairs = [(1, 0)] * n + [(0, 2)] * n
+        modes = [sampled_mode(100, [13, k, e]) for e in range(2 * n)]
+        values, shots = model._sample_f(ctx, cdfs, ws, pairs, modes)
+        assert shots == 2 * n * 100 * len(ctx.joint_diagonals)
+        assert model._sample_f(ctx, cdfs, ws, pairs[-1:], modes[-1:])[0] == values[-1:]
+        for e, (r, q) in enumerate(pairs[::n]):
+            w_cdf = np.cumsum(ws[q])
+            oracle = [sorted_search_sample_f(ctx, cdfs[:, r], w_cdf / w_cdf[-1],
+                                             sampled_mode(100, [14, k, e, s]))
+                      for s in range(n)]
+            assert {shots for _, shots in oracle} == {100 * len(ctx.joint_diagonals)}
+            assert same_moments(values[e * n:(e + 1) * n], [value for value, _ in oracle])
 
 
 def test_sampled_gradient_memory_peak(ieee57_context):
@@ -427,9 +414,11 @@ def test_exact_mode_never_builds_segment_index(padded_complex_problem):
     p, d = random_points(ctx, 49)
     model.grad(ctx, p, d)
     model.lagrangian(ctx, p, d)
-    assert "segment_starts" not in vars(ctx.joint_diagonals)
+    indexes = ((ctx.joint_diagonals, "segment_starts"), (ctx.joint_diagonals, "live_rows"),
+               (ctx.m0_decomposition, "segment_starts"))
+    assert not any(name in vars(table) for table, name in indexes)
     model.lagrangian(ctx, p, d, sampled_mode(4, 0))
-    assert "segment_starts" in vars(ctx.joint_diagonals)
+    assert all(name in vars(table) for table, name in indexes)
 
 
 def grad_by_finite_differences(ctx, p, d, h=1e-5):
@@ -546,6 +535,78 @@ def test_sampled_gradient_unbiased_2qubit():
     assert np.all(np.abs(mean - exact) < 5 * se + 1e-9)
 
 
+def test_sample_g_unbiased_with_closed_form_variance(ieee57_context):
+    """G averages the bounds b_m over S dual outcomes m ~ w: over 2,000
+    seeds its mean is within 5 standard errors of w.b and its variance
+    within 10 % of Var_w[b] / S, at S shots spent."""
+    ctx = ieee57_context
+    _, d = random_points(ctx, 94)
+    w = model.dual_pmf(ctx, d)
+    w = w / w.sum()
+    b = ctx.problem.bounds
+    shots, n = 8, 2000
+    exact = float(w @ b)
+    variance = (float(w @ b**2) - exact**2) / shots
+    draws = [model._sample_g(ctx, w, sampled_mode(shots, [24, k])) for k in range(n)]
+    assert {spent for _, spent in draws} == {shots}
+    values = np.array([value for value, _ in draws])
+    assert abs(values.mean() - exact) < 5 * math.sqrt(variance / n)
+    assert abs(values.var() - variance) < 0.1 * variance
+
+
+def sampled_gradient_variances(ctx, p, d, shots):
+    """The variance of every theta and phi coordinate of a sampled gradient
+    under the laws of the estimators it adds: F0 by ``estimator_variance``,
+    F by (1/S) sum_k Var_{w x p_k}[D_k] (per piece k, a dual outcome m ~ w
+    and a rotated primal outcome i ~ p_k scoring D_k[m, i]) and G by
+    Var_w[b] / S, summed over the independent estimates of each shift
+    difference."""
+    a2, b2 = p.alpha**2, d.beta**2
+    psis = sim.shift_states(ctx.primal_spec, sim.rotation_factors(ctx.primal_spec, p.theta))
+    ws = np.abs(sim.shift_states(ctx.dual_spec, sim.rotation_factors(ctx.dual_spec, d.phi)))**2
+    ws /= ws.sum(axis=1, keepdims=True)
+    table = ctx.joint_diagonals
+    diagonals = dense_pieces(table)
+    probs = np.abs(xbm.rotate_pieces(psis, table.rotations))**2  # (pieces, rows, dim)
+
+    def f_variance(means, seconds):
+        return (seconds - means**2).sum(axis=-1) / shots
+
+    theta_f = f_variance(np.einsum("m,kmi,kri->rk", ws[0], diagonals, probs),
+                         np.einsum("m,kmi,kri->rk", ws[0], diagonals**2, probs))
+    phi_f = f_variance(np.einsum("qm,kmi,ki->qk", ws, diagonals, probs[:, 0]),
+                       np.einsum("qm,kmi,ki->qk", ws, diagonals**2, probs[:, 0]))
+    f0 = np.array([estimator_variance(ctx.m0_decomposition, psi, shots).variance for psi in psis])
+    b = ctx.problem.bounds
+    g = (ws @ b**2 - (ws @ b)**2) / shots
+    theta = (a2 / 2)**2 * (f0[1::2] + f0[2::2]) + (a2 * b2 / 2)**2 * (theta_f[1::2] + theta_f[2::2])
+    phi = (a2 * b2 / 2)**2 * (phi_f[1::2] + phi_f[2::2]) + (b2 / 2)**2 * (g[1::2] + g[2::2])
+    return theta, phi
+
+
+def test_sampled_gradient_unbiased_ieee57(ieee57_context):
+    """On the protocol's padded and reordered ieee57, with empty segments
+    and padding rows: at 3 points, 200 seeded sampled gradients each, every
+    theta and phi coordinate is within 5 standard errors of the exact
+    adjoint gradient, and the theta- and phi-block variances are within
+    20 % of those of the estimators' laws (``sampled_gradient_variances``),
+    which the retired estimators have."""
+    ctx = ieee57_context
+    assert ctx.problem.m_stored > ctx.problem.m
+    n = 200
+    for k in range(3):
+        p, d = random_points(ctx, 140 + k)
+        exact = model.grad(ctx, p, d)
+        draws = [model.grad(ctx, p, d, sampled_mode(100, [17, k, s])) for s in range(n)]
+        variances = sampled_gradient_variances(ctx, p, d, 100)
+        for block, want, variance in zip((np.stack([g.theta for g in draws]),
+                                          np.stack([g.phi for g in draws])),
+                                         (exact.theta, exact.phi), variances):
+            se = block.std(axis=0, ddof=1) / math.sqrt(n)
+            assert np.all(np.abs(block.mean(axis=0) - want) < 5 * se + 1e-9)
+            assert abs(block.var(axis=0, ddof=1).sum() / variance.sum() - 1) < 0.2
+
+
 def test_sampled_lagrangian_deterministic_per_seed(ctx44):
     p, d = random_points(ctx44, 45)
     a = model.lagrangian(ctx44, p, d, sampled_mode(16, 99))
@@ -620,11 +681,11 @@ def test_real_states_estimate_like_their_complex_casts(ieee57_context):
         psis.astype(complex), real_table, 50, seeds)
     cdfs = model._primal_cdfs(ctx, psis)
     assert np.array_equal(cdfs, model._primal_cdfs(ctx, psis.astype(complex)))
-    dual = model._dual_cdf(model.dual_pmf(ctx, d))
+    w = model.dual_pmf(ctx, d)[None]
     for r in range(len(psis)):
         mode = sampled_mode(50, [73, r])
-        assert model._sample_f(ctx, cdfs[:, r], dual, mode) == model._sample_f(
-            ctx, model._primal_cdfs(ctx, psis[r].astype(complex)), dual, mode)
+        assert model._sample_f(ctx, cdfs[:, r:r + 1], w, [(0, 0)], [mode]) == model._sample_f(
+            ctx, model._primal_cdfs(ctx, psis[r:r + 1].astype(complex)), w, [(0, 0)], [mode])
 
 
 def test_adjoint_eg_trajectory_matches_parameter_shift(case2):
@@ -665,11 +726,11 @@ def test_sampled_gradient_stream_unchanged(padded_complex_problem):
     d = DualPoint(rng.uniform(0, 6.28, ctx.q_count), 1.3)
     res = model.grad(ctx, p, d, sampled_mode(16, [3, 1]))
     assert res.theta.tolist() == [
-        -0.5854971244902325, -0.026702628539696738, 0.5750386967633397,
-        0.9693202469036861, -0.8585354698205968, 0.17729334886717496]
-    assert res.alpha == -2.2462911731299
+        -0.7693896035279302, -0.012147080955928757, -0.3447794051065496,
+        1.0500904256162016, -0.3194447791012103, 0.0032147531278089343]
+    assert res.alpha == -3.69536569241178
     assert res.phi.tolist() == [
-        -0.1292552651340336, -0.3908910662334998, -0.2779478698314925,
-        0.2959841910263194, 0.24162941241331173, -0.05109477006100632]
-    assert res.beta == -1.172770642845317
+        -0.4957587206904458, -0.04930305061248361, -0.2165643349818444,
+        0.17723506255349603, -0.06903827841532084, 0.0436837522301351]
+    assert res.beta == -1.019698691753772
     assert (res.primal_circuits, res.dual_circuits, res.shots_spent) == (91, 13, 4464)

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from qopf import grid, xbm
 from qopf.grid import ValidationError
 
-from conftest import (ORACLE_GATES, estimator_variance, exact_expectation, oracle_cx,
-                      oracle_rotation, oracle_single, per_row_pieces, piece_fanout,
-                      piece_matrix, piecewise_rotation, random_hermitian, random_state,
-                      reconstruct, rotate_piece, row_fanout, sample_basis, stack_problems)
+from conftest import (ORACLE_GATES, dense_pieces, diagonals, estimator_variance,
+                      exact_expectation, oracle_cx, oracle_rotation, oracle_single,
+                      per_row_pieces, piece_fanout, piece_matrix, piecewise_estimate,
+                      piecewise_rotation, random_hermitian, random_state, reconstruct,
+                      rotate_piece, row_fanout, same_moments, sample_basis, stack_problems)
 
 
 def rotation_unitary(color, part, n_qubits):
@@ -24,7 +25,7 @@ def test_identity_decomposes_to_single_diagonal_piece():
     assert len(dec.pieces) == 1
     color, part = dec.pieces[0]
     assert color == 0 and part == xbm.REAL
-    assert np.allclose(dec.diagonals[0], np.ones(8))
+    assert np.allclose(diagonals(dec)[0], np.ones(8))
 
 
 def test_antidiagonal_single_color_piece():
@@ -179,13 +180,13 @@ def test_decompose_stores_each_piece_rotation(ieee57):
 def test_eigen_diagonal_pauli_x():
     dec = xbm.decompose(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert list(dec.pieces) == [(1, xbm.REAL)]
-    assert np.allclose(dec.diagonals[0], [1.0, -1.0])
+    assert np.allclose(diagonals(dec)[0], [1.0, -1.0])
 
 
 def test_eigen_diagonal_pauli_y():
     dec = xbm.decompose(np.array([[0, -1j], [1j, 0]]))
     assert list(dec.pieces) == [(1, xbm.IMAG)]
-    assert np.allclose(dec.diagonals[0], [1.0, -1.0])
+    assert np.allclose(diagonals(dec)[0], [1.0, -1.0])
 
 
 def test_diagonalization_invariant_all_colors_and_parts():
@@ -204,7 +205,7 @@ def test_diagonalization_invariant_all_colors_and_parts():
                 off = rotated - np.diag(np.diagonal(rotated))
                 assert np.max(np.abs(off)) < 1e-12
                 assert np.max(np.abs(np.real(np.diagonal(rotated))
-                                     - dec.diagonals[p])) < 1e-12
+                                     - diagonals(dec)[p])) < 1e-12
 
 
 def test_eigen_diagonal_matches_dense_eigendecomposition():
@@ -216,11 +217,11 @@ def test_eigen_diagonal_matches_dense_eigendecomposition():
     m[low, low ^ 3] = vals
     m = m + m.conj().T
     dec = xbm.decompose(m)
-    total = sum(np.sort(diagonal) for diagonal in dec.diagonals)
+    total = sum(np.sort(diagonal) for diagonal in diagonals(dec))
     eigs = np.sort(np.linalg.eigvalsh(m))
     # eigenvalues of the full color block are sums only when parts commute;
     # instead check each part separately against a dense eigensolver
-    for p, diagonal in enumerate(dec.diagonals):
+    for p, diagonal in enumerate(diagonals(dec)):
         dense = np.linalg.eigvalsh(piece_matrix(dec, p))
         assert np.allclose(np.sort(dense), np.sort(diagonal), atol=1e-12)
 
@@ -234,15 +235,30 @@ def test_estimate_identity_is_exact():
 
 
 def test_estimate_diagonal_observable_reduces_to_basis_sampling():
+    """A diagonal observable is one color-0 piece, which no rotation
+    touches: a shot is a computational-basis outcome read off the diagonal,
+    so single-shot outcomes follow basis sampling (``sample_basis``), and
+    500-shot estimates match its averages in mean and variance."""
     rng = np.random.default_rng(4)
     state = random_state(rng, 4)
     diag = np.diag(rng.standard_normal(4))
     dec = xbm.decompose(diag)
     assert len(dec.pieces) == 1 and dec.pieces[0][0] == 0
-    estimate = xbm.estimate_expectation(state[None], dec, 500, [5])[0]
-    counts = sample_basis(state, 500, 5)
-    assert estimate == pytest.approx(
-        float(counts @ np.diagonal(diag)) / 500, abs=1e-12)
+    n = 4000
+    single = np.array(xbm.estimate_expectation(np.tile(state, (n, 1)), dec, 1,
+                                               [[5, k] for k in range(n)]))
+    found = single[:, None] == np.diagonal(diag)
+    assert np.all(found.sum(axis=1) == 1)
+    basis = sum(sample_basis(state, 1, [6, k]) for k in range(n))
+    probs = np.abs(state) ** 2
+    se = np.sqrt(probs * (1 - probs) / n)
+    for counts in (found.sum(axis=0), basis):
+        assert np.all(np.abs(counts / n - probs) < 5 * se)
+    estimates = xbm.estimate_expectation(np.tile(state, (300, 1)), dec, 500,
+                                         [[7, k] for k in range(300)])
+    averages = [float(sample_basis(state, 500, [8, k]) @ np.diagonal(diag)) / 500
+                for k in range(300)]
+    assert same_moments(estimates, averages)
 
 
 def test_estimate_within_five_sigma_of_exact():
@@ -317,13 +333,13 @@ def test_stacked_piece_diagonals_match_per_row_decompose(problem):
     keys, dense, norms = per_row_pieces(problem)
     table = xbm.piece_table(problem.stack)
     assert list(table.pieces) == keys and len(table) == len(keys)
-    assert np.array_equal(table.dense(), dense)
+    assert np.array_equal(dense_pieces(table), dense)
     assert table.norms == norms
     assert table.colors == {color for color, _ in keys}
     m0_dec = xbm.decompose(problem.m0.toarray())
     sparse_dec = xbm.decompose(problem.m0)
     assert sparse_dec.pieces == m0_dec.pieces
-    for a, b in zip(sparse_dec.diagonals, m0_dec.diagonals):
+    for a, b in zip(diagonals(sparse_dec), diagonals(m0_dec)):
         assert np.array_equal(a, b)
     # the context reads the cost's pieces straight from its one-matrix stack
     cost_table = xbm.piece_table(problem.cost)
@@ -332,26 +348,11 @@ def test_stacked_piece_diagonals_match_per_row_decompose(problem):
     assert np.array_equal(cost_table.entries.values, sparse_dec.entries.values)
 
 
-def piecewise_estimate(state, dec, shots, seed):
-    """Piece-by-piece reference of ``xbm.estimate_expectation``: one
-    generator seeded with the entropy list itself, from which each piece in
-    turn draws the multinomial counts of its rotated state."""
-    total = 0.0
-    n_qubits = int(math.log2(dec.entries.dim))
-    rng = np.random.default_rng(seed)
-    for (color, part), diagonal in zip(dec.pieces, dec.diagonals):
-        probs = np.abs(piecewise_rotation(state, color, n_qubits, part)) ** 2
-        probs = probs / probs.sum()
-        counts = rng.multinomial(shots, probs)
-        total += float(counts @ diagonal) / shots
-    return total
-
-
 def piecewise_variance(state, dec, shots):
     """The replaced per-piece loop of ``estimator_variance``."""
     variance = bound = 0.0
     n_qubits = int(math.log2(dec.entries.dim))
-    for (color, part), diagonal in zip(dec.pieces, dec.diagonals):
+    for (color, part), diagonal in zip(dec.pieces, diagonals(dec)):
         probs = np.abs(piecewise_rotation(state, color, n_qubits, part)) ** 2
         mean = float(probs @ diagonal)
         variance += float(probs @ diagonal**2) - mean**2
@@ -361,9 +362,10 @@ def piecewise_variance(state, dec, shots):
 
 @pytest.mark.parametrize("source", ["padded_complex", "ieee57"])
 def test_estimators_match_piecewise_loops(source, request):
-    """Rotating and sampling all pieces at once keeps the estimate and the
-    exact variance bit for bit, for one state and for every row of a
-    stack, each row drawn from its own seed."""
+    """Rotating all pieces at once keeps the exact variance bit for bit.
+    The live-first estimator matches the piece-by-piece multinomial
+    estimator in mean and variance, and a stack's rows, each drawn from
+    its own seed, are estimated as they are one at a time."""
     if source == "ieee57":
         dec = request.getfixturevalue("ieee57_context").m0_decomposition
     else:
@@ -372,27 +374,28 @@ def test_estimators_match_piecewise_loops(source, request):
     rng = np.random.default_rng(13)
     for trial in range(4):
         state = random_state(rng, dec.entries.dim)
-        estimate = xbm.estimate_expectation(state[None], dec, 40, [[14, trial]])[0]
-        assert estimate == piecewise_estimate(state, dec, 40, [14, trial])
         assert tuple(estimator_variance(dec, state, 40)) == \
             piecewise_variance(state, dec, 40)
+    state = random_state(rng, dec.entries.dim)
+    n = 600
+    estimates = xbm.estimate_expectation(np.tile(state, (n, 1)), dec, 40,
+                                         [[14, k] for k in range(n)])
+    assert same_moments(estimates, [piecewise_estimate(state, dec, 40, [16, k])
+                                    for k in range(n)])
     states = np.stack([random_state(rng, dec.entries.dim) for _ in range(4)])
     seeds = [[15, row] for row in range(4)]
     assert xbm.estimate_expectation(states, dec, 40, seeds) == \
-        [piecewise_estimate(state, dec, 40, seed) for state, seed in zip(states, seeds)]
+        [xbm.estimate_expectation(state[None], dec, 40, [seed])[0]
+         for state, seed in zip(states, seeds)]
 
 
-def cdf_queries(rng, cdfs, draws):
-    """Queries into CDF rows: uniforms from ``Generator.random``, 0, every
-    bucket edge b / K of the rows' guide tables, and every CDF entry below
-    1, exactly and rounded down and up to the 2^-53 grid of the draws."""
-    size = xbm.cdf_guides(cdfs).shape[-1]
-    grid = 2.0**53
-    below = cdfs[cdfs < 1]
-    return np.concatenate([
-        rng.random(draws), [0.0, 1 - 2.0**-53], np.arange(size - 1) / (size - 1),
-        below, np.floor(below * grid) / grid, np.minimum(np.ceil(below * grid), grid - 1) / grid,
-    ])
+def test_estimate_rejects_a_stack_table_and_missing_seeds(padded_complex_problem):
+    with pytest.raises(ValidationError, match="one matrix"):
+        xbm.estimate_expectation(np.eye(4)[:1], xbm.piece_table(padded_complex_problem.stack),
+                                 4, [0])
+    with pytest.raises(ValidationError, match="2 seeds for 3 estimates"):
+        xbm.estimate_expectation(np.eye(4)[:3], xbm.decompose(padded_complex_problem.m0),
+                                 4, [0, 1])
 
 
 def adversarial_cdfs(dim):
@@ -411,43 +414,53 @@ def adversarial_cdfs(dim):
     return cdfs / cdfs[:, -1:]
 
 
-def test_inverse_cdf_matches_plain_search():
-    """``xbm.inverse_cdf`` through ``xbm.cdf_guides`` finds the outcome of
-    the plain right-side ``np.searchsorted`` on adversarial CDF rows, built
-    one at a time or as a stack, for random draws, u = 0, every bucket edge
-    and every CDF entry; a (pieces, S) array of draws keeps its shape."""
-    rng = np.random.default_rng(31)
-    for dim in (1, 2, 3, 8, 64, 512):
-        cdfs = adversarial_cdfs(dim)
-        guides = xbm.cdf_guides(cdfs)
-        buckets = guides.shape[1] - 1
-        assert guides.shape[0] == 5 and buckets >= 2 * dim and buckets & (buckets - 1) == 0
-        assert guides.dtype.itemsize <= 2
-        for cdf, guide in zip(cdfs, guides):
-            assert np.array_equal(xbm.cdf_guides(cdf), guide)
-            u = cdf_queries(rng, cdf[None], 300)
-            assert np.array_equal(xbm.inverse_cdf(cdf, guide, u),
-                                  np.searchsorted(cdf, u, side="right"))
-            table = u[:300].reshape(6, 50)
-            got = xbm.inverse_cdf(cdf, guide, table)
-            assert got.shape == table.shape
-            assert np.array_equal(got, np.searchsorted(cdf, table, side="right"))
-
-
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
 @given(st.integers(1, 600), st.integers(0, 2**32 - 1))
-def test_inverse_cdf_is_exact(dim, seed):
-    """``xbm.inverse_cdf`` equals ``np.searchsorted(cdf, u, side="right")``
-    on random CDF rows with runs of zero-mass outcomes, tiny outcomes and a
-    spike, and on the adversarial rows, for random draws, u = 0, every
-    bucket edge and every CDF entry."""
+def test_live_inverse_is_exact(dim, seed):
+    """A draw of a piece falls at or above the piece's live mass exactly
+    when ``np.searchsorted(side="right")`` on the outcome distribution,
+    with the piece's live outcomes reordered first, finds a dead outcome;
+    otherwise ``xbm.live_inverse`` returns the live outcome it finds, and
+    never a zero-probability one.  The rows: the adversarial CDF rows and
+    random ones with zero and tiny outcomes; the pieces: random live sets,
+    one live outcome, all outcomes, and live outcomes of zero total mass;
+    the draws: uniforms from ``Generator.random``, 0, 1 - 2^-53 and every
+    live running sum, exactly and rounded down and up to the 2^-53 grid."""
     rng = np.random.default_rng(seed)
     probs = rng.random((3, dim)) * (rng.random((3, dim)) < rng.random((3, 1)))
     probs *= np.where(rng.random((3, dim)) < 0.2, 1e-18, 1.0)
     probs[np.arange(3), rng.integers(0, dim, 3)] += rng.choice([1e-3, 0.5, 1e6], 3)
-    cdfs = np.cumsum(probs, axis=1)
-    cdfs = np.concatenate([cdfs / cdfs[:, -1:], adversarial_cdfs(dim)])
-    for cdf, guide in zip(cdfs, xbm.cdf_guides(cdfs)):
-        u = cdf_queries(rng, cdf[None], 200)
-        assert np.array_equal(xbm.inverse_cdf(cdf, guide, u),
-                              np.searchsorted(cdf, u, side="right"))
+    probs = np.concatenate([probs / probs.sum(axis=1, keepdims=True),
+                            np.diff(adversarial_cdfs(dim), prepend=0.0, axis=1)])
+    dead = probs[5] == 0  # all but the last outcome of the adversarial last-only row
+    live_sets = [np.flatnonzero(rng.random(dim) < rng.random()) for _ in range(3)]
+    live_sets += [rng.integers(0, dim, 1), np.arange(dim)]
+    live_sets += [np.flatnonzero(dead)] if dead.any() else []
+    live_sets = [np.unique(outcomes) for outcomes in live_sets if len(outcomes)]
+    outcomes = np.concatenate(live_sets)
+    starts = np.cumsum([0] + [len(outcomes) for outcomes in live_sets])
+    cumulative = xbm.live_cumulative(probs[:, outcomes], starts)
+    width = cumulative.shape[1]
+    grid = 2.0**53
+    firsts, lasts, draws, expected = [], [], [], []
+    for r, row in enumerate(probs):
+        for k, live in enumerate(live_sets):
+            run = cumulative[r, starts[k]:starts[k + 1]]
+            order = np.concatenate([live, np.setdiff1d(np.arange(dim), live)])
+            reordered = np.cumsum(row[order])
+            assert np.array_equal(reordered[:len(live)], run)
+            u = np.concatenate([rng.random(20), [0.0, 1 - 2.0**-53], run[run < 1],
+                                np.floor(run * grid) / grid,
+                                np.minimum(np.ceil(run * grid), grid - 1) / grid])
+            found = np.searchsorted(reordered, u, side="right")
+            below = u < run[-1]
+            assert np.array_equal(below, found < len(live))
+            assert np.all(row[live[found[below]]] > 0)
+            firsts.append(np.full(below.sum(), r * width + starts[k]))
+            lasts.append(firsts[-1] + len(live) - 1)
+            draws.append(u[below])
+            expected.append(firsts[-1] + found[below])
+    # every run's draws resolved together, as the estimators resolve a block
+    at = xbm.live_inverse(cumulative.ravel(), np.concatenate(firsts), np.concatenate(lasts),
+                          np.concatenate(draws))
+    assert np.array_equal(at, np.concatenate(expected))
