@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -127,18 +128,18 @@ def _cmd_fit(args) -> int:
         lam_full[rows] = ref.lam
         dual_targets.append(harness.dual_fit_target(lam_full, problem.m_stored))
     reports = []
-    if primal_targets:
-        candidates = [harness.AnsatzChoice(r, DEFAULT_LAYERS[r][0]) for r in range(1, 9)]
-        reports += harness.fit_ansatz(candidates, primal_targets, n_primal, "primal",
-                                      seed=config.seed, restarts=args.restarts,
-                                      iters=args.iters)
-    else:
+    if not primal_targets:
         print("# reference carries no voltages; skipping the primal fit",
               file=sys.stderr)
-    candidates = [harness.AnsatzChoice(r, DEFAULT_LAYERS[r][1]) for r in range(1, 9)]
-    reports += harness.fit_ansatz(candidates, dual_targets, n_dual, "dual",
-                                  seed=config.seed, restarts=args.restarts,
-                                  iters=args.iters)
+    for column, role, targets, n_qubits in ((0, "primal", primal_targets, n_primal),
+                                            (1, "dual", dual_targets, n_dual)):
+        if not targets:
+            continue
+        begin = time.perf_counter()
+        candidates = [harness.AnsatzChoice(r, DEFAULT_LAYERS[r][column]) for r in range(1, 9)]
+        reports += harness.fit_ansatz(candidates, targets, n_qubits, role, seed=config.seed,
+                                      restarts=args.restarts, iters=args.iters)
+        print(f"# {role} fit: {time.perf_counter() - begin:.2f} s", file=sys.stderr)
     print("role,row,layers,mean_cost")
     for rep in reports:
         print(f"{rep.role},{rep.choice.row},{rep.choice.layers},{rep.mean_cost:.3e}")

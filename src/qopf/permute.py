@@ -129,7 +129,10 @@ def _ranked_adjacency(pattern: SparsityPattern) -> list[list[int]]:
 
 
 def _rcm_visit(ranked: list[list[int]], start: int) -> list[int]:
-    """Reverse Cuthill-McKee visit order from ``start`` (see ``rcm_order``)."""
+    """Reverse Cuthill-McKee visit order of a connected pattern from
+    ``start``: breadth-first, queueing unvisited neighbors by ascending
+    (degree, index), then reversed.  ``tests/conftest.py::rcm_order`` wraps
+    it as a single ordering."""
     seen = bytearray(len(ranked))
     seen[start] = 1
     order = [start]
@@ -143,21 +146,6 @@ def _rcm_visit(ranked: list[list[int]], start: int) -> list[int]:
             f"pattern is disconnected (node {seen.index(0)} unreached)")
     order.reverse()
     return order
-
-
-def rcm_order(pattern: SparsityPattern, start: int) -> NodePermutation:
-    """Reverse Cuthill-McKee ordering of a connected adjacency pattern.
-
-    Breadth-first from ``start``, queueing unvisited neighbors by ascending
-    (degree, index), then reversing the visit order.  Diagonal entries are
-    ignored.  Deterministic for a fixed start.
-    """
-    if not (0 <= start < pattern.n):
-        raise ValidationError(f"start node {start} out of range")
-    order = _rcm_visit(_ranked_adjacency(pattern), start)
-    forward = np.empty(pattern.n, dtype=int)
-    forward[order] = np.arange(pattern.n)
-    return NodePermutation.from_forward(forward)
 
 
 def best_rcm(pattern: SparsityPattern, runs: int, seed: int) -> NodePermutation:

@@ -3,9 +3,9 @@
 States are vectors of length 2**n_qubits with qubit 0 as the least
 significant bit of the basis index (so basis index arithmetic matches the
 XOR bookkeeping of the measurement module).  Their dtype follows the
-circuit's rotation factors: an RY/CX circuit, such as the paper's dual,
-has only real factors and runs in float64 end to end, and any rx or rz
-layer makes it complex128.  All simulation is exact in double precision;
+circuit's rotation kinds: an RY/CX circuit, such as the paper's dual, has
+only real factors and runs in float64 end to end, and any rx or rz layer
+makes it complex128.  All simulation is exact in double precision;
 shot noise enters only through the sampled estimators of ``model`` and
 ``xbm``, each call drawing from one generator seeded through ``rng``.
 
@@ -14,12 +14,14 @@ one rx, ry or rz to every qubit, and a CX chain is one precomputed basis
 gather, since CX gates only permute basis states.  ``rotation_factors``
 builds the factors of all of a circuit's rotation layers in one broadcast
 pass per rotation kind (a phase vector for rz, a Kronecker pair for rx and
-ry), for one parameter vector or a (B, P) stack.  ``prepare`` then costs
-one phase multiply or one matrix-product pair per layer, and the same
-factors serve ``reverse_sweep``, which walks the layers backwards, reads
-all n derivatives of a layer at its boundary and undoes it with the
-factors' conjugate transposes, and ``shift_states``, which prepares a
-circuit's base state and all 2P parameter-shift states as one stack.  The
+ry, each half at its own size), for one parameter vector or a (B, P)
+stack.  ``prepare`` then costs one phase multiply or one matrix-product
+pair per layer, and the same factors serve ``reverse_sweep``, which walks
+the layers backwards, reads all n derivatives of a layer at its boundary
+from basis tables cached per qubit count and undoes every layer but the
+first with the factors' conjugate transposes (views for a real layer), and
+``shift_states``, which prepares a circuit's base state and all 2P
+parameter-shift states as one stack.  The
 single gates of the ``xbm`` measurement rotations go through the 2x2
 primitive ``apply_single``.
 """
@@ -154,29 +156,44 @@ def _chain_permutation(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 class _Layout(NamedTuple):
     """Basis tables of one qubit count: the CX chain gathers, the (dim, n)
-    qubit signs z (-1 where bit q of the index is set, else +1) and the
-    (n, dim) bit-flip gather flip[q, i] = i ^ 2^q."""
+    qubit signs z (-1 where bit q of the index is set, else +1), the (n,
+    dim) bit-flip gather flip[q, i] = i ^ 2^q, the same gather signed,
+    which reads -z[i, q] state[i ^ 2^q] from the stacked (state, -state),
+    and the (2, n // 2) qubits that ``_kind_factors`` builds together: the
+    low half's first n // 2 and the high half's."""
 
     chain: np.ndarray
     unchain: np.ndarray
     z: np.ndarray
     flip: np.ndarray
+    signed_flip: np.ndarray
+    halves: np.ndarray
 
 
 @functools.cache
 def _layout(n: int) -> _Layout:
     idx, bits = np.arange(2**n), 1 << np.arange(n)
     z = np.where(idx[:, None] & bits, -1.0, 1.0)
-    return _Layout(*_chain_permutation(n), z, idx ^ bits[:, None])
+    flip = idx ^ bits[:, None]
+    halves = np.arange(n // 2) + np.array([[0], [n - n // 2]])
+    return _Layout(*_chain_permutation(n), z, flip, flip + 2**n * (z.T > 0), halves)
+
+
+# (+1, -1) as a column: (state, -state) for the signed flip gather, and
+# the two turn directions of ``_half_turns``
+_PLUS_MINUS = np.array([1.0, -1.0])[:, None]
 
 
 class _Plan(NamedTuple):
-    """The op sequence of one spec: every token in application order, and
-    for each rotation kind the rotation-layer indices (rows of the
-    parameter matrix) that carry it."""
+    """The op sequence of one spec: every token in application order, for
+    each rotation kind the rotation-layer indices (rows of the parameter
+    matrix) that carry it, and the dtype of the circuit's states: float64
+    when ry is its only rotation (an RY/CX circuit has only real factors),
+    else complex128."""
 
     tokens: tuple[str, ...]
     rows: tuple[tuple[str, np.ndarray], ...]
+    dtype: np.dtype
 
 
 @functools.cache
@@ -185,7 +202,15 @@ def _plan(spec: AnsatzSpec) -> _Plan:
     kinds = [t for t in tokens if t != "cx"]
     rows = tuple((kind, np.array([r for r, k in enumerate(kinds) if k == kind]))
                  for kind in ROTATIONS if kind in kinds)
-    return _Plan(tokens, rows)
+    return _Plan(tokens, rows, np.dtype(float if set(kinds) <= {"ry"} else complex))
+
+
+def _kron(u: np.ndarray, krons: np.ndarray) -> np.ndarray:
+    """u (x) K for 2x2 matrices u and square K of any matching leading
+    shape: one broadcast outer product, u on the higher bits."""
+    size = 2 * krons.shape[-1]
+    return (u[..., :, None, :, None] * krons[..., None, :, None, :]).reshape(
+        *krons.shape[:-2], size, size)
 
 
 def _kind_factors(kind: str, angles: np.ndarray):
@@ -195,35 +220,36 @@ def _kind_factors(kind: str, angles: np.ndarray):
     rz is one phase vector (..., 2^n).  rx and ry are the pair (U_hi,
     U_lo^T) with the layer equal to U_hi X U_lo^T on a state viewed as
     (2^b, 2^a), b = n // 2 high by a = n - b low qubits, each U the
-    Kronecker product of its half's 2x2 rotations, both built at once by
-    broadcast outer products.  For odd n the high half gets one extra
-    zero-angle factor on top: I (x) U_hi, whose leading 2^b block is U_hi.
+    Kronecker product of its half's 2x2 rotations, lowest qubit innermost,
+    built at its own size: the low half's first b qubits and the high half
+    together, then for odd n the low half's last qubit on top.  At n = 1
+    U_hi is a real [[1]].
     """
     n = angles.shape[-1]
     lead = angles.shape[:-1]
     if kind == "rz":
         return np.exp(-0.5j * (angles[..., None, :] * _layout(n).z).sum(axis=-1))
-    a = n - n // 2
-    padded = np.zeros((*lead, 2 * a))
-    padded[..., :n] = angles
-    c, s = np.cos(padded / 2), np.sin(padded / 2)
+    c, s = np.cos(angles / 2), np.sin(angles / 2)
     entries = (c, -1j * s, -1j * s, c) if kind == "rx" else (c, -s, s, c)
-    # mats[..., 0, q] holds the low half's 2x2 matrices, mats[..., 1, q] the high half's
-    mats = np.stack(entries, axis=-1).reshape(*lead, 2, a, 2, 2)
-    krons = mats[..., 0, :, :]
-    for q in range(1, a):
-        u, size = mats[..., q, :, :], 2 * krons.shape[-1]
-        krons = (u[..., :, None, :, None] * krons[..., None, :, None, :]).reshape(
-            *lead, 2, size, size)
-    hi = 2 ** (n - a)
-    return krons[..., 1, :hi, :hi], krons[..., 0, :, :].swapaxes(-1, -2)
+    mats = np.stack(entries, axis=-1).reshape(*lead, n, 2, 2)
+    a, b = n - n // 2, n // 2
+    # halves[..., 0, q] is the low half's qubit q, halves[..., 1, q] the high half's
+    halves = mats.take(_layout(n).halves, axis=-3)
+    krons = halves[..., 0, :, :] if b else np.ones((*lead, 2, 1, 1))
+    for q in range(1, b):
+        krons = _kron(halves[..., q, :, :], krons)
+    lo = krons[..., 0, :, :] if a == b else _kron(mats[..., b, :, :], krons[..., 0, :, :])
+    return krons[..., 1, :, :], lo.swapaxes(-1, -2)
 
 
 def _adjoint(kind: str, factor):
-    """Factors of the inverse layer: U(-theta) = U(theta)^dag exactly."""
+    """Factors of the inverse layer: U(-theta) = U(theta)^dag exactly.
+    ``ndarray.conj`` returns a real array itself, so the adjoint of a real
+    (ry) pair is two transposed views and copies nothing."""
     if kind == "rz":
         return factor.conj()
-    return tuple(u.conj().swapaxes(-1, -2) for u in factor)
+    hi, lo_t = factor
+    return hi.conj().swapaxes(-1, -2), lo_t.conj().swapaxes(-1, -2)
 
 
 def _apply(states: np.ndarray, kind: str, factor) -> np.ndarray:
@@ -241,16 +267,19 @@ def _apply(states: np.ndarray, kind: str, factor) -> np.ndarray:
 
 def layer_derivatives(state: np.ndarray, costate: np.ndarray, kind: str) -> np.ndarray:
     """Im <costate| G_q |state> for every qubit q, G_q the Pauli of ``kind``
-    on q: Im Z^T (conj(costate) * state) for rz, Im state[flip] @
-    conj(costate) for rx, and for ry Im (-i Z^T * state[flip]) @
-    conj(costate), the negated real part of the same product without -i."""
+    on q, from the cached ``_layout`` tables: Im Z^T (conj(costate) * state)
+    for rz, Im state[flip] @ conj(costate) for rx, and for ry
+    Im (-i Z^T * state[flip]) @ conj(costate), the real part of the same
+    product with -Z^T and without -i, whose signs the signed flip gather
+    reads from (state, -state).  ``ndarray.conj`` returns a real costate
+    itself, uncopied."""
     layout = _layout(state.shape[-1].bit_length() - 1)
+    bra = costate.conj()
     if kind == "rz":
-        return layout.z.T @ (costate.conj() * state).imag
-    flipped = state[layout.flip]
+        return layout.z.T @ (bra * state).imag
     if kind == "rx":
-        return (flipped @ costate.conj()).imag
-    return -((layout.z.T * flipped) @ costate.conj()).real
+        return (state.take(layout.flip) @ bra).imag
+    return ((_PLUS_MINUS * state).take(layout.signed_flip) @ bra).real
 
 
 def _checked_params(spec: AnsatzSpec, params: np.ndarray) -> np.ndarray:
@@ -274,31 +303,25 @@ def rotation_factors(spec: AnsatzSpec, params: np.ndarray) -> list:
     factors = [None] * len(layers)
     for kind, rows in _plan(spec).rows:
         built = _kind_factors(kind, layers[rows])
-        for i, r in enumerate(rows):
-            factors[r] = built[i] if kind == "rz" else (built[0][i], built[1][i])
+        for r, factor in zip(rows.tolist(), built if kind == "rz" else zip(*built)):
+            factors[r] = factor
     return factors
-
-
-def _state_dtype(factors: list) -> np.dtype:
-    """The dtype of a circuit's states: float64 when every rotation factor
-    is real (an RY/CX circuit), complex128 once an rx or rz layer enters."""
-    return np.result_type(float, *(u for f in factors
-                                   for u in (f if isinstance(f, tuple) else (f,))))
 
 
 def prepare(spec: AnsatzSpec, params: np.ndarray, factors: list | None = None) -> np.ndarray:
     """State produced by the ansatz on |0...0>, or the (B, 2^n) states of a
     (B, P) parameter stack: one rotation layer per rotation token and one
     basis gather per CX chain.  ``factors`` are ``rotation_factors(spec,
-    params)``, built here when not given; the states are real when the
-    factors are (``_state_dtype``), else complex."""
+    params)``, built here when not given; the states are real for an RY/CX
+    circuit, else complex (``_Plan.dtype``)."""
     if factors is None:
         factors = rotation_factors(spec, params)
-    state = np.zeros((*np.shape(params)[:-1], 2**spec.n_qubits), dtype=_state_dtype(factors))
+    plan = _plan(spec)
+    state = np.zeros((*np.shape(params)[:-1], 2**spec.n_qubits), dtype=plan.dtype)
     state[..., 0] = 1.0
     chain = _layout(spec.n_qubits).chain
     layer = iter(factors)
-    for token in _plan(spec).tokens:
+    for token in plan.tokens:
         state = state.take(chain, axis=-1) if token == "cx" else _apply(state, token, next(layer))
     return state
 
@@ -319,9 +342,10 @@ def reverse_sweep(spec: AnsatzSpec, factors: list, state: np.ndarray,
     distinct qubits, so each G_k commutes with the layer's other rotations
     and all n entries of the layer are read at once at its output boundary
     (``layer_derivatives``); the conjugate transposes of the layer's
-    factors then undo the whole layer on the (state, costate) pair.  The
-    pair takes the dtype of the state and the costate: real for an RY/CX
-    circuit's state (``prepare``) with a real costate.
+    factors (``_adjoint``, views for a real layer) then undo the whole
+    layer on the (state, costate) pair.  Rotation layer 0 is read last and
+    never undone.  The pair takes the dtype of the state and the costate:
+    real for an RY/CX circuit's state (``prepare``) with a real costate.
     """
     unchain = _layout(spec.n_qubits).unchain
     pair = np.stack([state, costate])
@@ -333,11 +357,10 @@ def reverse_sweep(spec: AnsatzSpec, factors: list, state: np.ndarray,
             continue
         r -= 1
         out[r] = layer_derivatives(*pair, token)
+        if not r:
+            break
         pair = _apply(pair, token, _adjoint(token, factors[r]))
     return out.ravel()
-
-
-_HALF_TURN_SIGNS = np.array([1.0, -1.0])[:, None]
 
 
 def _half_turns(states: np.ndarray, kind: str, layout: _Layout) -> np.ndarray:
@@ -346,12 +369,12 @@ def _half_turns(states: np.ndarray, kind: str, layout: _Layout) -> np.ndarray:
     -i Y_q = Z_q X_q is real, so a real stack stays real."""
     z = layout.z.T[:, None, :]
     if kind == "rz":
-        return (states - 1j * _HALF_TURN_SIGNS * (z * states)) * math.sqrt(0.5)
+        return (states - 1j * _PLUS_MINUS * (z * states)) * math.sqrt(0.5)
     flip = np.broadcast_to(layout.flip[:, None, :], states.shape)
     flipped = np.take_along_axis(states, flip, axis=-1)
     if kind == "ry":
-        return (states - _HALF_TURN_SIGNS * z * flipped) * math.sqrt(0.5)
-    return (states - 1j * _HALF_TURN_SIGNS * flipped) * math.sqrt(0.5)
+        return (states - _PLUS_MINUS * z * flipped) * math.sqrt(0.5)
+    return (states - 1j * _PLUS_MINUS * flipped) * math.sqrt(0.5)
 
 
 def shift_states(spec: AnsatzSpec, factors: list) -> np.ndarray:
@@ -372,7 +395,7 @@ def shift_states(spec: AnsatzSpec, factors: list) -> np.ndarray:
     """
     n = spec.n_qubits
     layout = _layout(n)
-    states = np.zeros((1 + 2 * len(factors) * n, 2**n), dtype=_state_dtype(factors))
+    states = np.zeros((1 + 2 * len(factors) * n, 2**n), dtype=_plan(spec).dtype)
     states[0, 0] = 1.0
     live = 1
     layer = iter(factors)

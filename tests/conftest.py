@@ -380,7 +380,69 @@ def complex_start_shift_states(spec, params):
 
 def complex_start_sweep(spec, factors, state, costate):
     """``sim.reverse_sweep`` with the (state, costate) pair held complex."""
-    pair = np.stack([state, costate]).astype(complex)
+    return pair_undo_sweep(spec, factors, state.astype(complex), costate.astype(complex))
+
+
+# A reference adjoint sweep: factors whose high half is built at the low
+# half's size and cut down, conjugate-transposed adjoints, derivatives from
+# basis tables built on each call, and a pair sweep that undoes every
+# rotation layer, layer 0 included.  ``sim.rotation_factors`` must equal
+# its factors and ``sim.reverse_sweep`` its gradients.
+
+
+def padded_kind_factors(kind, angles):
+    """``sim._kind_factors`` with both halves built at the low half's size:
+    for odd n the high half is I (x) U_hi, one extra zero-angle factor on
+    top, cut to its leading 2^b block."""
+    n = angles.shape[-1]
+    lead = angles.shape[:-1]
+    if kind == "rz":
+        z = np.where(np.arange(2**n)[:, None] & (1 << np.arange(n)), -1.0, 1.0)
+        return np.exp(-0.5j * (angles[..., None, :] * z).sum(axis=-1))
+    a = n - n // 2
+    padded = np.zeros((*lead, 2 * a))
+    padded[..., :n] = angles
+    c, s = np.cos(padded / 2), np.sin(padded / 2)
+    entries = (c, -1j * s, -1j * s, c) if kind == "rx" else (c, -s, s, c)
+    mats = np.stack(entries, axis=-1).reshape(*lead, 2, a, 2, 2)
+    krons = mats[..., 0, :, :]
+    for q in range(1, a):
+        u, size = mats[..., q, :, :], 2 * krons.shape[-1]
+        krons = (u[..., :, None, :, None] * krons[..., None, :, None, :]).reshape(
+            *lead, 2, size, size)
+    hi = 2 ** (n - a)
+    return krons[..., 1, :hi, :hi], krons[..., 0, :, :].swapaxes(-1, -2)
+
+
+def padded_rotation_factors(spec, params):
+    """``sim.rotation_factors`` built through ``padded_kind_factors``."""
+    params = np.asarray(params, dtype=float)
+    layers = np.moveaxis(params.reshape(*params.shape[:-1], -1, spec.n_qubits), -2, 0)
+    factors = [None] * len(layers)
+    for kind, rows in sim._plan(spec).rows:
+        built = padded_kind_factors(kind, layers[rows])
+        for i, r in enumerate(rows):
+            factors[r] = built[i] if kind == "rz" else (built[0][i], built[1][i])
+    return factors
+
+
+def pair_undo_derivatives(state, costate, kind):
+    """``sim.layer_derivatives`` from basis tables built on each call."""
+    n = state.shape[-1].bit_length() - 1
+    idx, bits = np.arange(2**n), 1 << np.arange(n)
+    z = np.where(idx[:, None] & bits, -1.0, 1.0)
+    if kind == "rz":
+        return z.T @ (costate.conj() * state).imag
+    flipped = state[idx ^ bits[:, None]]
+    if kind == "rx":
+        return (flipped @ costate.conj()).imag
+    return -((z.T * flipped) @ costate.conj()).real
+
+
+def pair_undo_sweep(spec, factors, state, costate):
+    """``sim.reverse_sweep`` undoing every rotation layer of the pair with
+    the conjugate transposes of its factors, layer 0 included."""
+    pair = np.stack([state, costate])
     unchain = sim._layout(spec.n_qubits).unchain
     out = np.zeros((len(factors), spec.n_qubits))
     r = len(factors)
@@ -389,8 +451,10 @@ def complex_start_sweep(spec, factors, state, costate):
             pair = pair[:, unchain]
             continue
         r -= 1
-        out[r] = sim.layer_derivatives(*pair, token)
-        pair = sim._apply(pair, token, sim._adjoint(token, factors[r]))
+        out[r] = pair_undo_derivatives(*pair, token)
+        adjoint = factors[r].conj() if token == "rz" else tuple(
+            u.conj().swapaxes(-1, -2) for u in factors[r])
+        pair = sim._apply(pair, token, adjoint)
     return out.ravel()
 
 
@@ -554,6 +618,18 @@ def sorted_search_sample_f(ctx, cdfs, w_cdf, mode):
     return total, shots * pieces
 
 
+def rcm_order(pattern, start):
+    """Reverse Cuthill-McKee ordering of a connected adjacency pattern from
+    ``start`` (``permute._rcm_visit``), diagonal entries ignored: the
+    plain-RCM reference that the ``best_rcm`` tests compare against."""
+    if not (0 <= start < pattern.n):
+        raise grid.ValidationError(f"start node {start} out of range")
+    order = permute._rcm_visit(permute._ranked_adjacency(pattern), start)
+    forward = np.empty(pattern.n, dtype=int)
+    forward[order] = np.arange(pattern.n)
+    return permute.NodePermutation.from_forward(forward)
+
+
 # The colour descent that the vectorised swap search of ``permute.best_rcm``
 # replaced: first-improvement pairwise position swaps that strictly lower
 # the colour count.  ``best_rcm`` must end below it on ieee57, and its swap
@@ -563,11 +639,11 @@ def sorted_search_sample_f(ctx, cdfs, w_cdf, mode):
 def rcm_pick(pattern, runs, seed):
     """(forward map, bandwidth) of the restarted-RCM pick of ``best_rcm``
     before any colour search: least (bandwidth, padded colors), earliest
-    run on ties, built from ``permute.rcm_order``."""
+    run on ties, built from ``rcm_order``."""
     starts = np.random.default_rng(seed).integers(0, pattern.n, size=runs)
     best = None
     for start in starts.tolist():
-        perm = permute.rcm_order(pattern, start)
+        perm = rcm_order(pattern, start)
         after = permute.permute_pattern(pattern, perm)
         key = (permute.bandwidth(after), len(permute.color_set(after.padded())))
         if best is None or key < best[0]:

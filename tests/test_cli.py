@@ -1,4 +1,5 @@
 import json
+import re
 import time
 
 import numpy as np
@@ -156,13 +157,15 @@ def test_solve_and_report(tmp_path, case2_file, capsys):
 
 def test_fit_command(tmp_path, case2_file, capsys):
     config = write_config(tmp_path, case2_file)
-    code, out, _ = run_cli(capsys, "fit", str(config), "--restarts", "1",
-                           "--iters", "60")
+    code, out, err = run_cli(capsys, "fit", str(config), "--restarts", "1",
+                             "--iters", "60")
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "role,row,layers,mean_cost"
     assert any(line.startswith("primal,") for line in lines[1:])
     assert any(line.startswith("dual,") for line in lines[1:])
+    for role in ("primal", "dual"):
+        assert re.search(rf"^# {role} fit: \d+\.\d\d s$", err, re.MULTILINE), err
 
 
 def test_fit_targets_are_in_the_solved_order(tmp_path, capsys, monkeypatch):

@@ -663,6 +663,29 @@ def test_real_dual_adjoint_matches_parameter_shift_on_nine_qubits(ieee57_context
     assert np.max(np.abs(g - oracle)) <= 1e-10 * np.max(np.abs(oracle))
 
 
+def test_exact_gradient_builds_each_rotation_kind_once(ieee57_context, monkeypatch):
+    """At the benchmark ansatz (row 6 x 10 on 6 qubits, row 2 x 35 on 9)
+    one exact gradient, and one exact Lagrangian, build each circuit's
+    factors once per rotation kind: ry and rz for the primal, ry for the
+    dual, 3 ``sim._kind_factors`` calls, however many layers there are."""
+    ctx = model.LagrangianContext(ieee57_context.problem, sim.AnsatzSpec.from_row(6, 6, 10),
+                                  sim.AnsatzSpec.from_row(2, 9, 35))
+    p, d = random_points(ctx, 74, alpha=1.1, beta=3.0)
+    kinds = []
+    build = sim._kind_factors
+
+    def counting(kind, angles):
+        kinds.append(kind)
+        return build(kind, angles)
+
+    monkeypatch.setattr(sim, "_kind_factors", counting)
+    model.grad(ctx, p, d)
+    assert sorted(kinds) == ["ry", "ry", "rz"]
+    kinds.clear()
+    model.lagrangian(ctx, p, d)
+    assert sorted(kinds) == ["ry", "ry", "rz"]
+
+
 def test_real_states_estimate_like_their_complex_casts(ieee57_context):
     """A real shift stack, from an RY/CX primal, gives the same F0 and F
     estimates, bit for bit, as the same states cast to complex, also under

