@@ -766,6 +766,7 @@ class ModelResult:
     scales: list[tuple[float, float]] | None = None   # (alpha, beta) per iter
     shots_per_iter: list[int] | None = None
     error: str | None = None
+    seconds: list[float] | None = None                # cumulative, per iter
 
 
 @dataclass
@@ -830,7 +831,7 @@ def _history(traj: saddle_mod.Trajectory, model: str) -> dict:
     ("qcqp") records no gradient norms, scales or shots."""
     history = dict(iterations=traj.iterations, total_shots=traj.total_shots,
                    stop_reason=traj.stop_reason, lagrangians=list(traj.lagrangians),
-                   g_norms=None)
+                   g_norms=None, seconds=list(traj.seconds))
     if model != "qcqp":
         history.update(g_norms=traj.g_norms,
                        scales=[(s.alpha, s.beta) for s in traj.states[1:]],
@@ -922,7 +923,7 @@ def emit_report(report: RunReport, out_dir) -> list[Path]:
                 writer = csv.writer(fh)
                 writer.writerow(["iteration", "lagrangian", "g_theta", "g_alpha",
                                  "g_phi", "g_beta", "g_total", "alpha", "beta",
-                                 "shots"])
+                                 "shots", "seconds"])
                 for t, value in enumerate(result.lagrangians):
                     norms = result.g_norms[t] if result.g_norms else {}
                     alpha, beta = (result.scales[t] if result.scales
@@ -933,6 +934,7 @@ def emit_report(report: RunReport, out_dir) -> list[Path]:
                         norms.get("phi", ""), norms.get("beta", ""),
                         norms.get("total", ""), alpha, beta,
                         result.shots_per_iter[t] if result.shots_per_iter else "",
+                        result.seconds[t] if result.seconds else "",
                     ])
             written.append(traj)
     dual_path = out / "dual_comparison.csv"

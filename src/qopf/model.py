@@ -29,17 +29,18 @@ inverted either: it scores by an interval test on the primal CDF at its
 segment's columns.
 
 In exact mode the gradients in the circuit parameters come from one
-adjoint (reverse-mode) sweep per circuit, reusing the rotation factors
-that prepared the circuit's state; in sampled mode from the two-point
-parameter-shift rule, as on hardware, on one stack per circuit
-(``sim.shift_states``): row 0 the base state and row 1 + 2j + s parameter
-j shifted up (s = 0) or down (s = 1).  The primal stack is rotated once
-for all its F0 estimates and once for all its CDFs, the live running sums
-of all dual rows are built at once, and the F estimates of a gradient are
-drawn and scored together in blocks (``xbm.live_blocks``), every estimate
-still from its own seed.  Either way the circuit ledger charges the
-parameter-shift count.  The scale gradients are the closed forms
-dL/dalpha = 2 alpha (F0 + beta^2 F) and dL/dbeta = 2 beta (alpha^2 F - G).
+adjoint (reverse-mode) sweep per circuit, reusing the factors and states
+of the point's ``exact_forward`` record, which exact L reads too; in
+sampled mode from the two-point parameter-shift rule, as on hardware, on
+one stack per circuit (``sim.shift_states``): row 0 the base state and
+row 1 + 2j + s parameter j shifted up (s = 0) or down (s = 1).  The
+primal stack is rotated once for all its F0 estimates and once for all
+its CDFs, the live running sums of all dual rows are built at once, and
+the F estimates of a gradient are drawn and scored together in blocks
+(``xbm.live_blocks``), every estimate still from its own seed.  Either
+way the circuit ledger charges the parameter-shift count.  The scale
+gradients are the closed forms dL/dalpha = 2 alpha (F0 + beta^2 F) and
+dL/dbeta = 2 beta (alpha^2 F - G).
 """
 
 from __future__ import annotations
@@ -180,6 +181,11 @@ class TermValues(NamedTuple):
     f: float
     g: float
 
+    def value_at(self, alpha: float, beta: float) -> float:
+        """L = alpha^2 F0 + alpha^2 beta^2 F - beta^2 G."""
+        a2, b2 = alpha**2, beta**2
+        return a2 * self.f0 + a2 * b2 * self.f - b2 * self.g
+
 
 def primal_vector(ctx: LagrangianContext, p: PrimalPoint) -> np.ndarray:
     """v = alpha |psi(theta)>; its Euclidean norm is alpha."""
@@ -200,18 +206,40 @@ def dual_vector(ctx: LagrangianContext, d: DualPoint) -> np.ndarray:
     return d.beta**2 * dual_pmf(ctx, d)
 
 
-def _exact_terms(ctx: LagrangianContext, psi: np.ndarray, w: np.ndarray):
-    """(F0, F, G) at the primal state psi and the dual PMF w, with the
-    products M0 psi and the forms psi^dag M_m psi they are read from."""
-    m0_psi = ctx.problem.m0 @ psi
-    fm = ctx.problem.stack.forms(psi)
+class ExactForward(NamedTuple):
+    """One exact forward pass at (theta, phi), free of alpha and beta: both
+    circuits' rotation factors, states psi and xi, the dual PMF w = |xi|^2,
+    the terms (F0, F, G) and the M0 psi and psi^dag M_m psi they come from."""
+
+    theta: np.ndarray
+    phi: np.ndarray
+    theta_factors: list
+    phi_factors: list
+    psi: np.ndarray
+    xi: np.ndarray
+    w: np.ndarray
+    terms: TermValues
+    m0_psi: np.ndarray
+    fm: np.ndarray
+
+
+def exact_forward(ctx: LagrangianContext, p: PrimalPoint, d: DualPoint) -> ExactForward:
+    """The forward record at (p, d) that exact ``lagrangian`` and ``grad``
+    read; ``grad`` takes one built earlier at the same point."""
+    theta_factors = rotation_factors(ctx.primal_spec, p.theta)
+    phi_factors = rotation_factors(ctx.dual_spec, d.phi)
+    psi = prepare(ctx.primal_spec, p.theta, theta_factors)
+    xi = prepare(ctx.dual_spec, d.phi, phi_factors)
+    w = np.abs(xi) ** 2
+    m0_psi, fm = ctx.problem.m0 @ psi, ctx.problem.stack.forms(psi)
     terms = TermValues(float(np.real(np.vdot(psi, m0_psi))), float(w @ fm),
                        float(w @ ctx.problem.bounds))
-    return terms, m0_psi, fm
+    return ExactForward(p.theta, d.phi, theta_factors, phi_factors, psi, xi, w, terms,
+                        m0_psi, fm)
 
 
 def eval_terms_exact(ctx: LagrangianContext, p: PrimalPoint, d: DualPoint) -> TermValues:
-    return _exact_terms(ctx, prepare(ctx.primal_spec, p.theta), dual_pmf(ctx, d))[0]
+    return exact_forward(ctx, p, d).terms
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +359,7 @@ def eval_terms(ctx: LagrangianContext, p: PrimalPoint, d: DualPoint,
 def lagrangian(ctx: LagrangianContext, p: PrimalPoint, d: DualPoint,
                mode: EvalMode = EvalMode()) -> float:
     """alpha^2 F0 + alpha^2 beta^2 F - beta^2 G in the requested mode."""
-    terms = eval_terms(ctx, p, d, mode)
-    a2, b2 = p.alpha**2, d.beta**2
-    return a2 * terms.f0 + a2 * b2 * terms.f - b2 * terms.g
+    return eval_terms(ctx, p, d, mode).value_at(p.alpha, d.beta)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +367,7 @@ def lagrangian(ctx: LagrangianContext, p: PrimalPoint, d: DualPoint,
 
 
 def grad(ctx: LagrangianContext, p: PrimalPoint, d: DualPoint,
-         mode: EvalMode = EvalMode()) -> GradResult:
+         mode: EvalMode = EvalMode(), forward: ExactForward | None = None) -> GradResult:
     """All four gradient blocks of the Lagrangian at (p, d).
 
     alpha and beta use their closed forms.  In exact mode the theta and phi
@@ -352,10 +378,15 @@ def grad(ctx: LagrangianContext, p: PrimalPoint, d: DualPoint,
     +-pi/2 per parameter), and every named expectation draws from its own
     derived stream, keeping the blocks unbiased and the per-coordinate
     variances additive.  The circuit ledger charges the parameter-shift
-    count of ``ctx.circuits_per_gradient`` in both modes.
+    count of ``ctx.circuits_per_gradient`` in both modes.  An exact call
+    reads ``forward``, if given, for the circuits; it must be the
+    ``exact_forward`` record of these very theta and phi arrays.
     """
+    if forward is not None and not (mode.kind == EXACT and forward.theta is p.theta
+                                    and forward.phi is d.phi):
+        raise ValidationError("an exact forward record serves exact mode at its own point")
     if mode.kind == EXACT:
-        terms, g_theta, g_phi = _angle_grads_exact(ctx, p, d)
+        terms, g_theta, g_phi = _angle_grads_exact(ctx, p, d, forward or exact_forward(ctx, p, d))
         shots_spent = 0
     else:
         terms, g_theta, g_phi, shots_spent = _angle_grads_sampled(ctx, p, d, mode)
@@ -370,19 +401,14 @@ def grad(ctx: LagrangianContext, p: PrimalPoint, d: DualPoint,
     )
 
 
-def _angle_grads_exact(ctx: LagrangianContext, p: PrimalPoint, d: DualPoint):
+def _angle_grads_exact(ctx: LagrangianContext, p: PrimalPoint, d: DualPoint,
+                       fwd: ExactForward):
     a2, b2 = p.alpha**2, d.beta**2
-    theta_factors = rotation_factors(ctx.primal_spec, p.theta)
-    phi_factors = rotation_factors(ctx.dual_spec, d.phi)
-    psi = prepare(ctx.primal_spec, p.theta, theta_factors)
-    xi = prepare(ctx.dual_spec, d.phi, phi_factors)
-    w = np.abs(xi) ** 2
-    terms, m0_psi, fm = _exact_terms(ctx, psi, w)
-    h_psi = a2 * m0_psi + a2 * b2 * ctx.problem.stack.action(w, psi)
-    g_theta = reverse_sweep(ctx.primal_spec, theta_factors, psi, h_psi)
-    d_xi = (a2 * b2 * fm - b2 * ctx.problem.bounds) * xi
-    g_phi = reverse_sweep(ctx.dual_spec, phi_factors, xi, d_xi)
-    return terms, g_theta, g_phi
+    h_psi = a2 * fwd.m0_psi + a2 * b2 * ctx.problem.stack.action(fwd.w, fwd.psi)
+    g_theta = reverse_sweep(ctx.primal_spec, fwd.theta_factors, fwd.psi, h_psi)
+    d_xi = (a2 * b2 * fwd.fm - b2 * ctx.problem.bounds) * fwd.xi
+    g_phi = reverse_sweep(ctx.dual_spec, fwd.phi_factors, fwd.xi, d_xi)
+    return fwd.terms, g_theta, g_phi
 
 
 def _row_modes(mode: EvalMode, base_tag: int, shift_tag: int, count: int) -> list[EvalMode]:

@@ -13,12 +13,14 @@ the field evaluated there with step mu, exactly as specified.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .grid import QcqpProblem, ValidationError
-from .model import EvalMode, LagrangianContext, PrimalPoint, DualPoint, grad, lagrangian
+from .model import (EXACT, EvalMode, LagrangianContext, PrimalPoint, DualPoint, exact_forward,
+                    grad, lagrangian)
 
 PD = "pd"
 EG = "eg"
@@ -144,12 +146,13 @@ def eg_step(g_fn, z: SaddlePointState, rates) -> tuple[SaddlePointState, dict]:
 @dataclass
 class Trajectory:
     """Per-iteration history of a run plus the final state (classical runs
-    record no g_norms or shots)."""
+    record no g_norms or shots; ``seconds`` are cumulative wall times)."""
 
     states: list[SaddlePointState | ClassicalState] = field(default_factory=list)
     lagrangians: list[float] = field(default_factory=list)
     g_norms: list[dict[str, float]] = field(default_factory=list)
     shots: list[int] = field(default_factory=list)
+    seconds: list[float] = field(default_factory=list)
     stop_reason: str = "max_iters"
 
     @property
@@ -179,11 +182,12 @@ def _iterate(step, value, blocks, init, schedule: StepSchedule, stop: StopRule,
              divergence_ceiling: float) -> Trajectory:
     """The one saddle loop.  ``step(z, rates)`` returns the next state and
     its (gradient norms, shots) record or None, ``value(z)`` the Lagrangian
-    recorded at a state, and ``blocks(z)`` the two blocks whose moves the
-    stop rule compares with ``stop.theta_tol`` and ``stop.phi_tol``.  Aborts
-    with DivergenceError when |L| exceeds the ceiling."""
+    recorded at a state, before any step from it, and ``blocks(z)`` the two
+    blocks whose moves the stop rule compares with ``stop.theta_tol`` and
+    ``stop.phi_tol``.  Records the seconds since the start at each accepted
+    iterate and aborts with DivergenceError when |L| exceeds the ceiling."""
     traj = Trajectory(states=[init])
-    z = init
+    z, start = init, time.perf_counter()
     for t in range(stop.max_iters):
         nxt, record = step(z, schedule.rates(t))
         lag = value(nxt)
@@ -192,6 +196,7 @@ def _iterate(step, value, blocks, init, schedule: StepSchedule, stop: StopRule,
             raise DivergenceError(t, lag, traj)
         traj.states.append(nxt)
         traj.lagrangians.append(lag)
+        traj.seconds.append(time.perf_counter() - start)
         if record is not None:
             traj.g_norms.append(record[0])
             traj.shots.append(record[1])
@@ -210,17 +215,21 @@ def run(ctx: LagrangianContext, init: SaddlePointState, method: str,
     """Iterate PD or EG from ``init`` until the stop rule fires.
 
     Records the Lagrangian (evaluated in the run's mode), per-block gradient
-    norms, and shots per iteration.  Aborts with DivergenceError when |L|
-    exceeds the ceiling.  Deterministic for a fixed mode seed.
+    norms, shots and cumulative seconds per iteration.  Aborts with
+    DivergenceError when |L| exceeds the ceiling.  Deterministic for a fixed
+    mode seed.  In exact mode each iterate's circuits are simulated once:
+    the L recorded at a state hands its ``model.exact_forward`` record to
+    the next gradient at that same state object.
     """
     if method not in (PD, EG):
         raise ValidationError(f"unknown method {method!r}")
     step_fn = pd_step if method == PD else eg_step
     p_count, q_count = len(init.theta), len(init.phi)
+    held = [None, None]  # the last state ``value`` saw in exact mode, and its record
 
     def g_fn(z: SaddlePointState, *tags):
         result = grad(ctx, PrimalPoint(z.theta, z.alpha), DualPoint(z.phi, z.beta),
-                      mode.reseeded(*tags))
+                      mode.reseeded(*tags), held[1] if z is held[0] else None)
         return result.stacked(), result.shots_spent
 
     def step(z: SaddlePointState, rates):
@@ -228,8 +237,11 @@ def run(ctx: LagrangianContext, init: SaddlePointState, method: str,
         return nxt, (_block_norms(info["g"], p_count, q_count), info["shots"])
 
     def value(z: SaddlePointState) -> float:
-        return lagrangian(ctx, PrimalPoint(z.theta, z.alpha),
-                          DualPoint(z.phi, z.beta), mode.reseeded(9, z.iteration, 1))
+        p, d = PrimalPoint(z.theta, z.alpha), DualPoint(z.phi, z.beta)
+        if mode.kind != EXACT:
+            return lagrangian(ctx, p, d, mode.reseeded(9, z.iteration, 1))
+        held[:] = z, exact_forward(ctx, p, d)
+        return held[1].terms.value_at(z.alpha, z.beta)
 
     return _iterate(step, value, lambda z: (z.theta, z.phi), init, schedule, stop,
                     divergence_ceiling)

@@ -299,7 +299,7 @@ def rotation_factors(spec: AnsatzSpec, params: np.ndarray) -> list:
     ``_kind_factors`` pass per rotation kind over all layers of that kind.
     ``prepare``, ``reverse_sweep`` and ``shift_states`` take them, so one
     circuit's factors are built once."""
-    layers = np.moveaxis(_checked_params(spec, params), -2, 0)
+    layers = _checked_params(spec, params).swapaxes(0, -2)
     factors = [None] * len(layers)
     for kind, rows in _plan(spec).rows:
         built = _kind_factors(kind, layers[rows])

@@ -1,5 +1,6 @@
 import math
 import tempfile
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -254,6 +255,57 @@ def g_operator(ctx, z, mode=model.EvalMode()):
     result = model.grad(ctx, model.PrimalPoint(z.theta, z.alpha),
                         model.DualPoint(z.phi, z.beta), mode)
     return result.stacked()
+
+
+def fresh_run(ctx, init, method, schedule, stop, mode=model.EvalMode(),
+              divergence_ceiling=1e9):
+    """The oracle of ``saddle.run``: the same PD or EG loop, with a fresh
+    ``model.grad`` at every gradient point and a fresh ``model.lagrangian``
+    at every iterate, so nothing is shared between evaluations.  Records
+    everything the engine does except ``seconds``, and raises
+    ``saddle.DivergenceError`` as it does."""
+    step_fn = saddle.pd_step if method == saddle.PD else saddle.eg_step
+    p_count, q_count = len(init.theta), len(init.phi)
+
+    def g_fn(z, *tags):
+        result = model.grad(ctx, model.PrimalPoint(z.theta, z.alpha),
+                            model.DualPoint(z.phi, z.beta), mode.reseeded(*tags))
+        return result.stacked(), result.shots_spent
+
+    traj = saddle.Trajectory(states=[init])
+    z = init
+    for t in range(stop.max_iters):
+        nxt, info = step_fn(g_fn, z, schedule.rates(t))
+        lag = model.lagrangian(ctx, model.PrimalPoint(nxt.theta, nxt.alpha),
+                               model.DualPoint(nxt.phi, nxt.beta),
+                               mode.reseeded(9, nxt.iteration, 1))
+        if abs(lag) > divergence_ceiling:
+            traj.stop_reason = "diverged"
+            raise saddle.DivergenceError(t, lag, traj)
+        traj.states.append(nxt)
+        traj.lagrangians.append(lag)
+        traj.g_norms.append(saddle._block_norms(info["g"], p_count, q_count))
+        traj.shots.append(info["shots"])
+        moved_theta, moved_phi = nxt.theta - z.theta, nxt.phi - z.phi
+        z = nxt
+        if np.linalg.norm(moved_theta) <= stop.theta_tol and \
+                np.linalg.norm(moved_phi) <= stop.phi_tol:
+            traj.stop_reason = "converged"
+            break
+    return traj
+
+
+def assert_same_run(traj, oracle):
+    """Two variational trajectories agree bit for bit: every state, its
+    iteration, Lagrangian, gradient norms and shots, and the stop reason."""
+    assert len(traj.states) == len(oracle.states)
+    for state, expected in zip(traj.states, oracle.states):
+        assert state.iteration == expected.iteration
+        assert np.array_equal(state.stacked(), expected.stacked())
+    assert traj.lagrangians == oracle.lagrangians
+    assert traj.g_norms == oracle.g_norms
+    assert traj.shots == oracle.shots
+    assert traj.stop_reason == oracle.stop_reason
 
 
 def sample_basis(state, shots, seed):
@@ -736,15 +788,29 @@ TIE_LINES = ((9, 20), (29, 40), (49, 4))
 
 
 def tiled_pattern(case, copies):
-    """The sparsity pattern of ``copies`` copies of ``case`` joined in a
-    chain by TIE_LINES."""
-    n = case.n
-    edges = [(br.from_node + k * n, br.to_node + k * n)
-             for k in range(copies) for br in case.branches]
-    edges += [(k * n + a, (k + 1) * n + b) for k in range(copies - 1) for a, b in TIE_LINES]
-    return pattern_from_edges(copies * n, edges, diagonal=True)
+    """The sparsity pattern of ``tiled_case(case, copies)``."""
+    tiled = tiled_case(case, copies)
+    return pattern_from_edges(tiled.n, [(br.from_node, br.to_node) for br in tiled.branches],
+                              diagonal=True)
 
 
 @pytest.fixture(scope="session")
 def ieee57x2_pattern(ieee57):
     return tiled_pattern(ieee57, 2)
+
+
+def tiled_case(case, copies):
+    """``copies`` copies of ``case`` joined in a chain by TIE_LINES, each tie
+    a copy of the case's first branch, the reference bus in copy 0: the
+    benchmark's tiled case."""
+    n = case.n
+    buses, branches, generators = [], [], []
+    for k in range(copies):
+        buses += [replace(b, index=b.index + k * n) for b in case.buses]
+        branches += [replace(br, from_node=br.from_node + k * n, to_node=br.to_node + k * n)
+                     for br in case.branches]
+        generators += [replace(g, bus=g.bus + k * n) for g in case.generators]
+    branches += [replace(case.branches[0], from_node=k * n + a, to_node=(k + 1) * n + b)
+                 for k in range(copies - 1) for a, b in TIE_LINES]
+    return grid.NetworkCase(tuple(buses), tuple(branches), tuple(generators),
+                            case.reference_bus, f"{case.name}x{copies}").validate()

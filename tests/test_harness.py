@@ -450,6 +450,26 @@ def test_diverged_wall_time_includes_setup(case2_file, monkeypatch):
     assert result.wall_time >= 0.05
 
 
+def test_trajectory_csv_seconds_column(case2_file, tmp_path):
+    """The trajectory CSVs carry each iterate's cumulative seconds: one row
+    per iteration, nondecreasing, and ending within the run's wall time,
+    for the variational run and the classical baseline alike."""
+    config = ExperimentConfig(
+        case_path=str(case2_file), instances=1, models=("qcqp", "qcqp_theta"),
+        methods=("eg",), primal=AnsatzChoice(6, 1), dual=AnsatzChoice(2, 1),
+        rcm_runs=2, seed=9, stop=harness.saddle_mod.StopRule(1e-8, 1e-8, 30),
+        classical_stop=harness.saddle_mod.StopRule(1e-10, 1e-10, 30))
+    report = harness.run_experiment(config)
+    emit_report(report, tmp_path)
+    for name, result in report.instances[0].items():
+        with (tmp_path / f"trajectory_0_{name}.csv").open(newline="") as fh:
+            seconds = [float(row["seconds"]) for row in csv.DictReader(fh)]
+        assert len(seconds) == result.iterations > 0
+        assert seconds == result.seconds
+        assert all(0 < a <= b for a, b in zip(seconds, seconds[1:]))
+        assert seconds[-1] <= result.wall_time
+
+
 def test_emit_report_empty_instances(tmp_path):
     report = harness.RunReport(config=None, stats=None, instances=[])
     files = emit_report(report, tmp_path / "empty")

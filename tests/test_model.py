@@ -686,6 +686,32 @@ def test_exact_gradient_builds_each_rotation_kind_once(ieee57_context, monkeypat
     assert sorted(kinds) == ["ry", "ry", "rz"]
 
 
+def test_gradient_reads_a_forward_record_of_its_own_point(ieee57_context):
+    """``grad`` given the ``exact_forward`` record of its theta and phi
+    arrays equals a fresh call bit for bit, at any alpha and beta, since
+    the record holds nothing that depends on them.  A record of another
+    point, even of an equal copy of its arrays, or a sampled call given
+    one, is refused."""
+    ctx = ieee57_context
+    p, d = random_points(ctx, 75, alpha=1.1, beta=3.0)
+    forward = model.exact_forward(ctx, p, d)
+    for alpha, beta in ((p.alpha, d.beta), (0.4, 7.0)):
+        at = PrimalPoint(p.theta, alpha), DualPoint(d.phi, beta)
+        fresh, reused = model.grad(ctx, *at), model.grad(ctx, *at, model.exact_mode(), forward)
+        assert np.array_equal(reused.stacked(), fresh.stacked())
+        assert (reused.primal_circuits, reused.dual_circuits, reused.shots_spent) == (
+            fresh.primal_circuits, fresh.dual_circuits, 0)
+        assert forward.terms.value_at(alpha, beta) == model.lagrangian(ctx, *at)
+    other = PrimalPoint(p.theta + 0.1, p.alpha)
+    for point in (other, PrimalPoint(p.theta.copy(), p.alpha)):
+        with pytest.raises(ValidationError):
+            model.grad(ctx, point, d, model.exact_mode(), forward)
+    with pytest.raises(ValidationError):
+        model.grad(ctx, p, DualPoint(d.phi.copy(), d.beta), model.exact_mode(), forward)
+    with pytest.raises(ValidationError):
+        model.grad(ctx, p, d, sampled_mode(10, [75]), forward)
+
+
 def test_real_states_estimate_like_their_complex_casts(ieee57_context):
     """A real shift stack, from an RY/CX primal, gives the same F0 and F
     estimates, bit for bit, as the same states cast to complex, also under

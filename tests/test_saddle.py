@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qopf import grid, model, saddle, sim
+from qopf import grid, harness, model, saddle, sim
 from qopf.grid import ValidationError
 from qopf.model import sampled_mode
 from qopf.saddle import (
@@ -14,7 +14,8 @@ from qopf.saddle import (
     StopRule,
 )
 
-from conftest import constant_schedule, problem_from_rows, random_problem
+from conftest import (assert_same_run, constant_schedule, fresh_run, problem_from_rows,
+                      random_problem, tiled_case)
 
 
 def bilinear_g(z, *tags):
@@ -282,3 +283,145 @@ def test_default_inits(case2):
     assert np.all(s.v[2:] == 0)
     assert np.all(s.lam >= 0)
     assert np.all(s.lam[problem.m:] == 0)
+
+
+# ---------------------------------------------------------------------------
+# The exact forward handoff against the fresh-evaluation oracle
+
+# (copies, primal (row, layers), dual (row, layers)) of the benchmark set-ups:
+# ieee57-exact-eg, ieee57-sampled-pd and ieee57x2-setup-classical
+BENCHMARK_SETUPS = {
+    "ieee57-benchmark-ansatz": (1, (6, 10), (2, 35)),
+    "ieee57-shallow": (1, (6, 1), (2, 2)),
+    "ieee57x2-shallow": (2, (6, 1), (2, 2)),
+}
+
+
+def quantum_setup(case, primal, dual, seed=3, rcm_runs=200):
+    """Instance 0 of ``case`` prepared as the benchmark prepares it, its
+    context for the (row, layers) pairs ``primal`` and ``dual``, and the
+    default quantum init."""
+    instance = harness.generate_instances(case, 1, (0.90, 1.05), seed)[0]
+    problem = harness.prepare_case(instance, rcm_runs, 0).permuted
+    ctx = model.LagrangianContext(
+        problem, sim.AnsatzSpec.from_row(primal[0], int(math.log2(problem.dim)), primal[1]),
+        sim.AnsatzSpec.from_row(dual[0], int(math.log2(problem.m_stored)), dual[1]))
+    init = saddle.default_quantum_init(ctx, instance.n, len(instance.load_nodes),
+                                       sim.chain_seed(seed, 3, 0))
+    return ctx, init
+
+
+@pytest.fixture(scope="module")
+def case3_setup(case3):
+    return quantum_setup(case3, (6, 2), (2, 2), rcm_runs=4)
+
+
+@pytest.fixture(scope="module", params=sorted(BENCHMARK_SETUPS))
+def benchmark_setup(request, ieee57):
+    copies, primal, dual = BENCHMARK_SETUPS[request.param]
+    return quantum_setup(ieee57 if copies == 1 else tiled_case(ieee57, copies), primal, dual)
+
+
+def never_converges(iters):
+    return StopRule(theta_tol=1e-300, phi_tol=1e-300, max_iters=iters)
+
+
+@pytest.mark.parametrize("method", [saddle.PD, saddle.EG])
+def test_exact_run_matches_fresh_oracle_on_case3(case3_setup, method):
+    """Handing each iterate's exact forward record to the next gradient
+    changes nothing: 30 iterations at the protocol schedule equal the loop
+    that evaluates every point afresh, bit for bit."""
+    ctx, init = case3_setup
+    args = (ctx, init, method, StepSchedule.exponential(), never_converges(30))
+    traj = saddle.run(*args)
+    assert traj.iterations == 30
+    assert_same_run(traj, fresh_run(*args))
+
+
+@pytest.mark.parametrize("method", [saddle.PD, saddle.EG])
+def test_exact_run_matches_fresh_oracle_on_benchmark_setups(benchmark_setup, method):
+    """Three iterations on each benchmark set-up at the protocol schedule,
+    where a one-ulp change grows about tenfold per iteration, still equal
+    the fresh-evaluation loop bit for bit."""
+    ctx, init = benchmark_setup
+    args = (ctx, init, method, StepSchedule.exponential(), never_converges(3))
+    assert_same_run(saddle.run(*args), fresh_run(*args))
+
+
+def test_exact_run_matches_fresh_oracle_when_converged(case3_setup):
+    """Steps that halve every iteration stop the run "converged", at the
+    same iterate as the oracle's."""
+    ctx, init = case3_setup
+    halving = StepSchedule((1e-2, 0.5), (1e-5, 0.5), (1e-2, 0.5), (1e-5, 0.5))
+    args = (ctx, init, saddle.EG, halving, StopRule(theta_tol=1e-5, phi_tol=1e-5))
+    traj = saddle.run(*args)
+    assert traj.stop_reason == "converged" and 1 < traj.iterations < 100
+    assert_same_run(traj, fresh_run(*args))
+
+
+def test_exact_divergence_matches_fresh_oracle(ieee57):
+    """Under a ceiling that the first rise of |L| crosses, the run and the
+    oracle diverge at the same iteration with the same value and the same
+    partial trajectory."""
+    ctx, init = quantum_setup(ieee57, *BENCHMARK_SETUPS["ieee57-benchmark-ansatz"][1:])
+    schedule = StepSchedule.exponential()
+    values = np.abs(fresh_run(ctx, init, saddle.EG, schedule, never_converges(6)).lagrangians)
+    rise = next(t for t in range(1, len(values)) if values[t] > values[:t].max())
+    ceiling = values[:rise].max()
+    args = (ctx, init, saddle.EG, schedule, never_converges(6), model.EvalMode(), ceiling)
+    with pytest.raises(DivergenceError) as err:
+        saddle.run(*args)
+    with pytest.raises(DivergenceError) as expected:
+        fresh_run(*args)
+    assert err.value.iteration == expected.value.iteration == rise
+    assert err.value.value == expected.value.value
+    assert_same_run(err.value.trajectory, expected.value.trajectory)
+    assert err.value.trajectory.stop_reason == "diverged"
+
+
+def test_sampled_run_matches_fresh_oracle(case3_setup):
+    """Sampled mode shares nothing: its Lagrangian is an estimate from its
+    own seed, and the streams of a PD run equal the oracle's."""
+    ctx, init = case3_setup
+    args = (ctx, init, saddle.PD, StepSchedule.exponential(), never_converges(4),
+            sampled_mode(20, [11, 2]))
+    traj = saddle.run(*args)
+    assert traj.total_shots > 0
+    assert_same_run(traj, fresh_run(*args))
+
+
+@pytest.mark.parametrize("method, forwards", [(saddle.EG, lambda k: 1 + 2 * k),
+                                              (saddle.PD, lambda k: 1 + k)])
+def test_exact_run_simulates_each_point_once(ieee57_context, monkeypatch, method, forwards):
+    """On the benchmark ansatz a K = 4 exact run simulates each point's
+    circuits once: the init's gradient, each EG midpoint's, and each
+    recorded iterate, whose forward record its next gradient reuses.  That
+    is 3 ``sim._kind_factors`` builds (ry and rz primal, ry dual) and 2
+    ``prepare`` calls per point: 27 and 18 for EG, 15 and 10 for PD."""
+    ctx = model.LagrangianContext(ieee57_context.problem, sim.AnsatzSpec.from_row(6, 6, 10),
+                                  sim.AnsatzSpec.from_row(2, 9, 35))
+    init = saddle.default_quantum_init(ctx, 57, 42, seed=4)
+    calls = {"_kind_factors": 0, "prepare": 0}
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(sim, "_kind_factors", counted(sim, "_kind_factors"))
+    monkeypatch.setattr(model, "prepare", counted(model, "prepare"))
+    k = 4
+    traj = saddle.run(ctx, init, method, StepSchedule.exponential(), never_converges(k))
+    assert traj.iterations == k
+    assert calls == {"_kind_factors": 3 * forwards(k), "prepare": 2 * forwards(k)}
+
+
+def test_trajectory_seconds_are_cumulative(case3_setup):
+    """Each accepted iterate records the loop's cumulative seconds."""
+    ctx, init = case3_setup
+    traj = saddle.run(ctx, init, saddle.EG, StepSchedule.exponential(), never_converges(5))
+    assert len(traj.seconds) == traj.iterations == 5
+    assert all(0 < a <= b for a, b in zip(traj.seconds, traj.seconds[1:]))
