@@ -77,8 +77,11 @@ def inputs_from_context(ctx: LagrangianContext, alpha_bar: float | None = None,
     """Measure the norm statistics of a prepared problem.
 
     alpha_bar defaults to 1.1*sqrt(N) (voltage magnitudes live near one per
-    unit); beta_bar has no closed form and defaults to 2*sqrt(sum lambda)
-    of a flat guess unless supplied.
+    unit); beta_bar has no closed form and defaults to 2*m, twice the
+    number of constraint rows (844 on ieee57), unless supplied.  That
+    default is far above sqrt(sum lambda) of a solution, and most of why
+    the Lipschitz constant, and with it the iteration and shot bounds,
+    come out so large (L is about 2.4e12 on ieee57).
     """
     problem = ctx.problem
     if alpha_bar is None:

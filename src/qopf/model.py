@@ -18,9 +18,13 @@ Its sampled value pairs independent measurements, as an extended Bell
 measurement would on hardware: per color piece, a dual outcome m and an
 outcome i of the color-rotated primal circuit are drawn separately, and
 the pair scores the rotated piece diagonal of constraint m at i, read from
-segment p * M + m of the context's piece table.  Each sampled estimate
-seeds one generator, and its pieces draw disjoint blocks of that one
-stream, which keeps them independent.  A pair can score only if its
+segment p * M + m of the context's piece table.  Each sampled estimator
+call seeds one generator, F0's, F's and G's each from their own derived
+seed, and all the estimates of the call, and all the pieces of each,
+draw disjoint blocks of that one stream, which keeps them independent.
+G is the color-0 expectation of diag(bounds), drawn by the same
+live-first estimator as F0 (``xbm.estimate_expectation``).  A pair can
+score only if its
 segment has entries, so each piece's dual inverse CDF puts those rows
 first (``xbm.live_cumulative``): a dual draw at or above the piece's live
 mass scores 0 unsearched, the others find their row by one
@@ -34,10 +38,10 @@ of the point's ``exact_forward`` record, which exact L reads too; in
 sampled mode from the two-point parameter-shift rule, as on hardware, on
 one stack per circuit (``sim.shift_states``): row 0 the base state and
 row 1 + 2j + s parameter j shifted up (s = 0) or down (s = 1).  The
-primal stack is rotated once for all its F0 estimates and once for all
-its CDFs, the live running sums of all dual rows are built at once, and
-the F estimates of a gradient are drawn and scored together in blocks
-(``xbm.live_blocks``), every estimate still from its own seed.  Either
+primal stack is rotated once, under the cost and joint pieces together,
+for all its F0 estimates and all its CDFs, the live running sums of all
+dual rows are built at once, and the estimates of each term are drawn
+and scored together in blocks (``xbm.live_blocks``).  Either
 way the circuit ledger charges the parameter-shift count.  The scale
 gradients are the closed forms dL/dalpha = 2 alpha (F0 + beta^2 F) and
 dL/dbeta = 2 beta (alpha^2 F - G).
@@ -46,12 +50,13 @@ dL/dbeta = 2 beta (alpha^2 F - G).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from . import xbm
-from .grid import QcqpProblem, ValidationError
+from .grid import MatrixStack, QcqpProblem, ValidationError
 from .sim import (AnsatzSpec, chain_seed, prepare, reverse_sweep, rng,
                   rotation_factors, shift_states)
 
@@ -133,8 +138,10 @@ class LagrangianContext:
     draws a dual outcome m and a rotated primal outcome i independently per
     piece, and scores the pairs of all pieces at once from those entries
     through the table's per-segment index and its live rows, both built on
-    the first sampled F; the cost table's index is built on the first
-    sampled F0.
+    the first sampled F.  The cost table's index, the primal rotations
+    under both tables' pieces (``primal_rotations``) and the one-piece
+    table of G (``bounds_table``) are built on first sampled use too, so
+    exact runs never pay for them.
     """
 
     def __init__(self, problem: QcqpProblem, primal_spec: AnsatzSpec,
@@ -156,6 +163,29 @@ class LagrangianContext:
         # the rotated constraint pieces of all rows, segment piece * M + m
         self.joint_diagonals = xbm.piece_table(problem.stack)
         self.colors = self.m0_decomposition.colors | self.joint_diagonals.colors
+
+    @cached_property
+    def primal_rotations(self) -> tuple[xbm.PieceRotations, np.ndarray]:
+        """The rotations of the sampled primal circuits, one per joint piece
+        in table order and then one per cost piece that is no joint piece,
+        and the slots of the cost pieces among them; built on first sampled
+        use.  F0 and F read one rotation of a primal stack under all of
+        them, each piece's bit for bit as under its own table."""
+        joint = self.joint_diagonals.pieces
+        pieces = joint + tuple(piece for piece in self.m0_decomposition.pieces
+                               if piece not in joint)
+        slots = [pieces.index(piece) for piece in self.m0_decomposition.pieces]
+        return (xbm.piece_rotations(pieces, self.primal_spec.n_qubits),
+                np.array(slots, dtype=np.intp))
+
+    @cached_property
+    def bounds_table(self) -> xbm.PieceTable:
+        """The one color-0 piece of diag(bounds) on the dual outcomes, which
+        the sampled G estimates; built on first sampled use."""
+        bounds = self.problem.bounds
+        index = np.arange(len(bounds))
+        return xbm.piece_table(MatrixStack(np.zeros_like(index), index, index, bounds, 1,
+                                           len(bounds)))
 
     @property
     def p_count(self) -> int:
@@ -246,28 +276,47 @@ def eval_terms_exact(ctx: LagrangianContext, p: PrimalPoint, d: DualPoint) -> Te
 # Sampled estimators
 
 
-def _sample_f0(ctx: LagrangianContext, states: np.ndarray,
-               modes: list[EvalMode]) -> tuple[list[float], int]:
-    """F0 estimates of the rows of a (B, dim) stack of states, row b drawn
-    from the seed of ``modes[b]``, and the shots they spend."""
-    shots, table = modes[0].shots, ctx.m0_decomposition
-    estimates = xbm.estimate_expectation(states, table, shots, [mode.seed for mode in modes])
-    return estimates, shots * len(table) * len(modes)
+def _sample_terms(ctx: LagrangianContext, psis: np.ndarray, ws: np.ndarray,
+                  pairs: list[tuple[int, int]], mode: EvalMode):
+    """Sampled F0 at every row of a (B, dim) primal stack, F at every
+    (primal row, dual row) pair of ``pairs`` (``_sample_f``) and G at
+    every row of a stack of dual PMFs ``ws``, as arrays, and the shots they
+    spend.  Each term's estimates draw disjoint blocks of one generator's
+    stream: F0's seeded from ``mode.reseeded(0)``, F's from
+    ``mode.reseeded(1)`` and G's from ``mode.reseeded(2)``.
+
+    F0 and F read one rotation of the primal stack under the primal pieces
+    (``LagrangianContext.primal_rotations``): F0 estimates from its
+    pieces' outcome probabilities, and F from the CDFs then taken in place
+    on the same array.  G is the color-0 expectation of diag(bounds)
+    (``LagrangianContext.bounds_table``) by the live-first estimator of
+    F0, S shots per dual circuit.
+    """
+    shots, table = mode.shots, ctx.m0_decomposition
+    rotations, cost_slots = ctx.primal_rotations
+    probs = xbm.outcome_probabilities(psis, rotations)
+    f0 = xbm.estimate_expectation(np.take(probs, cost_slots, axis=0), table, shots,
+                                  mode.reseeded(0).seed)
+    f, f_shots = _sample_f(ctx, _cdfs(probs), ws, pairs, shots, mode.reseeded(1).seed)
+    g = xbm.estimate_expectation(ws[None], ctx.bounds_table, shots, mode.reseeded(2).seed)
+    spent = shots * len(table) * len(psis) + f_shots + shots * len(ws)
+    return np.array(f0), np.array(f), np.array(g), spent
 
 
-def _sample_g(ctx: LagrangianContext, w: np.ndarray, mode: EvalMode) -> tuple[float, int]:
-    counts = rng(mode.seed).multinomial(mode.shots, w / w.sum())
-    return float(counts @ ctx.problem.bounds) / mode.shots, mode.shots
+def _cdfs(probs: np.ndarray) -> np.ndarray:
+    """The cumulative distributions of unnormalised outcome probabilities
+    along the last axis, taken in place."""
+    np.cumsum(probs, axis=-1, out=probs)
+    probs /= probs[..., -1:]
+    return probs
 
 
 def _primal_cdfs(ctx: LagrangianContext, psi: np.ndarray) -> np.ndarray:
     """(pieces, *psi.shape) cumulative outcome distributions of the
     color-rotated primal circuit of a state, or of every state of a stack,
-    one leading row per joint constraint piece in table order."""
-    cdfs = np.abs(xbm.rotate_pieces(psi, ctx.joint_diagonals.rotations)) ** 2
-    np.cumsum(cdfs, axis=-1, out=cdfs)
-    cdfs /= cdfs[..., -1:]
-    return cdfs
+    one leading row per primal piece (``LagrangianContext.primal_rotations``),
+    the joint constraint pieces first in table order."""
+    return _cdfs(xbm.outcome_probabilities(psi, ctx.primal_rotations[0]))
 
 
 def _scored(cdfs: np.ndarray, rows: np.ndarray, cols: np.ndarray,
@@ -281,11 +330,11 @@ def _scored(cdfs: np.ndarray, rows: np.ndarray, cols: np.ndarray,
 
 
 def _sample_f(ctx: LagrangianContext, cdfs: np.ndarray, ws: np.ndarray,
-              pairs: list[tuple[int, int]], modes: list[EvalMode]) -> tuple[list[float], int]:
-    """Two-step estimates of F from independent dual and primal draws, and
-    the shots they spend: estimate e pairs the primal CDFs ``cdfs[:, r]``
-    (``_primal_cdfs``) with the dual PMF ``ws[q]``, (r, q) = ``pairs[e]``,
-    and draws from the seed of ``modes[e]``.
+              pairs: list[tuple[int, int]], shots: int, seed) -> tuple[list[float], int]:
+    """Two-step estimates of F from independent dual and primal draws, all
+    from one generator seeded from ``seed``, and the shots they spend:
+    estimate e pairs the primal CDFs ``cdfs[:, r]`` (``_primal_cdfs``) with
+    the dual PMF ``ws[q]``, (r, q) = ``pairs[e]``.
 
     Per color piece k: S dual outcomes m are drawn from the dual PMF and S
     outcomes i of the color-rotated primal circuit from row k of its CDFs;
@@ -297,20 +346,19 @@ def _sample_f(ctx: LagrangianContext, cdfs: np.ndarray, ws: np.ndarray,
     the piece's live mass, a dual draw at or above it scores 0 unsearched,
     and the others find their row by one ``xbm.live_inverse``.  The
     estimates draw through ``xbm.live_blocks``, all of them scored together
-    block by block: each seeds one generator, draws its (pieces, S) dual
+    block by block: each block draws its estimates' (pieces, S) dual
     uniforms and then one primal uniform per live pair, which is never
     inverted: it scores the entry of the pair's segment whose column passes
     the interval test ``_scored``.
     """
-    shots, table = modes[0].shots, ctx.joint_diagonals
-    live = table.live_rows
+    table, live = ctx.joint_diagonals, ctx.joint_diagonals.live_rows
     # the live rows' probabilities, taken row-major so that they ravel as a view
     cumulative = xbm.live_cumulative(np.take(ws, live.outcomes, axis=-1)
                                      / ws.sum(axis=-1, keepdims=True), live.starts)
     width, widths = cumulative.shape[1], np.diff(live.starts)
     primal, dual = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
     masses = cumulative[:, live.starts[1:] - 1][dual]
-    # row r * pieces + k: piece k at primal row r, a view of the state-major CDFs
+    # row r * len(cdfs) + k: piece k at primal row r, a view of the state-major CDFs
     rows = cdfs.swapaxes(0, 1).reshape(-1, cdfs.shape[-1])
 
     def scores(estimates, pieces, row, u, v):
@@ -326,13 +374,13 @@ def _sample_f(ctx: LagrangianContext, cdfs: np.ndarray, ws: np.ndarray,
         entry = np.arange(sizes.sum()) + np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
         pair = np.repeat(np.arange(len(u)), sizes)
         cols = table.entries.keys[entry] % table.entries.dim
-        hit = _scored(rows, primal[estimate[pair]] * len(table) + piece[pair], cols, v[pair])
+        hit = _scored(rows, primal[estimate[pair]] * len(cdfs) + piece[pair], cols, v[pair])
         return np.bincount(estimate[pair[hit]], table.entries.values[entry[hit]],
-                           minlength=len(modes))
+                           minlength=len(pairs))
 
     totals = sum((scores(*block) for block in xbm.live_blocks(
-        [mode.seed for mode in modes], masses, shots, paired=True)), np.zeros(len(modes)))
-    return (totals / shots).tolist(), shots * len(table) * len(modes)
+        rng(seed), masses, shots, paired=True)), np.zeros(len(pairs)))
+    return (totals / shots).tolist(), shots * len(table) * len(pairs)
 
 
 def eval_F_sampled(ctx: LagrangianContext, p: PrimalPoint, d: DualPoint,
@@ -340,7 +388,7 @@ def eval_F_sampled(ctx: LagrangianContext, p: PrimalPoint, d: DualPoint,
     """Unbiased sampled estimate of F(theta, phi)."""
     psi = prepare(ctx.primal_spec, p.theta)
     (value,), _ = _sample_f(ctx, _primal_cdfs(ctx, psi[None]), dual_pmf(ctx, d)[None],
-                            [(0, 0)], [sampled_mode(shots, seed)])
+                            [(0, 0)], shots, seed)
     return value
 
 
@@ -349,11 +397,8 @@ def eval_terms(ctx: LagrangianContext, p: PrimalPoint, d: DualPoint,
     if mode.kind == EXACT:
         return eval_terms_exact(ctx, p, d)
     psi = prepare(ctx.primal_spec, p.theta)
-    w = dual_pmf(ctx, d)
-    (f0,), _ = _sample_f0(ctx, psi[None], [mode.reseeded(0)])
-    (f,), _ = _sample_f(ctx, _primal_cdfs(ctx, psi[None]), w[None], [(0, 0)], [mode.reseeded(1)])
-    g, _ = _sample_g(ctx, w, mode.reseeded(2))
-    return TermValues(f0, f, g)
+    f0, f, g, _ = _sample_terms(ctx, psi[None], dual_pmf(ctx, d)[None], [(0, 0)], mode)
+    return TermValues(float(f0[0]), float(f[0]), float(g[0]))
 
 
 def lagrangian(ctx: LagrangianContext, p: PrimalPoint, d: DualPoint,
@@ -375,10 +420,11 @@ def grad(ctx: LagrangianContext, p: PrimalPoint, d: DualPoint,
     with the primal observable alpha^2 M0 + alpha^2 beta^2 sum_m w_m M_m and
     the diagonal dual observable alpha^2 beta^2 F_m - beta^2 b_m.  In
     sampled mode they use the parameter-shift rule (two evaluations at
-    +-pi/2 per parameter), and every named expectation draws from its own
-    derived stream, keeping the blocks unbiased and the per-coordinate
-    variances additive.  The circuit ledger charges the parameter-shift
-    count of ``ctx.circuits_per_gradient`` in both modes.  An exact call
+    +-pi/2 per parameter), and every estimate draws its own disjoint
+    block of its term's stream (``_sample_terms``), keeping the blocks
+    unbiased and the per-coordinate variances additive.  The circuit
+    ledger charges the parameter-shift count of
+    ``ctx.circuits_per_gradient`` in both modes.  An exact call
     reads ``forward``, if given, for the circuits; it must be the
     ``exact_forward`` record of these very theta and phi arrays.
     """
@@ -411,18 +457,6 @@ def _angle_grads_exact(ctx: LagrangianContext, p: PrimalPoint, d: DualPoint,
     return fwd.terms, g_theta, g_phi
 
 
-def _row_modes(mode: EvalMode, base_tag: int, shift_tag: int, count: int) -> list[EvalMode]:
-    """The modes of the rows of a shift stack of ``count`` parameters: row 0
-    reseeded with ``base_tag``, row 1 + 2j + s with (``shift_tag``, j, s)."""
-    return [mode.reseeded(base_tag)] + [mode.reseeded(shift_tag, j, s)
-                                        for j in range(count) for s in (0, 1)]
-
-
-def _values_and_shots(estimates: list[tuple[float, int]]) -> tuple[np.ndarray, int]:
-    """The values of (value, shots) estimates as an array, and their shots."""
-    return np.array([value for value, _ in estimates]), sum(shots for _, shots in estimates)
-
-
 def _angle_grads_sampled(ctx: LagrangianContext, p: PrimalPoint, d: DualPoint,
                          mode: EvalMode):
     a2, b2 = p.alpha**2, d.beta**2
@@ -432,22 +466,14 @@ def _angle_grads_sampled(ctx: LagrangianContext, p: PrimalPoint, d: DualPoint,
     # with the base dual PMF and the phi shifts with the base primal CDFs.
     psis = shift_states(ctx.primal_spec, rotation_factors(ctx.primal_spec, p.theta))
     ws = np.abs(shift_states(ctx.dual_spec, rotation_factors(ctx.dual_spec, d.phi))) ** 2
-    # F0 first: its rotated stack is freed before the primal CDFs are
-    # built, which keeps the gradient's memory peak down
-    f0, f0_shots = _sample_f0(ctx, psis, _row_modes(mode, 0, 10, ctx.p_count))
-    f0 = np.array(f0)
     # F at every primal row with the base dual row, and at the base primal
     # row with every dual shift row (its base row is f_theta[0])
     theta_pairs = [(r, 0) for r in range(1 + 2 * ctx.p_count)]
     phi_pairs = [(0, r) for r in range(1, 1 + 2 * ctx.q_count)]
-    f, f_shots = _sample_f(ctx, _primal_cdfs(ctx, psis), ws, theta_pairs + phi_pairs,
-                           _row_modes(mode, 1, 11, ctx.p_count)
-                           + _row_modes(mode, 1, 12, ctx.q_count)[1:])
-    f_theta, f_phi = np.array(f[:len(theta_pairs)]), np.array(f[len(theta_pairs):])
-    g, g_shots = _values_and_shots([
-        _sample_g(ctx, w, row_mode) for w, row_mode in zip(ws, _row_modes(mode, 2, 13, ctx.q_count))])
+    f0, f, g, shots_spent = _sample_terms(ctx, psis, ws, theta_pairs + phi_pairs, mode)
+    f_theta, f_phi = f[:len(theta_pairs)], f[len(theta_pairs):]
 
     g_theta = a2 / 2 * (f0[1::2] - f0[2::2]) + a2 * b2 / 2 * (f_theta[1::2] - f_theta[2::2])
     g_phi = a2 * b2 / 2 * (f_phi[0::2] - f_phi[1::2]) - b2 / 2 * (g[1::2] - g[2::2])
     terms = TermValues(float(f0[0]), float(f_theta[0]), float(g[0]))
-    return terms, g_theta, g_phi, f0_shots + f_shots + g_shots
+    return terms, g_theta, g_phi, shots_spent

@@ -37,14 +37,17 @@ The sampled estimators draw only the outcomes that can score.  Inversion
 is exact under any order of the outcomes (Devroye 1986, section III.2), so
 each piece puts first its live outcomes: the basis indices where its
 diagonal is nonzero, for ``estimate_expectation``, which estimates one
-matrix's expectation on every row of a stack of states, one seed per row,
-and the dual rows whose segment has entries (``PieceTable.live_rows``),
-for the sampled F.  ``live_cumulative`` takes the running sums of their
-probabilities, the last being the piece's live mass; ``live_blocks`` draws
-every estimate's uniforms and keeps only those below that mass, block by
-block; and ``live_inverse`` resolves the kept draws with one branchless
-binary search over all of them.  A draw above the live mass scores 0
-unsearched, no zero-probability outcome is returned, and nothing is sorted.
+matrix's expectation on every row of a stack of states from their
+``outcome_probabilities``, and the dual rows whose segment has entries
+(``PieceTable.live_rows``), for the sampled F.  ``live_cumulative`` takes
+the running sums of their probabilities, the last being the piece's live
+mass; ``live_blocks`` draws the uniforms of all the estimates of one call
+from one generator, each block of whole estimates in one call, disjoint
+blocks of the stream keeping the estimates independent, and keeps only
+the draws below that mass; and ``live_inverse`` resolves the kept draws
+with one branchless binary search over all of them.  A draw above the
+live mass scores 0 unsearched, no zero-probability outcome is returned,
+and nothing is sorted.
 The construction is validated functionally by the test suite: R M_c R^dag
 must be diagonal and equal diag(lambda) for every color and part.
 """
@@ -322,101 +325,90 @@ def live_inverse(cumulative: np.ndarray, first: np.ndarray, last: np.ndarray,
     step = 1 << int(np.max(last - first, initial=0)).bit_length() >> 1
     while step:
         probe = np.minimum(at + (step - 1), last)
-        np.add(at, step, out=at, where=cumulative[probe] <= u)
+        at += (cumulative[probe] <= u) * step
         step >>= 1
     return at
 
 
-def live_blocks(seeds, masses: np.ndarray, shots: int, paired: bool = False):
-    """The draws that can score of one estimate per seed, yielded in blocks
-    of at most ``_DRAW_BLOCK`` uniforms as (estimates, pieces, row, u)
-    arrays, or (estimates, pieces, row, u, v) when ``paired``: the block's
-    rows of draws belong to estimates[r] and piece pieces[r], and each kept
-    draw u is on row ``row``.
+def live_blocks(draws: np.random.Generator, masses: np.ndarray, shots: int,
+                paired: bool = False):
+    """The draws that can score of a set of estimates, all from the one
+    generator ``draws``, yielded in blocks of at most ``_DRAW_BLOCK``
+    uniforms (or of one piece's S, if larger) as (estimates, pieces, row,
+    u) arrays, or (estimates, pieces, row, u, v) when ``paired``: the
+    block's rows of draws belong to estimates[r] and piece pieces[r], and
+    each kept draw u is on row ``row``.
 
-    Estimate e seeds one generator from ``seeds[e]`` and draws its
-    (pieces, shots) uniforms, row k piece k's disjoint block of the
-    stream, into a block a whole number of rows at a time.  Inversion is
-    exact under any order of the outcomes, so with the live outcomes first
-    a draw of piece k can score only below its live mass ``masses[e, k]``;
-    only those draws are kept, in row order, and, when ``paired``, each
-    takes one more uniform from the same generator, drawn after its rows
-    in the block.  A block holds whole estimates unless one estimate alone
-    is larger, and all its draws are compared at once.
+    Estimate e, piece k is row e * pieces + k of S uniforms, and the rows
+    take consecutive disjoint blocks of the stream, a block of whole
+    estimates (of whole rows if one estimate alone is larger) in one
+    ``random`` call, so every estimate draws its own independent uniforms.
+    Inversion is exact under any order of the outcomes, so with the live
+    outcomes first a draw of piece k can score only below its live mass
+    ``masses[e, k]``; only those draws are kept, in row order, and, when
+    ``paired``, each takes one more uniform, all of the block's in one
+    more call.
     """
-    if len(seeds) != len(masses):
-        raise ValidationError(f"{len(seeds)} seeds for {len(masses)} estimates")
-    pieces = masses.shape[-1]
-    u = np.empty((min(max(1, _DRAW_BLOCK // shots), pieces * len(masses)), shots))
-    block, filled = [], 0
-    for e, seed in enumerate(seeds):
-        if block and filled + pieces > len(u):
-            yield _live_block(u[:filled], block, masses, paired)
-            block, filled = [], 0
-        draws = rng(seed)
-        for first in range(0, pieces, len(u) or 1):
-            rows = min(len(u), pieces - first)
-            draws.random(out=u[filled:filled + rows])
-            block.append((e, draws, first, rows))
-            filled += rows
-            if filled == len(u):
-                yield _live_block(u, block, masses, paired)
-                block, filled = [], 0
-    if block:
-        yield _live_block(u[:filled], block, masses, paired)
+    pieces, flat = masses.shape[-1], masses.ravel()
+    step = max(1, _DRAW_BLOCK // shots)
+    if 0 < pieces <= step:
+        step -= step % pieces
+    u = np.empty((min(step, len(flat)), shots))
+    for first in range(0, len(flat), step):
+        block = u[:min(step, len(flat) - first)]
+        draws.random(out=block)
+        live = np.flatnonzero(block < flat[first:first + len(block), None])
+        out = (*np.divmod(np.arange(first, first + len(block)), pieces), live // shots,
+               block.ravel()[live])
+        yield out + (draws.random(len(live)),) if paired else out
 
 
-def _live_block(u: np.ndarray, block: list, masses: np.ndarray,
-                paired: bool) -> tuple[np.ndarray, ...]:
-    """The live draws of the uniforms ``u`` of a block of (estimate,
-    generator, first piece, rows) chunks, for ``live_blocks``."""
-    sizes = [rows for *_, rows in block]
-    estimates = np.repeat([e for e, *_ in block], sizes)
-    pieces = np.concatenate([np.arange(first, first + rows) for *_, first, rows in block])
-    live = np.flatnonzero(u < masses[estimates, pieces][:, None])
-    row = live // u.shape[1]
-    out = (estimates, pieces, row, u.ravel()[live])
-    if not paired:
-        return out
-    counts = np.diff(np.searchsorted(row, np.cumsum([0, *sizes]))).tolist()
-    return out + (np.concatenate([draws.random(n) for (_, draws, *_), n in zip(block, counts)]),)
+def outcome_probabilities(states: np.ndarray, rotations: PieceRotations) -> np.ndarray:
+    """The unnormalised outcome probabilities |R_k psi|^2 of a state, or of
+    every row of a stack of states, under every piece's rotation: a real
+    (pieces, *states.shape) array from one ``rotate_pieces`` call, squared
+    in place, so bit for bit ``np.abs(rotated) ** 2``."""
+    probs = np.abs(rotate_pieces(states, rotations))
+    probs *= probs
+    return probs
 
 
-def estimate_expectation(states: np.ndarray, table: PieceTable, shots_per_piece: int,
-                         seeds) -> list[float]:
-    """Sampled estimates of <psi_b|M|psi_b> for the rows psi_b of a (B, dim)
-    stack of states, from the color pieces of one matrix M (``decompose``),
-    row b drawn from ``seeds[b]``.
+def estimate_expectation(probs: np.ndarray, table: PieceTable, shots_per_piece: int,
+                         seed) -> list[float]:
+    """Sampled estimates of <psi_b|M|psi_b> for the rows psi_b of a stack
+    of states, from the color pieces of one matrix M (``decompose``) and
+    the states' unnormalised outcome probabilities under the pieces'
+    rotations, ``probs[k, b]`` for piece k (``outcome_probabilities``), all
+    drawn from one generator seeded from ``seed``.
 
-    All states are rotated under all pieces in one ``rotate_pieces`` call
-    and normalised at once.  A piece scores only on the outcomes where its
-    diagonal is nonzero, its entries, so those come first: per state, the
-    running sums of their probabilities (``live_cumulative``) give each
-    piece's live mass.  Each estimate seeds one generator and draws S
-    uniforms per piece (``live_blocks``); a draw at or above its piece's
-    live mass scores 0 unsearched, and the others find their entry by one
-    ``live_inverse``.  The estimate is the sum of the scores over S, so
-    each piece's average has the law of S multinomial outcomes of its
-    rotated state: the estimates are unbiased.
+    A piece scores only on the outcomes where its diagonal is nonzero, its
+    entries, so those come first: per state, the running sums of their
+    normalised probabilities (``live_cumulative``) give each piece's live
+    mass.  The estimates draw S uniforms per piece from disjoint blocks of
+    the one stream (``live_blocks``); a draw at or above its piece's live
+    mass scores 0 unsearched, and the others find their entry by one
+    ``live_inverse`` per block.  The estimate is the sum of the scores over
+    S, so each piece's average has the law of S multinomial outcomes of its
+    rotated state: the estimates are unbiased, and independent of each
+    other.
     """
     if shots_per_piece < 1:
         raise ValidationError("shots_per_piece must be >= 1")
     if table.count != 1:
         raise ValidationError("estimate_expectation reads the pieces of one matrix")
-    probs = np.abs(rotate_pieces(states, table.rotations)) ** 2
-    probs /= probs.sum(axis=-1, keepdims=True)
-    starts, keys = table.segment_starts, table.entries.keys
-    # piece p's probability of outcome i at p * dim + i, a key of its entries;
-    # taken row-major, so that the running sums ravel as a view
-    cumulative = live_cumulative(
-        np.take(probs.swapaxes(0, 1).reshape(len(states), -1), keys, axis=1), starts)
+    starts, keys, dim = table.segment_starts, table.entries.keys, table.entries.dim
+    # piece p's probability of outcome i is at key p * dim + i of its entries
+    key_pieces, outcomes = np.divmod(keys, dim)
+    cumulative = probs.swapaxes(0, 1)[:, key_pieces, outcomes]
+    cumulative /= probs.sum(axis=-1).T[:, key_pieces]
+    live_cumulative(cumulative, starts)
     width, widths = len(keys), np.diff(starts)
     hits = np.zeros(cumulative.size, dtype=np.intp)
-    for estimates, pieces, row, u in live_blocks(seeds, cumulative[:, starts[1:] - 1],
+    for estimates, pieces, row, u in live_blocks(rng(seed), cumulative[:, starts[1:] - 1],
                                                 shots_per_piece):
         first = estimates * width + starts[pieces]  # each block row's run
         hits += np.bincount(live_inverse(cumulative.ravel(), first[row],
                                          (first + widths[pieces] - 1)[row], u),
                             minlength=len(hits))
-    totals = (hits.reshape(len(states), width) * table.entries.values).sum(axis=1)
+    totals = (hits.reshape(len(cumulative), width) * table.entries.values).sum(axis=1)
     return (totals / shots_per_piece).tolist()

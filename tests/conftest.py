@@ -596,6 +596,13 @@ def estimator_variance(table, state, shots_per_piece):
     return VarianceReport(variance / shots_per_piece, bound / shots_per_piece)
 
 
+def estimate(states, table, shots_per_piece, seed):
+    """``xbm.estimate_expectation`` of the rows of a stack of states under
+    the rotations of the table's own pieces, all drawn from ``seed``."""
+    probs = xbm.outcome_probabilities(states, table.rotations)
+    return xbm.estimate_expectation(probs, table, shots_per_piece, seed)
+
+
 # The sampled estimators that the live-first inverse CDFs replaced, kept as
 # oracles: the live-first estimators draw other streams, so they must match
 # these in distribution (``same_moments``), not bit for bit.
@@ -630,6 +637,14 @@ def piecewise_estimate(state, dec, shots, seed):
         counts = rng.multinomial(shots, probs)
         total += float(counts @ diagonal) / shots
     return total
+
+
+def multinomial_sample_g(ctx, w, shots, seed):
+    """The retired sampled G of one dual PMF: the S-shot multinomial counts
+    of the normalised PMF, drawn from the generator ``sim.rng(seed)``, scored
+    by the bounds."""
+    counts = sim.rng(seed).multinomial(shots, w / w.sum())
+    return float(counts @ ctx.problem.bounds) / shots
 
 
 def sorted_search(a, v):

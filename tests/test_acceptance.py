@@ -63,7 +63,8 @@ def test_xbm_correctness_suite():
                 worst_offdiag = max(worst_offdiag, float(np.max(np.abs(off))))
             exact = exact_expectation(state, m)
             variance, _ = estimator_variance(dec, state, shots)
-            estimate = xbm.estimate_expectation(state[None], dec, shots, [[n, trial]])[0]
+            probs = xbm.outcome_probabilities(state[None], dec.rotations)
+            estimate = xbm.estimate_expectation(probs, dec, shots, [n, trial])[0]
             sigma = math.sqrt(max(variance, 1e-30))
             worst_sigma = max(worst_sigma, abs(estimate - exact) / (5 * sigma))
     elapsed = time.perf_counter() - start

@@ -11,10 +11,10 @@ from qopf.grid import Constraint, ValidationError
 from qopf.model import DualPoint, PrimalPoint, sampled_mode
 from qopf.saddle import classical_lagrangian
 
-from conftest import (dense_pieces, estimator_variance, exact_expectation, g_operator,
-                      per_row_pieces, piecewise_rotation, problem_from_rows, random_problem,
-                      rotate_piece, same_moments, shift_points, sorted_search_sample_f,
-                      stack_problems)
+from conftest import (dense_pieces, estimate, estimator_variance, exact_expectation,
+                      g_operator, multinomial_sample_g, per_row_pieces, piecewise_rotation,
+                      problem_from_rows, random_problem, rotate_piece, same_moments,
+                      shift_points, sorted_search_sample_f, stack_problems)
 
 
 @pytest.fixture(scope="module")
@@ -161,13 +161,14 @@ def test_eval_f_sampled_zero_observables():
                                   sim.AnsatzSpec.from_row(2, 2, 1))
     p, d = random_points(ctx, 11)
     assert model.eval_F_sampled(ctx, p, d, shots=16, seed=0) == 0.0
-    # no joint piece at all: the batched estimator draws nothing
+    # no joint piece at all: the primal CDFs hold the cost's one piece, and
+    # the batched estimator draws nothing
     assert len(ctx.joint_diagonals) == 0
     psi = sim.prepare(ctx.primal_spec, p.theta)
     cdfs = model._primal_cdfs(ctx, psi)
-    assert cdfs.shape == (0, 4)
+    assert cdfs.shape == (len(ctx.m0_decomposition), 4) == (1, 4)
     w = model.dual_pmf(ctx, d)[None]
-    assert model._sample_f(ctx, cdfs[:, None], w, [(0, 0)], [sampled_mode(16, 0)]) == ([0.0], 0)
+    assert model._sample_f(ctx, cdfs[:, None], w, [(0, 0)], 16, 0) == ([0.0], 0)
 
 
 @pytest.mark.parametrize("problem", stack_problems())
@@ -240,12 +241,37 @@ def batch_ctx(request, padded_complex_problem):
 
 
 def test_primal_cdfs_match_piecewise_loop(batch_ctx):
-    assert len(batch_ctx.joint_diagonals) > 1
+    """The leading rows of the primal CDFs, one per joint piece in table
+    order, are the piece-by-piece loop's bit for bit."""
+    joint = len(batch_ctx.joint_diagonals)
+    assert joint > 1
     for trial in range(3):
         p, _ = random_points(batch_ctx, 70 + trial)
         psi = sim.prepare(batch_ctx.primal_spec, p.theta)
-        assert np.array_equal(model._primal_cdfs(batch_ctx, psi),
+        assert np.array_equal(model._primal_cdfs(batch_ctx, psi)[:joint],
                               piecewise_primal_cdfs(batch_ctx, psi))
+
+
+def test_f0_reads_the_shared_rotation_bit_for_bit(batch_ctx):
+    """The sampled terms rotate a shift stack once under the primal pieces,
+    and F0, read from its slots of that rotation, is ``==`` to F0 from
+    rotating the stack under the cost table alone, at the same seed: each
+    piece's rotation is the same bit for bit whatever pieces share the
+    call.  On ieee57 every cost piece is a joint piece."""
+    ctx, table = batch_ctx, batch_ctx.m0_decomposition
+    rotations, slots = ctx.primal_rotations
+    assert rotations.count >= len(ctx.joint_diagonals) and len(slots) == len(table)
+    if ctx.problem.m_stored > ctx.problem.m:  # ieee57
+        assert set(table.pieces) <= set(ctx.joint_diagonals.pieces)
+        assert rotations.count == len(ctx.joint_diagonals)
+    for trial in range(2):
+        p, d = random_points(ctx, 76 + trial)
+        psis = sim.shift_states(ctx.primal_spec, sim.rotation_factors(ctx.primal_spec, p.theta))
+        own = xbm.outcome_probabilities(psis, table.rotations)
+        assert np.array_equal(xbm.outcome_probabilities(psis, rotations)[slots], own)
+        mode = sampled_mode(50, [77, trial])
+        f0, *_ = model._sample_terms(ctx, psis, model.dual_pmf(ctx, d)[None], [(0, 0)], mode)
+        assert f0.tolist() == xbm.estimate_expectation(own, table, 50, mode.reseeded(0).seed)
 
 
 def test_eval_f_sampled_matches_piecewise_loop(batch_ctx):
@@ -299,12 +325,13 @@ def pool_words(seed):
     return tuple(seed) + (0,) * (4 - len(seed))
 
 
-def test_sampled_gradient_seeds_one_generator_per_estimate(ieee57_context, monkeypatch):
-    """Each sampled estimate seeds exactly one generator, whatever its
-    piece count: one sampled gradient seeds 3 + 4P + 4Q of them, for F0, F
-    and G at the base point and four estimates per parameter, each with
-    its own derived seed, and the seeds stay distinct once zero-padded to
-    four words, as are those of a sampled PD run, its recorded L included."""
+def test_sampled_gradient_seeds_one_generator_per_call(ieee57_context, monkeypatch):
+    """Each sampled estimator call seeds exactly one generator, whatever
+    its estimate and piece counts: one sampled gradient seeds 3, for its
+    1 + 2P F0, 1 + 2P + 2Q F and 1 + 2Q G estimates, and one sampled L
+    seeds 3, for F0, F and G.  The seeds stay distinct once zero-padded to
+    four words, across a 3-iteration sampled PD run, its recorded L
+    included."""
     seeds = []
 
     def counting_rng(seed):
@@ -317,25 +344,29 @@ def test_sampled_gradient_seeds_one_generator_per_estimate(ieee57_context, monke
     assert (ctx.p_count, ctx.q_count) == (12, 18)
     p, d = random_points(ctx, 47)
     model.grad(ctx, p, d, sampled_mode(100, [4, 3]))
-    assert len(seeds) == 3 + 4 * ctx.p_count + 4 * ctx.q_count == 123
+    assert len(seeds) == 3
     assert len(set(seeds)) == len({pool_words(seed) for seed in seeds}) == len(seeds)
+    seeds.clear()
+    model.lagrangian(ctx, p, d, sampled_mode(100, [4, 3]))
+    assert len(seeds) == 3
 
     seeds.clear()
     init = saddle.SaddlePointState(p.theta, p.alpha, d.phi, d.beta)
     traj = saddle.run(ctx, init, saddle.PD, saddle.StepSchedule.exponential(),
                       saddle.StopRule(max_iters=3), sampled_mode(20, 4))
     assert len(traj.states) == 4
-    assert len(seeds) == 3 * 123 + 3 * len(traj.lagrangians)
+    assert len(seeds) == 3 * 3 + 3 * len(traj.lagrangians) == 18
     assert len({pool_words(seed) for seed in seeds}) == len(seeds)
 
 
 def test_sampled_gradient_searches_and_rotations_do_not_grow(ieee57_context, monkeypatch):
     """A sampled gradient builds the live running sums of all its dual PMFs
-    in one call and those of its F0 states in another, searches its live
-    draws once per block of whole estimates (primal draws are scored,
-    never searched), rotates each table's states once whatever P, as one
-    stack of the base state and all 2P shift states, and prepares no state
-    apart from the two shift stacks."""
+    for F in one call, those of its F0 states in another and those of its
+    G rows in a third, searches its live draws once per block of whole
+    estimates (primal draws are scored, never searched), rotates its
+    primal states once whatever P, as one stack of the base state and all
+    2P shift states under the cost and joint pieces together, and prepares
+    no state apart from the two shift stacks."""
     calls = {"live_cumulative": 0, "live_inverse": 0, "rotate_pieces": 0, "prepare": 0}
 
     def counted(owner, name):
@@ -355,10 +386,11 @@ def test_sampled_gradient_searches_and_rotations_do_not_grow(ieee57_context, mon
 
     def blocks(estimates, table):
         return -(-estimates // (xbm._DRAW_BLOCK // (len(table) * 100)))
-    assert calls["live_cumulative"] == 2
+    assert calls["live_cumulative"] == 3
     assert calls["live_inverse"] == blocks(1 + 2 * ctx.p_count, ctx.m0_decomposition) + blocks(
-        1 + 2 * ctx.p_count + 2 * ctx.q_count, ctx.joint_diagonals) == 11
-    assert calls["rotate_pieces"] == 2
+        1 + 2 * ctx.p_count + 2 * ctx.q_count, ctx.joint_diagonals) + blocks(
+        1 + 2 * ctx.q_count, ctx.bounds_table) == 12
+    assert calls["rotate_pieces"] == 1
     assert calls["prepare"] == 0
 
 
@@ -367,8 +399,7 @@ def test_sampled_f_matches_sorted_search_oracle(ieee57_context):
     call, follow the law of the retired estimator: at 3 seeded points, 400
     estimates of a theta-shift row with the base dual PMF and 400 of the
     base primal row with a phi-shift PMF agree in mean and variance with as
-    many ``sorted_search_sample_f`` estimates at the same shots.  An
-    estimate does not depend on the others drawn with it."""
+    many ``sorted_search_sample_f`` estimates at the same shots."""
     ctx = ieee57_context
     n = 400
     for k in range(3):
@@ -377,10 +408,8 @@ def test_sampled_f_matches_sorted_search_oracle(ieee57_context):
         ws = np.abs(sim.shift_states(ctx.dual_spec, sim.rotation_factors(ctx.dual_spec, d.phi)))**2
         cdfs = model._primal_cdfs(ctx, psis)
         pairs = [(1, 0)] * n + [(0, 2)] * n
-        modes = [sampled_mode(100, [13, k, e]) for e in range(2 * n)]
-        values, shots = model._sample_f(ctx, cdfs, ws, pairs, modes)
+        values, shots = model._sample_f(ctx, cdfs, ws, pairs, 100, [13, k])
         assert shots == 2 * n * 100 * len(ctx.joint_diagonals)
-        assert model._sample_f(ctx, cdfs, ws, pairs[-1:], modes[-1:])[0] == values[-1:]
         for e, (r, q) in enumerate(pairs[::n]):
             w_cdf = np.cumsum(ws[q])
             oracle = [sorted_search_sample_f(ctx, cdfs[:, r], w_cdf / w_cdf[-1],
@@ -388,6 +417,24 @@ def test_sampled_f_matches_sorted_search_oracle(ieee57_context):
                       for s in range(n)]
             assert {shots for _, shots in oracle} == {100 * len(ctx.joint_diagonals)}
             assert same_moments(values[e * n:(e + 1) * n], [value for value, _ in oracle])
+
+
+def test_sampled_f_estimates_drawn_in_one_call_are_uncorrelated(ieee57_context):
+    """The F estimates of one ``_sample_f`` call draw disjoint blocks of
+    one stream: over 2,000 seeds, the first estimate and another of the
+    same pair drawn with it, adjacent in its block, first in the next block
+    or last of the call, have a sample correlation within 4 / sqrt(n) of 0.
+    Shared dual uniforms alone would correlate them by about 0.18."""
+    ctx = ieee57_context
+    p, d = random_points(ctx, 133)
+    cdfs = model._primal_cdfs(ctx, sim.prepare(ctx.primal_spec, p.theta)[None])
+    w = model.dual_pmf(ctx, d)[None]
+    per_block = xbm._DRAW_BLOCK // 100 // len(ctx.joint_diagonals)  # estimates per block
+    count, n = 2 * per_block + 1, 2000
+    draws = np.array([model._sample_f(ctx, cdfs, w, [(0, 0)] * count, 100, [15, k])[0]
+                      for k in range(n)])
+    for other in (1, per_block, count - 1):
+        assert abs(np.corrcoef(draws[:, 0], draws[:, other])[0, 1]) < 4 / math.sqrt(n)
 
 
 def test_sampled_gradient_memory_peak(ieee57_context):
@@ -415,7 +462,8 @@ def test_exact_mode_never_builds_segment_index(padded_complex_problem):
     model.grad(ctx, p, d)
     model.lagrangian(ctx, p, d)
     indexes = ((ctx.joint_diagonals, "segment_starts"), (ctx.joint_diagonals, "live_rows"),
-               (ctx.m0_decomposition, "segment_starts"))
+               (ctx.m0_decomposition, "segment_starts"), (ctx, "primal_rotations"),
+               (ctx, "bounds_table"))
     assert not any(name in vars(table) for table, name in indexes)
     model.lagrangian(ctx, p, d, sampled_mode(4, 0))
     assert all(name in vars(table) for table, name in indexes)
@@ -536,22 +584,37 @@ def test_sampled_gradient_unbiased_2qubit():
 
 
 def test_sample_g_unbiased_with_closed_form_variance(ieee57_context):
-    """G averages the bounds b_m over S dual outcomes m ~ w: over 2,000
-    seeds its mean is within 5 standard errors of w.b and its variance
-    within 10 % of Var_w[b] / S, at S shots spent."""
+    """G averages the bounds b_m over S dual outcomes m ~ w, the colour-0
+    piece of diag(b) by the live-first estimator: over 2,000 estimates
+    drawn in one call its mean is within 5 standard errors of w.b and its
+    variance within 10 % of Var_w[b] / S."""
     ctx = ieee57_context
     _, d = random_points(ctx, 94)
     w = model.dual_pmf(ctx, d)
-    w = w / w.sum()
     b = ctx.problem.bounds
+    assert ctx.bounds_table.pieces == ((0, xbm.REAL),)
     shots, n = 8, 2000
-    exact = float(w @ b)
-    variance = (float(w @ b**2) - exact**2) / shots
-    draws = [model._sample_g(ctx, w, sampled_mode(shots, [24, k])) for k in range(n)]
-    assert {spent for _, spent in draws} == {shots}
-    values = np.array([value for value, _ in draws])
+    exact = float(w @ b) / w.sum()
+    variance = (float(w @ b**2) / w.sum() - exact**2) / shots
+    values = np.array(xbm.estimate_expectation(np.tile(w, (n, 1))[None], ctx.bounds_table,
+                                               shots, [24]))
     assert abs(values.mean() - exact) < 5 * math.sqrt(variance / n)
     assert abs(values.var() - variance) < 0.1 * variance
+
+
+def test_sampled_g_matches_multinomial_oracle(ieee57_context):
+    """The G of a sampled L follows the law of the retired multinomial G
+    (``multinomial_sample_g``): over 500 seeds at each of 2 points the two
+    agree in mean and variance, at S = 100 and at one shot."""
+    ctx = ieee57_context
+    n = 500
+    for trial, shots in enumerate((100, 1)):
+        p, d = random_points(ctx, 95 + trial)
+        w = model.dual_pmf(ctx, d)
+        values = [model.eval_terms(ctx, p, d, sampled_mode(shots, [25, trial, k])).g
+                  for k in range(n)]
+        oracle = [multinomial_sample_g(ctx, w, shots, [26, trial, k]) for k in range(n)]
+        assert same_moments(values, oracle)
 
 
 def sampled_gradient_variances(ctx, p, d, shots):
@@ -713,28 +776,28 @@ def test_gradient_reads_a_forward_record_of_its_own_point(ieee57_context):
 
 
 def test_real_states_estimate_like_their_complex_casts(ieee57_context):
-    """A real shift stack, from an RY/CX primal, gives the same F0 and F
-    estimates, bit for bit, as the same states cast to complex, also under
-    a real observable, whose pieces need no S^dag turn."""
+    """A real shift stack, from an RY/CX primal, gives the same outcome
+    probabilities, primal CDFs, F0 and F estimates, bit for bit, as the
+    same states cast to complex, also under a real observable, whose
+    pieces need no S^dag turn."""
     ctx = model.LagrangianContext(ieee57_context.problem, sim.AnsatzSpec.from_row(2, 6, 1),
                                   ieee57_context.dual_spec)
     p, d = random_points(ctx, 72)
     psis = sim.shift_states(ctx.primal_spec, sim.rotation_factors(ctx.primal_spec, p.theta))
     assert psis.dtype == np.float64
-    seeds = [[72, r] for r in range(len(psis))]
-    f0 = xbm.estimate_expectation(psis, ctx.m0_decomposition, 50, seeds)
-    assert f0 == xbm.estimate_expectation(psis.astype(complex), ctx.m0_decomposition, 50, seeds)
     real_table = xbm.decompose(ctx.problem.m0.real)
     assert real_table.rotations.turns == ()
-    assert xbm.estimate_expectation(psis, real_table, 50, seeds) == xbm.estimate_expectation(
-        psis.astype(complex), real_table, 50, seeds)
+    for table in (ctx.m0_decomposition, real_table):
+        probs = xbm.outcome_probabilities(psis, table.rotations)
+        assert np.array_equal(probs, xbm.outcome_probabilities(psis.astype(complex),
+                                                               table.rotations))
+        assert estimate(psis, table, 50, [72]) == estimate(psis.astype(complex), table, 50, [72])
     cdfs = model._primal_cdfs(ctx, psis)
     assert np.array_equal(cdfs, model._primal_cdfs(ctx, psis.astype(complex)))
     w = model.dual_pmf(ctx, d)[None]
-    for r in range(len(psis)):
-        mode = sampled_mode(50, [73, r])
-        assert model._sample_f(ctx, cdfs[:, r:r + 1], w, [(0, 0)], [mode]) == model._sample_f(
-            ctx, model._primal_cdfs(ctx, psis[r:r + 1].astype(complex)), w, [(0, 0)], [mode])
+    pairs = [(r, 0) for r in range(len(psis))]
+    assert model._sample_f(ctx, cdfs, w, pairs, 50, [73]) == model._sample_f(
+        ctx, model._primal_cdfs(ctx, psis.astype(complex)), w, pairs, 50, [73])
 
 
 def test_adjoint_eg_trajectory_matches_parameter_shift(case2):
@@ -765,8 +828,10 @@ def test_adjoint_eg_trajectory_matches_parameter_shift(case2):
 
 
 def test_sampled_gradient_stream_unchanged(padded_complex_problem):
-    """Sampled mode keeps its parameter-shift loops and seed derivation: the
-    values and shots for a fixed seed are pinned bit for bit."""
+    """Sampled mode keeps its parameter-shift loops and seed derivation: one
+    generator per estimator call, F0's, F's and G's from the mode reseeded
+    with 0, 1 and 2.  The values and shots for a fixed seed are pinned bit
+    for bit."""
     ctx = model.LagrangianContext(padded_complex_problem,
                                   sim.AnsatzSpec.from_row(7, 2, 1),
                                   sim.AnsatzSpec.from_row(4, 3, 1))
@@ -775,11 +840,11 @@ def test_sampled_gradient_stream_unchanged(padded_complex_problem):
     d = DualPoint(rng.uniform(0, 6.28, ctx.q_count), 1.3)
     res = model.grad(ctx, p, d, sampled_mode(16, [3, 1]))
     assert res.theta.tolist() == [
-        -0.7693896035279302, -0.012147080955928757, -0.3447794051065496,
-        1.0500904256162016, -0.3194447791012103, 0.0032147531278089343]
-    assert res.alpha == -3.69536569241178
+        -0.9247283493507144, 0.7208465995696487, 0.12909130337429148,
+        0.8820618947921719, -0.31859710350420856, 0.7420327311983942]
+    assert res.alpha == -1.7015038817533694
     assert res.phi.tolist() == [
-        -0.4957587206904458, -0.04930305061248361, -0.2165643349818444,
-        0.17723506255349603, -0.06903827841532084, 0.0436837522301351]
-    assert res.beta == -1.019698691753772
+        0.05222712242261349, -0.09672230914470259, 0.42104248457486876,
+        -0.15148912925910696, 0.4128987627951564, -0.2544296085795724]
+    assert res.beta == 0.7024139626693036
     assert (res.primal_circuits, res.dual_circuits, res.shots_spent) == (91, 13, 4464)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from qopf import grid, xbm
 from qopf.grid import ValidationError
 
-from conftest import (ORACLE_GATES, dense_pieces, diagonals, estimator_variance,
+from conftest import (ORACLE_GATES, dense_pieces, diagonals, estimate, estimator_variance,
                       exact_expectation, oracle_cx, oracle_rotation, oracle_single,
                       per_row_pieces, piece_fanout, piece_matrix, piecewise_estimate,
                       piecewise_rotation, random_hermitian, random_state, reconstruct,
@@ -230,8 +230,7 @@ def test_estimate_identity_is_exact():
     rng = np.random.default_rng(3)
     state = random_state(rng, 8)
     dec = xbm.decompose(np.eye(8))
-    estimate = xbm.estimate_expectation(state[None], dec, 7, [0])[0]
-    assert estimate == pytest.approx(1.0, abs=1e-12)
+    assert estimate(state[None], dec, 7, 0)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_estimate_diagonal_observable_reduces_to_basis_sampling():
@@ -245,8 +244,7 @@ def test_estimate_diagonal_observable_reduces_to_basis_sampling():
     dec = xbm.decompose(diag)
     assert len(dec.pieces) == 1 and dec.pieces[0][0] == 0
     n = 4000
-    single = np.array(xbm.estimate_expectation(np.tile(state, (n, 1)), dec, 1,
-                                               [[5, k] for k in range(n)]))
+    single = np.array(estimate(np.tile(state, (n, 1)), dec, 1, [5]))
     found = single[:, None] == np.diagonal(diag)
     assert np.all(found.sum(axis=1) == 1)
     basis = sum(sample_basis(state, 1, [6, k]) for k in range(n))
@@ -254,8 +252,7 @@ def test_estimate_diagonal_observable_reduces_to_basis_sampling():
     se = np.sqrt(probs * (1 - probs) / n)
     for counts in (found.sum(axis=0), basis):
         assert np.all(np.abs(counts / n - probs) < 5 * se)
-    estimates = xbm.estimate_expectation(np.tile(state, (300, 1)), dec, 500,
-                                         [[7, k] for k in range(300)])
+    estimates = estimate(np.tile(state, (300, 1)), dec, 500, [7])
     averages = [float(sample_basis(state, 500, [8, k]) @ np.diagonal(diag)) / 500
                 for k in range(300)]
     assert same_moments(estimates, averages)
@@ -270,8 +267,8 @@ def test_estimate_within_five_sigma_of_exact():
         dec = xbm.decompose(m)
         exact = exact_expectation(state, m)
         variance, _ = estimator_variance(dec, state, shots)
-        estimate = xbm.estimate_expectation(state[None], dec, shots, [[6, trial]])[0]
-        assert abs(estimate - exact) < 5 * math.sqrt(variance) + 1e-9
+        value = estimate(state[None], dec, shots, [6, trial])[0]
+        assert abs(value - exact) < 5 * math.sqrt(variance) + 1e-9
 
 
 def test_estimator_unbiased_single_shot():
@@ -282,8 +279,7 @@ def test_estimator_unbiased_single_shot():
     exact = exact_expectation(state, m)
     variance, _ = estimator_variance(dec, state, 1)
     n = 10_000
-    values = [xbm.estimate_expectation(state[None], dec, 1, [[7, k]])[0]
-              for k in range(n)]
+    values = estimate(np.tile(state, (n, 1)), dec, 1, [7])
     se = math.sqrt(variance / n)
     assert abs(np.mean(values) - exact) < 5 * se
 
@@ -309,10 +305,7 @@ def test_variance_formula_matches_monte_carlo():
     variance, bound = estimator_variance(dec, state, shots)
     assert variance <= bound + 1e-12
     n = 1000
-    values = np.array([
-        xbm.estimate_expectation(state[None], dec, shots, [[10, k]])[0]
-        for k in range(n)
-    ])
+    values = np.array(estimate(np.tile(state, (n, 1)), dec, shots, [10]))
     empirical = float(np.var(values))
     assert abs(empirical - variance) < 0.2 * variance
 
@@ -362,10 +355,9 @@ def piecewise_variance(state, dec, shots):
 
 @pytest.mark.parametrize("source", ["padded_complex", "ieee57"])
 def test_estimators_match_piecewise_loops(source, request):
-    """Rotating all pieces at once keeps the exact variance bit for bit.
-    The live-first estimator matches the piece-by-piece multinomial
-    estimator in mean and variance, and a stack's rows, each drawn from
-    its own seed, are estimated as they are one at a time."""
+    """Rotating all pieces at once keeps the exact variance bit for bit,
+    and the live-first estimator matches the piece-by-piece multinomial
+    estimator in mean and variance."""
     if source == "ieee57":
         dec = request.getfixturevalue("ieee57_context").m0_decomposition
     else:
@@ -378,24 +370,40 @@ def test_estimators_match_piecewise_loops(source, request):
             piecewise_variance(state, dec, 40)
     state = random_state(rng, dec.entries.dim)
     n = 600
-    estimates = xbm.estimate_expectation(np.tile(state, (n, 1)), dec, 40,
-                                         [[14, k] for k in range(n)])
+    estimates = estimate(np.tile(state, (n, 1)), dec, 40, [14])
     assert same_moments(estimates, [piecewise_estimate(state, dec, 40, [16, k])
                                     for k in range(n)])
-    states = np.stack([random_state(rng, dec.entries.dim) for _ in range(4)])
-    seeds = [[15, row] for row in range(4)]
-    assert xbm.estimate_expectation(states, dec, 40, seeds) == \
-        [xbm.estimate_expectation(state[None], dec, 40, [seed])[0]
-         for state, seed in zip(states, seeds)]
 
 
-def test_estimate_rejects_a_stack_table_and_missing_seeds(padded_complex_problem):
+@pytest.mark.parametrize("source", ["padded_complex", "ieee57"])
+def test_estimates_drawn_in_one_call_are_uncorrelated(source, request):
+    """The estimates of one call draw disjoint blocks of one stream: over
+    400 seeds, the first row and a row drawn with it, adjacent in its
+    block, first in the next block or last of a call that spans blocks,
+    have a sample correlation within 4 / sqrt(n) of 0, and the last row
+    keeps the moments of rows drawn alone."""
+    if source == "ieee57":
+        dec = request.getfixturevalue("ieee57_context").m0_decomposition
+    else:
+        dec = xbm.decompose(request.getfixturevalue("padded_complex_problem").m0)
+    state = random_state(np.random.default_rng(17), dec.entries.dim)
+    shots, n = 40, 400
+    per_block = xbm._DRAW_BLOCK // shots // len(dec)  # estimates per block
+    rows = 2 * per_block + 1
+    draws = np.array([estimate(np.tile(state, (rows, 1)), dec, shots, [18, k])
+                      for k in range(n)])
+    for other in (1, per_block, rows - 1):
+        assert abs(np.corrcoef(draws[:, 0], draws[:, other])[0, 1]) < 4 / math.sqrt(n)
+    alone = [estimate(state[None], dec, shots, [19, k])[0] for k in range(n)]
+    assert same_moments(draws[:, -1], alone)
+
+
+def test_estimate_rejects_a_stack_table_and_no_shots(padded_complex_problem):
+    probs = np.ones((1, 1, 4))
     with pytest.raises(ValidationError, match="one matrix"):
-        xbm.estimate_expectation(np.eye(4)[:1], xbm.piece_table(padded_complex_problem.stack),
-                                 4, [0])
-    with pytest.raises(ValidationError, match="2 seeds for 3 estimates"):
-        xbm.estimate_expectation(np.eye(4)[:3], xbm.decompose(padded_complex_problem.m0),
-                                 4, [0, 1])
+        xbm.estimate_expectation(probs, xbm.piece_table(padded_complex_problem.stack), 4, 0)
+    with pytest.raises(ValidationError, match="shots_per_piece"):
+        xbm.estimate_expectation(probs, xbm.decompose(padded_complex_problem.m0), 0, 0)
 
 
 def adversarial_cdfs(dim):
