@@ -110,20 +110,20 @@ def _cmd_solve(args) -> int:
 def _cmd_fit(args) -> int:
     config = harness.config_from_json(args.config)
     case = load_case(config.case_path)
-    prepared = harness.prepare_instances(config, case)
-    reference = harness.reference_solution(config, case, [p.case for p in prepared])
+    prepared, instances, _ = harness.prepare_instances(config, case)
+    reference = harness.reference_solution(config, case, instances)
     if reference is None:
         print("fit needs a reference solution file for cases above desk scale",
               file=sys.stderr)
         return EXIT_VALIDATION
-    problem = prepared[0].permuted
+    problem = prepared.permuted
     n_primal = int(math.log2(problem.dim))
     n_dual = int(math.log2(problem.m_stored))
     rows = harness.restricted_rows(problem)
     primal_targets, dual_targets = [], []
-    for instance, ref in zip(prepared, reference.instances):
+    for ref in reference.instances[:config.instances]:
         if ref.v is not None:
-            primal_targets.append(harness.primal_fit_target(instance, ref.v))
+            primal_targets.append(harness.primal_fit_target(prepared, ref.v))
         lam_full = np.zeros(problem.m_stored)
         lam_full[rows] = ref.lam
         dual_targets.append(harness.dual_fit_target(lam_full, problem.m_stored))

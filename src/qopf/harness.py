@@ -1,14 +1,14 @@
 """End-to-end experiment orchestration.
 
-Pipeline per case: order the nodes once with restarted reverse Cuthill-McKee
-on the admittance pattern, which every load-scaled instance shares; then per
-instance assemble and pad the QCQP, conjugate it by the permutation, solve
-with the chosen engine(s), reverse-permute the voltage, and score against a
-reference solution.  Metrics follow the benchmark protocol: relative errors
-of generator setpoints x = [p_g; v_g] and of the multipliers on
-power-balance and line rows, each balance pair in its minimal split, and
-three violation statistics over the non-balance rows with label-specific
-normalizers.
+Pipeline: prepare each case once (order its nodes by restarted reverse
+Cuthill-McKee on the admittance pattern; assemble, pad and permute the
+QCQP), then solve each load-scaled instance, one row of bounds on those
+shared matrices, with the chosen engine(s), reverse-permute the voltage,
+and score against a reference solution.  Metrics follow the benchmark
+protocol: relative errors of generator setpoints x = [p_g; v_g] and of the
+multipliers on power-balance and line rows, each balance pair in its
+minimal split, and three violation statistics over the non-balance rows
+with label-specific normalizers.
 
 Reference solutions are ingested from JSON (produced externally by an OPF
 tool) or computed by the built-in brute-force grid oracle for desk-scale
@@ -315,28 +315,34 @@ def prepare_case(case: NetworkCase, rcm_runs: int = 200, seed: int = 0) -> Prepa
         colors_before=len(color_set(pattern.padded())),
         colors_after=len(color_set(after.padded())),
     )
-    return _prepared(case, perm_nodes, stats)
-
-
-def _prepared(case: NetworkCase, perm_nodes: NodePermutation,
-              stats: PatternStats) -> PreparedCase:
-    """Assemble, pad and permute ``case`` under an ordering of its nodes."""
     problem = assemble_qcqp(case)
     padded = pad_to_qubits(problem)
     perm = perm_nodes.extended(padded.dim)
     return PreparedCase(case, problem, permute_problem(padded, perm), perm, stats)
 
 
-def prepare_instances(config: ExperimentConfig, case: NetworkCase) -> list[PreparedCase]:
-    """The config's load-scaled instances of ``case``, prepared as they are
-    solved.  The ordering depends on the network graph only, which every
-    instance shares, so it is searched once, on instance 0, and every
-    instance is permuted by it and carries its statistics."""
+def prepare_instances(config: ExperimentConfig, case: NetworkCase
+                      ) -> tuple[PreparedCase, list[NetworkCase], np.ndarray]:
+    """Instance 0 of the config's load-scaled instances of ``case``, as
+    ``prepare_case`` prepares it; every instance's ``NetworkCase``; and an
+    (instances, m_stored) array whose row k is instance k's padded bounds.
+    Load scaling moves only bounds, so instance k is solved on the prepared
+    matrices with row k; instances 1 and up are assembled only to read their
+    bounds and to check that the rest is instance 0's."""
     instances = generate_instances(case, config.instances, config.load_scale,
                                    config.seed, simplify=config.apply_simplifications)
-    first = prepare_case(instances[0], config.rcm_runs, chain_seed(config.seed, 100, 0))
-    return [first] + [_prepared(instance, first.perm, first.stats)
-                      for instance in instances[1:]]
+    prepared = prepare_case(instances[0], config.rcm_runs, chain_seed(config.seed, 100, 0))
+    first = prepared.problem
+    bounds = np.zeros((len(instances), prepared.permuted.m_stored))
+    for k, instance in enumerate(instances):
+        problem = assemble_qcqp(instance) if k else first
+        if (problem.labels, problem.subjects) != (first.labels, first.subjects) or not all(
+                np.array_equal(getattr(mine, name), getattr(theirs, name))
+                for mine, theirs in ((problem.cost, first.cost), (problem.stack, first.stack))
+                for name in ("segments", "rows", "cols", "values")):
+            raise ValidationError(f"instance {k} differs from instance 0 in more than its bounds")
+        bounds[k, :first.m] = problem.bounds
+    return prepared, instances, bounds
 
 
 def build_context(config: ExperimentConfig, problem: QcqpProblem) -> LagrangianContext:
@@ -535,11 +541,14 @@ def reference_solution(config: ExperimentConfig, case: NetworkCase,
     has at most three buses, else None.
 
     A file is checked against the case before any solve, where a misfit
-    would otherwise fail only once the metrics are computed: every instance
-    needs one p_g and one v_g entry per generator, one multiplier per row of
-    ``restricted_rows`` and, if given, one voltage per bus."""
+    would otherwise fail only once the metrics are computed: ``config.instances``
+    instances or more, each with a p_g and a v_g entry per generator, a
+    multiplier per ``restricted_rows`` row and, if given, a voltage per bus."""
     if config.reference_path:
         ref = load_reference(config.reference_path)
+        if len(ref.instances) < config.instances:
+            raise ValidationError(f"reference holds {len(ref.instances)} instances; "
+                                  f"the run needs {config.instances}")
         sizes = {"p_g": len(case.generators), "v_g": len(case.generators),
                  "lambda": len(restricted_rows(assemble_qcqp(case))), "v": case.n}
         for k, inst in enumerate(ref.instances):
@@ -802,21 +811,20 @@ def run_experiment(config: ExperimentConfig,
     """
     if case is None:
         case = load_case(config.case_path)
-    prepared = prepare_instances(config, case)
-    reference = reference_solution(config, case, [p.case for p in prepared])
+    prepared, instances, bounds = prepare_instances(config, case)
+    reference = reference_solution(config, case, instances)
 
-    report = RunReport(config=config, stats=prepared[0].stats, instances=[])
-    for k, instance in enumerate(prepared):
-        ref_instance = reference.instances[k] if reference and \
-            k < len(reference.instances) else None
+    report = RunReport(config=config, stats=prepared.stats, instances=[])
+    for k, instance in enumerate(instances):
+        ref_instance = reference.instances[k] if reference else None
         results: dict[str, ModelResult] = {}
         for model in config.models:
             for method in config.methods:
                 tag = _model_tag(model, method)
                 start = time.perf_counter()
                 try:
-                    results[tag] = _run_single(config, instance, model, method, k,
-                                               ref_instance, start)
+                    results[tag] = _run_single(config, prepared, instance, bounds[k],
+                                               model, method, k, ref_instance, start)
                 except saddle_mod.DivergenceError as err:
                     results[tag] = ModelResult(
                         metrics=None, wall_time=time.perf_counter() - start,
@@ -839,13 +847,14 @@ def _history(traj: saddle_mod.Trajectory, model: str) -> dict:
     return history
 
 
-def _run_single(config: ExperimentConfig, prepared: PreparedCase, model: str,
-                method: str, instance_idx: int,
+def _run_single(config: ExperimentConfig, prepared: PreparedCase, case: NetworkCase,
+                bounds: np.ndarray, model: str, method: str, instance_idx: int,
                 ref: ReferenceInstance | None, start: float) -> ModelResult:
-    """One model and method on one instance; its wall time runs from
+    """One model and method on instance ``instance_idx``, ``case``, solved on
+    ``prepared``'s matrices with its bounds row; its wall time runs from
     ``start``, the clock reading the caller also times a diverged run from."""
-    n_loads = len(prepared.case.load_nodes)
-    problem = prepared.problem
+    n_loads = len(case.load_nodes)
+    problem = replace(prepared.problem, bounds=bounds[:prepared.problem.m])
     if model == "qcqp":
         init = saddle_mod.default_classical_init(
             problem, n_loads, chain_seed(config.seed, 1, instance_idx))
@@ -854,11 +863,11 @@ def _run_single(config: ExperimentConfig, prepared: PreparedCase, model: str,
             divergence_ceiling=config.divergence_ceiling)
         v, lam = traj.final.v, traj.final.lam
     else:
-        ctx = build_context(config, prepared.permuted)
+        ctx = build_context(config, replace(prepared.permuted, bounds=bounds))
         mode = EvalMode() if config.mode == "exact" else \
             model_mod.sampled_mode(config.shots, chain_seed(config.seed, 2, instance_idx))
         init = saddle_mod.default_quantum_init(
-            ctx, prepared.case.n, n_loads, chain_seed(config.seed, 3, instance_idx))
+            ctx, case.n, n_loads, chain_seed(config.seed, 3, instance_idx))
         traj = saddle_mod.run(ctx, init, method, config.quantum_schedule, config.stop,
                               mode=mode, divergence_ceiling=config.divergence_ceiling)
         final = traj.final
@@ -868,8 +877,7 @@ def _run_single(config: ExperimentConfig, prepared: PreparedCase, model: str,
 
     lag_final = traj.lagrangians[-1] if traj.lagrangians else float("nan")
     return ModelResult(
-        metrics=None if ref is None else compute_metrics(prepared.case, problem, v, lam,
-                                                         lag_final, ref),
+        metrics=None if ref is None else compute_metrics(case, problem, v, lam, lag_final, ref),
         wall_time=time.perf_counter() - start,
         lagrangian_final=lag_final,
         duals=dual_comparison_entries(problem, lam),

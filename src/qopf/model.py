@@ -222,13 +222,8 @@ def primal_vector(ctx: LagrangianContext, p: PrimalPoint) -> np.ndarray:
     return p.alpha * prepare(ctx.primal_spec, p.theta)
 
 
-def dual_state(ctx: LagrangianContext, d: DualPoint) -> np.ndarray:
-    return prepare(ctx.dual_spec, d.phi)
-
-
 def dual_pmf(ctx: LagrangianContext, d: DualPoint) -> np.ndarray:
-    state = dual_state(ctx, d)
-    return np.abs(state) ** 2
+    return np.abs(prepare(ctx.dual_spec, d.phi)) ** 2
 
 
 def dual_vector(ctx: LagrangianContext, d: DualPoint) -> np.ndarray:
@@ -266,10 +261,6 @@ def exact_forward(ctx: LagrangianContext, p: PrimalPoint, d: DualPoint) -> Exact
                        float(w @ ctx.problem.bounds))
     return ExactForward(p.theta, d.phi, theta_factors, phi_factors, psi, xi, w, terms,
                         m0_psi, fm)
-
-
-def eval_terms_exact(ctx: LagrangianContext, p: PrimalPoint, d: DualPoint) -> TermValues:
-    return exact_forward(ctx, p, d).terms
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +386,7 @@ def eval_F_sampled(ctx: LagrangianContext, p: PrimalPoint, d: DualPoint,
 def eval_terms(ctx: LagrangianContext, p: PrimalPoint, d: DualPoint,
                mode: EvalMode) -> TermValues:
     if mode.kind == EXACT:
-        return eval_terms_exact(ctx, p, d)
+        return exact_forward(ctx, p, d).terms
     psi = prepare(ctx.primal_spec, p.theta)
     f0, f, g, _ = _sample_terms(ctx, psi[None], dual_pmf(ctx, d)[None], [(0, 0)], mode)
     return TermValues(float(f0[0]), float(f[0]), float(g[0]))

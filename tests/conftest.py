@@ -224,6 +224,24 @@ def ieee57_context(ieee57):
                                    sim.AnsatzSpec.from_row(2, 9, 2))
 
 
+def per_instance_problem(instance, perm):
+    """One instance assembled, padded and permuted on its own: the oracle
+    for a shared-matrix instance, instance 0's problem with that instance's
+    bounds row."""
+    return permute.permute_problem(grid.pad_to_qubits(grid.assemble_qcqp(instance)), perm)
+
+
+def assert_same_rows(problem, oracle):
+    """``problem`` equals ``oracle`` in every stack and cost array, bound,
+    label and subject."""
+    for mine, theirs in ((problem.cost, oracle.cost), (problem.stack, oracle.stack)):
+        assert (mine.count, mine.dim) == (theirs.count, theirs.dim)
+        for name in ("segments", "rows", "cols", "values"):
+            assert np.array_equal(getattr(mine, name), getattr(theirs, name)), name
+    assert np.array_equal(problem.bounds, oracle.bounds)
+    assert (problem.labels, problem.subjects) == (oracle.labels, oracle.subjects)
+
+
 def exact_expectation(state, observable):
     """psi^dag M psi for a Hermitian observable; the brute-force oracle all
     sampled estimators are tested against."""

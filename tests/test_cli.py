@@ -219,9 +219,11 @@ def test_config_value_exit_code(tmp_path, case2_file, capsys):
 
 def test_malformed_reference_exits_1_before_any_solve(tmp_path, case2_file, capsys,
                                                      monkeypatch):
-    """A reference file that does not fit the case is rejected before the
+    """A reference file that does not fit the run is rejected before the
     solves, not by a traceback once they have all run.  case2 has one
-    generator, two buses and five restricted rows (four balance, one line)."""
+    generator, two buses and five restricted rows (four balance, one line),
+    and the run has two instances: a file with fewer is refused, one with
+    more is read."""
     good = {"p_g": [0.5], "v_g": [1.0], "lambda": [0.0] * 5, "cost": 0.5,
             "v": [[1.0, 0.0], [0.95, -0.05]]}
 
@@ -232,18 +234,24 @@ def test_malformed_reference_exits_1_before_any_solve(tmp_path, case2_file, caps
     monkeypatch.setattr(saddle, "run_classical", never)
     ref_path = tmp_path / "ref.json"
     config_path = write_config(tmp_path, case2_file, reference=str(ref_path),
-                               models=["qcqp", "qcqp_theta"])
-    ref_path.write_text(json.dumps({"instances": [good]}))
+                               models=["qcqp", "qcqp_theta"], instances=2)
+    ref_path.write_text(json.dumps({"instances": [good] * 3}))
     config = harness.config_from_json(config_path)
     case = grid.load_case(case2_file)
-    assert len(harness.reference_solution(config, case, [case]).instances) == 1
-    for bad, message in (({"lambda": [0.0, 0.0]}, "lambda has shape (2,)"),
-                         ({"v_g": None}, "lacks the key 'v_g'"),
-                         ({"p_g": [0.5, 0.5]}, "p_g has shape (2,)"),
-                         ({"v": [[1.0, 0.0]]}, "v has shape (1,)"),
-                         ({"cost": "high"}, "reference instance 0: could not convert")):
-        doc = {key: value for key, value in {**good, **bad}.items() if value is not None}
-        ref_path.write_text(json.dumps({"instances": [doc]}))
+    assert len(harness.reference_solution(config, case, [case]).instances) == 3
+
+    def bad_first(bad):   # instance 0 with ``bad`` merged in (None drops a key)
+        return [{key: value for key, value in {**good, **bad}.items() if value is not None},
+                good]
+
+    for docs, message in ((bad_first({"lambda": [0.0, 0.0]}), "lambda has shape (2,)"),
+                          (bad_first({"v_g": None}), "lacks the key 'v_g'"),
+                          (bad_first({"p_g": [0.5, 0.5]}), "p_g has shape (2,)"),
+                          (bad_first({"v": [[1.0, 0.0]]}), "v has shape (1,)"),
+                          (bad_first({"cost": "high"}),
+                           "reference instance 0: could not convert"),
+                          ([good], "reference holds 1 instances; the run needs 2")):
+        ref_path.write_text(json.dumps({"instances": docs}))
         code, _, err = run_cli(capsys, "solve", str(config_path))
         assert code == 1, err
         assert message in err

@@ -30,7 +30,8 @@ from qopf.harness import (
 
 from qopf.saddle import classical_lagrangian
 
-from conftest import CASE2_TEXT, constant_schedule
+from conftest import (CASE2_TEXT, assert_same_rows, constant_schedule,
+                      per_instance_problem)
 
 
 def test_simplifications(ieee57):
@@ -95,30 +96,91 @@ def test_prepare_case_stats_ieee57(ieee57):
 
 
 def test_prepare_instances_order_each_case_once(ieee57, monkeypatch):
-    """One RCM search per run, on instance 0 with the run's seed; every
-    instance shares its ordering and statistics.  At rcm_runs = 20, separate
-    searches on instances 1 and 2 would pick orderings with other colour
-    counts."""
+    """One RCM search per run, on instance 0 with the run's seed; the run's
+    instances are generate_instances' and bounds row 0 is instance 0's
+    padded bounds.  At rcm_runs = 20, separate searches on instances 1 and
+    2 would pick orderings with other colour counts."""
     config = ExperimentConfig(case_path="unused", instances=3, rcm_runs=20, seed=0)
     searches = []
     search = harness.prepare_case
     monkeypatch.setattr(harness, "prepare_case",
                         lambda *args: searches.append(args) or search(*args))
-    prepared = harness.prepare_instances(config, ieee57)
+    prepared, instances, bounds = harness.prepare_instances(config, ieee57)
     assert len(searches) == 1
-    instances = generate_instances(ieee57, 3, config.load_scale, config.seed)
-    assert [p.case for p in prepared] == instances
-    first = prepared[0]
-    for other in prepared[1:]:
-        assert np.array_equal(other.perm.forward, first.perm.forward)
-        assert other.stats == first.stats
+    assert searches[0][1:] == (20, sim.chain_seed(0, 100, 0))
+    assert instances == generate_instances(ieee57, 3, config.load_scale, config.seed)
+    assert searches[0][0] == instances[0] and prepared.case == instances[0]
+    assert bounds.shape == (3, prepared.permuted.m_stored)
+    assert np.array_equal(bounds[0], prepared.permuted.bounds)
     alone = search(instances[0], 20, sim.chain_seed(0, 100, 0))
-    assert first.stats == alone.stats
-    for name in ("segments", "rows", "cols", "values"):
-        assert np.array_equal(getattr(first.permuted.stack, name),
-                              getattr(alone.permuted.stack, name))
-    assert (first.permuted.m0 != alone.permuted.m0).nnz == 0
-    assert np.array_equal(first.permuted.bounds, alone.permuted.bounds)
+    assert prepared.stats == alone.stats
+    assert np.array_equal(prepared.perm.forward, alone.perm.forward)
+    assert_same_rows(prepared.permuted, alone.permuted)
+
+
+@pytest.mark.parametrize("name, count", [("ieee57", 15), ("case3", 2)])
+def test_instances_are_bounds_rows_of_one_problem(request, name, count):
+    """Each instance, with its bounds row on the shared matrices, equals the
+    instance assembled, padded and permuted on its own; the rows differ
+    between instances only in their bounds."""
+    config = ExperimentConfig(case_path="unused", instances=count, rcm_runs=4, seed=2)
+    prepared, instances, bounds = harness.prepare_instances(
+        config, request.getfixturevalue(name))
+    assert len(instances) == len(bounds) == count
+    for k, instance in enumerate(instances):
+        assert_same_rows(replace(prepared.permuted, bounds=bounds[k]),
+                         per_instance_problem(instance, prepared.perm))
+    assert not np.array_equal(bounds[0], bounds[1])
+
+
+def test_prepare_instances_rejects_an_instance_with_other_rows(case3, monkeypatch):
+    """An instance whose rows are not instance 0's with other bounds (here
+    one branch of instance 1 carries another admittance) is refused."""
+    generate = harness.generate_instances
+
+    def other_branch(*args, **kwargs):
+        instances = generate(*args, **kwargs)
+        branch = replace(instances[1].branches[0], g_series=2.0)
+        instances[1] = replace(instances[1], branches=(branch, *instances[1].branches[1:]))
+        return instances
+
+    monkeypatch.setattr(harness, "generate_instances", other_branch)
+    config = ExperimentConfig(case_path="unused", instances=3, rcm_runs=2)
+    with pytest.raises(ValidationError, match="instance 1 differs from instance 0"):
+        harness.prepare_instances(config, case3)
+
+
+def test_each_solve_gets_its_own_bounds_row(case3, monkeypatch):
+    """Every solve of a run shares instance 0's cost and stack objects and
+    carries its own instance's bounds: the classical baseline the unpadded
+    natural-order row, the variational model the padded permuted one."""
+    prepare = harness.prepare_instances
+    preparations, classical, variational = [], [], []
+    monkeypatch.setattr(harness, "prepare_instances",
+                        lambda *args: preparations.append(prepare(*args)) or preparations[-1])
+    monkeypatch.setattr(harness, "reference_solution", lambda *args: None)  # no scoring
+    run_classical, run = saddle.run_classical, saddle.run
+    monkeypatch.setattr(saddle, "run_classical", lambda problem, *args, **kwargs: (
+        classical.append(problem) or run_classical(problem, *args, **kwargs)))
+    monkeypatch.setattr(saddle, "run", lambda ctx, *args, **kwargs: (
+        variational.append(ctx.problem) or run(ctx, *args, **kwargs)))
+    config = ExperimentConfig(
+        case_path="unused", instances=2, models=("qcqp", "qcqp_theta"), methods=("pd",),
+        primal=AnsatzChoice(6, 1), dual=AnsatzChoice(2, 1), rcm_runs=2, seed=5,
+        stop=saddle.StopRule(max_iters=2), classical_stop=saddle.StopRule(max_iters=2))
+    harness.run_experiment(config, case=case3)
+    (prepared, instances, _), = preparations
+    assert len(classical) == len(variational) == 2
+    for k, instance in enumerate(instances):
+        own = per_instance_problem(instance, prepared.perm)
+        assert np.array_equal(classical[k].bounds, grid.assemble_qcqp(instance).bounds)
+        assert np.array_equal(variational[k].bounds, own.bounds)
+        assert classical[k].stack is prepared.problem.stack
+        assert classical[k].cost is prepared.problem.cost
+        assert variational[k].stack is prepared.permuted.stack
+        assert variational[k].cost is prepared.permuted.cost
+    for solved in (classical, variational):
+        assert not np.array_equal(solved[0].bounds, solved[1].bounds)
 
 
 def test_reference_roundtrip(tmp_path, case2):
@@ -415,6 +477,25 @@ def test_run_experiment_two_bus_exact(tmp_path, case2_file):
     for row, (alpha, beta) in zip(variational, scales):
         assert all(row[c] != "" for c in cells)
         assert (float(row["alpha"]), float(row["beta"])) == (alpha, beta)
+
+
+def test_longer_reference_scores_the_first_instances(tmp_path, case2_file):
+    """A reference file with more instances than the run scores the run's
+    instances against its first entries, as the built-in oracle does."""
+    config = ExperimentConfig(case_path=str(case2_file), instances=2, models=("qcqp",),
+                              methods=("eg",), rcm_runs=2, seed=3,
+                              classical_stop=saddle.StopRule(max_iters=50))
+    case = grid.load_case(case2_file)
+    oracle = harness.reference_solution(config, case,
+                                        harness.prepare_instances(config, case)[1])
+    path = tmp_path / "ref.json"
+    harness.save_reference(
+        ReferenceSolution("case2", oracle.instances + oracle.instances[:1]), path)
+    scored = harness.run_experiment(replace(config, reference_path=str(path)))
+    for mine, theirs in zip(scored.instances, harness.run_experiment(config).instances,
+                            strict=True):
+        assert mine["QCQP-EG"].metrics is not None
+        assert mine["QCQP-EG"].metrics == theirs["QCQP-EG"].metrics
 
 
 def test_run_experiment_determinism(case2_file):

@@ -69,7 +69,7 @@ def test_dual_vector_sums_to_beta_squared(ctx44):
 
 def test_dual_vector_matches_amplitudes(ctx44):
     _, d = random_points(ctx44, 5)
-    xi = model.dual_state(ctx44, d)
+    xi = sim.prepare(ctx44.dual_spec, d.phi)
     lam = model.dual_vector(ctx44, d)
     assert np.allclose(lam, d.beta**2 * np.abs(xi) ** 2, atol=1e-14)
 
@@ -82,7 +82,7 @@ def test_terms_identity_constant_observables():
     ctx = model.LagrangianContext(problem, sim.AnsatzSpec.from_row(6, 2, 1),
                                   sim.AnsatzSpec.from_row(2, 2, 2))
     p, d = random_points(ctx, 6)
-    terms = model.eval_terms_exact(ctx, p, d)
+    terms = model.eval_terms(ctx, p, d, model.exact_mode())
     assert terms.f == pytest.approx(1.0, abs=1e-12)
     assert terms.g == pytest.approx(1.0, abs=1e-12)
 
@@ -101,11 +101,11 @@ def joint_observable(ctx):
 def test_kronecker_joint_observable_identity(ctx44):
     p, d = random_points(ctx44, 7)
     psi = sim.prepare(ctx44.primal_spec, p.theta)
-    xi = model.dual_state(ctx44, d)
+    xi = sim.prepare(ctx44.dual_spec, d.phi)
     composite = np.kron(xi, psi)
     big = joint_observable(ctx44)
     f_kron = float(np.real(np.vdot(composite, big @ composite)))
-    terms = model.eval_terms_exact(ctx44, p, d)
+    terms = model.eval_terms(ctx44, p, d, model.exact_mode())
     assert f_kron == pytest.approx(terms.f, abs=1e-12)
 
 
@@ -125,7 +125,7 @@ def test_master_identity_against_classical_lagrangian():
 
 def test_lagrangian_degenerate_scales(ctx44):
     p, d = random_points(ctx44, 8)
-    terms = model.eval_terms_exact(ctx44, p, d)
+    terms = model.eval_terms(ctx44, p, d, model.exact_mode())
     no_dual = model.lagrangian(ctx44, p, DualPoint(d.phi, 0.0))
     assert no_dual == pytest.approx(p.alpha**2 * terms.f0, abs=1e-12)
     no_primal = model.lagrangian(ctx44, PrimalPoint(p.theta, 0.0), d)
@@ -134,7 +134,7 @@ def test_lagrangian_degenerate_scales(ctx44):
 
 def test_eval_f_sampled_unbiased(ctx44):
     p, d = random_points(ctx44, 9)
-    exact = model.eval_terms_exact(ctx44, p, d).f
+    exact = model.eval_terms(ctx44, p, d, model.exact_mode()).f
     n = 400
     values = [model.eval_F_sampled(ctx44, p, d, shots=32, seed=[20, k])
               for k in range(n)]
@@ -720,7 +720,7 @@ def test_real_dual_adjoint_matches_parameter_shift_on_nine_qubits(ieee57_context
     ctx = model.LagrangianContext(ieee57_context.problem, ieee57_context.primal_spec,
                                   sim.AnsatzSpec.from_row(2, 9, 4))
     p, d = random_points(ctx, 71, alpha=1.1, beta=3.0)
-    assert model.dual_state(ctx, d).dtype == np.float64
+    assert sim.prepare(ctx.dual_spec, d.phi).dtype == np.float64
     g = model.grad(ctx, p, d).stacked()
     oracle = parameter_shift_field(ctx, p, d)
     assert np.max(np.abs(g - oracle)) <= 1e-10 * np.max(np.abs(oracle))
