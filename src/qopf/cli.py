@@ -52,12 +52,10 @@ def _cmd_permute(args) -> int:
 
 def _cmd_xbm_stats(args) -> int:
     problem = harness.prepare_case(load_case(args.case), args.rcm_runs, args.seed).permuted
-    m0 = xbm.piece_table(problem.cost)
-    pieces = xbm.piece_table(problem.stack)
-    union_colors = m0.colors | pieces.colors
-    print(f"union colors C = {len(union_colors)} "
-          f"(2C-1 = {2 * len(union_colors) - 1} rotated circuits)")
-    print(f"sum_c max_m ||M_m^c||^2 = {pieces.sum_norm_sq:.6g}")
+    ctx = harness.build_context(harness.ExperimentConfig(case_path=args.case), problem)
+    m0, colors = ctx.m0_decomposition, ctx.color_count
+    print(f"union colors C = {colors} (2C-1 = {2 * colors - 1} rotated circuits)")
+    print(f"sum_c max_m ||M_m^c||^2 = {ctx.joint_diagonals.sum_norm_sq:.6g}")
     gates = [xbm.gate_count(color, part) for color, part in m0.pieces]
     print("observable,colors,pieces,max_gates,sum_norm_sq")
     print(f"M0,{len(m0.colors)},{len(m0)},{max(gates, default=0)},{m0.sum_norm_sq:.6g}")

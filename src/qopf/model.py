@@ -130,11 +130,11 @@ class LagrangianContext:
     constraint forms and actions and whose ``m0`` the cost products, the
     ansatz pair, and two ``xbm.PieceTable`` of color pieces, each with its
     (color, part) pieces, the nonzero entries of its rotated piece diagonals
-    as one ``xbm.PieceEntries``, its norms and its primal measurement
-    rotations for ``xbm.rotate_pieces``: ``m0_decomposition`` of the
+    as one ``xbm.PieceEntries`` and its norms: ``m0_decomposition`` of the
     one-matrix ``cost`` stack, and ``joint_diagonals`` of the
     block-diagonal joint observable of size MN x MN, never materialized,
-    whose segment of piece p and constraint m is p * M + m.  The sampled F
+    whose segment of piece p and constraint m is p * M + m; ``colors`` is
+    the union of their colors, the one count of them.  The sampled F
     draws a dual outcome m and a rotated primal outcome i independently per
     piece, and scores the pairs of all pieces at once from those entries
     through the table's per-segment index and its live rows, both built on

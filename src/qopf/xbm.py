@@ -31,8 +31,7 @@ i ^ j, in one pass over a whole ``grid.MatrixStack`` (a problem's rows, or
 its one-matrix cost), and ``decompose`` is the same for one Hermitian
 matrix, dense or scipy-sparse: a ``PieceTable`` holds the pieces' (color,
 part), the sorted sparse entries of all their diagonals as one
-``PieceEntries`` with a per-segment index of them, their norms and their
-rotations, each built once.
+``PieceEntries`` with a per-segment index of them, and their norms.
 The sampled estimators draw only the outcomes that can score.  Inversion
 is exact under any order of the outcomes (Devroye 1986, section III.2), so
 each piece puts first its live outcomes: the basis indices where its
@@ -217,11 +216,6 @@ class PieceTable:
     def sum_norm_sq(self) -> float:
         """Sum over the pieces of max_m ||M_m^c||^2."""
         return sum(norm**2 for norm in self.norms)
-
-    @cached_property
-    def rotations(self) -> PieceRotations:
-        """The pieces' rotations, built once for ``rotate_pieces``."""
-        return piece_rotations(self.pieces, int(math.log2(self.entries.dim)))
 
     @cached_property
     def segment_starts(self) -> np.ndarray:

@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import configuration as hypothesis_configuration
 from scipy import sparse
+from scipy.optimize import nnls
 
 from qopf import grid, harness, model, permute, saddle, sim, xbm
+from qopf.grid import NetworkCase, QcqpProblem, ValidationError, assemble_qcqp
+from qopf.harness import ReferenceInstance, extract_setpoints, restricted_rows
 
 CASE2_TEXT = """
 BUS
@@ -69,6 +72,12 @@ def case2_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("cases") / "case2.case"
     path.write_text(CASE2_TEXT, encoding="utf-8")
     return path
+
+
+@pytest.fixture(scope="session")
+def desk_oracle(case2, case3):
+    """``brute_force_reference`` of case2 and case3, by case name."""
+    return {case.name: brute_force_reference(case) for case in (case2, case3)}
 
 
 def random_hermitian(rng, dim, scale=1.0):
@@ -605,7 +614,8 @@ def estimator_variance(table, state, shots_per_piece):
         raise grid.ValidationError("shots_per_piece must be >= 1")
     variance = 0.0
     bound = 0.0
-    rotated_probs = np.abs(xbm.rotate_pieces(state, table.rotations)) ** 2
+    rotations = xbm.piece_rotations(table.pieces, int(math.log2(table.entries.dim)))
+    rotated_probs = np.abs(xbm.rotate_pieces(state, rotations)) ** 2
     for diagonal, norm, probs in zip(diagonals(table), table.norms, rotated_probs):
         mean = float(probs @ diagonal)
         second = float(probs @ diagonal**2)
@@ -617,7 +627,8 @@ def estimator_variance(table, state, shots_per_piece):
 def estimate(states, table, shots_per_piece, seed):
     """``xbm.estimate_expectation`` of the rows of a stack of states under
     the rotations of the table's own pieces, all drawn from ``seed``."""
-    probs = xbm.outcome_probabilities(states, table.rotations)
+    rotations = xbm.piece_rotations(table.pieces, int(math.log2(table.entries.dim)))
+    probs = xbm.outcome_probabilities(states, rotations)
     return xbm.estimate_expectation(probs, table, shots_per_piece, seed)
 
 
@@ -847,3 +858,99 @@ def tiled_case(case, copies):
                  for k in range(copies - 1) for a, b in TIE_LINES]
     return grid.NetworkCase(tuple(buses), tuple(branches), tuple(generators),
                             case.reference_bus, f"{case.name}x{copies}").validate()
+
+
+# The penalized grid search that computed desk-case references before
+# ``harness.local_reference``, kept as its independent oracle.
+
+
+def brute_force_reference(case: NetworkCase, resolution: int | None = None,
+                          refine: int | None = None,
+                          tol: float = 1e-6) -> ReferenceInstance:
+    """Grid-search oracle for desk-scale cases.
+
+    Fixes the reference bus at v_ref = 1 (its magnitude is pinned and the
+    global phase is free) and sweeps every other node over a polar grid
+    inside its voltage box, minimizing cost plus an escalating quadratic
+    penalty on constraint violations; the window shrinks around the best
+    point each pass, so the search lands on the (measure-zero) power-balance
+    manifold.  Feasibility of the final point is verified against ``tol``.
+    Multipliers come from a nonnegative least-squares fit of the
+    stationarity condition on the active rows.  Practical up to three
+    buses; the search space explodes beyond that.
+    """
+    n = case.n
+    if n > 4:
+        raise ValidationError("brute-force oracle is desk-scale only (N <= 4)")
+    problem = assemble_qcqp(case)
+    free = [i for i in range(n) if i != case.reference_bus]
+    if resolution is None:
+        resolution = {1: 41, 2: 19, 3: 9}[len(free)]
+    b = problem.bounds
+
+    def best_on_grid(centers, widths, points, penalty):
+        axes = []
+        for (r0, phi0), (dr, dphi), bus in zip(centers, widths, free):
+            rec = case.buses[bus]
+            r = np.linspace(max(rec.v_min, r0 - dr), min(rec.v_max, r0 + dr), points)
+            phi = np.linspace(phi0 - dphi, phi0 + dphi, points)
+            axes.append((r, phi))
+        grids = np.meshgrid(*[axis for pair in axes for axis in pair], indexing="ij")
+        total = int(np.prod(grids[0].shape))
+        v = np.ones((total, n), dtype=complex)
+        for k in range(len(free)):
+            r = grids[2 * k].reshape(-1)
+            phi = grids[2 * k + 1].reshape(-1)
+            v[:, free[k]] = r * np.exp(1j * phi)
+        forms = problem.stack.forms(v)
+        violation = np.maximum(forms - b[None, :], 0.0)
+        cost = np.real(np.sum(v.conj() * (problem.m0 @ v.T).T, axis=1))
+        merit = cost + penalty * np.sum(violation**2, axis=1)
+        s = int(np.argmin(merit))
+        centers = [(float(np.abs(v[s, bus])), float(np.angle(v[s, bus]))) for bus in free]
+        return v[s], float(cost[s]), centers, float(np.max(violation[s]))
+
+    centers = [((case.buses[bus].v_min + case.buses[bus].v_max) / 2, 0.0) for bus in free]
+    widths = [((case.buses[bus].v_max - case.buses[bus].v_min) / 2, math.pi) for bus in free]
+    shrink = max(resolution / 5.0, 1.6)
+    if refine is None:
+        # enough passes to shrink the search window by ~1e10 overall, so the
+        # returned point is feasible well inside the 1e-8 splitting check
+        refine = math.ceil(math.log(1e10) / math.log(shrink))
+    penalty = 1e4
+    v_star, cost, centers, worst = best_on_grid(centers, widths, resolution, penalty)
+    for _ in range(refine):
+        widths = [(w[0] / shrink, w[1] / shrink) for w in widths]
+        penalty = min(penalty * 30.0, 1e16)
+        v_star, cost, centers, worst = best_on_grid(centers, widths, resolution, penalty)
+    if worst > tol:
+        raise ValidationError(
+            f"oracle violation {worst:.2e} above tolerance; raise resolution/refine")
+
+    lam = _kkt_multipliers(problem, v_star, tol=1e-4)
+    x = extract_setpoints(case, problem, v_star)
+    n_gens = len(case.generator_nodes)
+    return ReferenceInstance(
+        p_g=x[:n_gens], v_g=x[n_gens:], lam=lam[restricted_rows(problem)],
+        cost=cost, v=v_star,
+    )
+
+
+def _kkt_multipliers(problem: QcqpProblem, v: np.ndarray, tol: float) -> np.ndarray:
+    """Nonnegative multipliers solving the stationarity condition
+    2 (M0 + sum_m lambda_m M_m) v = 0 on the active rows, by NNLS."""
+    forms = problem.stack.forms(v)
+    slack = problem.bounds - forms
+    active = [k for k in range(problem.m_stored) if slack[k] <= tol]
+    target = -2.0 * (problem.m0 @ v)
+    unit = np.eye(problem.m_stored)
+    columns = [2.0 * problem.stack.action(unit[k], v) for k in active]
+    lam = np.zeros(problem.m_stored)
+    if columns:
+        a = np.stack(columns, axis=1)
+        a_real = np.concatenate([a.real, a.imag], axis=0)
+        t_real = np.concatenate([target.real, target.imag])
+        coeffs, _ = nnls(a_real, t_real)
+        for k, c in zip(active, coeffs):
+            lam[k] = c
+    return lam

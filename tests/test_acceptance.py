@@ -21,9 +21,9 @@ from qopf import bounds, grid, harness, model, permute, saddle, sim, xbm
 from qopf.model import DualPoint, PrimalPoint, sampled_mode
 from qopf.permute import SparsityPattern
 
-from conftest import (CASE2_TEXT, banded_pattern, estimator_variance, exact_expectation,
-                      pattern_from_edges, piece_matrix, random_hermitian, random_problem,
-                      random_state, reconstruct, rotate_piece)
+from conftest import (CASE2_TEXT, banded_pattern, brute_force_reference, estimator_variance,
+                      exact_expectation, pattern_from_edges, piece_matrix, random_hermitian,
+                      random_problem, random_state, reconstruct, rotate_piece)
 
 
 def criterion(name: str, ok: bool, detail: str = ""):
@@ -63,7 +63,7 @@ def test_xbm_correctness_suite():
                 worst_offdiag = max(worst_offdiag, float(np.max(np.abs(off))))
             exact = exact_expectation(state, m)
             variance, _ = estimator_variance(dec, state, shots)
-            probs = xbm.outcome_probabilities(state[None], dec.rotations)
+            probs = xbm.outcome_probabilities(state[None], xbm.piece_rotations(dec.pieces, n))
             estimate = xbm.estimate_expectation(probs, dec, shots, [n, trial])[0]
             sigma = math.sqrt(max(variance, 1e-30))
             worst_sigma = max(worst_sigma, abs(estimate - exact) / (5 * sigma))
@@ -250,7 +250,7 @@ def test_saddle_point_convergence_desk_scale():
     # every seed tried, so the ladder below is pure insurance against
     # platform float drift, not against the method.
     case = grid.parse_case(CASE2_TEXT, "case2")
-    ref = harness.brute_force_reference(case)
+    ref = brute_force_reference(case)
     problem = grid.assemble_qcqp(case)
     prepared = harness.prepare_case(case, rcm_runs=8, seed=0)
     ctx = model.LagrangianContext(prepared.permuted,

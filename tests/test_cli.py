@@ -186,7 +186,7 @@ def test_fit_targets_are_in_the_solved_order(tmp_path, capsys, monkeypatch):
     config = harness.config_from_json(config_path)
     prepared = harness.prepare_instances(config, grid.load_case(config.case_path))[0]
     assert not np.array_equal(prepared.perm.forward, np.arange(prepared.permuted.dim))
-    v_star = harness.brute_force_reference(prepared.case).v
+    v_star = harness.local_reference(prepared.case).v
     padded = np.zeros(prepared.permuted.dim, dtype=complex)
     padded[:len(v_star)] = v_star
     assert len(targets["primal"]) == 1

@@ -20,6 +20,7 @@ from qopf.grid import (
 
 from conftest import (
     CASE2_TEXT,
+    brute_force_reference,
     problem_from_rows,
     random_hermitian,
     random_problem,
@@ -216,8 +217,7 @@ def test_assembled_matrices_hermitian_and_sparsity(ieee57):
 
 
 def test_split_constraints_hold_at_reference(case2):
-    from qopf import harness
-    ref = harness.brute_force_reference(case2)
+    ref = brute_force_reference(case2)
     problem = grid.assemble_qcqp(case2)
     forms = problem.stack.forms(ref.v)
     assert np.all(forms <= problem.bounds + 1e-8)

@@ -9,13 +9,12 @@ import numpy as np
 import pytest
 
 from qopf import bounds, grid, harness, model, saddle, sim
-from qopf.grid import LABEL_BALANCE_P, LABEL_BALANCE_Q, ValidationError
+from qopf.grid import LABEL_BALANCE_P, LABEL_BALANCE_Q, LABEL_REFERENCE, ValidationError
 from qopf.harness import (
     AnsatzChoice,
     ExperimentConfig,
     ReferenceSolution,
     apply_benchmark_simplifications,
-    brute_force_reference,
     compute_metrics,
     config_from_json,
     dual_comparison_entries,
@@ -30,7 +29,7 @@ from qopf.harness import (
 
 from qopf.saddle import classical_lagrangian
 
-from conftest import (CASE2_TEXT, assert_same_rows, constant_schedule,
+from conftest import (CASE2_TEXT, assert_same_rows, brute_force_reference, constant_schedule,
                       per_instance_problem)
 
 
@@ -158,7 +157,6 @@ def test_each_solve_gets_its_own_bounds_row(case3, monkeypatch):
     preparations, classical, variational = [], [], []
     monkeypatch.setattr(harness, "prepare_instances",
                         lambda *args: preparations.append(prepare(*args)) or preparations[-1])
-    monkeypatch.setattr(harness, "reference_solution", lambda *args: None)  # no scoring
     run_classical, run = saddle.run_classical, saddle.run
     monkeypatch.setattr(saddle, "run_classical", lambda problem, *args, **kwargs: (
         classical.append(problem) or run_classical(problem, *args, **kwargs)))
@@ -197,8 +195,8 @@ def test_reference_roundtrip(tmp_path, case2):
     assert np.allclose(inst.v, ref.v)
 
 
-def test_oracle_feasible_and_kkt_consistent(case3):
-    ref = brute_force_reference(case3)
+def test_oracle_feasible_and_kkt_consistent(case3, desk_oracle):
+    ref = desk_oracle["case3"]
     problem = grid.assemble_qcqp(case3)
     forms = problem.stack.forms(ref.v)
     assert np.all(forms <= problem.bounds + 1e-6)
@@ -215,6 +213,107 @@ def test_oracle_feasible_and_kkt_consistent(case3):
             generators=(grid.GeneratorRecord(0, 1.0, 0.0, 2.0, -1.0, 1.0),),
         )
         brute_force_reference(fat)
+
+
+@pytest.mark.parametrize("name", ["case2", "case3"])
+def test_local_reference_agrees_with_the_oracle(name, request, desk_oracle):
+    """The local solve lands where the grid oracle does: the same setpoints
+    and cost, a feasible voltage with the reference bus real as the
+    oracle's, and the oracle's multipliers once both are in their minimal
+    split."""
+    case = request.getfixturevalue(name)
+    ref, oracle = harness.local_reference(case), desk_oracle[name]
+    problem = grid.assemble_qcqp(case)
+    assert np.linalg.norm(ref.x - oracle.x) <= 1e-6 * np.linalg.norm(oracle.x)
+    assert abs(ref.cost - oracle.cost) <= 1e-8 * abs(oracle.cost)
+    want = minimal_split(problem, oracle.lam)
+    assert np.all(ref.lam >= 0)
+    assert np.linalg.norm(ref.lam - want) <= 1e-2 * np.linalg.norm(want)
+    assert np.max(problem.stack.forms(ref.v) - problem.bounds) <= 1e-6
+    assert np.max(np.abs(ref.v - oracle.v)) <= 1e-6
+
+
+@pytest.mark.parametrize("name", ["case2", "case3"])
+def test_local_reference_multipliers_certify_a_zero_duality_gap(name, request, monkeypatch):
+    """The solver's multipliers, each balance and reference pair in its
+    minimal split and every entry clipped at zero, make v* stationary, and
+    A = M0 + sum_m lambda_m M_m is positive semidefinite with v* its one
+    null vector: L(., lambda) is least at v*, so the duality gap is zero
+    (Lavaei & Low, IEEE TPS 2012).  The reference keeps these multipliers
+    on the restricted rows."""
+    case = request.getfixturevalue(name)
+    solve, results = harness.minimize, []
+    monkeypatch.setattr(harness, "minimize", lambda *args, **kwargs: (
+        results.append(solve(*args, **kwargs)) or results[-1]))
+    ref = harness.local_reference(case)
+    problem = grid.assemble_qcqp(case)
+    lam = results[-1].v[0].copy()
+    labels = np.array(problem.labels)
+    for label in (LABEL_BALANCE_P, LABEL_BALANCE_Q, LABEL_REFERENCE):
+        upper, lower = np.flatnonzero(labels == label).reshape(-1, 2).T
+        mu = lam[upper] - lam[lower]
+        lam[upper], lam[lower] = np.maximum(mu, 0.0), np.maximum(-mu, 0.0)
+    lam = np.maximum(lam, 0.0)
+    assert np.array_equal(lam[restricted_rows(problem)], ref.lam)
+    m0v = problem.m0 @ ref.v
+    assert np.linalg.norm(m0v + problem.stack.action(lam, ref.v)) <= 1e-9 * np.linalg.norm(m0v)
+    a = problem.m0.toarray() + np.einsum("m,mij->ij", lam, problem.dense_constraints())
+    smallest, second = np.linalg.eigvalsh(a)[:2]
+    assert smallest >= -1e-9 and second > 1e-3
+
+
+def test_local_reference_rerun_is_bit_identical(case3):
+    first, second = harness.local_reference(case3), harness.local_reference(case3)
+    for name in ("p_g", "v_g", "lam", "v"):
+        assert np.array_equal(getattr(first, name), getattr(second, name))
+    assert first.cost == second.cost
+
+
+def test_local_reference_refuses_unconverged_and_infeasible_solves(case2, monkeypatch):
+    """A load beyond the generator's limit has no feasible point: its solve
+    does not converge, here within a cap of 50 iterations.  A feasible
+    point from a solve that did not converge is refused, and so is a
+    converged solve whose point violates a row."""
+    heavy = replace(case2, buses=(case2.buses[0], replace(case2.buses[1], p_demand=3.0)))
+    monkeypatch.setattr(harness, "REFERENCE_MAX_ITER", 50)
+    with pytest.raises(ValidationError, match="after 50 iterations"):
+        harness.local_reference(heavy)
+    monkeypatch.undo()
+    solve = harness.minimize
+
+    def tampered(success, scale):
+        def stub(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            result.success, result.x = success, scale * result.x
+            return result
+        return stub
+
+    for stub, message in ((tampered(False, 1.0), "stopped after"),
+                          (tampered(True, 1.2), r"largest violation \d\.\d\de-01")):
+        monkeypatch.setattr(harness, "minimize", stub)
+        with pytest.raises(ValidationError, match=message):
+            harness.local_reference(case2)
+
+
+def test_local_reference_clips_wrong_signed_multipliers(case2, monkeypatch):
+    """Negated solver multipliers leave each balance pair's minimal split
+    nonnegative and turn the line rows' entries negative, which the
+    reference clips to zero."""
+    solve = harness.minimize
+
+    def negated(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        result.v = [-result.v[0]]
+        return result
+
+    ref = harness.local_reference(case2)
+    monkeypatch.setattr(harness, "minimize", negated)
+    flipped = harness.local_reference(case2)
+    problem = grid.assemble_qcqp(case2)
+    line = [pos for pos, k in enumerate(restricted_rows(problem))
+            if problem.labels[k] == grid.LABEL_LINE]
+    assert line and np.all(ref.lam[line] > 0) and np.all(flipped.lam[line] == 0)
+    assert np.all(flipped.lam >= 0)
 
 
 def test_metrics_zero_at_reference(case2):
@@ -256,7 +355,7 @@ def test_balance_pair_shift_scores_the_same(case3):
     """Each balance equality is the row pair (M, b), (-M, -b): adding t to
     both multipliers of a pair leaves L unchanged, and the multiplier metrics
     score both sides in their minimal split, so the shift does not count."""
-    ref = brute_force_reference(case3)
+    ref = harness.local_reference(case3)
     problem = grid.assemble_qcqp(case3)
     rows = restricted_rows(problem)
     balance = [pos for pos, k in enumerate(rows)

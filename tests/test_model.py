@@ -267,7 +267,8 @@ def test_f0_reads_the_shared_rotation_bit_for_bit(batch_ctx):
     for trial in range(2):
         p, d = random_points(ctx, 76 + trial)
         psis = sim.shift_states(ctx.primal_spec, sim.rotation_factors(ctx.primal_spec, p.theta))
-        own = xbm.outcome_probabilities(psis, table.rotations)
+        own = xbm.outcome_probabilities(
+            psis, xbm.piece_rotations(table.pieces, ctx.primal_spec.n_qubits))
         assert np.array_equal(xbm.outcome_probabilities(psis, rotations)[slots], own)
         mode = sampled_mode(50, [77, trial])
         f0, *_ = model._sample_terms(ctx, psis, model.dual_pmf(ctx, d)[None], [(0, 0)], mode)
@@ -630,7 +631,8 @@ def sampled_gradient_variances(ctx, p, d, shots):
     ws /= ws.sum(axis=1, keepdims=True)
     table = ctx.joint_diagonals
     diagonals = dense_pieces(table)
-    probs = np.abs(xbm.rotate_pieces(psis, table.rotations))**2  # (pieces, rows, dim)
+    rotations = xbm.piece_rotations(table.pieces, ctx.primal_spec.n_qubits)
+    probs = np.abs(xbm.rotate_pieces(psis, rotations))**2  # (pieces, rows, dim)
 
     def f_variance(means, seconds):
         return (seconds - means**2).sum(axis=-1) / shots
@@ -786,11 +788,13 @@ def test_real_states_estimate_like_their_complex_casts(ieee57_context):
     psis = sim.shift_states(ctx.primal_spec, sim.rotation_factors(ctx.primal_spec, p.theta))
     assert psis.dtype == np.float64
     real_table = xbm.decompose(ctx.problem.m0.real)
-    assert real_table.rotations.turns == ()
+    n_qubits = ctx.primal_spec.n_qubits
+    assert xbm.piece_rotations(real_table.pieces, n_qubits).turns == ()
     for table in (ctx.m0_decomposition, real_table):
-        probs = xbm.outcome_probabilities(psis, table.rotations)
+        rotations = xbm.piece_rotations(table.pieces, n_qubits)
+        probs = xbm.outcome_probabilities(psis, rotations)
         assert np.array_equal(probs, xbm.outcome_probabilities(psis.astype(complex),
-                                                               table.rotations))
+                                                               rotations))
         assert estimate(psis, table, 50, [72]) == estimate(psis.astype(complex), table, 50, [72])
     cdfs = model._primal_cdfs(ctx, psis)
     assert np.array_equal(cdfs, model._primal_cdfs(ctx, psis.astype(complex)))

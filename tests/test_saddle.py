@@ -14,8 +14,8 @@ from qopf.saddle import (
     StopRule,
 )
 
-from conftest import (assert_same_run, constant_schedule, fresh_run, problem_from_rows,
-                      random_problem, tiled_case)
+from conftest import (assert_same_run, brute_force_reference, constant_schedule, fresh_run,
+                      problem_from_rows, random_problem, tiled_case)
 
 
 def bilinear_g(z, *tags):
@@ -189,8 +189,7 @@ def test_classical_pd_fixed_points(case2):
 
 def test_classical_pd_keeps_slack_multipliers_at_zero(case2):
     problem = grid.assemble_qcqp(case2)
-    from qopf import harness
-    ref = harness.brute_force_reference(case2)
+    ref = brute_force_reference(case2)
     forms = problem.stack.forms(ref.v)
     slack_rows = problem.bounds - forms > 1e-3
     s = ClassicalState(ref.v, np.zeros(problem.m_stored))
@@ -241,9 +240,8 @@ def test_classical_flat_start_first_iterate_fixture(case2):
 
 
 def test_classical_run_converges_on_desk_case(case2):
-    from qopf import harness
     problem = grid.assemble_qcqp(case2)
-    ref = harness.brute_force_reference(case2)
+    ref = brute_force_reference(case2)
     init = ClassicalState(np.ones(2, dtype=complex),
                           np.zeros(problem.m_stored))
     sched = StepSchedule((5e-3, 1.0), (0.0, 1.0), (5e-3, 1.0), (0.0, 1.0))

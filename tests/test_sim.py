@@ -401,7 +401,6 @@ def test_sampled_gradient_memory_at_benchmark_ansatz(ieee57_context):
     ctx = model.LagrangianContext(ieee57_context.problem, AnsatzSpec.from_row(6, 6, 10),
                                   AnsatzSpec.from_row(2, 9, 35))
     assert (ctx.p_count, ctx.q_count) == (120, 315)
-    ctx.joint_diagonals.rotations
     rng = np.random.default_rng(13)
     p = model.PrimalPoint(rng.uniform(0, 2 * math.pi, ctx.p_count), 1.1)
     d = model.DualPoint(rng.uniform(0, 2 * math.pi, ctx.q_count), 3.0)

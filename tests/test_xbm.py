@@ -150,13 +150,13 @@ def test_grouped_rotations_match_gate_by_gate_and_oracle():
 
 
 def test_decompose_stores_each_piece_rotation(ieee57):
-    """The table's grouped rotations give every piece of the ieee57 cost the
-    rotation of its own (color, part): color 0 unrotated, any other color
-    in a run of its (k, part) with its own fan-out."""
+    """The grouped rotations of a table's pieces give every piece of the
+    ieee57 cost the rotation of its own (color, part): color 0 unrotated,
+    any other color in a run of its (k, part) with its own fan-out."""
     problem = grid.pad_to_qubits(grid.assemble_qcqp(ieee57))
     dec = xbm.decompose(problem.m0)
     n_qubits = int(math.log2(problem.dim))
-    rotations = dec.rotations
+    rotations = xbm.piece_rotations(dec.pieces, n_qubits)
     dim = 2**n_qubits
     assert rotations.count == len(dec.pieces)
     assert rotations.turns == tuple(sorted({color.bit_length() - 1 for color, part
