@@ -59,7 +59,7 @@ from .sim import ARCHITECTURES, AnsatzSpec, chain_seed, prepare, reverse_sweep, 
     rotation_factors
 
 VIOLATION_FLOOR = 1e-6
-REFERENCE_MAX_ITER = 500   # case2 and case3 converge in 48 and 68 iterations, ieee57 in 73-143
+REFERENCE_MAX_ITER = 500   # case2 and case3 converge in 11 and 13 iterations, ieee57 in 22-29
 REFERENCE_LABELS = (LABEL_BALANCE_P, LABEL_BALANCE_Q, LABEL_LINE)
 
 
@@ -473,27 +473,59 @@ def _real_quadratics(stack: MatrixStack):
     return values, jacobian, hessian
 
 
+def _opposite_pairs(problem: QcqpProblem) -> np.ndarray:
+    """The rows k that pair with row k + 1: one label and subject, and
+    M_{k+1} = -M_k.  These are the balance, generator-limit, voltage and
+    reference pairs; a pair's rows together bound v^dag M_k v on both sides."""
+    stack, keys = problem.stack, list(zip(problem.labels, problem.subjects))
+    pairs = []
+    for k in range(problem.m - 1):
+        this, after = (slice(*stack.offsets[j:j + 2]) for j in (k, k + 1))
+        if (not pairs or pairs[-1] != k - 1) and keys[k] == keys[k + 1] \
+                and np.array_equal(stack.rows[this], stack.rows[after]) \
+                and np.array_equal(stack.cols[this], stack.cols[after]) \
+                and np.array_equal(stack.values[this], -stack.values[after]):
+            pairs.append(k)
+    return np.array(pairs, dtype=np.intp)
+
+
 def local_reference(case: NetworkCase) -> ReferenceInstance:
     """The reference solution of a case by a local solve of its QCQP.
 
     Minimizes the real form of v^dag M0 v over z = (Re v, Im v) subject to
     every stored row, by trust-constr from the flat profile v = 1, and turns
-    the voltage so the reference bus is real.  The multipliers are the
-    solver's on ``restricted_rows``, each balance pair in its
-    ``minimal_split`` and every entry clipped at zero.  A solve that does
-    not converge within ``REFERENCE_MAX_ITER`` iterations, or that leaves a
-    row violated by more than VIOLATION_FLOOR, raises ValidationError.
+    the voltage so the reference bus is real.  Each pair of opposite rows
+    (``_opposite_pairs``) goes to the solver as one two-sided row,
+    -b_{k+1} <= v^dag M_k v <= b_k, an equality for the balance and
+    reference pairs, so the constraint Jacobian keeps full row rank where
+    both rows of a pair are active.  The solver's signed multiplier of a
+    pair maps back to its ``minimal_split`` (max(mu, 0), max(-mu, 0)), and
+    the result's ``v[0]`` is replaced by these multipliers, one per stored
+    row.  The reference keeps those of ``restricted_rows``, every entry
+    clipped at zero.  A solve that does not converge within
+    ``REFERENCE_MAX_ITER`` iterations, or that leaves a row violated by
+    more than VIOLATION_FLOOR, raises ValidationError.
     """
     problem = assemble_qcqp(case)
     cost, cost_jacobian, cost_hessian = _real_quadratics(problem.cost)
     forms, jacobian, hessian = _real_quadratics(problem.stack)
-    n = problem.n
+    n, pairs = problem.n, _opposite_pairs(problem)
+    solved = np.delete(np.arange(problem.m), pairs + 1)  # a pair's first row stands for it
+    lower = np.full(problem.m, -np.inf)
+    lower[pairs] = -problem.bounds[pairs + 1]
+
+    def weighted_hessian(z, w):
+        full = np.zeros(problem.m)
+        full[solved] = w
+        return hessian(full)
+
     result = minimize(
         lambda z: cost(z)[0], np.concatenate([np.ones(n), np.zeros(n)]),
         jac=lambda z: cost_jacobian(z).toarray()[0], hess=lambda z: cost_hessian(np.ones(1)),
         method="trust-constr",
-        constraints=NonlinearConstraint(forms, -np.inf, problem.bounds, jac=jacobian,
-                                        hess=lambda z, w: hessian(w)),
+        constraints=NonlinearConstraint(lambda z: forms(z)[solved], lower[solved],
+                                        problem.bounds[solved],
+                                        jac=lambda z: jacobian(z)[solved], hess=weighted_hessian),
         options={"gtol": 1e-9, "xtol": 1e-12, "maxiter": REFERENCE_MAX_ITER})
     v = result.x[:n] + 1j * result.x[n:]
     v *= np.exp(-1j * np.angle(v[case.reference_bus]))
@@ -501,7 +533,12 @@ def local_reference(case: NetworkCase) -> ReferenceInstance:
     if not result.success or worst > VIOLATION_FLOOR:
         raise ValidationError(f"the reference solve of {case.name} stopped after {result.nit} "
                               f"iterations ({result.message}), largest violation {worst:.2e}")
-    lam = np.maximum(minimal_split(problem, result.v[0][restricted_rows(problem)]), 0.0)
+    lam = np.zeros(problem.m)
+    lam[solved] = result.v[0]
+    lam[pairs + 1] = np.maximum(-lam[pairs], 0.0)
+    lam[pairs] = np.maximum(lam[pairs], 0.0)
+    result.v = [lam]
+    lam = np.maximum(lam[restricted_rows(problem)], 0.0)
     x = extract_setpoints(case, problem, v)
     n_gens = len(case.generator_nodes)
     return ReferenceInstance(p_g=x[:n_gens], v_g=x[n_gens:], lam=lam,

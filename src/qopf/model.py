@@ -23,14 +23,10 @@ call seeds one generator, F0's, F's and G's each from their own derived
 seed, and all the estimates of the call, and all the pieces of each,
 draw disjoint blocks of that one stream, which keeps them independent.
 G is the color-0 expectation of diag(bounds), drawn by the same
-live-first estimator as F0 (``xbm.estimate_expectation``).  A pair can
-score only if its
-segment has entries, so each piece's dual inverse CDF puts those rows
-first (``xbm.live_cumulative``): a dual draw at or above the piece's live
-mass scores 0 unsearched, the others find their row by one
-``xbm.live_inverse``, and only they draw a primal outcome, which is never
-inverted either: it scores by an interval test on the primal CDF at its
-segment's columns.
+estimator as F0 (``xbm.estimate_expectation``).  A pair scores only on
+an entry of the table, so per estimate and piece ``xbm.draw_estimates``
+draws how many of the S pairs land on an entry, whose probability is
+w_m p_k(i), and then which: the other pairs score 0 and are never drawn.
 
 In exact mode the gradients in the circuit parameters come from one
 adjoint (reverse-mode) sweep per circuit, reusing the factors and states
@@ -39,10 +35,9 @@ sampled mode from the two-point parameter-shift rule, as on hardware, on
 one stack per circuit (``sim.shift_states``): row 0 the base state and
 row 1 + 2j + s parameter j shifted up (s = 0) or down (s = 1).  The
 primal stack is rotated once, under the cost and joint pieces together,
-for all its F0 estimates and all its CDFs, the live running sums of all
-dual rows are built at once, and the estimates of each term are drawn
-and scored together in blocks (``xbm.live_blocks``).  Either
-way the circuit ledger charges the parameter-shift count.  The scale
+for all its F0 and F estimates, and the estimates of each term are drawn
+and scored together in blocks of whole estimates.  Either way the
+circuit ledger charges the parameter-shift count.  The scale
 gradients are the closed forms dL/dalpha = 2 alpha (F0 + beta^2 F) and
 dL/dbeta = 2 beta (alpha^2 F - G).
 """
@@ -135,10 +130,10 @@ class LagrangianContext:
     block-diagonal joint observable of size MN x MN, never materialized,
     whose segment of piece p and constraint m is p * M + m; ``colors`` is
     the union of their colors, the one count of them.  The sampled F
-    draws a dual outcome m and a rotated primal outcome i independently per
-    piece, and scores the pairs of all pieces at once from those entries
-    through the table's per-segment index and its live rows, both built on
-    the first sampled F.  The cost table's index, the primal rotations
+    draws, per piece, the pairs of a dual outcome m and a rotated primal
+    outcome i that land on the piece's entries, which the table's
+    per-segment index, built on the first sampled F, splits by piece.  The
+    cost table's index, the primal rotations
     under both tables' pieces (``primal_rotations``) and the one-piece
     table of G (``bounds_table``) are built on first sampled use too, so
     exact runs never pay for them.
@@ -278,108 +273,80 @@ def _sample_terms(ctx: LagrangianContext, psis: np.ndarray, ws: np.ndarray,
 
     F0 and F read one rotation of the primal stack under the primal pieces
     (``LagrangianContext.primal_rotations``): F0 estimates from its
-    pieces' outcome probabilities, and F from the CDFs then taken in place
-    on the same array.  G is the color-0 expectation of diag(bounds)
-    (``LagrangianContext.bounds_table``) by the live-first estimator of
-    F0, S shots per dual circuit.
+    pieces' outcome probabilities, and F from the same array, then
+    normalised in place.  G is the color-0 expectation of diag(bounds)
+    (``LagrangianContext.bounds_table``) by the estimator of F0, S shots
+    per dual circuit.
     """
     shots, table = mode.shots, ctx.m0_decomposition
     rotations, cost_slots = ctx.primal_rotations
     probs = xbm.outcome_probabilities(psis, rotations)
     f0 = xbm.estimate_expectation(np.take(probs, cost_slots, axis=0), table, shots,
                                   mode.reseeded(0).seed)
-    f, f_shots = _sample_f(ctx, _cdfs(probs), ws, pairs, shots, mode.reseeded(1).seed)
+    f, f_shots = _sample_f(ctx, _normalised(probs), ws, pairs, shots, mode.reseeded(1).seed)
     g = xbm.estimate_expectation(ws[None], ctx.bounds_table, shots, mode.reseeded(2).seed)
     spent = shots * len(table) * len(psis) + f_shots + shots * len(ws)
     return np.array(f0), np.array(f), np.array(g), spent
 
 
-def _cdfs(probs: np.ndarray) -> np.ndarray:
-    """The cumulative distributions of unnormalised outcome probabilities
-    along the last axis, taken in place."""
-    np.cumsum(probs, axis=-1, out=probs)
-    probs /= probs[..., -1:]
+def _normalised(probs: np.ndarray) -> np.ndarray:
+    """Outcome probabilities normalised along the last axis, in place."""
+    probs /= probs.sum(axis=-1, keepdims=True)
     return probs
 
 
-def _primal_cdfs(ctx: LagrangianContext, psi: np.ndarray) -> np.ndarray:
-    """(pieces, *psi.shape) cumulative outcome distributions of the
-    color-rotated primal circuit of a state, or of every state of a stack,
-    one leading row per primal piece (``LagrangianContext.primal_rotations``),
-    the joint constraint pieces first in table order."""
-    return _cdfs(xbm.outcome_probabilities(psi, ctx.primal_rotations[0]))
-
-
-def _scored(cdfs: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-            u: np.ndarray) -> np.ndarray:
-    """Whether the draw u from CDF row ``rows`` is outcome ``cols``, by the
-    interval test cdfs[rows, cols - 1] <= u < cdfs[rows, cols], unbounded
-    below at column 0: on a nondecreasing row that is exactly
-    ``np.searchsorted(cdfs[rows], u, side="right") == cols``."""
-    below = np.where(cols > 0, cdfs[rows, cols - 1], -np.inf)
-    return (below <= u) & (u < cdfs[rows, cols])
-
-
-def _sample_f(ctx: LagrangianContext, cdfs: np.ndarray, ws: np.ndarray,
+def _sample_f(ctx: LagrangianContext, probs: np.ndarray, ws: np.ndarray,
               pairs: list[tuple[int, int]], shots: int, seed) -> tuple[list[float], int]:
-    """Two-step estimates of F from independent dual and primal draws, all
-    from one generator seeded from ``seed``, and the shots they spend:
-    estimate e pairs the primal CDFs ``cdfs[:, r]`` (``_primal_cdfs``) with
-    the dual PMF ``ws[q]``, (r, q) = ``pairs[e]``.
+    """Estimates of F from independent dual and primal outcomes, all from
+    one generator seeded from ``seed``, and the shots they spend: estimate
+    e pairs the primal outcome probabilities ``probs[:, r]``, one leading
+    row per joint piece in table order (``xbm.outcome_probabilities`` under
+    ``LagrangianContext.primal_rotations``, then ``_normalised``), with the
+    dual PMF ``ws[q]``, (r, q) = ``pairs[e]``.
 
-    Per color piece k: S dual outcomes m are drawn from the dual PMF and S
-    outcomes i of the color-rotated primal circuit from row k of its CDFs;
-    each pair scores the piece diagonal of constraint m at i, and the
-    estimate is the sum of the scores over S.  A pair scores only if its
-    segment k * M + m has entries, so each piece's live rows
-    (``PieceTable.live_rows``) come first in its dual inverse CDF: the
-    running sums of their probabilities (``xbm.live_cumulative``) end at
-    the piece's live mass, a dual draw at or above it scores 0 unsearched,
-    and the others find their row by one ``xbm.live_inverse``.  The
-    estimates draw through ``xbm.live_blocks``, all of them scored together
-    block by block: each block draws its estimates' (pieces, S) dual
-    uniforms and then one primal uniform per live pair, which is never
-    inverted: it scores the entry of the pair's segment whose column passes
-    the interval test ``_scored``.
+    Per color piece k, each of S shots pairs a dual outcome m ~ w with an
+    outcome i ~ p_k of the color-rotated primal circuit and scores the
+    piece diagonal of constraint m at i, the table entry at segment
+    k * M + m and column i, and the estimate is the sum of the scores over
+    S.  A shot scores only on an entry, so ``xbm.draw_estimates`` draws,
+    per estimate and piece, how many shots land on the piece's entries,
+    whose probabilities are w_m p_k(i), and then which.
     """
-    table, live = ctx.joint_diagonals, ctx.joint_diagonals.live_rows
-    # the live rows' probabilities, taken row-major so that they ravel as a view
-    cumulative = xbm.live_cumulative(np.take(ws, live.outcomes, axis=-1)
-                                     / ws.sum(axis=-1, keepdims=True), live.starts)
-    width, widths = cumulative.shape[1], np.diff(live.starts)
+    table = ctx.joint_diagonals
+    dim = table.entries.dim
+    pieces, cells = np.divmod(table.entries.keys, table.count * dim)
+    rows, outcomes = np.divmod(cells, dim)  # each entry's constraint m and primal outcome i
+    columns = pieces * dim + outcomes  # its place in a primal row's (pieces, dim) block
     primal, dual = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    masses = cumulative[:, live.starts[1:] - 1][dual]
-    # row r * len(cdfs) + k: piece k at primal row r, a view of the state-major CDFs
-    rows = cdfs.swapaxes(0, 1).reshape(-1, cdfs.shape[-1])
+    states = probs.swapaxes(0, 1).reshape(probs.shape[1], -1)
+    pmfs = ws / ws.sum(axis=-1, keepdims=True)
 
-    def scores(estimates, pieces, row, u, v):
-        """Each estimate's summed scores over the live pairs of a block."""
-        first = dual[estimates] * width + live.starts[pieces]  # each block row's run
-        at = xbm.live_inverse(cumulative.ravel(), first[row],
-                              (first + widths[pieces] - 1)[row], u)
-        estimate, piece = estimates[row], pieces[row]
-        segments = piece * table.count + live.outcomes[at % width]
-        starts = table.segment_starts[segments]
-        sizes = table.segment_starts[segments + 1] - starts
-        # one item per pair and entry of its segment, entries first to first + size - 1
-        entry = np.arange(sizes.sum()) + np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
-        pair = np.repeat(np.arange(len(u)), sizes)
-        cols = table.entries.keys[entry] % table.entries.dim
-        hit = _scored(rows, primal[estimate[pair]] * len(cdfs) + piece[pair], cols, v[pair])
-        return np.bincount(estimate[pair[hit]], table.entries.values[entry[hit]],
-                           minlength=len(pairs))
+    def entry_probabilities(first, stop):
+        out = np.empty((stop - first, len(columns)))
+        return np.multiply(_gathered(states, primal[first:stop], columns),
+                           _gathered(pmfs, dual[first:stop], rows), out=out)
 
-    totals = sum((scores(*block) for block in xbm.live_blocks(
-        rng(seed), masses, shots, paired=True)), np.zeros(len(pairs)))
+    totals = xbm.draw_estimates(rng(seed), entry_probabilities, len(pairs),
+                                table.segment_starts[::table.count], table.entries.values, shots)
     return (totals / shots).tolist(), shots * len(table) * len(pairs)
+
+
+def _gathered(array: np.ndarray, at: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """``array[at][:, columns]``, or, when ``at`` names one row throughout,
+    that row alone as a (1, columns) array to broadcast: a theta-shift
+    block of F estimates reads one dual row, a phi-shift block one primal
+    row."""
+    if np.all(at == at[0]):
+        return array[at[0], columns][None]
+    return array[at[:, None], columns]
 
 
 def eval_F_sampled(ctx: LagrangianContext, p: PrimalPoint, d: DualPoint,
                    shots: int, seed) -> float:
     """Unbiased sampled estimate of F(theta, phi)."""
     psi = prepare(ctx.primal_spec, p.theta)
-    (value,), _ = _sample_f(ctx, _primal_cdfs(ctx, psi[None]), dual_pmf(ctx, d)[None],
-                            [(0, 0)], shots, seed)
+    probs = _normalised(xbm.outcome_probabilities(psi[None], ctx.primal_rotations[0]))
+    (value,), _ = _sample_f(ctx, probs, dual_pmf(ctx, d)[None], [(0, 0)], shots, seed)
     return value
 
 

@@ -32,21 +32,21 @@ its one-matrix cost), and ``decompose`` is the same for one Hermitian
 matrix, dense or scipy-sparse: a ``PieceTable`` holds the pieces' (color,
 part), the sorted sparse entries of all their diagonals as one
 ``PieceEntries`` with a per-segment index of them, and their norms.
-The sampled estimators draw only the outcomes that can score.  Inversion
-is exact under any order of the outcomes (Devroye 1986, section III.2), so
-each piece puts first its live outcomes: the basis indices where its
-diagonal is nonzero, for ``estimate_expectation``, which estimates one
-matrix's expectation on every row of a stack of states from their
-``outcome_probabilities``, and the dual rows whose segment has entries
-(``PieceTable.live_rows``), for the sampled F.  ``live_cumulative`` takes
-the running sums of their probabilities, the last being the piece's live
-mass; ``live_blocks`` draws the uniforms of all the estimates of one call
-from one generator, each block of whole estimates in one call, disjoint
-blocks of the stream keeping the estimates independent, and keeps only
-the draws below that mass; and ``live_inverse`` resolves the kept draws
-with one branchless binary search over all of them.  A draw above the
-live mass scores 0 unsearched, no zero-probability outcome is returned,
-and nothing is sorted.
+The sampled estimators draw only the shots that score.  A piece's shot
+scores only on one of its table entries, so per estimate and piece
+``draw_estimates`` draws how many of the S shots land on an entry, one
+binomial count of the entries' total probability, and then which entry
+each of those lands on, by inversion over the running sums of the entry
+probabilities: ``live_inverse``, one branchless binary search over all
+the draws of a block, never leaves a draw's run and never returns a
+zero-probability entry.  The rest of the S shots score 0 and are never
+drawn (Devroye 1986: inversion, section III.2, and the conditional method
+for the multinomial).  All the estimates of one call draw from one
+generator, block after block of whole estimates, so they are independent.
+``estimate_expectation`` estimates one matrix's expectation on every row
+of a stack of states from their ``outcome_probabilities`` this way, an
+entry's probability being its outcome's; the sampled F of ``model``
+draws the same way over the joint table's entries.
 The construction is validated functionally by the test suite: R M_c R^dag
 must be diagonal and equal diag(lambda) for every color and part.
 """
@@ -73,8 +73,8 @@ _S_DAG = rotation_matrix("rz", -math.pi / 2)  # S^dag up to a global phase
 # amplitudes per block of the rotation's second gather: bounds that
 # temporary, so rotating a whole shift stack does not raise the memory peak
 _GATHER_BLOCK = 2**14
-# uniforms per block of the live-first estimators: bounds the temporaries
-# of drawing and scoring, so a gradient's estimates do not raise its peak
+# entries, shots and draws per block of ``draw_estimates``: bounds its
+# temporaries, so a gradient's estimates do not raise its peak
 _DRAW_BLOCK = 2**15
 
 
@@ -183,14 +183,6 @@ class PieceEntries(NamedTuple):
     dim: int
 
 
-class LiveOutcomes(NamedTuple):
-    """The outcomes of each piece's draws that can score, piece-major:
-    piece k's are ``outcomes[starts[k]:starts[k + 1]]``, ascending."""
-
-    outcomes: np.ndarray
-    starts: np.ndarray
-
-
 @dataclass(frozen=True)
 class PieceTable:
     """The color pieces of a stack of ``count`` matrices, for the pieces
@@ -223,15 +215,6 @@ class PieceTable:
         entries ``segment_starts[s]`` to ``segment_starts[s + 1]``, by column."""
         bounds = np.arange(len(self) * self.count + 1) * self.entries.dim
         return np.searchsorted(self.entries.keys, bounds)
-
-    @cached_property
-    def live_rows(self) -> LiveOutcomes:
-        """Per piece k, the matrices m whose segment k * count + m has
-        entries, the only dual outcomes of the sampled F that can score;
-        built on first use.  Every piece has at least one."""
-        segments = np.flatnonzero(np.diff(self.segment_starts))
-        starts = np.searchsorted(segments, np.arange(len(self) + 1) * self.count)
-        return LiveOutcomes(segments % self.count, starts)
 
 
 def piece_table(stack: MatrixStack) -> PieceTable:
@@ -289,20 +272,6 @@ def decompose(matrix, tol: float = 1e-10) -> PieceTable:
     return piece_table(stack)
 
 
-def live_cumulative(weights: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Each piece's running sums of its live outcomes' probabilities, in
-    place: the last axis of ``weights`` holds them piece-major, piece k's
-    from ``starts[k]`` to ``starts[k + 1] - 1``, and the piece's last
-    running sum is its live mass.  Each piece is one sequential
-    ``np.add.accumulate``, ``np.cumsum``'s own loop, so a run is bit for bit
-    the head of the cumulative distribution with the piece's live outcomes
-    reordered first.  Returns ``weights``."""
-    for first, end in zip(starts[:-1].tolist(), starts[1:].tolist()):
-        run = weights[..., first:end]
-        np.add.accumulate(run, axis=-1, out=run)
-    return weights
-
-
 def live_inverse(cumulative: np.ndarray, first: np.ndarray, last: np.ndarray,
                  u: np.ndarray) -> np.ndarray:
     """``first + np.searchsorted(cumulative[first:last + 1], u, side="right")``
@@ -324,37 +293,67 @@ def live_inverse(cumulative: np.ndarray, first: np.ndarray, last: np.ndarray,
     return at
 
 
-def live_blocks(draws: np.random.Generator, masses: np.ndarray, shots: int,
-                paired: bool = False):
-    """The draws that can score of a set of estimates, all from the one
-    generator ``draws``, yielded in blocks of at most ``_DRAW_BLOCK``
-    uniforms (or of one piece's S, if larger) as (estimates, pieces, row,
-    u) arrays, or (estimates, pieces, row, u, v) when ``paired``: the
-    block's rows of draws belong to estimates[r] and piece pieces[r], and
-    each kept draw u is on row ``row``.
+def draw_estimates(draws: np.random.Generator, entry_probabilities, count: int,
+                   starts: np.ndarray, values: np.ndarray, shots: int) -> np.ndarray:
+    """``count`` sampled estimates, S = ``shots`` shots per piece each, all
+    drawn from the one generator ``draws``, scoring only the shots that
+    land on a piece's table entries.
 
-    Estimate e, piece k is row e * pieces + k of S uniforms, and the rows
-    take consecutive disjoint blocks of the stream, a block of whole
-    estimates (of whole rows if one estimate alone is larger) in one
-    ``random`` call, so every estimate draws its own independent uniforms.
-    Inversion is exact under any order of the outcomes, so with the live
-    outcomes first a draw of piece k can score only below its live mass
-    ``masses[e, k]``; only those draws are kept, in row order, and, when
-    ``paired``, each takes one more uniform, all of the block's in one
-    more call.
+    Piece k owns entries ``starts[k]`` to ``starts[k + 1] - 1``, and entry j
+    scores ``values[j]``.  ``entry_probabilities(first, stop)`` returns a
+    new (stop - first, entries) array: row e - first holds the probability
+    that one shot of estimate e lands on each entry, the rest of each
+    piece's mass scoring 0.  So the S shots of estimate e and piece k are a
+    multinomial over the piece's entries and one dead category: the number
+    N that land on an entry is Binomial(S, J), J the piece's entry mass,
+    and given N they are N independent draws of an entry with probability
+    proportional to its own (the conditional method for the multinomial,
+    Devroye 1986).  Only those N are drawn, each by inversion over the
+    row's running sums: the target lo + U J, lo the running sum before the
+    piece's run, is found in the run by one ``live_inverse``.  A target
+    that rounds up to the run's end is set just below it, so no draw
+    leaves its run and no zero-probability entry is returned.
+
+    The estimates go in blocks of whole estimates with at most
+    ``_DRAW_BLOCK`` entry probabilities and shots (one estimate if it alone
+    has more); each block draws its binomial counts in one call, then its
+    uniforms ``_DRAW_BLOCK`` at a time, so every estimate draws its own
+    disjoint part of the stream and the estimates are independent.
+    Returns each estimate's summed scores over S.
     """
-    pieces, flat = masses.shape[-1], masses.ravel()
-    step = max(1, _DRAW_BLOCK // shots)
-    if 0 < pieces <= step:
-        step -= step % pieces
-    u = np.empty((min(step, len(flat)), shots))
-    for first in range(0, len(flat), step):
-        block = u[:min(step, len(flat) - first)]
-        draws.random(out=block)
-        live = np.flatnonzero(block < flat[first:first + len(block), None])
-        out = (*np.divmod(np.arange(first, first + len(block)), pieces), live // shots,
-               block.ravel()[live])
-        yield out + (draws.random(len(live)),) if paired else out
+    width, pieces = len(values), len(starts) - 1
+    totals = np.zeros(count)
+    step = max(1, min(count, _DRAW_BLOCK // max(1, width, pieces * shots)))
+    # (estimate, piece) r = b * pieces + k of a block: its run of running
+    # sums is flat[before[r] + 1:after[r] + 1], after flat[before[r]] = lo
+    offsets = np.arange(step)[:, None] * (width + 1)
+    befores, afters = (offsets + starts[:-1]).ravel(), (offsets + starts[1:]).ravel()
+    estimates = np.arange(step).repeat(pieces)
+    for first in range(0, count, step):
+        probs = entry_probabilities(first, min(first + step, count))
+        rows = len(probs)
+        # row b: 0, then the running sums of its entry probabilities
+        cumulative = np.zeros((rows, width + 1))
+        np.cumsum(probs, axis=1, out=cumulative[:, 1:])
+        flat = cumulative.ravel()
+        before, after = befores[:rows * pieces], afters[:rows * pieces]
+        lows, tops = flat[before], flat[after]
+        masses = np.minimum(tops - lows, 1.0)
+        highest = np.nextafter(tops, -np.inf)  # the largest target below the run's end
+        counts = draws.binomial(shots, masses)
+        ends = np.concatenate(([0], np.cumsum(counts)))
+        for start in range(0, int(ends[-1]), _DRAW_BLOCK):
+            # each run's draws among this chunk's
+            taken = np.diff(np.minimum(np.maximum(ends, start), start + _DRAW_BLOCK))
+            target = draws.random(int(taken.sum()))
+            target *= np.repeat(masses, taken)
+            target += np.repeat(lows, taken)
+            np.minimum(target, np.repeat(highest, taken), out=target)
+            at = live_inverse(flat, np.repeat(before + 1, taken), np.repeat(after, taken), target)
+            totals[first:first + rows] += np.bincount(
+                np.repeat(estimates[:rows * pieces], taken), values[at % (width + 1) - 1],
+                minlength=rows)
+    return totals
 
 
 def outcome_probabilities(states: np.ndarray, rotations: PieceRotations) -> np.ndarray:
@@ -376,33 +375,26 @@ def estimate_expectation(probs: np.ndarray, table: PieceTable, shots_per_piece: 
     drawn from one generator seeded from ``seed``.
 
     A piece scores only on the outcomes where its diagonal is nonzero, its
-    entries, so those come first: per state, the running sums of their
-    normalised probabilities (``live_cumulative``) give each piece's live
-    mass.  The estimates draw S uniforms per piece from disjoint blocks of
-    the one stream (``live_blocks``); a draw at or above its piece's live
-    mass scores 0 unsearched, and the others find their entry by one
-    ``live_inverse`` per block.  The estimate is the sum of the scores over
-    S, so each piece's average has the law of S multinomial outcomes of its
-    rotated state: the estimates are unbiased, and independent of each
-    other.
+    entries, so ``draw_estimates`` draws, per state and piece, how many of
+    the S shots land on them and then which: an entry's probability is its
+    outcome's, normalised over the piece's outcomes.  The estimate is the
+    sum of the scores over S, so each piece's average has the law of S
+    multinomial outcomes of its rotated state: the estimates are unbiased,
+    and independent of each other.
     """
     if shots_per_piece < 1:
         raise ValidationError("shots_per_piece must be >= 1")
     if table.count != 1:
         raise ValidationError("estimate_expectation reads the pieces of one matrix")
-    starts, keys, dim = table.segment_starts, table.entries.keys, table.entries.dim
     # piece p's probability of outcome i is at key p * dim + i of its entries
-    key_pieces, outcomes = np.divmod(keys, dim)
-    cumulative = probs.swapaxes(0, 1)[:, key_pieces, outcomes]
-    cumulative /= probs.sum(axis=-1).T[:, key_pieces]
-    live_cumulative(cumulative, starts)
-    width, widths = len(keys), np.diff(starts)
-    hits = np.zeros(cumulative.size, dtype=np.intp)
-    for estimates, pieces, row, u in live_blocks(rng(seed), cumulative[:, starts[1:] - 1],
-                                                shots_per_piece):
-        first = estimates * width + starts[pieces]  # each block row's run
-        hits += np.bincount(live_inverse(cumulative.ravel(), first[row],
-                                         (first + widths[pieces] - 1)[row], u),
-                            minlength=len(hits))
-    totals = (hits.reshape(len(cumulative), width) * table.entries.values).sum(axis=1)
+    key_pieces, outcomes = np.divmod(table.entries.keys, table.entries.dim)
+    states, sums = probs.swapaxes(0, 1), probs.sum(axis=-1).T
+
+    def entry_probabilities(first, stop):
+        block = states[first:stop, key_pieces, outcomes]
+        block /= sums[first:stop, key_pieces]
+        return block
+
+    totals = draw_estimates(rng(seed), entry_probabilities, len(sums), table.segment_starts,
+                            table.entries.values, shots_per_piece)
     return (totals / shots_per_piece).tolist()

@@ -632,9 +632,9 @@ def estimate(states, table, shots_per_piece, seed):
     return xbm.estimate_expectation(probs, table, shots_per_piece, seed)
 
 
-# The sampled estimators that the live-first inverse CDFs replaced, kept as
-# oracles: the live-first estimators draw other streams, so they must match
-# these in distribution (``same_moments``), not bit for bit.
+# The sampled estimators that the binomial draws of ``xbm.draw_estimates``
+# replaced, kept as oracles: the estimators draw other streams, so they must
+# match these in distribution (``same_moments``), not bit for bit.
 
 
 def same_moments(values, oracle, sigmas=5.0):
@@ -705,13 +705,80 @@ def sorted_search_sample_f(ctx, cdfs, w_cdf, mode):
     entry = np.arange(sizes.sum()) + np.repeat(first[shot] - np.cumsum(sizes) + sizes, sizes)
     shot = np.repeat(shot, sizes)
     cols = table.entries.keys[entry] % table.entries.dim
-    hit = model._scored(cdfs, shot // shots, cols, u[shot])
+    hit = scored(cdfs, shot // shots, cols, u[shot])
     values = np.zeros((pieces, shots))
     values.ravel()[shot[hit]] = table.entries.values[entry[hit]]
     total = 0.0
     for mean in (values.sum(axis=1) / shots).tolist():
         total += mean
     return total, shots * pieces
+
+
+def scored(cdfs, rows, cols, u):
+    """Whether the draw u from CDF row ``rows`` is outcome ``cols``, by the
+    interval test cdfs[rows, cols - 1] <= u < cdfs[rows, cols], unbounded
+    below at column 0: on a nondecreasing row that is exactly
+    ``np.searchsorted(cdfs[rows], u, side="right") == cols``."""
+    below = np.where(cols > 0, cdfs[rows, cols - 1], -np.inf)
+    return (below <= u) & (u < cdfs[rows, cols])
+
+
+def primal_cdfs(ctx, psi):
+    """(pieces, *psi.shape) cumulative outcome distributions of the
+    color-rotated primal circuit of a state, or of every state of a stack,
+    one leading row per primal piece, the joint pieces first in table order:
+    the CDFs that the retired estimators of F read."""
+    probs = xbm.outcome_probabilities(psi, ctx.primal_rotations[0])
+    np.cumsum(probs, axis=-1, out=probs)
+    probs /= probs[..., -1:]
+    return probs
+
+
+def live_first_sample_f(ctx, cdfs, ws, pairs, shots, seed):
+    """The retired live-first estimator of F: (estimates, shots) for
+    estimate e pairing the primal CDFs ``cdfs[:, r]`` (``primal_cdfs``)
+    with the dual PMF ``ws[q]``, (r, q) = ``pairs[e]``, all drawn from
+    ``sim.rng(seed)``.
+
+    Per estimate and piece, S dual uniforms are drawn, estimates in blocks
+    of at most ``xbm._DRAW_BLOCK`` uniforms.  The dual rows whose segment
+    has entries come first in the piece's dual inverse CDF, so a dual draw
+    at or above their mass scores 0; the others find their row by
+    ``xbm.live_inverse`` and draw one primal uniform, which scores the
+    entry of the pair's segment whose column passes the interval test
+    ``scored``."""
+    table = ctx.joint_diagonals
+    segments = np.flatnonzero(np.diff(table.segment_starts))
+    starts = np.searchsorted(segments, np.arange(len(table) + 1) * table.count)
+    outcomes = segments % table.count  # each piece's live dual rows, piece-major
+    cumulative = np.take(ws, outcomes, axis=-1) / ws.sum(axis=-1, keepdims=True)
+    for first, end in zip(starts[:-1], starts[1:]):
+        np.cumsum(cumulative[:, first:end], axis=-1, out=cumulative[:, first:end])
+    width, widths, pieces = cumulative.shape[1], np.diff(starts), len(table)
+    primal, dual = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    masses = cumulative[:, starts[1:] - 1][dual].ravel()
+    rows = cdfs.swapaxes(0, 1).reshape(-1, cdfs.shape[-1])
+    draws, totals = sim.rng(seed), np.zeros(len(pairs))
+    step = max(1, xbm._DRAW_BLOCK // shots)
+    if 0 < pieces <= step:
+        step -= step % pieces
+    for first in range(0, len(masses), step):
+        u = draws.random((min(step, len(masses) - first), shots))
+        live = np.flatnonzero(u < masses[first:first + len(u), None])
+        estimates, piece = np.divmod(first + live // shots, pieces)
+        u, v = u.ravel()[live], draws.random(len(live))
+        run = dual[estimates] * width + starts[piece]
+        at = xbm.live_inverse(cumulative.ravel(), run, run + widths[piece] - 1, u)
+        segment = piece * table.count + outcomes[at % width]
+        entry_first = table.segment_starts[segment]
+        sizes = table.segment_starts[segment + 1] - entry_first
+        entry = np.arange(sizes.sum()) + np.repeat(entry_first - np.cumsum(sizes) + sizes, sizes)
+        pair = np.repeat(np.arange(len(u)), sizes)
+        cols = table.entries.keys[entry] % table.entries.dim
+        hit = scored(rows, primal[estimates[pair]] * len(cdfs) + piece[pair], cols, v[pair])
+        totals += np.bincount(estimates[pair[hit]], table.entries.values[entry[hit]],
+                              minlength=len(pairs))
+    return (totals / shots).tolist(), shots * pieces * len(pairs)
 
 
 def rcm_order(pattern, start):

@@ -262,6 +262,32 @@ def test_local_reference_multipliers_certify_a_zero_duality_gap(name, request, m
     assert smallest >= -1e-9 and second > 1e-3
 
 
+def test_local_reference_jacobian_has_full_row_rank(case3, monkeypatch):
+    """trust-constr gets each pair of opposite rows as one two-sided row:
+    on case3 its constraint rows are the 23 stored rows less the 10 lower
+    halves of the balance, generator-limit, voltage and reference pairs,
+    and at the solution the Jacobian rows of its equalities and of every
+    bound met within 1e-6 are linearly independent.  Two opposite rows of
+    one active pair would make that Jacobian rank-deficient."""
+    solve, calls = harness.minimize, []
+
+    def spy(*args, **kwargs):
+        calls.append((kwargs["constraints"], solve(*args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(harness, "minimize", spy)
+    harness.local_reference(case3)
+    (constraint, result), = calls
+    problem = grid.assemble_qcqp(case3)
+    values = constraint.fun(result.x)
+    jacobian = constraint.jac(result.x).toarray()
+    assert problem.m == 23 and jacobian.shape == (13, 2 * problem.n)
+    equal = constraint.lb == constraint.ub
+    assert equal.sum() == 5  # four balance rows and the reference row
+    active = equal | (values >= constraint.ub - 1e-6) | (values <= constraint.lb + 1e-6)
+    assert np.linalg.matrix_rank(jacobian[active]) == active.sum()
+
+
 def test_local_reference_rerun_is_bit_identical(case3):
     first, second = harness.local_reference(case3), harness.local_reference(case3)
     for name in ("p_g", "v_g", "lam", "v"):

@@ -1,12 +1,14 @@
-"""Every public name in ``src/qopf`` has a caller in the program.
+"""Every name defined in ``src/qopf`` has a caller in the program.
 
 The program is ``src/qopf`` plus the benchmark driver ``perfbench``.  A
-public module-level function or class, or a public method of a
-module-level class, counts as called when its name appears somewhere in
-that code as a name, an attribute, or an identifier-like string constant
-(the ``tracer.wrap(module, "name", ...)`` targets of the benchmark).
-Docstrings and other bare string statements are not code and do not count.
-A name that only the tests use belongs in the tests.
+module-level function or class, or a method of a module-level class,
+counts as called when its name appears somewhere in that code as a name,
+an attribute, or an identifier-like string constant (the
+``tracer.wrap(module, "name", ...)`` targets of the benchmark).  Docstrings
+and other bare string statements are not code and do not count.  A public
+name that only the tests use belongs in the tests; a private ``_name``
+that nothing in the program uses is dead code.  Dunder methods are called
+by Python itself and are not checked.
 """
 
 import ast
@@ -23,17 +25,23 @@ ALLOWED = {
 }
 
 
-def public_definitions(path):
+def definitions(path, private=False):
     """(qualified name, name) of every public module-level function and
-    class of a module, and of every public method of those classes."""
+    class of a module, and of every public method of its module-level
+    classes; with ``private``, of every ``_name`` one instead, dunder
+    methods left out."""
+    def wanted(name):
+        return not name.startswith("__") and name.startswith("_") == private
+
     out = []
     for node in ast.parse(path.read_text(encoding="utf-8")).body:
-        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             continue
-        out.append((f"{path.stem}.{node.name}", node.name))
+        if wanted(node.name):
+            out.append((f"{path.stem}.{node.name}", node.name))
         if isinstance(node, ast.ClassDef):
             out += [(f"{path.stem}.{node.name}.{item.name}", item.name) for item in node.body
-                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+                    if isinstance(item, ast.FunctionDef) and wanted(item.name)]
     return out
 
 
@@ -57,8 +65,17 @@ def referenced_names(path):
 
 def test_every_public_src_name_has_a_caller_in_the_program():
     used = set().union(*(referenced_names(path) for path in PROGRAM))
-    defined = [entry for path in sorted(SOURCE.glob("*.py")) for entry in public_definitions(path)]
+    defined = [entry for path in sorted(SOURCE.glob("*.py")) for entry in definitions(path)]
     uncalled = [qualified for qualified, name in defined
                 if name not in used and name not in ALLOWED]
     assert not uncalled, f"public names only the tests use: {uncalled}"
     assert set(ALLOWED) <= {name for _, name in defined}, "stale allowlist entry"
+
+
+def test_every_private_src_name_is_used_in_the_program():
+    used = set().union(*(referenced_names(path) for path in PROGRAM))
+    defined = [entry for path in sorted(SOURCE.glob("*.py"))
+               for entry in definitions(path, private=True)]
+    assert len(defined) > 40
+    unused = [qualified for qualified, name in defined if name not in used]
+    assert not unused, f"private names nothing in the program uses: {unused}"
