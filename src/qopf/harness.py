@@ -112,10 +112,16 @@ class ExperimentConfig:
         lo, hi = self.load_scale
         if not (0 < lo <= hi < 2):
             raise ValidationError("load scaling range must lie inside (0, 2)")
+        for key, names, allowed in (("models", self.models, ("qcqp", "qcqp_theta")),
+                                    ("methods", self.methods, (saddle_mod.PD, saddle_mod.EG))):
+            # a bare string would pass as its characters, a repeat would run twice
+            if not (isinstance(names, (list, tuple)) and names
+                    and all(name in allowed for name in names) and len(set(names)) == len(names)):
+                raise ValidationError(f"{key} must be a non-empty list of distinct names from "
+                                      f"{list(allowed)}, got {names!r}")
+            object.__setattr__(self, key, tuple(names))
         for kind, values, allowed in (
                 ("mode", (self.mode,), ("exact", "sampled")),
-                ("model", self.models, ("qcqp", "qcqp_theta")),
-                ("method", self.methods, (saddle_mod.PD, saddle_mod.EG)),
                 ("primal_ansatz.row", (self.primal.row,), tuple(ARCHITECTURES)),
                 ("dual_ansatz.row", (self.dual.row,), tuple(ARCHITECTURES))):
             for value in values:
@@ -226,8 +232,8 @@ def config_from_json(doc: dict | str | Path) -> ExperimentConfig:
                             primal.get("layers", base.primal.layers)),
         dual=AnsatzChoice(dual.get("row", base.dual.row),
                           dual.get("layers", base.dual.layers)),
-        models=tuple(doc.get("models", base.models)),
-        methods=tuple(doc.get("methods", base.methods)),
+        models=doc.get("models", base.models),
+        methods=doc.get("methods", base.methods),
         mode=doc.get("mode", base.mode),
         shots=doc.get("shots", base.shots),
         seed=doc.get("seed", base.seed),
@@ -548,8 +554,8 @@ def local_reference(case: NetworkCase) -> ReferenceInstance:
 def reference_solution(config: ExperimentConfig, case: NetworkCase,
                        instances: list[NetworkCase]) -> ReferenceSolution | None:
     """The reference solutions of a run's instances: read from
-    config.reference_path, else computed by the desk oracle when the case
-    has at most three buses, else None.
+    config.reference_path, else computed by ``local_reference`` when the
+    case has at most three buses, else None.
 
     A file is checked against the case before any solve, where a misfit
     would otherwise fail only once the metrics are computed: ``config.instances``

@@ -14,19 +14,20 @@ with F0 the cost expectation on the primal circuit, G a diagonal observable
 whose exact value is the PMF-weighted sum of per-constraint expectations.
 The cost and the rows are both ``grid.MatrixStack``s, so the color pieces
 of F0 and of F come from the same ``xbm.piece_table``.
-Its sampled value pairs independent measurements, as an extended Bell
-measurement would on hardware: per color piece, a dual outcome m and an
-outcome i of the color-rotated primal circuit are drawn separately, and
-the pair scores the rotated piece diagonal of constraint m at i, read from
-segment p * M + m of the context's piece table.  Each sampled estimator
-call seeds one generator, F0's, F's and G's each from their own derived
-seed, and all the estimates of the call, and all the pieces of each,
-draw disjoint blocks of that one stream, which keeps them independent.
-G is the color-0 expectation of diag(bounds), drawn by the same
-estimator as F0 (``xbm.estimate_expectation``).  A pair scores only on
-an entry of the table, so per estimate and piece ``xbm.draw_estimates``
-draws how many of the S pairs land on an entry, whose probability is
-w_m p_k(i), and then which: the other pairs score 0 and are never drawn.
+All three terms are sampled by the one extended-Bell-measurement
+estimator ``xbm.estimate_expectation``: per color piece, a dual outcome
+m ~ w and an outcome i of the color-rotated primal circuit are drawn
+separately, and the pair scores the rotated piece diagonal of constraint
+m at i, read from segment p * M + m of the joint piece table.  F0 is the
+one-matrix case, the cost table with the one-point PMF, and G the
+color-0 piece of diag(bounds) read on the dual outcomes, with the dual
+PMF as its one piece's outcome probabilities.  A pair scores only on a
+table entry, so per estimate and piece the estimator draws how many of
+the S pairs land on an entry, whose probability is w_m p_k(i), and then
+which: the other pairs score 0 and are never drawn.  Each term's call
+seeds one generator, F0's, F's and G's each from their own derived seed,
+and all the estimates of the call, and all the pieces of each, draw
+disjoint blocks of that one stream, which keeps them independent.
 
 In exact mode the gradients in the circuit parameters come from one
 adjoint (reverse-mode) sweep per circuit, reusing the factors and states
@@ -52,8 +53,8 @@ import numpy as np
 
 from . import xbm
 from .grid import MatrixStack, QcqpProblem, ValidationError
-from .sim import (AnsatzSpec, chain_seed, prepare, reverse_sweep, rng,
-                  rotation_factors, shift_states)
+from .sim import (AnsatzSpec, chain_seed, prepare, reverse_sweep, rotation_factors,
+                  shift_states)
 
 EXACT = "exact"
 SAMPLED = "sampled"
@@ -129,14 +130,13 @@ class LagrangianContext:
     one-matrix ``cost`` stack, and ``joint_diagonals`` of the
     block-diagonal joint observable of size MN x MN, never materialized,
     whose segment of piece p and constraint m is p * M + m; ``colors`` is
-    the union of their colors, the one count of them.  The sampled F
-    draws, per piece, the pairs of a dual outcome m and a rotated primal
-    outcome i that land on the piece's entries, which the table's
-    per-segment index, built on the first sampled F, splits by piece.  The
-    cost table's index, the primal rotations
-    under both tables' pieces (``primal_rotations``) and the one-piece
-    table of G (``bounds_table``) are built on first sampled use too, so
-    exact runs never pay for them.
+    the union of their colors, the one count of them.  The sampled F0, F
+    and G are each one ``xbm.estimate_expectation`` call, on the cost
+    table, the joint table and the one-piece table of G
+    (``bounds_table``).  The tables' per-segment indexes, which split
+    their entries by piece, the primal rotations under both tables' pieces
+    (``primal_rotations``) and ``bounds_table`` are built on first sampled
+    use, so exact runs never pay for them.
     """
 
     def __init__(self, problem: QcqpProblem, primal_spec: AnsatzSpec,
@@ -265,28 +265,33 @@ def exact_forward(ctx: LagrangianContext, p: PrimalPoint, d: DualPoint) -> Exact
 def _sample_terms(ctx: LagrangianContext, psis: np.ndarray, ws: np.ndarray,
                   pairs: list[tuple[int, int]], mode: EvalMode):
     """Sampled F0 at every row of a (B, dim) primal stack, F at every
-    (primal row, dual row) pair of ``pairs`` (``_sample_f``) and G at
-    every row of a stack of dual PMFs ``ws``, as arrays, and the shots they
-    spend.  Each term's estimates draw disjoint blocks of one generator's
-    stream: F0's seeded from ``mode.reseeded(0)``, F's from
-    ``mode.reseeded(1)`` and G's from ``mode.reseeded(2)``.
+    (primal row, dual row) pair of ``pairs`` and G at every row of a stack
+    of dual PMFs ``ws``, as arrays, and the shots they spend, each term
+    from one ``xbm.estimate_expectation`` call: F0's seeded from
+    ``mode.reseeded(0)``, F's from ``mode.reseeded(1)`` and G's from
+    ``mode.reseeded(2)``.
 
-    F0 and F read one rotation of the primal stack under the primal pieces
-    (``LagrangianContext.primal_rotations``): F0 estimates from its
-    pieces' outcome probabilities, and F from the same array, then
-    normalised in place.  G is the color-0 expectation of diag(bounds)
-    (``LagrangianContext.bounds_table``) by the estimator of F0, S shots
-    per dual circuit.
+    The primal stack is rotated once under the primal pieces
+    (``LagrangianContext.primal_rotations``) and its outcome probabilities
+    normalised in place; ``ws`` is normalised in place too.  F reads the
+    joint table with the dual PMFs, F0 the cost table at its slots of the
+    primal probabilities, and G the one-piece ``bounds_table`` with the
+    dual PMFs as its one piece's outcome probabilities; F0 and G take the
+    one-point PMF ``np.ones((1, 1))``.
     """
-    shots, table = mode.shots, ctx.m0_decomposition
+    shots, one = mode.shots, np.ones((1, 1))
     rotations, cost_slots = ctx.primal_rotations
-    probs = xbm.outcome_probabilities(psis, rotations)
-    f0 = xbm.estimate_expectation(np.take(probs, cost_slots, axis=0), table, shots,
-                                  mode.reseeded(0).seed)
-    f, f_shots = _sample_f(ctx, _normalised(probs), ws, pairs, shots, mode.reseeded(1).seed)
-    g = xbm.estimate_expectation(ws[None], ctx.bounds_table, shots, mode.reseeded(2).seed)
-    spent = shots * len(table) * len(psis) + f_shots + shots * len(ws)
-    return np.array(f0), np.array(f), np.array(g), spent
+    probs = _normalised(xbm.outcome_probabilities(psis, rotations))
+    pmfs = _normalised(ws)
+    f0, f0_shots = xbm.estimate_expectation(ctx.m0_decomposition, probs[cost_slots], one,
+                                            [(r, 0) for r in range(len(psis))], shots,
+                                            mode.reseeded(0).seed)
+    f, f_shots = xbm.estimate_expectation(ctx.joint_diagonals, probs, pmfs, pairs, shots,
+                                          mode.reseeded(1).seed)
+    g, g_shots = xbm.estimate_expectation(ctx.bounds_table, pmfs[None], one,
+                                          [(q, 0) for q in range(len(pmfs))], shots,
+                                          mode.reseeded(2).seed)
+    return np.array(f0), np.array(f), np.array(g), f0_shots + f_shots + g_shots
 
 
 def _normalised(probs: np.ndarray) -> np.ndarray:
@@ -295,58 +300,14 @@ def _normalised(probs: np.ndarray) -> np.ndarray:
     return probs
 
 
-def _sample_f(ctx: LagrangianContext, probs: np.ndarray, ws: np.ndarray,
-              pairs: list[tuple[int, int]], shots: int, seed) -> tuple[list[float], int]:
-    """Estimates of F from independent dual and primal outcomes, all from
-    one generator seeded from ``seed``, and the shots they spend: estimate
-    e pairs the primal outcome probabilities ``probs[:, r]``, one leading
-    row per joint piece in table order (``xbm.outcome_probabilities`` under
-    ``LagrangianContext.primal_rotations``, then ``_normalised``), with the
-    dual PMF ``ws[q]``, (r, q) = ``pairs[e]``.
-
-    Per color piece k, each of S shots pairs a dual outcome m ~ w with an
-    outcome i ~ p_k of the color-rotated primal circuit and scores the
-    piece diagonal of constraint m at i, the table entry at segment
-    k * M + m and column i, and the estimate is the sum of the scores over
-    S.  A shot scores only on an entry, so ``xbm.draw_estimates`` draws,
-    per estimate and piece, how many shots land on the piece's entries,
-    whose probabilities are w_m p_k(i), and then which.
-    """
-    table = ctx.joint_diagonals
-    dim = table.entries.dim
-    pieces, cells = np.divmod(table.entries.keys, table.count * dim)
-    rows, outcomes = np.divmod(cells, dim)  # each entry's constraint m and primal outcome i
-    columns = pieces * dim + outcomes  # its place in a primal row's (pieces, dim) block
-    primal, dual = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    states = probs.swapaxes(0, 1).reshape(probs.shape[1], -1)
-    pmfs = ws / ws.sum(axis=-1, keepdims=True)
-
-    def entry_probabilities(first, stop):
-        out = np.empty((stop - first, len(columns)))
-        return np.multiply(_gathered(states, primal[first:stop], columns),
-                           _gathered(pmfs, dual[first:stop], rows), out=out)
-
-    totals = xbm.draw_estimates(rng(seed), entry_probabilities, len(pairs),
-                                table.segment_starts[::table.count], table.entries.values, shots)
-    return (totals / shots).tolist(), shots * len(table) * len(pairs)
-
-
-def _gathered(array: np.ndarray, at: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """``array[at][:, columns]``, or, when ``at`` names one row throughout,
-    that row alone as a (1, columns) array to broadcast: a theta-shift
-    block of F estimates reads one dual row, a phi-shift block one primal
-    row."""
-    if np.all(at == at[0]):
-        return array[at[0], columns][None]
-    return array[at[:, None], columns]
-
-
 def eval_F_sampled(ctx: LagrangianContext, p: PrimalPoint, d: DualPoint,
                    shots: int, seed) -> float:
     """Unbiased sampled estimate of F(theta, phi)."""
     psi = prepare(ctx.primal_spec, p.theta)
     probs = _normalised(xbm.outcome_probabilities(psi[None], ctx.primal_rotations[0]))
-    (value,), _ = _sample_f(ctx, probs, dual_pmf(ctx, d)[None], [(0, 0)], shots, seed)
+    (value,), _ = xbm.estimate_expectation(ctx.joint_diagonals, probs,
+                                           _normalised(dual_pmf(ctx, d)[None]), [(0, 0)],
+                                           shots, seed)
     return value
 
 

@@ -32,21 +32,21 @@ its one-matrix cost), and ``decompose`` is the same for one Hermitian
 matrix, dense or scipy-sparse: a ``PieceTable`` holds the pieces' (color,
 part), the sorted sparse entries of all their diagonals as one
 ``PieceEntries`` with a per-segment index of them, and their norms.
-The sampled estimators draw only the shots that score.  A piece's shot
-scores only on one of its table entries, so per estimate and piece
-``draw_estimates`` draws how many of the S shots land on an entry, one
-binomial count of the entries' total probability, and then which entry
-each of those lands on, by inversion over the running sums of the entry
-probabilities: ``live_inverse``, one branchless binary search over all
-the draws of a block, never leaves a draw's run and never returns a
-zero-probability entry.  The rest of the S shots score 0 and are never
-drawn (Devroye 1986: inversion, section III.2, and the conditional method
-for the multinomial).  All the estimates of one call draw from one
-generator, block after block of whole estimates, so they are independent.
-``estimate_expectation`` estimates one matrix's expectation on every row
-of a stack of states from their ``outcome_probabilities`` this way, an
-entry's probability being its outcome's; the sampled F of ``model``
-draws the same way over the joint table's entries.
+``estimate_expectation`` is the one sampled estimator, an extended Bell
+measurement: each of S shots of a piece pairs an outcome m of a PMF over
+a table's matrices with an outcome i of the piece-rotated state and
+scores the piece diagonal of matrix m at i.  It draws only the shots
+that score: a shot scores only on one of the piece's table entries, so
+per estimate and piece ``draw_estimates`` draws how many of the S shots
+land on an entry, one binomial count of the entries' total probability,
+and then which entry each of those lands on, by inversion over the
+running sums of the entry probabilities: ``live_inverse``, one
+branchless binary search over all the draws of a block, never leaves a
+draw's run and never returns a zero-probability entry.  The rest of the
+S shots score 0 and are never drawn (Devroye 1986: inversion, section
+III.2, and the conditional method for the multinomial).  All the
+estimates of one call draw from one generator, block after block of
+whole estimates, so they are independent.
 The construction is validated functionally by the test suite: R M_c R^dag
 must be diagonal and equal diag(lambda) for every color and part.
 """
@@ -366,35 +366,49 @@ def outcome_probabilities(states: np.ndarray, rotations: PieceRotations) -> np.n
     return probs
 
 
-def estimate_expectation(probs: np.ndarray, table: PieceTable, shots_per_piece: int,
-                         seed) -> list[float]:
-    """Sampled estimates of <psi_b|M|psi_b> for the rows psi_b of a stack
-    of states, from the color pieces of one matrix M (``decompose``) and
-    the states' unnormalised outcome probabilities under the pieces'
-    rotations, ``probs[k, b]`` for piece k (``outcome_probabilities``), all
-    drawn from one generator seeded from ``seed``.
+def _gathered(array: np.ndarray, at: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """``array[at][:, columns]``, or, when ``at`` names one row throughout,
+    that row alone as a (1, columns) array to broadcast: a theta-shift
+    block of F estimates reads one dual row, a phi-shift block one primal
+    row, and an F0 or G block its one PMF."""
+    if np.all(at == at[0]):
+        return array[at[0], columns][None]
+    return array[at[:, None], columns]
 
-    A piece scores only on the outcomes where its diagonal is nonzero, its
-    entries, so ``draw_estimates`` draws, per state and piece, how many of
-    the S shots land on them and then which: an entry's probability is its
-    outcome's, normalised over the piece's outcomes.  The estimate is the
-    sum of the scores over S, so each piece's average has the law of S
-    multinomial outcomes of its rotated state: the estimates are unbiased,
-    and independent of each other.
+
+def estimate_expectation(table: PieceTable, probs: np.ndarray, pmfs: np.ndarray,
+                         pairs: Sequence[tuple[int, int]], shots: int,
+                         seed) -> tuple[list[float], int]:
+    """Sampled estimates of sum_m pmfs[q, m] <psi_r|M_m|psi_r>, M_m the
+    ``count`` matrices of ``table``, one per (r, q) of ``pairs``, and the
+    shots they charge, S = ``shots`` per piece and estimate, all drawn
+    from one generator seeded from ``seed``.
+
+    ``probs[k, r]`` holds the normalised outcome probabilities of psi_r
+    under piece k's rotation, one leading row per table piece in table
+    order (``outcome_probabilities``).  Each shot of piece k pairs
+    m ~ pmfs[q] with i ~ probs[k, r] and scores the entry of segment
+    k * count + m at column i, so an entry's probability is
+    probs[k, r, i] pmfs[q, m], and ``draw_estimates`` draws only the shots
+    that land on an entry.  With one matrix and the one-point PMF
+    ``np.ones((1, 1))`` the estimate is of that matrix's expectation.
+    Each piece's average has the law of S such pairs: the estimates are
+    unbiased, and independent of each other.
     """
-    if shots_per_piece < 1:
-        raise ValidationError("shots_per_piece must be >= 1")
-    if table.count != 1:
-        raise ValidationError("estimate_expectation reads the pieces of one matrix")
-    # piece p's probability of outcome i is at key p * dim + i of its entries
-    key_pieces, outcomes = np.divmod(table.entries.keys, table.entries.dim)
-    states, sums = probs.swapaxes(0, 1), probs.sum(axis=-1).T
+    if shots < 1:
+        raise ValidationError("shots must be >= 1")
+    dim = table.entries.dim
+    pieces, cells = np.divmod(table.entries.keys, table.count * dim)
+    matrices, outcomes = np.divmod(cells, dim)  # each entry's matrix m and outcome i
+    columns = pieces * dim + outcomes  # its place in a state's (pieces, dim) block
+    primal, dual = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    states = probs.swapaxes(0, 1).reshape(probs.shape[1], -1)
 
     def entry_probabilities(first, stop):
-        block = states[first:stop, key_pieces, outcomes]
-        block /= sums[first:stop, key_pieces]
-        return block
+        out = np.empty((stop - first, len(columns)))
+        return np.multiply(_gathered(states, primal[first:stop], columns),
+                           _gathered(pmfs, dual[first:stop], matrices), out=out)
 
-    totals = draw_estimates(rng(seed), entry_probabilities, len(sums), table.segment_starts,
-                            table.entries.values, shots_per_piece)
-    return (totals / shots_per_piece).tolist()
+    totals = draw_estimates(rng(seed), entry_probabilities, len(pairs),
+                            table.segment_starts[::table.count], table.entries.values, shots)
+    return (totals / shots).tolist(), shots * len(table) * len(pairs)

@@ -629,7 +629,10 @@ def estimate(states, table, shots_per_piece, seed):
     the rotations of the table's own pieces, all drawn from ``seed``."""
     rotations = xbm.piece_rotations(table.pieces, int(math.log2(table.entries.dim)))
     probs = xbm.outcome_probabilities(states, rotations)
-    return xbm.estimate_expectation(probs, table, shots_per_piece, seed)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    pairs = [(r, 0) for r in range(probs.shape[1])]
+    return xbm.estimate_expectation(table, probs, np.ones((1, 1)), pairs, shots_per_piece,
+                                    seed)[0]
 
 
 # The sampled estimators that the binomial draws of ``xbm.draw_estimates``

@@ -64,7 +64,9 @@ def test_xbm_correctness_suite():
             exact = exact_expectation(state, m)
             variance, _ = estimator_variance(dec, state, shots)
             probs = xbm.outcome_probabilities(state[None], xbm.piece_rotations(dec.pieces, n))
-            estimate = xbm.estimate_expectation(probs, dec, shots, [n, trial])[0]
+            probs /= probs.sum(axis=-1, keepdims=True)
+            estimate = xbm.estimate_expectation(dec, probs, np.ones((1, 1)), [(0, 0)], shots,
+                                                [n, trial])[0][0]
             sigma = math.sqrt(max(variance, 1e-30))
             worst_sigma = max(worst_sigma, abs(estimate - exact) / (5 * sigma))
     elapsed = time.perf_counter() - start

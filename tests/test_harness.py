@@ -543,7 +543,10 @@ def test_config_from_json_defaults_and_overrides(tmp_path):
                          ({"case": 3}, "case"),
                          ({"reference": 5}, "reference"),
                          ({"out": ["o"]}, "out"),
-                         ({"primal_ansatz": {"row": True}}, "primal_ansatz.row")):
+                         ({"primal_ansatz": {"row": True}}, "primal_ansatz.row"),
+                         ({"models": []}, "models"),
+                         ({"models": "qcqp"}, "models"),
+                         ({"methods": ["pd", "pd"]}, "methods")):
         with pytest.raises(ValidationError, match=re.escape(message)):
             config_from_json({"case": "x", **doc})
     assert config_from_json({"case": "x", "stop": {"max_iters": 0}}).stop.max_iters == 0

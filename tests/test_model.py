@@ -169,7 +169,9 @@ def test_eval_f_sampled_zero_observables():
     probs = model._normalised(xbm.outcome_probabilities(psi, ctx.primal_rotations[0]))
     assert probs.shape == (len(ctx.m0_decomposition), 4) == (1, 4)
     w = model.dual_pmf(ctx, d)[None]
-    assert model._sample_f(ctx, probs[:, None], w, [(0, 0)], 16, 0) == ([0.0], 0)
+    assert xbm.estimate_expectation(ctx.joint_diagonals, probs[:, None],
+                                    w / w.sum(axis=-1, keepdims=True), [(0, 0)], 16,
+                                    0) == ([0.0], 0)
 
 
 @pytest.mark.parametrize("problem", stack_problems())
@@ -260,7 +262,9 @@ def test_f0_reads_the_shared_rotation_bit_for_bit(batch_ctx):
     and F0, read from its slots of that rotation, is ``==`` to F0 from
     rotating the stack under the cost table alone, at the same seed: each
     piece's rotation is the same bit for bit whatever pieces share the
-    call.  On ieee57 every cost piece is a joint piece."""
+    call.  On ieee57 every cost piece is a joint piece.  G is ``==`` to
+    one ``xbm.estimate_expectation`` call on ``bounds_table`` with the
+    normalised dual PMFs as its one piece's outcome probabilities."""
     ctx, table = batch_ctx, batch_ctx.m0_decomposition
     rotations, slots = ctx.primal_rotations
     assert rotations.count >= len(ctx.joint_diagonals) and len(slots) == len(table)
@@ -273,9 +277,17 @@ def test_f0_reads_the_shared_rotation_bit_for_bit(batch_ctx):
         own = xbm.outcome_probabilities(
             psis, xbm.piece_rotations(table.pieces, ctx.primal_spec.n_qubits))
         assert np.array_equal(xbm.outcome_probabilities(psis, rotations)[slots], own)
+        ws = np.abs(sim.shift_states(ctx.dual_spec, sim.rotation_factors(ctx.dual_spec, d.phi)))**2
+        pmfs = ws / ws.sum(axis=-1, keepdims=True)
         mode = sampled_mode(50, [77, trial])
-        f0, *_ = model._sample_terms(ctx, psis, model.dual_pmf(ctx, d)[None], [(0, 0)], mode)
-        assert f0.tolist() == xbm.estimate_expectation(own, table, 50, mode.reseeded(0).seed)
+        f0, _, g, _ = model._sample_terms(ctx, psis, ws, [(0, 0)], mode)
+        one = np.ones((1, 1))
+        assert f0.tolist() == xbm.estimate_expectation(
+            table, model._normalised(own), one, [(r, 0) for r in range(len(psis))], 50,
+            mode.reseeded(0).seed)[0]
+        assert g.tolist() == xbm.estimate_expectation(
+            ctx.bounds_table, pmfs[None], one, [(q, 0) for q in range(len(ws))], 50,
+            mode.reseeded(2).seed)[0]
 
 
 def test_eval_f_sampled_matches_piecewise_loop(batch_ctx):
@@ -342,7 +354,6 @@ def test_sampled_gradient_seeds_one_generator_per_call(ieee57_context, monkeypat
         seeds.append(tuple(seed))
         return sim.rng(seed)
 
-    monkeypatch.setattr(model, "rng", counting_rng)
     monkeypatch.setattr(xbm, "rng", counting_rng)
     ctx = ieee57_context
     assert (ctx.p_count, ctx.q_count) == (12, 18)
@@ -399,11 +410,12 @@ def test_sampled_gradient_searches_and_rotations_do_not_grow(ieee57_context, mon
 
 
 def test_sampled_f_matches_sorted_search_oracle(ieee57_context):
-    """The F estimates of a gradient, drawn together in one ``_sample_f``
-    call, follow the law of the retired estimator: at 3 seeded points, 400
-    estimates of a theta-shift row with the base dual PMF and 400 of the
-    base primal row with a phi-shift PMF agree in mean and variance with as
-    many ``sorted_search_sample_f`` estimates at the same shots."""
+    """The F estimates of a gradient, drawn together in one
+    ``xbm.estimate_expectation`` call, follow the law of the retired
+    estimator: at 3 seeded points, 400 estimates of a theta-shift row with
+    the base dual PMF and 400 of the base primal row with a phi-shift PMF
+    agree in mean and variance with as many ``sorted_search_sample_f``
+    estimates at the same shots."""
     ctx = ieee57_context
     n = 400
     for k in range(3):
@@ -413,7 +425,9 @@ def test_sampled_f_matches_sorted_search_oracle(ieee57_context):
         probs = model._normalised(xbm.outcome_probabilities(psis, ctx.primal_rotations[0]))
         cdfs = primal_cdfs(ctx, psis)
         pairs = [(1, 0)] * n + [(0, 2)] * n
-        values, shots = model._sample_f(ctx, probs, ws, pairs, 100, [13, k])
+        values, shots = xbm.estimate_expectation(ctx.joint_diagonals, probs,
+                                                 ws / ws.sum(axis=-1, keepdims=True), pairs,
+                                                 100, [13, k])
         assert shots == 2 * n * 100 * len(ctx.joint_diagonals)
         for e, (r, q) in enumerate(pairs[::n]):
             w_cdf = np.cumsum(ws[q])
@@ -425,12 +439,13 @@ def test_sampled_f_matches_sorted_search_oracle(ieee57_context):
 
 
 def test_sampled_f_matches_the_retired_live_first_estimator(ieee57_context):
-    """The F estimates of one ``_sample_f`` call follow the law of the
-    live-first estimator that they replaced (``live_first_sample_f``): at
-    2 seeded points, 500 estimates of a theta-shift row with the base dual
-    PMF and 500 of the base primal row with a phi-shift PMF agree in mean
-    and variance with as many of the retired estimator's, each drawn in
-    one call, and both spend the same shots."""
+    """The F estimates of one ``xbm.estimate_expectation`` call follow the
+    law of the live-first estimator that they replaced
+    (``live_first_sample_f``): at 2 seeded points, 500 estimates of a
+    theta-shift row with the base dual PMF and 500 of the base primal row
+    with a phi-shift PMF agree in mean and variance with as many of the
+    retired estimator's, each drawn in one call, and both spend the same
+    shots."""
     ctx = ieee57_context
     n = 500
     for k in range(2):
@@ -439,7 +454,9 @@ def test_sampled_f_matches_the_retired_live_first_estimator(ieee57_context):
         ws = np.abs(sim.shift_states(ctx.dual_spec, sim.rotation_factors(ctx.dual_spec, d.phi)))**2
         probs = model._normalised(xbm.outcome_probabilities(psis, ctx.primal_rotations[0]))
         pairs = [(3, 0)] * n + [(0, 5)] * n
-        values, shots = model._sample_f(ctx, probs, ws, pairs, 100, [16, k])
+        values, shots = xbm.estimate_expectation(ctx.joint_diagonals, probs,
+                                                 ws / ws.sum(axis=-1, keepdims=True), pairs,
+                                                 100, [16, k])
         oracle, oracle_shots = live_first_sample_f(ctx, primal_cdfs(ctx, psis), ws, pairs, 100,
                                                    [17, k])
         assert shots == oracle_shots == 2 * n * 100 * len(ctx.joint_diagonals)
@@ -468,7 +485,9 @@ def test_sample_f_unbiased_with_closed_form_variance(ieee57_context):
     rotated = np.abs(xbm.rotate_pieces(
         psis, xbm.piece_rotations(table.pieces, ctx.primal_spec.n_qubits)))**2
     diagonals = dense_pieces(table)  # (pieces, M, dim)
-    values = np.array([model._sample_f(ctx, probs, ws, pairs * copies, shots, [18, s])[0]
+    pmfs = ws / ws.sum(axis=-1, keepdims=True)
+    values = np.array([xbm.estimate_expectation(table, probs, pmfs, pairs * copies, shots,
+                                                [18, s])[0]
                        for s in range(seeds)]).reshape(-1, len(pairs))
     for e, (r, q) in enumerate(pairs):
         w = ws[q] / ws[q].sum()
@@ -482,10 +501,11 @@ def test_sample_f_unbiased_with_closed_form_variance(ieee57_context):
 
 
 def test_sampled_f_estimates_drawn_in_one_call_are_uncorrelated(ieee57_context):
-    """The F estimates of one ``_sample_f`` call draw disjoint blocks of
-    one stream: over 2,000 seeds, the first estimate and another of the
-    same pair drawn with it, adjacent in its block, first in the next block
-    or last of the call, have a sample correlation within 4 / sqrt(n) of 0.
+    """The F estimates of one ``xbm.estimate_expectation`` call draw
+    disjoint blocks of one stream: over 2,000 seeds, the first estimate and
+    another of the same pair drawn with it, adjacent in its block, first in
+    the next block or last of the call, have a sample correlation within
+    4 / sqrt(n) of 0.
     A block holds the estimates whose entry probabilities and shots both
     fit in ``xbm._DRAW_BLOCK``."""
     ctx, table = ieee57_context, ieee57_context.joint_diagonals
@@ -495,7 +515,9 @@ def test_sampled_f_estimates_drawn_in_one_call_are_uncorrelated(ieee57_context):
     w = model.dual_pmf(ctx, d)[None]
     per_block = xbm._DRAW_BLOCK // max(len(table.entries.keys), 100 * len(table))
     count, n = 2 * per_block + 1, 2000
-    draws = np.array([model._sample_f(ctx, probs, w, [(0, 0)] * count, 100, [15, k])[0]
+    w /= w.sum(axis=-1, keepdims=True)
+    draws = np.array([xbm.estimate_expectation(table, probs, w, [(0, 0)] * count, 100,
+                                               [15, k])[0]
                       for k in range(n)])
     for other in (1, per_block, count - 1):
         assert abs(np.corrcoef(draws[:, 0], draws[:, other])[0, 1]) < 4 / math.sqrt(n)
@@ -659,8 +681,8 @@ def test_sample_g_unbiased_with_closed_form_variance(ieee57_context):
     shots, n = 8, 2000
     exact = float(w @ b) / w.sum()
     variance = (float(w @ b**2) / w.sum() - exact**2) / shots
-    values = np.array(xbm.estimate_expectation(np.tile(w, (n, 1))[None], ctx.bounds_table,
-                                               shots, [24]))
+    values = np.array(xbm.estimate_expectation(ctx.bounds_table, (w / w.sum())[None, None],
+                                               np.ones((1, 1)), [(0, 0)] * n, shots, [24])[0])
     assert abs(values.mean() - exact) < 5 * math.sqrt(variance / n)
     assert abs(values.var() - variance) < 0.1 * variance
 
@@ -862,10 +884,11 @@ def test_real_states_estimate_like_their_complex_casts(ieee57_context):
     probs, complex_probs = (model._normalised(xbm.outcome_probabilities(
         states, ctx.primal_rotations[0])) for states in (psis, psis.astype(complex)))
     assert np.array_equal(probs, complex_probs)
-    w = model.dual_pmf(ctx, d)[None]
+    w = model._normalised(model.dual_pmf(ctx, d)[None])
     pairs = [(r, 0) for r in range(len(psis))]
-    assert model._sample_f(ctx, probs, w, pairs, 50, [73]) == model._sample_f(
-        ctx, complex_probs, w, pairs, 50, [73])
+    assert xbm.estimate_expectation(ctx.joint_diagonals, probs, w, pairs, 50,
+                                    [73]) == xbm.estimate_expectation(
+        ctx.joint_diagonals, complex_probs, w, pairs, 50, [73])
 
 
 def test_adjoint_eg_trajectory_matches_parameter_shift(case2):

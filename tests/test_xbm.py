@@ -398,12 +398,10 @@ def test_estimates_drawn_in_one_call_are_uncorrelated(source, request):
     assert same_moments(draws[:, -1], alone)
 
 
-def test_estimate_rejects_a_stack_table_and_no_shots(padded_complex_problem):
-    probs = np.ones((1, 1, 4))
-    with pytest.raises(ValidationError, match="one matrix"):
-        xbm.estimate_expectation(probs, xbm.piece_table(padded_complex_problem.stack), 4, 0)
-    with pytest.raises(ValidationError, match="shots_per_piece"):
-        xbm.estimate_expectation(probs, xbm.decompose(padded_complex_problem.m0), 0, 0)
+def test_estimate_rejects_no_shots(padded_complex_problem):
+    with pytest.raises(ValidationError, match="shots must be >= 1"):
+        xbm.estimate_expectation(xbm.decompose(padded_complex_problem.m0),
+                                 np.full((1, 1, 4), 0.25), np.ones((1, 1)), [(0, 0)], 0, 0)
 
 
 def adversarial_cdfs(dim):
