@@ -1,13 +1,18 @@
 """Primal-dual and extragradient iterations over the stacked iterate
 z = [theta; alpha; phi; beta], plus the classical baselines running on raw
-voltages and multipliers.  Both engines run through one loop, ``_iterate``.
+voltages and multipliers.  Both engines run through one loop, ``_iterate``,
+which owns the one PD and the one EG template; an engine supplies only its
+field, its move and the sweep of block parts its PD visits.
 
-The variational steps move against the signed field g(z) = [grad_theta;
-grad_alpha; -grad_phi; -grad_beta] (PD Jacobi), the classical ones against
-the field of L(v, lambda) (PD Gauss-Seidel).  The scale variables alpha and
-beta (and the classical multipliers) are clipped at zero after every update.
-The extragradient first moves to a midpoint with step 2*mu and then applies
-the field evaluated there with step mu, exactly as specified.
+The variational field is the signed g(z) = [grad_theta; grad_alpha;
+-grad_phi; -grad_beta] in one part, so its PD is Jacobi; the classical field
+of L(v, lambda) has a v part and a lambda part, so its PD is Gauss-Seidel.
+A move descends the primal blocks, ascends the dual ones and clips alpha and
+beta (and the classical multipliers) at zero.  The extragradient first moves
+to a midpoint with step 2*mu and then applies the field evaluated there with
+step mu, exactly as specified.  v and lambda step at the theta and phi rates
+of the schedule, and the stop rule's ``theta_tol`` and ``phi_tol`` bound
+their moves.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ EG = "eg"
 
 
 class DivergenceError(RuntimeError):
-    """|L| exceeded the divergence ceiling at 0-based ``iteration``.
+    """|L| exceeded the divergence ceiling, or L is NaN, at 0-based ``iteration``.
 
     ``trajectory`` holds the run up to the last accepted iterate, with stop
     reason "diverged" (the diverging iterate is not recorded).
@@ -48,7 +53,6 @@ class SaddlePointState:
     alpha: float
     phi: np.ndarray
     beta: float
-    iteration: int = 0
 
     def __post_init__(self):
         if self.alpha < 0 or self.beta < 0:
@@ -58,13 +62,12 @@ class SaddlePointState:
         return np.concatenate([self.theta, [self.alpha], self.phi, [self.beta]])
 
     @classmethod
-    def from_stacked(cls, vec: np.ndarray, p_count: int, q_count: int,
-                     iteration: int = 0) -> "SaddlePointState":
+    def from_stacked(cls, vec: np.ndarray, p_count: int, q_count: int) -> "SaddlePointState":
         theta = vec[:p_count]
         alpha = float(vec[p_count])
         phi = vec[p_count + 1:p_count + 1 + q_count]
         beta = float(vec[p_count + 1 + q_count])
-        return cls(theta.copy(), alpha, phi.copy(), beta, iteration)
+        return cls(theta.copy(), alpha, phi.copy(), beta)
 
 
 @dataclass(frozen=True)
@@ -104,45 +107,6 @@ class StopRule:
             raise ValidationError("stop tolerances must be positive")
 
 
-def _mu_vector(rates, p_count: int, q_count: int) -> np.ndarray:
-    mu_t, mu_a, mu_f, mu_b = rates
-    return np.concatenate([
-        np.full(p_count, mu_t), [mu_a], np.full(q_count, mu_f), [mu_b],
-    ])
-
-
-def _project(vec: np.ndarray, p_count: int, q_count: int) -> np.ndarray:
-    vec[p_count] = max(vec[p_count], 0.0)
-    vec[p_count + 1 + q_count] = max(vec[p_count + 1 + q_count], 0.0)
-    return vec
-
-
-def pd_step(g_fn, z: SaddlePointState, rates) -> tuple[SaddlePointState, dict]:
-    """One primal-dual step: all four blocks move against g evaluated once
-    at z (Jacobi style), with alpha and beta clipped at zero."""
-    p_count, q_count = len(z.theta), len(z.phi)
-    g, shots = g_fn(z, z.iteration, 0)
-    vec = z.stacked() - _mu_vector(rates, p_count, q_count) * g
-    _project(vec, p_count, q_count)
-    nxt = SaddlePointState.from_stacked(vec, p_count, q_count, z.iteration + 1)
-    return nxt, {"g": g, "shots": shots}
-
-
-def eg_step(g_fn, z: SaddlePointState, rates) -> tuple[SaddlePointState, dict]:
-    """One extragradient step: midpoint with step 2*mu, final update with the
-    field at the midpoint and step mu; fresh gradient evaluation at both
-    points, projections at both."""
-    p_count, q_count = len(z.theta), len(z.phi)
-    mu = _mu_vector(rates, p_count, q_count)
-    g1, shots1 = g_fn(z, z.iteration, 0)
-    mid_vec = _project(z.stacked() - 2.0 * mu * g1, p_count, q_count)
-    mid = SaddlePointState.from_stacked(mid_vec, p_count, q_count, z.iteration)
-    g2, shots2 = g_fn(mid, z.iteration, 1)
-    vec = _project(z.stacked() - mu * g2, p_count, q_count)
-    nxt = SaddlePointState.from_stacked(vec, p_count, q_count, z.iteration + 1)
-    return nxt, {"g": g1, "g_mid": g2, "shots": shots1 + shots2, "midpoint": mid}
-
-
 @dataclass
 class Trajectory:
     """Per-iteration history of a run plus the final state (classical runs
@@ -178,28 +142,52 @@ def _block_norms(g: np.ndarray, p_count: int, q_count: int) -> dict[str, float]:
     }
 
 
-def _iterate(step, value, blocks, init, schedule: StepSchedule, stop: StopRule,
-             divergence_ceiling: float) -> Trajectory:
-    """The one saddle loop.  ``step(z, rates)`` returns the next state and
-    its (gradient norms, shots) record or None, ``value(z)`` the Lagrangian
-    recorded at a state, before any step from it, and ``blocks(z)`` the two
-    blocks whose moves the stop rule compares with ``stop.theta_tol`` and
-    ``stop.phi_tol``.  Records the seconds since the start at each accepted
-    iterate and aborts with DivergenceError when |L| exceeds the ceiling."""
+def _iterate(field, move, sweep, value, blocks, init, method: str, schedule: StepSchedule,
+             stop: StopRule, divergence_ceiling: float, norms=None) -> Trajectory:
+    """The one saddle loop, with the one PD and the one EG template.
+
+    ``field(z, t, stage, part)`` returns the field's ``part`` at z (part
+    None is the whole field) and the shots it spent, at iteration ``t`` and
+    ``stage`` 0 at the iterate or 1 at the EG midpoint.  ``move(z, rates,
+    g)`` steps z along g at ``rates`` = (mu_theta, mu_alpha, mu_phi,
+    mu_beta) = ``schedule.rates(t)`` and clips at zero.  PD visits the parts
+    of ``sweep`` in order, each part's field evaluated where the previous
+    part's move left z: one part is Jacobi, several are Gauss-Seidel.  EG
+    moves with the whole field at z and 2*mu to a midpoint, then from z with
+    the midpoint's field and mu.
+
+    ``value(z, t)`` is the Lagrangian recorded at iterate t, before any
+    step from it, and ``blocks(z)`` the two blocks whose moves the stop rule
+    compares with ``stop.theta_tol`` and ``stop.phi_tol`` (theta and phi, or
+    the classical v and lambda).  With ``norms``, each iterate also records
+    norms(g) of the stage-0 field (of an engine with one part) and the shots
+    of its fields.  Records the seconds since the start at each accepted
+    iterate and aborts with DivergenceError unless |L| <= the ceiling."""
+    if method not in (PD, EG):
+        raise ValidationError(f"unknown method {method!r}")
     traj = Trajectory(states=[init])
     z, start = init, time.perf_counter()
     for t in range(stop.max_iters):
-        nxt, record = step(z, schedule.rates(t))
-        lag = value(nxt)
-        if abs(lag) > divergence_ceiling:
+        rates = schedule.rates(t)
+        if method == PD:
+            nxt, shots = z, 0
+            for part in sweep:
+                g, spent = field(nxt, t, 0, part)
+                nxt, shots = move(nxt, rates, g), shots + spent
+        else:
+            g, shots = field(z, t, 0, None)
+            g_mid, spent = field(move(z, [2.0 * mu for mu in rates], g), t, 1, None)
+            nxt, shots = move(z, rates, g_mid), shots + spent
+        lag = value(nxt, t + 1)
+        if not abs(lag) <= divergence_ceiling:
             traj.stop_reason = "diverged"
             raise DivergenceError(t, lag, traj)
         traj.states.append(nxt)
         traj.lagrangians.append(lag)
         traj.seconds.append(time.perf_counter() - start)
-        if record is not None:
-            traj.g_norms.append(record[0])
-            traj.shots.append(record[1])
+        if norms is not None:
+            traj.g_norms.append(norms(g))
+            traj.shots.append(shots)
         (a, b), (a_prev, b_prev) = blocks(nxt), blocks(z)
         z = nxt
         if np.linalg.norm(a - a_prev) <= stop.theta_tol and \
@@ -209,6 +197,17 @@ def _iterate(step, value, blocks, init, schedule: StepSchedule, stop: StopRule,
     return traj
 
 
+def _move(z: SaddlePointState, rates, g: np.ndarray) -> SaddlePointState:
+    """z - mu * g, with alpha and beta clipped at zero."""
+    p_count, q_count = len(z.theta), len(z.phi)
+    mu_t, mu_a, mu_f, mu_b = rates
+    mu = np.concatenate([np.full(p_count, mu_t), [mu_a], np.full(q_count, mu_f), [mu_b]])
+    vec = z.stacked() - mu * g
+    vec[p_count] = max(vec[p_count], 0.0)
+    vec[-1] = max(vec[-1], 0.0)
+    return SaddlePointState.from_stacked(vec, p_count, q_count)
+
+
 def run(ctx: LagrangianContext, init: SaddlePointState, method: str,
         schedule: StepSchedule, stop: StopRule, mode: EvalMode = EvalMode(),
         divergence_ceiling: float = 1e9) -> Trajectory:
@@ -216,35 +215,30 @@ def run(ctx: LagrangianContext, init: SaddlePointState, method: str,
 
     Records the Lagrangian (evaluated in the run's mode), per-block gradient
     norms, shots and cumulative seconds per iteration.  Aborts with
-    DivergenceError when |L| exceeds the ceiling.  Deterministic for a fixed
-    mode seed.  In exact mode each iterate's circuits are simulated once:
-    the L recorded at a state hands its ``model.exact_forward`` record to
-    the next gradient at that same state object.
+    DivergenceError when |L| exceeds the ceiling or L is NaN.  Deterministic
+    for a fixed mode seed.  In exact mode each iterate's circuits are
+    simulated once: the L recorded at a state hands its
+    ``model.exact_forward`` record to the next gradient at that same state
+    object.
     """
-    if method not in (PD, EG):
-        raise ValidationError(f"unknown method {method!r}")
-    step_fn = pd_step if method == PD else eg_step
     p_count, q_count = len(init.theta), len(init.phi)
     held = [None, None]  # the last state ``value`` saw in exact mode, and its record
 
-    def g_fn(z: SaddlePointState, *tags):
+    def field(z: SaddlePointState, t: int, stage: int, part):
         result = grad(ctx, PrimalPoint(z.theta, z.alpha), DualPoint(z.phi, z.beta),
-                      mode.reseeded(*tags), held[1] if z is held[0] else None)
+                      mode.reseeded(t, stage), held[1] if z is held[0] else None)
         return result.stacked(), result.shots_spent
 
-    def step(z: SaddlePointState, rates):
-        nxt, info = step_fn(g_fn, z, rates)
-        return nxt, (_block_norms(info["g"], p_count, q_count), info["shots"])
-
-    def value(z: SaddlePointState) -> float:
+    def value(z: SaddlePointState, t: int) -> float:
         p, d = PrimalPoint(z.theta, z.alpha), DualPoint(z.phi, z.beta)
         if mode.kind != EXACT:
-            return lagrangian(ctx, p, d, mode.reseeded(9, z.iteration, 1))
+            return lagrangian(ctx, p, d, mode.reseeded(9, t, 1))
         held[:] = z, exact_forward(ctx, p, d)
         return held[1].terms.value_at(z.alpha, z.beta)
 
-    return _iterate(step, value, lambda z: (z.theta, z.phi), init, schedule, stop,
-                    divergence_ceiling)
+    return _iterate(field, _move, (None,), value, lambda z: (z.theta, z.phi), init, method,
+                    schedule, stop, divergence_ceiling,
+                    lambda g: _block_norms(g, p_count, q_count))
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +251,7 @@ class ClassicalState:
     lam: np.ndarray
 
     def __post_init__(self):
-        if np.any(self.lam < 0):
+        if (self.lam < 0).any():
             raise ValidationError("multipliers must be nonnegative")
 
 
@@ -272,52 +266,35 @@ def classical_lagrangian(problem: QcqpProblem, v: np.ndarray, lam: np.ndarray) -
     return cost + math.fsum(lam * (forms - problem.bounds))
 
 
-def _classical_field(problem: QcqpProblem, v: np.ndarray, lam: np.ndarray):
-    grad_v = 2.0 * (problem.m0 @ v + problem.stack.action(lam, v))
-    grad_lam = problem.stack.forms(v) - problem.bounds
+def _classical_field(problem: QcqpProblem, s: ClassicalState, part):
+    """The (v, lambda) parts 2 (M0 v + sum_m lambda_m M_m v) and forms(v) - b
+    of the field of L at s; the part not asked for is None (part None asks
+    for both)."""
+    grad_v = None if part == "lam" else \
+        2.0 * (problem.m0 @ s.v + problem.stack.action(s.lam, s.v))
+    grad_lam = None if part == "v" else problem.stack.forms(s.v) - problem.bounds
     return grad_v, grad_lam
 
 
-def classical_pd_step(problem: QcqpProblem, s: ClassicalState, steps) -> ClassicalState:
-    """Gauss-Seidel primal-dual step on the raw QCQP: descend v at
-    (v^t, lam^t), then ascend lambda at (v^{t+1}, lam^t) with projection."""
-    mu_v, mu_lam = steps
-    grad_v, _ = _classical_field(problem, s.v, s.lam)
-    v_next = s.v - mu_v * grad_v
-    forms = problem.stack.forms(v_next)
-    lam_next = np.maximum(s.lam + mu_lam * (forms - problem.bounds), 0.0)
-    return ClassicalState(v_next, lam_next)
-
-
-def classical_eg_step(problem: QcqpProblem, s: ClassicalState, steps) -> ClassicalState:
-    """Extragradient on the stacked (v, lambda) with the same signed-field
-    template as the variational engine (both gradients per stage evaluated
-    at the stage point)."""
-    mu_v, mu_lam = steps
-    grad_v, grad_lam = _classical_field(problem, s.v, s.lam)
-    v_mid = s.v - 2.0 * mu_v * grad_v
-    lam_mid = np.maximum(s.lam + 2.0 * mu_lam * grad_lam, 0.0)
-    grad_v2, grad_lam2 = _classical_field(problem, v_mid, lam_mid)
-    v_next = s.v - mu_v * grad_v2
-    lam_next = np.maximum(s.lam + mu_lam * grad_lam2, 0.0)
-    return ClassicalState(v_next, lam_next)
+def _classical_move(s: ClassicalState, rates, g) -> ClassicalState:
+    """Descend v and ascend lambda, clipped at zero, along the parts of g
+    present, at the theta and phi rates."""
+    (grad_v, grad_lam), (mu_v, _, mu_lam, _) = g, rates
+    v = s.v if grad_v is None else s.v - mu_v * grad_v
+    lam = s.lam if grad_lam is None else np.maximum(s.lam + mu_lam * grad_lam, 0.0)
+    return ClassicalState(v, lam)
 
 
 def run_classical(problem: QcqpProblem, init: ClassicalState, method: str,
                   schedule: StepSchedule, stop: StopRule,
                   divergence_ceiling: float = 1e9) -> Trajectory:
-    """Iterate the classical PD or EG baseline (v and lambda step at the
-    theta and phi rates) until the stop rule fires."""
-    if method not in (PD, EG):
-        raise ValidationError(f"unknown method {method!r}")
-    step_fn = classical_pd_step if method == PD else classical_eg_step
-
-    def step(s: ClassicalState, rates):
-        mu_v, _, mu_lam, _ = rates
-        return step_fn(problem, s, (mu_v, mu_lam)), None
-
-    return _iterate(step, lambda s: classical_lagrangian(problem, s.v, s.lam),
-                    lambda s: (s.v, s.lam), init, schedule, stop, divergence_ceiling)
+    """Iterate the classical PD (v, then lambda at the moved v) or EG
+    baseline (v and lambda step at the theta and phi rates) until the stop
+    rule fires."""
+    return _iterate(lambda s, t, stage, part: (_classical_field(problem, s, part), 0),
+                    _classical_move, ("v", "lam"),
+                    lambda s, t: classical_lagrangian(problem, s.v, s.lam),
+                    lambda s: (s.v, s.lam), init, method, schedule, stop, divergence_ceiling)
 
 
 def default_quantum_init(ctx: LagrangianContext, case_n: int, n_loads: int,

@@ -284,14 +284,117 @@ def g_operator(ctx, z, mode=model.EvalMode()):
     return result.stacked()
 
 
+# ---------------------------------------------------------------------------
+# The oracle of the saddle loop: the step functions it replaced, one loop
+# over them, and fresh evaluations everywhere
+
+
+def mu_vector(rates, p_count, q_count):
+    mu_t, mu_a, mu_f, mu_b = rates
+    return np.concatenate([
+        np.full(p_count, mu_t), [mu_a], np.full(q_count, mu_f), [mu_b],
+    ])
+
+
+def project(vec, p_count, q_count):
+    vec[p_count] = max(vec[p_count], 0.0)
+    vec[p_count + 1 + q_count] = max(vec[p_count + 1 + q_count], 0.0)
+    return vec
+
+
+def pd_step(g_fn, z, rates, t):
+    """One primal-dual step at iteration t: all four blocks move against g
+    evaluated once at z (Jacobi style), with alpha and beta clipped at zero."""
+    p_count, q_count = len(z.theta), len(z.phi)
+    g, shots = g_fn(z, t, 0)
+    vec = z.stacked() - mu_vector(rates, p_count, q_count) * g
+    project(vec, p_count, q_count)
+    nxt = saddle.SaddlePointState.from_stacked(vec, p_count, q_count)
+    return nxt, {"g": g, "shots": shots}
+
+
+def eg_step(g_fn, z, rates, t):
+    """One extragradient step at iteration t: midpoint with step 2*mu, final
+    update with the field at the midpoint and step mu; fresh gradient
+    evaluation at both points, projections at both."""
+    p_count, q_count = len(z.theta), len(z.phi)
+    mu = mu_vector(rates, p_count, q_count)
+    g1, shots1 = g_fn(z, t, 0)
+    mid_vec = project(z.stacked() - 2.0 * mu * g1, p_count, q_count)
+    mid = saddle.SaddlePointState.from_stacked(mid_vec, p_count, q_count)
+    g2, shots2 = g_fn(mid, t, 1)
+    vec = project(z.stacked() - mu * g2, p_count, q_count)
+    nxt = saddle.SaddlePointState.from_stacked(vec, p_count, q_count)
+    return nxt, {"g": g1, "g_mid": g2, "shots": shots1 + shots2, "midpoint": mid}
+
+
+def classical_field(problem, v, lam):
+    grad_v = 2.0 * (problem.m0 @ v + problem.stack.action(lam, v))
+    grad_lam = problem.stack.forms(v) - problem.bounds
+    return grad_v, grad_lam
+
+
+def classical_pd_step(problem, s, steps):
+    """Gauss-Seidel primal-dual step on the raw QCQP: descend v at
+    (v^t, lam^t), then ascend lambda at (v^{t+1}, lam^t) with projection."""
+    mu_v, mu_lam = steps
+    grad_v, _ = classical_field(problem, s.v, s.lam)
+    v_next = s.v - mu_v * grad_v
+    forms = problem.stack.forms(v_next)
+    lam_next = np.maximum(s.lam + mu_lam * (forms - problem.bounds), 0.0)
+    return saddle.ClassicalState(v_next, lam_next)
+
+
+def classical_eg_step(problem, s, steps):
+    """Extragradient on the stacked (v, lambda) with the same signed-field
+    template as the variational engine (both gradients per stage evaluated
+    at the stage point)."""
+    mu_v, mu_lam = steps
+    grad_v, grad_lam = classical_field(problem, s.v, s.lam)
+    v_mid = s.v - 2.0 * mu_v * grad_v
+    lam_mid = np.maximum(s.lam + 2.0 * mu_lam * grad_lam, 0.0)
+    grad_v2, grad_lam2 = classical_field(problem, v_mid, lam_mid)
+    v_next = s.v - mu_v * grad_v2
+    lam_next = np.maximum(s.lam + mu_lam * grad_lam2, 0.0)
+    return saddle.ClassicalState(v_next, lam_next)
+
+
+def oracle_loop(step, value, blocks, init, schedule, stop, divergence_ceiling):
+    """The saddle loop over a step function: ``step(z, rates, t)`` returns
+    the next state and its (gradient norms, shots) record or None,
+    ``value(z, t)`` the Lagrangian of iterate t and ``blocks(z)`` the two
+    blocks the stop rule compares.  Records everything ``saddle._iterate``
+    does except ``seconds``, and raises ``saddle.DivergenceError`` as it
+    does, a NaN Lagrangian included."""
+    traj = saddle.Trajectory(states=[init])
+    z = init
+    for t in range(stop.max_iters):
+        nxt, record = step(z, schedule.rates(t), t)
+        lag = value(nxt, t + 1)
+        if not abs(lag) <= divergence_ceiling:
+            traj.stop_reason = "diverged"
+            raise saddle.DivergenceError(t, lag, traj)
+        traj.states.append(nxt)
+        traj.lagrangians.append(lag)
+        if record is not None:
+            traj.g_norms.append(record[0])
+            traj.shots.append(record[1])
+        (a, b), (a_prev, b_prev) = blocks(nxt), blocks(z)
+        z = nxt
+        if np.linalg.norm(a - a_prev) <= stop.theta_tol and \
+                np.linalg.norm(b - b_prev) <= stop.phi_tol:
+            traj.stop_reason = "converged"
+            break
+    return traj
+
+
 def fresh_run(ctx, init, method, schedule, stop, mode=model.EvalMode(),
               divergence_ceiling=1e9):
-    """The oracle of ``saddle.run``: the same PD or EG loop, with a fresh
-    ``model.grad`` at every gradient point and a fresh ``model.lagrangian``
-    at every iterate, so nothing is shared between evaluations.  Records
-    everything the engine does except ``seconds``, and raises
-    ``saddle.DivergenceError`` as it does."""
-    step_fn = saddle.pd_step if method == saddle.PD else saddle.eg_step
+    """The oracle of ``saddle.run``: the PD or EG step functions with a
+    fresh ``model.grad`` at every gradient point and a fresh
+    ``model.lagrangian`` at every iterate, so nothing is shared between
+    evaluations."""
+    step_fn = pd_step if method == saddle.PD else eg_step
     p_count, q_count = len(init.theta), len(init.phi)
 
     def g_fn(z, *tags):
@@ -299,36 +402,50 @@ def fresh_run(ctx, init, method, schedule, stop, mode=model.EvalMode(),
                             model.DualPoint(z.phi, z.beta), mode.reseeded(*tags))
         return result.stacked(), result.shots_spent
 
-    traj = saddle.Trajectory(states=[init])
-    z = init
-    for t in range(stop.max_iters):
-        nxt, info = step_fn(g_fn, z, schedule.rates(t))
-        lag = model.lagrangian(ctx, model.PrimalPoint(nxt.theta, nxt.alpha),
-                               model.DualPoint(nxt.phi, nxt.beta),
-                               mode.reseeded(9, nxt.iteration, 1))
-        if abs(lag) > divergence_ceiling:
-            traj.stop_reason = "diverged"
-            raise saddle.DivergenceError(t, lag, traj)
-        traj.states.append(nxt)
-        traj.lagrangians.append(lag)
-        traj.g_norms.append(saddle._block_norms(info["g"], p_count, q_count))
-        traj.shots.append(info["shots"])
-        moved_theta, moved_phi = nxt.theta - z.theta, nxt.phi - z.phi
-        z = nxt
-        if np.linalg.norm(moved_theta) <= stop.theta_tol and \
-                np.linalg.norm(moved_phi) <= stop.phi_tol:
-            traj.stop_reason = "converged"
-            break
-    return traj
+    def step(z, rates, t):
+        nxt, info = step_fn(g_fn, z, rates, t)
+        return nxt, (saddle._block_norms(info["g"], p_count, q_count), info["shots"])
+
+    def value(z, t):
+        return model.lagrangian(ctx, model.PrimalPoint(z.theta, z.alpha),
+                                model.DualPoint(z.phi, z.beta), mode.reseeded(9, t, 1))
+
+    return oracle_loop(step, value, lambda z: (z.theta, z.phi), init, schedule, stop,
+                       divergence_ceiling)
+
+
+def classical_run_oracle(problem, init, method, schedule, stop, divergence_ceiling=1e9):
+    """The oracle of ``saddle.run_classical``: the classical PD or EG step
+    functions, v and lambda stepping at the theta and phi rates."""
+    step_fn = classical_pd_step if method == saddle.PD else classical_eg_step
+
+    def step(s, rates, t):
+        mu_v, _, mu_lam, _ = rates
+        return step_fn(problem, s, (mu_v, mu_lam)), None
+
+    return oracle_loop(step, lambda s, t: saddle.classical_lagrangian(problem, s.v, s.lam),
+                       lambda s: (s.v, s.lam), init, schedule, stop, divergence_ceiling)
+
+
+def field_run(field, init, method, schedule, iters):
+    """``iters`` PD or EG iterations of ``saddle._iterate`` from ``init``
+    with the variational move and a test ``field(z, t, stage, part)``
+    returning (g, shots); the stop rule never fires and L is recorded as
+    0."""
+    return saddle._iterate(field, saddle._move, (None,), lambda z, t: 0.0,
+                           lambda z: (z.theta, z.phi), init, method, schedule,
+                           saddle.StopRule(theta_tol=1e-300, phi_tol=1e-300,
+                                           max_iters=iters), math.inf)
 
 
 def assert_same_run(traj, oracle):
-    """Two variational trajectories agree bit for bit: every state, its
-    iteration, Lagrangian, gradient norms and shots, and the stop reason."""
+    """Two trajectories agree bit for bit: every state's fields, every
+    Lagrangian, gradient norm and shot count, and the stop reason."""
     assert len(traj.states) == len(oracle.states)
     for state, expected in zip(traj.states, oracle.states):
-        assert state.iteration == expected.iteration
-        assert np.array_equal(state.stacked(), expected.stacked())
+        assert type(state) is type(expected)
+        for name in state.__dataclass_fields__:
+            assert np.array_equal(getattr(state, name), getattr(expected, name))
     assert traj.lagrangians == oracle.lagrangians
     assert traj.g_norms == oracle.g_norms
     assert traj.shots == oracle.shots

@@ -22,7 +22,7 @@ from qopf.model import DualPoint, PrimalPoint, sampled_mode
 from qopf.permute import SparsityPattern
 
 from conftest import (CASE2_TEXT, banded_pattern, brute_force_reference, estimator_variance,
-                      exact_expectation, pattern_from_edges, piece_matrix, random_hermitian,
+                      exact_expectation, field_run, pattern_from_edges, piece_matrix, random_hermitian,
                       random_problem, random_state, reconstruct, rotate_piece)
 
 
@@ -294,15 +294,12 @@ def test_saddle_point_convergence_desk_scale():
     def bilinear(z, *tags):
         return np.array([z.phi[0], 0.0, -z.theta[0], 0.0]), 0
 
-    z_pd = saddle.SaddlePointState(np.array([1.0]), 1.0, np.array([1.0]), 1.0)
-    z_eg = saddle.SaddlePointState(np.array([1.0]), 1.0, np.array([1.0]), 1.0)
-    mu = (0.1, 0.0, 0.1, 0.0)
-    pd_norms, eg_norms = [], []
-    for _ in range(700):
-        z_pd, _ = saddle.pd_step(bilinear, z_pd, mu)
-        z_eg, _ = saddle.eg_step(bilinear, z_eg, mu)
-        pd_norms.append(float(np.hypot(z_pd.theta[0], z_pd.phi[0])))
-        eg_norms.append(float(np.hypot(z_eg.theta[0], z_eg.phi[0])))
+    z0 = saddle.SaddlePointState(np.array([1.0]), 1.0, np.array([1.0]), 1.0)
+    mu = saddle.StepSchedule((0.1, 1.0), (0.0, 1.0), (0.1, 1.0), (0.0, 1.0))
+    pd_norms = [float(np.hypot(z.theta[0], z.phi[0]))
+                for z in field_run(bilinear, z0, saddle.PD, mu, 700).states[1:]]
+    eg_norms = [float(np.hypot(z.theta[0], z.phi[0]))
+                for z in field_run(bilinear, z0, saddle.EG, mu, 700).states[1:]]
     criterion("saddle: plain PD on the bilinear toy grows monotonically",
               all(b > a for a, b in zip(pd_norms, pd_norms[1:]))
               and pd_norms[-1] > pd_norms[0],

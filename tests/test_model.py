@@ -12,7 +12,7 @@ from qopf.model import DualPoint, PrimalPoint, sampled_mode
 from qopf.saddle import classical_lagrangian
 
 from conftest import (dense_pieces, estimate, estimator_variance, exact_expectation,
-                      g_operator, live_first_sample_f, multinomial_sample_g, per_row_pieces,
+                      field_run, g_operator, live_first_sample_f, multinomial_sample_g, per_row_pieces,
                       piecewise_rotation, primal_cdfs, problem_from_rows, random_problem,
                       rotate_piece, same_moments, scored, shift_points, sorted_search_sample_f,
                       stack_problems)
@@ -893,7 +893,7 @@ def test_real_states_estimate_like_their_complex_casts(ieee57_context):
 
 def test_adjoint_eg_trajectory_matches_parameter_shift(case2):
     """50 exact EG iterations with the protocol's schedule and init on the
-    desk case: ``saddle.run`` (adjoint field) and ``saddle.eg_step`` driven by
+    desk case: ``saddle.run`` (adjoint field) and the saddle loop driven by
     the parameter-shift oracle stay within 1e-9.  The desk case keeps the
     iterates from amplifying rounding; on chaotic trajectories any two
     correct gradient codes drift apart."""
@@ -911,9 +911,8 @@ def test_adjoint_eg_trajectory_matches_parameter_shift(case2):
         return parameter_shift_field(ctx, PrimalPoint(z.theta, z.alpha),
                                      DualPoint(z.phi, z.beta)), 0
 
-    z = init
-    for t in range(iters):
-        z, _ = saddle.eg_step(oracle_field, z, schedule.rates(t))
+    oracle = field_run(oracle_field, init, saddle.EG, schedule, iters)
+    for t, z in enumerate(oracle.states[1:]):
         assert np.max(np.abs(z.stacked() - traj.states[t + 1].stacked())) <= 1e-9, t
     assert np.max(np.abs(z.stacked() - init.stacked())) > 0.1
 

@@ -14,8 +14,9 @@ from qopf.saddle import (
     StopRule,
 )
 
-from conftest import (assert_same_run, brute_force_reference, constant_schedule, fresh_run,
-                      problem_from_rows, random_problem, tiled_case)
+from conftest import (assert_same_run, brute_force_reference, classical_run_oracle,
+                      constant_schedule, field_run, fresh_run, problem_from_rows,
+                      random_problem, tiled_case)
 
 
 def bilinear_g(z, *tags):
@@ -28,12 +29,24 @@ def make_state(theta, phi, alpha=1.0, beta=1.0):
                             np.atleast_1d(np.asarray(phi, dtype=float)), beta)
 
 
+def rates_schedule(mu_theta, mu_alpha, mu_phi, mu_beta):
+    """The constant per-block steps (mu_theta, mu_alpha, mu_phi, mu_beta)."""
+    return StepSchedule((mu_theta, 1.0), (mu_alpha, 1.0), (mu_phi, 1.0), (mu_beta, 1.0))
+
+
+def classical_step(problem, s, method, mu_v, mu_lam):
+    """The first iterate of ``run_classical`` from s at the steps (mu_v, mu_lam)."""
+    return saddle.run_classical(problem, s, method, rates_schedule(mu_v, 0.0, mu_lam, 0.0),
+                                StopRule(max_iters=1)).final
+
+
 def test_pd_step_bilinear_arithmetic():
     z = make_state(1.0, 1.0)
-    nxt, _ = saddle.pd_step(bilinear_g, z, (0.1, 0.0, 0.1, 0.0))
+    traj = field_run(bilinear_g, z, saddle.PD, rates_schedule(0.1, 0.0, 0.1, 0.0), 1)
+    nxt = traj.final
     assert nxt.theta[0] == pytest.approx(0.9)
     assert nxt.phi[0] == pytest.approx(1.1)
-    assert nxt.iteration == 1
+    assert traj.iterations == 1
 
 
 def test_pd_step_zero_gradient_fixed_point():
@@ -41,7 +54,7 @@ def test_pd_step_zero_gradient_fixed_point():
         return np.zeros(4), 0
 
     z = make_state(0.3, -0.7, alpha=0.5, beta=0.2)
-    nxt, _ = saddle.pd_step(zero_g, z, (0.1, 0.1, 0.1, 0.1))
+    nxt = field_run(zero_g, z, saddle.PD, rates_schedule(0.1, 0.1, 0.1, 0.1), 1).final
     assert np.allclose(nxt.stacked(), z.stacked())
 
 
@@ -50,31 +63,32 @@ def test_pd_step_projects_alpha_at_zero():
         return np.array([0.0, 100.0, 0.0, 0.0]), 0
 
     z = make_state(0.0, 0.0, alpha=0.5)
-    nxt, _ = saddle.pd_step(push_alpha, z, (0.1, 0.1, 0.1, 0.1))
+    nxt = field_run(push_alpha, z, saddle.PD, rates_schedule(0.1, 0.1, 0.1, 0.1), 1).final
     assert nxt.alpha == 0.0
 
 
 def test_eg_step_bilinear_arithmetic():
+    points = []
+
+    def recorded(z, *tags):
+        points.append(z)
+        return bilinear_g(z)
+
     z = make_state(1.0, 1.0)
-    nxt, info = saddle.eg_step(bilinear_g, z, (0.1, 0.0, 0.1, 0.0))
-    assert info["midpoint"].theta[0] == pytest.approx(0.8)
-    assert info["midpoint"].phi[0] == pytest.approx(1.2)
+    nxt = field_run(recorded, z, saddle.EG, rates_schedule(0.1, 0.0, 0.1, 0.0), 1).final
+    midpoint = points[1]
+    assert midpoint.theta[0] == pytest.approx(0.8)
+    assert midpoint.phi[0] == pytest.approx(1.2)
     assert nxt.theta[0] == pytest.approx(0.88)
     assert nxt.phi[0] == pytest.approx(1.08)
 
 
 def test_pd_spirals_eg_contracts_on_bilinear():
-    mu = (0.1, 0.0, 0.1, 0.0)
-    z_pd = make_state(1.0, 1.0)
-    z_eg = make_state(1.0, 1.0)
-    norms_pd, norms_eg = [], []
-    for _ in range(700):
-        z_pd, _ = saddle.pd_step(bilinear_g, z_pd, mu)
-        z_eg, _ = saddle.eg_step(bilinear_g, z_eg, mu)
-        norms_pd.append(np.hypot(z_pd.theta[0], z_pd.phi[0]))
-        norms_eg.append(np.hypot(z_eg.theta[0], z_eg.phi[0]))
-    norms_pd = np.array(norms_pd)
-    norms_eg = np.array(norms_eg)
+    mu = rates_schedule(0.1, 0.0, 0.1, 0.0)
+    z_pd = field_run(bilinear_g, make_state(1.0, 1.0), saddle.PD, mu, 700).states[1:]
+    z_eg = field_run(bilinear_g, make_state(1.0, 1.0), saddle.EG, mu, 700).states[1:]
+    norms_pd = np.array([np.hypot(z.theta[0], z.phi[0]) for z in z_pd])
+    norms_eg = np.array([np.hypot(z.theta[0], z.phi[0]) for z in z_eg])
     assert np.all(np.diff(norms_pd) > 0)          # plain PD norm grows strictly
     assert norms_pd[-1] > math.sqrt(2.0)
     assert np.all(np.diff(norms_eg) < 0)          # EG contracts monotonically
@@ -94,8 +108,7 @@ def test_eg_contracts_convex_concave_quadratic_at_guaranteed_step():
 
     z = make_state(1.0, -0.8)
     prev = np.hypot(z.theta[0], z.phi[0])
-    for _ in range(300):
-        z, _ = saddle.eg_step(g_quad, z, (mu, 0.0, mu, 0.0))
+    for z in field_run(g_quad, z, saddle.EG, rates_schedule(mu, 0.0, mu, 0.0), 300).states[1:]:
         now = np.hypot(z.theta[0], z.phi[0])
         assert now < prev
         prev = now
@@ -183,7 +196,7 @@ def test_classical_pd_fixed_points(case2):
                                 problem.constraints)
     v0 = np.array([1.0 + 0j, 1.0 + 0j])
     s = ClassicalState(v0, np.zeros(problem.m_stored))
-    nxt = saddle.classical_pd_step(zero_m0, s, (1e-3, 0.0))
+    nxt = classical_step(zero_m0, s, saddle.PD, 1e-3, 0.0)
     assert np.allclose(nxt.v, v0)
 
 
@@ -193,7 +206,7 @@ def test_classical_pd_keeps_slack_multipliers_at_zero(case2):
     forms = problem.stack.forms(ref.v)
     slack_rows = problem.bounds - forms > 1e-3
     s = ClassicalState(ref.v, np.zeros(problem.m_stored))
-    nxt = saddle.classical_pd_step(problem, s, (0.0, 1e-2))
+    nxt = classical_step(problem, s, saddle.PD, 0.0, 1e-2)
     assert np.all(nxt.lam[slack_rows] == 0.0)
     assert np.all(nxt.lam >= 0.0)
 
@@ -218,7 +231,7 @@ def test_classical_eg_first_iterate_fixture(case2):
     v_mid = v0 - 2.0 * mu * grad_v
     lam_mid = np.maximum(lam0 + 2.0 * mu * grad_lam, 0.0)
     grad_v_mid, grad_lam_mid = field(v_mid, lam_mid)
-    s = saddle.classical_eg_step(problem, ClassicalState(v0, lam0), (mu, mu))
+    s = classical_step(problem, ClassicalState(v0, lam0), saddle.EG, mu, mu)
     assert np.allclose(s.v, v0 - mu * grad_v_mid, rtol=0, atol=1e-15)
     assert np.allclose(s.lam, np.maximum(lam0 + mu * grad_lam_mid, 0.0), rtol=0, atol=1e-15)
 
@@ -230,7 +243,7 @@ def test_classical_flat_start_first_iterate_fixture(case2):
     m0 = problem.m0.toarray()
     v0 = np.ones(2, dtype=complex)
     lam0 = np.full(problem.m_stored, 0.5)
-    s = saddle.classical_pd_step(problem, ClassicalState(v0, lam0), (1e-3, 1e-3))
+    s = classical_step(problem, ClassicalState(v0, lam0), saddle.PD, 1e-3, 1e-3)
     grad_v = 2.0 * (m0 @ v0 + np.einsum("m,mij,j->i", lam0, tensor, v0))
     expected_v = v0 - 1e-3 * grad_v
     assert np.allclose(s.v, expected_v, atol=1e-15)
@@ -261,10 +274,11 @@ def test_projection_invariant_random_fields():
         return rng.standard_normal(4) * 10, 0
 
     z = make_state(0.0, 0.0, alpha=0.1, beta=0.1)
+    mu = rates_schedule(0.1, 0.1, 0.1, 0.1)
     for _ in range(50):
-        z, _ = saddle.pd_step(noisy, z, (0.1, 0.1, 0.1, 0.1))
+        z = field_run(noisy, z, saddle.PD, mu, 1).final
         assert z.alpha >= 0 and z.beta >= 0
-        z, _ = saddle.eg_step(noisy, z, (0.1, 0.1, 0.1, 0.1))
+        z = field_run(noisy, z, saddle.EG, mu, 1).final
         assert z.alpha >= 0 and z.beta >= 0
 
 
@@ -423,3 +437,89 @@ def test_trajectory_seconds_are_cumulative(case3_setup):
     traj = saddle.run(ctx, init, saddle.EG, StepSchedule.exponential(), never_converges(5))
     assert len(traj.seconds) == traj.iterations == 5
     assert all(0 < a <= b for a, b in zip(traj.seconds, traj.seconds[1:]))
+
+
+def test_nan_lagrangian_diverges(case3):
+    """Classical EG on case3 at a constant step of 1.0 overflows: L grows to
+    3.3e303 at iteration 2 and is NaN from iteration 3 on.  A NaN is not
+    within any ceiling, 1e308 included, so the run diverges there instead
+    of recording NaN iterates."""
+    problem = grid.assemble_qcqp(case3)
+    init = saddle.default_classical_init(problem, len(case3.load_nodes), seed=0)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as err:
+        saddle.run_classical(problem, init, saddle.EG, constant_schedule(1.0),
+                             StopRule(max_iters=10), divergence_ceiling=1e308)
+    assert err.value.iteration == 3
+    assert math.isnan(err.value.value)
+    assert err.value.trajectory.iterations == 3
+    assert all(math.isfinite(lag) for lag in err.value.trajectory.lagrangians)
+    assert err.value.trajectory.stop_reason == "diverged"
+
+
+def classical_setup(case, seed=3, rcm_runs=200):
+    """Instance 0 of ``case`` prepared as the benchmark prepares it, and its
+    default classical init."""
+    instance = harness.generate_instances(case, 1, (0.90, 1.05), seed)[0]
+    problem = harness.prepare_case(instance, rcm_runs, 0).problem
+    return problem, saddle.default_classical_init(problem, len(instance.load_nodes),
+                                                  sim.chain_seed(seed, 1, 0))
+
+
+def outcome(run, *args):
+    """The trajectory of a run, and (iteration, value) of its DivergenceError
+    or None."""
+    try:
+        return run(*args), None
+    except DivergenceError as err:
+        return err.trajectory, (err.iteration, err.value)
+
+
+@pytest.mark.parametrize("method", [saddle.PD, saddle.EG])
+@pytest.mark.parametrize("case_name", ["case2", "case3", "ieee57"])
+def test_classical_run_matches_step_oracle(request, method, case_name):
+    """``run_classical`` equals the loop over the classical step functions it
+    replaced, bit for bit: 3,000 iterations from the flat profile at a
+    constant 5e-3 on the desk cases, and on the ieee57 benchmark set-up,
+    where the protocol schedule diverges, the same DivergenceError
+    iteration, value and partial trajectory."""
+    case = request.getfixturevalue(case_name)
+    if case_name == "ieee57":
+        problem, init = classical_setup(case)
+        args = (problem, init, method, harness.ExperimentConfig("ieee57").classical_schedule,
+                StopRule(max_iters=20))
+    else:
+        problem = grid.assemble_qcqp(case)
+        init = ClassicalState(np.ones(problem.dim, dtype=complex), np.zeros(problem.m_stored))
+        args = (problem, init, method, constant_schedule(5e-3), StopRule(max_iters=3000))
+    traj, diverged = outcome(saddle.run_classical, *args)
+    expected, expected_diverged = outcome(classical_run_oracle, *args)
+    assert (diverged is not None) == (case_name == "ieee57")
+    assert diverged == expected_diverged
+    assert traj.iterations == (diverged[0] if diverged else 3000)
+    assert_same_run(traj, expected)
+
+
+@pytest.mark.parametrize("method, grads", [(saddle.PD, 1), (saddle.EG, 2)])
+def test_run_looks_up_grad_and_lagrangian_per_call(case3_setup, monkeypatch, method, grads):
+    """``saddle.run`` reaches ``grad`` and ``lagrangian`` through the
+    ``saddle`` module attributes at each call, the ones the benchmark's
+    tracer wraps: one sampled ``grad`` per PD iteration, two per EG
+    iteration, and one sampled ``lagrangian`` per iterate."""
+    ctx, init = case3_setup
+    calls = {"grad": 0, "lagrangian": 0}
+
+    def counted(name):
+        original = getattr(saddle, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(saddle, name, counted(name))
+    k = 3
+    traj = saddle.run(ctx, init, method, StepSchedule.exponential(), never_converges(k),
+                      sampled_mode(20, [11, 2]))
+    assert traj.iterations == k
+    assert calls == {"grad": grads * k, "lagrangian": k}
