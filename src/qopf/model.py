@@ -24,10 +24,14 @@ color-0 piece of diag(bounds) read on the dual outcomes, with the dual
 PMF as its one piece's outcome probabilities.  A pair scores only on a
 table entry, so per estimate and piece the estimator draws how many of
 the S pairs land on an entry, whose probability is w_m p_k(i), and then
-which: the other pairs score 0 and are never drawn.  Each term's call
-seeds one generator, F0's, F's and G's each from their own derived seed,
-and all the estimates of the call, and all the pieces of each, draw
-disjoint blocks of that one stream, which keeps them independent.
+which: the other pairs score 0 and are never drawn.  The estimates that
+share a dual PMF (the theta shifts, F0, G, an L) draw over (piece,
+column) cells with that PMF folded in once, and those that share a
+primal state (the phi shifts) over (piece, matrix) segments with the
+state's probabilities folded in.  Each term's call seeds one generator,
+F0's, F's and G's each from their own derived seed, and all the
+estimates of the call, and all the pieces of each, draw disjoint parts
+of that one stream, which keeps them independent.
 
 In exact mode the gradients in the circuit parameters come from one
 adjoint (reverse-mode) sweep per circuit, reusing the factors and states
@@ -37,7 +41,7 @@ one stack per circuit (``sim.shift_states``): row 0 the base state and
 row 1 + 2j + s parameter j shifted up (s = 0) or down (s = 1).  The
 primal stack is rotated once, under the cost and joint pieces together,
 for all its F0 and F estimates, and the estimates of each term are drawn
-and scored together in blocks of whole estimates.  Either way the
+and scored together, group by shared side.  Either way the
 circuit ledger charges the parameter-shift count.  The scale
 gradients are the closed forms dL/dalpha = 2 alpha (F0 + beta^2 F) and
 dL/dbeta = 2 beta (alpha^2 F - G).
@@ -133,8 +137,8 @@ class LagrangianContext:
     the union of their colors, the one count of them.  The sampled F0, F
     and G are each one ``xbm.estimate_expectation`` call, on the cost
     table, the joint table and the one-piece table of G
-    (``bounds_table``).  The tables' per-segment indexes, which split
-    their entries by piece, the primal rotations under both tables' pieces
+    (``bounds_table``).  The tables' segment indexes and cell layouts
+    (``xbm.CellLayout``), the primal rotations under both tables' pieces
     (``primal_rotations``) and ``bounds_table`` are built on first sampled
     use, so exact runs never pay for them.
     """
@@ -277,7 +281,11 @@ def _sample_terms(ctx: LagrangianContext, psis: np.ndarray, ws: np.ndarray,
     joint table with the dual PMFs, F0 the cost table at its slots of the
     primal probabilities, and G the one-piece ``bounds_table`` with the
     dual PMFs as its one piece's outcome probabilities; F0 and G take the
-    one-point PMF ``np.ones((1, 1))``.
+    one-point PMF ``np.ones((1, 1))``.  So F0's and G's estimates all
+    share their one dual row and each draws over (piece, column) cells.
+    In F, the pairs that share the base dual row draw over the joint
+    table's (piece, column) cells; those that share the base primal row,
+    with a dual row of their own, draw over its (piece, matrix) segments.
     """
     shots, one = mode.shots, np.ones((1, 1))
     rotations, cost_slots = ctx.primal_rotations
@@ -340,7 +348,7 @@ def grad(ctx: LagrangianContext, p: PrimalPoint, d: DualPoint,
     the diagonal dual observable alpha^2 beta^2 F_m - beta^2 b_m.  In
     sampled mode they use the parameter-shift rule (two evaluations at
     +-pi/2 per parameter), and every estimate draws its own disjoint
-    block of its term's stream (``_sample_terms``), keeping the blocks
+    part of its term's stream (``_sample_terms``), keeping the blocks
     unbiased and the per-coordinate variances additive.  The circuit
     ledger charges the parameter-shift count of
     ``ctx.circuits_per_gradient`` in both modes.  An exact call

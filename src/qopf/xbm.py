@@ -36,17 +36,23 @@ part), the sorted sparse entries of all their diagonals as one
 measurement: each of S shots of a piece pairs an outcome m of a PMF over
 a table's matrices with an outcome i of the piece-rotated state and
 scores the piece diagonal of matrix m at i.  It draws only the shots
-that score: a shot scores only on one of the piece's table entries, so
-per estimate and piece ``draw_estimates`` draws how many of the S shots
-land on an entry, one binomial count of the entries' total probability,
-and then which entry each of those lands on, by inversion over the
-running sums of the entry probabilities: ``live_inverse``, one
-branchless binary search over all the draws of a block, never leaves a
-draw's run and never returns a zero-probability entry.  The rest of the
-S shots score 0 and are never drawn (Devroye 1986: inversion, section
-III.2, and the conditional method for the multinomial).  All the
-estimates of one call draw from one generator, block after block of
-whole estimates, so they are independent.
+that score: a shot scores only on one of the piece's table entries.  The
+estimates of one call go in groups that share one side of their
+(primal row, dual row) pairs, and a ``CellLayout`` groups the table's
+entries into cells on which that side's factor is fixed: (piece,
+column) cells when the dual row is shared, (piece, matrix) segments when
+the primal row is.  Per estimate and piece ``_draw_cells`` draws how many
+of the S shots land on an entry, one binomial count of the piece's mass,
+then the cell of each of those by inversion over the running sums of
+the cells' masses, and the entry inside the cell by inversion over the
+shared factor's running sums: ``live_inverse``, one branchless binary
+search over all the draws of a group, never leaves a draw's run and
+never returns a zero-probability cell or entry.  The rest of the S shots
+score 0 and are never drawn (Devroye 1986: composition and inversion,
+section III.2, and the conditional method for the multinomial).  A run
+with very many scoring shots draws its cells and their entries by
+multinomials instead.  All the estimates of one call draw from one
+generator, group after group, so they are independent.
 The construction is validated functionally by the test suite: R M_c R^dag
 must be diagonal and equal diag(lambda) for every color and part.
 """
@@ -73,9 +79,13 @@ _S_DAG = rotation_matrix("rz", -math.pi / 2)  # S^dag up to a global phase
 # amplitudes per block of the rotation's second gather: bounds that
 # temporary, so rotating a whole shift stack does not raise the memory peak
 _GATHER_BLOCK = 2**14
-# entries, shots and draws per block of ``draw_estimates``: bounds its
-# temporaries, so a gradient's estimates do not raise its peak
+# scoring draws per chunk of ``_draw_cells``: bounds the temporaries of its
+# searches, so a gradient's estimates do not raise its peak
 _DRAW_BLOCK = 2**15
+# a run with at least this many scoring draws, and at least as many as its
+# piece has cells, draws its counts by multinomials instead of one search per
+# draw; S = 100 runs never do
+_MULTINOMIAL_DRAWS = 2**7
 
 
 def gate_count(color: int, part: str) -> int:
@@ -183,6 +193,38 @@ class PieceEntries(NamedTuple):
     dim: int
 
 
+class CellLayout(NamedTuple):
+    """A table's entries grouped into cells, for estimates that share one
+    side of their (primal row, dual row) pairs: an entry's probability is
+    the shared side's factor at the entry times the other side's factor at
+    the entry's cell.  Cell c holds entries ``starts[c]`` to
+    ``starts[c + 1] - 1`` of the layout's order and piece k cells
+    ``pieces[k]`` to ``pieces[k + 1] - 1``; ``cells`` holds each cell's
+    place on the varying side, and ``outcomes``, ``matrices`` and
+    ``values`` each entry's place k * dim + i in a primal state's
+    (pieces, dim) block, its matrix m and its value."""
+
+    starts: np.ndarray
+    pieces: np.ndarray
+    cells: np.ndarray
+    outcomes: np.ndarray
+    matrices: np.ndarray
+    values: np.ndarray
+
+
+def _cell_layout(table: "PieceTable", order: np.ndarray, first: np.ndarray,
+                 cells: np.ndarray) -> CellLayout:
+    """The layout of a table's entries taken in ``order``, cell c starting
+    at entry ``first[c]`` of it and read at ``cells[c]`` on the varying
+    side."""
+    entries, count = table.entries, table.count
+    piece, rest = np.divmod(entries.keys[order], count * entries.dim)
+    matrix, outcome = np.divmod(rest, entries.dim)
+    return CellLayout(np.append(first, len(order)),
+                      np.searchsorted(piece[first], np.arange(len(table) + 1)), cells,
+                      piece * entries.dim + outcome, matrix, entries.values[order])
+
+
 @dataclass(frozen=True)
 class PieceTable:
     """The color pieces of a stack of ``count`` matrices, for the pieces
@@ -190,7 +232,9 @@ class PieceTable:
     real parts by ascending color first, then imaginary parts; ``entries``
     holds the nonzero entries of every piece's rotated diagonals, segment
     p * count + m (indexed by ``segment_starts``) being matrix m of piece p;
-    ``norms`` holds per piece max_m ||M_m^c||, its largest |entry|."""
+    ``norms`` holds per piece max_m ||M_m^c||, its largest |entry|.  The
+    segment index and the two ``CellLayout``s that the sampled estimator
+    reads are cached on the table on first use."""
 
     pieces: tuple[tuple[int, str], ...]
     entries: PieceEntries
@@ -215,6 +259,29 @@ class PieceTable:
         entries ``segment_starts[s]`` to ``segment_starts[s + 1]``, by column."""
         bounds = np.arange(len(self) * self.count + 1) * self.entries.dim
         return np.searchsorted(self.entries.keys, bounds)
+
+    @cached_property
+    def column_cells(self) -> CellLayout:
+        """The entries by (piece k, column i) cell, for estimates that
+        share a dual row: in order of piece, column and matrix, each cell
+        read at k * dim + i of a primal state's block; built on first use."""
+        dim, count = self.entries.dim, self.count
+        piece, rest = np.divmod(self.entries.keys, count * dim)
+        matrix, outcome = np.divmod(rest, dim)
+        columns = piece * dim + outcome
+        order = np.argsort(columns * count + matrix)
+        columns = columns[order]
+        first = np.flatnonzero(np.diff(columns, prepend=-1))
+        return _cell_layout(self, order, first, columns[first])
+
+    @cached_property
+    def segment_cells(self) -> CellLayout:
+        """The entries by nonempty segment, the (piece k, matrix m) cell,
+        for estimates that share a primal row: in table order, each cell
+        read at m of a PMF; built on first use."""
+        live = np.flatnonzero(np.diff(self.segment_starts))
+        return _cell_layout(self, np.arange(len(self.entries.keys)), self.segment_starts[live],
+                            live % self.count)
 
 
 def piece_table(stack: MatrixStack) -> PieceTable:
@@ -293,66 +360,99 @@ def live_inverse(cumulative: np.ndarray, first: np.ndarray, last: np.ndarray,
     return at
 
 
-def draw_estimates(draws: np.random.Generator, entry_probabilities, count: int,
-                   starts: np.ndarray, values: np.ndarray, shots: int) -> np.ndarray:
-    """``count`` sampled estimates, S = ``shots`` shots per piece each, all
-    drawn from the one generator ``draws``, scoring only the shots that
-    land on a piece's table entries.
+def _multinomial(draws: np.random.Generator, cumulative: np.ndarray, first: np.ndarray,
+                 last: np.ndarray, lows: np.ndarray,
+                 n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Counts of ``n[r]`` draws over each run r's outcomes j, ``first[r]``
+    <= j <= ``last[r]``, of probability proportional to cumulative[j]
+    - cumulative[j - 1], ``lows[r]`` standing before the run: one
+    multinomial per run, all from one call.  Returns the (runs, width)
+    counts and the outcome of each column; past a run's end the outcome
+    repeats its last and counts 0.  A last, dead category takes whatever
+    rounding leaves of the normalised steps and is dropped, so no count
+    lands on a zero-probability outcome."""
+    outcomes = np.minimum(first[:, None] + np.arange(int(np.max(last - first)) + 1),
+                          last[:, None])
+    steps = np.diff(cumulative[outcomes], axis=1, prepend=lows[:, None])
+    steps /= steps.sum(axis=1, keepdims=True)
+    counts = draws.multinomial(n, np.concatenate([steps, np.zeros((len(steps), 1))], axis=1))
+    return counts[:, :-1], outcomes
 
-    Piece k owns entries ``starts[k]`` to ``starts[k + 1] - 1``, and entry j
-    scores ``values[j]``.  ``entry_probabilities(first, stop)`` returns a
-    new (stop - first, entries) array: row e - first holds the probability
-    that one shot of estimate e lands on each entry, the rest of each
-    piece's mass scoring 0.  So the S shots of estimate e and piece k are a
-    multinomial over the piece's entries and one dead category: the number
-    N that land on an entry is Binomial(S, J), J the piece's entry mass,
-    and given N they are N independent draws of an entry with probability
-    proportional to its own (the conditional method for the multinomial,
-    Devroye 1986).  Only those N are drawn, each by inversion over the
-    row's running sums: the target lo + U J, lo the running sum before the
-    piece's run, is found in the run by one ``live_inverse``.  A target
-    that rounds up to the run's end is set just below it, so no draw
-    leaves its run and no zero-probability entry is returned.
 
-    The estimates go in blocks of whole estimates with at most
-    ``_DRAW_BLOCK`` entry probabilities and shots (one estimate if it alone
-    has more); each block draws its binomial counts in one call, then its
-    uniforms ``_DRAW_BLOCK`` at a time, so every estimate draws its own
-    disjoint part of the stream and the estimates are independent.
-    Returns each estimate's summed scores over S.
+def _draw_cells(draws: np.random.Generator, layout: CellLayout, weights: np.ndarray,
+                shared: np.ndarray, shots: int) -> np.ndarray:
+    """The summed scores over S = ``shots`` shots per piece of each of a
+    group's estimates, all drawn from ``draws``: entry j of ``layout``
+    scores ``layout.values[j]`` with probability ``weights[e, c]
+    * shared[j]`` in estimate e, c the entry's cell.  ``weights`` is
+    overwritten.
+
+    The shared factor's running sums over the layout's entries are built
+    once, and each cell's mass is their step over the cell.  Row e of
+    ``weights`` becomes the running sums over the cells of their masses
+    times the row's weights, and per piece the number N of the S shots
+    that land on an entry is Binomial(S, J), J the piece's step in the
+    row.  Given N, the shots are N independent draws (the conditional
+    method for the multinomial, Devroye 1986): each draws its cell by
+    inversion over the row (section III.2), lo + U J found in the piece's
+    run by ``live_inverse``, and then its entry by inversion over the
+    cell's run of the shared running sums.  A target that rounds up to its
+    run's end is set just below it, so no draw leaves its run or returns
+    a zero-probability cell or entry.  A run of at least
+    ``_MULTINOMIAL_DRAWS`` draws, and no fewer than its piece's cells,
+    draws instead one multinomial over its cells and one over the entries
+    of each cell it reaches, conditional on the counts.  The counts come
+    first, then the multinomials, then the uniforms, two per draw,
+    ``_DRAW_BLOCK`` draws at a time, so each estimate draws its own
+    disjoint part of the stream.
     """
-    width, pieces = len(values), len(starts) - 1
+    count, width = weights.shape
+    pieces = len(layout.pieces) - 1
+    within = np.zeros(len(shared) + 1)
+    np.cumsum(shared, out=within[1:])
+    cell_lows, cell_tops = within[layout.starts[:-1]], within[layout.starts[1:]]
+    weights *= cell_tops - cell_lows
+    np.cumsum(weights, axis=1, out=weights)
+    flat = weights.ravel()
+    # run r = e * pieces + k of row e and piece k: flat[first[r]:last[r] + 1]
+    offsets = np.arange(count)[:, None] * width
+    first = (offsets + layout.pieces[:-1]).ravel()
+    last = (offsets + layout.pieces[1:] - 1).ravel()
+    lows = flat[first - 1]
+    lows.reshape(count, pieces)[:, :1] = 0.0  # a row's first run starts from 0
+    tops = flat[last]
+    masses = np.minimum(tops - lows, 1.0)
+    counts = draws.binomial(shots, masses)
     totals = np.zeros(count)
-    step = max(1, min(count, _DRAW_BLOCK // max(1, width, pieces * shots)))
-    # (estimate, piece) r = b * pieces + k of a block: its run of running
-    # sums is flat[before[r] + 1:after[r] + 1], after flat[before[r]] = lo
-    offsets = np.arange(step)[:, None] * (width + 1)
-    befores, afters = (offsets + starts[:-1]).ravel(), (offsets + starts[1:]).ravel()
-    estimates = np.arange(step).repeat(pieces)
-    for first in range(0, count, step):
-        probs = entry_probabilities(first, min(first + step, count))
-        rows = len(probs)
-        # row b: 0, then the running sums of its entry probabilities
-        cumulative = np.zeros((rows, width + 1))
-        np.cumsum(probs, axis=1, out=cumulative[:, 1:])
-        flat = cumulative.ravel()
-        before, after = befores[:rows * pieces], afters[:rows * pieces]
-        lows, tops = flat[before], flat[after]
-        masses = np.minimum(tops - lows, 1.0)
-        highest = np.nextafter(tops, -np.inf)  # the largest target below the run's end
-        counts = draws.binomial(shots, masses)
-        ends = np.concatenate(([0], np.cumsum(counts)))
-        for start in range(0, int(ends[-1]), _DRAW_BLOCK):
-            # each run's draws among this chunk's
-            taken = np.diff(np.minimum(np.maximum(ends, start), start + _DRAW_BLOCK))
-            target = draws.random(int(taken.sum()))
-            target *= np.repeat(masses, taken)
-            target += np.repeat(lows, taken)
-            np.minimum(target, np.repeat(highest, taken), out=target)
-            at = live_inverse(flat, np.repeat(before + 1, taken), np.repeat(after, taken), target)
-            totals[first:first + rows] += np.bincount(
-                np.repeat(estimates[:rows * pieces], taken), values[at % (width + 1) - 1],
-                minlength=rows)
+    large = (counts >= _MULTINOMIAL_DRAWS) & (counts > last - first)
+    if large.any():
+        cell_counts, cells = _multinomial(draws, flat, first[large], last[large], lows[large],
+                                          counts[large])
+        reached = np.nonzero(cell_counts)
+        cells = cells[reached] % width
+        entry_counts, entries = _multinomial(draws, within, layout.starts[cells] + 1,
+                                             layout.starts[cells + 1], cell_lows[cells],
+                                             cell_counts[reached])
+        scores = np.where(entry_counts > 0, entry_counts * layout.values[entries - 1], 0.0)
+        totals += np.bincount(np.flatnonzero(large)[reached[0]] // pieces, scores.sum(axis=1),
+                              minlength=count)
+        counts = np.where(large, 0, counts)
+    ends = np.concatenate(([0], np.cumsum(counts)))
+    single = len(layout.values) == width  # every cell holds one entry, its own index
+    for start in range(0, int(ends[-1]), _DRAW_BLOCK):
+        # the run of each of this chunk's draws
+        runs = np.repeat(np.arange(len(counts)),
+                         np.diff(np.minimum(np.maximum(ends, start), start + _DRAW_BLOCK)))
+        u = draws.random(len(runs) if single else 2 * len(runs))
+        target = u[:len(runs)] * masses[runs] + lows[runs]
+        np.minimum(target, np.nextafter(tops[runs], -np.inf), out=target)
+        cell = entry = live_inverse(flat, first[runs], last[runs], target) % width
+        if not single:
+            target = u[len(runs):] * (cell_tops - cell_lows)[cell] + cell_lows[cell]
+            np.minimum(target, np.nextafter(cell_tops[cell], -np.inf), out=target)
+            entry = live_inverse(within, layout.starts[cell] + 1, layout.starts[cell + 1],
+                                 target) - 1
+        totals += np.bincount(runs // pieces, layout.values[entry], minlength=count)
     return totals
 
 
@@ -364,16 +464,6 @@ def outcome_probabilities(states: np.ndarray, rotations: PieceRotations) -> np.n
     probs = np.abs(rotate_pieces(states, rotations))
     probs *= probs
     return probs
-
-
-def _gathered(array: np.ndarray, at: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """``array[at][:, columns]``, or, when ``at`` names one row throughout,
-    that row alone as a (1, columns) array to broadcast: a theta-shift
-    block of F estimates reads one dual row, a phi-shift block one primal
-    row, and an F0 or G block its one PMF."""
-    if np.all(at == at[0]):
-        return array[at[0], columns][None]
-    return array[at[:, None], columns]
 
 
 def estimate_expectation(table: PieceTable, probs: np.ndarray, pmfs: np.ndarray,
@@ -389,26 +479,50 @@ def estimate_expectation(table: PieceTable, probs: np.ndarray, pmfs: np.ndarray,
     order (``outcome_probabilities``).  Each shot of piece k pairs
     m ~ pmfs[q] with i ~ probs[k, r] and scores the entry of segment
     k * count + m at column i, so an entry's probability is
-    probs[k, r, i] pmfs[q, m], and ``draw_estimates`` draws only the shots
-    that land on an entry.  With one matrix and the one-point PMF
+    probs[k, r, i] pmfs[q, m], and only the shots that land on an entry
+    are drawn (``_draw_cells``).  With one matrix and the one-point PMF
     ``np.ones((1, 1))`` the estimate is of that matrix's expectation.
-    Each piece's average has the law of S such pairs: the estimates are
-    unbiased, and independent of each other.
+
+    The estimates go in groups that share one side of their pairs, and
+    the shared row's factor is folded once per group into the cells of
+    one of the table's ``CellLayout``s.  The estimates of one dual row q
+    (a gradient's theta shifts, all of F0's and G's, the one estimate of
+    an L) share pmfs[q] over the ``column_cells`` (piece k, column i), so
+    a cell's weight in estimate e is probs[k, r_e, i] times the cell's
+    PMF mass.  Those of one primal row r (a gradient's phi shifts) share
+    probs[:, r] over the ``segment_cells`` (piece k, matrix m), so a
+    cell's weight is pmfs[q_e, m] times the segment's probability mass.
+    An estimate draws with the others of its dual row, unless that row is
+    its own alone and its primal row is shared.  The groups draw one after
+    another from the one generator.  Each piece's average has the law of S
+    such pairs: the estimates are unbiased, and independent of each
+    other.
     """
     if shots < 1:
         raise ValidationError("shots must be >= 1")
-    dim = table.entries.dim
-    pieces, cells = np.divmod(table.entries.keys, table.count * dim)
-    matrices, outcomes = np.divmod(cells, dim)  # each entry's matrix m and outcome i
-    columns = pieces * dim + outcomes  # its place in a state's (pieces, dim) block
     primal, dual = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    states = probs.swapaxes(0, 1).reshape(probs.shape[1], -1)
+    # an estimate draws with the others of its dual row, unless that row is
+    # its own alone and its primal row is shared
+    by_segment = (np.bincount(dual)[dual] == 1) & (np.bincount(primal)[primal] > 1)
+    dim, rows = table.entries.dim, probs.shape[1]
+    flat = probs.reshape(-1)
 
-    def entry_probabilities(first, stop):
-        out = np.empty((stop - first, len(columns)))
-        return np.multiply(_gathered(states, primal[first:stop], columns),
-                           _gathered(pmfs, dual[first:stop], matrices), out=out)
+    def primal_at(outcomes, r):
+        """The places in ``flat`` of k * dim + i in primal row r's block."""
+        return outcomes + outcomes // dim * ((rows - 1) * dim) + r * dim
 
-    totals = draw_estimates(rng(seed), entry_probabilities, len(pairs),
-                            table.segment_starts[::table.count], table.entries.values, shots)
+    draws, totals = rng(seed), np.zeros(len(pairs))
+    for shares_dual, side in ((True, ~by_segment), (False, by_segment)):
+        row_of = dual if shares_dual else primal
+        for row in np.flatnonzero(np.bincount(row_of[side])).tolist():
+            members = np.flatnonzero(side & (row_of == row))
+            if shares_dual:
+                layout = table.column_cells
+                weights = np.take(flat, primal_at(layout.cells, primal[members, None]))
+                shared = np.take(pmfs[row], layout.matrices)
+            else:
+                layout = table.segment_cells
+                weights = np.take(pmfs[dual[members]], layout.cells, axis=1)
+                shared = np.take(flat, primal_at(layout.outcomes, row))
+            totals[members] = _draw_cells(draws, layout, weights, shared, shots)
     return (totals / shots).tolist(), shots * len(table) * len(pairs)

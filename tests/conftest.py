@@ -752,9 +752,76 @@ def estimate(states, table, shots_per_piece, seed):
                                     seed)[0]
 
 
-# The sampled estimators that the binomial draws of ``xbm.draw_estimates``
-# replaced, kept as oracles: the estimators draw other streams, so they must
-# match these in distribution (``same_moments``), not bit for bit.
+# The sampled estimators that ``xbm.estimate_expectation`` replaced, kept as
+# oracles: the estimator draws other streams, so it must match these in
+# distribution (``same_moments``), not bit for bit.
+
+
+def draw_estimates(draws, entry_probabilities, count, starts, values, shots):
+    """The retired entry-by-entry draw: ``count`` sampled estimates, S =
+    ``shots`` shots per piece each, all drawn from the one generator
+    ``draws``, scoring only the shots that land on a piece's entries.
+
+    Piece k owns entries ``starts[k]`` to ``starts[k + 1] - 1``, and entry j
+    scores ``values[j]``.  ``entry_probabilities(first, stop)`` returns a
+    new (stop - first, entries) array: row e - first holds the probability
+    that one shot of estimate e lands on each entry.  Per estimate and
+    piece, N ~ Binomial(S, J), J the piece's entry mass, and given N the
+    shots are N draws of an entry by inversion over the row's running sums,
+    resolved by ``xbm.live_inverse``.  The estimates go in blocks of whole
+    estimates with at most ``xbm._DRAW_BLOCK`` entry probabilities and
+    shots.  Returns each estimate's summed scores over S.
+    """
+    width, pieces = len(values), len(starts) - 1
+    totals = np.zeros(count)
+    step = max(1, min(count, xbm._DRAW_BLOCK // max(1, width, pieces * shots)))
+    offsets = np.arange(step)[:, None] * (width + 1)
+    befores, afters = (offsets + starts[:-1]).ravel(), (offsets + starts[1:]).ravel()
+    estimates = np.arange(step).repeat(pieces)
+    for first in range(0, count, step):
+        probs = entry_probabilities(first, min(first + step, count))
+        rows = len(probs)
+        cumulative = np.zeros((rows, width + 1))
+        np.cumsum(probs, axis=1, out=cumulative[:, 1:])
+        flat = cumulative.ravel()
+        before, after = befores[:rows * pieces], afters[:rows * pieces]
+        lows, tops = flat[before], flat[after]
+        masses = np.minimum(tops - lows, 1.0)
+        highest = np.nextafter(tops, -np.inf)
+        counts = draws.binomial(shots, masses)
+        ends = np.concatenate(([0], np.cumsum(counts)))
+        for start in range(0, int(ends[-1]), xbm._DRAW_BLOCK):
+            taken = np.diff(np.minimum(np.maximum(ends, start), start + xbm._DRAW_BLOCK))
+            target = draws.random(int(taken.sum()))
+            target *= np.repeat(masses, taken)
+            target += np.repeat(lows, taken)
+            np.minimum(target, np.repeat(highest, taken), out=target)
+            at = xbm.live_inverse(flat, np.repeat(before + 1, taken), np.repeat(after, taken),
+                                  target)
+            totals[first:first + rows] += np.bincount(
+                np.repeat(estimates[:rows * pieces], taken), values[at % (width + 1) - 1],
+                minlength=rows)
+    return totals
+
+
+def entry_estimates(table, probs, pmfs, pairs, shots, seed):
+    """The retired ``xbm.estimate_expectation``: the same (estimates,
+    shots) law, each estimate's entry probabilities probs[k, r, i]
+    pmfs[q, m] built in full over the table's entries in table order and
+    drawn by ``draw_estimates`` from ``sim.rng(seed)``."""
+    dim = table.entries.dim
+    pieces, cells = np.divmod(table.entries.keys, table.count * dim)
+    matrices, outcomes = np.divmod(cells, dim)
+    columns = pieces * dim + outcomes
+    primal, dual = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    states = probs.swapaxes(0, 1).reshape(probs.shape[1], -1)
+
+    def entry_probabilities(first, stop):
+        return states[primal[first:stop, None], columns] * pmfs[dual[first:stop, None], matrices]
+
+    totals = draw_estimates(sim.rng(seed), entry_probabilities, len(pairs),
+                            table.segment_starts[::table.count], table.entries.values, shots)
+    return (totals / shots).tolist(), shots * len(table) * len(pairs)
 
 
 def same_moments(values, oracle, sigmas=5.0):

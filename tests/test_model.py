@@ -11,11 +11,11 @@ from qopf.grid import Constraint, ValidationError
 from qopf.model import DualPoint, PrimalPoint, sampled_mode
 from qopf.saddle import classical_lagrangian
 
-from conftest import (dense_pieces, estimate, estimator_variance, exact_expectation,
-                      field_run, g_operator, live_first_sample_f, multinomial_sample_g, per_row_pieces,
-                      piecewise_rotation, primal_cdfs, problem_from_rows, random_problem,
-                      rotate_piece, same_moments, scored, shift_points, sorted_search_sample_f,
-                      stack_problems)
+from conftest import (dense_pieces, entry_estimates, estimate, estimator_variance,
+                      exact_expectation, field_run, g_operator, live_first_sample_f,
+                      multinomial_sample_g, per_row_pieces, piecewise_rotation, primal_cdfs,
+                      problem_from_rows, random_problem, rotate_piece, same_moments, scored,
+                      shift_points, sorted_search_sample_f, stack_problems)
 
 
 @pytest.fixture(scope="module")
@@ -200,6 +200,79 @@ def test_joint_entries_densify_to_piece_diagonals(problem):
         assert np.array_equal(entries.values[run], row[row != 0])
 
 
+@pytest.mark.parametrize("problem", stack_problems())
+def test_cell_layouts_hold_every_entry_once(problem):
+    """Both cell layouts of a joint table hold every table entry once, with
+    its value.  The column cells group the entries of one (piece k,
+    column i), in order of piece, column and matrix, and are read at
+    k * dim + i of a primal state's block; the segment cells are the
+    nonempty segments (piece k, matrix m), in table order, and are read at
+    m of a PMF.  Piece k owns a contiguous run of cells."""
+    table = xbm.piece_table(problem.stack)
+    dim, count = table.entries.dim, table.count
+    for layout, by_column in ((table.column_cells, True), (table.segment_cells, False)):
+        pieces, outcomes = np.divmod(layout.outcomes, dim)
+        keys = (pieces * count + layout.matrices) * dim + outcomes
+        order = np.argsort(keys)
+        assert np.array_equal(keys[order], table.entries.keys)
+        assert np.array_equal(layout.values[order], table.entries.values)
+        assert np.all(np.diff(keys if not by_column else
+                              layout.outcomes * count + layout.matrices) > 0)
+        # a cell's entries share its group, and the groups of cells increase
+        sizes, firsts = np.diff(layout.starts), layout.starts[:-1]
+        group = layout.outcomes if by_column else pieces * count + layout.matrices
+        assert layout.starts[0] == 0 and np.all(sizes > 0)
+        assert np.array_equal(group, np.repeat(group[firsts], sizes))
+        assert np.all(np.diff(group[firsts]) > 0)
+        side = layout.outcomes if by_column else layout.matrices
+        assert np.array_equal(layout.cells, side[firsts])
+        assert np.array_equal(layout.pieces,
+                              np.searchsorted(pieces[firsts], np.arange(len(table) + 1)))
+
+
+PAIR_PATTERNS = {
+    "shared dual row": [(r, 0) for r in range(9)],
+    "shared primal row": [(0, q) for q in range(9)],
+    "distinct": [(r, r + 2) for r in range(7)],
+    "repeated": [(2, 3)] * 4 + [(5, 5)] * 3,
+    "mixed": [(r, 0) for r in range(4)] + [(0, q) for q in range(1, 5)] + [(6, 7), (6, 7), (3, 9)],
+}
+
+
+@pytest.mark.parametrize("pattern", sorted(PAIR_PATTERNS))
+def test_estimates_follow_the_entry_oracle_for_any_pairs(pattern, padded_complex_problem):
+    """Whatever side its pairs share, all of them the dual row or all the
+    primal row, none (groups of one), repeated pairs or both kinds mixed,
+    one ``xbm.estimate_expectation`` call on the padded complex problem
+    follows the law of the retired entry-by-entry estimator
+    (``entry_estimates``): over 300 seeds every estimate agrees with the
+    oracle's in mean and variance, and both charge the same shots."""
+    ctx = model.LagrangianContext(padded_complex_problem, sim.AnsatzSpec.from_row(7, 2, 1),
+                                  sim.AnsatzSpec.from_row(4, 3, 1))
+    p, d = random_points(ctx, 150)
+    psis = sim.shift_states(ctx.primal_spec, sim.rotation_factors(ctx.primal_spec, p.theta))
+    ws = np.abs(sim.shift_states(ctx.dual_spec, sim.rotation_factors(ctx.dual_spec, d.phi)))**2
+    probs = model._normalised(xbm.outcome_probabilities(psis, ctx.primal_rotations[0]))
+    pmfs = ws / ws.sum(axis=-1, keepdims=True)
+    pairs, table, n = PAIR_PATTERNS[pattern], ctx.joint_diagonals, 300
+    draws = [xbm.estimate_expectation(table, probs, pmfs, pairs, 20, [27, k]) for k in range(n)]
+    oracle = [entry_estimates(table, probs, pmfs, pairs, 20, [28, k]) for k in range(n)]
+    assert {shots for _, shots in draws} == {shots for _, shots in oracle} == {
+        20 * len(table) * len(pairs)}
+    values, oracle = np.array([v for v, _ in draws]), np.array([v for v, _ in oracle])
+    for e in range(len(pairs)):
+        assert same_moments(values[:, e], oracle[:, e])
+
+
+def test_no_pairs_draw_nothing(batch_ctx):
+    ctx = batch_ctx
+    probs = model._normalised(xbm.outcome_probabilities(
+        sim.prepare(ctx.primal_spec, random_points(ctx, 151)[0].theta)[None],
+        ctx.primal_rotations[0]))
+    assert xbm.estimate_expectation(ctx.joint_diagonals, probs, np.full((1, ctx.problem.m_stored),
+                                    1 / ctx.problem.m_stored), [], 20, 0) == ([], 0)
+
+
 def test_eval_f_sampled_variance_matches_closed_form(ctx44):
     """Var of the sampled F is (1/S) sum_c Var_{w x p_c}[D_c]: per piece c,
     S independent pairs of a dual outcome m ~ w and a rotated primal outcome
@@ -376,12 +449,17 @@ def test_sampled_gradient_seeds_one_generator_per_call(ieee57_context, monkeypat
 
 def test_sampled_gradient_searches_and_rotations_do_not_grow(ieee57_context, monkeypatch):
     """A sampled gradient draws its F0, F and G estimates in one
-    ``xbm.draw_estimates`` call each, searches its scoring draws once per
-    block of whole estimates, rotates its primal states once whatever P,
-    as one stack of the base state and all 2P shift states under the cost
-    and joint pieces together, and prepares no state apart from the two
-    shift stacks."""
-    calls = {"draw_estimates": 0, "live_inverse": 0, "rotate_pieces": 0, "prepare": 0}
+    ``xbm.estimate_expectation`` call each, searches its scoring draws a
+    fixed number of times whatever P and Q, rotates its primal states once
+    whatever P, as one stack of the base state and all 2P shift states
+    under the cost and joint pieces together, and prepares no state apart
+    from the two shift stacks.  F0's estimates share the one-point PMF,
+    G's too, and F's theta shifts share the base dual row: each of these
+    groups searches its cells once, and F's also the entries inside them.
+    F's phi shifts share the base primal row and search their segments and
+    the entries inside them.  So a gradient makes 6 searches, at P = 12,
+    Q = 18 and at twice the layers."""
+    calls = {"estimate_expectation": 0, "live_inverse": 0, "rotate_pieces": 0, "prepare": 0}
 
     def counted(owner, name):
         original = getattr(owner, name)
@@ -391,22 +469,19 @@ def test_sampled_gradient_searches_and_rotations_do_not_grow(ieee57_context, mon
             return original(*args, **kwargs)
         return wrapper
 
-    for name in ("draw_estimates", "live_inverse", "rotate_pieces"):
+    for name in ("estimate_expectation", "live_inverse", "rotate_pieces"):
         monkeypatch.setattr(xbm, name, counted(xbm, name))
     monkeypatch.setattr(model, "prepare", counted(model, "prepare"))
-    ctx = ieee57_context
-    p, d = random_points(ctx, 48)
-    model.grad(ctx, p, d, sampled_mode(100, [4, 4]))
-
-    def blocks(estimates, table):
-        width = max(len(table.entries.keys), len(table) * 100)
-        return -(-estimates // (xbm._DRAW_BLOCK // width))
-    assert calls["draw_estimates"] == 3
-    assert calls["live_inverse"] == blocks(1 + 2 * ctx.p_count, ctx.m0_decomposition) + blocks(
-        1 + 2 * ctx.p_count + 2 * ctx.q_count, ctx.joint_diagonals) + blocks(
-        1 + 2 * ctx.q_count, ctx.bounds_table) == 12
-    assert calls["rotate_pieces"] == 1
-    assert calls["prepare"] == 0
+    deeper = model.LagrangianContext(ieee57_context.problem, sim.AnsatzSpec.from_row(6, 6, 2),
+                                     sim.AnsatzSpec.from_row(2, 9, 4))
+    assert (deeper.p_count, deeper.q_count) == (24, 36)
+    for ctx in (ieee57_context, deeper):
+        for name in calls:
+            calls[name] = 0
+        p, d = random_points(ctx, 48)
+        model.grad(ctx, p, d, sampled_mode(100, [4, 4]))
+        assert calls == {"estimate_expectation": 3, "live_inverse": 6, "rotate_pieces": 1,
+                         "prepare": 0}
 
 
 def test_sampled_f_matches_sorted_search_oracle(ieee57_context):
@@ -541,17 +616,26 @@ def test_sampled_gradient_memory_peak(ieee57_context):
 
 
 def test_exact_mode_never_builds_segment_index(padded_complex_problem):
+    """Exact runs never build the sampled indexes: the segment index, the
+    cell layouts of the joint and cost tables, the primal rotations and
+    the bounds table with its cell layout.  A sampled gradient builds them
+    all, except the cost table's segment layouts, which no estimate of F0
+    reads: its estimates all share the one-point PMF."""
     ctx = model.LagrangianContext(padded_complex_problem,
                                   sim.AnsatzSpec.from_row(7, 2, 1),
                                   sim.AnsatzSpec.from_row(4, 3, 1))
     p, d = random_points(ctx, 49)
     model.grad(ctx, p, d)
     model.lagrangian(ctx, p, d)
-    indexes = ((ctx.joint_diagonals, "segment_starts"), (ctx.m0_decomposition, "segment_starts"),
+    indexes = ((ctx.joint_diagonals, "segment_starts"), (ctx.joint_diagonals, "column_cells"),
+               (ctx.joint_diagonals, "segment_cells"), (ctx.m0_decomposition, "column_cells"),
                (ctx, "primal_rotations"), (ctx, "bounds_table"))
-    assert not any(name in vars(table) for table, name in indexes)
-    model.lagrangian(ctx, p, d, sampled_mode(4, 0))
+    unread = ((ctx.m0_decomposition, "segment_starts"), (ctx.m0_decomposition, "segment_cells"))
+    assert not any(name in vars(table) for table, name in indexes + unread)
+    model.grad(ctx, p, d, sampled_mode(4, 0))
     assert all(name in vars(table) for table, name in indexes)
+    assert "column_cells" in vars(ctx.bounds_table)
+    assert not any(name in vars(table) for table, name in unread)
 
 
 def grad_by_finite_differences(ctx, p, d, h=1e-5):
@@ -930,11 +1014,11 @@ def test_sampled_gradient_stream_unchanged(padded_complex_problem):
     d = DualPoint(rng.uniform(0, 6.28, ctx.q_count), 1.3)
     res = model.grad(ctx, p, d, sampled_mode(16, [3, 1]))
     assert res.theta.tolist() == [
-        -0.560632510099563, 0.687955152924394, 0.4064001015923311,
-        1.2615172483909711, -0.9719835180907723, -0.0001246304782137539]
-    assert res.alpha == -0.363302030671515
+        -0.4453083449812844, 0.5702414717127458, 0.6390705836028712,
+        1.377350296297501, -1.1495291927911149, 0.055293165699522785]
+    assert res.alpha == -0.5559344486535599
     assert res.phi.tolist() == [
-        -0.6943433912547249, 0.35492064952260055, 0.13316216543494322,
-        -0.2517325021653828, 0.835379519080272, -0.2731128300979203]
-    assert res.beta == 0.20533623396882913
+        0.978016934565211, 0.6194584109596654, 0.4880149824526565,
+        0.6282955148967138, 0.005646585565433293, 0.8302902480687674]
+    assert res.beta == 0.07197532921202887
     assert (res.primal_circuits, res.dual_circuits, res.shots_spent) == (91, 13, 4464)

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 from qopf import grid, xbm
 from qopf.grid import ValidationError
 
-from conftest import (ORACLE_GATES, dense_pieces, diagonals, estimate, estimator_variance,
-                      exact_expectation, oracle_cx, oracle_rotation, oracle_single,
-                      per_row_pieces, piece_fanout, piece_matrix, piecewise_estimate,
-                      piecewise_rotation, random_hermitian, random_state, reconstruct,
-                      rotate_piece, row_fanout, same_moments, sample_basis, stack_problems)
+from conftest import (ORACLE_GATES, dense_pieces, diagonals, draw_estimates, estimate,
+                      estimator_variance, exact_expectation, oracle_cx, oracle_rotation,
+                      oracle_single, per_row_pieces, piece_fanout, piece_matrix,
+                      piecewise_estimate, piecewise_rotation, random_hermitian, random_state,
+                      reconstruct, rotate_piece, row_fanout, same_moments, sample_basis,
+                      stack_problems)
 
 
 def rotation_unitary(color, part, n_qubits):
@@ -475,78 +476,168 @@ def test_live_inverse_is_exact(dim, seed):
 
 
 class RecordingDraws:
-    """A seeded generator's ``binomial`` and ``random`` for
-    ``xbm.draw_estimates``, recording the binomial counts and the number of
-    uniforms drawn; ``random`` returns ``fill`` for every uniform when it is
-    given."""
+    """A seeded generator's ``binomial``, ``multinomial`` and ``random`` for
+    ``xbm._draw_cells``, recording the binomial counts, the multinomial
+    calls and the number of uniforms drawn; ``random`` returns ``fill`` for
+    every uniform when it is given."""
 
     def __init__(self, seed, fill=None):
         self.generator, self.fill = np.random.default_rng(seed), fill
-        self.counts, self.uniforms = [], 0
+        self.counts, self.multinomials, self.uniforms = [], 0, 0
 
     def binomial(self, n, p):
         self.counts.append(self.generator.binomial(n, p))
         return self.counts[-1]
+
+    def multinomial(self, n, pvals):
+        self.multinomials += 1
+        return self.generator.multinomial(n, pvals)
 
     def random(self, size):
         self.uniforms += size
         return self.generator.random(size) if self.fill is None else np.full(size, self.fill)
 
 
-def repeated(probs):
-    """An ``entry_probabilities`` giving every estimate the same row."""
-    return lambda first, stop: np.tile(probs, (stop - first, 1))
+def cell_layout(pieces, cells, values):
+    """A hand-made ``xbm.CellLayout``: piece k holds ``pieces[k]`` cells,
+    cell c ``cells[c]`` entries, and entry j scores ``values[j]``."""
+    starts = np.concatenate(([0], np.cumsum(cells)))
+    none = np.zeros(len(values), dtype=int)
+    return xbm.CellLayout(starts, np.concatenate(([0], np.cumsum(pieces))),
+                          np.arange(len(cells)), none, none, np.array(values, dtype=float))
+
+
+def draw_cells(draws, layout, weights, shared, count, shots):
+    """``xbm._draw_cells`` of ``count`` estimates that share every cell
+    weight and shared factor."""
+    return xbm._draw_cells(draws, layout, np.tile(np.asarray(weights, dtype=float), (count, 1)),
+                           np.asarray(shared, dtype=float), shots)
 
 
 def test_draw_estimates_skip_a_piece_of_zero_mass():
-    """A piece whose entries all have zero probability draws no shot and
-    scores 0: its binomial count is 0, only the other piece's scoring
-    shots draw uniforms, and each estimate is a sum of that piece's values
-    alone."""
+    """A piece whose cells all have zero weight draws no shot and scores 0:
+    its binomial count is 0, only the other piece's scoring shots draw
+    uniforms, two each (the cell, then the entry in it), and each estimate
+    is a sum of that piece's values alone."""
     draws = RecordingDraws(1)
-    totals = xbm.draw_estimates(draws, repeated(np.array([0.0, 0.0, 0.25, 0.5])), 50,
-                                np.array([0, 2, 4]), np.array([1e6, 2e6, 1.0, 3.0]), 40)
+    layout = cell_layout([1, 2], [2, 1, 1], [1e6, 2e6, 1.0, 3.0])
+    totals = draw_cells(draws, layout, [0.0, 0.25, 0.5], [1.0] * 4, 50, 40)
     counts = np.concatenate(draws.counts).reshape(50, 2)
-    assert np.all(counts[:, 0] == 0) and draws.uniforms == counts[:, 1].sum() > 0
+    assert np.all(counts[:, 0] == 0) and draws.uniforms == 2 * counts[:, 1].sum() > 0
     assert np.all((totals >= counts[:, 1]) & (totals <= 3 * counts[:, 1]))
     assert np.all(totals == np.round(totals))
 
 
 def test_draw_estimates_never_return_a_zero_probability_entry():
-    """Entries of zero probability, at the end of a run or before the
-    next run, are never returned, also when lo + U J rounds up to the
-    run's end.  The rows' running sums are 0.5, 0.75 | 1, 1, 1 | 1.5: with
-    the largest uniform 1 - 2^-53, piece 1's target 0.75 + U * 0.25 rounds
-    to 1.0, and pieces 0 and 2 round up to their ends too, yet every draw
-    scores its run's last live entry.  With random uniforms no draw ever
-    scores the NaN values of the zero-probability entries."""
-    probs = np.array([0.5, 0.25, 0.25, 0.0, 0.0, 0.5])
-    starts = np.array([0, 2, 5, 6])
-    assert 0.75 + (1 - 2.0**-53) * 0.25 == 1.0
+    """Cells and entries of zero probability, at the end of a run or of a
+    cell, are never returned, also when lo + U J rounds up to the run's
+    end.  The rows' running sums over the cells are 0.5, 0.75 | 1, 1 | 1.5,
+    the last cell of piece 1 of zero weight, and its first cell's entries
+    have shared factors 1 and 0: with the largest uniform 1 - 2^-53,
+    piece 1's target 0.75 + U * 0.25 rounds to 1.0 and its in-cell target
+    2 + U to 3.0, and pieces 0 and 2 round up to their ends too, yet every
+    draw scores its run's last live entry.  With random uniforms no draw
+    ever scores the NaN values of the zero-probability entries."""
+    layout = cell_layout([2, 2, 1], [1, 1, 2, 1, 1], [1.0, 10.0, 100.0, 1e3, 1e4, 1e5])
+    weights, shared = [0.5, 0.25, 0.25, 0.0, 0.5], [1.0, 1.0, 1.0, 0.0, 1.0, 1.0]
+    assert 0.75 + (1 - 2.0**-53) * 0.25 == 1.0 and 2 + (1 - 2.0**-53) == 3.0
     draws = RecordingDraws(2, fill=1 - 2.0**-53)
-    values = np.array([1.0, 10.0, 100.0, 1e3, 1e4, 1e5])
-    totals = xbm.draw_estimates(draws, repeated(probs), 30, starts, values, 20)
+    totals = draw_cells(draws, layout, weights, shared, 30, 20)
     counts = np.concatenate(draws.counts).reshape(30, 3)
     assert np.array_equal(totals, counts @ [10.0, 100.0, 1e5])
-    values[3:5] = np.nan
-    totals = xbm.draw_estimates(RecordingDraws(3), repeated(probs), 500, starts, values, 20)
+    layout.values[3:5] = np.nan
+    totals = draw_cells(RecordingDraws(3), layout, weights, shared, 500, 20)
     assert np.all(np.isfinite(totals))
 
 
 def test_draw_estimates_one_entry_run_and_one_shot():
-    """A one-entry run scores its entry on every draw, for the smallest
-    and the largest uniform, and S = 1 works: over 4,000 one-shot
-    estimates the mean is within 5 standard errors of sum_j p_j v_j = 0.9
-    and the variance within 10 % of its closed form, 3.45."""
-    probs, starts, values = np.array([0.3, 0.2, 0.1]), np.array([0, 1, 3]), [2.0, -1.0, 5.0]
+    """A run of one cell of one entry scores its entry on every draw, for
+    the smallest and the largest uniform, and S = 1 works: over 4,000
+    one-shot estimates the mean is within 5 standard errors of
+    sum_j p_j v_j = 0.9 and the variance within 10 % of its closed form,
+    3.45.  The entries' probabilities are 0.3 | 0.2, 0.1, piece 1 one cell
+    of weight 0.3 whose entries' shared factors are 2/3 and 1/3."""
+    layout = cell_layout([1, 1], [1, 2], [2.0, -1.0, 5.0])
+    weights, shared = [0.3, 0.3], [1.0, 2 / 3, 1 / 3]
     for fill, second in ((0.0, -1.0), (1 - 2.0**-53, 5.0)):
         draws = RecordingDraws(4, fill=fill)
-        totals = xbm.draw_estimates(draws, repeated(probs), 40, starts, np.array(values), 3)
+        totals = draw_cells(draws, layout, weights, shared, 40, 3)
         counts = np.concatenate(draws.counts).reshape(40, 2)
         assert np.array_equal(totals, counts @ [2.0, second])
     n = 4000
-    totals = xbm.draw_estimates(np.random.default_rng(5), repeated(probs), n, starts,
-                                np.array(values), 1)
+    totals = draw_cells(np.random.default_rng(5), layout, weights, shared, n, 1)
     variance = (0.3 * 4 - 0.6**2) + (0.2 * 1 + 0.1 * 25 - 0.3**2)
     assert abs(totals.mean() - 0.9) < 5 * math.sqrt(variance / n)
     assert abs(totals.var() - variance) < 0.1 * variance
+
+
+def test_draw_estimates_skip_a_zero_probability_entry_inside_a_cell():
+    """An entry of zero shared factor between live entries of one cell is
+    never returned: the cell's running sums are 0.5, 0.5, 1, so the
+    uniform 0.5 lands exactly on the dead entry's running sum and scores
+    the entry after it, and with random uniforms the dead entry's NaN
+    value is never scored while the live ones split the draws evenly."""
+    layout = cell_layout([1], [3], [1.0, np.nan, 3.0])
+    draws = RecordingDraws(6, fill=0.5)
+    totals = draw_cells(draws, layout, [0.8], [0.5, 0.0, 0.5], 20, 10)
+    assert np.array_equal(totals, 3.0 * np.concatenate(draws.counts))
+    n, shots = 400, 50
+    totals = draw_cells(np.random.default_rng(7), layout, [0.8], [0.5, 0.0, 0.5], n, shots)
+    assert np.all(np.isfinite(totals))
+    # each shot scores 1 or 3 with probability 0.4 each: mean 1.6, variance 4 - 1.6^2
+    assert abs(totals.mean() / shots - 1.6) < 5 * math.sqrt((4 - 1.6**2) / (n * shots))
+
+
+def test_draw_estimates_skip_a_zero_mass_cell_between_live_ones():
+    """A cell of zero mass between live cells of one piece is never
+    returned, whether its weight is 0 or its entries' shared factors are:
+    the row's running sums are 0.25, 0.25, 0.5, 0.5, 1, so the uniforms
+    0.25 and 0.5 land exactly on the running sums that the dead cells
+    share with the cells before them and score the cells after them, and
+    with random uniforms the dead cells' NaN values are never scored."""
+    layout = cell_layout([5], [1, 1, 1, 1, 1], [1.0, np.nan, 2.0, np.nan, 4.0])
+    weights, shared = [0.25, 0.0, 0.25, 0.5, 0.5], [1.0, 1.0, 1.0, 0.0, 1.0]
+    for fill, value in ((0.25, 2.0), (0.5, 4.0)):
+        draws = RecordingDraws(8, fill=fill)
+        totals = draw_cells(draws, layout, weights, shared, 20, 10)
+        assert np.array_equal(totals, value * np.concatenate(draws.counts))
+    totals = draw_cells(np.random.default_rng(9), layout, weights, shared, 400, 50)
+    assert np.all(np.isfinite(totals))
+
+
+def test_draw_estimates_multinomial_path():
+    """A run with at least ``xbm._MULTINOMIAL_DRAWS`` scoring draws, and
+    no fewer than its piece's cells, draws one multinomial over its cells
+    and one over the entries of the cells it reaches, and no uniform; a
+    zero-weight cell and a zero-factor entry score nothing.  Piece 0 takes
+    that path, piece 1 has too few draws and piece 2, whose 300 cells are
+    more than its draws, searches too.  The law is the entry-by-entry
+    draw's (``draw_estimates``): over 600 estimates at S = 4,000 the two
+    agree in mean and variance.  At S = 100 no run takes the path."""
+    cells = [3, 1, 1, 1] + [1] * 300
+    layout = cell_layout([3, 1, 300], cells, [np.nan, 1.0, 3.0, 5.0, np.nan, -2.0] + [0.5] * 300)
+    weights = [0.3, 0.4, 0.0, 0.02] + [0.05 / 300] * 300
+    shared = [0.0, 0.5, 0.5, 1.0, 1.0, 1.0] + [1.0] * 300
+    shots, n = 4000, 600
+    draws = RecordingDraws(10)
+    totals = draw_cells(draws, layout, weights, shared, n, shots)
+    counts = np.concatenate(draws.counts).reshape(n, 3)
+    assert np.all(counts[:, 0] >= xbm._MULTINOMIAL_DRAWS)
+    assert np.all(counts[:, 1] < xbm._MULTINOMIAL_DRAWS)
+    assert np.all((counts[:, 2] >= xbm._MULTINOMIAL_DRAWS) & (counts[:, 2] < 300))
+    assert draws.multinomials == 2 and draws.uniforms == 2 * counts[:, 1:].sum()
+    assert np.all(np.isfinite(totals))
+    probs = np.array([0.0, 0.15, 0.15, 0.4, 0.0, 0.02] + [0.05 / 300] * 300)
+    oracle = draw_estimates(np.random.default_rng(11), lambda first, stop: np.tile(
+        probs, (stop - first, 1)), n, np.array([0, 5, 6, 306]),
+        np.array([0.0, 1.0, 3.0, 5.0, 0.0, -2.0] + [0.5] * 300), shots)
+    assert same_moments(totals / shots, oracle / shots)
+    draws = RecordingDraws(12)
+    draw_cells(draws, layout, [0.3, 0.7, 0.0, 1.0] + [1 / 300] * 300, [1.0] * 306, 50, 100)
+    assert draws.multinomials == 0
+    # only piece 2, with more cells than draws, reaches 2^7 draws
+    draws = RecordingDraws(13)
+    totals = draw_cells(draws, layout, [0.0] * 4 + [0.05 / 300] * 300, [1.0] * 306, 50, shots)
+    counts = np.concatenate(draws.counts).reshape(50, 3)
+    assert np.all(counts[:, 2] >= xbm._MULTINOMIAL_DRAWS) and draws.multinomials == 0
+    assert np.array_equal(totals, 0.5 * counts[:, 2])
