@@ -24,11 +24,13 @@ color-0 piece of diag(bounds) read on the dual outcomes, with the dual
 PMF as its one piece's outcome probabilities.  A pair scores only on a
 table entry, so per estimate and piece the estimator draws how many of
 the S pairs land on an entry, whose probability is w_m p_k(i), and then
-which: the other pairs score 0 and are never drawn.  The estimates that
-share a dual PMF (the theta shifts, F0, G, an L) draw over (piece,
-column) cells with that PMF folded in once, and those that share a
-primal state (the phi shifts) over (piece, matrix) segments with the
-state's probabilities folded in.  Each term's call seeds one generator,
+which: the other pairs score 0 and are never drawn.  So p_k(i) is
+needed only at the table's (piece k, column i) cells that hold an
+entry, and ``xbm.cell_probabilities`` computes it there alone.  The
+estimates that share a dual PMF (the theta shifts, F0, G, an L) draw
+over (piece, column) cells with that PMF folded in once, and those that
+share a primal state (the phi shifts) over (piece, matrix) segments
+with the state's probabilities folded in.  Each term's call seeds one generator,
 F0's, F's and G's each from their own derived seed, and all the
 estimates of the call, and all the pieces of each, draw disjoint parts
 of that one stream, which keeps them independent.
@@ -39,8 +41,8 @@ of the point's ``exact_forward`` record, which exact L reads too; in
 sampled mode from the two-point parameter-shift rule, as on hardware, on
 one stack per circuit (``sim.shift_states``): row 0 the base state and
 row 1 + 2j + s parameter j shifted up (s = 0) or down (s = 1).  The
-primal stack is rotated once, under the cost and joint pieces together,
-for all its F0 and F estimates, and the estimates of each term are drawn
+primal stack is rotated once at the cost table's cells for F0 and once
+at the joint table's for F, and the estimates of each term are drawn
 and scored together, group by shared side.  Either way the
 circuit ledger charges the parameter-shift count.  The scale
 gradients are the closed forms dL/dalpha = 2 alpha (F0 + beta^2 F) and
@@ -137,10 +139,9 @@ class LagrangianContext:
     the union of their colors, the one count of them.  The sampled F0, F
     and G are each one ``xbm.estimate_expectation`` call, on the cost
     table, the joint table and the one-piece table of G
-    (``bounds_table``).  The tables' segment indexes and cell layouts
-    (``xbm.CellLayout``), the primal rotations under both tables' pieces
-    (``primal_rotations``) and ``bounds_table`` are built on first sampled
-    use, so exact runs never pay for them.
+    (``bounds_table``).  The tables' segment indexes, cell layouts
+    (``xbm.CellLayout``) and cell rotations, and ``bounds_table``, are
+    built on first sampled use, so exact runs never pay for them.
     """
 
     def __init__(self, problem: QcqpProblem, primal_spec: AnsatzSpec,
@@ -162,20 +163,6 @@ class LagrangianContext:
         # the rotated constraint pieces of all rows, segment piece * M + m
         self.joint_diagonals = xbm.piece_table(problem.stack)
         self.colors = self.m0_decomposition.colors | self.joint_diagonals.colors
-
-    @cached_property
-    def primal_rotations(self) -> tuple[xbm.PieceRotations, np.ndarray]:
-        """The rotations of the sampled primal circuits, one per joint piece
-        in table order and then one per cost piece that is no joint piece,
-        and the slots of the cost pieces among them; built on first sampled
-        use.  F0 and F read one rotation of a primal stack under all of
-        them, each piece's bit for bit as under its own table."""
-        joint = self.joint_diagonals.pieces
-        pieces = joint + tuple(piece for piece in self.m0_decomposition.pieces
-                               if piece not in joint)
-        slots = [pieces.index(piece) for piece in self.m0_decomposition.pieces]
-        return (xbm.piece_rotations(pieces, self.primal_spec.n_qubits),
-                np.array(slots, dtype=np.intp))
 
     @cached_property
     def bounds_table(self) -> xbm.PieceTable:
@@ -275,12 +262,11 @@ def _sample_terms(ctx: LagrangianContext, psis: np.ndarray, ws: np.ndarray,
     ``mode.reseeded(0)``, F's from ``mode.reseeded(1)`` and G's from
     ``mode.reseeded(2)``.
 
-    The primal stack is rotated once under the primal pieces
-    (``LagrangianContext.primal_rotations``) and its outcome probabilities
-    normalised in place; ``ws`` is normalised in place too.  F reads the
-    joint table with the dual PMFs, F0 the cost table at its slots of the
-    primal probabilities, and G the one-piece ``bounds_table`` with the
-    dual PMFs as its one piece's outcome probabilities; F0 and G take the
+    The primal stack is rotated at the cost table's column cells for F0
+    and at the joint table's for F (``xbm.cell_probabilities``); ``ws`` is
+    normalised in place.  F reads the joint table with the dual PMFs, and
+    G the one-piece ``bounds_table`` with the dual PMFs at its column
+    cells as its one piece's outcome probabilities; F0 and G take the
     one-point PMF ``np.ones((1, 1))``.  So F0's and G's estimates all
     share their one dual row and each draws over (piece, column) cells.
     In F, the pairs that share the base dual row draw over the joint
@@ -288,15 +274,14 @@ def _sample_terms(ctx: LagrangianContext, psis: np.ndarray, ws: np.ndarray,
     with a dual row of their own, draw over its (piece, matrix) segments.
     """
     shots, one = mode.shots, np.ones((1, 1))
-    rotations, cost_slots = ctx.primal_rotations
-    probs = _normalised(xbm.outcome_probabilities(psis, rotations))
+    cost, joint, bounds = ctx.m0_decomposition, ctx.joint_diagonals, ctx.bounds_table
     pmfs = _normalised(ws)
-    f0, f0_shots = xbm.estimate_expectation(ctx.m0_decomposition, probs[cost_slots], one,
+    f0, f0_shots = xbm.estimate_expectation(cost, xbm.cell_probabilities(cost, psis), one,
                                             [(r, 0) for r in range(len(psis))], shots,
                                             mode.reseeded(0).seed)
-    f, f_shots = xbm.estimate_expectation(ctx.joint_diagonals, probs, pmfs, pairs, shots,
-                                          mode.reseeded(1).seed)
-    g, g_shots = xbm.estimate_expectation(ctx.bounds_table, pmfs[None], one,
+    f, f_shots = xbm.estimate_expectation(joint, xbm.cell_probabilities(joint, psis), pmfs,
+                                          pairs, shots, mode.reseeded(1).seed)
+    g, g_shots = xbm.estimate_expectation(bounds, pmfs[:, bounds.column_cells.cells], one,
                                           [(q, 0) for q in range(len(pmfs))], shots,
                                           mode.reseeded(2).seed)
     return np.array(f0), np.array(f), np.array(g), f0_shots + f_shots + g_shots
@@ -312,8 +297,8 @@ def eval_F_sampled(ctx: LagrangianContext, p: PrimalPoint, d: DualPoint,
                    shots: int, seed) -> float:
     """Unbiased sampled estimate of F(theta, phi)."""
     psi = prepare(ctx.primal_spec, p.theta)
-    probs = _normalised(xbm.outcome_probabilities(psi[None], ctx.primal_rotations[0]))
-    (value,), _ = xbm.estimate_expectation(ctx.joint_diagonals, probs,
+    table = ctx.joint_diagonals
+    (value,), _ = xbm.estimate_expectation(table, xbm.cell_probabilities(table, psi[None]),
                                            _normalised(dual_pmf(ctx, d)[None]), [(0, 0)],
                                            shots, seed)
     return value

@@ -21,9 +21,7 @@ the layers backwards, reads all n derivatives of a layer at its boundary
 from basis tables cached per qubit count and undoes every layer but the
 first with the factors' conjugate transposes (views for a real layer), and
 ``shift_states``, which prepares a circuit's base state and all 2P
-parameter-shift states as one stack.  The
-single gates of the ``xbm`` measurement rotations go through the 2x2
-primitive ``apply_single``.
+parameter-shift states as one stack.
 """
 
 from __future__ import annotations
@@ -124,19 +122,6 @@ def rotation_matrix(kind: str, angle: float) -> np.ndarray:
     if kind == "ry":
         return np.array([[c, -s], [s, c]])
     return np.array([[c - 1j * s, 0], [0, c + 1j * s]])  # rz
-
-
-def apply_single(state: np.ndarray, qubit: int, u: np.ndarray,
-                 out: np.ndarray | None = None) -> np.ndarray:
-    """Apply the 2x2 matrix ``u`` to ``qubit`` of a state, or of every row of
-    a stack of states, into a new array or the contiguous array ``out``."""
-    view = state.reshape(*state.shape[:-1], -1, 2, 2**qubit)
-    if out is None:
-        out = np.empty(view.shape, np.result_type(view, u))
-    target = out.reshape(view.shape)
-    target[..., 0, :] = u[0, 0] * view[..., 0, :] + u[0, 1] * view[..., 1, :]
-    target[..., 1, :] = u[1, 0] * view[..., 0, :] + u[1, 1] * view[..., 1, :]
-    return target.reshape(state.shape)
 
 
 def _chain_permutation(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -363,18 +348,18 @@ def reverse_sweep(spec: AnsatzSpec, factors: list, state: np.ndarray,
     return out.ravel()
 
 
-def _half_turns(states: np.ndarray, kind: str, layout: _Layout) -> np.ndarray:
-    """R_q(+-pi/2) = (I -+ i G_q) / sqrt(2) on a (n, 2, 2^n) stack: qubit q
-    of rows [q, 0] turned by +pi/2, of rows [q, 1] by -pi/2.  For ry,
-    -i Y_q = Z_q X_q is real, so a real stack stays real."""
+def _half_turns(state: np.ndarray, kind: str, layout: _Layout) -> np.ndarray:
+    """R_q(+-pi/2) = (I -+ i G_q) / sqrt(2) on qubit q of one state, for
+    every q: a (n, 2, 2^n) stack, row [q, 0] turned by +pi/2 and [q, 1] by
+    -pi/2, from one flip gather of the state for rx and ry.  For ry,
+    -i Y_q = Z_q X_q is real, so a real state stays real."""
     z = layout.z.T[:, None, :]
     if kind == "rz":
-        return (states - 1j * _PLUS_MINUS * (z * states)) * math.sqrt(0.5)
-    flip = np.broadcast_to(layout.flip[:, None, :], states.shape)
-    flipped = np.take_along_axis(states, flip, axis=-1)
+        return (state - 1j * _PLUS_MINUS * (z * state)) * math.sqrt(0.5)
+    flipped = state.take(layout.flip)[:, None, :]
     if kind == "ry":
-        return (states - _PLUS_MINUS * z * flipped) * math.sqrt(0.5)
-    return (states - 1j * _PLUS_MINUS * flipped) * math.sqrt(0.5)
+        return (state - _PLUS_MINUS * z * flipped) * math.sqrt(0.5)
+    return (state - 1j * _PLUS_MINUS * flipped) * math.sqrt(0.5)
 
 
 def shift_states(spec: AnsatzSpec, factors: list) -> np.ndarray:
@@ -386,12 +371,11 @@ def shift_states(spec: AnsatzSpec, factors: list) -> np.ndarray:
 
     A shift changes one angle, so only its layer differs from the base
     circuit, and there by R_q(+-pi/2), which commutes with the layer.  The
-    stack therefore runs the base factors alone, never B x L of them: at
-    each rotation layer the 2n rows shifted in it start as copies of the
-    base state, the layer runs on every row started so far, and
-    ``_half_turns`` turns the new rows.  Rows start in layer order, so the
-    started rows are a prefix of the stack.  The stack has ``prepare``'s
-    dtype, real for an RY/CX circuit.
+    stack therefore runs the base factors alone, never B x L of them: each
+    layer runs on the rows started so far, and then the 2n rows shifted in
+    it start as ``_half_turns`` of the base row.  Rows start in layer
+    order, so the started rows are a prefix of the stack.  The stack has
+    ``prepare``'s dtype, real for an RY/CX circuit.
     """
     n = spec.n_qubits
     layout = _layout(n)
@@ -403,9 +387,7 @@ def shift_states(spec: AnsatzSpec, factors: list) -> np.ndarray:
         if token == "cx":
             states[:live] = states[:live].take(layout.chain, axis=-1)
             continue
-        states[live:live + 2 * n] = states[0]
-        live += 2 * n
         states[:live] = _apply(states[:live], token, next(layer))
-        started = states[live - 2 * n:live].reshape(n, 2, -1)
-        states[live - 2 * n:live] = _half_turns(started, token, layout).reshape(2 * n, -1)
+        states[live:live + 2 * n] = _half_turns(states[0], token, layout).reshape(2 * n, -1)
+        live += 2 * n
     return states

@@ -8,16 +8,11 @@ fanning out from qubit k_c (the most significant set bit of c) to every other
 set bit of c, followed by a Hadamard on k_c.  The imaginary part additionally
 takes an S^dag prefix on k_c, realized here as Rz(-pi/2) (equal up to an
 irrelevant global phase).  The whole CX fan-out is one precomputed basis
-gather, and Rz goes through the 2x2 primitive ``sim.apply_single``.
-A piece is described by its (color, part) alone: ``gate_count`` counts
-its rotation's gates, and ``piece_rotations`` builds the rotations of a
-sequence of pieces as one double gather: each rotated amplitude is
+gather.  A piece is described by its (color, part) alone: ``gate_count``
+counts its rotation's gates, and ``piece_rotations`` builds the rotations
+of a sequence of pieces as one double gather: each rotated amplitude is
 c0 * y[lo] + c1 * y[hi], H's two products over the fan-out gather of the
-state or of its copy turned by S^dag on k.  ``rotate_pieces`` rotates a
-state, or a stack of states, under all of them at once: one S^dag per
-qubit that an imaginary piece needs, then one double gather over all
-pieces, the same products and sums as piece by piece, so the rotated
-states are the same bit for bit.
+state or of its copy turned by S^dag on k.
 
 With that rotation R applied to the state, the piece expectation becomes a
 computational-basis average of a fixed real diagonal: for every index i whose
@@ -36,7 +31,10 @@ part), the sorted sparse entries of all their diagonals as one
 measurement: each of S shots of a piece pairs an outcome m of a PMF over
 a table's matrices with an outcome i of the piece-rotated state and
 scores the piece diagonal of matrix m at i.  It draws only the shots
-that score: a shot scores only on one of the piece's table entries.  The
+that score: a shot scores only on one of the piece's table entries, so
+only the (piece k, column i) cells that hold an entry are ever read, and
+``cell_probabilities`` rotates a stack of states at those cells alone,
+two products per cell with S^dag folded into the coefficients.  The
 estimates of one call go in groups that share one side of their
 (primal row, dual row) pairs, and a ``CellLayout`` groups the table's
 entries into cells on which that side's factor is fixed: (piece,
@@ -69,16 +67,13 @@ import numpy as np
 from scipy import sparse
 
 from .grid import MatrixStack, ValidationError
-from .sim import apply_single, rng, rotation_matrix
+from .sim import rng, rotation_matrix
 
 REAL = "real"
 IMAG = "imag"
 
 _HADAMARD = np.array([[1, 1], [1, -1]]) / math.sqrt(2.0)
 _S_DAG = rotation_matrix("rz", -math.pi / 2)  # S^dag up to a global phase
-# amplitudes per block of the rotation's second gather: bounds that
-# temporary, so rotating a whole shift stack does not raise the memory peak
-_GATHER_BLOCK = 2**14
 # scoring draws per chunk of ``_draw_cells``: bounds the temporaries of its
 # searches, so a gradient's estimates do not raise its peak
 _DRAW_BLOCK = 2**15
@@ -97,22 +92,20 @@ def gate_count(color: int, part: str) -> int:
 
 
 class PieceRotations(NamedTuple):
-    """The rotations of a sequence of pieces as one double gather for
-    ``rotate_pieces``.  The source y of a state is the state followed by its
-    S^dag-turned copies, one per qubit in ``turns``, so row p of a rotated
-    state is c0[p] * y[lo[p]] + c1[p] * y[hi[p]]: the H on k over the
-    fan-out gather, or, for color 0, the state itself (coefficients 1 and
-    0)."""
+    """The rotations of a sequence of pieces as one double gather.  The
+    source y of a state is the state followed by its S^dag-turned copies,
+    one per qubit in ``turns``, so row p of a rotated state is c0[p] *
+    y[lo[p]] + c1[p] * y[hi[p]]: the H on k over the fan-out gather, or,
+    for color 0, the state itself (coefficients 1 and 0).
+    ``PieceTable.cell_rotation`` holds the same at a table's column cells,
+    one entry per cell, with S^dag folded into the coefficients and no
+    turns."""
 
     turns: tuple[int, ...]
     lo: np.ndarray
     hi: np.ndarray
     c0: np.ndarray
     c1: np.ndarray
-
-    @property
-    def count(self) -> int:
-        return len(self.lo)
 
 
 def piece_rotations(pieces: Sequence[tuple[int, str]], n_qubits: int) -> PieceRotations:
@@ -147,36 +140,6 @@ def piece_rotations(pieces: Sequence[tuple[int, str]], n_qubits: int) -> PieceRo
     return PieceRotations(turns, fanout(index & ~tops), fanout(index | tops), c0, c1)
 
 
-def rotate_pieces(states: np.ndarray, rotations: PieceRotations) -> np.ndarray:
-    """Every piece's rotation applied to a state, or to every row of a stack
-    of states: a complex (pieces, *states.shape) array whose entry p is
-    rotated by piece p.  A real state, from an RY/CX circuit, is cast to
-    complex first, as S^dag and the output are complex; its rotated states
-    are those of the complex-cast state bit for bit.
-
-    S^dag is applied once per qubit of ``rotations.turns``; then every
-    piece reads its two sources from the states and these turned copies in
-    one double gather, c0 * y[lo] + c1 * y[hi].  These are the products and
-    the sums of rotating piece by piece, in the same order, so the result
-    is the same bit for bit.  The states go through in blocks whose gather
-    temporary holds at most ``_GATHER_BLOCK`` amplitudes.  The array is laid
-    out state-major, each state's (pieces, dim) block contiguous.
-    """
-    flat = states.reshape(-1, states.shape[-1]).astype(complex, copy=False)
-    y = np.concatenate([flat, *(apply_single(flat, k, _S_DAG) for k in rotations.turns)], axis=1)
-    dim = flat.shape[1]
-    out = np.empty((len(flat), rotations.count, dim), dtype=complex)
-    step = max(1, _GATHER_BLOCK // max(1, rotations.count * dim))
-    for start in range(0, len(flat), step):
-        source, block = y[start:start + step], out[start:start + step]
-        np.take(source, rotations.lo, axis=1, out=block, mode="clip")
-        block *= rotations.c0
-        high = np.take(source, rotations.hi, axis=1, mode="clip")
-        high *= rotations.c1
-        block += high
-    return np.moveaxis(out.reshape(*states.shape[:-1], rotations.count, dim), -2, 0)
-
-
 def _single_stack(matrix) -> MatrixStack:
     """One square matrix, dense or scipy-sparse, as a one-segment stack."""
     coo = sparse.coo_matrix(matrix)
@@ -200,9 +163,9 @@ class CellLayout(NamedTuple):
     the entry's cell.  Cell c holds entries ``starts[c]`` to
     ``starts[c + 1] - 1`` of the layout's order and piece k cells
     ``pieces[k]`` to ``pieces[k + 1] - 1``; ``cells`` holds each cell's
-    place on the varying side, and ``outcomes``, ``matrices`` and
-    ``values`` each entry's place k * dim + i in a primal state's
-    (pieces, dim) block, its matrix m and its value."""
+    k * dim + i (column cells) or m (segment cells), and ``outcomes``,
+    ``matrices`` and ``values`` each entry's k * dim + i, its matrix m and
+    its value."""
 
     starts: np.ndarray
     pieces: np.ndarray
@@ -233,8 +196,9 @@ class PieceTable:
     holds the nonzero entries of every piece's rotated diagonals, segment
     p * count + m (indexed by ``segment_starts``) being matrix m of piece p;
     ``norms`` holds per piece max_m ||M_m^c||, its largest |entry|.  The
-    segment index and the two ``CellLayout``s that the sampled estimator
-    reads are cached on the table on first use."""
+    segment index, the two ``CellLayout``s that the sampled estimator
+    reads, the rotation of the column cells and the column cell of each
+    segment-cell entry are cached on the table on first use."""
 
     pieces: tuple[tuple[int, str], ...]
     entries: PieceEntries
@@ -263,8 +227,9 @@ class PieceTable:
     @cached_property
     def column_cells(self) -> CellLayout:
         """The entries by (piece k, column i) cell, for estimates that
-        share a dual row: in order of piece, column and matrix, each cell
-        read at k * dim + i of a primal state's block; built on first use."""
+        share a dual row: in order of piece, column and matrix, cell c
+        read at column c of ``cell_probabilities``, its ``cells`` entry
+        k * dim + i; built on first use."""
         dim, count = self.entries.dim, self.count
         piece, rest = np.divmod(self.entries.keys, count * dim)
         matrix, outcome = np.divmod(rest, dim)
@@ -282,6 +247,35 @@ class PieceTable:
         live = np.flatnonzero(np.diff(self.segment_starts))
         return _cell_layout(self, np.arange(len(self.entries.keys)), self.segment_starts[live],
                             live % self.count)
+
+    @cached_property
+    def segment_columns(self) -> np.ndarray:
+        """The column cell of each entry of ``segment_cells``: where
+        estimates that share a primal row read its ``cell_probabilities``
+        row; built on first use."""
+        return np.searchsorted(self.column_cells.cells, self.segment_cells.outcomes)
+
+    @cached_property
+    def cell_rotation(self) -> PieceRotations:
+        """The rotations of the column cells, one double gather read by
+        ``cell_probabilities``: cell (k, i) is c0 * psi[lo] + c1 * psi[hi],
+        amplitude i of psi rotated by piece k.  S^dag is diagonal, so a
+        source in the copy turned on qubit t is psi at the same index times
+        S^dag's entry at that index's bit t, folded into the coefficient,
+        and ``turns`` is empty; built on first use."""
+        dim = self.entries.dim
+        rotations = piece_rotations(self.pieces, dim.bit_length() - 1)
+        cells = self.column_cells.cells
+        qubits = np.array((0, *rotations.turns), dtype=int)
+        phases = np.diagonal(_S_DAG)
+
+        def folded(sources, coefficients):
+            block, index = np.divmod(sources.ravel()[cells], dim)
+            turned = np.where(block > 0, phases[index >> qubits[block] & 1], 1.0)
+            return index, coefficients.ravel()[cells] * turned
+
+        (lo, c0), (hi, c1) = folded(rotations.lo, rotations.c0), folded(rotations.hi, rotations.c1)
+        return PieceRotations((), lo, hi, c0, c1)
 
 
 def piece_table(stack: MatrixStack) -> PieceTable:
@@ -456,13 +450,19 @@ def _draw_cells(draws: np.random.Generator, layout: CellLayout, weights: np.ndar
     return totals
 
 
-def outcome_probabilities(states: np.ndarray, rotations: PieceRotations) -> np.ndarray:
-    """The unnormalised outcome probabilities |R_k psi|^2 of a state, or of
-    every row of a stack of states, under every piece's rotation: a real
-    (pieces, *states.shape) array from one ``rotate_pieces`` call, squared
-    in place, so bit for bit ``np.abs(rotated) ** 2``."""
-    probs = np.abs(rotate_pieces(states, rotations))
-    probs *= probs
+def cell_probabilities(table: PieceTable, states: np.ndarray) -> np.ndarray:
+    """The (rows, cells) outcome probabilities of a (rows, dim) stack of
+    states at the table's column cells: entry (r, c) is |c0 psi_r[lo]
+    + c1 psi_r[hi]|^2 / ||psi_r||^2 for cell c = (piece k, column i) of
+    ``table.cell_rotation``, the probability of outcome i of psi_r rotated
+    by piece k.  Every rotation is unitary, so ||psi_r||^2 is each piece's
+    normalisation.  No other outcome of a rotated state is computed."""
+    rotation = table.cell_rotation
+    amplitudes = states[:, rotation.lo] * rotation.c0
+    amplitudes += states[:, rotation.hi] * rotation.c1
+    probs = np.square(amplitudes.real)
+    probs += np.square(amplitudes.imag)
+    probs /= np.square(np.abs(states)).sum(axis=1, keepdims=True)
     return probs
 
 
@@ -474,29 +474,30 @@ def estimate_expectation(table: PieceTable, probs: np.ndarray, pmfs: np.ndarray,
     shots they charge, S = ``shots`` per piece and estimate, all drawn
     from one generator seeded from ``seed``.
 
-    ``probs[k, r]`` holds the normalised outcome probabilities of psi_r
-    under piece k's rotation, one leading row per table piece in table
-    order (``outcome_probabilities``).  Each shot of piece k pairs
-    m ~ pmfs[q] with i ~ probs[k, r] and scores the entry of segment
-    k * count + m at column i, so an entry's probability is
-    probs[k, r, i] pmfs[q, m], and only the shots that land on an entry
-    are drawn (``_draw_cells``).  With one matrix and the one-point PMF
-    ``np.ones((1, 1))`` the estimate is of that matrix's expectation.
+    ``probs[r, c]`` holds the probability of column cell c = (piece k,
+    column i) of ``table.column_cells`` under primal row r: outcome i of
+    psi_r rotated by piece k (``cell_probabilities``).  Each shot of piece
+    k pairs m ~ pmfs[q] with an outcome i of the rotated psi_r and scores
+    the entry of segment k * count + m at column i, so an entry's
+    probability is probs[r, c] pmfs[q, m], and only the shots that land on
+    an entry are drawn (``_draw_cells``).  With one matrix and the
+    one-point PMF ``np.ones((1, 1))`` the estimate is of that matrix's
+    expectation.
 
     The estimates go in groups that share one side of their pairs, and
     the shared row's factor is folded once per group into the cells of
     one of the table's ``CellLayout``s.  The estimates of one dual row q
     (a gradient's theta shifts, all of F0's and G's, the one estimate of
-    an L) share pmfs[q] over the ``column_cells`` (piece k, column i), so
-    a cell's weight in estimate e is probs[k, r_e, i] times the cell's
-    PMF mass.  Those of one primal row r (a gradient's phi shifts) share
-    probs[:, r] over the ``segment_cells`` (piece k, matrix m), so a
-    cell's weight is pmfs[q_e, m] times the segment's probability mass.
-    An estimate draws with the others of its dual row, unless that row is
-    its own alone and its primal row is shared.  The groups draw one after
-    another from the one generator.  Each piece's average has the law of S
-    such pairs: the estimates are unbiased, and independent of each
-    other.
+    an L) share pmfs[q] over the ``column_cells``, so a cell's weight in
+    estimate e is probs[r_e, c] times the cell's PMF mass.  Those of one
+    primal row r (a gradient's phi shifts) share probs[r] over the
+    ``segment_cells`` (piece k, matrix m), each entry read at its column
+    cell (``segment_columns``), so a cell's weight is pmfs[q_e, m] times
+    the segment's probability mass.  An estimate draws with the others of
+    its dual row, unless that row is its own alone and its primal row is
+    shared.  The groups draw one after another from the one generator.
+    Each piece's average has the law of S such pairs: the estimates are
+    unbiased, and independent of each other.
     """
     if shots < 1:
         raise ValidationError("shots must be >= 1")
@@ -504,13 +505,6 @@ def estimate_expectation(table: PieceTable, probs: np.ndarray, pmfs: np.ndarray,
     # an estimate draws with the others of its dual row, unless that row is
     # its own alone and its primal row is shared
     by_segment = (np.bincount(dual)[dual] == 1) & (np.bincount(primal)[primal] > 1)
-    dim, rows = table.entries.dim, probs.shape[1]
-    flat = probs.reshape(-1)
-
-    def primal_at(outcomes, r):
-        """The places in ``flat`` of k * dim + i in primal row r's block."""
-        return outcomes + outcomes // dim * ((rows - 1) * dim) + r * dim
-
     draws, totals = rng(seed), np.zeros(len(pairs))
     for shares_dual, side in ((True, ~by_segment), (False, by_segment)):
         row_of = dual if shares_dual else primal
@@ -518,11 +512,11 @@ def estimate_expectation(table: PieceTable, probs: np.ndarray, pmfs: np.ndarray,
             members = np.flatnonzero(side & (row_of == row))
             if shares_dual:
                 layout = table.column_cells
-                weights = np.take(flat, primal_at(layout.cells, primal[members, None]))
+                weights = probs[primal[members]]  # a copy: ``_draw_cells`` overwrites it
                 shared = np.take(pmfs[row], layout.matrices)
             else:
                 layout = table.segment_cells
                 weights = np.take(pmfs[dual[members]], layout.cells, axis=1)
-                shared = np.take(flat, primal_at(layout.outcomes, row))
+                shared = np.take(probs[row], table.segment_columns)
             totals[members] = _draw_cells(draws, layout, weights, shared, shots)
     return (totals / shots).tolist(), shots * len(table) * len(pairs)

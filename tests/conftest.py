@@ -521,7 +521,7 @@ def oracle_ansatz(n, template, layers, params):
 
 
 # Piece-by-piece reference of the grouped measurement rotations: a copy of
-# the gate-by-gate rotation of one color piece that ``xbm.rotate_pieces``
+# the gate-by-gate rotation of one color piece that ``rotate_pieces``
 # replaced, with its 2x2 primitive, so the batched path can be compared
 # with it bit for bit.
 PIECEWISE_S_DAG = np.array([[math.cos(-math.pi / 4) - 1j * math.sin(-math.pi / 4), 0],
@@ -551,6 +551,83 @@ def piecewise_rotation(state, color, n, part):
 
 
 # Builders and oracles that only the tests use.
+
+
+def apply_single(state, qubit, u):
+    """Apply the 2x2 matrix ``u`` to ``qubit`` of a state, or of every row
+    of a stack of states, into a new array."""
+    view = state.reshape(*state.shape[:-1], -1, 2, 2**qubit)
+    out = np.empty(view.shape, np.result_type(view, u))
+    out[..., 0, :] = u[0, 0] * view[..., 0, :] + u[0, 1] * view[..., 1, :]
+    out[..., 1, :] = u[1, 0] * view[..., 0, :] + u[1, 1] * view[..., 1, :]
+    return out.reshape(state.shape)
+
+
+def rotate_pieces(states, rotations):
+    """The full rotation that ``xbm.cell_probabilities`` reads only at
+    table cells: every piece's rotation of ``xbm.piece_rotations`` applied
+    to a state, or to every row of a stack of states, as a complex
+    (pieces, *states.shape) array.  S^dag is applied once per qubit of
+    ``rotations.turns``, then every piece reads its two sources from the
+    states and these turned copies in one double gather, c0 * y[lo] + c1 *
+    y[hi]: the products and sums of rotating piece by piece, in the same
+    order, so the result is the same bit for bit."""
+    flat = states.reshape(-1, states.shape[-1]).astype(complex, copy=False)
+    y = np.concatenate([flat, *(apply_single(flat, k, xbm._S_DAG) for k in rotations.turns)],
+                       axis=1)
+    rotated = y[:, rotations.lo] * rotations.c0
+    rotated += y[:, rotations.hi] * rotations.c1
+    return np.moveaxis(rotated.reshape(*states.shape[:-1], *rotations.lo.shape), -2, 0)
+
+
+def rotated_probabilities(table, states):
+    """The (pieces, *states.shape) outcome probabilities of a state, or of
+    every row of a stack of states, under each piece of ``table``, each
+    piece's normalised over all its outcomes: the full-rotation oracle of
+    ``xbm.cell_probabilities``."""
+    rotations = xbm.piece_rotations(table.pieces, int(math.log2(table.entries.dim)))
+    probs = np.abs(rotate_pieces(states, rotations)) ** 2
+    probs /= probs.sum(axis=-1, keepdims=True)
+    return probs
+
+
+def at_cells(table, probs):
+    """(pieces, rows, dim) outcome probabilities read at the table's column
+    cells: the (rows, cells) input of ``xbm.estimate_expectation``."""
+    rows = probs.swapaxes(0, 1).reshape(probs.shape[1], len(table) * table.entries.dim)
+    return rows[:, table.column_cells.cells]
+
+
+def copied_base_shift_states(spec, factors):
+    """``sim.shift_states`` as the stack was first built: at each rotation
+    layer the 2n new rows start as copies of the base state, the layer runs
+    on every row started so far, and the new rows are turned by
+    R_q(+-pi/2) through a gather along the stack."""
+    n = spec.n_qubits
+    layout = sim._layout(n)
+    z = layout.z.T[:, None, :]
+    states = np.zeros((1 + 2 * len(factors) * n, 2**n), dtype=sim._plan(spec).dtype)
+    states[0, 0] = 1.0
+    live = 1
+    layer = iter(factors)
+    for token in sim._plan(spec).tokens:
+        if token == "cx":
+            states[:live] = states[:live].take(layout.chain, axis=-1)
+            continue
+        states[live:live + 2 * n] = states[0]
+        live += 2 * n
+        states[:live] = sim._apply(states[:live], token, next(layer))
+        started = states[live - 2 * n:live].reshape(n, 2, -1)
+        flipped = np.take_along_axis(started, np.broadcast_to(layout.flip[:, None, :],
+                                                              started.shape), axis=-1)
+        if token == "rz":
+            turned = started - 1j * sim._PLUS_MINUS * (z * started)
+        elif token == "ry":
+            turned = started - sim._PLUS_MINUS * z * flipped
+        else:
+            turned = started - 1j * sim._PLUS_MINUS * flipped
+        states[live - 2 * n:live] = (turned * math.sqrt(0.5)).reshape(2 * n, -1)
+    return states
 
 
 def complex_start_prepare(spec, params):
@@ -693,9 +770,9 @@ def constant_schedule(mu):
 
 def rotate_piece(color, part, state):
     """One piece's measurement rotation of a state or a stack of states:
-    the one-piece ``xbm.rotate_pieces``."""
+    the one-piece ``rotate_pieces``."""
     n_qubits = state.shape[-1].bit_length() - 1
-    return xbm.rotate_pieces(state, xbm.piece_rotations([(color, part)], n_qubits))[0]
+    return rotate_pieces(state, xbm.piece_rotations([(color, part)], n_qubits))[0]
 
 
 def piece_fanout(color, part, n_qubits):
@@ -732,7 +809,7 @@ def estimator_variance(table, state, shots_per_piece):
     variance = 0.0
     bound = 0.0
     rotations = xbm.piece_rotations(table.pieces, int(math.log2(table.entries.dim)))
-    rotated_probs = np.abs(xbm.rotate_pieces(state, rotations)) ** 2
+    rotated_probs = np.abs(rotate_pieces(state, rotations)) ** 2
     for diagonal, norm, probs in zip(diagonals(table), table.norms, rotated_probs):
         mean = float(probs @ diagonal)
         second = float(probs @ diagonal**2)
@@ -744,10 +821,8 @@ def estimator_variance(table, state, shots_per_piece):
 def estimate(states, table, shots_per_piece, seed):
     """``xbm.estimate_expectation`` of the rows of a stack of states under
     the rotations of the table's own pieces, all drawn from ``seed``."""
-    rotations = xbm.piece_rotations(table.pieces, int(math.log2(table.entries.dim)))
-    probs = xbm.outcome_probabilities(states, rotations)
-    probs /= probs.sum(axis=-1, keepdims=True)
-    pairs = [(r, 0) for r in range(probs.shape[1])]
+    probs = xbm.cell_probabilities(table, states)
+    pairs = [(r, 0) for r in range(len(states))]
     return xbm.estimate_expectation(table, probs, np.ones((1, 1)), pairs, shots_per_piece,
                                     seed)[0]
 
@@ -913,10 +988,9 @@ def scored(cdfs, rows, cols, u):
 def primal_cdfs(ctx, psi):
     """(pieces, *psi.shape) cumulative outcome distributions of the
     color-rotated primal circuit of a state, or of every state of a stack,
-    one leading row per primal piece, the joint pieces first in table order:
-    the CDFs that the retired estimators of F read."""
-    probs = xbm.outcome_probabilities(psi, ctx.primal_rotations[0])
-    np.cumsum(probs, axis=-1, out=probs)
+    one leading row per joint piece in table order: the CDFs that the
+    retired estimators of F read."""
+    probs = np.cumsum(rotated_probabilities(ctx.joint_diagonals, psi), axis=-1)
     probs /= probs[..., -1:]
     return probs
 

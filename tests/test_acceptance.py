@@ -63,8 +63,7 @@ def test_xbm_correctness_suite():
                 worst_offdiag = max(worst_offdiag, float(np.max(np.abs(off))))
             exact = exact_expectation(state, m)
             variance, _ = estimator_variance(dec, state, shots)
-            probs = xbm.outcome_probabilities(state[None], xbm.piece_rotations(dec.pieces, n))
-            probs /= probs.sum(axis=-1, keepdims=True)
+            probs = xbm.cell_probabilities(dec, state[None])
             estimate = xbm.estimate_expectation(dec, probs, np.ones((1, 1)), [(0, 0)], shots,
                                                 [n, trial])[0][0]
             sigma = math.sqrt(max(variance, 1e-30))

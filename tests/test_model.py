@@ -11,11 +11,12 @@ from qopf.grid import Constraint, ValidationError
 from qopf.model import DualPoint, PrimalPoint, sampled_mode
 from qopf.saddle import classical_lagrangian
 
-from conftest import (dense_pieces, entry_estimates, estimate, estimator_variance,
+from conftest import (at_cells, dense_pieces, entry_estimates, estimate, estimator_variance,
                       exact_expectation, field_run, g_operator, live_first_sample_f,
                       multinomial_sample_g, per_row_pieces, piecewise_rotation, primal_cdfs,
-                      problem_from_rows, random_problem, rotate_piece, same_moments, scored,
-                      shift_points, sorted_search_sample_f, stack_problems)
+                      problem_from_rows, random_hermitian, random_problem, rotate_piece,
+                      rotated_probabilities, same_moments, scored, shift_points,
+                      sorted_search_sample_f, stack_problems)
 
 
 @pytest.fixture(scope="module")
@@ -162,14 +163,15 @@ def test_eval_f_sampled_zero_observables():
                                   sim.AnsatzSpec.from_row(2, 2, 1))
     p, d = random_points(ctx, 11)
     assert model.eval_F_sampled(ctx, p, d, shots=16, seed=0) == 0.0
-    # no joint piece at all: the primal probabilities hold the cost's one
-    # piece, and the batched estimator draws nothing
+    # no joint piece at all: the primal probabilities hold no cell, the
+    # cost's one piece has its 4, and the batched estimator draws nothing
     assert len(ctx.joint_diagonals) == 0
-    psi = sim.prepare(ctx.primal_spec, p.theta)
-    probs = model._normalised(xbm.outcome_probabilities(psi, ctx.primal_rotations[0]))
-    assert probs.shape == (len(ctx.m0_decomposition), 4) == (1, 4)
+    psi = sim.prepare(ctx.primal_spec, p.theta)[None]
+    probs = xbm.cell_probabilities(ctx.joint_diagonals, psi)
+    assert probs.shape == (1, 0)
+    assert xbm.cell_probabilities(ctx.m0_decomposition, psi).shape == (1, 4)
     w = model.dual_pmf(ctx, d)[None]
-    assert xbm.estimate_expectation(ctx.joint_diagonals, probs[:, None],
+    assert xbm.estimate_expectation(ctx.joint_diagonals, probs,
                                     w / w.sum(axis=-1, keepdims=True), [(0, 0)], 16,
                                     0) == ([0.0], 0)
 
@@ -204,10 +206,11 @@ def test_joint_entries_densify_to_piece_diagonals(problem):
 def test_cell_layouts_hold_every_entry_once(problem):
     """Both cell layouts of a joint table hold every table entry once, with
     its value.  The column cells group the entries of one (piece k,
-    column i), in order of piece, column and matrix, and are read at
-    k * dim + i of a primal state's block; the segment cells are the
+    column i), in order of piece, column and matrix, each at k * dim + i
+    of the pieces' rotated outcomes; the segment cells are the
     nonempty segments (piece k, matrix m), in table order, and are read at
-    m of a PMF.  Piece k owns a contiguous run of cells."""
+    m of a PMF, their entries each at its column cell.  Piece k owns a
+    contiguous run of cells."""
     table = xbm.piece_table(problem.stack)
     dim, count = table.entries.dim, table.count
     for layout, by_column in ((table.column_cells, True), (table.segment_cells, False)):
@@ -228,6 +231,9 @@ def test_cell_layouts_hold_every_entry_once(problem):
         assert np.array_equal(layout.cells, side[firsts])
         assert np.array_equal(layout.pieces,
                               np.searchsorted(pieces[firsts], np.arange(len(table) + 1)))
+    # each segment-cell entry is read at its own column cell
+    assert np.array_equal(table.column_cells.cells[table.segment_columns],
+                          table.segment_cells.outcomes)
 
 
 PAIR_PATTERNS = {
@@ -252,10 +258,11 @@ def test_estimates_follow_the_entry_oracle_for_any_pairs(pattern, padded_complex
     p, d = random_points(ctx, 150)
     psis = sim.shift_states(ctx.primal_spec, sim.rotation_factors(ctx.primal_spec, p.theta))
     ws = np.abs(sim.shift_states(ctx.dual_spec, sim.rotation_factors(ctx.dual_spec, d.phi)))**2
-    probs = model._normalised(xbm.outcome_probabilities(psis, ctx.primal_rotations[0]))
     pmfs = ws / ws.sum(axis=-1, keepdims=True)
     pairs, table, n = PAIR_PATTERNS[pattern], ctx.joint_diagonals, 300
-    draws = [xbm.estimate_expectation(table, probs, pmfs, pairs, 20, [27, k]) for k in range(n)]
+    probs = rotated_probabilities(table, psis)
+    draws = [xbm.estimate_expectation(table, at_cells(table, probs), pmfs, pairs, 20, [27, k])
+             for k in range(n)]
     oracle = [entry_estimates(table, probs, pmfs, pairs, 20, [28, k]) for k in range(n)]
     assert {shots for _, shots in draws} == {shots for _, shots in oracle} == {
         20 * len(table) * len(pairs)}
@@ -266,9 +273,8 @@ def test_estimates_follow_the_entry_oracle_for_any_pairs(pattern, padded_complex
 
 def test_no_pairs_draw_nothing(batch_ctx):
     ctx = batch_ctx
-    probs = model._normalised(xbm.outcome_probabilities(
-        sim.prepare(ctx.primal_spec, random_points(ctx, 151)[0].theta)[None],
-        ctx.primal_rotations[0]))
+    probs = xbm.cell_probabilities(
+        ctx.joint_diagonals, sim.prepare(ctx.primal_spec, random_points(ctx, 151)[0].theta)[None])
     assert xbm.estimate_expectation(ctx.joint_diagonals, probs, np.full((1, ctx.problem.m_stored),
                                     1 / ctx.problem.m_stored), [], 20, 0) == ([], 0)
 
@@ -317,50 +323,84 @@ def batch_ctx(request, padded_complex_problem):
 
 
 def test_primal_probabilities_match_piecewise_loop(batch_ctx):
-    """The leading rows of the normalised primal outcome probabilities, one
+    """The normalised outcome probabilities of the full rotation, one row
     per joint piece in table order, are the piece-by-piece loop's bit for
-    bit."""
-    joint = len(batch_ctx.joint_diagonals)
-    assert joint > 1
+    bit, and the cell probabilities of the joint table are the loop's at
+    every column cell, to 1e-14 of a piece's total."""
+    table = batch_ctx.joint_diagonals
+    assert len(table) > 1
     for trial in range(3):
         p, _ = random_points(batch_ctx, 70 + trial)
         psi = sim.prepare(batch_ctx.primal_spec, p.theta)
-        probs = xbm.outcome_probabilities(psi, batch_ctx.primal_rotations[0])
-        assert np.array_equal(model._normalised(probs)[:joint],
-                              piecewise_primal_probabilities(batch_ctx, psi))
+        piecewise = piecewise_primal_probabilities(batch_ctx, psi)
+        assert np.array_equal(rotated_probabilities(table, psi), piecewise)
+        assert np.max(np.abs(xbm.cell_probabilities(table, psi[None])
+                             - at_cells(table, piecewise[:, None]))) <= 1e-14
+
+
+def test_cell_probabilities_equal_the_full_rotation(padded_complex_problem, ieee57_context):
+    """``xbm.cell_probabilities`` is the full rotation of every piece,
+    normalised over all its outcomes (``rotated_probabilities``), read at
+    every column cell, to 1e-14 of a piece's total: for shift stacks of
+    all 8 architecture rows, the real states of row 2 among them, on the
+    joint and cost tables of the padded complex problem and of the shallow
+    ieee57 context, on a dense complex table whose imaginary pieces turn
+    every qubit, and on a table with no piece."""
+    rng = np.random.default_rng(78)
+    dense = xbm.decompose(random_hermitian(rng, 16))
+    assert xbm.piece_rotations(dense.pieces, 4).turns == (0, 1, 2, 3)
+    empty = xbm.decompose(np.zeros((8, 8)))
+    assert len(empty) == 0
+    tables = (xbm.piece_table(padded_complex_problem.stack),
+              xbm.piece_table(padded_complex_problem.cost), ieee57_context.joint_diagonals,
+              ieee57_context.m0_decomposition, dense, empty)
+    for t, table in enumerate(tables):
+        n = int(math.log2(table.entries.dim))
+        for row in range(1, 9):
+            spec = sim.AnsatzSpec.from_row(row, n, 2)
+            psis = sim.shift_states(spec, sim.rotation_factors(
+                spec, rng.uniform(-2 * math.pi, 2 * math.pi, spec.param_count)))
+            got = xbm.cell_probabilities(table, psis)
+            assert got.shape == (len(psis), len(table.column_cells.cells))
+            want = at_cells(table, rotated_probabilities(table, psis))
+            assert np.max(np.abs(got - want), initial=0.0) <= 1e-14, (t, row)
 
 
 def test_f0_reads_the_shared_rotation_bit_for_bit(batch_ctx):
-    """The sampled terms rotate a shift stack once under the primal pieces,
-    and F0, read from its slots of that rotation, is ``==`` to F0 from
-    rotating the stack under the cost table alone, at the same seed: each
-    piece's rotation is the same bit for bit whatever pieces share the
-    call.  On ieee57 every cost piece is a joint piece.  G is ``==`` to
-    one ``xbm.estimate_expectation`` call on ``bounds_table`` with the
-    normalised dual PMFs as its one piece's outcome probabilities."""
-    ctx, table = batch_ctx, batch_ctx.m0_decomposition
-    rotations, slots = ctx.primal_rotations
-    assert rotations.count >= len(ctx.joint_diagonals) and len(slots) == len(table)
+    """F0 and F rotate the one primal shift stack at their tables' cells,
+    and a piece's cell probability is the same bit for bit in whichever
+    table it sits: at every (piece, column) cell of the cost table whose
+    piece is a joint piece, the cost table's cell probability is ``==`` to
+    the joint table's.  On ieee57 every cost piece is a joint piece.  F0
+    is ``==`` to one ``xbm.estimate_expectation`` call on the cost table
+    alone at the same seed, and G to one on ``bounds_table`` with the
+    normalised dual PMFs at its column cells as its one piece's outcome
+    probabilities."""
+    ctx, cost, joint = batch_ctx, batch_ctx.m0_decomposition, batch_ctx.joint_diagonals
+    dim = cost.entries.dim
     if ctx.problem.m_stored > ctx.problem.m:  # ieee57
-        assert set(table.pieces) <= set(ctx.joint_diagonals.pieces)
-        assert rotations.count == len(ctx.joint_diagonals)
+        assert set(cost.pieces) <= set(joint.pieces)
+    piece, column = np.divmod(cost.column_cells.cells, dim)
+    shared = np.flatnonzero([cost.pieces[k] in joint.pieces for k in piece])
+    joint_cells = np.array([joint.pieces.index(cost.pieces[k]) * dim + i
+                            for k, i in zip(piece[shared], column[shared])], dtype=np.intp)
+    at_joint = np.searchsorted(joint.column_cells.cells, joint_cells)
+    assert len(shared) and np.array_equal(joint.column_cells.cells[at_joint], joint_cells)
     for trial in range(2):
         p, d = random_points(ctx, 76 + trial)
         psis = sim.shift_states(ctx.primal_spec, sim.rotation_factors(ctx.primal_spec, p.theta))
-        own = xbm.outcome_probabilities(
-            psis, xbm.piece_rotations(table.pieces, ctx.primal_spec.n_qubits))
-        assert np.array_equal(xbm.outcome_probabilities(psis, rotations)[slots], own)
+        own = xbm.cell_probabilities(cost, psis)
+        assert np.array_equal(own[:, shared], xbm.cell_probabilities(joint, psis)[:, at_joint])
         ws = np.abs(sim.shift_states(ctx.dual_spec, sim.rotation_factors(ctx.dual_spec, d.phi)))**2
         pmfs = ws / ws.sum(axis=-1, keepdims=True)
         mode = sampled_mode(50, [77, trial])
         f0, _, g, _ = model._sample_terms(ctx, psis, ws, [(0, 0)], mode)
         one = np.ones((1, 1))
         assert f0.tolist() == xbm.estimate_expectation(
-            table, model._normalised(own), one, [(r, 0) for r in range(len(psis))], 50,
-            mode.reseeded(0).seed)[0]
+            cost, own, one, [(r, 0) for r in range(len(psis))], 50, mode.reseeded(0).seed)[0]
         assert g.tolist() == xbm.estimate_expectation(
-            ctx.bounds_table, pmfs[None], one, [(q, 0) for q in range(len(ws))], 50,
-            mode.reseeded(2).seed)[0]
+            ctx.bounds_table, pmfs[:, ctx.bounds_table.column_cells.cells], one,
+            [(q, 0) for q in range(len(ws))], 50, mode.reseeded(2).seed)[0]
 
 
 def test_eval_f_sampled_matches_piecewise_loop(batch_ctx):
@@ -450,16 +490,17 @@ def test_sampled_gradient_seeds_one_generator_per_call(ieee57_context, monkeypat
 def test_sampled_gradient_searches_and_rotations_do_not_grow(ieee57_context, monkeypatch):
     """A sampled gradient draws its F0, F and G estimates in one
     ``xbm.estimate_expectation`` call each, searches its scoring draws a
-    fixed number of times whatever P and Q, rotates its primal states once
-    whatever P, as one stack of the base state and all 2P shift states
-    under the cost and joint pieces together, and prepares no state apart
-    from the two shift stacks.  F0's estimates share the one-point PMF,
-    G's too, and F's theta shifts share the base dual row: each of these
-    groups searches its cells once, and F's also the entries inside them.
-    F's phi shifts share the base primal row and search their segments and
-    the entries inside them.  So a gradient makes 6 searches, at P = 12,
-    Q = 18 and at twice the layers."""
-    calls = {"estimate_expectation": 0, "live_inverse": 0, "rotate_pieces": 0, "prepare": 0}
+    fixed number of times whatever P and Q, rotates its primal states
+    twice whatever P and Q, as one stack of the base state and all 2P
+    shift states at the cost table's cells and then at the joint table's,
+    and prepares no state apart from the two shift stacks.  F0's
+    estimates share the one-point PMF, G's too, and F's theta shifts share
+    the base dual row: each of these groups searches its cells once, and
+    F's also the entries inside them.  F's phi shifts share the base
+    primal row and search their segments and the entries inside them.  So
+    a gradient makes 6 searches and 2 rotations, at P = 12, Q = 18 and at
+    twice the layers."""
+    calls = {"estimate_expectation": 0, "live_inverse": 0, "cell_probabilities": 0, "prepare": 0}
 
     def counted(owner, name):
         original = getattr(owner, name)
@@ -469,7 +510,7 @@ def test_sampled_gradient_searches_and_rotations_do_not_grow(ieee57_context, mon
             return original(*args, **kwargs)
         return wrapper
 
-    for name in ("estimate_expectation", "live_inverse", "rotate_pieces"):
+    for name in ("estimate_expectation", "live_inverse", "cell_probabilities"):
         monkeypatch.setattr(xbm, name, counted(xbm, name))
     monkeypatch.setattr(model, "prepare", counted(model, "prepare"))
     deeper = model.LagrangianContext(ieee57_context.problem, sim.AnsatzSpec.from_row(6, 6, 2),
@@ -480,7 +521,7 @@ def test_sampled_gradient_searches_and_rotations_do_not_grow(ieee57_context, mon
             calls[name] = 0
         p, d = random_points(ctx, 48)
         model.grad(ctx, p, d, sampled_mode(100, [4, 4]))
-        assert calls == {"estimate_expectation": 3, "live_inverse": 6, "rotate_pieces": 1,
+        assert calls == {"estimate_expectation": 3, "live_inverse": 6, "cell_probabilities": 2,
                          "prepare": 0}
 
 
@@ -497,7 +538,7 @@ def test_sampled_f_matches_sorted_search_oracle(ieee57_context):
         p, d = random_points(ctx, 130 + k)
         psis = sim.shift_states(ctx.primal_spec, sim.rotation_factors(ctx.primal_spec, p.theta))
         ws = np.abs(sim.shift_states(ctx.dual_spec, sim.rotation_factors(ctx.dual_spec, d.phi)))**2
-        probs = model._normalised(xbm.outcome_probabilities(psis, ctx.primal_rotations[0]))
+        probs = at_cells(ctx.joint_diagonals, rotated_probabilities(ctx.joint_diagonals, psis))
         cdfs = primal_cdfs(ctx, psis)
         pairs = [(1, 0)] * n + [(0, 2)] * n
         values, shots = xbm.estimate_expectation(ctx.joint_diagonals, probs,
@@ -527,7 +568,7 @@ def test_sampled_f_matches_the_retired_live_first_estimator(ieee57_context):
         p, d = random_points(ctx, 134 + k)
         psis = sim.shift_states(ctx.primal_spec, sim.rotation_factors(ctx.primal_spec, p.theta))
         ws = np.abs(sim.shift_states(ctx.dual_spec, sim.rotation_factors(ctx.dual_spec, d.phi)))**2
-        probs = model._normalised(xbm.outcome_probabilities(psis, ctx.primal_rotations[0]))
+        probs = at_cells(ctx.joint_diagonals, rotated_probabilities(ctx.joint_diagonals, psis))
         pairs = [(3, 0)] * n + [(0, 5)] * n
         values, shots = xbm.estimate_expectation(ctx.joint_diagonals, probs,
                                                  ws / ws.sum(axis=-1, keepdims=True), pairs,
@@ -555,10 +596,9 @@ def test_sample_f_unbiased_with_closed_form_variance(ieee57_context):
     p, d = random_points(ctx, 96)
     psis = sim.shift_states(ctx.primal_spec, sim.rotation_factors(ctx.primal_spec, p.theta))
     ws = np.abs(sim.shift_states(ctx.dual_spec, sim.rotation_factors(ctx.dual_spec, d.phi)))**2
-    probs = model._normalised(xbm.outcome_probabilities(psis, ctx.primal_rotations[0]))
+    rotated = rotated_probabilities(table, psis)
+    probs = at_cells(table, rotated)
     pairs, copies, shots, seeds = [(0, 0), (1, 0), (0, 2)], 8, 100, 2000
-    rotated = np.abs(xbm.rotate_pieces(
-        psis, xbm.piece_rotations(table.pieces, ctx.primal_spec.n_qubits)))**2
     diagonals = dense_pieces(table)  # (pieces, M, dim)
     pmfs = ws / ws.sum(axis=-1, keepdims=True)
     values = np.array([xbm.estimate_expectation(table, probs, pmfs, pairs * copies, shots,
@@ -585,8 +625,8 @@ def test_sampled_f_estimates_drawn_in_one_call_are_uncorrelated(ieee57_context):
     fit in ``xbm._DRAW_BLOCK``."""
     ctx, table = ieee57_context, ieee57_context.joint_diagonals
     p, d = random_points(ctx, 133)
-    probs = model._normalised(xbm.outcome_probabilities(
-        sim.prepare(ctx.primal_spec, p.theta)[None], ctx.primal_rotations[0]))
+    probs = at_cells(table, rotated_probabilities(table,
+                                                  sim.prepare(ctx.primal_spec, p.theta)[None]))
     w = model.dual_pmf(ctx, d)[None]
     per_block = xbm._DRAW_BLOCK // max(len(table.entries.keys), 100 * len(table))
     count, n = 2 * per_block + 1, 2000
@@ -600,8 +640,9 @@ def test_sampled_f_estimates_drawn_in_one_call_are_uncorrelated(ieee57_context):
 
 def test_sampled_gradient_memory_peak(ieee57_context):
     """The traced allocation peak of one sampled gradient on the shallow
-    ieee57 context (P = 12, Q = 18, S = 100) stays at most 2.6 MB: the
-    estimates draw one after another, not all at once."""
+    ieee57 context (P = 12, Q = 18, S = 100) stays at most 1.3 MB: the
+    estimates draw one after another, not all at once, and the primal
+    stack is rotated only at the tables' cells."""
     ctx = ieee57_context
     assert (ctx.p_count, ctx.q_count) == (12, 18)
     p, d = random_points(ctx, 51)
@@ -612,14 +653,15 @@ def test_sampled_gradient_memory_peak(ieee57_context):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2.6e6
+    assert peak <= 1.3e6
 
 
 def test_exact_mode_never_builds_segment_index(padded_complex_problem):
     """Exact runs never build the sampled indexes: the segment index, the
-    cell layouts of the joint and cost tables, the primal rotations and
-    the bounds table with its cell layout.  A sampled gradient builds them
-    all, except the cost table's segment layouts, which no estimate of F0
+    cell layouts and cell rotations of the joint and cost tables, the
+    joint table's column cell of each segment-cell entry and the bounds
+    table with its cell layout.  A sampled gradient builds them all,
+    except the cost table's segment layouts, which no estimate of F0
     reads: its estimates all share the one-point PMF."""
     ctx = model.LagrangianContext(padded_complex_problem,
                                   sim.AnsatzSpec.from_row(7, 2, 1),
@@ -628,9 +670,11 @@ def test_exact_mode_never_builds_segment_index(padded_complex_problem):
     model.grad(ctx, p, d)
     model.lagrangian(ctx, p, d)
     indexes = ((ctx.joint_diagonals, "segment_starts"), (ctx.joint_diagonals, "column_cells"),
-               (ctx.joint_diagonals, "segment_cells"), (ctx.m0_decomposition, "column_cells"),
-               (ctx, "primal_rotations"), (ctx, "bounds_table"))
-    unread = ((ctx.m0_decomposition, "segment_starts"), (ctx.m0_decomposition, "segment_cells"))
+               (ctx.joint_diagonals, "segment_cells"), (ctx.joint_diagonals, "cell_rotation"),
+               (ctx.joint_diagonals, "segment_columns"), (ctx.m0_decomposition, "column_cells"),
+               (ctx.m0_decomposition, "cell_rotation"), (ctx, "bounds_table"))
+    unread = ((ctx.m0_decomposition, "segment_starts"), (ctx.m0_decomposition, "segment_cells"),
+              (ctx.m0_decomposition, "segment_columns"))
     assert not any(name in vars(table) for table, name in indexes + unread)
     model.grad(ctx, p, d, sampled_mode(4, 0))
     assert all(name in vars(table) for table, name in indexes)
@@ -765,8 +809,9 @@ def test_sample_g_unbiased_with_closed_form_variance(ieee57_context):
     shots, n = 8, 2000
     exact = float(w @ b) / w.sum()
     variance = (float(w @ b**2) / w.sum() - exact**2) / shots
-    values = np.array(xbm.estimate_expectation(ctx.bounds_table, (w / w.sum())[None, None],
-                                               np.ones((1, 1)), [(0, 0)] * n, shots, [24])[0])
+    probs = at_cells(ctx.bounds_table, (w / w.sum())[None, None])
+    values = np.array(xbm.estimate_expectation(ctx.bounds_table, probs, np.ones((1, 1)),
+                                               [(0, 0)] * n, shots, [24])[0])
     assert abs(values.mean() - exact) < 5 * math.sqrt(variance / n)
     assert abs(values.var() - variance) < 0.1 * variance
 
@@ -799,8 +844,7 @@ def sampled_gradient_variances(ctx, p, d, shots):
     ws /= ws.sum(axis=1, keepdims=True)
     table = ctx.joint_diagonals
     diagonals = dense_pieces(table)
-    rotations = xbm.piece_rotations(table.pieces, ctx.primal_spec.n_qubits)
-    probs = np.abs(xbm.rotate_pieces(psis, rotations))**2  # (pieces, rows, dim)
+    probs = rotated_probabilities(table, psis)  # (pieces, rows, dim)
 
     def f_variance(means, seconds):
         return (seconds - means**2).sum(axis=-1) / shots
@@ -946,27 +990,23 @@ def test_gradient_reads_a_forward_record_of_its_own_point(ieee57_context):
 
 
 def test_real_states_estimate_like_their_complex_casts(ieee57_context):
-    """A real shift stack, from an RY/CX primal, gives the same outcome
-    probabilities, normalised primal probabilities, F0 and F estimates, bit
-    for bit, as the
-    same states cast to complex, also under a real observable, whose
-    pieces need no S^dag turn."""
+    """A real shift stack, from an RY/CX primal, gives the same cell
+    probabilities, F0 and F estimates, bit for bit, as the same states
+    cast to complex, also under a real observable, whose pieces need no
+    S^dag turn."""
     ctx = model.LagrangianContext(ieee57_context.problem, sim.AnsatzSpec.from_row(2, 6, 1),
                                   ieee57_context.dual_spec)
     p, d = random_points(ctx, 72)
     psis = sim.shift_states(ctx.primal_spec, sim.rotation_factors(ctx.primal_spec, p.theta))
     assert psis.dtype == np.float64
     real_table = xbm.decompose(ctx.problem.m0.real)
-    n_qubits = ctx.primal_spec.n_qubits
-    assert xbm.piece_rotations(real_table.pieces, n_qubits).turns == ()
+    assert xbm.piece_rotations(real_table.pieces, ctx.primal_spec.n_qubits).turns == ()
     for table in (ctx.m0_decomposition, real_table):
-        rotations = xbm.piece_rotations(table.pieces, n_qubits)
-        probs = xbm.outcome_probabilities(psis, rotations)
-        assert np.array_equal(probs, xbm.outcome_probabilities(psis.astype(complex),
-                                                               rotations))
+        probs = xbm.cell_probabilities(table, psis)
+        assert np.array_equal(probs, xbm.cell_probabilities(table, psis.astype(complex)))
         assert estimate(psis, table, 50, [72]) == estimate(psis.astype(complex), table, 50, [72])
-    probs, complex_probs = (model._normalised(xbm.outcome_probabilities(
-        states, ctx.primal_rotations[0])) for states in (psis, psis.astype(complex)))
+    probs, complex_probs = (xbm.cell_probabilities(ctx.joint_diagonals, states)
+                            for states in (psis, psis.astype(complex)))
     assert np.array_equal(probs, complex_probs)
     w = model._normalised(model.dual_pmf(ctx, d)[None])
     pairs = [(r, 0) for r in range(len(psis))]

@@ -10,9 +10,9 @@ from qopf import model, sim, xbm
 from qopf.grid import ValidationError
 from qopf.sim import AnsatzSpec
 
-from conftest import (ORACLE_GATES, PAULIS, complex_start_prepare,
-                      complex_start_shift_states, complex_start_sweep, exact_expectation,
-                      oracle_ansatz, oracle_cx, oracle_rotation, oracle_single,
+from conftest import (ORACLE_GATES, PAULIS, apply_single, complex_start_prepare,
+                      complex_start_shift_states, complex_start_sweep, copied_base_shift_states,
+                      exact_expectation, oracle_ansatz, oracle_cx, oracle_rotation, oracle_single,
                       padded_rotation_factors, pair_undo_sweep, piece_fanout,
                       random_hermitian, random_state, rotation_layer, sample_basis,
                       shift_points, zero_state)
@@ -23,14 +23,14 @@ PROPERTY = settings(max_examples=30, deadline=None, database=None, derandomize=T
 
 def test_ry_pi_flips_zero():
     u = sim.rotation_matrix("ry", math.pi)
-    out = sim.apply_single(zero_state(1), 0, u)
+    out = apply_single(zero_state(1), 0, u)
     assert np.allclose(out, [0.0, 1.0], atol=1e-15)
     assert np.allclose(u, oracle_rotation("ry", math.pi), atol=1e-15)
 
 
 def test_x_on_qubit0_is_least_significant_bit():
     state = zero_state(2)           # |00>
-    out = sim.apply_single(state, 0, ORACLE_GATES["x"])
+    out = apply_single(state, 0, ORACLE_GATES["x"])
     expected = np.zeros(4)
     expected[0b01] = 1.0                # qubit 0 flips the low bit
     assert np.allclose(out, expected)
@@ -38,7 +38,7 @@ def test_x_on_qubit0_is_least_significant_bit():
 
 
 def test_x_on_qubit1_flips_high_bit():
-    out = sim.apply_single(zero_state(2), 1, ORACLE_GATES["x"])
+    out = apply_single(zero_state(2), 1, ORACLE_GATES["x"])
     assert np.argmax(np.abs(out)) == 0b10
 
 
@@ -46,7 +46,7 @@ def test_hadamard_involution():
     rng = np.random.default_rng(0)
     state = random_state(rng, 8)
     h = ORACLE_GATES["h"]
-    back = sim.apply_single(sim.apply_single(state, 1, h), 1, h)
+    back = apply_single(apply_single(state, 1, h), 1, h)
     assert np.allclose(back, state, atol=1e-12)
 
 
@@ -101,7 +101,7 @@ def test_norm_preserved_by_random_circuits():
                     u = ORACLE_GATES[kind]
                 else:
                     u = sim.rotation_matrix(kind, float(rng.uniform(-6, 6)))
-                state = sim.apply_single(state, target, u)
+                state = apply_single(state, target, u)
                 gate = oracle_single(n, target, u)
             unitary = gate @ unitary
         assert abs(np.linalg.norm(state) - 1) < 1e-10
@@ -287,6 +287,24 @@ def test_shift_stack_row_zero_is_the_prepared_state():
                                   sim.prepare(spec, params, factors)), (row, n)
 
 
+def test_shift_stack_equals_the_copied_base_construction():
+    """Turning the 2n new rows of a layer from the base row alone, after
+    the layer ran on the rows started before it, gives the stack that
+    copied the base row into them and ran the layer on every copy, ``==``
+    and in the same dtype, on every architecture at odd and even qubit
+    counts and at 1 to 3 layers."""
+    rng = np.random.default_rng(20)
+    for row in range(1, 9):
+        for n in (1, 2, 3, 6, 9):
+            for layers in (1, 3):
+                spec = AnsatzSpec.from_row(row, n, layers)
+                factors = sim.rotation_factors(
+                    spec, rng.uniform(-2 * math.pi, 2 * math.pi, spec.param_count))
+                stack = sim.shift_states(spec, factors)
+                oracle = copied_base_shift_states(spec, factors)
+                assert stack.dtype == oracle.dtype and np.array_equal(stack, oracle), (row, n)
+
+
 def test_state_dtype_follows_the_rotation_factors(monkeypatch):
     """Row 2 (ry + cx) has only real factors, so its prepared states, its
     shift stack and the pair its reverse sweep carries are float64; every
@@ -387,9 +405,9 @@ def test_complex_gate_on_real_state_keeps_imaginary_part():
     for shape in ((8,), (3, 8)):
         state = rng.standard_normal(shape)
         for qubit in range(3):
-            out = sim.apply_single(state, qubit, gate)
+            out = apply_single(state, qubit, gate)
             assert out.dtype == np.complex128
-            assert np.array_equal(out, sim.apply_single(state.astype(complex), qubit, gate))
+            assert np.array_equal(out, apply_single(state.astype(complex), qubit, gate))
             assert np.any(out.imag != 0)
 
 

@@ -12,8 +12,8 @@ from conftest import (ORACLE_GATES, dense_pieces, diagonals, draw_estimates, est
                       estimator_variance, exact_expectation, oracle_cx, oracle_rotation,
                       oracle_single, per_row_pieces, piece_fanout, piece_matrix,
                       piecewise_estimate, piecewise_rotation, random_hermitian, random_state,
-                      reconstruct, rotate_piece, row_fanout, same_moments, sample_basis,
-                      stack_problems)
+                      reconstruct, rotate_piece, rotate_pieces, row_fanout, same_moments,
+                      sample_basis, stack_problems)
 
 
 def rotation_unitary(color, part, n_qubits):
@@ -93,7 +93,7 @@ def test_rotation_circuit_structure():
     # color 0 is diagonal already: no gates, and its piece is left unrotated
     assert xbm.gate_count(0, xbm.REAL) == 0
     rotations = xbm.piece_rotations([(0, xbm.REAL)], 2)
-    assert (rotations.count, rotations.turns) == (1, ())
+    assert (len(rotations.lo), rotations.turns) == (1, ())
     assert np.array_equal(rotations.lo, [np.arange(4)])
     assert np.array_equal(rotations.hi, [np.arange(4)])
     assert np.array_equal(rotations.c0, np.ones((1, 4)))
@@ -115,11 +115,11 @@ def test_rotation_circuit_gate_count_bound():
 
 
 def test_grouped_rotations_match_gate_by_gate_and_oracle():
-    """``rotate_pieces`` over every color and part at once, plus one color-0
-    piece, at n = 1..9, on one state and on a (3, dim) stack: every rotated
-    state is bitwise the gate-by-gate rotation of its piece alone (and
-    rotating that piece alone gives the same), and within 1e-12 of the dense
-    oracle product."""
+    """``rotate_pieces`` of ``xbm.piece_rotations`` over every color and
+    part at once, plus one color-0 piece, at n = 1..9, on one state and on
+    a (3, dim) stack: every rotated state is bitwise the gate-by-gate
+    rotation of its piece alone (and rotating that piece alone gives the
+    same), and within 1e-12 of the dense oracle product."""
     rng = np.random.default_rng(12)
     for n in range(1, 10):
         dim = 2**n
@@ -127,7 +127,7 @@ def test_grouped_rotations_match_gate_by_gate_and_oracle():
         rotations = xbm.piece_rotations([(0, xbm.REAL), *pieces], n)
         stack = np.stack([random_state(rng, dim) for _ in range(3)])
         for states in (stack[0], stack):
-            rotated = xbm.rotate_pieces(states, rotations)
+            rotated = rotate_pieces(states, rotations)
             assert rotated.shape == (len(pieces) + 1, *states.shape)
             assert np.array_equal(rotated[0], states)
             for (color, part), out in zip(pieces, rotated[1:]):
@@ -159,10 +159,10 @@ def test_decompose_stores_each_piece_rotation(ieee57):
     n_qubits = int(math.log2(problem.dim))
     rotations = xbm.piece_rotations(dec.pieces, n_qubits)
     dim = 2**n_qubits
-    assert rotations.count == len(dec.pieces)
+    assert len(rotations.lo) == len(dec.pieces)
     assert rotations.turns == tuple(sorted({color.bit_length() - 1 for color, part
                                             in dec.pieces if color and part == xbm.IMAG}))
-    unrotated = [p for p in range(rotations.count) if not np.any(rotations.c1[p])]
+    unrotated = [p for p in range(len(rotations.lo)) if not np.any(rotations.c1[p])]
     assert unrotated == [p for p, (color, _) in enumerate(dec.pieces) if color == 0]
     for p in unrotated:
         assert np.array_equal(rotations.lo[p], np.arange(dim))
