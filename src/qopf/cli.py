@@ -1,13 +1,13 @@
 """Command-line entry point.
 
-Subcommands mirror the pipeline stages: ``permute`` (parse, permute,
-assemble and pad, printing the bandwidth/color statistics, the problem
-sizes and the rotated circuits per gradient as a CSV row), ``xbm-stats``
-(measurement-cost statistics of the prepared observables), ``bounds`` (the
-analytical budget ledger of a run's instance 0), ``solve`` (run the
-experiment protocol), ``fit`` (rank ansatz architectures against reference
-solutions, in the run's node order), and ``report`` (re-emit a run
-directory).
+Every subcommand but ``report`` reads a run config.  ``permute``,
+``xbm-stats`` and ``bounds`` read the config's instance 0 as ``solve``
+prepares it and print its bandwidth/color statistics, problem sizes and
+rotated circuits per gradient as a CSV row, the measurement-cost
+statistics of its observables, and its analytical budget ledger.  ``solve``
+runs the experiment protocol, ``fit`` ranks ansatz architectures against
+reference solutions in the run's node order, and ``report`` re-emits a run
+directory.
 
 Exit codes: 0 success, 1 validation/parse failure, 2 divergence, 3 I/O.
 """
@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 validation/parse failure, 2 divergence, 3 I/O.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
@@ -36,23 +37,30 @@ EXIT_DIVERGENCE = 2
 EXIT_IO = 3
 
 
+def _instance_zero(args):
+    """The case of the run config ``args.config``, and its instance 0 as a
+    run solves it: prepared, and the Lagrangian context of the config's
+    ansatz pair on it."""
+    config = harness.config_from_json(args.config)
+    case = load_case(config.case_path)
+    prepared = harness.prepare_instances(replace(config, instances=1), case)[0]
+    return case, prepared, harness.build_context(config, prepared.permuted)
+
+
 def _cmd_permute(args) -> int:
-    config = (harness.config_from_json(args.config) if args.config
-              else harness.ExperimentConfig(case_path=args.case))
-    prepared = harness.prepare_case(load_case(args.case), args.rcm_runs, args.seed)
-    circuits = sum(harness.build_context(config, prepared.permuted).circuits_per_gradient())
+    case, prepared, ctx = _instance_zero(args)
     s = prepared.stats
     print("case,n,edges,bw_before,bw_after,colors_before,colors_after,rows,dim,rows_padded,"
           "circuits_per_grad")
-    print(f"{prepared.case.name},{s.n},{s.edges},{s.bandwidth_before},{s.bandwidth_after},"
+    print(f"{case.name},{s.n},{s.edges},{s.bandwidth_before},{s.bandwidth_after},"
           f"{s.colors_before},{s.colors_after},{prepared.problem.m},"
-          f"{prepared.permuted.dim},{prepared.permuted.m_stored},{circuits}")
+          f"{prepared.permuted.dim},{prepared.permuted.m_stored},"
+          f"{sum(ctx.circuits_per_gradient())}")
     return EXIT_OK
 
 
 def _cmd_xbm_stats(args) -> int:
-    problem = harness.prepare_case(load_case(args.case), args.rcm_runs, args.seed).permuted
-    ctx = harness.build_context(harness.ExperimentConfig(case_path=args.case), problem)
+    ctx = _instance_zero(args)[2]
     m0, colors = ctx.m0_decomposition, ctx.color_count
     print(f"union colors C = {colors} (2C-1 = {2 * colors - 1} rotated circuits)")
     print(f"sum_c max_m ||M_m^c||^2 = {ctx.joint_diagonals.sum_norm_sq:.6g}")
@@ -66,12 +74,8 @@ def _cmd_xbm_stats(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    config = harness.config_from_json(args.config)
-    prepared = harness.prepare_instances(replace(config, instances=1),
-                                         load_case(config.case_path))[0]
-    ctx = harness.build_context(config, prepared.permuted)
     inputs = bounds_mod.inputs_from_context(
-        ctx, alpha_bar=args.alpha_bar, beta_bar=args.beta_bar,
+        _instance_zero(args)[2], alpha_bar=args.alpha_bar, beta_bar=args.beta_bar,
         rho=args.rho, epsilon=args.epsilon, dist0=args.dist0)
     report = bounds_mod.budget(inputs)
     print(f"P={inputs.p_count} Q={inputs.q_count} C={inputs.colors}")
@@ -144,10 +148,6 @@ def _cmd_fit(args) -> int:
     return EXIT_OK
 
 
-_REPORT_COLUMNS = ("x_error", "lambda_error", "violation_count", "violation_max",
-                   "violation_mean")
-
-
 def _cmd_report(args) -> int:
     path = Path(args.run_dir) / "report.json"
     doc = harness.read_json(path)
@@ -163,12 +163,11 @@ def _cmd_report(args) -> int:
         raise ValidationError(
             f"{path}: the summary is a JSON object, not {type(summary).__name__}")
     for name, row in summary.items():
-        missing = [key for key in _REPORT_COLUMNS if not isinstance(row, dict) or key not in row]
+        missing = [key for _, key in harness.TABLE1_COLUMNS
+                   if not isinstance(row, dict) or key not in row]
         if missing:
             raise ValidationError(f"{path}: summary row {name!r} lacks {', '.join(missing)}")
-    print("model,x_err,lambda_err,viol_count,viol_max,viol_mean")
-    for name, row in summary.items():
-        print(",".join([name, *(str(row[key]) for key in _REPORT_COLUMNS)]))
+    csv.writer(sys.stdout, lineterminator="\n").writerows(harness.table1_rows(summary))
     return EXIT_OK
 
 
@@ -181,13 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
             ("permute", _cmd_permute, "bandwidth/color statistics and problem sizes as CSV"),
             ("xbm-stats", _cmd_xbm_stats, "measurement statistics of the observables")):
         p = sub.add_parser(name, help=text)
-        p.add_argument("case")
-        p.add_argument("--rcm-runs", type=int, default=200)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("config")
         p.set_defaults(func=func)
-        if name == "permute":
-            p.add_argument("--config", help="run config whose ansatz pair sets "
-                                            "circuits_per_grad (default: the protocol's)")
 
     p = sub.add_parser("bounds", help="Lipschitz/variance/sample-budget ledger")
     p.add_argument("config")

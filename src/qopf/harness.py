@@ -25,7 +25,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from numbers import Integral, Real
 from pathlib import Path
 from types import NoneType
@@ -59,6 +59,7 @@ from .sim import ARCHITECTURES, AnsatzSpec, chain_seed, prepare, reverse_sweep, 
     rotation_factors
 
 VIOLATION_FLOOR = 1e-6
+DUAL_PLOT_FLOOR = 1e-6
 REFERENCE_MAX_ITER = 500   # case2 and case3 converge in 11 and 13 iterations, ieee57 in 22-29
 REFERENCE_LABELS = (LABEL_BALANCE_P, LABEL_BALANCE_Q, LABEL_LINE)
 
@@ -109,7 +110,8 @@ class ExperimentConfig:
     apply_simplifications: bool = True
 
     def __post_init__(self):
-        lo, hi = self.load_scale
+        lo, hi = _number_pair(self.load_scale, "load_scale", "[low, high]")
+        object.__setattr__(self, "load_scale", (lo, hi))
         if not (0 < lo <= hi < 2):
             raise ValidationError("load scaling range must lie inside (0, 2)")
         for key, names, allowed in (("models", self.models, ("qcqp", "qcqp_theta")),
@@ -147,10 +149,10 @@ class ExperimentConfig:
                 raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
-_CONFIG_KEYS = ("case", "instances", "load_scale", "primal_ansatz", "dual_ansatz", "models",
-                "methods", "mode", "shots", "seed", "rcm_runs", "quantum_schedule",
-                "classical_schedule", "stop", "classical_stop", "reference", "out",
-                "divergence_ceiling", "apply_simplifications")
+# The config keys whose ExperimentConfig field has another name; every
+# other field is read from the key of its own name.
+_KEY_OF_FIELD = {"case_path": "case", "primal": "primal_ansatz", "dual": "dual_ansatz",
+                 "reference_path": "reference", "out_dir": "out"}
 
 
 def _known(doc: dict, keys, where: str = "") -> dict:
@@ -176,25 +178,19 @@ def _number_pair(entry, name: str, form: str) -> tuple:
     return tuple(entry)
 
 
-def _schedule_from_json(doc: dict, key: str,
-                        fallback: saddle_mod.StepSchedule) -> saddle_mod.StepSchedule:
-    doc = _known(doc.get(key, {}), ("theta", "alpha", "phi", "beta"), f"{key}.")
-    blocks = {block: _number_pair(doc.get(block, getattr(fallback, block)),
-                                  f"{key}.{block}", "[base, decay]")
-              for block in ("theta", "alpha", "phi", "beta")}
-    return saddle_mod.StepSchedule(**blocks)
-
-
-def _stop_from_json(doc: dict, key: str, fallback: saddle_mod.StopRule) -> saddle_mod.StopRule:
-    doc = _known(doc.get(key, {}), ("theta_tol", "phi_tol", "max_iters"), f"{key}.")
-    for tol in ("theta_tol", "phi_tol"):
-        if not _is_number(doc.get(tol, getattr(fallback, tol))):
-            raise ValidationError(f"{key}.{tol} must be a number, got {doc[tol]!r}")
-    return saddle_mod.StopRule(
-        theta_tol=doc.get("theta_tol", fallback.theta_tol),
-        phi_tol=doc.get("phi_tol", fallback.phi_tol),
-        max_iters=doc.get("max_iters", fallback.max_iters),
-    )
+def _nested_from_json(entry, key: str, default):
+    """``default``, an ansatz, a schedule or a stop rule, with the fields
+    that the config object ``entry`` sets; ExperimentConfig checks the
+    integers among them."""
+    if not isinstance(entry, dict):
+        raise ValidationError(f"{key} must be a JSON object, got {entry!r}")
+    entry = dict(_known(entry, [f.name for f in fields(default)], f"{key}."))
+    for name, value in entry.items():
+        if isinstance(default, saddle_mod.StepSchedule):
+            entry[name] = _number_pair(value, f"{key}.{name}", "[base, decay]")
+        elif name.endswith("_tol") and not _is_number(value):
+            raise ValidationError(f"{key}.{name} must be a number, got {value!r}")
+    return replace(default, **entry)
 
 
 def read_json(path):
@@ -218,37 +214,16 @@ def config_from_json(doc: dict | str | Path) -> ExperimentConfig:
         doc = read_json(doc)
     if not isinstance(doc, dict):
         raise ValidationError(f"a config is a JSON object, not {type(doc).__name__}")
-    if "case" not in _known(doc, _CONFIG_KEYS):
+    field_of_key = {_KEY_OF_FIELD.get(f.name, f.name): f.name for f in fields(ExperimentConfig)}
+    if "case" not in _known(doc, field_of_key):
         raise ValidationError("config needs a 'case' key")
     base = ExperimentConfig(case_path=doc["case"])
-    primal = _known(doc.get("primal_ansatz", {}), ("row", "layers"), "primal_ansatz.")
-    dual = _known(doc.get("dual_ansatz", {}), ("row", "layers"), "dual_ansatz.")
-    return replace(
-        base,
-        instances=doc.get("instances", base.instances),
-        load_scale=_number_pair(doc.get("load_scale", base.load_scale), "load_scale",
-                                "[low, high]"),
-        primal=AnsatzChoice(primal.get("row", base.primal.row),
-                            primal.get("layers", base.primal.layers)),
-        dual=AnsatzChoice(dual.get("row", base.dual.row),
-                          dual.get("layers", base.dual.layers)),
-        models=doc.get("models", base.models),
-        methods=doc.get("methods", base.methods),
-        mode=doc.get("mode", base.mode),
-        shots=doc.get("shots", base.shots),
-        seed=doc.get("seed", base.seed),
-        rcm_runs=doc.get("rcm_runs", base.rcm_runs),
-        quantum_schedule=_schedule_from_json(doc, "quantum_schedule", base.quantum_schedule),
-        classical_schedule=_schedule_from_json(doc, "classical_schedule",
-                                               base.classical_schedule),
-        stop=_stop_from_json(doc, "stop", base.stop),
-        classical_stop=_stop_from_json(doc, "classical_stop", base.classical_stop),
-        reference_path=doc.get("reference", base.reference_path),
-        out_dir=doc.get("out", base.out_dir),
-        divergence_ceiling=doc.get("divergence_ceiling", base.divergence_ceiling),
-        apply_simplifications=doc.get("apply_simplifications",
-                                      base.apply_simplifications),
-    )
+    values = {}
+    for key, entry in doc.items():
+        default = getattr(base, field_of_key[key])
+        values[field_of_key[key]] = \
+            _nested_from_json(entry, key, default) if is_dataclass(default) else entry
+    return replace(base, **values)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +288,7 @@ class PreparedCase:
     stats: PatternStats
 
 
-def prepare_case(case: NetworkCase, rcm_runs: int = 200, seed: int = 0) -> PreparedCase:
+def prepare_case(case: NetworkCase, rcm_runs: int, seed: int) -> PreparedCase:
     pattern = SparsityPattern.from_matrix(build_admittance(case))
     perm_nodes = best_rcm(pattern, rcm_runs, seed)
     after = permute_pattern(pattern, perm_nodes)
@@ -595,14 +570,13 @@ class MetricBlock:
     lagrangian_error: float
 
     def as_dict(self) -> dict:
-        return {
-            "x_error": self.x_error,
-            "lambda_error": self.lambda_error,
-            "violation_count": self.violation_count,
-            "violation_max": self.violation_max,
-            "violation_mean": self.violation_mean,
-            "lagrangian_error": self.lagrangian_error,
-        }
+        return asdict(self)
+
+
+# Table 1's columns: the CSV header of each and the summary metric it shows.
+TABLE1_COLUMNS = (("x_err", "x_error"), ("lambda_err", "lambda_error"),
+                  ("viol_count", "violation_count"), ("viol_max", "violation_max"),
+                  ("viol_mean", "violation_mean"))
 
 
 def extract_setpoints(case: NetworkCase, problem: QcqpProblem,
@@ -685,12 +659,11 @@ def compute_metrics(case: NetworkCase, problem: QcqpProblem, v: np.ndarray,
     return MetricBlock(x_err, lam_err, count, vmax, vmean, lag_err)
 
 
-def dual_comparison_entries(problem: QcqpProblem, lam: np.ndarray,
-                            floor: float = 1e-6) -> np.ndarray:
-    """Restricted dual entries in their ``minimal_split`` with sub-floor
-    values zeroed, for the sorted concatenated dual-recovery plots."""
+def dual_comparison_entries(problem: QcqpProblem, lam: np.ndarray) -> np.ndarray:
+    """Restricted dual entries in their ``minimal_split`` with values below
+    DUAL_PLOT_FLOOR zeroed, for the sorted concatenated dual-recovery plots."""
     entries = minimal_split(problem, lam[restricted_rows(problem)])
-    entries[entries < floor] = 0.0
+    entries[entries < DUAL_PLOT_FLOOR] = 0.0
     return entries
 
 
@@ -802,14 +775,13 @@ class RunReport:
     instances: list[dict[str, ModelResult]]
 
     def summary(self) -> dict[str, dict[str, float]]:
+        """Every MetricBlock field, averaged per model over the scored instances."""
         out: dict[str, dict[str, float]] = {}
-        keys = ("x_error", "lambda_error", "violation_count", "violation_max",
-                "violation_mean", "lagrangian_error")
         for name in sorted({k for inst in self.instances for k in inst}):
             rows = [inst[name].metrics.as_dict() for inst in self.instances
                     if name in inst and inst[name].metrics is not None]
             if rows:
-                out[name] = {key: float(np.mean([r[key] for r in rows])) for key in keys}
+                out[name] = {key: float(np.mean([r[key] for r in rows])) for key in rows[0]}
         return out
 
 
@@ -918,6 +890,12 @@ def _finite_or_null(value):
     return value
 
 
+def table1_rows(summary: dict) -> list[list]:
+    """Table 1 of a run summary: the header, then one row per model."""
+    return [["model", *(header for header, _ in TABLE1_COLUMNS)],
+            *([name, *(row[key] for _, key in TABLE1_COLUMNS)] for name, row in summary.items())]
+
+
 def emit_report(report: RunReport, out_dir) -> list[Path]:
     """Write the Table-1-shaped CSV, the full JSON, per-run trajectory CSVs,
     and the plot-ready dual/Lagrangian data."""
@@ -927,13 +905,7 @@ def emit_report(report: RunReport, out_dir) -> list[Path]:
 
     table = out / "table1.csv"
     with table.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "x_err", "lambda_err", "viol_count",
-                         "viol_max", "viol_mean"])
-        for name, row in report.summary().items():
-            writer.writerow([name, row["x_error"], row["lambda_error"],
-                             row["violation_count"], row["violation_max"],
-                             row["violation_mean"]])
+        csv.writer(fh).writerows(table1_rows(report.summary()))
     written.append(table)
 
     duals: dict[str, list[float]] = {}

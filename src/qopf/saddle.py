@@ -85,11 +85,10 @@ class StepSchedule:
                 raise ValidationError("step bases must be >= 0 and decays positive")
 
     @classmethod
-    def exponential(cls, theta=(0.015, 0.99985), alpha=(1e-5, 0.999),
-                    phi=(0.01, 0.99985), beta=(1e-5, 0.999)):
+    def exponential(cls):
         """The benchmark defaults: mu_theta = 0.015*0.99985^t,
         mu_phi = 0.01*0.99985^t, mu_alpha = mu_beta = 1e-5*0.999^t."""
-        return cls(tuple(theta), tuple(alpha), tuple(phi), tuple(beta))
+        return cls((0.015, 0.99985), (1e-5, 0.999), (0.01, 0.99985), (1e-5, 0.999))
 
     def rates(self, t: int) -> tuple[float, float, float, float]:
         return tuple(base * decay**t for base, decay in
@@ -247,12 +246,11 @@ def run(ctx: LagrangianContext, init: SaddlePointState, method: str,
 
 @dataclass(frozen=True)
 class ClassicalState:
+    """Voltages and multipliers; ``run_classical`` checks that the initial
+    multipliers are nonnegative, and every move clips them at zero."""
+
     v: np.ndarray
     lam: np.ndarray
-
-    def __post_init__(self):
-        if (self.lam < 0).any():
-            raise ValidationError("multipliers must be nonnegative")
 
 
 def classical_lagrangian(problem: QcqpProblem, v: np.ndarray, lam: np.ndarray) -> float:
@@ -291,6 +289,8 @@ def run_classical(problem: QcqpProblem, init: ClassicalState, method: str,
     """Iterate the classical PD (v, then lambda at the moved v) or EG
     baseline (v and lambda step at the theta and phi rates) until the stop
     rule fires."""
+    if (init.lam < 0).any():
+        raise ValidationError("multipliers must be nonnegative")
     return _iterate(lambda s, t, stage, part: (_classical_field(problem, s, part), 0),
                     _classical_move, ("v", "lam"),
                     lambda s, t: classical_lagrangian(problem, s.v, s.lam),

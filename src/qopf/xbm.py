@@ -81,6 +81,8 @@ _DRAW_BLOCK = 2**15
 # piece has cells, draws its counts by multinomials instead of one search per
 # draw; S = 100 runs never do
 _MULTINOMIAL_DRAWS = 2**7
+# the largest Hermitian residual ``decompose`` accepts
+_HERMITIAN_TOL = 1e-10
 
 
 def gate_count(color: int, part: str) -> int:
@@ -315,7 +317,7 @@ def piece_table(stack: MatrixStack) -> PieceTable:
     return PieceTable(pieces, PieceEntries(at, values, stack.dim), norms.tolist(), stack.count)
 
 
-def decompose(matrix, tol: float = 1e-10) -> PieceTable:
+def decompose(matrix) -> PieceTable:
     """The nonzero color pieces of a Hermitian matrix, dense or scipy-sparse:
     the ``PieceTable`` of its one-matrix stack.
 
@@ -328,7 +330,7 @@ def decompose(matrix, tol: float = 1e-10) -> PieceTable:
         raise ValidationError(f"matrix must be square with power-of-two size, got {shape}")
     stack = _single_stack(matrix)
     residual = stack.hermitian_residuals()[0]
-    if residual > tol:
+    if residual > _HERMITIAN_TOL:
         raise ValidationError(f"matrix not Hermitian (residual {residual:.2e})")
     return piece_table(stack)
 

@@ -228,7 +228,7 @@ def ieee57_context(ieee57):
     simplifications, RCM, padding), with a shallow ansatz pair: 6 primal
     qubits (row 6, one layer) and 9 dual qubits (row 2, two layers)."""
     problem = harness.prepare_case(harness.apply_benchmark_simplifications(ieee57),
-                                   rcm_runs=20).permuted
+                                   rcm_runs=20, seed=0).permuted
     return model.LagrangianContext(problem, sim.AnsatzSpec.from_row(6, 6, 1),
                                    sim.AnsatzSpec.from_row(2, 9, 2))
 

@@ -8,7 +8,7 @@ import pytest
 from qopf import bounds, cli, grid, harness, saddle
 from qopf.sim import chain_seed
 
-from conftest import CASE2_TEXT, CASE3_TEXT
+from conftest import CASE2_TEXT, CASE3_TEXT, tiled_case
 
 
 def run_cli(capsys, *argv):
@@ -36,16 +36,43 @@ def write_config(tmp_path, case_file, **overrides):
     return path
 
 
-def test_permute_reports_problem_sizes(case2_file, capsys):
-    code, out, _ = run_cli(capsys, "permute", str(case2_file), "--rcm-runs", "2")
+def case_text(case):
+    """``case`` in the case-file format, every number written exactly."""
+    def row(*fields):
+        return " ".join(str(f) if isinstance(f, (int, str)) else repr(float(f)) for f in fields)
+
+    return "\n".join([
+        "BUS", *(row(b.index + 1, b.kind, b.p_demand, b.q_demand, b.v_min, b.v_max)
+                 for b in case.buses),
+        "BRANCH", *(row(br.from_node + 1, br.to_node + 1, br.g_series, br.b_series, br.i_max)
+                    for br in case.branches),
+        "GEN", *(row(g.bus + 1, g.p_min, g.p_max, g.q_min, g.q_max) for g in case.generators),
+        "COST", *(row(g.bus + 1, g.cost) for g in case.generators)]) + "\n"
+
+
+def csv_row(out):
+    """The one row of a header-and-row CSV, by column."""
+    return dict(zip(*(line.split(",") for line in out.strip().splitlines())))
+
+
+def solved_context(config_path):
+    """Instance 0 of a run config as ``run_experiment`` prepares it, and its
+    Lagrangian context."""
+    config = harness.config_from_json(config_path)
+    prepared = harness.prepare_instances(config, grid.load_case(config.case_path))[0]
+    return prepared, harness.build_context(config, prepared.permuted)
+
+
+def test_permute_reports_problem_sizes(tmp_path, case2_file, capsys):
+    code, out, _ = run_cli(capsys, "permute", str(write_config(tmp_path, case2_file)))
     assert code == 0
-    row = dict(zip(*(line.split(",") for line in out.strip().splitlines())))
+    row = csv_row(out)
     assert row["n"] == "2" and row["rows"] == "15"
     assert (row["dim"], row["rows_padded"]) == ("2", "16")
 
 
-def test_permute_csv_row(case2_file, capsys):
-    code, out, _ = run_cli(capsys, "permute", str(case2_file), "--rcm-runs", "2")
+def test_permute_csv_row(tmp_path, case2_file, capsys):
+    code, out, _ = run_cli(capsys, "permute", str(write_config(tmp_path, case2_file)))
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0].startswith("case,n,edges")
@@ -55,20 +82,49 @@ def test_permute_csv_row(case2_file, capsys):
 
 def test_permute_circuits_per_grad(tmp_path, case2_file, capsys):
     """The rotated circuits of one gradient, for the config's ansatz pair or
-    for the protocol's when no config is given."""
-    config_path = write_config(tmp_path, case2_file)
-    prepared = harness.prepare_case(grid.load_case(case2_file), 2, 0)
+    for the protocol's when the config sets none."""
+    default_pair = tmp_path / "default-pair.json"
+    default_pair.write_text(json.dumps({"case": str(case2_file), "rcm_runs": 2}))
     counts = []
-    for config, extra in ((harness.ExperimentConfig(case_path=str(case2_file)), []),
-                          (harness.config_from_json(config_path),
-                           ["--config", str(config_path)])):
-        code, out, err = run_cli(capsys, "permute", str(case2_file), "--rcm-runs", "2", *extra)
+    for config_path in (default_pair, write_config(tmp_path, case2_file)):
+        code, out, err = run_cli(capsys, "permute", str(config_path))
         assert code == 0, err
-        row = dict(zip(*(line.split(",") for line in out.strip().splitlines())))
-        ctx = harness.build_context(config, prepared.permuted)
+        row = csv_row(out)
+        ctx = solved_context(config_path)[1]
         assert int(row["circuits_per_grad"]) == sum(ctx.circuits_per_gradient())
         counts.append(int(row["circuits_per_grad"]))
     assert counts[0] != counts[1]
+
+
+def test_permute_reads_the_solved_instance_tiled(tmp_path, ieee57, capsys):
+    """On two tied ieee57 copies at seed 0, ``permute`` reports the ordering
+    and the circuits of the problem a run solves: instance 0, ordered with
+    the run's RCM seed.  The raw case ordered with seed 0 itself has 36
+    colours and 20,652 circuits per gradient."""
+    tiled = tiled_case(ieee57, 2)
+    case_path = tmp_path / "ieee57x2.case"
+    case_path.write_text(case_text(tiled), encoding="utf-8")
+    assert grid.load_case(case_path) == tiled
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"case": str(case_path), "seed": 0}))
+    code, out, err = run_cli(capsys, "permute", str(config_path))
+    assert code == 0, err
+    row = csv_row(out)
+    prepared, ctx = solved_context(config_path)
+    assert (int(row["colors_after"]), int(row["circuits_per_grad"])) == (33, 18_966)
+    assert int(row["colors_after"]) == prepared.stats.colors_after == ctx.color_count
+    assert int(row["circuits_per_grad"]) == sum(ctx.circuits_per_gradient())
+    assert row["case"] == "ieee57x2"
+
+
+def test_permute_row_ieee57(tmp_path, capsys):
+    """The bundled case's row; the case column names the case, not its
+    instance 0."""
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"case": str(harness.bundled_case_path("ieee57"))}))
+    code, out, err = run_cli(capsys, "permute", str(config_path))
+    assert code == 0, err
+    assert out.splitlines()[1] == "ieee57,57,78,46,11,27,19,422,64,512,9548"
 
 
 def chain_case_text(n):
@@ -85,24 +141,27 @@ def test_xbm_stats_above_dense_limit(tmp_path, capsys):
     # padding, 2048 stored rows)
     path = tmp_path / "chain260.case"
     path.write_text(chain_case_text(260), encoding="utf-8")
-    code, out, err = run_cli(capsys, "xbm-stats", str(path), "--rcm-runs", "2")
+    code, out, err = run_cli(capsys, "xbm-stats", str(write_config(tmp_path, path)))
     assert code == 0, err
     assert "union colors C = " in out
     assert out.splitlines()[3].startswith("M0,")
 
 
-def test_xbm_stats(case2_file, capsys):
-    code, out, _ = run_cli(capsys, "xbm-stats", str(case2_file), "--rcm-runs", "2")
+def test_xbm_stats(tmp_path, case2_file, capsys):
+    code, out, _ = run_cli(capsys, "xbm-stats", str(write_config(tmp_path, case2_file)))
     assert code == 0
     assert "union colors" in out
     assert "M0" in out
 
 
-def test_xbm_stats_gate_counts_ieee57(capsys):
-    path = harness.bundled_case_path("ieee57")
-    code, out, err = run_cli(capsys, "xbm-stats", str(path))
+def test_xbm_stats_gate_counts_ieee57(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"case": str(harness.bundled_case_path("ieee57"))}))
+    code, out, err = run_cli(capsys, "xbm-stats", str(config_path))
     assert code == 0, err
     lines = out.splitlines()
+    assert lines[:2] == ["union colors C = 19 (2C-1 = 37 rotated circuits)",
+                         "sum_c max_m ||M_m^c||^2 = 17051.9"]
     summary = lines[lines.index("observable,colors,pieces,max_gates,sum_norm_sq") + 1]
     pieces = [line.split(",")
               for line in lines[lines.index("piece,color,part,gates,norm") + 1:]]
@@ -150,6 +209,9 @@ def test_solve_and_report(tmp_path, case2_file, capsys):
     code, out, _ = run_cli(capsys, "report", str(out_dir), "--format", "csv")
     assert code == 0
     assert out.startswith("model,")
+    # the run's Table 1, line for line: its header and one row per model
+    table = (out_dir / "table1.csv").read_text(encoding="utf-8").splitlines()
+    assert out.splitlines() == table and len(table) == 2 and table[1].startswith("QCQP-EG,")
     code, out, _ = run_cli(capsys, "report", str(out_dir), "--format", "json")
     assert code == 0
     assert json.loads(out)["summary"]
@@ -205,9 +267,10 @@ def test_fit_without_reference_exits_1(tmp_path, capsys):
 def test_validation_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.case"
     bad.write_text(CASE2_TEXT.replace("1 2 4.0 -8.0 1.0", "2 2 4.0 -8.0 1.0"))
-    code, _, err = run_cli(capsys, "permute", str(bad))
-    assert code == 1
-    assert "self-loop" in err
+    for command in ("permute", "xbm-stats"):
+        code, _, err = run_cli(capsys, command, str(write_config(tmp_path, bad)))
+        assert code == 1
+        assert "self-loop" in err
 
 
 def test_config_value_exit_code(tmp_path, case2_file, capsys):
@@ -341,10 +404,14 @@ def test_one_bus_case_exits_1(tmp_path, capsys):
         assert "at least 2 buses" in err
 
 
-def test_io_exit_code(capsys):
-    code, _, err = run_cli(capsys, "permute", "no-such-file.case")
-    assert code == 3
-    assert "i/o error" in err
+def test_io_exit_code(tmp_path, capsys):
+    """A missing config file, and a config naming a missing case file."""
+    missing_case = write_config(tmp_path, tmp_path / "no-such-file.case")
+    for command in ("permute", "xbm-stats"):
+        for config_path in (tmp_path / "no-such-config.json", missing_case):
+            code, _, err = run_cli(capsys, command, str(config_path))
+            assert code == 3
+            assert "i/o error" in err
 
 
 def reject_constant(name):

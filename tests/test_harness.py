@@ -552,6 +552,16 @@ def test_config_from_json_defaults_and_overrides(tmp_path):
     assert config_from_json({"case": "x", "stop": {"max_iters": 0}}).stop.max_iters == 0
 
 
+def test_nested_config_values_must_be_objects():
+    """An ansatz, schedule or stop value that is not a JSON object is a
+    validation error naming its key, not a TypeError or a list read as keys."""
+    for doc in ({"stop": 5}, {"classical_stop": None}, {"primal_ansatz": [6, 1]},
+                {"quantum_schedule": "x"}):
+        key = next(iter(doc))
+        with pytest.raises(ValidationError, match=f"{key} must be a JSON object"):
+            config_from_json({"case": "x", **doc})
+
+
 def test_run_experiment_two_bus_exact(tmp_path, case2_file):
     config = ExperimentConfig(
         case_path=str(case2_file),
@@ -717,7 +727,7 @@ def test_production_paths_never_densify(monkeypatch, case2, case3):
 
     monkeypatch.setattr(grid.QcqpProblem, "dense_constraints", refuse)
     monkeypatch.setattr(grid.QcqpProblem, "constraints", property(refuse))
-    prepared = harness.prepare_case(case3, rcm_runs=3)
+    prepared = harness.prepare_case(case3, rcm_runs=3, seed=0)
     assert prepared.permuted.m_stored == 32
     problem = grid.pad_to_qubits(grid.assemble_qcqp(case2))
     ctx = model.LagrangianContext(problem, sim.AnsatzSpec.from_row(6, 1, 1),

@@ -267,6 +267,20 @@ def test_classical_run_converges_on_desk_case(case2):
     assert np.all(traj.final.lam >= 0)
 
 
+def test_classical_run_rejects_a_negative_initial_multiplier(case2):
+    """The initial multipliers come from outside the loop, so
+    ``run_classical`` checks them before any iteration; every move after
+    that clips them at zero."""
+    problem = grid.assemble_qcqp(case2)
+    lam = np.zeros(problem.m_stored)
+    lam[3] = -1e-9
+    init = ClassicalState(np.ones(2, dtype=complex), lam)
+    for method in (saddle.PD, saddle.EG):
+        with pytest.raises(ValidationError, match="multipliers must be nonnegative"):
+            saddle.run_classical(problem, init, method, StepSchedule.exponential(),
+                                 StopRule(max_iters=1))
+
+
 def test_projection_invariant_random_fields():
     rng = np.random.default_rng(11)
 
