@@ -53,8 +53,7 @@ from .grid import (
     pad_to_qubits,
 )
 from .model import DualPoint, EvalMode, LagrangianContext, PrimalPoint
-from .permute import NodePermutation, SparsityPattern, bandwidth, best_rcm, \
-    color_set, permute_pattern, permute_problem
+from .permute import NodePermutation, best_rcm, permute_problem
 from .sim import ARCHITECTURES, AnsatzSpec, chain_seed, prepare, reverse_sweep, rng, \
     rotation_factors
 
@@ -196,10 +195,14 @@ def _nested_from_json(entry, key: str, default):
 def read_json(path):
     """The document of a JSON file; a file that is not valid JSON raises
     ValidationError naming the file and the line and column of the fault,
-    or the offset of a byte that is not UTF-8."""
+    the non-standard constant (NaN, Infinity, -Infinity) it holds, or the
+    offset of a byte that is not UTF-8."""
+    def reject(token):
+        raise ValidationError(f"{path} is not valid JSON: non-standard constant {token}")
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, parse_constant=reject)
         except json.JSONDecodeError as err:
             raise ValidationError(f"{path} is not valid JSON: {err.msg} at line "
                                   f"{err.lineno}, column {err.colno}") from None
@@ -289,17 +292,8 @@ class PreparedCase:
 
 
 def prepare_case(case: NetworkCase, rcm_runs: int, seed: int) -> PreparedCase:
-    pattern = SparsityPattern.from_matrix(build_admittance(case))
-    perm_nodes = best_rcm(pattern, rcm_runs, seed)
-    after = permute_pattern(pattern, perm_nodes)
-    stats = PatternStats(
-        n=case.n,
-        edges=len(case.branches),
-        bandwidth_before=bandwidth(pattern),
-        bandwidth_after=bandwidth(after),
-        colors_before=len(color_set(pattern.padded())),
-        colors_after=len(color_set(after.padded())),
-    )
+    perm_nodes, bands, colors = best_rcm(build_admittance(case), rcm_runs, seed)
+    stats = PatternStats(case.n, len(case.branches), *bands, *colors)
     problem = assemble_qcqp(case)
     padded = pad_to_qubits(problem)
     perm = perm_nodes.extended(padded.dim)
@@ -535,7 +529,8 @@ def reference_solution(config: ExperimentConfig, case: NetworkCase,
     A file is checked against the case before any solve, where a misfit
     would otherwise fail only once the metrics are computed: ``config.instances``
     instances or more, each with a p_g and a v_g entry per generator, a
-    multiplier per ``restricted_rows`` row and, if given, a voltage per bus."""
+    multiplier (>= 0) per ``restricted_rows`` row and, if given, a voltage
+    per bus."""
     if config.reference_path:
         ref = load_reference(config.reference_path)
         if len(ref.instances) < config.instances:
@@ -549,6 +544,9 @@ def reference_solution(config: ExperimentConfig, case: NetworkCase,
                 if value is not None and np.shape(value) != (sizes[key],):
                     raise ValidationError(f"reference instance {k}: {key} has shape "
                                           f"{np.shape(value)}, the case needs ({sizes[key]},)")
+            if inst.lam is not None and np.min(inst.lam, initial=0.0) < 0:
+                raise ValidationError(f"reference instance {k}: lambda has a negative entry; "
+                                      "the split multipliers are >= 0")
         return ref
     if case.n <= 3:
         return ReferenceSolution(case.name, tuple(

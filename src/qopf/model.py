@@ -43,8 +43,7 @@ one stack per circuit (``sim.shift_states``): row 0 the base state and
 row 1 + 2j + s parameter j shifted up (s = 0) or down (s = 1).  The
 primal stack is rotated once at the cost table's cells for F0 and once
 at the joint table's for F, and the estimates of each term are drawn
-and scored together, group by shared side.  Either way the
-circuit ledger charges the parameter-shift count.  The scale
+and scored together, group by shared side.  The scale
 gradients are the closed forms dL/dalpha = 2 alpha (F0 + beta^2 F) and
 dL/dbeta = 2 beta (alpha^2 F - G).
 """
@@ -108,14 +107,12 @@ class DualPoint:
 
 @dataclass(frozen=True)
 class GradResult:
-    """All four gradient blocks plus the circuit/shot ledger of the call."""
+    """All four gradient blocks plus the shots the call spent."""
 
     theta: np.ndarray
     alpha: float
     phi: np.ndarray
     beta: float
-    primal_circuits: int
-    dual_circuits: int
     shots_spent: int
 
     def stacked(self) -> np.ndarray:
@@ -334,9 +331,7 @@ def grad(ctx: LagrangianContext, p: PrimalPoint, d: DualPoint,
     sampled mode they use the parameter-shift rule (two evaluations at
     +-pi/2 per parameter), and every estimate draws its own disjoint
     part of its term's stream (``_sample_terms``), keeping the blocks
-    unbiased and the per-coordinate variances additive.  The circuit
-    ledger charges the parameter-shift count of
-    ``ctx.circuits_per_gradient`` in both modes.  An exact call
+    unbiased and the per-coordinate variances additive.  An exact call
     reads ``forward``, if given, for the circuits; it must be the
     ``exact_forward`` record of these very theta and phi arrays.
     """
@@ -351,12 +346,8 @@ def grad(ctx: LagrangianContext, p: PrimalPoint, d: DualPoint,
     alpha, beta = p.alpha, d.beta
     g_alpha = 2 * alpha * terms.f0 + 2 * alpha * beta**2 * terms.f
     g_beta = 2 * beta * (alpha**2 * terms.f - terms.g)
-    primal_circuits, dual_circuits = ctx.circuits_per_gradient()
-    return GradResult(
-        theta=g_theta, alpha=g_alpha, phi=g_phi, beta=g_beta,
-        primal_circuits=primal_circuits, dual_circuits=dual_circuits,
-        shots_spent=shots_spent,
-    )
+    return GradResult(theta=g_theta, alpha=g_alpha, phi=g_phi, beta=g_beta,
+                      shots_spent=shots_spent)
 
 
 def _angle_grads_exact(ctx: LagrangianContext, p: PrimalPoint, d: DualPoint,

@@ -2,7 +2,10 @@
 
 The admittance pattern is the union of the sparsity patterns of all problem
 matrices, so one node permutation chosen on it reduces the bandwidth and
-the XOR-color count of every matrix at once.  Bandwidth
+the XOR-color count of every matrix at once.  ``best_rcm`` reads the
+admittance once into the arrays of ``_ColorSearch``, and the bandwidth and
+color counts it reports, at the natural order and at its result, come
+from the same counters that rank its candidates.  Bandwidth
 minimization is NP-hard; reverse Cuthill-McKee with random restarts is the
 workhorse here.  A gradient costs (2P+1)(2C-1) rotated circuits for C
 colors, and a bandwidth-minimal ordering need not have few colors, so the
@@ -28,39 +31,6 @@ import numpy as np
 from scipy import sparse
 
 from .grid import MatrixStack, QcqpProblem, ValidationError, next_power_of_two
-
-
-@dataclass(frozen=True)
-class SparsityPattern:
-    """Symmetric set of (row, col) positions of an n x n matrix."""
-
-    n: int
-    entries: frozenset[tuple[int, int]]
-
-    def __post_init__(self):
-        for i, j in self.entries:
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ValidationError(f"pattern entry ({i}, {j}) outside dimension {self.n}")
-            if (j, i) not in self.entries:
-                raise ValidationError(f"pattern not symmetric at ({i}, {j})")
-
-    @classmethod
-    def from_matrix(cls, matrix) -> "SparsityPattern":
-        coo = sparse.csr_matrix(matrix).tocoo()
-        nonzero = coo.data != 0
-        rows, cols = coo.row[nonzero].tolist(), coo.col[nonzero].tolist()
-        return cls(coo.shape[0], frozenset(zip(rows, cols)) | frozenset(zip(cols, rows)))
-
-    def padded(self) -> "SparsityPattern":
-        """Same entries inside the next power-of-two dimension."""
-        return SparsityPattern(next_power_of_two(self.n), self.entries)
-
-    def adjacency(self) -> list[list[int]]:
-        neighbors: list[set[int]] = [set() for _ in range(self.n)]
-        for i, j in self.entries:
-            if i != j:
-                neighbors[i].add(j)
-        return [sorted(s) for s in neighbors]
 
 
 @dataclass(frozen=True)
@@ -98,38 +68,8 @@ class NodePermutation:
         return np.asarray(v)[self.forward]
 
 
-def bandwidth(pattern: SparsityPattern) -> int:
-    """Largest |i - j| over pattern entries; 0 for a diagonal-only pattern."""
-    return max((abs(i - j) for i, j in pattern.entries), default=0)
-
-
-def color_set(pattern: SparsityPattern) -> set[int]:
-    """The XOR colors {i ^ j} occupied by a power-of-two-sized pattern."""
-    if pattern.n & (pattern.n - 1) or pattern.n == 0:
-        raise ValidationError(f"pattern dimension {pattern.n} is not a power of two")
-    return {i ^ j for i, j in pattern.entries}
-
-
-def permute_pattern(pattern: SparsityPattern, perm: NodePermutation) -> SparsityPattern:
-    if len(perm) != pattern.n:
-        raise ValidationError("permutation length does not match pattern dimension")
-    fwd = perm.forward
-    return SparsityPattern(
-        pattern.n,
-        frozenset((int(fwd[i]), int(fwd[j])) for i, j in pattern.entries),
-    )
-
-
-def _ranked_adjacency(pattern: SparsityPattern) -> list[list[int]]:
-    """Each node's neighbors by ascending (degree, index): the order in
-    which a Cuthill-McKee visit queues them."""
-    adjacency = pattern.adjacency()
-    degree = [len(a) for a in adjacency]
-    return [sorted(a, key=lambda p: (degree[p], p)) for a in adjacency]
-
-
 def _rcm_visit(ranked: list[list[int]], start: int) -> list[int]:
-    """Reverse Cuthill-McKee visit order of a connected pattern from
+    """Reverse Cuthill-McKee visit order of a connected graph from
     ``start``: breadth-first, queueing unvisited neighbors by ascending
     (degree, index), then reversed.  ``tests/conftest.py::rcm_order`` wraps
     it as a single ordering."""
@@ -148,63 +88,82 @@ def _rcm_visit(ranked: list[list[int]], start: int) -> list[int]:
     return order
 
 
-def best_rcm(pattern: SparsityPattern, runs: int, seed: int) -> NodePermutation:
-    """Best-of-``runs`` RCM orderings from seeded uniform random start nodes
+def best_rcm(matrix, runs: int, seed: int
+             ) -> tuple[NodePermutation, tuple[int, int], tuple[int, int]]:
+    """Best-of-``runs`` RCM orderings of the nodes of a square sparse
+    ``matrix`` (the admittance) from seeded uniform random start nodes
     (drawn with replacement), then a color search at fixed bandwidth.
+    Returns the ordering and the (natural, ordered) bandwidths and color
+    counts C of the matrix's pattern, C counted in the next power-of-two
+    dimension.
 
+    The pattern is the nonzero stored entries and their transposes.
     Bandwidth first: the RCM winner minimizes the resulting bandwidth;
-    among bandwidth ties, the one whose padded pattern occupies fewer XOR
-    colors wins, and remaining ties keep the earliest run.  The winner is
-    then refined by ``_ColorSearch``: rounds of node-position swaps within
-    the winner's bandwidth, scored together and ranked by the change of the
-    color count, then of the sum of squared color multiplicities.  On
-    ieee57 (200 runs, seed 7) the winner has 29 colors at bandwidth 11 and
-    the search ends at 19.  Its random tie breaks come from the same
-    generator, after the start draws.  The outcome is therefore a
-    deterministic function of (pattern, runs, seed) and of nothing else;
-    its bandwidth is never larger than the RCM winner's (a swap may narrow
-    the band) and its color count is never larger either.
+    among bandwidth ties, the one that occupies fewer XOR colors wins, and
+    remaining ties keep the earliest run.  The winner is then refined by
+    ``_ColorSearch``: rounds of node-position swaps within the winner's
+    bandwidth, scored together and ranked by the change of the color count,
+    then of the sum of squared color multiplicities.  On ieee57 (200 runs,
+    seed 7) the winner has 29 colors at bandwidth 11 and the search ends at
+    19.  Its random tie breaks come from the same generator, after the
+    start draws.  The outcome is therefore a deterministic function of
+    (pattern, runs, seed) and of nothing else; its bandwidth is never larger
+    than the RCM winner's (a swap may narrow the band) and its color count
+    is never larger either.
     """
     if runs < 1:
         raise ValidationError("runs must be >= 1")
+    search = _ColorSearch(matrix)
     rng = np.random.default_rng(seed)
     # equal starts give equal orders
-    starts = dict.fromkeys(rng.integers(0, pattern.n, size=runs).tolist())
-    search = _ColorSearch(pattern)
+    starts = dict.fromkeys(rng.integers(0, search.n, size=runs).tolist())
     forward, band = search.pick(starts)
-    return NodePermutation.from_forward(search.run(forward, band, rng))
+    result = search.run(forward, band, rng)
+    bands, colors = search.measure(np.stack([np.arange(search.n), result]))
+    return NodePermutation.from_forward(result), tuple(bands.tolist()), tuple(colors.tolist())
 
 
 class _ColorSearch:
     """The RCM pick of ``best_rcm`` and its search for position swaps that
     lower the XOR color count at a fixed bandwidth.
 
-    The state is a position per node; an unordered entry (i, j) occupies
-    color position[i] ^ position[j], and the color multiplicities over all
-    entries give C (colors occupied) and the concentration sum of squared
-    multiplicities.  A round scores many swaps at once and ranks them by
-    (change of C, minus change of the concentration sum), so that on a C
-    plateau swaps that pile entries onto fewer colors still rank as
-    progress.  See ``run``.
+    The graph is held once, as arrays: the unordered off-diagonal entries
+    (i < j), the count of diagonal entries, and a table of each node's
+    neighbors by ascending (degree, index).  The state is a position per
+    node; an entry (i, j) occupies color position[i] ^ position[j], and the
+    color multiplicities over all entries give C (colors occupied) and the
+    concentration sum of squared multiplicities.  A round scores many swaps
+    at once and ranks them by (change of C, minus change of the
+    concentration sum), so that on a C plateau swaps that pile entries onto
+    fewer colors still rank as progress.  See ``run``.
     """
 
-    def __init__(self, pattern: SparsityPattern):
-        n = pattern.n
+    def __init__(self, matrix):
+        coo = sparse.csr_matrix(matrix).tocoo()
+        n = coo.shape[0]
+        if coo.shape != (n, n):
+            raise ValidationError(f"an ordering needs a square matrix, not {coo.shape}")
+        nonzero = coo.data != 0
+        rows, cols = coo.row[nonzero].astype(np.intp), coo.col[nonzero].astype(np.intp)
+        # each entry and its transpose once, as (low, high) by ascending key
+        low, high = np.divmod(np.unique(np.minimum(rows, cols) * n + np.maximum(rows, cols)), n)
         self.n = n
-        self.ranked = ranked = _ranked_adjacency(pattern)
         self.dim = next_power_of_two(n)
-        self.diagonal = sum(i == j for i, j in pattern.entries)
-        self.edges = np.array([e for e in pattern.entries if e[0] < e[1]],
-                              dtype=np.intp).reshape(-1, 2)
-        degree = np.array([len(peers) for peers in ranked])
+        self.diagonal = int(np.count_nonzero(low == high))
+        self.edges = np.stack([low, high], axis=1)[low < high]
+        degree = np.bincount(self.edges.ravel(), minlength=n)
+        node, peer = np.concatenate([self.edges, self.edges[:, ::-1]]).T
+        order = np.lexsort((peer, degree[peer], node))
+        node, peer = node[order], peer[order]
+        first = np.cumsum(degree) - degree  # where each node's neighbors start
+        self.ranked = [peers.tolist() for peers in np.split(peer, first[1:])]
         # each node's neighbors, padded by repeating its first one
         self.table = np.zeros((n, degree.max(initial=0)), dtype=np.intp)
-        for node, peers in enumerate(ranked):
-            if peers:
-                self.table[node] = peers[0]
-                self.table[node, :len(peers)] = peers
+        linked = degree > 0
+        self.table[linked] = peer[first[linked], None]
+        self.table[node, np.arange(len(node)) - first[node]] = peer
         self.real = np.arange(self.table.shape[1]) < degree[:, None]
-        self.closed = [set(peers) | {node} for node, peers in enumerate(ranked)]
+        self.closed = [set(peers) | {k} for k, peers in enumerate(self.ranked)]
 
     def pick(self, starts) -> tuple[np.ndarray, int]:
         """The RCM ordering (forward map) of least (bandwidth, colors) over
@@ -214,20 +173,26 @@ class _ColorSearch:
             orders[row] = _rcm_visit(self.ranked, start)
         forwards = np.empty_like(orders)
         np.put_along_axis(forwards, orders, np.arange(self.n, dtype=np.int32), axis=1)
-        ends = forwards[:, self.edges]
-        bands = np.abs(ends[..., 0] - ends[..., 1]).max(axis=1, initial=0)
-        occupied = np.zeros((len(orders), self.dim), dtype=bool)
-        occupied[np.arange(len(orders))[:, None], ends[..., 0] ^ ends[..., 1]] = True
-        colors = occupied.sum(axis=1)
+        bands, colors = self.measure(forwards)
         pick = int(np.lexsort((colors, bands))[0])
         return forwards[pick].astype(np.intp), int(bands[pick])
 
-    def counts(self, position: np.ndarray) -> np.ndarray:
-        """Color multiplicities of the entries under ``position``."""
-        counts = np.bincount(position[self.edges[:, 0]] ^ position[self.edges[:, 1]],
-                             minlength=self.dim)
-        counts[0] += self.diagonal
-        return counts
+    def measure(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Bandwidth and color count C under each row of an (orders, n)
+        stack of positions."""
+        low, high = positions.T[self.edges.T]
+        bands = np.abs(low - high).max(axis=0, initial=0)
+        return bands, np.count_nonzero(self.counts(positions), axis=1)
+
+    def counts(self, positions: np.ndarray) -> np.ndarray:
+        """Color multiplicities (dim,) of the entries under ``positions``,
+        or (orders, dim) under each row of an (orders, n) stack."""
+        colors = positions.T[self.edges[:, 0]] ^ positions.T[self.edges[:, 1]]
+        if positions.ndim == 2:  # a block of dim bins per order
+            colors += np.arange(len(positions), dtype=colors.dtype) * self.dim
+        counts = np.bincount(colors.ravel(), minlength=positions.size // self.n * self.dim)
+        counts[::self.dim] += self.diagonal
+        return counts.reshape(*positions.shape[:-1], self.dim)
 
     def score(self, position, node_at, counts, band, pairs):
         """Swaps of the positions in each row of ``pairs`` that keep every

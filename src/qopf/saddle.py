@@ -49,14 +49,13 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SaddlePointState:
+    """Angles and scales; ``run`` checks that the initial alpha and beta are
+    nonnegative, and every move clips them at zero."""
+
     theta: np.ndarray
     alpha: float
     phi: np.ndarray
     beta: float
-
-    def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
-            raise ValidationError("alpha and beta must be nonnegative")
 
     def stacked(self) -> np.ndarray:
         return np.concatenate([self.theta, [self.alpha], self.phi, [self.beta]])
@@ -220,6 +219,8 @@ def run(ctx: LagrangianContext, init: SaddlePointState, method: str,
     ``model.exact_forward`` record to the next gradient at that same state
     object.
     """
+    if init.alpha < 0 or init.beta < 0:
+        raise ValidationError("alpha and beta must be nonnegative")
     p_count, q_count = len(init.theta), len(init.phi)
     held = [None, None]  # the last state ``value`` saw in exact mode, and its record
 

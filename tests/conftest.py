@@ -1,6 +1,6 @@
 import math
 import tempfile
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -744,6 +744,78 @@ def rotation_layer(states, kind, angles):
     return sim._apply(states, kind, sim._kind_factors(kind, np.asarray(angles, dtype=float)))
 
 
+# The frozenset oracle of the ordering layer: a pattern as a set of
+# (row, col) positions, and its bandwidth and XOR colors counted entry by
+# entry.  ``permute.best_rcm`` holds the graph as arrays and counts both
+# with numpy; the tests compare it against these.
+
+
+@dataclass(frozen=True)
+class SparsityPattern:
+    """Symmetric set of (row, col) positions of an n x n matrix."""
+
+    n: int
+    entries: frozenset[tuple[int, int]]
+
+    def __post_init__(self):
+        for i, j in self.entries:
+            if not (0 <= i < self.n and 0 <= j < self.n):
+                raise ValidationError(f"pattern entry ({i}, {j}) outside dimension {self.n}")
+            if (j, i) not in self.entries:
+                raise ValidationError(f"pattern not symmetric at ({i}, {j})")
+
+    @classmethod
+    def from_matrix(cls, matrix) -> "SparsityPattern":
+        coo = sparse.csr_matrix(matrix).tocoo()
+        nonzero = coo.data != 0
+        rows, cols = coo.row[nonzero].tolist(), coo.col[nonzero].tolist()
+        return cls(coo.shape[0], frozenset(zip(rows, cols)) | frozenset(zip(cols, rows)))
+
+    def matrix(self) -> sparse.csr_matrix:
+        """A 0/1 matrix with this pattern: what ``permute.best_rcm`` reads."""
+        rows, cols = zip(*self.entries) if self.entries else ((), ())
+        return sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(self.n, self.n))
+
+    def padded(self) -> "SparsityPattern":
+        """Same entries inside the next power-of-two dimension."""
+        return SparsityPattern(grid.next_power_of_two(self.n), self.entries)
+
+    def adjacency(self) -> list[list[int]]:
+        neighbors: list[set[int]] = [set() for _ in range(self.n)]
+        for i, j in self.entries:
+            if i != j:
+                neighbors[i].add(j)
+        return [sorted(s) for s in neighbors]
+
+
+def bandwidth(pattern: SparsityPattern) -> int:
+    """Largest |i - j| over pattern entries; 0 for a diagonal-only pattern."""
+    return max((abs(i - j) for i, j in pattern.entries), default=0)
+
+
+def color_set(pattern: SparsityPattern) -> set[int]:
+    """The XOR colors {i ^ j} occupied by a power-of-two-sized pattern."""
+    if pattern.n & (pattern.n - 1) or pattern.n == 0:
+        raise ValidationError(f"pattern dimension {pattern.n} is not a power of two")
+    return {i ^ j for i, j in pattern.entries}
+
+
+def permute_pattern(pattern: SparsityPattern,
+                    perm: permute.NodePermutation) -> SparsityPattern:
+    if len(perm) != pattern.n:
+        raise ValidationError("permutation length does not match pattern dimension")
+    fwd = perm.forward
+    return SparsityPattern(
+        pattern.n,
+        frozenset((int(fwd[i]), int(fwd[j])) for i, j in pattern.entries),
+    )
+
+
+def best_rcm(pattern: SparsityPattern, runs: int, seed: int) -> permute.NodePermutation:
+    """The ordering ``permute.best_rcm`` picks for a frozenset pattern."""
+    return permute.best_rcm(pattern.matrix(), runs, seed)[0]
+
+
 def pattern_from_edges(n, edges, diagonal=True):
     entries = set()
     if diagonal:
@@ -751,7 +823,7 @@ def pattern_from_edges(n, edges, diagonal=True):
     for a, b in edges:
         entries.add((a, b))
         entries.add((b, a))
-    return permute.SparsityPattern(n, frozenset(entries))
+    return SparsityPattern(n, frozenset(entries))
 
 
 def banded_pattern(n, k):
@@ -760,7 +832,7 @@ def banded_pattern(n, k):
         for i in range(n)
         for j in range(max(0, i - k), min(n, i + k + 1))
     }
-    return permute.SparsityPattern(n, frozenset(entries))
+    return SparsityPattern(n, frozenset(entries))
 
 
 def constant_schedule(mu):
@@ -1048,7 +1120,7 @@ def rcm_order(pattern, start):
     plain-RCM reference that the ``best_rcm`` tests compare against."""
     if not (0 <= start < pattern.n):
         raise grid.ValidationError(f"start node {start} out of range")
-    order = permute._rcm_visit(permute._ranked_adjacency(pattern), start)
+    order = permute._rcm_visit(permute._ColorSearch(pattern.matrix()).ranked, start)
     forward = np.empty(pattern.n, dtype=int)
     forward[order] = np.arange(pattern.n)
     return permute.NodePermutation.from_forward(forward)
@@ -1068,8 +1140,8 @@ def rcm_pick(pattern, runs, seed):
     best = None
     for start in starts.tolist():
         perm = rcm_order(pattern, start)
-        after = permute.permute_pattern(pattern, perm)
-        key = (permute.bandwidth(after), len(permute.color_set(after.padded())))
+        after = permute_pattern(pattern, perm)
+        key = (bandwidth(after), len(color_set(after.padded())))
         if best is None or key < best[0]:
             best = (key, perm.forward)
     return best[1], best[0][0]

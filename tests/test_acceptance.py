@@ -17,13 +17,13 @@ import time
 
 import numpy as np
 
-from qopf import bounds, grid, harness, model, permute, saddle, sim, xbm
+from qopf import bounds, grid, harness, model, saddle, sim, xbm
 from qopf.model import DualPoint, PrimalPoint, sampled_mode
-from qopf.permute import SparsityPattern
 
-from conftest import (CASE2_TEXT, banded_pattern, brute_force_reference, estimator_variance,
-                      exact_expectation, field_run, pattern_from_edges, piece_matrix, random_hermitian,
-                      random_problem, random_state, reconstruct, rotate_piece)
+from conftest import (CASE2_TEXT, SparsityPattern, banded_pattern, bandwidth, best_rcm,
+                      brute_force_reference, color_set, estimator_variance, exact_expectation,
+                      field_run, pattern_from_edges, permute_pattern, piece_matrix,
+                      random_hermitian, random_problem, random_state, reconstruct, rotate_piece)
 
 
 def criterion(name: str, ok: bool, detail: str = ""):
@@ -79,9 +79,9 @@ def test_xbm_correctness_suite():
 
 
 def test_color_count_facts():
-    diag = permute.color_set(pattern_from_edges(8, [], diagonal=True))
-    banded = permute.color_set(banded_pattern(8, 1))
-    anti = permute.color_set(SparsityPattern(
+    diag = color_set(pattern_from_edges(8, [], diagonal=True))
+    banded = color_set(banded_pattern(8, 1))
+    anti = color_set(SparsityPattern(
         8, frozenset((i, 7 - i) for i in range(8))))
     criterion("colors: diagonal pattern uses exactly 1 color", diag == {0})
     criterion("colors: 8x8 bandwidth-1 pattern uses exactly 4 colors",
@@ -92,12 +92,12 @@ def test_color_count_facts():
 def test_rcm_effectiveness_ieee57(ieee57):
     start = time.perf_counter()
     pattern = SparsityPattern.from_matrix(grid.build_admittance(ieee57))
-    perm_a = permute.best_rcm(pattern, 200, seed=7)
-    perm_b = permute.best_rcm(pattern, 200, seed=7)
-    after = permute.permute_pattern(pattern, perm_a)
-    bw_before, bw_after = permute.bandwidth(pattern), permute.bandwidth(after)
-    colors_before = len(permute.color_set(pattern.padded()))
-    colors_after = len(permute.color_set(after.padded()))
+    perm_a = best_rcm(pattern, 200, seed=7)
+    perm_b = best_rcm(pattern, 200, seed=7)
+    after = permute_pattern(pattern, perm_a)
+    bw_before, bw_after = bandwidth(pattern), bandwidth(after)
+    colors_before = len(color_set(pattern.padded()))
+    colors_after = len(color_set(after.padded()))
     elapsed = time.perf_counter() - start
     criterion("rcm: deterministic for fixed seed",
               np.array_equal(perm_a.forward, perm_b.forward))

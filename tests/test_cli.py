@@ -311,6 +311,8 @@ def test_malformed_reference_exits_1_before_any_solve(tmp_path, case2_file, caps
                           (bad_first({"v_g": None}), "lacks the key 'v_g'"),
                           (bad_first({"p_g": [0.5, 0.5]}), "p_g has shape (2,)"),
                           (bad_first({"v": [[1.0, 0.0]]}), "v has shape (1,)"),
+                          (bad_first({"lambda": [0.0, 2.0, -1.0, 0.0, 0.0]}),
+                           "reference instance 0: lambda has a negative entry"),
                           (bad_first({"cost": "high"}),
                            "reference instance 0: could not convert"),
                           ([good], "reference holds 1 instances; the run needs 2")):
@@ -323,7 +325,8 @@ def test_malformed_reference_exits_1_before_any_solve(tmp_path, case2_file, caps
 def test_malformed_json_exits_1(tmp_path, case2_file, capsys):
     """A config, reference or report file that is not valid JSON ends the
     command in a validation error naming the file and the line and column
-    of the fault, and so does a config that is not a JSON object."""
+    of the fault, or the NaN or infinity it holds, and so does a config that
+    is not a JSON object."""
     bad = tmp_path / "bad.json"
     bad.write_text('{"case": "x.case",\n', encoding="utf-8")
     for command in ("solve", "bounds", "fit"):
@@ -352,6 +355,27 @@ def test_malformed_json_exits_1(tmp_path, case2_file, capsys):
     code, _, err = run_cli(capsys, "report", str(run_dir))
     assert code == 1, err
     assert "report.json is not valid JSON" in err and "line 1, column 26" in err
+    # NaN and the infinities are not JSON, though Python's reader takes them
+    nan_config = tmp_path / "nan.json"
+    nan_config.write_text(json.dumps({"case": str(case2_file),
+                                      "quantum_schedule": {"theta": [float("nan"), 1]},
+                                      "stop": {"theta_tol": float("nan")}}), encoding="utf-8")
+    for command in ("solve", "bounds", "fit"):
+        code, _, err = run_cli(capsys, command, str(nan_config))
+        assert code == 1, (command, err)
+        assert f"{nan_config} is not valid JSON: non-standard constant NaN" in err
+    infinite = tmp_path / "infinite.json"
+    infinite.write_text('{"instances": [{"p_g": [0.5], "v_g": [1.0], "lambda": [0, 0, 0, 0, 0], '
+                        '"cost": Infinity}]}', encoding="utf-8")
+    config = write_config(tmp_path, case2_file, reference=str(infinite))
+    for command in ("solve", "fit"):
+        code, _, err = run_cli(capsys, command, str(config))
+        assert code == 1, (command, err)
+        assert f"{infinite} is not valid JSON: non-standard constant Infinity" in err
+    (run_dir / "report.json").write_text('{"summary": -Infinity}', encoding="utf-8")
+    code, _, err = run_cli(capsys, "report", str(run_dir))
+    assert code == 1, err
+    assert "report.json is not valid JSON: non-standard constant -Infinity" in err
 
 
 def test_report_that_is_not_an_object_exits_1(tmp_path, capsys):

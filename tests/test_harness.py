@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qopf import bounds, grid, harness, model, saddle, sim
+from qopf import bounds, grid, harness, model, permute, saddle, sim
 from qopf.grid import LABEL_BALANCE_P, LABEL_BALANCE_Q, LABEL_REFERENCE, ValidationError
 from qopf.harness import (
     AnsatzChoice,
@@ -29,8 +29,9 @@ from qopf.harness import (
 
 from qopf.saddle import classical_lagrangian
 
-from conftest import (CASE2_TEXT, assert_same_rows, brute_force_reference, constant_schedule,
-                      per_instance_problem)
+from conftest import (CASE2_TEXT, SparsityPattern, assert_same_rows, bandwidth,
+                      brute_force_reference, color_set, constant_schedule, per_instance_problem,
+                      permute_pattern, tiled_case)
 
 
 def test_simplifications(ieee57):
@@ -92,6 +93,24 @@ def test_prepare_case_stats_ieee57(ieee57):
     assert (s.n, s.edges) == (57, 78)
     assert s.bandwidth_before == 46 and s.bandwidth_after == 11
     assert s.colors_before == 27 and s.colors_after == 19
+
+
+@pytest.mark.parametrize("copies, seed, counts", [
+    (1, 0, (46, 11, 27, 19)), (1, 7, (46, 11, 27, 19)),
+    (2, 0, (68, 16, 44, 36)), (2, 7, (68, 16, 44, 33))])
+def test_prepare_case_stats_pinned(ieee57, copies, seed, counts):
+    """Bandwidth and colour count before and after ordering ieee57 and two
+    tied copies, as the ordering search counts them, are pinned and equal
+    the frozenset oracle's counts of the same ordering."""
+    case = ieee57 if copies == 1 else tiled_case(ieee57, copies)
+    prepared = prepare_case(case, rcm_runs=200, seed=seed)
+    s = prepared.stats
+    assert (s.bandwidth_before, s.bandwidth_after, s.colors_before, s.colors_after) == counts
+    pattern = SparsityPattern.from_matrix(grid.build_admittance(case))
+    nodes = prepared.perm.forward[:case.n]
+    after = permute_pattern(pattern, permute.NodePermutation.from_forward(nodes))
+    assert counts == (bandwidth(pattern), bandwidth(after),
+                      len(color_set(pattern.padded())), len(color_set(after.padded())))
 
 
 def test_prepare_instances_order_each_case_once(ieee57, monkeypatch):

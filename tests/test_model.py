@@ -737,19 +737,17 @@ def test_gradient_alpha_closed_form_identity_cost():
 
 
 def test_gradient_circuit_accounting(ctx44):
-    p, d = random_points(ctx44, 42)
-    res = model.grad(ctx44, p, d)
     c = ctx44.color_count
-    assert res.primal_circuits == (2 * ctx44.p_count + 1) * (2 * c - 1)
-    assert res.dual_circuits == 2 * ctx44.q_count + 1
+    assert ctx44.circuits_per_gradient() == (
+        (2 * ctx44.p_count + 1) * (2 * c - 1), 2 * ctx44.q_count + 1)
 
 
 def test_sampled_gradient_shot_and_circuit_counts(ctx44, padded_complex_problem):
     """One sampled gradient spends S shots on every rotated circuit it
     measures: (2P+1) primal points times the n0 cost and nF constraint
     pieces, nF pieces at each of the 2Q shifted dual points, and the dual
-    circuit for G at 2Q+1 points; it charges the circuits of
-    ``bounds.circuits_per_iteration``."""
+    circuit for G at 2Q+1 points.  The context's circuits per gradient are
+    those of ``bounds.circuits_per_iteration``."""
     padded_ctx = model.LagrangianContext(padded_complex_problem,
                                          sim.AnsatzSpec.from_row(7, 2, 1),
                                          sim.AnsatzSpec.from_row(4, 3, 1))
@@ -762,7 +760,7 @@ def test_sampled_gradient_shot_and_circuit_counts(ctx44, padded_complex_problem)
         assert n0 > 0 and nf > 0
         assert res.shots_spent == shots * (
             (2 * big_p + 1) * (n0 + nf) + 2 * big_q * nf + 2 * big_q + 1)
-        assert res.primal_circuits + res.dual_circuits == \
+        assert sum(ctx.circuits_per_gradient()) == \
             bounds.circuits_per_iteration(big_p, big_q, ctx.color_count)
 
 
@@ -976,8 +974,7 @@ def test_gradient_reads_a_forward_record_of_its_own_point(ieee57_context):
         at = PrimalPoint(p.theta, alpha), DualPoint(d.phi, beta)
         fresh, reused = model.grad(ctx, *at), model.grad(ctx, *at, model.exact_mode(), forward)
         assert np.array_equal(reused.stacked(), fresh.stacked())
-        assert (reused.primal_circuits, reused.dual_circuits, reused.shots_spent) == (
-            fresh.primal_circuits, fresh.dual_circuits, 0)
+        assert reused.shots_spent == fresh.shots_spent == 0
         assert forward.terms.value_at(alpha, beta) == model.lagrangian(ctx, *at)
     other = PrimalPoint(p.theta + 0.1, p.alpha)
     for point in (other, PrimalPoint(p.theta.copy(), p.alpha)):
@@ -1061,4 +1058,4 @@ def test_sampled_gradient_stream_unchanged(padded_complex_problem):
         0.978016934565211, 0.6194584109596654, 0.4880149824526565,
         0.6282955148967138, 0.005646585565433293, 0.8302902480687674]
     assert res.beta == 0.07197532921202887
-    assert (res.primal_circuits, res.dual_circuits, res.shots_spent) == (91, 13, 4464)
+    assert (*ctx.circuits_per_gradient(), res.shots_spent) == (91, 13, 4464)

@@ -3,13 +3,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qopf import grid, permute
 from qopf.grid import ValidationError
-from qopf.permute import NodePermutation, SparsityPattern
+from qopf.permute import NodePermutation
 
-from conftest import (banded_pattern, color_counts, color_delta, descent_rcm,
-                      pattern_from_edges, random_problem, rcm_order, rcm_pick, swap_change)
+from conftest import (SparsityPattern, banded_pattern, bandwidth, best_rcm, color_counts,
+                      color_delta, color_set, descent_rcm, pattern_from_edges, permute_pattern,
+                      random_problem, rcm_order, rcm_pick, swap_change)
 
 
 def pattern_of_edges(n, edges):
@@ -22,50 +25,50 @@ def exhaustive_min_bandwidth(pattern):
         fwd = np.empty(pattern.n, dtype=int)
         fwd[list(order)] = np.arange(pattern.n)
         perm = NodePermutation.from_forward(fwd)
-        best = min(best, permute.bandwidth(permute.permute_pattern(pattern, perm)))
+        best = min(best, bandwidth(permute_pattern(pattern, perm)))
     return best
 
 
 def test_bandwidth_diagonal_is_zero():
-    assert permute.bandwidth(pattern_from_edges(4, [], diagonal=True)) == 0
+    assert bandwidth(pattern_from_edges(4, [], diagonal=True)) == 0
 
 
 def test_bandwidth_tridiagonal_is_one():
-    assert permute.bandwidth(banded_pattern(8, 1)) == 1
+    assert bandwidth(banded_pattern(8, 1)) == 1
 
 
 def test_bandwidth_ieee57_natural(ieee57):
     pattern = SparsityPattern.from_matrix(grid.build_admittance(ieee57))
     # frozen from the bundled topology: branch 9-55 spans indices 8..54
-    assert permute.bandwidth(pattern) == 46
+    assert bandwidth(pattern) == 46
 
 
 def test_color_set_diagonal():
-    assert permute.color_set(pattern_from_edges(8, [], diagonal=True)) == {0}
+    assert color_set(pattern_from_edges(8, [], diagonal=True)) == {0}
 
 
 def test_color_set_banded_8x8():
-    colors = permute.color_set(banded_pattern(8, 1))
+    colors = color_set(banded_pattern(8, 1))
     assert colors == {0, 1, 3, 7}
     assert len(colors) == 4
 
 
 def test_color_set_antidiagonal():
     entries = frozenset((i, 7 - i) for i in range(8))
-    colors = permute.color_set(SparsityPattern(8, entries))
+    colors = color_set(SparsityPattern(8, entries))
     assert colors == {7}
 
 
 def test_color_set_requires_power_of_two():
     with pytest.raises(ValidationError, match="power of two"):
-        permute.color_set(pattern_from_edges(6, [(0, 1)]))
+        color_set(pattern_from_edges(6, [(0, 1)]))
 
 
 def test_color_count_bound_for_banded_patterns():
     # C <= 2 k log2(n) + 1 for k-banded patterns
     for k in (1, 2, 4):
         for n in (8, 16, 32, 64, 128, 256, 512, 1024):
-            colors = permute.color_set(banded_pattern(n, k))
+            colors = color_set(banded_pattern(n, k))
             assert len(colors) <= 2 * k * int(np.log2(n)) + 1, (k, n, len(colors))
 
 
@@ -75,7 +78,7 @@ def test_rcm_path_graph_recovers_bandwidth_one():
     edges = [(int(relabel[i]), int(relabel[i + 1])) for i in range(7)]
     pattern = pattern_of_edges(8, edges)
     perm = rcm_order(pattern, start=int(relabel[0]))
-    assert permute.bandwidth(permute.permute_pattern(pattern, perm)) == 1
+    assert bandwidth(permute_pattern(pattern, perm)) == 1
 
 
 def test_rcm_star_graph_bounds():
@@ -84,14 +87,14 @@ def test_rcm_star_graph_bounds():
     assert exhaustive_min_bandwidth(pattern) == 2
     for start in range(5):
         perm = rcm_order(pattern, start)
-        bw = permute.bandwidth(permute.permute_pattern(pattern, perm))
+        bw = bandwidth(permute_pattern(pattern, perm))
         assert 2 <= bw <= 4
 
 
 def test_rcm_keeps_banded_pattern_banded():
     pattern = banded_pattern(8, 1)
     perm = rcm_order(pattern, start=0)
-    assert permute.bandwidth(permute.permute_pattern(pattern, perm)) <= 1
+    assert bandwidth(permute_pattern(pattern, perm)) <= 1
 
 
 def test_rcm_output_is_bijection_and_deterministic():
@@ -120,26 +123,26 @@ def test_best_rcm_single_run_matches_rcm_order(case3):
     pattern = SparsityPattern.from_matrix(grid.build_admittance(case3))
     rng = np.random.default_rng(12)
     start = int(rng.integers(0, pattern.n, size=1)[0])
-    assert np.array_equal(permute.best_rcm(pattern, 1, 12).forward,
+    assert np.array_equal(best_rcm(pattern, 1, 12).forward,
                           rcm_order(pattern, start).forward)
 
 
 def test_best_rcm_monotone_in_runs(ieee57):
     pattern = SparsityPattern.from_matrix(grid.build_admittance(ieee57))
-    bw200 = permute.bandwidth(
-        permute.permute_pattern(pattern, permute.best_rcm(pattern, 200, seed=7)))
-    bw400 = permute.bandwidth(
-        permute.permute_pattern(pattern, permute.best_rcm(pattern, 400, seed=7)))
+    bw200 = bandwidth(
+        permute_pattern(pattern, best_rcm(pattern, 200, seed=7)))
+    bw400 = bandwidth(
+        permute_pattern(pattern, best_rcm(pattern, 400, seed=7)))
     assert bw400 <= bw200
 
 
 def test_best_rcm_ieee57_reduces_bandwidth(ieee57):
     pattern = SparsityPattern.from_matrix(grid.build_admittance(ieee57))
-    perm = permute.best_rcm(pattern, 200, seed=7)
-    after = permute.permute_pattern(pattern, perm)
-    assert permute.bandwidth(pattern) == 46
+    perm = best_rcm(pattern, 200, seed=7)
+    after = permute_pattern(pattern, perm)
+    assert bandwidth(pattern) == 46
     # frozen fixture from the bundled topology, stable for seed 7
-    assert permute.bandwidth(after) == 11
+    assert bandwidth(after) == 11
 
 
 def test_best_rcm_never_worse_than_natural():
@@ -148,9 +151,9 @@ def test_best_rcm_never_worse_than_natural():
         n = int(rng.integers(5, 14))
         tree = [(int(rng.integers(0, k)), k) for k in range(1, n)]
         pattern = pattern_of_edges(n, tree)
-        perm = permute.best_rcm(pattern, runs=n, seed=trial)
-        assert permute.bandwidth(permute.permute_pattern(pattern, perm)) \
-            <= permute.bandwidth(pattern)
+        perm = best_rcm(pattern, runs=n, seed=trial)
+        assert bandwidth(permute_pattern(pattern, perm)) \
+            <= bandwidth(pattern)
 
 
 def test_best_rcm_within_2x_of_exhaustive_optimum():
@@ -162,8 +165,8 @@ def test_best_rcm_within_2x_of_exhaustive_optimum():
         edges = tree + [e for e in extra if e[0] != e[1]]
         pattern = pattern_of_edges(n, edges)
         optimum = exhaustive_min_bandwidth(pattern)
-        perm = permute.best_rcm(pattern, runs=n, seed=trial)
-        achieved = permute.bandwidth(permute.permute_pattern(pattern, perm))
+        perm = best_rcm(pattern, runs=n, seed=trial)
+        achieved = bandwidth(permute_pattern(pattern, perm))
         assert achieved <= 2 * optimum, (trial, achieved, optimum)
 
 
@@ -173,8 +176,8 @@ def plain_rcm_winner(pattern, runs, seed):
     starts = np.random.default_rng(seed).integers(0, pattern.n, size=runs)
     keys = []
     for start in starts:
-        after = permute.permute_pattern(pattern, rcm_order(pattern, int(start)))
-        keys.append((permute.bandwidth(after), len(permute.color_set(after.padded()))))
+        after = permute_pattern(pattern, rcm_order(pattern, int(start)))
+        keys.append((bandwidth(after), len(color_set(after.padded()))))
     return min(keys)
 
 
@@ -186,11 +189,11 @@ def test_best_rcm_color_descent_against_plain_rcm():
         tree = [(int(rng.integers(0, k)), k) for k in range(1, n)]
         extra = [(int(rng.integers(0, n)), int(rng.integers(0, n))) for _ in range(3)]
         pattern = pattern_of_edges(n, tree + [e for e in extra if e[0] != e[1]])
-        perm = permute.best_rcm(pattern, runs=n, seed=trial)
+        perm = best_rcm(pattern, runs=n, seed=trial)
         assert sorted(perm.forward.tolist()) == list(range(n))
-        assert np.array_equal(perm.forward, permute.best_rcm(pattern, n, trial).forward)
-        after = permute.permute_pattern(pattern, perm)
-        bw, colors = permute.bandwidth(after), len(permute.color_set(after.padded()))
+        assert np.array_equal(perm.forward, best_rcm(pattern, n, trial).forward)
+        after = permute_pattern(pattern, perm)
+        bw, colors = bandwidth(after), len(color_set(after.padded()))
         plain_bw, plain_colors = plain_rcm_winner(pattern, n, trial)
         # a swap may narrow the band but never widen it
         assert bw <= plain_bw, (trial, bw, plain_bw)
@@ -205,8 +208,8 @@ def test_best_rcm_single_run_no_worse_than_rcm_order(ieee57):
     pattern = SparsityPattern.from_matrix(grid.build_admittance(ieee57))
     descended = 0
     for seed in range(4):
-        after = permute.permute_pattern(pattern, permute.best_rcm(pattern, 1, seed))
-        bw, colors = permute.bandwidth(after), len(permute.color_set(after.padded()))
+        after = permute_pattern(pattern, best_rcm(pattern, 1, seed))
+        bw, colors = bandwidth(after), len(color_set(after.padded()))
         rcm_bw, rcm_colors = plain_rcm_winner(pattern, 1, seed)
         assert bw <= rcm_bw and colors <= rcm_colors, (seed, bw, rcm_bw, colors, rcm_colors)
         descended += colors < rcm_colors
@@ -215,8 +218,8 @@ def test_best_rcm_single_run_no_worse_than_rcm_order(ieee57):
 
 
 def colors_and_band(pattern, perm):
-    after = permute.permute_pattern(pattern, perm)
-    return len(permute.color_set(after.padded())), permute.bandwidth(after)
+    after = permute_pattern(pattern, perm)
+    return len(color_set(after.padded())), bandwidth(after)
 
 
 @pytest.mark.parametrize("seed", [0, 7])
@@ -226,7 +229,7 @@ def test_best_rcm_beats_color_descent_ieee57(ieee57, ieee57x2_pattern, copies, s
     descent it replaced, from the same RCM pick, and no wider."""
     pattern = (SparsityPattern.from_matrix(grid.build_admittance(ieee57)) if copies == 1
                else ieee57x2_pattern)
-    colors, band = colors_and_band(pattern, permute.best_rcm(pattern, 200, seed))
+    colors, band = colors_and_band(pattern, best_rcm(pattern, 200, seed))
     descent_colors, descent_band = colors_and_band(pattern, descent_rcm(pattern, 200, seed))
     assert colors < descent_colors, (colors, descent_colors)
     assert band <= descent_band
@@ -242,8 +245,8 @@ def test_best_rcm_no_single_swap_lowers_colors():
         tree = [(int(rng.integers(0, k)), k) for k in range(1, n)]
         extra = [(int(rng.integers(0, n)), int(rng.integers(0, n))) for _ in range(3)]
         pattern = pattern_of_edges(n, tree + [e for e in extra if e[0] != e[1]])
-        forward = permute.best_rcm(pattern, n, trial).forward
-        assert np.array_equal(forward, permute.best_rcm(pattern, n, trial).forward)
+        forward = best_rcm(pattern, n, trial).forward
+        assert np.array_equal(forward, best_rcm(pattern, n, trial).forward)
         _, band = rcm_pick(pattern, n, trial)
         adjacency, position = pattern.adjacency(), forward.tolist()
         counts = color_counts(pattern.entries, position)
@@ -256,10 +259,11 @@ def test_best_rcm_memory_tiled_ieee57(ieee57x2_pattern):
     """The search scores only the filtered in-band swaps, with int32
     multiplicity changes: its traced peak on the two-copy tiled ieee57
     stays within 1 MB."""
-    permute.best_rcm(ieee57x2_pattern, 200, 0)
+    matrix = ieee57x2_pattern.matrix()
+    permute.best_rcm(matrix, 200, 0)
     tracemalloc.start()
     try:
-        permute.best_rcm(ieee57x2_pattern, 200, 0)
+        permute.best_rcm(matrix, 200, 0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -316,7 +320,30 @@ def test_ieee57_color_fixture_after_rcm(ieee57):
     22 of the first-improvement descent it replaced.
     """
     pattern = SparsityPattern.from_matrix(grid.build_admittance(ieee57))
-    perm = permute.best_rcm(pattern, 200, seed=7)
-    after = permute.permute_pattern(pattern, perm)
-    assert len(permute.color_set(pattern.padded())) == 27
-    assert len(permute.color_set(after.padded())) == 19
+    perm = best_rcm(pattern, 200, seed=7)
+    after = permute_pattern(pattern, perm)
+    assert len(color_set(pattern.padded())) == 27
+    assert len(color_set(after.padded())) == 19
+
+
+@st.composite
+def connected_patterns(draw):
+    """A random connected graph: a random tree plus a few extra edges, with
+    or without its diagonal."""
+    n = draw(st.integers(1, 40))
+    tree = [(draw(st.integers(0, k - 1)), k) for k in range(1, n)]
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n))
+    return pattern_from_edges(n, tree + [e for e in extra if e[0] != e[1]],
+                              diagonal=draw(st.booleans()))
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(connected_patterns(), st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_best_rcm_counts_match_the_frozenset_oracle(pattern, runs, seed):
+    """The bandwidths and colour counts ``best_rcm`` returns, from the
+    search's array counters, equal the entry-by-entry counts of the
+    frozenset pattern at the natural order and at the returned ordering."""
+    perm, bands, colors = permute.best_rcm(pattern.matrix(), runs, seed)
+    after = permute_pattern(pattern, perm)
+    assert bands == (bandwidth(pattern), bandwidth(after))
+    assert colors == (len(color_set(pattern.padded())), len(color_set(after.padded())))

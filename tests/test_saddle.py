@@ -173,6 +173,20 @@ def test_run_divergence_guard():
     assert err.value.iteration >= 0
 
 
+def test_run_rejects_a_negative_initial_scale():
+    """The initial alpha and beta come from outside the loop, so ``run``
+    checks them before any iteration; every move after that clips them at
+    zero."""
+    problem = random_problem(2, 2, seed=2)
+    ctx = model.LagrangianContext(problem, sim.AnsatzSpec.from_row(2, 1, 1),
+                                  sim.AnsatzSpec.from_row(2, 1, 1))
+    for alpha, beta in ((-1e-9, 1.0), (1.0, -1e-9)):
+        init = make_state(0.1, 0.1, alpha, beta)
+        for method in (saddle.PD, saddle.EG):
+            with pytest.raises(ValidationError, match="alpha and beta must be nonnegative"):
+                saddle.run(ctx, init, method, constant_schedule(0.1), StopRule(max_iters=1))
+
+
 def test_vqe_regime_monotone_descent():
     # cost-only problem, beta frozen at zero: PD is gradient descent and the
     # Lagrangian trajectory is nonincreasing for small constant steps
