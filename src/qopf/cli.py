@@ -23,8 +23,6 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import bounds as bounds_mod
 from . import harness, xbm
 from .grid import CaseError, ValidationError, load_case
@@ -113,32 +111,27 @@ def _cmd_fit(args) -> int:
     config = harness.config_from_json(args.config)
     case = load_case(config.case_path)
     prepared, instances, _ = harness.prepare_instances(config, case)
-    reference = harness.reference_solution(config, case, instances)
+    reference = harness.reference_solution(config, prepared, instances)
     if reference is None:
         print("fit needs a reference solution file for cases above desk scale",
               file=sys.stderr)
         return EXIT_VALIDATION
-    problem = prepared.permuted
-    n_primal = int(math.log2(problem.dim))
-    n_dual = int(math.log2(problem.m_stored))
-    rows = harness.restricted_rows(problem)
     primal_targets, dual_targets = [], []
     for ref in reference.instances[:config.instances]:
+        v, lam = prepared.to_solver(() if ref.v is None else ref.v, ref.lam)
         if ref.v is not None:
-            primal_targets.append(harness.primal_fit_target(prepared, ref.v))
-        lam_full = np.zeros(problem.m_stored)
-        lam_full[rows] = ref.lam
-        dual_targets.append(harness.dual_fit_target(lam_full, problem.m_stored))
+            primal_targets.append(v)
+        dual_targets.append(harness.dual_fit_target(lam))
     reports = []
     if not primal_targets:
         print("# reference carries no voltages; skipping the primal fit",
               file=sys.stderr)
-    for column, role, targets, n_qubits in ((0, "primal", primal_targets, n_primal),
-                                            (1, "dual", dual_targets, n_dual)):
+    for column, role, targets in ((0, "primal", primal_targets), (1, "dual", dual_targets)):
         if not targets:
             continue
         begin = time.perf_counter()
         candidates = [harness.AnsatzChoice(r, DEFAULT_LAYERS[r][column]) for r in range(1, 9)]
+        n_qubits = int(math.log2(len(targets[0])))   # the solver's size, as to_solver pads
         reports += harness.fit_ansatz(candidates, targets, n_qubits, role, seed=config.seed,
                                       restarts=args.restarts, iters=args.iters)
         print(f"# {role} fit: {time.perf_counter() - begin:.2f} s", file=sys.stderr)

@@ -3,20 +3,20 @@
 Pipeline: prepare each case once (order its nodes by restarted reverse
 Cuthill-McKee on the admittance pattern; assemble, pad and permute the
 QCQP), then solve each load-scaled instance, one row of bounds on those
-shared matrices, with the chosen engine(s), reverse-permute the voltage,
-and score against a reference solution.  Metrics follow the benchmark
-protocol: relative errors of generator setpoints x = [p_g; v_g] and of the
-multipliers on power-balance and line rows, each balance pair in its
-minimal split, and three violation statistics over the non-balance rows
-with label-specific normalizers.
+shared matrices, with the chosen engine(s), map the solution back to the
+problem (``PreparedCase.from_solver``), and score against a reference
+solution.  Metrics follow the benchmark protocol: relative errors of
+generator setpoints x = [p_g; v_g] and of the multipliers on power-balance
+and line rows, each balance pair in its minimal split, and three violation
+statistics over the non-balance rows with label-specific normalizers.
 
-Reference solutions are ingested from JSON (produced externally by an OPF
-tool) or, for cases of at most three buses, computed by ``local_reference``,
-a local trust-constr solve of the QCQP in real coordinates from the flat
-profile.  Note one fidelity gap versus the benchmark
-protocol: unless an externally re-solved power flow is supplied, violations
-are evaluated directly at the recovered voltage instead of at a re-solved
-operating point.
+Reference solutions, one multiplier per problem row, are ingested from
+JSON (produced externally by an OPF tool) or, for cases of at most three
+buses, computed by ``local_reference``, a local trust-constr solve of the
+QCQP in real coordinates from the flat profile.  Note one fidelity gap
+versus the benchmark protocol: unless an externally re-solved power flow is
+supplied, violations are evaluated directly at the recovered voltage
+instead of at a re-solved operating point.
 """
 
 from __future__ import annotations
@@ -284,11 +284,26 @@ class PatternStats:
 
 @dataclass(frozen=True)
 class PreparedCase:
+    """A case's problem, the problem the solver sees, and the map between them."""
+
     case: NetworkCase
     problem: QcqpProblem           # natural order, unpadded
     permuted: QcqpProblem          # padded and RCM-permuted; what gets solved
     perm: NodePermutation          # length = padded primal dimension
     stats: PatternStats
+
+    def to_solver(self, v: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A problem's voltage (one entry per bus) and multipliers (one per
+        problem row) as the solver holds them: zero-padded to its sizes, the
+        voltage in its node order; the rows keep their order."""
+        v, lam = np.asarray(v, dtype=complex), np.asarray(lam, dtype=float)
+        return (self.perm.apply_to_vector(np.pad(v, (0, self.permuted.dim - len(v)))),
+                np.pad(lam, (0, self.permuted.m_stored - len(lam))))
+
+    def from_solver(self, v: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The solver's voltage and multipliers in the problem's node order,
+        without their padding entries."""
+        return self.perm.undo_on_vector(v)[:self.problem.n], lam[:self.problem.m]
 
 
 def prepare_case(case: NetworkCase, rcm_runs: int, seed: int) -> PreparedCase:
@@ -334,11 +349,6 @@ def build_context(config: ExperimentConfig, problem: QcqpProblem) -> LagrangianC
     )
 
 
-def recover_voltage(prepared: PreparedCase, v_permuted: np.ndarray) -> np.ndarray:
-    """Undo the node permutation and drop padding entries."""
-    return prepared.perm.undo_on_vector(v_permuted)[:prepared.case.n]
-
-
 # ---------------------------------------------------------------------------
 # Reference solutions
 
@@ -347,7 +357,7 @@ def recover_voltage(prepared: PreparedCase, v_permuted: np.ndarray) -> np.ndarra
 class ReferenceInstance:
     p_g: np.ndarray
     v_g: np.ndarray
-    lam: np.ndarray        # restricted to balance + line rows, problem order
+    lam: np.ndarray        # one multiplier per problem row, problem order
     cost: float
     v: np.ndarray | None = None   # full voltage phasor, when available
 
@@ -473,13 +483,12 @@ def local_reference(case: NetworkCase) -> ReferenceInstance:
     (``_opposite_pairs``) goes to the solver as one two-sided row,
     -b_{k+1} <= v^dag M_k v <= b_k, an equality for the balance and
     reference pairs, so the constraint Jacobian keeps full row rank where
-    both rows of a pair are active.  The solver's signed multiplier of a
-    pair maps back to its ``minimal_split`` (max(mu, 0), max(-mu, 0)), and
-    the result's ``v[0]`` is replaced by these multipliers, one per stored
-    row.  The reference keeps those of ``restricted_rows``, every entry
-    clipped at zero.  A solve that does not converge within
-    ``REFERENCE_MAX_ITER`` iterations, or that leaves a row violated by
-    more than VIOLATION_FLOOR, raises ValidationError.
+    both rows of a pair are active.  The solver's signed multiplier mu of a
+    pair maps back to its minimal split (max(mu, 0), max(-mu, 0)), and the
+    reference keeps one multiplier per problem row, every entry clipped at
+    zero.  A solve that does not converge within ``REFERENCE_MAX_ITER``
+    iterations, or that leaves a row violated by more than VIOLATION_FLOOR,
+    raises ValidationError.
     """
     problem = assemble_qcqp(case)
     cost, cost_jacobian, cost_hessian = _real_quadratics(problem.cost)
@@ -510,44 +519,52 @@ def local_reference(case: NetworkCase) -> ReferenceInstance:
                               f"iterations ({result.message}), largest violation {worst:.2e}")
     lam = np.zeros(problem.m)
     lam[solved] = result.v[0]
-    lam[pairs + 1] = np.maximum(-lam[pairs], 0.0)
-    lam[pairs] = np.maximum(lam[pairs], 0.0)
-    result.v = [lam]
-    lam = np.maximum(lam[restricted_rows(problem)], 0.0)
+    lam[pairs + 1] = -lam[pairs]
     x = extract_setpoints(case, problem, v)
     n_gens = len(case.generator_nodes)
-    return ReferenceInstance(p_g=x[:n_gens], v_g=x[n_gens:], lam=lam,
+    return ReferenceInstance(p_g=x[:n_gens], v_g=x[n_gens:], lam=np.maximum(lam, 0.0),
                              cost=float(problem.cost.forms(v)[0]), v=v)
 
 
-def reference_solution(config: ExperimentConfig, case: NetworkCase,
+def reference_solution(config: ExperimentConfig, prepared: PreparedCase,
                        instances: list[NetworkCase]) -> ReferenceSolution | None:
-    """The reference solutions of a run's instances: read from
-    config.reference_path, else computed by ``local_reference`` when the
-    case has at most three buses, else None.
+    """The reference solutions of a run's instances, one multiplier per row
+    of ``prepared.problem``: read from config.reference_path, else computed
+    by ``local_reference`` when the case has at most three buses, else None.
 
-    A file is checked against the case before any solve, where a misfit
-    would otherwise fail only once the metrics are computed: ``config.instances``
-    instances or more, each with a p_g and a v_g entry per generator, a
-    multiplier (>= 0) per ``restricted_rows`` row and, if given, a voltage
-    per bus."""
+    A file is checked against the prepared instance 0 before any solve,
+    where a misfit would otherwise fail only once the metrics are computed:
+    ``config.instances`` instances or more, each with a p_g and a v_g entry
+    per generator, a multiplier (>= 0) per problem row, or per
+    ``restricted_rows`` row with zeros read on the others, and, if given, a
+    voltage per bus."""
+    case, problem = prepared.case, prepared.problem
     if config.reference_path:
         ref = load_reference(config.reference_path)
         if len(ref.instances) < config.instances:
             raise ValidationError(f"reference holds {len(ref.instances)} instances; "
                                   f"the run needs {config.instances}")
-        sizes = {"p_g": len(case.generators), "v_g": len(case.generators),
-                 "lambda": len(restricted_rows(assemble_qcqp(case))), "v": case.n}
+        rows = restricted_rows(problem)
+        sizes = {"p_g": len(case.generators), "v_g": len(case.generators), "v": case.n}
+        scored = []
         for k, inst in enumerate(ref.instances):
-            for key, value in (("p_g", inst.p_g), ("v_g", inst.v_g), ("lambda", inst.lam),
-                               ("v", inst.v)):
+            for key, value in (("p_g", inst.p_g), ("v_g", inst.v_g), ("v", inst.v)):
                 if value is not None and np.shape(value) != (sizes[key],):
                     raise ValidationError(f"reference instance {k}: {key} has shape "
                                           f"{np.shape(value)}, the case needs ({sizes[key]},)")
-            if inst.lam is not None and np.min(inst.lam, initial=0.0) < 0:
+            if np.shape(inst.lam) not in ((problem.m,), (len(rows),)):
+                raise ValidationError(f"reference instance {k}: lambda has shape "
+                                      f"{np.shape(inst.lam)}, the case needs ({problem.m},) "
+                                      f"or ({len(rows)},)")
+            if np.min(inst.lam, initial=0.0) < 0:
                 raise ValidationError(f"reference instance {k}: lambda has a negative entry; "
                                       "the split multipliers are >= 0")
-        return ref
+            if len(inst.lam) == len(rows):
+                lam = np.zeros(problem.m)
+                lam[rows] = inst.lam
+                inst = replace(inst, lam=lam)
+            scored.append(inst)
+        return replace(ref, instances=tuple(scored))
     if case.n <= 3:
         return ReferenceSolution(case.name, tuple(
             local_reference(inst) for inst in instances))
@@ -626,15 +643,16 @@ def violation_stats(case: NetworkCase, problem: QcqpProblem,
         float(np.mean(normalized) * 100)
 
 
-def minimal_split(problem: QcqpProblem, lam_restricted: np.ndarray) -> np.ndarray:
-    """Restricted multipliers with each balance equality's pair of rows,
-    (M, b) and (-M, -b), mapped to its minimal split: adding t to both
-    multipliers of a pair leaves L unchanged, so only mu = lam+ - lam- is
-    determined, and the pair becomes lam+ = max(mu, 0), lam- = max(-mu, 0)."""
-    labels = np.array([problem.labels[k] for k in restricted_rows(problem)])
-    upper, lower = np.flatnonzero(
-        np.isin(labels, (LABEL_BALANCE_P, LABEL_BALANCE_Q))).reshape(-1, 2).T
-    out = np.array(lam_restricted, dtype=float)
+def minimal_split(problem: QcqpProblem, lam: np.ndarray) -> np.ndarray:
+    """The multipliers of ``restricted_rows``, read from ``lam`` (one per
+    problem row), with each balance equality's pair of rows, (M, b) and
+    (-M, -b), mapped to its minimal split: adding t to both multipliers of
+    a pair leaves L unchanged, so only mu = lam+ - lam- is determined, and
+    the pair becomes lam+ = max(mu, 0), lam- = max(-mu, 0)."""
+    rows = restricted_rows(problem)
+    upper, lower = np.flatnonzero(np.isin(
+        np.array(problem.labels)[rows], (LABEL_BALANCE_P, LABEL_BALANCE_Q))).reshape(-1, 2).T
+    out = np.asarray(lam, dtype=float)[rows]
     mu = out[upper] - out[lower]
     out[upper], out[lower] = np.maximum(mu, 0.0), np.maximum(-mu, 0.0)
     return out
@@ -648,8 +666,7 @@ def compute_metrics(case: NetworkCase, problem: QcqpProblem, v: np.ndarray,
     ``minimal_split``."""
     x = extract_setpoints(case, problem, v)
     x_err = float(np.linalg.norm(x - ref.x) / max(np.linalg.norm(ref.x), 1e-12))
-    lam_found = minimal_split(problem, lam[restricted_rows(problem)])
-    lam_ref = minimal_split(problem, ref.lam)
+    lam_found, lam_ref = minimal_split(problem, lam), minimal_split(problem, ref.lam)
     lam_err = float(np.linalg.norm(lam_found - lam_ref)
                     / max(np.linalg.norm(lam_ref), 1e-12))
     count, vmax, vmean = violation_stats(case, problem, v)
@@ -660,7 +677,7 @@ def compute_metrics(case: NetworkCase, problem: QcqpProblem, v: np.ndarray,
 def dual_comparison_entries(problem: QcqpProblem, lam: np.ndarray) -> np.ndarray:
     """Restricted dual entries in their ``minimal_split`` with values below
     DUAL_PLOT_FLOOR zeroed, for the sorted concatenated dual-recovery plots."""
-    entries = minimal_split(problem, lam[restricted_rows(problem)])
+    entries = minimal_split(problem, lam)
     entries[entries < DUAL_PLOT_FLOOR] = 0.0
     return entries
 
@@ -726,23 +743,12 @@ def fit_ansatz(candidates: list[AnsatzChoice], targets: list[np.ndarray],
     return sorted(reports, key=lambda rep: rep.mean_cost)
 
 
-def primal_fit_target(prepared: PreparedCase, v_star: np.ndarray) -> np.ndarray:
-    """The reference voltage as the primal circuit represents it: padded
-    to the solved dimension and in the solver's node order."""
-    target = np.zeros(prepared.permuted.dim, dtype=complex)
-    target[:len(v_star)] = v_star
-    return prepared.perm.apply_to_vector(target)
-
-
-def dual_fit_target(lam_full: np.ndarray, dim: int) -> np.ndarray:
+def dual_fit_target(lam: np.ndarray) -> np.ndarray:
     """sqrt of the normalized multiplier vector: the PMF the dual circuit
     should produce, as a real vector, so a real-amplitude dual fits in
     real arithmetic."""
-    target = np.zeros(dim)
-    total = float(np.sum(lam_full))
-    if total > 0:
-        target[:len(lam_full)] = np.sqrt(lam_full / total)
-    return target
+    total = float(np.sum(lam))
+    return np.sqrt(lam / total) if total > 0 else np.zeros(len(lam))
 
 
 # ---------------------------------------------------------------------------
@@ -799,7 +805,7 @@ def run_experiment(config: ExperimentConfig,
     if case is None:
         case = load_case(config.case_path)
     prepared, instances, bounds = prepare_instances(config, case)
-    reference = reference_solution(config, case, instances)
+    reference = reference_solution(config, prepared, instances)
 
     report = RunReport(config=config, stats=prepared.stats, instances=[])
     for k, instance in enumerate(instances):
@@ -858,9 +864,9 @@ def _run_single(config: ExperimentConfig, prepared: PreparedCase, case: NetworkC
         traj = saddle_mod.run(ctx, init, method, config.quantum_schedule, config.stop,
                               mode=mode, divergence_ceiling=config.divergence_ceiling)
         final = traj.final
-        v_perm = model_mod.primal_vector(ctx, PrimalPoint(final.theta, final.alpha))
-        v = recover_voltage(prepared, v_perm)
-        lam = model_mod.dual_vector(ctx, DualPoint(final.phi, final.beta))[:problem.m]
+        v, lam = prepared.from_solver(
+            model_mod.primal_vector(ctx, PrimalPoint(final.theta, final.alpha)),
+            model_mod.dual_vector(ctx, DualPoint(final.phi, final.beta)))
 
     lag_final = traj.lagrangians[-1] if traj.lagrangians else float("nan")
     return ModelResult(

@@ -11,7 +11,7 @@ from scipy.optimize import nnls
 
 from qopf import grid, harness, model, permute, saddle, sim, xbm
 from qopf.grid import NetworkCase, QcqpProblem, ValidationError, assemble_qcqp
-from qopf.harness import ReferenceInstance, extract_setpoints, restricted_rows
+from qopf.harness import ReferenceInstance, extract_setpoints
 
 CASE2_TEXT = """
 BUS
@@ -1331,7 +1331,7 @@ def brute_force_reference(case: NetworkCase, resolution: int | None = None,
     x = extract_setpoints(case, problem, v_star)
     n_gens = len(case.generator_nodes)
     return ReferenceInstance(
-        p_g=x[:n_gens], v_g=x[n_gens:], lam=lam[restricted_rows(problem)],
+        p_g=x[:n_gens], v_g=x[n_gens:], lam=lam,
         cost=cost, v=v_star,
     )
 

@@ -274,8 +274,8 @@ def test_saddle_point_convergence_desk_scale():
         z = finish.final
         g = model.grad(ctx, PrimalPoint(z.theta, z.alpha), DualPoint(z.phi, z.beta))
         g_norm = float(np.linalg.norm(g.stacked()))
-        v = harness.recover_voltage(
-            prepared, model.primal_vector(ctx, PrimalPoint(z.theta, z.alpha)))
+        v, _ = prepared.from_solver(model.primal_vector(ctx, PrimalPoint(z.theta, z.alpha)),
+                                    model.dual_vector(ctx, DualPoint(z.phi, z.beta)))
         x = harness.extract_setpoints(case, problem, v)
         x_err = float(np.linalg.norm(x - ref.x) / np.linalg.norm(ref.x))
         if best is None or g_norm < best[1]:

@@ -1,6 +1,7 @@
 import json
 import re
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -255,6 +256,87 @@ def test_fit_targets_are_in_the_solved_order(tmp_path, capsys, monkeypatch):
     assert np.array_equal(targets["primal"][0], prepared.perm.apply_to_vector(padded))
 
 
+def test_fit_dual_target_covers_every_stored_row(tmp_path, capsys, monkeypatch):
+    """The dual target is sqrt(lambda* / sum lambda*) over every stored row:
+    on case3 its square is the local reference's multipliers, padded to the
+    solver's rows and normalized, with mass on the generator-limit, voltage
+    and reference rows as well.  A reference file with the restricted rows
+    only gives the target those rows give, zero on every other row."""
+    case_file = tmp_path / "case3.case"
+    case_file.write_text(CASE3_TEXT, encoding="utf-8")
+    targets = []
+
+    def record(candidates, target_list, n_qubits, role, **kwargs):
+        if role == "dual":
+            targets.append(target_list)
+        return []
+
+    monkeypatch.setattr(harness, "fit_ansatz", record)
+    config_path = write_config(tmp_path, case_file)
+    code, _, err = run_cli(capsys, "fit", str(config_path))
+    assert code == 0, err
+    prepared = harness.prepare_instances(harness.config_from_json(config_path),
+                                         grid.load_case(case_file))[0]
+    ref = harness.local_reference(prepared.case)
+    problem, m_stored = prepared.problem, prepared.permuted.m_stored
+    padded = np.zeros(m_stored)
+    padded[:problem.m] = ref.lam
+    (target,), = targets
+    assert target.shape == (m_stored,)
+    assert np.allclose(target**2, padded / padded.sum(), rtol=1e-12, atol=1e-18)
+    labels = np.array(problem.labels)
+    for label in (grid.LABEL_GEN, grid.LABEL_VOLTAGE, grid.LABEL_REFERENCE):
+        assert np.sum(target[:problem.m][labels == label]) > 0, label
+
+    rows = harness.restricted_rows(problem)
+    ref_path = tmp_path / "restricted.json"
+    harness.save_reference(harness.ReferenceSolution("case3", (replace(ref, lam=ref.lam[rows]),)),
+                           ref_path)
+    code, _, err = run_cli(capsys, "fit", str(write_config(tmp_path, case_file,
+                                                          reference=str(ref_path))))
+    assert code == 0, err
+    restricted = np.zeros(m_stored)
+    restricted[rows] = ref.lam[rows]
+    assert np.array_equal(targets[-1][0], np.sqrt(restricted / float(np.sum(restricted))))
+
+
+def test_reference_file_schemas_score_the_same(tmp_path, capsys):
+    """One local reference of case3, saved with a multiplier per problem
+    row and with the restricted rows only, scores a run the same: equal
+    metric blocks, duals and Table 1.  A lambda of any other length exits 1."""
+    case_file = tmp_path / "case3.case"
+    case_file.write_text(CASE3_TEXT, encoding="utf-8")
+    case = grid.load_case(case_file)
+    ref, problem = harness.local_reference(case), grid.assemble_qcqp(case)
+    rows = harness.restricted_rows(problem)
+    assert ref.lam.shape == (problem.m,) and len(rows) < problem.m
+    reports = []
+    for name, lam in (("full", ref.lam), ("restricted", ref.lam[rows])):
+        ref_path = tmp_path / f"{name}.json"
+        harness.save_reference(harness.ReferenceSolution("case3", (replace(ref, lam=lam),)),
+                               ref_path)
+        config = write_config(tmp_path, case_file, reference=str(ref_path),
+                              models=["qcqp", "qcqp_theta"], methods=["pd", "eg"],
+                              classical_schedule={"theta": [1e-3, 1.0], "phi": [1e-3, 1.0]},
+                              classical_stop={"max_iters": 300})
+        reports.append(harness.run_experiment(harness.config_from_json(config)))
+    full, restricted = reports
+    assert full.instances[0].keys() == restricted.instances[0].keys()
+    for tag, mine in full.instances[0].items():
+        theirs = restricted.instances[0][tag]
+        assert mine.metrics is not None and mine.metrics == theirs.metrics
+        assert np.array_equal(mine.duals, theirs.duals)
+    assert harness.table1_rows(full.summary()) == harness.table1_rows(restricted.summary())
+
+    for length in (problem.m - 1, problem.m + 1, len(rows) + 1):
+        ref_path.write_text(json.dumps(harness.reference_to_json(harness.ReferenceSolution(
+            "case3", (replace(ref, lam=np.zeros(length)),)))))
+        code, _, err = run_cli(capsys, "solve", str(config))
+        assert code == 1
+        assert f"lambda has shape ({length},), the case needs ({problem.m},) or " \
+            f"({len(rows)},)" in err
+
+
 def test_fit_without_reference_exits_1(tmp_path, capsys):
     path = tmp_path / "chain4.case"
     path.write_text(chain_case_text(4), encoding="utf-8")
@@ -300,8 +382,8 @@ def test_malformed_reference_exits_1_before_any_solve(tmp_path, case2_file, caps
                                models=["qcqp", "qcqp_theta"], instances=2)
     ref_path.write_text(json.dumps({"instances": [good] * 3}))
     config = harness.config_from_json(config_path)
-    case = grid.load_case(case2_file)
-    assert len(harness.reference_solution(config, case, [case]).instances) == 3
+    prepared = harness.prepare_instances(config, grid.load_case(case2_file))[0]
+    assert len(harness.reference_solution(config, prepared, []).instances) == 3
 
     def bad_first(bad):   # instance 0 with ``bad`` merged in (None drops a key)
         return [{key: value for key, value in {**good, **bad}.items() if value is not None},

@@ -246,34 +246,28 @@ def test_local_reference_agrees_with_the_oracle(name, request, desk_oracle):
     assert np.linalg.norm(ref.x - oracle.x) <= 1e-6 * np.linalg.norm(oracle.x)
     assert abs(ref.cost - oracle.cost) <= 1e-8 * abs(oracle.cost)
     want = minimal_split(problem, oracle.lam)
-    assert np.all(ref.lam >= 0)
-    assert np.linalg.norm(ref.lam - want) <= 1e-2 * np.linalg.norm(want)
+    assert ref.lam.shape == oracle.lam.shape == (problem.m,) and np.all(ref.lam >= 0)
+    assert np.linalg.norm(minimal_split(problem, ref.lam) - want) <= 1e-2 * np.linalg.norm(want)
     assert np.max(problem.stack.forms(ref.v) - problem.bounds) <= 1e-6
     assert np.max(np.abs(ref.v - oracle.v)) <= 1e-6
 
 
 @pytest.mark.parametrize("name", ["case2", "case3"])
-def test_local_reference_multipliers_certify_a_zero_duality_gap(name, request, monkeypatch):
-    """The solver's multipliers, each balance and reference pair in its
-    minimal split and every entry clipped at zero, make v* stationary, and
-    A = M0 + sum_m lambda_m M_m is positive semidefinite with v* its one
-    null vector: L(., lambda) is least at v*, so the duality gap is zero
-    (Lavaei & Low, IEEE TPS 2012).  The reference keeps these multipliers
-    on the restricted rows."""
+def test_local_reference_multipliers_certify_a_zero_duality_gap(name, request):
+    """The reference's multipliers, one per problem row, each balance and
+    reference pair in its minimal split and every entry clipped at zero,
+    make v* stationary, and A = M0 + sum_m lambda_m M_m is positive
+    semidefinite with v* its one null vector: L(., lambda) is least at v*,
+    so the duality gap is zero (Lavaei & Low, IEEE TPS 2012)."""
     case = request.getfixturevalue(name)
-    solve, results = harness.minimize, []
-    monkeypatch.setattr(harness, "minimize", lambda *args, **kwargs: (
-        results.append(solve(*args, **kwargs)) or results[-1]))
     ref = harness.local_reference(case)
     problem = grid.assemble_qcqp(case)
-    lam = results[-1].v[0].copy()
+    lam = ref.lam
+    assert lam.shape == (problem.m,) and np.all(lam >= 0)
     labels = np.array(problem.labels)
     for label in (LABEL_BALANCE_P, LABEL_BALANCE_Q, LABEL_REFERENCE):
         upper, lower = np.flatnonzero(labels == label).reshape(-1, 2).T
-        mu = lam[upper] - lam[lower]
-        lam[upper], lam[lower] = np.maximum(mu, 0.0), np.maximum(-mu, 0.0)
-    lam = np.maximum(lam, 0.0)
-    assert np.array_equal(lam[restricted_rows(problem)], ref.lam)
+        assert np.all(np.minimum(lam[upper], lam[lower]) == 0)
     m0v = problem.m0 @ ref.v
     assert np.linalg.norm(m0v + problem.stack.action(lam, ref.v)) <= 1e-9 * np.linalg.norm(m0v)
     a = problem.m0.toarray() + np.einsum("m,mij->ij", lam, problem.dense_constraints())
@@ -355,8 +349,7 @@ def test_local_reference_clips_wrong_signed_multipliers(case2, monkeypatch):
     monkeypatch.setattr(harness, "minimize", negated)
     flipped = harness.local_reference(case2)
     problem = grid.assemble_qcqp(case2)
-    line = [pos for pos, k in enumerate(restricted_rows(problem))
-            if problem.labels[k] == grid.LABEL_LINE]
+    line = [k for k, label in enumerate(problem.labels) if label == grid.LABEL_LINE]
     assert line and np.all(ref.lam[line] > 0) and np.all(flipped.lam[line] == 0)
     assert np.all(flipped.lam >= 0)
 
@@ -364,9 +357,7 @@ def test_local_reference_clips_wrong_signed_multipliers(case2, monkeypatch):
 def test_metrics_zero_at_reference(case2):
     ref = brute_force_reference(case2)
     problem = grid.assemble_qcqp(case2)
-    lam = np.zeros(problem.m_stored)
-    lam[restricted_rows(problem)] = ref.lam
-    metrics = compute_metrics(case2, problem, ref.v, lam, ref.cost, ref)
+    metrics = compute_metrics(case2, problem, ref.v, ref.lam, ref.cost, ref)
     assert metrics.x_error == pytest.approx(0.0, abs=1e-9)
     assert metrics.lambda_error == pytest.approx(0.0, abs=1e-12)
     assert metrics.violation_count == 0
@@ -376,9 +367,7 @@ def test_metrics_zero_at_reference(case2):
 def test_metrics_doubled_lambda_is_100_percent(case2):
     ref = brute_force_reference(case2)
     problem = grid.assemble_qcqp(case2)
-    lam = np.zeros(problem.m_stored)
-    lam[restricted_rows(problem)] = 2.0 * ref.lam
-    metrics = compute_metrics(case2, problem, ref.v, lam, ref.cost, ref)
+    metrics = compute_metrics(case2, problem, ref.v, 2.0 * ref.lam, ref.cost, ref)
     assert metrics.lambda_error == pytest.approx(1.0, abs=1e-12)
 
 
@@ -403,16 +392,14 @@ def test_balance_pair_shift_scores_the_same(case3):
     ref = harness.local_reference(case3)
     problem = grid.assemble_qcqp(case3)
     rows = restricted_rows(problem)
-    balance = [pos for pos, k in enumerate(rows)
-               if problem.labels[k] in (LABEL_BALANCE_P, LABEL_BALANCE_Q)]
+    balance = [k for k in rows if problem.labels[k] in (LABEL_BALANCE_P, LABEL_BALANCE_Q)]
     assert len(balance) == 8
     rng = np.random.default_rng(5)
-    shift = np.zeros(len(rows))
+    shift = np.zeros(problem.m)
     shift[balance] = np.repeat(rng.uniform(0.1, 2.0, len(balance) // 2), 2)
     lam = np.zeros(problem.m_stored)
-    lam[rows] = ref.lam + rng.uniform(0.0, 0.5, len(rows))
-    shifted = lam.copy()
-    shifted[rows] += shift
+    lam[rows] = ref.lam[rows] + rng.uniform(0.0, 0.5, len(rows))
+    shifted = lam + shift
     assert classical_lagrangian(problem, ref.v, shifted) == \
         pytest.approx(classical_lagrangian(problem, ref.v, lam), abs=1e-12)
     base = compute_metrics(case3, problem, ref.v, lam, ref.cost, ref)
@@ -423,8 +410,9 @@ def test_balance_pair_shift_scores_the_same(case3):
         assert metrics.lambda_error == pytest.approx(base.lambda_error, abs=1e-12)
     assert np.allclose(dual_comparison_entries(problem, shifted),
                        dual_comparison_entries(problem, lam), rtol=0, atol=1e-12)
-    split = minimal_split(problem, lam[rows])
-    assert np.array_equal(minimal_split(problem, split), split)
+    split = np.zeros(problem.m)
+    split[rows] = minimal_split(problem, lam)
+    assert np.array_equal(minimal_split(problem, split), split[rows])
     assert np.all(np.minimum(split[balance[0::2]], split[balance[1::2]]) == 0)
 
 
@@ -478,9 +466,9 @@ def test_fit_state_recovers_target_of_same_ansatz(trial):
 def test_fit_ansatz_ranks_and_dual_target(case2):
     ref = brute_force_reference(case2)
     problem = grid.pad_to_qubits(grid.assemble_qcqp(case2))
-    lam_full = np.zeros(problem.m_stored)
-    lam_full[restricted_rows(grid.assemble_qcqp(case2))] = ref.lam
-    target = harness.dual_fit_target(lam_full, problem.m_stored)
+    lam = np.zeros(problem.m_stored)
+    lam[:len(ref.lam)] = ref.lam
+    target = harness.dual_fit_target(lam)
     # a real target keeps the real-amplitude dual's fit in real arithmetic
     assert target.dtype == np.float64
     assert np.linalg.norm(target) == pytest.approx(1.0)
@@ -643,8 +631,7 @@ def test_longer_reference_scores_the_first_instances(tmp_path, case2_file):
                               methods=("eg",), rcm_runs=2, seed=3,
                               classical_stop=saddle.StopRule(max_iters=50))
     case = grid.load_case(case2_file)
-    oracle = harness.reference_solution(config, case,
-                                        harness.prepare_instances(config, case)[1])
+    oracle = harness.reference_solution(config, *harness.prepare_instances(config, case)[:2])
     path = tmp_path / "ref.json"
     harness.save_reference(
         ReferenceSolution("case2", oracle.instances + oracle.instances[:1]), path)
