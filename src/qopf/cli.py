@@ -112,12 +112,12 @@ def _cmd_fit(args) -> int:
     case = load_case(config.case_path)
     prepared, instances, _ = harness.prepare_instances(config, case)
     reference = harness.reference_solution(config, prepared, instances)
-    if reference is None:
-        print("fit needs a reference solution file for cases above desk scale",
-              file=sys.stderr)
+    scored = [ref for ref in reference.instances[:config.instances] if ref is not None]
+    if not scored:
+        print("fit: no instance has a reference solution", file=sys.stderr)
         return EXIT_VALIDATION
     primal_targets, dual_targets = [], []
-    for ref in reference.instances[:config.instances]:
+    for ref in scored:
         v, lam = prepared.to_solver(() if ref.v is None else ref.v, ref.lam)
         if ref.v is not None:
             primal_targets.append(v)

@@ -10,9 +10,9 @@ generator setpoints x = [p_g; v_g] and of the multipliers on power-balance
 and line rows, each balance pair in its minimal split, and three violation
 statistics over the non-balance rows with label-specific normalizers.
 
-Reference solutions, one multiplier per problem row, are ingested from
-JSON (produced externally by an OPF tool) or, for cases of at most three
-buses, computed by ``local_reference``, a local trust-constr solve of the
+Reference solutions, one multiplier per problem row, are read from JSON
+(an earlier run's ``reference.json``, or an external OPF tool's) or solved
+for each instance by ``local_reference``, a local trust-constr solve of the
 QCQP in real coordinates from the flat profile.  Note one fidelity gap
 versus the benchmark protocol: unless an externally re-solved power flow is
 supplied, violations are evaluated directly at the recovered voltage
@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 import time
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from numbers import Integral, Real
@@ -296,14 +297,23 @@ class PreparedCase:
         """A problem's voltage (one entry per bus) and multipliers (one per
         problem row) as the solver holds them: zero-padded to its sizes, the
         voltage in its node order; the rows keep their order."""
-        v, lam = np.asarray(v, dtype=complex), np.asarray(lam, dtype=float)
+        v = np.asarray(v, dtype=complex)
         return (self.perm.apply_to_vector(np.pad(v, (0, self.permuted.dim - len(v)))),
-                np.pad(lam, (0, self.permuted.m_stored - len(lam))))
+                self._pad_rows(lam))
 
     def from_solver(self, v: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The solver's voltage and multipliers in the problem's node order,
         without their padding entries."""
         return self.perm.undo_on_vector(v)[:self.problem.n], lam[:self.problem.m]
+
+    def with_instance(self, case: NetworkCase, bounds: np.ndarray) -> PreparedCase:
+        """Instance ``case`` on these matrices with its bounds, one per problem
+        row; the solver's rows get them zero-padded, as ``to_solver`` pads multipliers."""
+        return replace(self, case=case, problem=replace(self.problem, bounds=bounds),
+                       permuted=replace(self.permuted, bounds=self._pad_rows(bounds)))
+
+    def _pad_rows(self, values: np.ndarray) -> np.ndarray:
+        return np.pad(np.asarray(values, dtype=float), (0, self.permuted.m_stored - len(values)))
 
 
 def prepare_case(case: NetworkCase, rcm_runs: int, seed: int) -> PreparedCase:
@@ -319,15 +329,15 @@ def prepare_instances(config: ExperimentConfig, case: NetworkCase
                       ) -> tuple[PreparedCase, list[NetworkCase], np.ndarray]:
     """Instance 0 of the config's load-scaled instances of ``case``, as
     ``prepare_case`` prepares it; every instance's ``NetworkCase``; and an
-    (instances, m_stored) array whose row k is instance k's padded bounds.
-    Load scaling moves only bounds, so instance k is solved on the prepared
-    matrices with row k; instances 1 and up are assembled only to read their
-    bounds and to check that the rest is instance 0's."""
+    (instances, m) array whose row k is instance k's bounds.  Load scaling
+    moves only bounds, so instance k is solved on the prepared matrices with
+    row k (``PreparedCase.with_instance``); instances 1 and up are assembled
+    only to read their bounds and to check that the rest is instance 0's."""
     instances = generate_instances(case, config.instances, config.load_scale,
                                    config.seed, simplify=config.apply_simplifications)
     prepared = prepare_case(instances[0], config.rcm_runs, chain_seed(config.seed, 100, 0))
     first = prepared.problem
-    bounds = np.zeros((len(instances), prepared.permuted.m_stored))
+    bounds = np.zeros((len(instances), first.m))
     for k, instance in enumerate(instances):
         problem = assemble_qcqp(instance) if k else first
         if (problem.labels, problem.subjects) != (first.labels, first.subjects) or not all(
@@ -335,7 +345,7 @@ def prepare_instances(config: ExperimentConfig, case: NetworkCase
                 for mine, theirs in ((problem.cost, first.cost), (problem.stack, first.stack))
                 for name in ("segments", "rows", "cols", "values")):
             raise ValidationError(f"instance {k} differs from instance 0 in more than its bounds")
-        bounds[k, :first.m] = problem.bounds
+        bounds[k] = problem.bounds
     return prepared, instances, bounds
 
 
@@ -369,29 +379,14 @@ class ReferenceInstance:
 @dataclass(frozen=True)
 class ReferenceSolution:
     case_name: str
-    instances: tuple[ReferenceInstance, ...]
+    instances: tuple[ReferenceInstance | None, ...]   # None: the local solve failed
+    errors: dict[int, str] = field(default_factory=dict)   # its message, by instance
 
 
-def reference_to_json(ref: ReferenceSolution) -> dict:
-    return {
-        "case": ref.case_name,
-        "instances": [
-            {
-                "p_g": inst.p_g.tolist(),
-                "v_g": inst.v_g.tolist(),
-                "lambda": inst.lam.tolist(),
-                "cost": inst.cost,
-                "v": None if inst.v is None else
-                    [[z.real, z.imag] for z in inst.v],
-            }
-            for inst in ref.instances
-        ],
-    }
-
-
-def reference_from_json(doc: dict) -> ReferenceSolution:
-    """A reference solution from its JSON document; a missing key or an
-    entry that is not numeric raises ValidationError."""
+def load_reference(path) -> ReferenceSolution:
+    """A reference solution from its JSON file, as ``save_reference`` writes
+    it; a missing key or an entry that is not numeric raises ValidationError."""
+    doc = read_json(path)
     if not (isinstance(doc, dict) and isinstance(doc.get("instances"), list)):
         raise ValidationError("reference needs an 'instances' list")
     instances = []
@@ -416,13 +411,13 @@ def reference_from_json(doc: dict) -> ReferenceSolution:
     return ReferenceSolution(doc.get("case", "case"), tuple(instances))
 
 
-def load_reference(path) -> ReferenceSolution:
-    return reference_from_json(read_json(path))
-
-
 def save_reference(ref: ReferenceSolution, path) -> None:
+    instances = [{"p_g": inst.p_g.tolist(), "v_g": inst.v_g.tolist(), "lambda": inst.lam.tolist(),
+                  "cost": inst.cost,
+                  "v": None if inst.v is None else [[z.real, z.imag] for z in inst.v]}
+                 for inst in ref.instances]
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(reference_to_json(ref), fh)
+        json.dump({"case": ref.case_name, "instances": instances}, fh)
 
 
 def restricted_rows(problem: QcqpProblem) -> list[int]:
@@ -526,11 +521,23 @@ def local_reference(case: NetworkCase) -> ReferenceInstance:
                              cost=float(problem.cost.forms(v)[0]), v=v)
 
 
+def _solve_reference(k: int, instance: NetworkCase, errors: dict) -> ReferenceInstance | None:
+    """``local_reference(instance)``, or None when the solve fails: then its
+    message goes to ``errors[k]`` and a warning on stderr names instance k."""
+    try:
+        return local_reference(instance)
+    except ValidationError as err:
+        print(f"warning: instance {k} has no reference: {err}", file=sys.stderr)
+        errors[k] = str(err)
+        return None
+
+
 def reference_solution(config: ExperimentConfig, prepared: PreparedCase,
-                       instances: list[NetworkCase]) -> ReferenceSolution | None:
+                       instances: list[NetworkCase]) -> ReferenceSolution:
     """The reference solutions of a run's instances, one multiplier per row
     of ``prepared.problem``: read from config.reference_path, else computed
-    by ``local_reference`` when the case has at most three buses, else None.
+    by ``local_reference`` on each instance, None where that solve fails
+    (``_solve_reference``).
 
     A file is checked against the prepared instance 0 before any solve,
     where a misfit would otherwise fail only once the metrics are computed:
@@ -565,10 +572,9 @@ def reference_solution(config: ExperimentConfig, prepared: PreparedCase,
                 inst = replace(inst, lam=lam)
             scored.append(inst)
         return replace(ref, instances=tuple(scored))
-    if case.n <= 3:
-        return ReferenceSolution(case.name, tuple(
-            local_reference(inst) for inst in instances))
-    return None
+    errors: dict[int, str] = {}
+    return ReferenceSolution(case.name, tuple(_solve_reference(k, instance, errors)
+                                              for k, instance in enumerate(instances)), errors)
 
 
 # ---------------------------------------------------------------------------
@@ -722,7 +728,6 @@ class FitReport:
     choice: AnsatzChoice
     role: str                   # "primal" | "dual"
     mean_cost: float
-    per_instance: tuple[float, ...]
 
 
 def fit_ansatz(candidates: list[AnsatzChoice], targets: list[np.ndarray],
@@ -739,7 +744,7 @@ def fit_ansatz(candidates: list[AnsatzChoice], targets: list[np.ndarray],
             cost, _ = fit_state(spec, target, chain_seed(seed, c_idx, t_idx),
                                 restarts=restarts, iters=iters)
             costs.append(cost)
-        reports.append(FitReport(choice, role, float(np.mean(costs)), tuple(costs)))
+        reports.append(FitReport(choice, role, float(np.mean(costs))))
     return sorted(reports, key=lambda rep: rep.mean_cost)
 
 
@@ -777,6 +782,7 @@ class RunReport:
     config: ExperimentConfig
     stats: PatternStats
     instances: list[dict[str, ModelResult]]
+    reference: ReferenceSolution | None = None   # what the instances were scored against
 
     def summary(self) -> dict[str, dict[str, float]]:
         """Every MetricBlock field, averaged per model over the scored instances."""
@@ -798,32 +804,42 @@ def run_experiment(config: ExperimentConfig,
     """The full benchmark protocol on one case.
 
     Per instance and per requested (model, method) pair, solves the OPF and
-    scores it against the reference of ``reference_solution``, if any.
+    scores it against the instance's reference: the file's, checked before
+    any solve, or else ``local_reference``, solved when a run of the
+    instance first finishes; an instance without one is not scored.
     Failures of a single instance annotate the report instead of aborting
     the run.
     """
     if case is None:
         case = load_case(config.case_path)
     prepared, instances, bounds = prepare_instances(config, case)
-    reference = reference_solution(config, prepared, instances)
+    reference = reference_solution(config, prepared, instances) if config.reference_path else None
+    local, errors = {}, {}   # the local references solved so far, their failures
+
+    def reference_of(k: int) -> ReferenceInstance | None:
+        if reference is None and k not in local:
+            local[k] = _solve_reference(k, instances[k], errors)
+        return reference.instances[k] if reference else local[k]
 
     report = RunReport(config=config, stats=prepared.stats, instances=[])
     for k, instance in enumerate(instances):
-        ref_instance = reference.instances[k] if reference else None
+        solved = prepared.with_instance(instance, bounds[k])
         results: dict[str, ModelResult] = {}
         for model in config.models:
             for method in config.methods:
                 tag = _model_tag(model, method)
                 start = time.perf_counter()
                 try:
-                    results[tag] = _run_single(config, prepared, instance, bounds[k],
-                                               model, method, k, ref_instance, start)
+                    results[tag] = _run_single(config, solved, model, method, k,
+                                               reference_of, start)
                 except saddle_mod.DivergenceError as err:
                     results[tag] = ModelResult(
                         metrics=None, wall_time=time.perf_counter() - start,
                         lagrangian_final=float("nan"), duals=np.array([]),
                         error=str(err), **_history(err.trajectory, model))
         report.instances.append(results)
+    report.reference = reference or ReferenceSolution(
+        prepared.case.name, tuple(local.get(k) for k in range(len(instances))), errors)
     return report
 
 
@@ -840,14 +856,13 @@ def _history(traj: saddle_mod.Trajectory, model: str) -> dict:
     return history
 
 
-def _run_single(config: ExperimentConfig, prepared: PreparedCase, case: NetworkCase,
-                bounds: np.ndarray, model: str, method: str, instance_idx: int,
-                ref: ReferenceInstance | None, start: float) -> ModelResult:
-    """One model and method on instance ``instance_idx``, ``case``, solved on
-    ``prepared``'s matrices with its bounds row; its wall time runs from
+def _run_single(config: ExperimentConfig, prepared: PreparedCase, model: str, method: str,
+                instance_idx: int, reference_of, start: float) -> ModelResult:
+    """One model and method on instance ``instance_idx`` as ``prepared`` holds
+    it, scored against ``reference_of(instance_idx)``; its wall time runs from
     ``start``, the clock reading the caller also times a diverged run from."""
+    case, problem = prepared.case, prepared.problem
     n_loads = len(case.load_nodes)
-    problem = replace(prepared.problem, bounds=bounds[:prepared.problem.m])
     if model == "qcqp":
         init = saddle_mod.default_classical_init(
             problem, n_loads, chain_seed(config.seed, 1, instance_idx))
@@ -856,7 +871,7 @@ def _run_single(config: ExperimentConfig, prepared: PreparedCase, case: NetworkC
             divergence_ceiling=config.divergence_ceiling)
         v, lam = traj.final.v, traj.final.lam
     else:
-        ctx = build_context(config, replace(prepared.permuted, bounds=bounds))
+        ctx = build_context(config, prepared.permuted)
         mode = EvalMode() if config.mode == "exact" else \
             model_mod.sampled_mode(config.shots, chain_seed(config.seed, 2, instance_idx))
         init = saddle_mod.default_quantum_init(
@@ -869,9 +884,11 @@ def _run_single(config: ExperimentConfig, prepared: PreparedCase, case: NetworkC
             model_mod.dual_vector(ctx, DualPoint(final.phi, final.beta)))
 
     lag_final = traj.lagrangians[-1] if traj.lagrangians else float("nan")
+    wall_time = time.perf_counter() - start
+    ref = reference_of(instance_idx)
     return ModelResult(
         metrics=None if ref is None else compute_metrics(case, problem, v, lam, lag_final, ref),
-        wall_time=time.perf_counter() - start,
+        wall_time=wall_time,
         lagrangian_final=lag_final,
         duals=dual_comparison_entries(problem, lam),
         **_history(traj, model),
@@ -902,7 +919,9 @@ def table1_rows(summary: dict) -> list[list]:
 
 def emit_report(report: RunReport, out_dir) -> list[Path]:
     """Write the Table-1-shaped CSV, the full JSON, per-run trajectory CSVs,
-    and the plot-ready dual/Lagrangian data."""
+    the plot-ready dual/Lagrangian data and, when every instance has one,
+    the reference solutions the run was scored against (``reference.json``,
+    which a rerun reads through the config's ``reference`` key)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -914,6 +933,7 @@ def emit_report(report: RunReport, out_dir) -> list[Path]:
 
     duals: dict[str, list[float]] = {}
     lag_rows = []
+    blocks = ("theta", "alpha", "phi", "beta", "total")   # gradient-norm columns
     for k, inst in enumerate(report.instances):
         for name, result in inst.items():
             duals.setdefault(name, []).extend(result.duals.tolist())
@@ -922,18 +942,13 @@ def emit_report(report: RunReport, out_dir) -> list[Path]:
             traj = out / f"trajectory_{k}_{name}.csv"
             with traj.open("w", newline="", encoding="utf-8") as fh:
                 writer = csv.writer(fh)
-                writer.writerow(["iteration", "lagrangian", "g_theta", "g_alpha",
-                                 "g_phi", "g_beta", "g_total", "alpha", "beta",
-                                 "shots", "seconds"])
+                writer.writerow(["iteration", "lagrangian", *(f"g_{key}" for key in blocks),
+                                 "alpha", "beta", "shots", "seconds"])
                 for t, value in enumerate(result.lagrangians):
                     norms = result.g_norms[t] if result.g_norms else {}
-                    alpha, beta = (result.scales[t] if result.scales
-                                   else ("", ""))
+                    alpha, beta = result.scales[t] if result.scales else ("", "")
                     writer.writerow([
-                        t, value,
-                        norms.get("theta", ""), norms.get("alpha", ""),
-                        norms.get("phi", ""), norms.get("beta", ""),
-                        norms.get("total", ""), alpha, beta,
+                        t, value, *(norms.get(key, "") for key in blocks), alpha, beta,
                         result.shots_per_iter[t] if result.shots_per_iter else "",
                         result.seconds[t] if result.seconds else "",
                     ])
@@ -952,26 +967,20 @@ def emit_report(report: RunReport, out_dir) -> list[Path]:
         writer.writerow(["instance", "model", "lagrangian_rel_error"])
         writer.writerows(lag_rows)
     written.append(lag_path)
+    if report.reference and None not in report.reference.instances:
+        ref_path = out / "reference.json"
+        save_reference(report.reference, ref_path)
+        written.append(ref_path)
 
+    kept = ("iterations", "total_shots", "wall_time", "stop_reason", "lagrangian_final",
+            "lagrangians", "error")   # the ModelResult fields report.json carries
     doc = {
         "stats": vars(report.stats) if report.stats else None,
         "summary": report.summary(),
-        "instances": [
-            {
-                name: {
-                    "metrics": r.metrics.as_dict() if r.metrics else None,
-                    "iterations": r.iterations,
-                    "total_shots": r.total_shots,
-                    "wall_time": r.wall_time,
-                    "stop_reason": r.stop_reason,
-                    "lagrangian_final": r.lagrangian_final,
-                    "lagrangians": r.lagrangians,
-                    "error": r.error,
-                }
-                for name, r in inst.items()
-            }
-            for inst in report.instances
-        ],
+        "reference_errors": report.reference.errors if report.reference else {},
+        "instances": [{name: {"metrics": r.metrics.as_dict() if r.metrics else None,
+                              **{key: getattr(r, key) for key in kept}}
+                       for name, r in inst.items()} for inst in report.instances],
     }
     path = out / "report.json"
     with path.open("w", encoding="utf-8") as fh:

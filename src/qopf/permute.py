@@ -235,19 +235,21 @@ class _ColorSearch:
         p = np.repeat(np.arange(self.n), 2 * band)
         q = p + np.tile(np.arange(1, 2 * band + 1), self.n)
         pairs = np.stack([p, q], axis=1)[q < self.n]
-        position = forward
-        best_key, best = _key(self.counts(position)), position.copy()
+        position, counts = forward, self.counts(forward)
+        best_key, best = _key(counts), position.copy()
         stall = 0
         while stall < 3:
-            key = self.step(position, pairs, band, rng)
+            counts = self.step(position, counts, pairs, band, rng)
+            key = _key(counts)
             if key < best_key:
                 best_key, best, stall = key, position.copy(), 0
             else:
                 stall += 1
         return best
 
-    def step(self, position, pairs, band, rng) -> tuple[int, int]:
-        """One round on ``position``, in place; returns the new key.
+    def step(self, position, counts, pairs, band, rng) -> np.ndarray:
+        """One round on ``position``, whose color multiplicities are
+        ``counts``, in place; returns the new multiplicities.
 
         A round scores the in-band swaps among ``pairs`` that move a node
         with an entry of a color of multiplicity <= 2, and applies the
@@ -258,7 +260,6 @@ class _ColorSearch:
         one moves, so their changes add exactly.  Ties in the ranking break
         by ``rng``.
         """
-        counts = self.counts(position)
         colors = position[self.edges[:, 0]] ^ position[self.edges[:, 1]]
         rare = np.zeros(self.n, dtype=bool)
         rare[position[self.edges[counts[colors] <= 2]]] = True
@@ -280,7 +281,7 @@ class _ColorSearch:
                 taken_nodes |= hood
                 taken_colors |= touched
                 position[a], position[b] = position[b], position[a]
-        return _key(self.counts(position))
+        return self.counts(position)
 
 
 def _key(counts: np.ndarray) -> tuple[int, int]:

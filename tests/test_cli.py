@@ -279,8 +279,8 @@ def test_fit_dual_target_covers_every_stored_row(tmp_path, capsys, monkeypatch):
                                          grid.load_case(case_file))[0]
     ref = harness.local_reference(prepared.case)
     problem, m_stored = prepared.problem, prepared.permuted.m_stored
-    padded = np.zeros(m_stored)
-    padded[:problem.m] = ref.lam
+    padded = prepared.to_solver(ref.v, ref.lam)[1]
+    assert np.array_equal(padded[:problem.m], ref.lam) and not padded[problem.m:].any()
     (target,), = targets
     assert target.shape == (m_stored,)
     assert np.allclose(target**2, padded / padded.sum(), rtol=1e-12, atol=1e-18)
@@ -329,21 +329,87 @@ def test_reference_file_schemas_score_the_same(tmp_path, capsys):
     assert harness.table1_rows(full.summary()) == harness.table1_rows(restricted.summary())
 
     for length in (problem.m - 1, problem.m + 1, len(rows) + 1):
-        ref_path.write_text(json.dumps(harness.reference_to_json(harness.ReferenceSolution(
-            "case3", (replace(ref, lam=np.zeros(length)),)))))
+        harness.save_reference(harness.ReferenceSolution(
+            "case3", (replace(ref, lam=np.zeros(length)),)), ref_path)
         code, _, err = run_cli(capsys, "solve", str(config))
         assert code == 1
         assert f"lambda has shape ({length},), the case needs ({problem.m},) or " \
             f"({len(rows)},)" in err
 
 
-def test_fit_without_reference_exits_1(tmp_path, capsys):
+# case2 whose one generator cannot meet the load: p_max 0.1 against a demand
+# of 0.5, so the local reference solve stops at its iteration limit
+SHORT_CASE2_TEXT = CASE2_TEXT.replace("1 0.0 2.0 -1.0 1.0", "1 0.0 0.1 -1.0 1.0")
+
+
+def test_fit_ranks_against_the_local_reference(tmp_path, capsys):
+    """Without a reference file, fit ranks every primal and dual
+    architecture against the local reference of each instance (chain4)."""
     path = tmp_path / "chain4.case"
     path.write_text(chain_case_text(4), encoding="utf-8")
-    config = write_config(tmp_path, path)
-    code, _, err = run_cli(capsys, "fit", str(config))
+    config = write_config(tmp_path, path, instances=2)
+    code, out, err = run_cli(capsys, "fit", str(config), "--restarts", "1", "--iters", "20")
+    assert code == 0, err
+    lines = out.strip().splitlines()
+    assert lines[0] == "role,row,layers,mean_cost"
+    for role in ("primal", "dual"):
+        rows = sorted(int(line.split(",")[1]) for line in lines[1:] if line.startswith(role))
+        assert rows == list(range(1, 9)), role
+
+
+def test_fit_without_reference_exits_1(tmp_path, capsys):
+    """fit exits 1 when no instance has a reference: here the only
+    instance's local solve fails, and the warning names it."""
+    path = tmp_path / "short.case"
+    path.write_text(SHORT_CASE2_TEXT, encoding="utf-8")
+    code, _, err = run_cli(capsys, "fit", str(write_config(tmp_path, path)))
     assert code == 1
-    assert "needs a reference solution file" in err
+    assert "instance 0 has no reference" in err
+    assert "no instance has a reference solution" in err
+
+
+def test_failing_reference_solve_leaves_the_run_unscored(tmp_path, capsys):
+    """A local reference solve that fails does not stop the run: solve
+    finishes with the exit code of any unscored run that did not diverge,
+    names the instance and the solver's message on stderr, records the
+    message in report.json, and writes no reference.json."""
+    path = tmp_path / "short.case"
+    path.write_text(SHORT_CASE2_TEXT, encoding="utf-8")
+    out_dir = tmp_path / "run"
+    config = write_config(tmp_path, path, out=str(out_dir), models=["qcqp_theta"],
+                          methods=["pd"], stop={"max_iters": 5})
+    code, _, err = run_cli(capsys, "solve", str(config))
+    assert code == 0, err
+    message = re.search(r"instance 0 has no reference: (.*)", err).group(1)
+    assert "the reference solve of short-i0 stopped" in message
+    doc = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
+    assert doc["reference_errors"] == {"0": message}
+    assert doc["summary"] == {} and doc["instances"][0]["QCQPt-PD"]["metrics"] is None
+    assert not (out_dir / "reference.json").exists()
+
+
+def test_default_ieee57_solve_scores_itself_and_reruns_from_its_reference(tmp_path, capsys):
+    """A default solve of the bundled ieee57 scores its instance against
+    the local reference and writes it to reference.json; a rerun that reads
+    that file scores the same, metric block for metric block."""
+    docs = []
+    for run, reference in (("first", None), ("rerun", tmp_path / "first" / "reference.json")):
+        config = tmp_path / f"{run}.json"
+        config.write_text(json.dumps({
+            "case": str(harness.bundled_case_path("ieee57")), "instances": 1,
+            "stop": {"max_iters": 2}, "classical_stop": {"max_iters": 2},
+            "out": str(tmp_path / run), **({"reference": str(reference)} if reference else {})}))
+        code, _, err = run_cli(capsys, "solve", str(config))
+        assert code == 2, err   # the classical baselines diverge (ROADMAP item 2)
+        table = (tmp_path / run / "table1.csv").read_text(encoding="utf-8").splitlines()
+        assert [line.split(",")[0] for line in table[1:]] == ["QCQPt-EG", "QCQPt-PD"]
+        assert (tmp_path / run / "reference.json").exists()
+        docs.append(json.loads((tmp_path / run / "report.json").read_text(encoding="utf-8")))
+    first, rerun = ([{tag: r["metrics"] for tag, r in inst.items()} for inst in doc["instances"]]
+                    for doc in docs)
+    assert first == rerun
+    assert all(first[0][tag] is not None for tag in ("QCQPt-EG", "QCQPt-PD"))
+    assert docs[0]["summary"] == docs[1]["summary"] != {}
 
 
 def test_validation_exit_code(tmp_path, capsys):

@@ -116,8 +116,9 @@ def test_prepare_case_stats_pinned(ieee57, copies, seed, counts):
 def test_prepare_instances_order_each_case_once(ieee57, monkeypatch):
     """One RCM search per run, on instance 0 with the run's seed; the run's
     instances are generate_instances' and bounds row 0 is instance 0's
-    padded bounds.  At rcm_runs = 20, separate searches on instances 1 and
-    2 would pick orderings with other colour counts."""
+    bounds, which the prepared case pads as instance 0's solver rows.  At
+    rcm_runs = 20, separate searches on instances 1 and 2 would pick
+    orderings with other colour counts."""
     config = ExperimentConfig(case_path="unused", instances=3, rcm_runs=20, seed=0)
     searches = []
     search = harness.prepare_case
@@ -128,8 +129,10 @@ def test_prepare_instances_order_each_case_once(ieee57, monkeypatch):
     assert searches[0][1:] == (20, sim.chain_seed(0, 100, 0))
     assert instances == generate_instances(ieee57, 3, config.load_scale, config.seed)
     assert searches[0][0] == instances[0] and prepared.case == instances[0]
-    assert bounds.shape == (3, prepared.permuted.m_stored)
-    assert np.array_equal(bounds[0], prepared.permuted.bounds)
+    assert bounds.shape == (3, prepared.problem.m)
+    assert np.array_equal(bounds[0], prepared.problem.bounds)
+    assert np.array_equal(prepared.with_instance(instances[0], bounds[0]).permuted.bounds,
+                          prepared.permuted.bounds)
     alone = search(instances[0], 20, sim.chain_seed(0, 100, 0))
     assert prepared.stats == alone.stats
     assert np.array_equal(prepared.perm.forward, alone.perm.forward)
@@ -146,7 +149,7 @@ def test_instances_are_bounds_rows_of_one_problem(request, name, count):
         config, request.getfixturevalue(name))
     assert len(instances) == len(bounds) == count
     for k, instance in enumerate(instances):
-        assert_same_rows(replace(prepared.permuted, bounds=bounds[k]),
+        assert_same_rows(prepared.with_instance(instance, bounds[k]).permuted,
                          per_instance_problem(instance, prepared.perm))
     assert not np.array_equal(bounds[0], bounds[1])
 
@@ -642,6 +645,54 @@ def test_longer_reference_scores_the_first_instances(tmp_path, case2_file):
         assert mine["QCQP-EG"].metrics == theirs["QCQP-EG"].metrics
 
 
+def test_failed_reference_solve_leaves_the_other_instances_scored(tmp_path, capsys):
+    """Instance 0's load exceeds what the generator (p_max 0.5) can supply,
+    so its local reference solve fails; instance 1's converges.  The run
+    solves both, scores instance 1 only, records instance 0's message and,
+    lacking a reference for every instance, writes no reference.json."""
+    case_file = tmp_path / "case2.case"
+    case_file.write_text(CASE2_TEXT.replace("1 0.0 2.0 -1.0 1.0", "1 0.0 0.5 -1.0 1.0"))
+    config = ExperimentConfig(
+        case_path=str(case_file), instances=2, load_scale=(0.5, 1.5), seed=1,
+        models=("qcqp_theta",), methods=("pd",), primal=AnsatzChoice(6, 1),
+        dual=AnsatzChoice(2, 1), rcm_runs=2, stop=saddle.StopRule(max_iters=5))
+    report = harness.run_experiment(config)
+    message = report.reference.errors[0]
+    assert list(report.reference.errors) == [0] and report.reference.instances[0] is None
+    assert f"instance 0 has no reference: {message}" in capsys.readouterr().err
+    assert [inst["QCQPt-PD"].iterations for inst in report.instances] == [5, 5]
+    assert report.instances[0]["QCQPt-PD"].metrics is None
+    assert report.instances[1]["QCQPt-PD"].metrics is not None
+    names = {path.name for path in emit_report(report, tmp_path / "run")}
+    assert "reference.json" not in names and not (tmp_path / "run" / "reference.json").exists()
+    doc = json.loads((tmp_path / "run" / "report.json").read_text())
+    assert doc["reference_errors"] == {"0": message}
+
+
+def test_reference_is_solved_only_for_an_instance_with_a_finished_run(case2_file, tmp_path,
+                                                                     monkeypatch):
+    """A local reference is solved once per instance, when its first run
+    finishes; an instance whose every run diverges has nothing to score, so
+    none is solved for it, and the run writes no reference.json."""
+    solves = []
+    solve = harness.local_reference
+    monkeypatch.setattr(harness, "local_reference",
+                        lambda case: solves.append(case.name) or solve(case))
+    config = ExperimentConfig(
+        case_path=str(case2_file), instances=2, models=("qcqp_theta",), methods=("pd", "eg"),
+        primal=AnsatzChoice(6, 1), dual=AnsatzChoice(2, 1), rcm_runs=2, seed=9,
+        stop=saddle.StopRule(max_iters=5))
+    report = harness.run_experiment(config)
+    assert solves == ["case2-i0", "case2-i1"]
+    assert all(r.metrics is not None for inst in report.instances for r in inst.values())
+    solves.clear()
+    report = harness.run_experiment(replace(config, divergence_ceiling=1e-12))
+    assert solves == [] and report.reference.instances == (None, None)
+    assert report.reference.errors == {}
+    assert all(r.stop_reason == "diverged" for inst in report.instances for r in inst.values())
+    assert "reference.json" not in {path.name for path in emit_report(report, tmp_path)}
+
+
 def test_run_experiment_determinism(case2_file):
     config = ExperimentConfig(
         case_path=str(case2_file), instances=1, models=("qcqp_theta",),
@@ -704,7 +755,8 @@ def test_emit_report_empty_instances(tmp_path):
 
 def test_ieee57_pipeline_smoke(ieee57):
     """Three exact iterations at full benchmark scale: catches dimension and
-    bookkeeping mistakes in the permuted 64x512 pipeline."""
+    bookkeeping mistakes in the permuted 64x512 pipeline, and the run is
+    scored against instance 0's local reference."""
     config = ExperimentConfig(
         case_path="unused",
         instances=1,
@@ -719,7 +771,8 @@ def test_ieee57_pipeline_smoke(ieee57):
     report = harness.run_experiment(config, case=ieee57)
     result = report.instances[0]["QCQPt-PD"]
     assert result.iterations == 3
-    assert result.metrics is None          # no reference at this scale
+    assert result.metrics is not None      # scored against the local reference
+    assert report.reference.instances[0].cost == pytest.approx(85.4235, abs=1e-4)
     assert len(result.duals) == 278        # balance + line rows
     assert report.stats.bandwidth_after < report.stats.bandwidth_before
 
